@@ -2,7 +2,7 @@
 //!
 //! Measures insert / churn / delete / set_weight / query / batched-query
 //! throughput for every backend in the roster through the `pss-core` facade
-//! and writes `BENCH_core.json` (see `--out`), validated against schema v6
+//! and writes `BENCH_core.json` (see `--out`), validated against schema v7
 //! right after writing, so successive PRs accumulate a performance
 //! trajectory that scripts can diff and whose shape cannot silently drift.
 //! Queries run through the shared-read surface (`&self` + `QueryCtx`); the
@@ -37,7 +37,8 @@
 //!
 //! Usage: `cargo run --release -p bench --bin bench_core [-- --out PATH
 //! --n ITEMS --threads T --quick --scaling-fragment PATH
-//! --scaling-baseline PATH]`
+//! --scaling-baseline PATH]`; `--threads` defaults to the available
+//! parallelism.
 
 use baselines::{all_backends, OdssStyle};
 use bench::{fmt_secs, time, time_per};
@@ -707,7 +708,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_path = "BENCH_core.json".to_string();
     let mut n = 1usize << 14;
-    let mut threads = 8usize;
+    // One worker per available core: more would measure oversubscription.
+    let mut threads = std::thread::available_parallelism().map_or(1, |t| t.get());
     let mut quick = false;
     let mut scaling_only = false;
     let mut scaling_fragment: Option<String> = None;

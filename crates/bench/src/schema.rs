@@ -4,7 +4,7 @@
 //! performance trajectory that scripts can diff. A snapshot whose *shape*
 //! silently drifts (renamed field, string where a number belongs, empty
 //! backend roster) breaks every downstream diff without failing anything —
-//! so the emitter validates its own output against schema v6 right after
+//! so the emitter validates its own output against schema v7 right after
 //! writing, and CI runs the same check on the `--quick` smoke snapshot.
 //!
 //! Schema history: v2 extended v1 with per-backend `delete`/`set_weight`
@@ -661,9 +661,9 @@ mod tests {
 
     #[test]
     fn committed_snapshot_is_valid() {
-        // The repository's own BENCH_core.json must always pass schema v6.
+        // The repository's own BENCH_core.json must always pass schema v7.
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_core.json");
         let text = std::fs::read_to_string(path).expect("committed BENCH_core.json");
-        validate_bench_core_v7(&text).expect("committed snapshot violates schema v6");
+        validate_bench_core_v7(&text).expect("committed snapshot violates schema v7");
     }
 }

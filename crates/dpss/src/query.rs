@@ -19,21 +19,34 @@
 //!
 //! **Fast path.** Paying a multi-word `BigUint` multiply per inclusion coin
 //! is what kept HALT behind the naive float baseline on queries. Each coin
-//! here now goes through a two-sided word test ([`randvar::Bits64`]): a
+//! here goes through a two-sided word test ([`randvar::Bits64`]): a
 //! precomputed [`QueryAccel`] turns `W` into certified f64 bounds of `1/W`,
 //! every coin's bracket is one or two directed-rounded float multiplies, and
 //! the exact rational machinery only runs when the uniform word lands in the
 //! ulp-wide sliver between certain-accept and certain-reject (≈ 2⁻⁵⁰ per
 //! coin), *conditioned on the drawn word* — so the sampled distribution is
 //! bit-for-bit the same as the all-exact implementation.
+//!
+//! **Open-bucket walk.** A sampled bucket `b` is opened through one
+//! [`randvar::GeoDesc`] for `p = 2^{b+1}/W`, built in words: its bracket is
+//! the plan's `1/W` bracket scaled exactly by `2^{b+1}`, `⌊log2 p⌋` is
+//! `b+1 − ⌈log2 W⌉`, and its table of `(1−p)^{2^i}` brackets makes every
+//! promising, first-index and stride coin a handful of integer multiplies.
+//! The exact `p` is only formed on a sliver. The walk itself is bound by
+//! memory, not arithmetic — each potential item is a random read of the
+//! bucket's ids and then of the item's weight — so it runs in batches whose
+//! reads overlap (see [`extract_items`]). None of this changes a decision:
+//! each one is still a function of the drawn words and the exact
+//! probability, so both the returned items and the words drawn match the
+//! all-exact, item-at-a-time algorithm.
 
 use crate::lookup::{LookupTable, MAX_K};
 use crate::structure::{pow2_scaled, pow2f, Level1, LevelView, NodeView};
 use bignum::{BigUint, Ratio};
 use rand::RngCore;
 use randvar::{
-    ber_bits_with, ber_pstar, ber_rational_from_word, ber_rational_parts, bgeo, div_down, div_up,
-    mul_down, mul_up, tgeo, Bits64,
+    ber_bits_with, ber_rational_from_word, ber_rational_parts, div_down, div_up, mul_down, mul_up,
+    Bits64, GeoDesc,
 };
 use std::cmp::Ordering;
 use wordram::bits;
@@ -70,6 +83,19 @@ impl QueryAccel {
     #[inline]
     fn use_fast(&self) -> bool {
         self.fast && randvar::fast_path_enabled()
+    }
+
+    /// The geometric descriptor of a non-clamped bucket's
+    /// `p = 2^shift/W < 1`, in words: the `1/W` bracket scaled exactly by
+    /// `2^shift`, and `⌊log2 p⌋ = shift − ⌈log2 W⌉`. `range` is the largest
+    /// `B-Geo` cap it will serve. The exact `p` is only formed from `w` on
+    /// a sliver or in exact mode.
+    #[inline]
+    fn bucket_desc<'w>(&self, w: &'w Ratio, shift: u64, range: u64) -> GeoDesc<'w> {
+        debug_assert!((shift as i64) < self.w_ceil_log2, "bucket p = 2^{shift}/W is clamped");
+        let sc = pow2f(narrow::i32_of_u64(shift));
+        let bounds = (self.winv_lo * sc, self.winv_hi * sc); // exact: power-of-two scaling
+        GeoDesc::new(w.den(), w.num(), shift, bounds, shift as i64 - self.w_ceil_log2, range)
     }
 
     /// [`Bits64`] bracket of the inclusion probability `min(1, w_x/W)` from a
@@ -198,7 +224,12 @@ pub fn query_insignificant<V: LevelView, R: RngCore>(
         return Vec::new();
     }
     // First potential index k via B-Geo(p0, N+1) (p0 = 1 degenerates to k=1).
-    let k = if p0.cmp_int(1) != Ordering::Less { 1 } else { bgeo(rng, p0, n + 1) };
+    // p0 = 1/N² or 2/m² fits in words, so its descriptor allocates nothing.
+    let k = if p0.num().cmp(p0.den()) != Ordering::Less {
+        1
+    } else {
+        GeoDesc::from_ratio(p0, n + 1).bgeo(rng, n + 1)
+    };
     if k > n {
         return Vec::new();
     }
@@ -257,7 +288,10 @@ pub fn query_certain<V: LevelView>(view: &V, i_bottom: i64) -> Vec<V::Id> {
 ///   then locate the first potential index with `T-Geo(p, n_b)` (Theorem 1.3).
 ///
 /// Each potential item `x` is accepted with `p_x/p = w(x)/2^{b+1}` exactly.
-pub fn extract_items<V: LevelView, R: RngCore>(
+///
+/// The batched walk rewinds the stream when a coin lands in its sliver, so
+/// `R` is `Clone`.
+pub fn extract_items<V: LevelView, R: RngCore + Clone>(
     view: &V,
     rng: &mut R,
     w: &Ratio,
@@ -301,60 +335,151 @@ pub fn extract_items<V: LevelView, R: RngCore>(
             }
             continue;
         }
-        let pow = BigUint::pow2(shift);
-        let p = Ratio::new(pow.mul(w.den()), w.num().clone());
+        // One word-level descriptor serves the bucket's promising coin, its
+        // first-index draw and every stride.
+        let d = accel.bucket_desc(w, shift, n_b + 1);
         // First potential index.
-        let p_times_n = p.mul_big(&BigUint::from_u64(n_b));
-        let mut k = if p_times_n.cmp_int(1) != Ordering::Less {
-            bgeo(rng, &p, n_b + 1)
+        let k = if d.np_at_least_one(n_b) {
+            d.bgeo(rng, n_b + 1)
         } else {
-            if !ber_pstar(rng, &p, n_b) {
+            if !d.ber_pstar(rng, n_b) {
                 continue; // bucket rejected: contains no potential item
             }
-            tgeo(rng, &p, n_b)
+            d.tgeo(rng, n_b)
         };
-        // Walk the remaining potential items with B-Geo strides. While the
-        // current item's acceptance coin is being drawn, hint the line one
-        // *expected* stride ahead (E[stride] = 1/p ≈ W/2^{b+1}, a power of
-        // two by the clamp test above). The hint is speculative and bounds-
-        // checked — it moves no data and draws no randomness, so the sample
-        // stream is bit-identical with or without it.
-        let est_stride = bits::pow2_64((accel.w_ceil_log2 as u64 - shift).min(16));
-        while k <= n_b {
-            view.prefetch_bucket_item(b, (k - 1 + est_stride) as usize);
-            let x = view.bucket_item(b, (k - 1) as usize);
-            if accept_in_bucket(view, rng, accel, x, shift, &pow) {
-                out.push(x);
-            }
-            k += bgeo(rng, &p, n_b + 1);
-        }
+        walk_bucket(view, rng, accel, &d, b, shift, k, &mut out);
     }
     out
 }
 
+/// Potential items one batch of the open-bucket walk resolves together.
+const WALK_BATCH: usize = 16;
+
+/// Walks a non-clamped bucket `b` from its first potential index `k`: each
+/// potential item `x` is accepted with `Ber(w(x)/2^{b+1})`, and the next
+/// potential item lies a `B-Geo(p, n_b+1)` stride further (Algorithm 5).
+///
+/// The walk is memory-bound: every potential item is a random read of the
+/// bucket's id array and then of the item's weight. On the fast path it
+/// therefore runs in batches. Positions and acceptance words depend on the
+/// random stream alone, so a batch first draws up to [`WALK_BATCH`]
+/// (position, word) pairs exactly as the item-at-a-time loop would if no
+/// coin lands in its sliver, then reads the batch's ids and weights with
+/// their cache misses in flight together, then decides each coin from its
+/// word. A coin in the sliver needs the words that follow its own, so the
+/// batch then rewinds the stream to its start and replays item by item:
+/// the output and the words drawn are the item-at-a-time loop's in every
+/// case.
+fn walk_bucket<V: LevelView, R: RngCore + Clone>(
+    view: &V,
+    rng: &mut R,
+    accel: &QueryAccel,
+    d: &GeoDesc<'_>,
+    b: usize,
+    shift: u64,
+    mut k: u64,
+    out: &mut Vec<V::Id>,
+) {
+    let n_b = view.bucket_len(b) as u64;
+    let inv_pow = pow2f(-narrow::i32_of_u64(shift));
+    // One step of the item-at-a-time loop; returns the next position.
+    let step = |rng: &mut R, k: u64, out: &mut Vec<V::Id>| {
+        let x = view.bucket_item(b, (k - 1) as usize);
+        if accept_in_bucket(view, rng, accel, x, shift, inv_pow) {
+            out.push(x);
+        }
+        k + d.bgeo(rng, n_b + 1)
+    };
+    if !accel.use_fast() {
+        while k <= n_b {
+            k = step(rng, k, out);
+        }
+        return;
+    }
+    let mut pos = [0u64; WALK_BATCH];
+    let mut words = [0u64; WALK_BATCH];
+    let mut ids: [Option<V::Id>; WALK_BATCH] = [None; WALK_BATCH];
+    while k <= n_b {
+        let (start, snapshot, len0) = (k, rng.clone(), out.len());
+        let mut m = 0;
+        for (p, u) in pos.iter_mut().zip(words.iter_mut()) {
+            if k > n_b {
+                break;
+            }
+            (*p, *u) = (k, rng.next_u64());
+            k += d.bgeo(rng, n_b + 1);
+            m += 1;
+        }
+        for &p in pos.iter().take(m) {
+            view.prefetch_bucket_item(b, (p - 1) as usize);
+        }
+        for (id, &p) in ids.iter_mut().zip(&pos).take(m) {
+            let x = view.bucket_item(b, (p - 1) as usize);
+            view.prefetch_weight(x);
+            *id = Some(x);
+        }
+        let decided = ids.iter().zip(&words).take(m).all(|(&x, &u)| {
+            let Some(x) = x else { return false };
+            match in_bucket_bits(view, x, shift, inv_pow).certain(u) {
+                Some(accept) => {
+                    if accept {
+                        out.push(x);
+                    }
+                    true
+                }
+                None => false,
+            }
+        });
+        if !decided {
+            (*rng, k) = (snapshot, start);
+            out.truncate(len0);
+            for _ in 0..m {
+                if k > n_b {
+                    break;
+                }
+                k = step(rng, k, out);
+            }
+        }
+    }
+}
+
+/// The certified [`Bits64`] bracket of `w(x)/2^{b+1}`, with
+/// `inv_pow = 2^-(b+1)`: the denominator is a power of two, so the bracket
+/// is an exact-scaling float multiply and, in debug builds, the exact
+/// threshold a shift.
+fn in_bucket_bits<V: LevelView>(view: &V, x: V::Id, shift: u64, inv_pow: f64) -> Bits64 {
+    let (w_lo, w_hi) = view.weight_f64_bounds(x);
+    let bits = Bits64::from_f64_bounds(mul_down(w_lo, inv_pow), mul_up(w_hi, inv_pow));
+    if cfg!(debug_assertions) {
+        // ⌊w·2^64/2^shift⌋ < 2^64 since w < 2^shift.
+        let w_x = view.weight_u256(x);
+        let t = if shift >= 64 {
+            w_x.shr(narrow::u32_of_u64(shift - 64)).to_u128()
+        } else {
+            w_x.to_u128().map(|v| bits::shl128(v, 64 - shift))
+        };
+        bits.debug_validate_threshold(t.and_then(|v| u64::try_from(v).ok()).unwrap_or(u64::MAX));
+    }
+    bits
+}
+
 /// Draws `Ber(w(x)/2^{b+1})` — the open-bucket acceptance coin of
-/// Algorithm 5 (`p_x/p`, < 1 since `w(x) < 2^{b+1}`). The denominator is a
-/// power of two, so the fast bracket is an exact-scaling float multiply.
+/// Algorithm 5 (`p_x/p`, < 1 since `w(x) < 2^{b+1}`). `2^{b+1}` only
+/// becomes a `BigUint` on the sliver or in exact mode.
 fn accept_in_bucket<V: LevelView, R: RngCore>(
     view: &V,
     rng: &mut R,
     accel: &QueryAccel,
     x: V::Id,
     shift: u64,
-    pow: &BigUint,
+    inv_pow: f64,
 ) -> bool {
     if accel.use_fast() {
-        let (w_lo, w_hi) = view.weight_f64_bounds(x);
-        let sc = pow2f(-narrow::i32_of_u64(shift));
-        let bits = Bits64::from_f64_bounds(mul_down(w_lo, sc), mul_up(w_hi, sc));
-        if cfg!(debug_assertions) {
-            bits.debug_validate(&view.weight_u256(x).to_biguint(), pow);
-        }
-        return ber_bits_with(rng, &bits, |rng, u| {
-            ber_rational_from_word(rng, &view.weight_u256(x).to_biguint(), pow, u)
+        return ber_bits_with(rng, &in_bucket_bits(view, x, shift, inv_pow), |rng, u| {
+            ber_rational_from_word(rng, &view.weight_u256(x).to_biguint(), &BigUint::pow2(shift), u)
         });
     }
-    ber_rational_parts(rng, &view.weight_u256(x).to_biguint(), pow)
+    ber_rational_parts(rng, &view.weight_u256(x).to_biguint(), &BigUint::pow2(shift))
 }
 
 /// Iterates the non-empty *significant* groups of a level and hands each to
@@ -382,7 +507,10 @@ fn for_significant_groups(
 
 /// One-level query on a level-2 node (Algorithm 1 with recursion into the
 /// final level). Returns sampled proxies = level-1 bucket indices.
-pub fn query_node<R: RngCore>(view: &NodeView<'_>, ctx: &mut QueryFrame<'_, R>) -> Vec<u16> {
+pub fn query_node<R: RngCore + Clone>(
+    view: &NodeView<'_>,
+    ctx: &mut QueryFrame<'_, R>,
+) -> Vec<u16> {
     debug_assert_eq!(view.node.level, 2);
     let n = view.node.n_members;
     if n == 0 {
@@ -406,7 +534,10 @@ pub fn query_node<R: RngCore>(view: &NodeView<'_>, ctx: &mut QueryFrame<'_, R>) 
 /// The final-level query (§4.4): insignificant + certain ranges plus the
 /// lookup-table-driven middle range of at most `K = O(log m)` buckets.
 /// Returns sampled proxies = level-2 bucket indices.
-pub fn query_final<R: RngCore>(view: &NodeView<'_>, ctx: &mut QueryFrame<'_, R>) -> Vec<u16> {
+pub fn query_final<R: RngCore + Clone>(
+    view: &NodeView<'_>,
+    ctx: &mut QueryFrame<'_, R>,
+) -> Vec<u16> {
     let node = view.node;
     debug_assert_eq!(node.level, 3);
     let n = node.n_members;
@@ -563,7 +694,7 @@ fn accept_direct_candidate<R: RngCore>(
 }
 
 /// Algorithm 1 at the root: the full PSS query on the real item set.
-pub fn query_level1<R: RngCore>(
+pub fn query_level1<R: RngCore + Clone>(
     level1: &Level1,
     ctx: &mut QueryFrame<'_, R>,
 ) -> Vec<crate::ItemId> {
@@ -579,7 +710,7 @@ pub fn query_level1<R: RngCore>(
 /// [`query_level1`] with precomputed level-1 thresholds and `p0 = 1/N²` —
 /// the entry point fed by [`crate::DpssSampler`]'s per-`(α, β)` plan cache,
 /// which skips the multi-word threshold setup on repeated queries.
-pub fn query_level1_planned<R: RngCore>(
+pub fn query_level1_planned<R: RngCore + Clone>(
     level1: &Level1,
     ctx: &mut QueryFrame<'_, R>,
     th: &Thresholds,
@@ -604,9 +735,70 @@ pub fn query_level1_planned<R: RngCore>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::item::ItemId;
+    use crate::structure::L1_BUCKETS;
+    use pss_core::QueryCtx;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use wordram::BitsetList;
+    use wordram::{BitsetList, U256};
+
+    /// A [`Level1`] whose weight brackets are widened by 2⁻⁶ either side
+    /// (still certified): about one acceptance word in 30 lands in the
+    /// sliver, so most walk batches rewind and replay.
+    struct WideBrackets<'a>(&'a Level1);
+
+    impl LevelView for WideBrackets<'_> {
+        type Id = ItemId;
+        fn n_items(&self) -> usize {
+            self.0.n_items()
+        }
+        fn nonempty(&self) -> &BitsetList {
+            self.0.nonempty()
+        }
+        fn bucket_len(&self, b: usize) -> usize {
+            self.0.bucket_len(b)
+        }
+        fn bucket_item(&self, b: usize, pos: usize) -> ItemId {
+            self.0.bucket_item(b, pos)
+        }
+        fn weight_u256(&self, id: ItemId) -> U256 {
+            self.0.weight_u256(id)
+        }
+        fn weight_f64_bounds(&self, id: ItemId) -> (f64, f64) {
+            // Rounding is monotone, so lo·c ≤ lo and hi·c' ≥ hi.
+            let (lo, hi) = self.0.weight_f64_bounds(id);
+            (lo * (1.0 - 1.0 / 64.0), hi * (1.0 + 1.0 / 64.0))
+        }
+    }
+
+    #[test]
+    fn batched_walk_replays_slivers_word_for_word() {
+        // Weights below 2^20 against W ≈ Σw/256 ≈ 2^23: no bucket clamps, so
+        // the walk draws the same words whether its coins run fast or exact.
+        let weights: Vec<u64> =
+            (0..4096u64).map(|i| 1 + i.wrapping_mul(2_654_435_761) % (1 << 20)).collect();
+        let mut level1 = Level1::new(12, 4);
+        level1.insert_many(&weights);
+        let view = WideBrackets(&level1);
+        let w = Ratio::from_u128s(level1.total_weight, 256);
+        let buckets: Vec<u16> =
+            level1.nonempty().range(0, L1_BUCKETS - 1).map(narrow::u16_of_usize).collect();
+        let slivers = randvar::sliver_hits();
+        let mut items = 0;
+        for seed in 0..32 {
+            let mut fast_ctx = QueryCtx::new(seed);
+            let fast =
+                extract_items(&view, fast_ctx.rng(), &w, &QueryAccel::new(&w, true), &buckets);
+            let mut exact_ctx = QueryCtx::new(seed);
+            let exact =
+                extract_items(&view, exact_ctx.rng(), &w, &QueryAccel::new(&w, false), &buckets);
+            assert_eq!(fast, exact, "seed {seed}: batched walk returned other items");
+            assert_eq!(fast_ctx.words_consumed(), exact_ctx.words_consumed(), "seed {seed}");
+            items += fast.len();
+        }
+        assert!(items > 32 * 128, "walk sampled only {items} items");
+        assert!(randvar::sliver_hits() - slivers > 64, "the replay path was barely exercised");
+    }
 
     #[test]
     fn significant_groups_skip_empty_universe() {

@@ -50,10 +50,16 @@ pub const L3_BUCKETS: usize = 160;
 pub const NO_NODE: u32 = u32::MAX;
 
 /// `2^e` as an `f64` (exact for `|e| ≤ 1023`; the hierarchy's bucket
-/// indices stay below 161). Shared with the query layer.
+/// indices stay below 161). Shared with the query layer, which calls it per
+/// coin: a normal power of two is its biased exponent field alone, so it
+/// costs a shift rather than a `powi` library call.
 #[inline]
 pub(crate) fn pow2f(e: i32) -> f64 {
-    2f64.powi(e)
+    if (-1022..=1023).contains(&e) {
+        f64::from_bits(u64::from((e + 1023).unsigned_abs()) << 52)
+    } else {
+        2f64.powi(e)
+    }
 }
 
 /// `c·2^e` as an exact `f64`: scaling by a power of two only shifts the
@@ -1369,13 +1375,16 @@ pub trait LevelView {
     /// The item at position `pos` of bucket `b`.
     fn bucket_item(&self, b: usize, pos: usize) -> Self::Id;
     /// Hints that [`LevelView::bucket_item`] will soon be asked for
-    /// `(b, pos)` — bounds-checked, out-of-range positions are a no-op, so
-    /// the query walk may speculate one estimated stride ahead freely. A
+    /// `(b, pos)` — bounds-checked, out-of-range positions are a no-op. A
     /// prefetch moves no observable data and draws no randomness; sample
     /// streams are unaffected. Default: no-op (proxy-level buckets are a
     /// few u16 lines, already resident).
     #[inline]
     fn prefetch_bucket_item(&self, _b: usize, _pos: usize) {}
+    /// Hints that the item's weight will soon be read
+    /// ([`LevelView::weight_f64_bounds`]). Default: no-op.
+    #[inline]
+    fn prefetch_weight(&self, _id: Self::Id) {}
     /// Exact weight of an item as a fixed-width [`U256`] (`Copy`, no heap;
     /// callers convert to `BigUint` only on the exact/sliver paths).
     fn weight_u256(&self, id: Self::Id) -> U256;
@@ -1402,6 +1411,9 @@ impl LevelView for Level1 {
     }
     fn prefetch_bucket_item(&self, b: usize, pos: usize) {
         wordram::prefetch::prefetch_read(self.item_arena.slice(&self.buckets[b]), pos);
+    }
+    fn prefetch_weight(&self, id: ItemId) {
+        self.slab.prefetch_slot(id.idx());
     }
     fn weight_u256(&self, id: ItemId) -> U256 {
         // pss-lint: allow(no-panic-paths) — ids handed to weight_u256 come from this level's own bucket lists, which hold only live items

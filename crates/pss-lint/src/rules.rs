@@ -851,7 +851,7 @@ enum Taint {
 /// Certified combinators: both clean sources and sinks whose inputs must
 /// themselves be certified for the result to mean anything.
 const CERTIFIED_COMBINATORS: &[&str] =
-    &["mul_down", "mul_up", "div_down", "div_up", "pow_bounds_unit", "pow2f", "pow2_scaled"];
+    &["mul_down", "mul_up", "div_down", "div_up", "pow2f", "pow2_scaled"];
 
 /// Coin-flip entry points: a tainted probability here biases sampling.
 fn is_coin_name(name: &str) -> bool {

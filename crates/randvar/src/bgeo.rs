@@ -13,25 +13,20 @@
 //! drawn by uniform proposal + `Ber((1−p)^{r−1})` acceptance, which accepts
 //! with constant probability `(1−(1−p)^t)/(t·p) ≥ (1−e^{-1})/2`. All Bernoulli
 //! trials are exact (rational or lazy-oracle), so the sampler is exact.
+//!
+//! The generators are methods of a [`GeoDesc`], whose power table makes
+//! the bracket of every block and position coin `popcount(k)` fixed-point
+//! products; [`bgeo`] and [`ber_pow_one_minus`] wrap one descriptor per
+//! call.
 
 use crate::bernoulli::{ber_rational_from_word, ber_rational_parts};
-use crate::fast::{ber_bits_with, fast_path_enabled, pow_bounds_unit, Bits64};
+use crate::fast::{ber_bits_with, fast_path_enabled};
+use crate::geo::{block_exp, GeoDesc};
 use crate::lazy::{ber_oracle, ber_oracle_from_word};
 use crate::oracles::PowOneMinusOracle;
 use bignum::{BigUint, Ratio};
 use rand::RngCore;
 use wordram::bits;
-
-/// Certified `f64` bracket of `(1−p)^k` for `p ∈ [0, 1]`: directed-rounded
-/// square-and-multiply on the bracket of `1−p`, a few ulps wide. This is the
-/// bound the fast path tests a uniform word against before touching any
-/// multi-word arithmetic.
-pub fn pow_one_minus_f64_bounds(p: &Ratio, k: u64) -> (f64, f64) {
-    let (p_lo, p_hi) = p.to_f64_bounds();
-    let b_lo = (1.0 - p_hi).next_down().max(0.0);
-    let b_hi = (1.0 - p_lo).next_up().clamp(0.0, 1.0);
-    pow_bounds_unit(b_lo, b_hi, k)
-}
 
 /// The exact `(1−p)^k` Bernoulli parts when they stay O(1) words.
 fn small_exact_parts(p: &Ratio, k: u64) -> Option<(BigUint, BigUint)> {
@@ -59,60 +54,71 @@ fn pow_one_minus_exact_from_word<R: RngCore>(rng: &mut R, p: &Ratio, k: u64, u0:
     ber_oracle_from_word(rng, &mut oracle, u0)
 }
 
-/// Draws `Ber((1−p)^k)` exactly.
-///
-/// Hot path: one uniform word against the certified `f64` bracket of
-/// `(1−p)^k`; only a draw inside the ulp-wide sliver (probability ≈ 2⁻⁵⁰)
-/// invokes the exact rational / interval-oracle machinery, conditioned on the
-/// drawn word — the distribution is identical to the all-exact code.
+impl GeoDesc<'_> {
+    /// Draws `Ber((1−p)^k)` exactly.
+    ///
+    /// Hot path: one uniform word against the certified bracket of
+    /// `(1−p)^k` from the descriptor's power table; only a draw inside the
+    /// ulp-wide sliver (probability ≈ 2⁻⁵⁰) builds the exact `p` and runs
+    /// the rational / interval-oracle machinery, conditioned on the drawn
+    /// word — the distribution is identical to the all-exact code.
+    pub fn ber_pow_one_minus<R: RngCore>(&self, rng: &mut R, k: u64) -> bool {
+        if k == 0 {
+            return true;
+        }
+        if fast_path_enabled() {
+            return ber_bits_with(rng, &self.pow_bits(k), |rng, u| {
+                pow_one_minus_exact_from_word(rng, self.ratio(), k, u)
+            });
+        }
+        pow_one_minus_exact(rng, self.ratio(), k)
+    }
+
+    /// Draws `B-Geo(p, n) = min{n, Geo(p)}` exactly in O(1) expected time.
+    ///
+    /// Requires `1 ≤ n < 2^63`.
+    pub fn bgeo<R: RngCore>(&self, rng: &mut R, n: u64) -> u64 {
+        assert!((1..(1 << 63)).contains(&n), "bgeo cap out of range");
+        let t: u64 = bits::pow2_64(block_exp(self.floor_log2(), n));
+
+        let mut blocks_done: u64 = 0; // number of fully-failed blocks
+        loop {
+            if blocks_done.saturating_mul(t) >= n {
+                return n; // Geo(p) > n already
+            }
+            if self.ber_pow_one_minus(rng, t) {
+                blocks_done += 1;
+                continue;
+            }
+            // Success somewhere in block (blocks_done·t, blocks_done·t + t].
+            // Conditional position R: Pr[R = r] ∝ (1−p)^{r−1}, r ∈ [1, t].
+            let r = loop {
+                let cand = (rng.next_u64() & (t - 1)) + 1;
+                if self.ber_pow_one_minus(rng, cand - 1) {
+                    break cand;
+                }
+            };
+            return (blocks_done * t + r).min(n);
+        }
+    }
+}
+
+/// Draws `Ber((1−p)^k)` exactly for an exact rational `p ∈ (0, 1)` — one
+/// [`GeoDesc`] for the call, then [`GeoDesc::ber_pow_one_minus`].
 pub fn ber_pow_one_minus<R: RngCore>(rng: &mut R, p: &Ratio, k: u64) -> bool {
     if k == 0 {
         return true;
     }
-    if fast_path_enabled() {
-        let (lo, hi) = pow_one_minus_f64_bounds(p, k);
-        return ber_bits_with(rng, &Bits64::from_f64_bounds(lo, hi), |rng, u| {
-            pow_one_minus_exact_from_word(rng, p, k, u)
-        });
-    }
-    pow_one_minus_exact(rng, p, k)
+    GeoDesc::from_ratio(p, k.saturating_add(1)).ber_pow_one_minus(rng, k)
 }
 
 /// Draws `B-Geo(p, n) = min{n, Geo(p)}` exactly in O(1) expected time.
 ///
-/// Requires `0 < p < 1` (as an exact rational) and `1 ≤ n < 2^63`.
+/// Requires `0 < p < 1` (as an exact rational) and `1 ≤ n < 2^63`. Builds
+/// one [`GeoDesc`] for the call; callers drawing many variates at one `p`
+/// build it once themselves and call [`GeoDesc::bgeo`].
 pub fn bgeo<R: RngCore>(rng: &mut R, p: &Ratio, n: u64) -> u64 {
-    assert!((1..(1 << 63)).contains(&n), "bgeo cap out of range");
-    assert!(!p.is_zero(), "bgeo needs p > 0");
-    assert!(p.cmp_int(1) == std::cmp::Ordering::Less, "bgeo needs p < 1");
-
-    // Block length: t = 2^s with s = min(⌈log2 1/p⌉, ⌈log2 n⌉) so that either
-    // t·p ≥ 1 (constant per-block success probability) or t ≥ n (at most one
-    // block before the cap).
-    let s_p = (-p.floor_log2()).max(0) as u64; // ⌈log2(1/p)⌉ = −⌊log2 p⌋ ≥ 0
-    let s_n = 64 - (n - 1).leading_zeros() as u64; // ⌈log2 n⌉ for n ≥ 1
-    let s = s_p.min(s_n).min(62);
-    let t: u64 = bits::pow2_64(s);
-
-    let mut blocks_done: u64 = 0; // number of fully-failed blocks
-    loop {
-        if blocks_done.saturating_mul(t) >= n {
-            return n; // Geo(p) > n already
-        }
-        if ber_pow_one_minus(rng, p, t) {
-            blocks_done += 1;
-            continue;
-        }
-        // Success somewhere in block (blocks_done·t, blocks_done·t + t].
-        // Conditional position R: Pr[R = r] ∝ (1−p)^{r−1}, r ∈ [1, t].
-        let r = loop {
-            let cand = (rng.next_u64() & (t - 1)) + 1;
-            if ber_pow_one_minus(rng, p, cand - 1) {
-                break cand;
-            }
-        };
-        return (blocks_done * t + r).min(n);
-    }
+    GeoDesc::from_ratio(p, n).bgeo(rng, n)
 }
 
 #[cfg(test)]

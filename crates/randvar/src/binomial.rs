@@ -9,8 +9,9 @@
 //!
 //! This is exactly the "how many items did the insignificant instance
 //! sample?" subproblem, packaged as a standalone exact variate generator.
+//! One [`GeoDesc`] per call serves every stride.
 
-use crate::bgeo::bgeo;
+use crate::geo::GeoDesc;
 use bignum::Ratio;
 use rand::RngCore;
 use std::cmp::Ordering;
@@ -26,11 +27,12 @@ pub fn binomial<R: RngCore>(rng: &mut R, p: &Ratio, n: u64) -> u64 {
     if p.cmp_int(1) != Ordering::Less {
         return n;
     }
+    let d = GeoDesc::from_ratio(p, n + 1);
     let mut count = 0u64;
-    let mut pos = bgeo(rng, p, n + 1);
+    let mut pos = d.bgeo(rng, n + 1);
     while pos <= n {
         count += 1;
-        pos += bgeo(rng, p, n + 1);
+        pos += d.bgeo(rng, n + 1);
     }
     count
 }
@@ -47,10 +49,11 @@ pub fn binomial_positions<R: RngCore>(rng: &mut R, p: &Ratio, n: u64) -> Vec<u64
     if p.cmp_int(1) != Ordering::Less {
         return (1..=n).collect();
     }
-    let mut pos = bgeo(rng, p, n + 1);
+    let d = GeoDesc::from_ratio(p, n + 1);
+    let mut pos = d.bgeo(rng, n + 1);
     while pos <= n {
         out.push(pos);
-        pos += bgeo(rng, p, n + 1);
+        pos += d.bgeo(rng, n + 1);
     }
     out
 }

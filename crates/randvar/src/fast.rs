@@ -69,24 +69,12 @@ pub fn exact_mode_guard() -> ExactModeGuard {
     ExactModeGuard(())
 }
 
-/// Outcome of testing one uniform 64-bit word against a [`Bits64`] bracket.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FastDecision {
-    /// `U < p` regardless of all remaining bits.
-    Accept,
-    /// `U ≥ p` regardless of all remaining bits.
-    Reject,
-    /// Unresolved: the word (carried inside) landed between the certain
-    /// thresholds; the caller must finish exactly, conditioned on it.
-    Sliver(u64),
-}
-
 /// A two-sided 64-bit threshold bracket of a probability `p`:
 /// `lo ≤ p·2^64` and `hi + 1 ≥ p·2^64`.
 ///
 /// Equivalently `lo ≤ ⌊p·2^64⌋ ≤ hi` whenever `p < 1`; a uniform word `u`
-/// certainly accepts below `lo`, certainly rejects above `hi`, and is a
-/// [`FastDecision::Sliver`] in between. With exact thresholds
+/// certainly accepts below `lo`, certainly rejects above `hi`, and lands in
+/// the *sliver* in between ([`Bits64::certain`]). With exact thresholds
 /// ([`Bits64::from_ratio_parts`]) the sliver is the single word `⌊p·2^64⌋`
 /// (probability 2⁻⁶⁴); with `f64`-derived thresholds it is a few ulps wide.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -148,6 +136,13 @@ impl Bits64 {
         Self::from_ratio_parts(p.num(), p.den())
     }
 
+    /// The bracket of `v` from a 63-bit fixed-point bracket
+    /// `lo ≤ v·2^63 ≤ hi`: doubling lands on the 64-bit grid (a saturated
+    /// `hi` only disables certain rejection).
+    pub(crate) fn from_fixed63(lo: u64, hi: u64) -> Self {
+        Bits64 { lo: lo.saturating_mul(2), hi: hi.saturating_mul(2) }
+    }
+
     /// The trivial bracket `[0, 1]`: every word is a sliver (exact fallback
     /// always runs). Used to express "no usable bounds".
     pub fn trivial() -> Self {
@@ -161,23 +156,23 @@ impl Bits64 {
         Bits64 { lo: self.lo.saturating_sub(slack), hi: self.hi.saturating_add(slack) }
     }
 
-    /// Classifies an already-drawn uniform word.
-    #[inline]
-    pub fn classify(&self, u: u64) -> FastDecision {
-        if u < self.lo {
-            FastDecision::Accept
-        } else if u > self.hi {
-            FastDecision::Reject
-        } else {
-            SLIVER_HITS.with(|c| c.set(c.get() + 1));
-            FastDecision::Sliver(u)
-        }
+    /// The certain-accept threshold word `lo` (tests: an exact bracket's
+    /// `lo` is `⌊p·2^64⌋`).
+    #[cfg(test)]
+    pub(crate) fn lo_word(&self) -> u64 {
+        self.lo
     }
 
-    /// Draws one word and classifies it.
+    /// The decision an already-drawn word forces whatever the bits after
+    /// it: `Some(true)` accept, `Some(false)` reject, `None` when it lands
+    /// in the sliver and the exact comparison has to finish the decision.
     #[inline]
-    pub fn decide<R: RngCore>(&self, rng: &mut R) -> FastDecision {
-        self.classify(rng.next_u64())
+    pub fn certain(&self, u: u64) -> Option<bool> {
+        if self.lo <= u && u <= self.hi {
+            None
+        } else {
+            Some(u < self.lo)
+        }
     }
 
     /// Debug-only soundness check: asserts the bracket really contains
@@ -186,13 +181,20 @@ impl Bits64 {
     /// the test suite exercises the certification of every bound it builds.
     pub fn debug_validate(&self, num: &bignum::BigUint, den: &bignum::BigUint) {
         if cfg!(debug_assertions) {
-            let exact = Self::from_ratio_parts(num, den);
+            self.debug_validate_threshold(Self::from_ratio_parts(num, den).lo);
+        }
+    }
+
+    /// [`Bits64::debug_validate`] for a caller that already has the exact
+    /// threshold `⌊p·2^64⌋` in a word (power-of-two denominators: a shift,
+    /// no multi-word division).
+    pub fn debug_validate_threshold(&self, exact: u64) {
+        if cfg!(debug_assertions) {
             assert!(
-                self.lo <= exact.lo && exact.hi <= self.hi,
-                "Bits64 bracket [{}, {}] does not contain exact threshold {}",
+                self.lo <= exact && exact <= self.hi,
+                "Bits64 bracket [{}, {}] does not contain exact threshold {exact}",
                 self.lo,
                 self.hi,
-                exact.lo,
             );
         }
     }
@@ -210,10 +212,13 @@ pub fn ber_bits_with<R: RngCore>(
     bits: &Bits64,
     exact: impl FnOnce(&mut R, u64) -> bool,
 ) -> bool {
-    match bits.decide(rng) {
-        FastDecision::Accept => true,
-        FastDecision::Reject => false,
-        FastDecision::Sliver(u) => exact(rng, u),
+    let u = rng.next_u64();
+    match bits.certain(u) {
+        Some(accept) => accept,
+        None => {
+            SLIVER_HITS.with(|c| c.set(c.get() + 1));
+            exact(rng, u)
+        }
     }
 }
 
@@ -266,25 +271,6 @@ pub fn div_up(x_hi: f64, y_lo: f64) -> f64 {
     }
 }
 
-/// Certified bracket of `(base)^k` for a certified base bracket in `[0, 1]`:
-/// square-and-multiply with every intermediate nudged one ulp outward.
-pub fn pow_bounds_unit(mut b_lo: f64, mut b_hi: f64, mut k: u64) -> (f64, f64) {
-    debug_assert!((0.0..=1.0).contains(&b_lo) && (0.0..=1.0).contains(&b_hi));
-    let (mut lo, mut hi) = (1.0f64, 1.0f64);
-    while k > 0 {
-        if k & 1 == 1 {
-            lo = mul_down(lo, b_lo);
-            hi = mul_up(hi, b_hi).min(1.0);
-        }
-        k >>= 1;
-        if k > 0 {
-            b_lo = mul_down(b_lo, b_lo);
-            b_hi = mul_up(b_hi, b_hi).min(1.0);
-        }
-    }
-    (lo, hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,13 +283,13 @@ mod tests {
         // p = 1/3: first 64 expansion bits are ⌊2^64/3⌋.
         let b = Bits64::from_ratio_parts(&BigUint::from_u64(1), &BigUint::from_u64(3));
         let t = (u128::from(u64::MAX) + 1) / 3;
-        assert_eq!(b.classify(t as u64 - 1), FastDecision::Accept);
-        assert_eq!(b.classify(t as u64 + 1), FastDecision::Reject);
-        assert_eq!(b.classify(t as u64), FastDecision::Sliver(t as u64));
+        assert_eq!(b.certain(t as u64 - 1), Some(true));
+        assert_eq!(b.certain(t as u64 + 1), Some(false));
+        assert_eq!(b.certain(t as u64), None);
         // p ≥ 1 never certainly rejects.
         let one = Bits64::from_ratio_parts(&BigUint::from_u64(7), &BigUint::from_u64(5));
-        assert_eq!(one.classify(0), FastDecision::Accept);
-        assert!(matches!(one.classify(u64::MAX), FastDecision::Sliver(_)));
+        assert_eq!(one.certain(0), Some(true));
+        assert_eq!(one.certain(u64::MAX), None);
     }
 
     #[test]
@@ -405,26 +391,15 @@ mod tests {
     }
 
     #[test]
-    fn pow_bounds_unit_brackets_truth() {
-        for (num, den, k) in [(1u64, 7u64, 20u64), (1, 1 << 20, 1 << 18), (3, 5, 1), (1, 2, 0)] {
-            let (b_lo, b_hi) = Ratio::from_u64s(den - num, den).to_f64_bounds();
-            let (lo, hi) = pow_bounds_unit(b_lo, b_hi.min(1.0), k);
-            let truth = (1.0 - num as f64 / den as f64).powi(k as i32);
-            assert!(lo <= truth && truth <= hi, "({num}/{den})^{k}: [{lo}, {hi}] vs {truth}");
-            assert!(hi - lo < 1e-10, "bracket too wide: {}", hi - lo);
-        }
-    }
-
-    #[test]
     fn saturation_edges() {
         // p ≥ 1 from f64 bounds: lo saturates, hi disables rejection.
         let b = Bits64::from_f64_bounds(1.0, 2.0);
-        assert_eq!(b.classify(0), FastDecision::Accept);
-        assert_eq!(b.classify(u64::MAX - 1), FastDecision::Accept);
-        assert!(matches!(b.classify(u64::MAX), FastDecision::Sliver(_)));
+        assert_eq!(b.certain(0), Some(true));
+        assert_eq!(b.certain(u64::MAX - 1), Some(true));
+        assert_eq!(b.certain(u64::MAX), None);
         // p = 0.
         let z = Bits64::from_f64_bounds(0.0, 0.0);
-        assert!(matches!(z.classify(0), FastDecision::Sliver(0)));
-        assert_eq!(z.classify(1), FastDecision::Reject);
+        assert_eq!(z.certain(0), None);
+        assert_eq!(z.certain(1), Some(false));
     }
 }

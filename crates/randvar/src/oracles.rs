@@ -15,8 +15,8 @@
 //! on the error estimate; only speed does. This realizes the poly(i)-time
 //! *i*-bit approximations of Lemmas 3.3 and 3.4.
 
-use crate::bgeo::pow_one_minus_f64_bounds;
-use crate::fast::{ber_bits_with, fast_path_enabled, mul_up, Bits64};
+use crate::fast::{ber_bits_with, fast_path_enabled, mul_down, mul_up, Bits64};
+use crate::geo::{u64_f64_bounds, GeoDesc};
 use crate::lazy::{ber_oracle, ber_oracle_from_word, ProbOracle};
 use bignum::{BigUint, Interval, Ratio};
 use rand::RngCore;
@@ -116,43 +116,51 @@ impl ProbOracle for PStarOracle {
     }
 }
 
-/// Certified `f64` bracket of `p* = (1 − (1−q)^n)/(n·q)` (the type (ii)
-/// probability), from directed-rounded word arithmetic only. Degenerate
-/// inputs (underflowing `n·q`) return the trivial `[0, 1]`, which routes the
-/// caller to the exact oracle.
-pub fn pstar_f64_bounds(q: &Ratio, n: u64) -> (f64, f64) {
-    let (pow_lo, pow_hi) = pow_one_minus_f64_bounds(q, n);
-    let num_lo = (1.0 - pow_hi).next_down().max(0.0);
-    let num_hi = (1.0 - pow_lo).next_up().clamp(0.0, 1.0);
-    let (q_lo, q_hi) = q.to_f64_bounds();
-    // n as f64 is correctly rounded; nudging certifies it for n > 2^53.
-    let nf = n as f64;
-    let (n_lo, n_hi) = if n <= 1 << 53 { (nf, nf) } else { (nf.next_down(), nf.next_up()) };
-    let den_lo = (n_lo * q_lo).next_down();
-    let den_hi = mul_up(n_hi, q_hi);
-    if den_lo <= 0.0 || !den_hi.is_finite() {
-        return (0.0, 1.0);
+impl GeoDesc<'_> {
+    /// Certified `f64` bracket of `p* = (1 − (1−p)^n)/(n·p)` (the type (ii)
+    /// probability), from the descriptor's words only. Degenerate inputs
+    /// (underflowing `n·p`) return the trivial `[0, 1]`, which routes the
+    /// caller to the exact oracle.
+    pub(crate) fn pstar_bounds(&self, n: u64) -> (f64, f64) {
+        let (pow_lo, pow_hi) = self.pow_f64_bounds(n);
+        let num_lo = (1.0 - pow_hi).next_down().max(0.0);
+        let num_hi = (1.0 - pow_lo).next_up().clamp(0.0, 1.0);
+        let (q_lo, q_hi) = self.p_f64_bounds();
+        let (n_lo, n_hi) = u64_f64_bounds(n);
+        let den_lo = mul_down(n_lo, q_lo);
+        let den_hi = mul_up(n_hi, q_hi);
+        if den_lo <= 0.0 || !den_hi.is_finite() {
+            return (0.0, 1.0);
+        }
+        let lo = (num_lo / den_hi).next_down().max(0.0);
+        let hi = (num_hi / den_lo).next_up().min(1.0);
+        (lo, hi)
     }
-    let lo = (num_lo / den_hi).next_down().max(0.0);
-    let hi = (num_hi / den_lo).next_up().min(1.0);
-    (lo, hi)
+
+    /// Draws `Ber(p*)` for `p* = (1−(1−p)^n)/(n·p)` — the promising-bucket
+    /// coin of Theorem 3.1 — through the two-sided fast path: one uniform
+    /// word against [`GeoDesc::pstar_bounds`], with the interval oracle
+    /// (conditioned on the drawn word) only inside the ulp-wide sliver.
+    /// Requires `n ≥ 1` and `n·p ≤ 1` ([`PStarOracle::new`]); the fast
+    /// branch never even constructs the oracle.
+    pub fn ber_pstar<R: RngCore>(&self, rng: &mut R, n: u64) -> bool {
+        if fast_path_enabled() {
+            let (lo, hi) = self.pstar_bounds(n);
+            return ber_bits_with(rng, &Bits64::from_f64_bounds(lo, hi), |rng, u| {
+                let mut oracle = PStarOracle::new(self.ratio(), n);
+                ber_oracle_from_word(rng, &mut oracle, u)
+            });
+        }
+        let mut oracle = PStarOracle::new(self.ratio(), n);
+        ber_oracle(rng, &mut oracle)
+    }
 }
 
-/// Draws `Ber(p*)` for `p* = (1−(1−q)^n)/(n·q)` — the promising-bucket coin
-/// of Theorem 3.1 — through the two-sided fast path: one uniform word against
-/// [`pstar_f64_bounds`], with the interval oracle (conditioned on the drawn
-/// word) only inside the ulp-wide sliver. Same preconditions as
-/// [`PStarOracle::new`]; the fast branch never even constructs the oracle.
+/// Draws `Ber(p*)` for `p* = (1−(1−q)^n)/(n·q)` — one [`GeoDesc`] for the
+/// call, then [`GeoDesc::ber_pstar`]. Same preconditions as
+/// [`PStarOracle::new`], with `q < 1`.
 pub fn ber_pstar<R: RngCore>(rng: &mut R, q: &Ratio, n: u64) -> bool {
-    if fast_path_enabled() {
-        let (lo, hi) = pstar_f64_bounds(q, n);
-        return ber_bits_with(rng, &Bits64::from_f64_bounds(lo, hi), |rng, u| {
-            let mut oracle = PStarOracle::new(q, n);
-            ber_oracle_from_word(rng, &mut oracle, u)
-        });
-    }
-    let mut oracle = PStarOracle::new(q, n);
-    ber_oracle(rng, &mut oracle)
+    GeoDesc::from_ratio(q, n.saturating_add(1)).ber_pstar(rng, n)
 }
 
 /// Oracle for `1/(2·p*)` (type (iii), Lemma 3.4). Well-defined because

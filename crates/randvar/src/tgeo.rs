@@ -25,84 +25,98 @@
 //! experiments demonstrate the bias empirically. [`tgeo`] uses the exact
 //! rejection scheme above, which keeps every bound claimed by Theorem 1.3.
 
-use crate::bernoulli::ber_rational_parts;
-use crate::bgeo::{ber_pow_one_minus, bgeo};
+use crate::bernoulli::{ber_rational_from_word, ber_rational_parts};
+use crate::fast::{ber_bits_with, fast_path_enabled};
+use crate::geo::GeoDesc;
 use crate::lazy::ber_oracle;
 use crate::oracles::HalfRecipPStarOracle;
 use crate::rng::uniform_below;
-use bignum::Ratio;
+use bignum::{BigUint, Ratio};
 use rand::RngCore;
-use std::cmp::Ordering;
 
-/// Draws `T-Geo(p, n)` exactly in O(1) expected time (Theorem 1.3).
-///
-/// Requires `0 < p < 1` (exact rational) and `1 ≤ n < 2^62`.
-pub fn tgeo<R: RngCore>(rng: &mut R, p: &Ratio, n: u64) -> u64 {
-    assert!((1..(1 << 62)).contains(&n), "tgeo range out of bounds");
-    assert!(!p.is_zero(), "tgeo needs p > 0");
-    assert!(p.cmp_int(1) == Ordering::Less, "tgeo needs p < 1");
+/// Exact parts of `(1−p)/(2−p) = (b−a)/(2b−a)` for `p = a/b`.
+fn n2_parts(p: &Ratio) -> (BigUint, BigUint) {
+    (p.den().sub(p.num()), p.den().mul_u64(2).sub(p.num()))
+}
 
-    // Case 1: n ≤ 2.
-    if n == 1 {
-        return 1;
+impl GeoDesc<'_> {
+    /// Case 1, `n = 2`: `Ber((1−p)/(2−p))` picks index 2.
+    fn tgeo_two<R: RngCore>(&self, rng: &mut R) -> u64 {
+        let second = if fast_path_enabled() {
+            ber_bits_with(rng, &self.n2_bits(), |rng, u| {
+                let (num, den) = n2_parts(self.ratio());
+                ber_rational_from_word(rng, &num, &den, u)
+            })
+        } else {
+            let (num, den) = n2_parts(self.ratio());
+            ber_rational_parts(rng, &num, &den)
+        };
+        if second {
+            2
+        } else {
+            1
+        }
     }
-    if n == 2 {
-        // Pr[2] = (1−p)/(2−p): with p = a/b, (1−p)/(2−p) = (b−a)/(2b−a).
-        let num = p.den().sub(p.num());
-        let den = p.den().mul_u64(2).sub(p.num());
-        return if ber_rational_parts(rng, &num, &den) { 2 } else { 1 };
-    }
 
-    let np = p.mul_big(&bignum::BigUint::from_u64(n));
-    if np.cmp_int(1) != Ordering::Less {
-        // Case 2.1: n·p ≥ 1 — rejection from B-Geo(p, n+1).
+    /// Draws `T-Geo(p, n)` exactly in O(1) expected time (Theorem 1.3).
+    ///
+    /// Requires `1 ≤ n < 2^62`.
+    pub fn tgeo<R: RngCore>(&self, rng: &mut R, n: u64) -> u64 {
+        assert!((1..(1 << 62)).contains(&n), "tgeo range out of bounds");
+
+        // Case 1: n ≤ 2.
+        if n == 1 {
+            return 1;
+        }
+        if n == 2 {
+            return self.tgeo_two(rng);
+        }
+
+        if self.np_at_least_one(n) {
+            // Case 2.1: n·p ≥ 1 — rejection from B-Geo(p, n+1).
+            loop {
+                let i = self.bgeo(rng, n + 1);
+                if i <= n {
+                    return i;
+                }
+            }
+        }
+
+        // Case 2.2: n·p < 1 — uniform proposal + Ber((1−p)^{i−1}) acceptance.
+        // P[return i] ∝ (1/n)·(1−p)^{i−1} ∝ pmf(i); acceptance rate p* ≥ 1 − 1/e.
         loop {
-            let i = bgeo(rng, p, n + 1);
-            if i <= n {
+            let i = 1 + uniform_below(rng, n);
+            if self.ber_pow_one_minus(rng, i - 1) {
                 return i;
             }
         }
     }
+}
 
-    // Case 2.2: n·p < 1 — uniform proposal + Ber((1−p)^{i−1}) acceptance.
-    // P[return i] ∝ (1/n)·(1−p)^{i−1} ∝ pmf(i); acceptance rate p* ≥ 1 − 1/e.
-    loop {
-        let i = 1 + uniform_below(rng, n);
-        if ber_pow_one_minus(rng, p, i - 1) {
-            return i;
-        }
-    }
+/// Draws `T-Geo(p, n)` exactly in O(1) expected time (Theorem 1.3).
+///
+/// Requires `0 < p < 1` (exact rational) and `1 ≤ n < 2^62`. Builds one
+/// [`GeoDesc`] for the call.
+pub fn tgeo<R: RngCore>(rng: &mut R, p: &Ratio, n: u64) -> u64 {
+    GeoDesc::from_ratio(p, n.saturating_add(1)).tgeo(rng, n)
 }
 
 /// The paper's Case 2.2 pseudocode, verbatim — **biased**; kept only to
 /// demonstrate the erratum (see module docs). Cases 1 and 2.1 are unchanged.
 pub fn tgeo_paper_literal<R: RngCore>(rng: &mut R, p: &Ratio, n: u64) -> u64 {
     assert!((1..(1 << 62)).contains(&n), "tgeo range out of bounds");
-    assert!(!p.is_zero() && p.cmp_int(1) == Ordering::Less);
-    if n == 1 {
-        return 1;
+    let d = GeoDesc::from_ratio(p, n.saturating_add(1));
+    if n <= 2 || d.np_at_least_one(n) {
+        return d.tgeo(rng, n);
     }
-    if n == 2 {
-        let num = p.den().sub(p.num());
-        let den = p.den().mul_u64(2).sub(p.num());
-        return if ber_rational_parts(rng, &num, &den) { 2 } else { 1 };
-    }
-    let np = p.mul_big(&bignum::BigUint::from_u64(n));
-    if np.cmp_int(1) != Ordering::Less {
-        loop {
-            let i = bgeo(rng, p, n + 1);
-            if i <= n {
-                return i;
-            }
-        }
-    }
-    let stride_p = Ratio::from_u64s(2, n); // n ≥ 3 so 2/n < 1
+    let stride = Ratio::from_u64s(2, n); // n ≥ 3 so 2/n < 1
+    let stride = GeoDesc::from_ratio(&stride, n + 1);
     let mut final_accept = HalfRecipPStarOracle::new(p, n);
     loop {
         let mut i: u64 = 0;
         while i <= n {
-            i += bgeo(rng, &stride_p, n + 1);
-            if i <= n && ber_pow_one_minus(rng, p, i - 1) && ber_oracle(rng, &mut final_accept) {
+            i += stride.bgeo(rng, n + 1);
+            if i <= n && d.ber_pow_one_minus(rng, i - 1) && ber_oracle(rng, &mut final_accept) {
                 return i;
             }
         }

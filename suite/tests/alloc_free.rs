@@ -1,42 +1,57 @@
-//! Proof that the HALT update cascade is allocation-free in steady state.
+//! Proof that the HALT update cascade is allocation-free in steady state,
+//! and that the query's open-bucket walk allocates nothing per stride.
 //!
 //! The arena/pool memory layout exists so that `insert`/`delete`/`set_weight`
 //! never touch the global allocator once the structure has warmed up to its
 //! high-water size. This test installs a counting `GlobalAlloc` and asserts
 //! the allocation counter does not move across a 100k-op churn loop (plus a
-//! 50k-op `set_weight` storm) on both HALT backends.
+//! 50k-op `set_weight` storm) on both HALT backends. The query side opens
+//! each sampled bucket through a word-level geometric descriptor, so its
+//! allocations must not grow with the number of strides walked.
 //!
 //! The counting allocator is the workspace's one sanctioned use of `unsafe`
 //! (see the workspace lint table): `GlobalAlloc` is an unsafe trait, and
 //! delegating to `System` verbatim adds no behavior beyond the counter.
 #![allow(unsafe_code)]
 
+use bignum::Ratio;
 use dpss::{DeamortizedDpss, DpssSampler, ItemId};
+use pss_core::QueryCtx;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Heap requests observed (alloc/realloc/alloc_zeroed; frees don't count —
-/// a free on the update path would imply a matching allocation elsewhere).
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap requests made by this thread (alloc/realloc/alloc_zeroed; frees
+    /// don't count — a free on the measured path would imply a matching
+    /// allocation elsewhere). Per thread, so the tests in this binary can
+    /// run concurrently without seeing each other's allocations.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the allocator also serves threads whose locals are
+    // already torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 struct Counting;
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -45,7 +60,7 @@ unsafe impl GlobalAlloc for Counting {
 static COUNTING: Counting = Counting;
 
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 const N: usize = 4096;
@@ -67,8 +82,6 @@ fn weight(rng: &mut SmallRng) -> u64 {
     (1u64 << k) + rng.gen_range(0..1u64 << k)
 }
 
-/// The counter is process-global and other tests in this binary run
-/// concurrently, so every steady-state assertion lives in this one test.
 #[test]
 fn steady_state_updates_do_not_allocate() {
     // ---- Amortized HALT sampler -------------------------------------------
@@ -149,4 +162,41 @@ fn steady_state_updates_do_not_allocate() {
         "halt-deam: {deam_allocs} heap allocations across {CHURN} churn ops"
     );
     d.validate();
+}
+
+/// Mean `(allocations, items)` per query over `QUERIES` queries at
+/// `α = 1/μ, β = 0`, after warm-up queries have built the plan and the
+/// lookup-table rows.
+fn query_allocs(s: &DpssSampler, ctx: &mut QueryCtx, mu: u64) -> (f64, f64) {
+    const QUERIES: u64 = 400;
+    let (alpha, beta) = (Ratio::from_u64s(1, mu), Ratio::zero());
+    for _ in 0..64 {
+        s.query_in(ctx, &alpha, &beta);
+    }
+    let (before, mut items) = (allocs(), 0);
+    for _ in 0..QUERIES {
+        items += s.query_in(ctx, &alpha, &beta).len();
+    }
+    ((allocs() - before) as f64 / QUERIES as f64, items as f64 / QUERIES as f64)
+}
+
+#[test]
+fn open_bucket_walk_does_not_allocate_per_stride() {
+    // 2^14 weights in [2^10, 2^14): four level-1 buckets, none of which
+    // clamps at these μ, so a 16× larger sample is 16× more strides through
+    // the same buckets.
+    let mut rng = SmallRng::seed_from_u64(0x0A11_0C0E);
+    let weights: Vec<u64> = (0..1 << 14).map(|_| rng.gen_range(1 << 10..1 << 14)).collect();
+    let (s, _) = DpssSampler::from_weights(&weights, 5);
+    let mut ctx = QueryCtx::new(11);
+    let (a16, mu16) = query_allocs(&s, &mut ctx, 16);
+    let (a256, mu256) = query_allocs(&s, &mut ctx, 256);
+    assert!((12.0..20.0).contains(&mu16) && (200.0..300.0).contains(&mu256), "{mu16} {mu256}");
+    // The returned Vec grows from ~16 to ~256 items: at most 8 more
+    // reallocations between the two. Anything beyond that scales with the
+    // walk itself.
+    assert!(
+        a256 <= a16 + 8.0,
+        "allocations per query grew from {a16:.1} (μ≈{mu16:.0}) to {a256:.1} (μ≈{mu256:.0})"
+    );
 }
