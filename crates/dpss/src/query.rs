@@ -39,7 +39,23 @@
 //! each one is still a function of the drawn words and the exact
 //! probability, so both the returned items and the words drawn match the
 //! all-exact, item-at-a-time algorithm.
+//!
+//! **Allocation discipline.** A warm query reaches the heap once, for the
+//! `Vec` it returns. Around the coins, everything is words: a node's
+//! thresholds `⌊log2(W/N²)⌋` and `⌊log2(2W/m²)⌋` are 256-bit products of
+//! `W`'s parts (`log2_scaled`) next to the plan's `⌈log2 W⌉`;
+//! `p₀ = 1/N²` or `2/m²` is a [`GeoDesc`] built from two words; the
+//! insignificant instance walks its buckets in place; and its thinning coin
+//! is a [`Bits64`] bracket like every other coin. Each level appends to a
+//! caller-supplied `Vec` — the `_into` functions are the implementation —
+//! and the buffers between levels (`QueryScratch`) live in the caller's
+//! context next to the plan cache. The heap is only reached by slivers,
+//! force-exact mode, a `W` whose parts exceed two words, a plan miss, a
+//! lookup-table row built for the first time, and a buffer growing past its
+//! high-water mark. The `Vec`-returning functions are thin wrappers for
+//! callers that drive one level at a time.
 
+use crate::item::ItemId;
 use crate::lookup::{LookupTable, MAX_K};
 use crate::structure::{pow2_scaled, pow2f, Level1, LevelView, NodeView};
 use bignum::{BigUint, Ratio};
@@ -49,14 +65,14 @@ use randvar::{
     Bits64, GeoDesc,
 };
 use std::cmp::Ordering;
-use wordram::bits;
-use wordram::narrow;
+use wordram::{bits, narrow, U256};
 
 /// Precomputed word-sized accelerators for a query's total weight `W`:
 /// certified `f64` bounds of `1/W` (each coin's [`Bits64`] bracket is then
 /// one or two float multiplies away) plus the exact `⌈log2 W⌉` that decides
-/// probability clamps (Claim 4.3). Construction costs a handful of word
-/// operations; [`crate::DpssSampler`] caches it per `(α, β)` across queries.
+/// probability clamps (Claim 4.3) and the certain ranges. Construction costs
+/// a handful of word operations; [`crate::DpssSampler`] caches it per
+/// `(α, β)` across queries.
 #[derive(Clone, Copy, Debug)]
 pub struct QueryAccel {
     /// Certified lower bound of `1/W`.
@@ -64,7 +80,7 @@ pub struct QueryAccel {
     /// Certified upper bound of `1/W`.
     winv_hi: f64,
     /// `⌈log2 W⌉`, exact.
-    w_ceil_log2: i64,
+    pub(crate) w_ceil_log2: i64,
     /// `false` forces every coin onto the original all-exact path.
     fast: bool,
 }
@@ -75,7 +91,8 @@ impl QueryAccel {
     pub fn new(w: &Ratio, fast: bool) -> Self {
         assert!(!w.is_zero(), "query accelerators need W > 0");
         let (winv_lo, winv_hi) = Ratio::f64_bounds_parts(w.den(), w.num());
-        QueryAccel { winv_lo, winv_hi, w_ceil_log2: w.ceil_log2(), fast }
+        let (floor, pow2) = log2_scaled(w, 1, 1);
+        QueryAccel { winv_lo, winv_hi, w_ceil_log2: floor + i64::from(!pow2), fast }
     }
 
     /// `true` iff coins may take the word-level shortcut (construction-time
@@ -137,6 +154,18 @@ pub enum FinalLevelMode {
     Direct,
 }
 
+/// The buffers of the query hierarchy below level 1, reused across
+/// queries: the level-1 bucket proxies a level-2 node samples, the level-2
+/// bucket proxies a final level samples, and the final level's table or
+/// direct candidates. [`crate::DpssSampler`] keeps one in the caller's
+/// context, so a warm query reuses their capacity.
+#[derive(Debug, Default)]
+pub(crate) struct QueryScratch {
+    proxies: Vec<u16>,
+    finals: Vec<u16>,
+    candidates: Vec<u16>,
+}
+
 /// Query-time bucket/group range decomposition at one level.
 #[derive(Clone, Copy, Debug)]
 pub struct Thresholds {
@@ -151,17 +180,49 @@ pub struct Thresholds {
     pub j_cert_min: i64,
 }
 
+/// `(⌊log2 q⌋, q is a power of two)` for `q = W·a/b² > 0`: `⌈log2 W⌉` at
+/// `a = b = 1`, the insignificant bound `⌊log2(W/N²)⌋` of a level with `N`
+/// items at `a = 1, b = N`, and `⌊log2(2W/m²)⌋` of a final level at
+/// `a = 2, b = m`. In 256-bit words when both parts of `W` fit in two words;
+/// through [`Ratio`] (allocating) otherwise.
+pub(crate) fn log2_scaled(w: &Ratio, a: u64, b: u64) -> (i64, bool) {
+    debug_assert!(!w.is_zero() && a >= 1 && b >= 1);
+    let words = || {
+        let (num, den) = w.to_u128_parts()?;
+        let x = U256::from_u128(num).checked_mul_u64(a)?;
+        let y = U256::from_u128(den).checked_mul_u64(b)?.checked_mul_u64(b)?;
+        // Shift the shorter operand to the other's bit length: then
+        // q = 2^k·x/y with x/y ∈ (1/2, 2).
+        let k = i64::from(x.bit_len()) - i64::from(y.bit_len());
+        let sh = narrow::u32_of_u64(k.unsigned_abs());
+        let (x, y) = if k >= 0 { (x, y.checked_shl(sh)?) } else { (x.checked_shl(sh)?, y) };
+        Some(match x.cmp(&y) {
+            Ordering::Less => (k - 1, false),
+            Ordering::Equal => (k, true),
+            Ordering::Greater => (k, false),
+        })
+    };
+    words().unwrap_or_else(|| {
+        let q = Ratio::new(w.num().mul_u64(a), w.den().mul_u64(b).mul_u64(b));
+        let f = q.floor_log2();
+        (f, q.cmp_pow2_signed(f) == Ordering::Equal)
+    })
+}
+
 /// Computes the group-aligned thresholds for a level with `n` items and group
 /// width `g` under total weight `w > 0` (§4.1 definitions).
 pub fn thresholds(w: &Ratio, n: usize, g: u32) -> Thresholds {
+    thresholds_at(w, w.ceil_log2(), n, g)
+}
+
+/// [`thresholds`] given `⌈log2 W⌉` (a [`QueryAccel`] holds it), in words.
+pub(crate) fn thresholds_at(w: &Ratio, w_ceil_log2: i64, n: usize, g: u32) -> Thresholds {
     debug_assert!(!w.is_zero() && n >= 1 && g >= 1);
-    let g = g as i64;
+    let g = i64::from(g);
     // Insignificant bucket: 2^{i+1}/W ≤ 1/N² ⟺ i ≤ ⌊log2(W/N²)⌋ − 1.
-    let n2 = BigUint::from_u128((n as u128) * (n as u128));
-    let w_over_n2 = Ratio::new(w.num().clone(), w.den().mul(&n2));
-    let i_ins_max = w_over_n2.floor_log2() - 1;
+    let i_ins_max = log2_scaled(w, 1, n as u64).0 - 1;
     // Certain bucket: 2^i/W ≥ 1 ⟺ i ≥ ⌈log2 W⌉.
-    let i_cert_min = w.ceil_log2();
+    let i_cert_min = w_ceil_log2;
     // Group j fully insignificant ⟺ (j+1)g − 1 ≤ i_ins_max.
     let j_insig_max = if i_ins_max >= g - 1 { (i_ins_max - g + 1).div_euclid(g) } else { -1 };
     // Group j fully certain ⟺ j·g ≥ i_cert_min.
@@ -175,13 +236,47 @@ pub fn thresholds(w: &Ratio, n: usize, g: u32) -> Thresholds {
     }
 }
 
-/// Draws `Ber(min(1, w_x/W) / p0)` — the thinning coin of Algorithm 2 (at
-/// most one per level instance, so it stays on the exact path).
-fn accept_thinned<R: RngCore>(rng: &mut R, w_x: &BigUint, w: &Ratio, p0: &Ratio) -> bool {
-    // ratio = (w_x·W.den·p0.den) / (W.num·p0.num); callers guarantee ≤ 1.
-    let num = w_x.mul(w.den()).mul(p0.den());
-    let den = w.num().mul(p0.num());
-    debug_assert!(num.cmp(&den) != Ordering::Greater, "thinning ratio above 1");
+/// Draws `Ber((w_x/W) / p0)` with `p0 = a/b` — the thinning coin of
+/// Algorithm 2 (callers guarantee `w_x/W ≤ p0`). One uniform word against
+/// the certified bracket of `w_x·(1/W)·b/a`; the exact products
+/// `w_x·W.den·b` and `W.num·a` are only formed on the sliver, or in
+/// force-exact mode.
+fn accept_thinned<V: LevelView, R: RngCore>(
+    view: &V,
+    rng: &mut R,
+    w: &Ratio,
+    accel: &QueryAccel,
+    x: V::Id,
+    (a, b): (u128, u128),
+) -> bool {
+    let exact = || {
+        let num = view.weight_u256(x).to_biguint().mul(w.den()).mul(&BigUint::from_u128(b));
+        let den = w.num().mul(&BigUint::from_u128(a));
+        debug_assert!(num.cmp(&den) != Ordering::Greater, "thinning ratio above 1");
+        (num, den)
+    };
+    if accel.use_fast() {
+        #[cfg(test)]
+        tests::THINNING_COINS.with(|c| c.set(c.get() + 1));
+        let (w_lo, w_hi) = view.weight_f64_bounds(x);
+        let (a_lo, a_hi) = U256::from_u128(a).to_f64_bounds();
+        let (b_lo, b_hi) = U256::from_u128(b).to_f64_bounds();
+        let bits = Bits64::from_f64_bounds(
+            div_down(mul_down(mul_down(w_lo, accel.winv_lo), b_lo), a_hi),
+            div_up(mul_up(mul_up(w_hi, accel.winv_hi), b_hi), a_lo),
+        );
+        if cfg!(debug_assertions) {
+            let (num, den) = exact();
+            bits.debug_validate(&num, &den);
+        }
+        return ber_bits_with(rng, &bits, |rng, u| {
+            #[cfg(test)]
+            tests::THINNING_SLIVERS.with(|c| c.set(c.get() + 1));
+            let (num, den) = exact();
+            ber_rational_from_word(rng, &num, &den, u)
+        });
+    }
+    let (num, den) = exact();
     ber_rational_parts(rng, &num, &den)
 }
 
@@ -210,7 +305,8 @@ fn accept_plain<V: LevelView, R: RngCore>(
 
 /// Algorithm 2: the insignificant instance. Samples from all items in buckets
 /// `0..=i_top`, each of which has inclusion probability `≤ p0`, in O(1)
-/// expected time via one `B-Geo(p0, N+1)` jump.
+/// expected time via one `B-Geo(p0, N+1)` jump. `p0` must have one-word
+/// parts (every level's `1/N²` or `2/m²` has).
 pub fn query_insignificant<V: LevelView, R: RngCore>(
     view: &V,
     rng: &mut R,
@@ -219,60 +315,80 @@ pub fn query_insignificant<V: LevelView, R: RngCore>(
     i_top: i64,
     p0: &Ratio,
 ) -> Vec<V::Id> {
+    // pss-lint: allow(no-panic-paths) — documented precondition: p0 is a level's 1/N² or 2/m², whose parts fit in words
+    let p0 = p0.to_u128_parts().expect("p0 = 1/N² or 2/m² fits in words");
+    let mut out = Vec::new();
+    query_insignificant_into(view, rng, w, accel, i_top, p0, &mut out);
+    out
+}
+
+/// [`query_insignificant`] appending to `out`, with `p0 = a/b` in words.
+fn query_insignificant_into<V: LevelView, R: RngCore>(
+    view: &V,
+    rng: &mut R,
+    w: &Ratio,
+    accel: &QueryAccel,
+    i_top: i64,
+    p0: (u128, u128),
+    out: &mut Vec<V::Id>,
+) {
     let n = view.n_items() as u64;
     if n == 0 || i_top < 0 {
-        return Vec::new();
+        return;
     }
     // First potential index k via B-Geo(p0, N+1) (p0 = 1 degenerates to k=1).
-    // p0 = 1/N² or 2/m² fits in words, so its descriptor allocates nothing.
-    let k = if p0.num().cmp(p0.den()) != Ordering::Less {
-        1
-    } else {
-        GeoDesc::from_ratio(p0, n + 1).bgeo(rng, n + 1)
-    };
+    let k = if p0.0 >= p0.1 { 1 } else { GeoDesc::from_words(p0.0, p0.1, n + 1).bgeo(rng, n + 1) };
     if k > n {
-        return Vec::new();
+        return;
     }
-    // Collect A: all items in buckets with index ≤ i_top (cost O(N), incurred
-    // with probability ≤ 1 − (1−p0)^N ≤ N·p0 ≤ 1/N — O(1) in expectation).
-    let mut a: Vec<V::Id> = Vec::new();
-    for b in view.nonempty().range(0, i_top as usize) {
-        for pos in 0..view.bucket_len(b) {
-            a.push(view.bucket_item(b, pos));
+    // Walk A, the items of buckets ≤ i_top, in place (cost O(N), incurred
+    // with probability ≤ 1 − (1−p0)^N ≤ N·p0 ≤ 1/N — O(1) in expectation):
+    // skip whole buckets to the k-th item, thin it, and run the plain coin
+    // on every item after it.
+    let mut buckets = view.nonempty().range(0, i_top as usize);
+    let mut skip = k - 1;
+    let (b0, pos0) = loop {
+        let Some(b) = buckets.next() else {
+            return; // |A| < k
+        };
+        let len = view.bucket_len(b) as u64;
+        if skip < len {
+            break (b, skip as usize);
         }
-    }
-    if (a.len() as u64) < k {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    // pss-lint: allow(no-bare-index) — k ≥ 1 (bgeo is 1-based) and a.len() ≥ k was checked above
-    let first = a[(k - 1) as usize];
-    if accept_thinned(rng, &view.weight_u256(first).to_biguint(), w, p0) {
+        skip -= len;
+    };
+    let first = view.bucket_item(b0, pos0);
+    if accept_thinned(view, rng, w, accel, first, p0) {
         out.push(first);
     }
-    // pss-lint: allow(no-bare-index) — a.len() ≥ k was checked above, so the range start is in bounds
-    for &x in &a[k as usize..] {
+    let rest = (pos0 + 1..view.bucket_len(b0)).map(|pos| (b0, pos));
+    let later = buckets.flat_map(|b| (0..view.bucket_len(b)).map(move |pos| (b, pos)));
+    for (b, pos) in rest.chain(later) {
+        let x = view.bucket_item(b, pos);
         if accept_plain(view, rng, w, accel, x) {
             out.push(x);
         }
     }
-    out
 }
 
 /// Algorithm 3: the certain instance — every item in buckets `≥ i_bottom` has
 /// inclusion probability exactly 1.
 pub fn query_certain<V: LevelView>(view: &V, i_bottom: i64) -> Vec<V::Id> {
-    let lo = i_bottom.max(0) as usize;
     let mut out = Vec::new();
-    if lo >= view.nonempty().universe() {
-        return out;
-    }
-    for b in view.nonempty().range(lo, view.nonempty().universe() - 1) {
-        for pos in 0..view.bucket_len(b) {
-            out.push(view.bucket_item(b, pos));
-        }
-    }
+    query_certain_into(view, i_bottom, &mut out);
     out
+}
+
+/// [`query_certain`] appending to `out`.
+fn query_certain_into<V: LevelView>(view: &V, i_bottom: i64, out: &mut Vec<V::Id>) {
+    let lo = i_bottom.max(0) as usize;
+    let universe = view.nonempty().universe();
+    if lo >= universe {
+        return;
+    }
+    for b in view.nonempty().range(lo, universe - 1) {
+        out.extend((0..view.bucket_len(b)).map(|pos| view.bucket_item(b, pos)));
+    }
 }
 
 /// Algorithm 5: opens each *candidate bucket* (a sampled next-level proxy) and
@@ -299,6 +415,19 @@ pub fn extract_items<V: LevelView, R: RngCore + Clone>(
     candidate_buckets: &[u16],
 ) -> Vec<V::Id> {
     let mut out = Vec::new();
+    extract_items_into(view, rng, w, accel, candidate_buckets, &mut out);
+    out
+}
+
+/// [`extract_items`] appending to `out`.
+fn extract_items_into<V: LevelView, R: RngCore + Clone>(
+    view: &V,
+    rng: &mut R,
+    w: &Ratio,
+    accel: &QueryAccel,
+    candidate_buckets: &[u16],
+    out: &mut Vec<V::Id>,
+) {
     // Warm every candidate bucket's head before the first coin is drawn:
     // the hints issue in parallel, so each bucket's first touch overlaps
     // the preceding buckets' acceptance arithmetic instead of serializing
@@ -347,9 +476,8 @@ pub fn extract_items<V: LevelView, R: RngCore + Clone>(
             }
             d.tgeo(rng, n_b)
         };
-        walk_bucket(view, rng, accel, &d, b, shift, k, &mut out);
+        walk_bucket(view, rng, accel, &d, b, shift, k, out);
     }
-    out
 }
 
 /// Potential items one batch of the open-bucket walk resolves together.
@@ -505,30 +633,63 @@ fn for_significant_groups(
     }
 }
 
+/// `p0 = 1/N²` of a level with `n` items, in words.
+fn p0_of(n: usize) -> (u128, u128) {
+    (1, (n as u128) * (n as u128))
+}
+
+/// Algorithm 1 at the root: the full PSS query on the real item set under
+/// the level-1 thresholds `th`, appending the sample to `out`. The levels
+/// below write into `scratch`, so a warm query allocates nothing here.
+pub(crate) fn query_level1_into<R: RngCore + Clone>(
+    level1: &Level1,
+    frame: &mut QueryFrame<'_, R>,
+    th: &Thresholds,
+    scratch: &mut QueryScratch,
+    out: &mut Vec<ItemId>,
+) {
+    let n = level1.n_positive;
+    if n == 0 {
+        return;
+    }
+    let p0 = p0_of(n);
+    query_insignificant_into(level1, frame.rng, frame.w, &frame.accel, th.i_insig_top, p0, out);
+    query_certain_into(level1, th.i_cert_bottom, out);
+    let QueryScratch { proxies, finals, candidates } = scratch;
+    for_significant_groups(&level1.nonempty_groups, th, |j| {
+        // pss-lint: allow(no-panic-paths) — for_significant_groups only yields groups whose bitset bit is set, and a set bit implies an allocated child
+        let child = level1.child_view(j).expect("non-empty group without child");
+        proxies.clear();
+        query_node_into(&child, frame, finals, candidates, proxies);
+        extract_items_into(level1, frame.rng, frame.w, &frame.accel, proxies, out);
+    });
+}
+
 /// One-level query on a level-2 node (Algorithm 1 with recursion into the
-/// final level). Returns sampled proxies = level-1 bucket indices.
-pub fn query_node<R: RngCore + Clone>(
+/// final level), appending the sampled proxies — level-1 bucket indices —
+/// to `out`. `finals` and `candidates` are the final level's buffers.
+fn query_node_into<R: RngCore + Clone>(
     view: &NodeView<'_>,
-    ctx: &mut QueryFrame<'_, R>,
-) -> Vec<u16> {
+    frame: &mut QueryFrame<'_, R>,
+    finals: &mut Vec<u16>,
+    candidates: &mut Vec<u16>,
+    out: &mut Vec<u16>,
+) {
     debug_assert_eq!(view.node.level, 2);
     let n = view.node.n_members;
     if n == 0 {
-        return Vec::new();
+        return;
     }
-    let th = thresholds(ctx.w, n, view.node.group_width);
-    let p0 = Ratio::from_u128s(1, (n as u128) * (n as u128));
-    let mut out = query_insignificant(view, ctx.rng, ctx.w, &ctx.accel, th.i_insig_top, &p0);
-    out.extend(query_certain(view, th.i_cert_bottom));
-    let mut sig_groups: Vec<usize> = Vec::new();
-    for_significant_groups(&view.node.nonempty_groups, &th, |l| sig_groups.push(l));
-    for l in sig_groups {
+    let th = thresholds_at(frame.w, frame.accel.w_ceil_log2, n, view.node.group_width);
+    query_insignificant_into(view, frame.rng, frame.w, &frame.accel, th.i_insig_top, p0_of(n), out);
+    query_certain_into(view, th.i_cert_bottom, out);
+    for_significant_groups(&view.node.nonempty_groups, &th, |l| {
         // pss-lint: allow(no-panic-paths) — for_significant_groups only yields groups whose bitset bit is set, and a set bit implies an allocated child
         let child = view.child(l).expect("non-empty group without child");
-        let tz = query_final(&child, ctx);
-        out.extend(extract_items(view, ctx.rng, ctx.w, &ctx.accel, &tz));
-    }
-    out
+        finals.clear();
+        query_final_into(&child, frame, candidates, finals);
+        extract_items_into(view, frame.rng, frame.w, &frame.accel, finals, out);
+    });
 }
 
 /// The final-level query (§4.4): insignificant + certain ranges plus the
@@ -538,60 +699,67 @@ pub fn query_final<R: RngCore + Clone>(
     view: &NodeView<'_>,
     ctx: &mut QueryFrame<'_, R>,
 ) -> Vec<u16> {
+    let (mut candidates, mut out) = (Vec::new(), Vec::new());
+    query_final_into(view, ctx, &mut candidates, &mut out);
+    out
+}
+
+/// [`query_final`] appending to `out`; `candidates` is scratch for the
+/// sampled middle-range buckets.
+fn query_final_into<R: RngCore + Clone>(
+    view: &NodeView<'_>,
+    frame: &mut QueryFrame<'_, R>,
+    candidates: &mut Vec<u16>,
+    out: &mut Vec<u16>,
+) {
     let node = view.node;
     debug_assert_eq!(node.level, 3);
-    let n = node.n_members;
-    if n == 0 {
-        return Vec::new();
+    if node.n_members == 0 {
+        return;
     }
-    let m = ctx.table.modulus() as u64;
+    let m = u64::from(frame.table.modulus());
     let m2 = m * m;
     // i1 = largest index with 2^{i1+1}/W ≤ 2/m² ⟺ i1 = ⌊log2(2W/m²)⌋ − 1.
-    let scaled = Ratio::new(ctx.w.num().mul_u64(2), ctx.w.den().mul_u64(m2));
-    let i1 = scaled.floor_log2() - 1;
-    let i2 = ctx.accel.w_ceil_log2; // = ⌈log2 W⌉, precomputed
-    debug_assert_eq!(i2, ctx.w.ceil_log2());
-    let p0 = Ratio::from_u64s(2, m2);
-    let mut out = query_insignificant(view, ctx.rng, ctx.w, &ctx.accel, i1, &p0);
-    out.extend(query_certain(view, i2));
+    let i1 = log2_scaled(frame.w, 2, m).0 - 1;
+    let i2 = frame.accel.w_ceil_log2;
+    debug_assert_eq!(i2, frame.w.ceil_log2());
+    let p0 = (2, u128::from(m2));
+    query_insignificant_into(view, frame.rng, frame.w, &frame.accel, i1, p0, out);
+    query_certain_into(view, i2, out);
 
     let k_len = i2 - i1 - 1;
     if k_len <= 0 || i2 <= 0 {
         // No middle range, or it lies entirely below bucket index 0.
-        return out;
+        return;
     }
     let lo = i1 + 1; // first significant bucket index
     let use_table =
-        ctx.final_mode == FinalLevelMode::Lookup && (k_len as usize) <= MAX_K && lo >= 0;
-    let mut candidates: Vec<u16> = Vec::new();
+        frame.final_mode == FinalLevelMode::Lookup && (k_len as usize) <= MAX_K && lo >= 0;
+    candidates.clear();
     if use_table {
         // Assemble the 4S configuration from the adapter (bucket sizes).
-        let mut config = vec![0u32; k_len as usize];
+        let mut buf = [0u32; MAX_K];
+        // pss-lint: allow(no-bare-index) — use_table implies k_len ≤ MAX_K
+        let config = &mut buf[..k_len as usize];
         let mut any = false;
         for (t, c) in config.iter_mut().enumerate() {
-            let idx = lo as usize + t;
-            if idx < node.buckets.len() {
-                // pss-lint: allow(no-bare-index) — guarded by idx < node.buckets.len() on the previous line
-                *c = narrow::u32_of_usize(node.buckets[idx].len());
+            if let Some(b) = node.buckets.get(lo as usize + t) {
+                *c = narrow::u32_of_usize(b.len());
                 any |= *c > 0;
             }
         }
         if !any {
-            return out;
+            return;
         }
         debug_assert!(config.iter().all(|&c| c as u64 <= m), "bucket size exceeds m");
-        let r = ctx.table.sample(ctx.rng, &config);
-        #[allow(clippy::needless_range_loop)]
-        for t in 0..config.len() {
-            // pss-lint: allow(no-bare-index) — t ranges over 0..config.len()
-            if !bits::bit64(u64::from(r), t as u64) || config[t] == 0 {
+        let r = frame.table.sample(frame.rng, config);
+        for (t, &c) in config.iter().enumerate() {
+            if !bits::bit64(u64::from(r), t as u64) || c == 0 {
                 continue;
             }
             let idx = lo as usize + t;
-            // pss-lint: allow(no-bare-index) — t ranges over 0..config.len()
-            let num_t = ctx.table.slot_prob_num(t, config[t]);
-            // pss-lint: allow(no-bare-index) — t ranges over 0..config.len()
-            if accept_table_candidate(ctx.rng, ctx.w, &ctx.accel, idx, config[t], num_t, m2) {
+            let num_t = frame.table.slot_prob_num(t, c);
+            if accept_table_candidate(frame.rng, frame.w, &frame.accel, idx, c, num_t, m2) {
                 candidates.push(narrow::u16_of_usize(idx));
             }
         }
@@ -605,15 +773,14 @@ pub fn query_final<R: RngCore + Clone>(
                 for idx in node.nonempty_buckets.range(lo.max(0) as usize, hi) {
                     // pss-lint: allow(no-bare-index) — idx iterates nonempty_buckets, whose bits mirror buckets.len()
                     let c = node.buckets[idx].len() as u64;
-                    if accept_direct_candidate(ctx.rng, ctx.w, &ctx.accel, idx, c) {
+                    if accept_direct_candidate(frame.rng, frame.w, &frame.accel, idx, c) {
                         candidates.push(narrow::u16_of_usize(idx));
                     }
                 }
             }
         }
     }
-    out.extend(extract_items(view, ctx.rng, ctx.w, &ctx.accel, &candidates));
-    out
+    extract_items_into(view, frame.rng, frame.w, &frame.accel, candidates, out);
 }
 
 /// Exact parts of the table-candidate acceptance probability
@@ -693,45 +860,6 @@ fn accept_direct_candidate<R: RngCore>(
     ber_rational_parts(rng, &num, w.num())
 }
 
-/// Algorithm 1 at the root: the full PSS query on the real item set.
-pub fn query_level1<R: RngCore + Clone>(
-    level1: &Level1,
-    ctx: &mut QueryFrame<'_, R>,
-) -> Vec<crate::ItemId> {
-    let n = level1.n_positive;
-    if n == 0 {
-        return Vec::new();
-    }
-    let th = thresholds(ctx.w, n, level1.group_width);
-    let p0 = Ratio::from_u128s(1, (n as u128) * (n as u128));
-    query_level1_planned(level1, ctx, &th, &p0)
-}
-
-/// [`query_level1`] with precomputed level-1 thresholds and `p0 = 1/N²` —
-/// the entry point fed by [`crate::DpssSampler`]'s per-`(α, β)` plan cache,
-/// which skips the multi-word threshold setup on repeated queries.
-pub fn query_level1_planned<R: RngCore + Clone>(
-    level1: &Level1,
-    ctx: &mut QueryFrame<'_, R>,
-    th: &Thresholds,
-    p0: &Ratio,
-) -> Vec<crate::ItemId> {
-    if level1.n_positive == 0 {
-        return Vec::new();
-    }
-    let mut out = query_insignificant(level1, ctx.rng, ctx.w, &ctx.accel, th.i_insig_top, p0);
-    out.extend(query_certain(level1, th.i_cert_bottom));
-    let mut sig_groups: Vec<usize> = Vec::new();
-    for_significant_groups(&level1.nonempty_groups, th, |j| sig_groups.push(j));
-    for j in sig_groups {
-        // pss-lint: allow(no-panic-paths) — for_significant_groups only yields groups whose bitset bit is set, and a set bit implies an allocated child
-        let child = level1.child_view(j).expect("non-empty group without child");
-        let ty = query_node(&child, ctx);
-        out.extend(extract_items(level1, ctx.rng, ctx.w, &ctx.accel, &ty));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -739,8 +867,16 @@ mod tests {
     use crate::structure::L1_BUCKETS;
     use pss_core::QueryCtx;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-    use wordram::{BitsetList, U256};
+    use rand::{Rng, SeedableRng};
+    use std::cell::Cell;
+    use wordram::BitsetList;
+
+    thread_local! {
+        /// Thinning coins drawn on the fast path, on this thread.
+        pub(super) static THINNING_COINS: Cell<u64> = const { Cell::new(0) };
+        /// Of those, the ones whose word landed in the sliver.
+        pub(super) static THINNING_SLIVERS: Cell<u64> = const { Cell::new(0) };
+    }
 
     /// A [`Level1`] whose weight brackets are widened by 2⁻⁶ either side
     /// (still certified): about one acceptance word in 30 lands in the
@@ -798,6 +934,109 @@ mod tests {
         }
         assert!(items > 32 * 128, "walk sampled only {items} items");
         assert!(randvar::sliver_hits() - slivers > 64, "the replay path was barely exercised");
+    }
+
+    #[test]
+    fn thinning_coin_replays_slivers_word_for_word() {
+        // Eight items in buckets 18 and 19, so p0 = 1/64. With W = 2^26 both
+        // buckets are insignificant (2^{i+1}/W ≤ p0) and the thinning ratio
+        // (w_x/W)/p0 = w_x/2^20 lies in [1/4, 1). The B-Geo jump lands
+        // inside the level about one query in eight; the widened brackets
+        // then put about one thinning word in 40 in the sliver.
+        let weights = [(1 << 18) + 1, (1 << 18) + 77, (1 << 19) + 3, 600_000, 700_000, 1_000_000];
+        let weights = [&weights[..], &[1_040_000, (1 << 20) - 1]].concat();
+        let mut level1 = Level1::new(4, 2);
+        level1.insert_many(&weights);
+        let view = WideBrackets(&level1);
+        let w = Ratio::from_int(1 << 26);
+        let p0 = Ratio::from_u64s(1, 64);
+        let (coins, slivers) = (THINNING_COINS.with(Cell::get), THINNING_SLIVERS.with(Cell::get));
+        let mut items = 0;
+        for seed in 0..4096 {
+            let mut fast_ctx = QueryCtx::new(seed);
+            let accel = QueryAccel::new(&w, true);
+            let fast = query_insignificant(&view, fast_ctx.rng(), &w, &accel, 19, &p0);
+            let mut exact_ctx = QueryCtx::new(seed);
+            let accel = QueryAccel::new(&w, false);
+            let exact = query_insignificant(&view, exact_ctx.rng(), &w, &accel, 19, &p0);
+            assert_eq!(fast, exact, "seed {seed}: insignificant instance returned other items");
+            assert_eq!(fast_ctx.words_consumed(), exact_ctx.words_consumed(), "seed {seed}");
+            items += fast.len();
+        }
+        let coins = THINNING_COINS.with(Cell::get) - coins;
+        let slivers = THINNING_SLIVERS.with(Cell::get) - slivers;
+        assert!(coins > 256 && items > 128, "{coins} thinning coins, {items} items");
+        assert!(slivers > 0, "{slivers} of {coins} thinning coins hit their sliver");
+    }
+
+    /// `(⌊log2 q⌋, q is a power of two)` for `q = W·a/b²`, by `Ratio`.
+    fn log2_reference(w: &Ratio, a: u64, b: u64) -> (i64, bool) {
+        let q = Ratio::new(w.num().mul_u64(a), w.den().mul_u64(b).mul_u64(b));
+        let f = q.floor_log2();
+        (f, q.cmp_pow2_signed(f) == Ordering::Equal)
+    }
+
+    /// The thresholds as the definitions give them, in `BigUint`.
+    fn thresholds_reference(w: &Ratio, n: usize, g: u32) -> (i64, i64, i64, i64) {
+        let g = i64::from(g);
+        let n2 = BigUint::from_u128((n as u128) * (n as u128));
+        let i_ins_max = Ratio::new(w.num().clone(), w.den().mul(&n2)).floor_log2() - 1;
+        let i_cert_min = w.ceil_log2();
+        let j_insig_max = if i_ins_max >= g - 1 { (i_ins_max - g + 1).div_euclid(g) } else { -1 };
+        let j_cert_min =
+            (i_cert_min.div_euclid(g) + i64::from(i_cert_min.rem_euclid(g) != 0)).max(0);
+        ((j_insig_max + 1) * g - 1, j_cert_min * g, j_insig_max, j_cert_min)
+    }
+
+    #[test]
+    fn word_level_log2_matches_ratio_reference() {
+        let mut rng = SmallRng::seed_from_u64(0x7E57_1062);
+        let mut ws = Vec::new();
+        for _ in 0..400 {
+            // Two-word parts of every size.
+            let num = (rng.gen::<u128>() >> rng.gen_range(0u32..128)).max(1);
+            let den = (rng.gen::<u128>() >> rng.gen_range(0u32..128)).max(1);
+            ws.push(Ratio::from_u128s(num, den));
+            // Multi-limb parts: the Ratio fallback.
+            let big = BigUint::from_u128(rng.gen::<u128>() | 1).mul(&BigUint::from_u128(num));
+            ws.push(Ratio::new(big, BigUint::from_u128(den)));
+            ws.push(Ratio::new(BigUint::from_u128(num), BigUint::from_u128(den).shl(130)));
+        }
+        let ns = [1u64, 2, 3, 7, 1000, (1 << 16) + 1, (1 << 32) - 1, 1 << 32];
+        for n in ns {
+            // W/N² exactly 2^k, and one unit of the numerator either side.
+            for (k, d) in [(0u32, 1u128), (5, 3), (40, 1), (60, 7), (90, 1)] {
+                let Some(base) = U256::from_u64(n)
+                    .checked_mul_u64(n)
+                    .and_then(|v| v.checked_mul_u64(1 << (k % 64)))
+                    .and_then(|v| v.checked_shl(k - k % 64))
+                    .and_then(|v| v.to_u128())
+                    .and_then(|v| v.checked_mul(d))
+                else {
+                    continue;
+                };
+                for num in [base - 1, base, base + 1].into_iter().filter(|&v| v > 0) {
+                    ws.push(Ratio::from_u128s(num, d));
+                }
+            }
+        }
+        let pairs = ns.iter().map(|&n| (1, n)).chain((2..=64).map(|m| (2, m)));
+        let pairs: Vec<(u64, u64)> = pairs.collect();
+        for w in &ws {
+            assert_eq!(QueryAccel::new(w, true).w_ceil_log2, w.ceil_log2(), "⌈log2 {w:?}⌉");
+            for &(a, b) in &pairs {
+                assert_eq!(
+                    log2_scaled(w, a, b),
+                    log2_reference(w, a, b),
+                    "W = {w:?}, a = {a}, b = {b}"
+                );
+            }
+            for (n, g) in [(1, 2), (5, 3), (1 << 20, 5), ((1 << 32) - 1, 6), (1 << 32, 6)] {
+                let th = thresholds(w, n, g);
+                let got = (th.i_insig_top, th.i_cert_bottom, th.j_insig_max, th.j_cert_min);
+                assert_eq!(got, thresholds_reference(w, n, g), "W = {w:?}, n = {n}, g = {g}");
+            }
+        }
     }
 
     #[test]

@@ -18,8 +18,8 @@
 use crate::item::ItemId;
 use crate::lookup::LookupTable;
 use crate::query::{
-    query_level1, query_level1_planned, thresholds, FinalLevelMode, QueryAccel, QueryFrame,
-    Thresholds,
+    query_certain, query_level1_into, thresholds_at, FinalLevelMode, QueryAccel, QueryFrame,
+    QueryScratch, Thresholds,
 };
 use crate::snapshot::{level1_from_slab, read_slab, write_slab};
 use crate::structure::Level1;
@@ -51,7 +51,6 @@ struct QueryPlan {
     w: Ratio,
     accel: QueryAccel,
     th: Thresholds,
-    p0: Ratio,
 }
 
 /// One cached plan-cache entry: the parameter pair, its plan, and whether
@@ -67,9 +66,15 @@ struct PlanEntry {
 }
 
 /// The read-path scratch a [`DpssSampler`] parks in a [`QueryCtx`]: the
-/// memoized lookup-table rows and the `(α, β)` plan cache, plus the cache's
-/// hit/miss/refresh counters. One entry per (context, sampler instance)
-/// pair — contexts never share plans across samplers.
+/// memoized lookup-table rows, the `(α, β)` plan cache with its
+/// hit/miss/refresh counters, and the query's buffers. One entry per
+/// (context, sampler instance) pair — contexts never share plans across
+/// samplers.
+///
+/// The buffers make a warm query allocation-free apart from the `Vec` it
+/// returns: every level of the hierarchy appends into them, they keep their
+/// capacity from query to query, and the sample is copied out of `items`
+/// once, at its exact length (no allocation at all when it is empty).
 ///
 /// Revalidation is journal-driven (the epoch-delta protocol): the state
 /// remembers the [`ChangeJournal`] epoch it last synchronized to plus a
@@ -84,6 +89,10 @@ struct PlanEntry {
 pub(crate) struct PlanState {
     pub(crate) table: LookupTable,
     plans: Vec<PlanEntry>,
+    /// Proxy and candidate buffers of levels 2 and 3.
+    scratch: QueryScratch,
+    /// Level-1 output, copied out as the returned sample.
+    items: Vec<ItemId>,
     /// Journal epoch this state last synchronized to.
     journal_epoch: u64,
     /// `Σw` at the last synchronization (plans depend on it through `W`).
@@ -102,6 +111,8 @@ impl PlanState {
         PlanState {
             table: LookupTable::new(modulus),
             plans: Vec::new(),
+            scratch: QueryScratch::default(),
+            items: Vec::new(),
             journal_epoch,
             total_snapshot: total,
             n_pos_snapshot: n_pos,
@@ -686,6 +697,7 @@ impl DpssSampler {
     /// plan cache keyed on the sampler's mutation epoch, so `W`, its
     /// fast-path accelerators, and the level-1 thresholds are computed once
     /// per (parameters, item-set version, context) rather than per query.
+    /// On a hit the query allocates nothing but the returned `Vec`.
     pub fn query_in(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio) -> Vec<ItemId> {
         let (rng, st) = self.plan_state(ctx);
         self.revalidate(st);
@@ -703,7 +715,7 @@ impl DpssSampler {
                     // Degenerate convention; the entry can never be
                     // refreshed into a usable plan, so drop it.
                     st.plans.remove(i);
-                    return crate::query::query_certain(&self.level1, 0);
+                    return query_certain(&self.level1, 0);
                 }
                 st.refreshes += 1;
                 // pss-lint: allow(no-bare-index) — i was returned by position() over st.plans
@@ -716,7 +728,7 @@ impl DpssSampler {
                 let w = self.param_weight(alpha, beta);
                 if w.is_zero() {
                     // Degenerate convention; not worth a cache slot.
-                    return crate::query::query_certain(&self.level1, 0);
+                    return query_certain(&self.level1, 0);
                 }
                 st.misses += 1;
                 let plan = self.make_plan(w);
@@ -742,16 +754,22 @@ impl DpssSampler {
             table: &mut st.table,
             final_mode: self.final_mode,
         };
-        query_level1_planned(&self.level1, &mut frame, &plan.th, &plan.p0)
+        st.items.clear();
+        query_level1_into(&self.level1, &mut frame, &plan.th, &mut st.scratch, &mut st.items);
+        st.items.to_vec()
+    }
+
+    /// The level-1 thresholds under a non-zero total weight `w`.
+    fn level1_thresholds(&self, w: &Ratio, accel: &QueryAccel) -> Thresholds {
+        let n = self.level1.n_positive.max(1);
+        thresholds_at(w, accel.w_ceil_log2, n, self.level1.group_width)
     }
 
     /// Builds the cached plan for a non-zero total weight `w`.
     fn make_plan(&self, w: Ratio) -> QueryPlan {
-        let n = self.level1.n_positive.max(1);
-        let th = thresholds(&w, n, self.level1.group_width);
-        let p0 = Ratio::from_u128s(1, (n as u128) * (n as u128));
         let accel = QueryAccel::new(&w, !self.force_exact);
-        QueryPlan { w, accel, th, p0 }
+        let th = self.level1_thresholds(&w, &accel);
+        QueryPlan { w, accel, th }
     }
 
     /// Answers a PSS query against an externally supplied total weight `w`
@@ -760,21 +778,21 @@ impl DpssSampler {
     /// uses internally (§4.1); it also lets several samplers share one global
     /// `W` (the de-amortized structure queries both migration halves with
     /// the union's `W`). `w = 0` follows the same convention as
-    /// [`DpssSampler::query_in`].
+    /// [`DpssSampler::query_in`]. It allocates nothing but the returned
+    /// `Vec` while `w`'s parts fit in two words.
     pub fn query_with_total_in(&self, ctx: &mut QueryCtx, w: &Ratio) -> Vec<ItemId> {
         if w.is_zero() {
-            return crate::query::query_certain(&self.level1, 0);
+            return query_certain(&self.level1, 0);
         }
         let (rng, st) = self.plan_state(ctx);
         let _guard = self.force_exact.then(randvar::exact_mode_guard);
-        let mut frame = QueryFrame {
-            rng,
-            w,
-            accel: QueryAccel::new(w, !self.force_exact),
-            table: &mut st.table,
-            final_mode: self.final_mode,
-        };
-        query_level1(&self.level1, &mut frame)
+        let accel = QueryAccel::new(w, !self.force_exact);
+        let th = self.level1_thresholds(w, &accel);
+        let mut frame =
+            QueryFrame { rng, w, accel, table: &mut st.table, final_mode: self.final_mode };
+        st.items.clear();
+        query_level1_into(&self.level1, &mut frame, &th, &mut st.scratch, &mut st.items);
+        st.items.to_vec()
     }
 
     // -- Legacy convenience surface (internal default context) --------------

@@ -22,13 +22,14 @@
 //! `(1−p)^k` bracket is `O(k)` units wide: for the `k ≤ n` a cap-`n`
 //! generator asks for, a sliver of order `n·2^-63` per coin.
 //!
-//! The exact value `p = num·2^shift/den` is kept by reference and only
-//! materialized as a [`Ratio`] when a coin lands in the ulp-wide sliver (or
-//! in exact mode). Every decision stays a function of the drawn words and
-//! the exact `p`: a tighter or looser bracket only moves how often the
-//! sliver fallback runs, never what is returned or which words are drawn.
+//! The exact value `p` — `num·2^shift/den` by reference, or `num/den` in
+//! two words each — is only materialized as a [`Ratio`] when a coin lands
+//! in the ulp-wide sliver (or in exact mode). Every decision stays a
+//! function of the drawn words and the exact `p`: a tighter or looser
+//! bracket only moves how often the sliver fallback runs, never what is
+//! returned or which words are drawn.
 
-use crate::fast::{mul_down, mul_up, Bits64};
+use crate::fast::{div_down, div_up, mul_down, mul_up, Bits64};
 use bignum::{BigUint, Ratio};
 use std::cell::OnceCell;
 use std::cmp::Ordering;
@@ -74,16 +75,22 @@ fn fx_to_f64_up(x: u64) -> f64 {
     f / SCALE_63
 }
 
-/// Word-level descriptor of a probability `p = num·2^shift/den ∈ (0, 1)`
-/// for the geometric-family generators ([`GeoDesc::bgeo`],
-/// [`GeoDesc::tgeo`], [`GeoDesc::ber_pstar`],
-/// [`GeoDesc::ber_pow_one_minus`]).
+/// The exact parts of a descriptor's `p`.
+#[derive(Debug)]
+enum Parts<'a> {
+    /// `num·2^shift/den`, borrowed.
+    Scaled { num: &'a BigUint, den: &'a BigUint, shift: u64 },
+    /// `num/den`, in words.
+    Words { num: u128, den: u128 },
+}
+
+/// Word-level descriptor of a probability `p ∈ (0, 1)` for the
+/// geometric-family generators ([`GeoDesc::bgeo`], [`GeoDesc::tgeo`],
+/// [`GeoDesc::ber_pstar`], [`GeoDesc::ber_pow_one_minus`]).
 #[derive(Debug)]
 pub struct GeoDesc<'a> {
-    num: &'a BigUint,
-    den: &'a BigUint,
-    shift: u64,
-    /// `num·2^shift/den` as a [`Ratio`], built on first exact use.
+    parts: Parts<'a>,
+    /// `p` as a [`Ratio`], built on first exact use.
     exact: OnceCell<Ratio>,
     p_lo: f64,
     p_hi: f64,
@@ -116,6 +123,13 @@ pub(crate) fn u64_f64_bounds(n: u64) -> (f64, f64) {
     }
 }
 
+/// Certified `f64` bracket of a two-word `n`.
+#[inline]
+fn u128_f64_bounds(n: u128) -> (f64, f64) {
+    let limbs = [n as u64, (n >> 64) as u64];
+    bignum::f64_bounds_from_limbs(&limbs, u64::from(128 - n.leading_zeros()))
+}
+
 /// `⌊log2(a/b)⌋` for machine-word `a, b > 0`, without allocating.
 fn floor_log2_u128(a: u128, b: u128) -> i64 {
     let k0 = i64::from(b.leading_zeros()) - i64::from(a.leading_zeros());
@@ -141,10 +155,26 @@ impl<'a> GeoDesc<'a> {
         num: &'a BigUint,
         den: &'a BigUint,
         shift: u64,
-        (p_lo, p_hi): (f64, f64),
+        bounds: (f64, f64),
         floor_log2: i64,
         range: u64,
     ) -> Self {
+        Self::with_parts(Parts::Scaled { num, den, shift }, bounds, floor_log2, range)
+    }
+
+    /// The descriptor of `p = num/den ∈ (0, 1)` given in words: bracket,
+    /// logarithm and power table without touching the heap. The exact `p`
+    /// is only built on a sliver or in exact mode. `range` as in
+    /// [`GeoDesc::new`].
+    pub fn from_words(num: u128, den: u128, range: u64) -> GeoDesc<'static> {
+        assert!(0 < num && num < den, "geometric descriptor needs 0 < p < 1");
+        let ((n_lo, n_hi), (d_lo, d_hi)) = (u128_f64_bounds(num), u128_f64_bounds(den));
+        let bounds = (div_down(n_lo, d_hi), div_up(n_hi, d_lo).min(1.0));
+        GeoDesc::with_parts(Parts::Words { num, den }, bounds, floor_log2_u128(num, den), range)
+    }
+
+    /// The descriptor of `p` given by `parts`, its bracket and `⌊log2 p⌋`.
+    fn with_parts(parts: Parts<'a>, (p_lo, p_hi): (f64, f64), floor_log2: i64, range: u64) -> Self {
         debug_assert!(0.0 <= p_lo && p_lo <= p_hi && p_lo < 1.0, "bad bracket [{p_lo}, {p_hi}]");
         debug_assert!(
             floor_log2 < -1000
@@ -154,9 +184,7 @@ impl<'a> GeoDesc<'a> {
         );
         let top = block_exp(floor_log2, range.max(1)) as usize;
         let mut d = GeoDesc {
-            num,
-            den,
-            shift,
+            parts,
             exact: OnceCell::new(),
             p_lo,
             p_hi,
@@ -184,16 +212,18 @@ impl<'a> GeoDesc<'a> {
     pub fn from_ratio(p: &'a Ratio, range: u64) -> Self {
         assert!(!p.is_zero(), "geometric descriptor needs p > 0");
         assert!(p.num().cmp(p.den()) == Ordering::Less, "geometric descriptor needs p < 1");
-        let floor_log2 = match p.to_u128_parts() {
-            Some((a, b)) => floor_log2_u128(a, b),
-            None => p.floor_log2(),
-        };
-        Self::new(p.num(), p.den(), 0, p.to_f64_bounds(), floor_log2, range)
+        match p.to_u128_parts() {
+            Some((num, den)) => GeoDesc::from_words(num, den, range),
+            None => Self::new(p.num(), p.den(), 0, p.to_f64_bounds(), p.floor_log2(), range),
+        }
     }
 
     /// The exact `p` (built on first use: sliver fallbacks and exact mode).
     pub(crate) fn ratio(&self) -> &Ratio {
-        self.exact.get_or_init(|| Ratio::new(self.num.shl(self.shift), self.den.clone()))
+        self.exact.get_or_init(|| match self.parts {
+            Parts::Scaled { num, den, shift } => Ratio::new(num.shl(shift), den.clone()),
+            Parts::Words { num, den } => Ratio::from_u128s(num, den),
+        })
     }
 
     /// The certified bracket `(p_lo, p_hi)` of `p`.
@@ -272,7 +302,13 @@ impl<'a> GeoDesc<'a> {
         if mul_up(n_hi, self.p_hi) < 1.0 {
             return false;
         }
-        self.num.mul_u64(n).shl(self.shift).cmp(self.den) != Ordering::Less
+        match self.parts {
+            Parts::Scaled { num, den, shift } => {
+                num.mul_u64(n).shl(shift).cmp(den) != Ordering::Less
+            }
+            // An overflowing product exceeds any two-word denominator.
+            Parts::Words { num, den } => num.checked_mul(u128::from(n)).is_none_or(|v| v >= den),
+        }
     }
 }
 
@@ -430,6 +466,29 @@ mod tests {
             if !d.np_at_least_one(n) {
                 prop_assert_eq!(crate::ber_pstar(&mut r1, &p, n), d.ber_pstar(&mut r2, n));
             }
+            prop_assert_eq!(r1.words_consumed(), r2.words_consumed());
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn word_descriptors_draw_like_ratio_descriptors(
+            num in 1u128.., den in any::<u128>(), sh in 0u32..127,
+            n in 1u64..(1 << 20), seed in any::<u64>(),
+        ) {
+            // A descriptor built from words and one holding `BigUint`
+            // parts describe the same `p`: same variates, same words.
+            let den = (den >> sh).max(2);
+            let num = 1 + (num - 1) % (den - 1);
+            let (num_big, den_big) = (BigUint::from_u128(num), BigUint::from_u128(den));
+            let a = GeoDesc::from_words(num, den, n + 1);
+            let b = scaled_desc(&num_big, &den_big, 0, n + 1);
+            prop_assert_eq!(a.floor_log2(), b.floor_log2());
+            prop_assert_eq!(a.np_at_least_one(n), b.np_at_least_one(n));
+            let mut r1 = CountingRng::new(SmallRng::seed_from_u64(seed));
+            let mut r2 = CountingRng::new(SmallRng::seed_from_u64(seed));
+            prop_assert_eq!(a.bgeo(&mut r1, n + 1), b.bgeo(&mut r2, n + 1));
+            prop_assert_eq!(a.tgeo(&mut r1, n), b.tgeo(&mut r2, n));
             prop_assert_eq!(r1.words_consumed(), r2.words_consumed());
         }
     }
