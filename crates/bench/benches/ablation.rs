@@ -3,7 +3,7 @@
 use bench::WeightDist;
 use bignum::Ratio;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dpss::{DpssSampler, FinalLevelMode};
+use dpss::{DpssSampler, FinalLevelMode, QueryCtx};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -19,9 +19,10 @@ fn bench_final_mode(c: &mut Criterion) {
     let alpha = Ratio::one();
     for (mode, label) in [(FinalLevelMode::Lookup, "lookup"), (FinalLevelMode::Direct, "direct")] {
         let (mut s, _) = DpssSampler::from_weights(&weights, 91);
+        let mut ctx = QueryCtx::new(91);
         s.set_final_mode(mode);
         g.bench_function(BenchmarkId::from_parameter(label), |b| {
-            b.iter(|| s.query(&alpha, &Ratio::zero()));
+            b.iter(|| s.query_in(&mut ctx, &alpha, &Ratio::zero()));
         });
     }
     g.finish();

@@ -4,7 +4,7 @@
 use bench::WeightDist;
 use bignum::Ratio;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dpss::DpssSampler;
+use dpss::{DpssSampler, QueryCtx};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -31,11 +31,12 @@ fn bench_query(c: &mut Criterion) {
     g.sample_size(20);
     let n = 1usize << 18;
     let weights = WeightDist::Uniform.weights(n, 2);
-    let (mut s, _) = DpssSampler::from_weights(&weights, 9);
+    let (s, _) = DpssSampler::from_weights(&weights, 9);
+    let mut ctx = QueryCtx::new(9);
     for mu in [1u64, 16, 256] {
         let alpha = Ratio::from_u64s(n as u64, mu * n as u64);
         g.bench_with_input(BenchmarkId::from_parameter(format!("mu={mu}")), &alpha, |b, a| {
-            b.iter(|| s.query(a, &Ratio::zero()));
+            b.iter(|| s.query_in(&mut ctx, a, &Ratio::zero()));
         });
     }
     g.finish();

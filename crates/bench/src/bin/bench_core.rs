@@ -208,19 +208,25 @@ fn measure(seed: u64, n: usize, quick: bool) -> Vec<Row> {
 /// misses and 48 hits; one reweight between rounds is weight-only churn, so
 /// the journal-revalidated cache *refreshes* all 16 entries in place
 /// (keeping keys and the memoized lookup table) instead of re-missing —
-/// expect (48, 16, 16). Uses the legacy convenience surface, whose internal
-/// default context the stats read.
+/// expect (48, 16, 16). Every query runs through one context, whose cache
+/// the stats read.
 fn plan_cache_probe(seed: u64, n: usize, weights: &[u64]) -> (u64, u64, u64) {
     let (mut s, ids) = DpssSampler::from_weights(weights, seed);
+    let mut ctx = QueryCtx::new(seed);
     let batch: Vec<(Ratio, Ratio)> =
         (0..16u64).map(|i| (Ratio::from_u64s(1, 8 + i), Ratio::zero())).collect();
+    let run_batch = |s: &DpssSampler, ctx: &mut QueryCtx| {
+        for (a, b) in &batch {
+            let _ = s.query_in(ctx, a, b);
+        }
+    };
     for _ in 0..4 {
-        let _ = DpssSampler::query_many(&mut s, &batch);
+        run_batch(&s, &mut ctx);
     }
     // One mutation, one more batch: 16 in-place refreshes (not misses).
     let _ = DpssSampler::set_weight(&mut s, ids[n / 2], 12345);
-    let _ = DpssSampler::query_many(&mut s, &batch);
-    s.plan_cache_stats()
+    run_batch(&s, &mut ctx);
+    s.plan_cache_stats_in(&ctx)
 }
 
 /// Replays the mixed update+query regime (reweight-dominated churn, one
@@ -641,10 +647,12 @@ fn scaling_probe(seed: u64, quick: bool) -> Vec<ScalingPoint> {
             .fold(f64::INFINITY, f64::min);
         let alpha = Ratio::from_u64s(1, 16);
         let beta = Ratio::zero();
-        let _ = DpssSampler::query(&mut s, &alpha, &beta); // warm the plan cache
+        // The kept sampler is the last build, seeded `seed ^ 0x5CA3 ^ 2`.
+        let mut ctx = QueryCtx::new(seed ^ 0x5CA3 ^ 2);
+        let _ = s.query_in(&mut ctx, &alpha, &beta); // warm the plan cache
         let q_reps = if quick { 50 } else { 300 };
         let per_query = (0..3)
-            .map(|_| time_per(q_reps, || DpssSampler::query(&mut s, &alpha, &beta).len()))
+            .map(|_| time_per(q_reps, || s.query_in(&mut ctx, &alpha, &beta).len()))
             .fold(f64::INFINITY, f64::min);
 
         println!(
@@ -742,12 +750,7 @@ fn main() {
     }
 
     let packed = !cfg!(feature = "layout-baseline");
-    let hugepages = wordram::pages::compiled_in();
-    println!(
-        "\nscaling tier ({} arm, hugepages {}):",
-        if packed { "packed" } else { "layout-baseline" },
-        if hugepages { "on" } else { "off" }
-    );
+    println!("\nscaling tier ({} arm):", if packed { "packed" } else { "layout-baseline" });
     let points = scaling_probe(42, quick);
     // Flatness: per-op cost at the largest n over the smallest n (ops are
     // rates, so the cost ratio is small_ops/large_ops). ≈1 means the O(1)
@@ -920,7 +923,7 @@ fn main() {
         sn.recover_ms,
         sn.load_items_per_sec
     ));
-    json.push_str(&format!("  \"scaling\": {{\"packed\": {packed}, \"hugepages\": {hugepages},\n"));
+    json.push_str(&format!("  \"scaling\": {{\"packed\": {packed},\n"));
     json.push_str("    \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         json.push_str("      ");

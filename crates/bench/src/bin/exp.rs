@@ -10,7 +10,7 @@
 use baselines::all_backends;
 use bench::{fmt_secs, header, row, time, time_per, WeightDist};
 use bignum::Ratio;
-use dpss::{DpssSampler, FinalLevelMode, SpaceUsage};
+use dpss::{DpssSampler, FinalLevelMode, QueryCtx, SpaceUsage};
 use floatdpss::sort_via_dpss;
 use graphsub::{gen, randomized_push, rr_set};
 use rand::rngs::SmallRng;
@@ -108,7 +108,8 @@ fn e2_query() {
     header(&["target μ", "measured μ", "time/query", "time/(1+μ)"]);
     let n = 1usize << 18;
     let weights = WeightDist::Uniform.weights(n, 2);
-    let (mut s, _) = DpssSampler::from_weights(&weights, 9);
+    let (s, _) = DpssSampler::from_weights(&weights, 9);
+    let mut ctx = QueryCtx::new(9);
     let beta = Ratio::zero();
     for mu in [0.25f64, 1.0, 16.0, 256.0, 4096.0] {
         // uniform weights: p = 1/(α·n) each → μ = 1/α.
@@ -118,7 +119,7 @@ fn e2_query() {
         let per = {
             let t0 = std::time::Instant::now();
             for _ in 0..reps {
-                total += s.query(&alpha, &beta).len();
+                total += s.query_in(&mut ctx, &alpha, &beta).len();
             }
             t0.elapsed().as_secs_f64() / reps as f64
         };
@@ -135,9 +136,10 @@ fn e2_query() {
     for exp in [12u32, 14, 16, 18, 20] {
         let n = bits::pow2_usize(u64::from(exp));
         let weights = WeightDist::Random.weights(n, 3);
-        let (mut s, _) = DpssSampler::from_weights(&weights, 11);
+        let (s, _) = DpssSampler::from_weights(&weights, 11);
+        let mut ctx = QueryCtx::new(11);
         let alpha = Ratio::one();
-        let per = time_per(3000, || s.query(&alpha, &Ratio::zero()));
+        let per = time_per(3000, || s.query_in(&mut ctx, &alpha, &Ratio::zero()));
         row(&[format!("2^{exp}"), fmt_secs(per)]);
     }
 }
@@ -681,7 +683,8 @@ fn v1_marginals() {
         for (a, b) in [((1u64, 1u64), (0u64, 1u64)), ((1, 30), (0, 1)), ((0, 1), (1 << 20, 1))] {
             let alpha = Ratio::from_u64s(a.0, a.1);
             let beta = Ratio::from_u64s(b.0, b.1);
-            let (mut s, ids) = DpssSampler::from_weights(&weights, 73);
+            let (s, ids) = DpssSampler::from_weights(&weights, 73);
+            let mut ctx = QueryCtx::new(73);
             let probs: Vec<f64> = ids
                 .iter()
                 .map(|&id| s.inclusion_prob(id, &alpha, &beta).unwrap().to_f64_lossy())
@@ -689,7 +692,7 @@ fn v1_marginals() {
             let trials = 200_000u64;
             let mut hits = vec![0u64; ids.len()];
             for _ in 0..trials {
-                for id in s.query(&alpha, &beta) {
+                for id in s.query_in(&mut ctx, &alpha, &beta) {
                     hits[ids.iter().position(|&x| x == id).unwrap()] += 1;
                 }
             }
@@ -773,10 +776,11 @@ fn a1_final_mode() {
         let weights = WeightDist::Zipf.weights(n, 9);
         let alpha = Ratio::one();
         let (mut s, _) = DpssSampler::from_weights(&weights, 91);
-        let t_lookup = time_per(3000, || s.query(&alpha, &Ratio::zero()));
-        let rows = s.lookup_rows_built();
+        let mut ctx = QueryCtx::new(91);
+        let t_lookup = time_per(3000, || s.query_in(&mut ctx, &alpha, &Ratio::zero()));
+        let rows = s.lookup_rows_built(&ctx);
         s.set_final_mode(FinalLevelMode::Direct);
-        let t_direct = time_per(3000, || s.query(&alpha, &Ratio::zero()));
+        let t_direct = time_per(3000, || s.query_in(&mut ctx, &alpha, &Ratio::zero()));
         row(&[format!("2^{exp}"), fmt_secs(t_lookup), fmt_secs(t_direct), format!("{rows}")]);
     }
 }
@@ -807,35 +811,37 @@ fn a3_lookup_laziness() {
     header(&["mode", "prep time", "first-100-query time", "rows materialized"]);
     // Lazy (default).
     {
-        let ((mut s, _), t_build) = time(|| DpssSampler::from_weights(&weights, 103));
+        let ((s, _), t_build) = time(|| DpssSampler::from_weights(&weights, 103));
+        let mut ctx = QueryCtx::new(103);
         let alpha = Ratio::one();
         let (_, t_first) = time(|| {
             for _ in 0..100 {
-                std::hint::black_box(s.query(&alpha, &Ratio::zero()));
+                std::hint::black_box(s.query_in(&mut ctx, &alpha, &Ratio::zero()));
             }
         });
         row(&[
             "lazy rows (default)".into(),
             fmt_secs(t_build),
             fmt_secs(t_first),
-            format!("{}", s.lookup_rows_built()),
+            format!("{}", s.lookup_rows_built(&ctx)),
         ]);
     }
     // Eager: materialize every configuration of the dimension actually used.
     {
-        let ((mut s, _), t_build0) = time(|| DpssSampler::from_weights(&weights, 103));
-        let (_, t_eager) = time(|| s.eager_lookup(8));
+        let ((s, _), t_build0) = time(|| DpssSampler::from_weights(&weights, 103));
+        let mut ctx = QueryCtx::new(103);
+        let (_, t_eager) = time(|| s.eager_lookup(&mut ctx, 8));
         let alpha = Ratio::one();
         let (_, t_first) = time(|| {
             for _ in 0..100 {
-                std::hint::black_box(s.query(&alpha, &Ratio::zero()));
+                std::hint::black_box(s.query_in(&mut ctx, &alpha, &Ratio::zero()));
             }
         });
         row(&[
             "eager rows (paper mode)".into(),
             format!("{} + {}", fmt_secs(t_build0), fmt_secs(t_eager)),
             fmt_secs(t_first),
-            format!("{}", s.lookup_rows_built()),
+            format!("{}", s.lookup_rows_built(&ctx)),
         ]);
     }
 }

@@ -40,8 +40,8 @@
 //! the snapshot.
 //! Schema v7 (this PR) adds the cache-regime scaling tier: a top-level
 //! integer `nproc` (worker threads the host actually offers, so sharded
-//! speedups are interpretable), and the `scaling` block — `packed` and
-//! `hugepages` booleans naming the compiled arm, a `points` array with one
+//! speedups are interpretable), and the `scaling` block — a `packed`
+//! boolean naming the compiled arm, a `points` array with one
 //! entry per size (n ∈ {2^14, 2^17, 2^20, 2^23}; `--quick` keeps only
 //! 2^20) carrying insert/churn-pair/μ≈16-query op rates, the bulk-load
 //! items/s, and per-point space telemetry (`space_words` plus the arena
@@ -345,7 +345,7 @@ fn validate_scaling_points<'a>(
 /// - `snapshot`: integers `n ≥ 1`, `bytes ≥ 1`, `journal_tail ≥ 0`, finite
 ///   non-negative `save_ms`, `load_ms`, `recover_ms`, and
 ///   `load_items_per_sec`;
-/// - `scaling`: booleans `packed` and `hugepages`, a non-empty `points`
+/// - `scaling`: boolean `packed`, a non-empty `points`
 ///   array (per point: integer `n ≥ 1`, finite non-negative rates for every
 ///   field in `SCALING_POINT_RATES`, integer space telemetry for every
 ///   field in `SCALING_POINT_SPACE`), a `flatness` object with finite
@@ -437,10 +437,8 @@ pub fn validate_bench_core_v7(text: &str) -> Result<(), String> {
     require_num(sn, "recover_ms", 0.0, "snapshot")?;
     require_num(sn, "load_items_per_sec", 0.0, "snapshot")?;
     let sc = doc.get("scaling").ok_or("missing object 'scaling'")?;
-    for field in ["packed", "hugepages"] {
-        if !matches!(sc.get(field), Some(Json::Bool(_))) {
-            return Err(format!("scaling: missing boolean '{field}'"));
-        }
+    if !matches!(sc.get("packed"), Some(Json::Bool(_))) {
+        return Err("scaling: missing boolean 'packed'".to_string());
     }
     validate_scaling_points(sc, "points", "scaling")?;
     let fl = sc.get("flatness").ok_or("scaling: missing object 'flatness'")?;
@@ -499,7 +497,7 @@ mod tests {
       "snapshot": {"n": 1048576, "bytes": 25165824, "journal_tail": 4096,
                    "save_ms": 4.0, "load_ms": 12.0, "recover_ms": 13.0,
                    "load_items_per_sec": 8.0e7},
-      "scaling": {"packed": true, "hugepages": false,
+      "scaling": {"packed": true,
                   "points": [
                     {"n": 16384, "insert_ops": 2.0e7, "churn_pair_ops": 1.8e7,
                      "query_mu16_ops": 5.0e4, "bulk_items_per_sec": 9.0e7,

@@ -110,8 +110,8 @@ impl PssBackend for DeamortizedDpss {
             .collect()
     }
 
-    // `query_many` uses the trait's default batch-stream loop. The per-query
-    // Σw → BigUint conversion the legacy batched entry hoisted is a handful
+    // `query_many` uses the trait's default batch-stream loop. Hoisting the
+    // per-query Σw → BigUint conversion out of a batch would save a handful
     // of word ops — not worth deviating from the shared stream discipline
     // that keeps `ShardedQuery` bit-identical to the sequential path.
 

@@ -115,12 +115,9 @@ pub struct DeamortizedDpss {
     snapshot: usize,
     /// Disables the word-level query fast path on both halves.
     force_exact: bool,
-    seed: u64,
     /// Incremented each time an epoch *opens*; stamps new-resident entries.
     epoch: u64,
     epochs_done: u64,
-    /// Internal default context backing the legacy `&mut self` query surface.
-    ctx: QueryCtx,
     /// Epoch-delta change log over the *union* handle space (each migration
     /// half additionally keeps its own journal over its internal ids).
     journal: ChangeJournal,
@@ -131,7 +128,9 @@ pub struct DeamortizedDpss {
 }
 
 impl DeamortizedDpss {
-    /// Creates an empty sampler with a deterministic seed.
+    /// Creates an empty sampler. The seed is ignored — queries draw from the
+    /// caller's [`QueryCtx`] — and kept so every backend seeds alike
+    /// (`SeedableBackend::with_seed`).
     pub fn new(seed: u64) -> Self {
         DeamortizedDpss {
             old: DpssSampler::new(seed),
@@ -145,10 +144,8 @@ impl DeamortizedDpss {
             rev_new: Vec::new(),
             snapshot: 0,
             force_exact: false,
-            seed,
             epoch: 0,
             epochs_done: 0,
-            ctx: QueryCtx::new(seed),
             journal: ChangeJournal::new(),
             poisoned: false,
         }
@@ -426,38 +423,17 @@ impl DeamortizedDpss {
     /// `ctx`. O(1 + μ) expected — handle translation is by dense reverse
     /// maps.
     pub fn query_in(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio) -> Vec<Handle> {
-        let total = BigUint::from_u128(self.total_weight());
-        self.query_with_shared_total(ctx, alpha, beta, &total)
-    }
-
-    /// Runs `f` with the internal default context moved out of `self` (the
-    /// borrow-splitting step the legacy `&mut self` wrappers need). A panic
-    /// inside `f` leaves the field as a seed-0 default — acceptable, since a
-    /// panicking query is a bug and the suites abort.
-    fn with_default_ctx<T>(&mut self, f: impl FnOnce(&Self, &mut QueryCtx) -> T) -> T {
-        let mut ctx = std::mem::take(&mut self.ctx);
-        let out = f(self, &mut ctx);
-        self.ctx = ctx;
+        let w = alpha.mul_big(&BigUint::from_u128(self.total_weight())).add(beta);
+        let mut out = Vec::new();
+        for id in self.old.query_with_total_in(ctx, &w) {
+            out.push(self.rev_old[id.idx()]);
+        }
+        if let Some(new) = &self.new {
+            for id in new.query_with_total_in(ctx, &w) {
+                out.push(self.rev_new[id.idx()]);
+            }
+        }
         out
-    }
-
-    /// Legacy convenience: [`DeamortizedDpss::query_in`] over the internal
-    /// default context (seeded at construction).
-    pub fn query(&mut self, alpha: &Ratio, beta: &Ratio) -> Vec<Handle> {
-        self.with_default_ctx(|s, ctx| s.query_in(ctx, alpha, beta))
-    }
-
-    /// Legacy convenience: a batch of PSS queries on the internal default
-    /// context — a loop of [`DeamortizedDpss::query`] with the exact
-    /// total-weight conversion hoisted out of the batch (queries never change
-    /// the weights, so one `Σw` serves every pair). The shared-read
-    /// `PssBackend::query_many` default instead derives an independent stream
-    /// per index; both produce the same law.
-    pub fn query_many(&mut self, params: &[(Ratio, Ratio)]) -> Vec<Vec<Handle>> {
-        let total = BigUint::from_u128(self.total_weight());
-        self.with_default_ctx(|s, ctx| {
-            params.iter().map(|(a, b)| s.query_with_shared_total(ctx, a, b, &total)).collect()
-        })
     }
 
     /// Disables (`true`) or re-enables the word-level query fast path on both
@@ -471,26 +447,6 @@ impl DeamortizedDpss {
         }
     }
 
-    fn query_with_shared_total(
-        &self,
-        ctx: &mut QueryCtx,
-        alpha: &Ratio,
-        beta: &Ratio,
-        total: &BigUint,
-    ) -> Vec<Handle> {
-        let w = alpha.mul_big(total).add(beta);
-        let mut out = Vec::new();
-        for id in self.old.query_with_total_in(ctx, &w) {
-            out.push(self.rev_old[id.idx()]);
-        }
-        if let Some(new) = &self.new {
-            for id in new.query_with_total_in(ctx, &w) {
-                out.push(self.rev_new[id.idx()]);
-            }
-        }
-        out
-    }
-
     /// Advances the epoch machinery by one update's worth of work.
     fn step(&mut self) {
         if self.new.is_none() {
@@ -501,8 +457,7 @@ impl DeamortizedDpss {
                 // Open an epoch: successor sized for the current n. The
                 // old-resident roster is already materialized — no scan.
                 self.epoch += 1;
-                self.seed = self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-                let mut successor = DpssSampler::with_capacity_seed(n, self.seed);
+                let mut successor = DpssSampler::with_capacity_seed(n, 0);
                 successor.set_force_exact(self.force_exact);
                 self.new = Some(successor);
                 debug_assert!(self.roster_new.is_empty());
@@ -534,17 +489,12 @@ impl DeamortizedDpss {
             // the roster/rev-map vectors move wholesale and the epoch stamps
             // keep meaning "old" because `new` is now `None`.
             debug_assert!(self.old.is_empty(), "roster drained but items remain");
-            let retired = self.old.instance;
             // pss-lint: allow(no-panic-paths) — complete_epoch runs only after step() drained a roster, which requires an open epoch
             self.old = self.new.take().expect("completing a missing epoch");
             self.roster_old = std::mem::take(&mut self.roster_new);
             std::mem::swap(&mut self.rev_old, &mut self.rev_new);
-            // The retired half's plan/table state in the internal default
-            // context is dead — drop it now instead of waiting for the
-            // context's FIFO cap to age it out. (External contexts can't be
-            // reached from here; their bounded state area ages entries out
-            // by design.)
-            self.ctx.evict(retired);
+            // The retired half's state in callers' contexts is dead; their
+            // bounded state areas age it out FIFO.
             self.snapshot = self.n_live;
             self.epochs_done += 1;
         }
@@ -601,10 +551,8 @@ impl Snapshottable for DeamortizedDpss {
         let mut enc = Enc::new();
         enc.put_usize(self.snapshot);
         enc.put_bool(self.force_exact);
-        enc.put_u64(self.seed);
         enc.put_u64(self.epoch);
         enc.put_u64(self.epochs_done);
-        enc.put_u64(self.ctx.seed());
         enc.put_u64(self.journal.epoch());
         enc.put_bool(self.new.is_some());
         w.section(TAG_DEAM, enc);
@@ -647,10 +595,8 @@ impl Snapshottable for DeamortizedDpss {
         let mut dec = r.section(TAG_DEAM)?;
         let snapshot = dec.get_usize()?;
         let force_exact = dec.get_bool()?;
-        let seed = dec.get_u64()?;
         let epoch = dec.get_u64()?;
         let epochs_done = dec.get_u64()?;
-        let ctx_seed = dec.get_u64()?;
         let watermark = dec.get_u64()?;
         let has_new = dec.get_bool()?;
         dec.finish()?;
@@ -761,12 +707,8 @@ impl Snapshottable for DeamortizedDpss {
             rev_new,
             snapshot,
             force_exact,
-            seed,
             epoch,
             epochs_done,
-            // Process-local identity is deliberately not durable: the default
-            // context restarts its derived stream at the saved seed.
-            ctx: QueryCtx::new(ctx_seed),
             // The union journal resumes at the saved watermark with an empty
             // ring: recovery replays a durable journal's suffix from here.
             journal: ChangeJournal::resumed_at(watermark),
@@ -863,6 +805,7 @@ mod tests {
         // Force an in-progress epoch, then check inclusion probabilities are
         // still exactly w/W across the split.
         let mut s = DeamortizedDpss::new(3);
+        let mut ctx = QueryCtx::new(3);
         let hs: Vec<Handle> = (0..40).map(|i| s.insert(1 << (i % 8))).collect();
         // Trigger an epoch and stop mid-migration.
         for _ in 0..30 {
@@ -873,7 +816,7 @@ mod tests {
         let trials = 30_000u64;
         let mut hits = vec![0u64; hs.len()];
         for _ in 0..trials {
-            for h in s.query(&Ratio::one(), &Ratio::zero()) {
+            for h in s.query_in(&mut ctx, &Ratio::one(), &Ratio::zero()) {
                 if let Some(i) = hs.iter().position(|&x| x == h) {
                     hits[i] += 1;
                 }
@@ -908,7 +851,9 @@ mod tests {
     #[test]
     fn in_band_batch_matches_per_item_loop() {
         let mut a = DeamortizedDpss::new(12);
+        let mut a_ctx = QueryCtx::new(12);
         let mut b = DeamortizedDpss::new(12);
+        let mut b_ctx = QueryCtx::new(12);
         for w in 1..=100u64 {
             a.insert(w);
             b.insert(w);
@@ -926,8 +871,8 @@ mod tests {
         assert_eq!(ha, hb);
         a.validate();
         b.validate();
-        let qa = a.query(&Ratio::from_u64s(1, 4), &Ratio::zero());
-        let qb = b.query(&Ratio::from_u64s(1, 4), &Ratio::zero());
+        let qa = a.query_in(&mut a_ctx, &Ratio::from_u64s(1, 4), &Ratio::zero());
+        let qb = b.query_in(&mut b_ctx, &Ratio::from_u64s(1, 4), &Ratio::zero());
         assert_eq!(qa, qb, "pinned query streams must agree after an in-band batch");
     }
 
@@ -970,11 +915,12 @@ mod tests {
     #[allow(clippy::disallowed_types)]
     fn query_translates_handles_during_migration() {
         let mut s = DeamortizedDpss::new(7);
+        let mut ctx = QueryCtx::new(7);
         let hs: Vec<Handle> = (0..100).map(|_| s.insert(1000)).collect();
         // Mid-migration (an epoch will be in flight for some of this loop),
         // every returned handle must be live and unique.
         for _ in 0..50 {
-            let t = s.query(&Ratio::from_u64s(1, 8), &Ratio::zero());
+            let t = s.query_in(&mut ctx, &Ratio::from_u64s(1, 8), &Ratio::zero());
             let set: std::collections::HashSet<_> = t.iter().collect();
             assert_eq!(set.len(), t.len(), "duplicate handles");
             for h in t {

@@ -1,19 +1,16 @@
 //! Structure introspection and cost accounting.
 //!
-//! Two tools for the experiments and the ablation benches:
+//! [`StructureStats`] is a full snapshot of the three-level hierarchy
+//! (bucket/group occupancy per level, proxy counts, space), collected in
+//! O(capacity) by [`DpssSampler::stats`]. The E4 space experiment uses it,
+//! and the invariants tests assert the hierarchy's *shape* with it, not
+//! just its behaviour.
 //!
-//! - [`StructureStats`] — a full snapshot of the three-level hierarchy
-//!   (bucket/group occupancy per level, proxy counts, space), collected in
-//!   O(capacity) by [`DpssSampler::stats`]. Used by the E4 space experiment
-//!   and by the invariants tests to assert the hierarchy's *shape*, not just
-//!   its behaviour.
-//! - [`DpssSampler::new_counting`] / [`DpssSampler::words_consumed`] — the
-//!   §3 randomness-cost accounting. Since the RNG moved into the caller's
-//!   `QueryCtx` (whose stream counts every word it emits), *every* sampler
-//!   can report the words drawn through its internal default context; the
-//!   `new_counting` constructor survives as a documenting alias so tests can
-//!   assert the O(1)-expected-randomness claims directly (queries draw
-//!   O(1 + μ) words; updates draw none).
+//! The §3 randomness-cost accounting needs no sampler hook: every query
+//! draws from the caller's `QueryCtx`, whose stream counts each word it
+//! emits (`QueryCtx::words_consumed`). The tests below assert the
+//! O(1)-expected-randomness claims through it (queries draw O(1 + μ) words;
+//! updates draw none).
 
 use crate::sampler::DpssSampler;
 use crate::structure::{Level1, NodePool, NO_NODE};
@@ -63,8 +60,6 @@ pub struct StructureStats {
     pub item_arena_residency: wordram::ArenaResidency,
     /// Residency split of the shared proxy-bucket arena.
     pub proxy_arena_residency: wordram::ArenaResidency,
-    /// Lookup-table rows materialized so far.
-    pub lookup_rows: u64,
 }
 
 impl StructureStats {
@@ -129,29 +124,7 @@ impl DpssSampler {
             proxy_arena_words: self.level1.pool.arena.space_words(),
             item_arena_residency: self.level1.item_arena.residency(),
             proxy_arena_residency: self.level1.pool.arena.residency(),
-            lookup_rows: self.lookup_rows_built(),
         }
-    }
-
-    /// A sampler whose internal default context counts the random words it
-    /// draws — the §3 randomness-cost accounting used by E8 and the cost
-    /// tests. Every context counts words now (see `pss_core::CtxRng`), so
-    /// this is simply [`DpssSampler::new`] under its historical name.
-    pub fn new_counting(seed: u64) -> Self {
-        DpssSampler::new(seed)
-    }
-
-    /// Random words drawn through the internal default context since
-    /// construction (or the last reset). Queries issued through *external*
-    /// contexts are counted by those contexts
-    /// (`pss_core::QueryCtx::words_consumed`).
-    pub fn words_consumed(&self) -> u64 {
-        self.ctx.words_consumed()
-    }
-
-    /// Resets the internal default context's word counter.
-    pub fn reset_word_count(&mut self) {
-        self.ctx.reset_word_count();
     }
 }
 
@@ -159,6 +132,7 @@ impl DpssSampler {
 mod tests {
     use super::*;
     use bignum::Ratio;
+    use pss_core::QueryCtx;
 
     #[test]
     fn equal_weights_occupy_one_bucket() {
@@ -235,34 +209,39 @@ mod tests {
 
     #[test]
     fn counting_sampler_updates_draw_no_randomness() {
-        let mut s = DpssSampler::new_counting(7);
-        let ids: Vec<_> = (1..100u64).map(|w| s.insert(w)).collect();
-        assert_eq!(s.words_consumed(), 0, "updates must not consume randomness");
+        let mut s = DpssSampler::new(7);
+        let mut ctx = QueryCtx::new(7);
+        let first = s.insert(1);
+        let _ = s.query_in(&mut ctx, &Ratio::one(), &Ratio::zero());
+        let drawn = ctx.words_consumed();
+        let ids: Vec<_> = (2..100u64).map(|w| s.insert(w)).collect();
         for id in ids {
             s.delete(id);
         }
-        assert_eq!(s.words_consumed(), 0);
+        assert_eq!(ctx.words_consumed(), drawn, "updates must not consume randomness");
+        assert_eq!(s.query_in(&mut ctx, &Ratio::one(), &Ratio::zero()), vec![first]);
     }
 
     #[test]
     fn counting_sampler_query_words_scale_with_output() {
-        let mut s = DpssSampler::new_counting(8);
+        let mut s = DpssSampler::new(8);
+        let mut ctx = QueryCtx::new(8);
         for _ in 0..4096 {
             s.insert(1024);
         }
         // μ ≈ 1 queries: words per query should be modest and flat.
-        s.reset_word_count();
+        ctx.reset_word_count();
         let q = 200u64;
         for _ in 0..q {
-            let _ = s.query(&Ratio::one(), &Ratio::zero());
+            let _ = s.query_in(&mut ctx, &Ratio::one(), &Ratio::zero());
         }
-        let per_query_small = s.words_consumed() as f64 / q as f64;
+        let per_query_small = ctx.words_consumed() as f64 / q as f64;
         // μ ≈ 512: words grow with μ, not with n.
-        s.reset_word_count();
+        ctx.reset_word_count();
         for _ in 0..q {
-            let _ = s.query(&Ratio::from_u64s(1, 512), &Ratio::zero());
+            let _ = s.query_in(&mut ctx, &Ratio::from_u64s(1, 512), &Ratio::zero());
         }
-        let per_query_large = s.words_consumed() as f64 / q as f64;
+        let per_query_large = ctx.words_consumed() as f64 / q as f64;
         assert!(
             per_query_large > 8.0 * per_query_small,
             "output-sensitivity: μ=1 → {per_query_small} words, μ=512 → {per_query_large}"

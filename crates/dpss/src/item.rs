@@ -111,12 +111,9 @@ impl Slab {
 
     /// Pre-sizes the record vector for `n` upcoming insertions beyond what
     /// the free list covers (bulk loads pay one reservation instead of a
-    /// doubling chain of record copies). Under the `hugepages` feature the
-    /// reserved capacity is advised huge before the fill faults it — the
-    /// slab is the hottest random-access array, so its dTLB behaviour
-    /// dominates the beyond-L2 regime.
+    /// doubling chain of record copies).
     pub(crate) fn reserve(&mut self, n: usize) {
-        wordram::pages::reserve_advised(&mut self.recs, n.saturating_sub(self.free.len()));
+        self.recs.reserve(n.saturating_sub(self.free.len()));
     }
 
     /// Hints that slot `idx` will soon be read (bounds-checked no-op
@@ -153,12 +150,6 @@ impl Slab {
         } else {
             let idx = narrow::u32_of_usize(self.recs.len());
             assert!(idx != u32::MAX, "slab capacity exhausted");
-            if self.recs.len() == self.recs.capacity() {
-                // Doubling growth through a fresh advised mapping: a bare
-                // `push` at capacity would mremap a huge-backed slab and
-                // split its pages (see `pages::reserve_advised`).
-                wordram::pages::reserve_advised(&mut self.recs, 1);
-            }
             // pss-lint: allow(no-alloc-hot-path) — fresh-slot tail push only while the slab grows toward its high-water mark; steady state recycles the free list
             self.recs.push(Rec { weight, bucket_pos, meta: 1 });
             ItemId::new(idx, 0)
@@ -176,10 +167,6 @@ impl Slab {
         self.len += 1;
         let idx = narrow::u32_of_usize(self.recs.len());
         assert!(idx != u32::MAX, "slab capacity exhausted");
-        if self.recs.len() == self.recs.capacity() {
-            // Same mremap-avoiding growth as the generic path above.
-            wordram::pages::reserve_advised(&mut self.recs, 1);
-        }
         // pss-lint: allow(no-alloc-hot-path) — fresh-slot tail push only while the slab grows toward its high-water mark; steady state recycles the free list
         self.recs.push(Rec { weight, bucket_pos, meta: 1 });
         ItemId::new(idx, 0)

@@ -15,16 +15,18 @@
 //! of space.
 //!
 //! ```
-//! use dpss::{DpssSampler, Ratio};
+//! use dpss::{DpssSampler, QueryCtx, Ratio};
 //!
 //! let (mut s, ids) = DpssSampler::from_weights(&[1, 2, 4, 8, 1000], 42);
+//! // Queries draw randomness and cached plans from a caller-owned context.
+//! let mut ctx = QueryCtx::new(42);
 //! // Sample each x with probability min(w(x) / (0.5·Σw + 3), 1).
-//! let t = s.query(&Ratio::from_u64s(1, 2), &Ratio::from_u64s(3, 1));
+//! let t = s.query_in(&mut ctx, &Ratio::from_u64s(1, 2), &Ratio::from_u64s(3, 1));
 //! assert!(t.iter().all(|id| s.contains(*id)));
 //! // Dynamic updates in O(1):
 //! s.delete(ids[4]);
 //! let heavy = s.insert(1 << 40);
-//! let t2 = s.query(&Ratio::from_u64s(1, 1), &Ratio::from_u64s(0, 1));
+//! let t2 = s.query_in(&mut ctx, &Ratio::from_u64s(1, 1), &Ratio::from_u64s(0, 1));
 //! assert!(t2.contains(&heavy)); // p ≈ 1 for the dominating item
 //! ```
 //!
@@ -51,7 +53,8 @@ pub use deamortized::DeamortizedDpss;
 pub use diagnostics::{LevelStats, StructureStats};
 pub use item::ItemId;
 pub use pss_core::{
-    recover, Handle, PssBackend, RecoverError, SeedableBackend, SnapshotError, Snapshottable,
+    recover, Handle, PssBackend, QueryCtx, RecoverError, SeedableBackend, SnapshotError,
+    Snapshottable,
 };
 pub use query::FinalLevelMode;
 pub use sampler::{DpssSampler, OpError};

@@ -8,12 +8,9 @@
 //! lookup-table rows, and the per-`(α, β)` plan cache all live in the
 //! caller's context (keyed by this sampler's instance id and validated
 //! against its mutation epoch), so independent queries can run concurrently
-//! over one shared sampler — see `pss_core::ShardedQuery`.
-//!
-//! The legacy `&mut self` convenience methods ([`DpssSampler::query`],
-//! [`DpssSampler::query_many`], …) remain as thin wrappers over an internal
-//! default context seeded at construction, so existing callers and the
-//! seeded agreement suites keep their exact sampling law.
+//! over one shared sampler — see `pss_core::ShardedQuery`. There is no
+//! other query surface: a caller that wants one continuous stream keeps one
+//! context and queries through it.
 
 use crate::item::ItemId;
 use crate::lookup::LookupTable;
@@ -184,9 +181,7 @@ pub struct DpssSampler {
     /// memoized tables lazily when this moves under them).
     table_modulus: u32,
     /// Process-unique id keying this sampler's state inside any [`QueryCtx`].
-    pub(crate) instance: u64,
-    /// Internal default context backing the legacy `&mut self` query surface.
-    pub(crate) ctx: QueryCtx,
+    instance: u64,
     /// Disables the word-level fast path (all coins exact; agreement tests).
     force_exact: bool,
     /// Set while a `&mut` update is mid-cascade and cleared on completion: a
@@ -196,9 +191,9 @@ pub struct DpssSampler {
 }
 
 impl DpssSampler {
-    /// Creates an empty sampler with a deterministic seed (the seed drives
-    /// the internal default context used by the legacy query methods; the
-    /// shared-read surface draws from the caller's context instead).
+    /// Creates an empty sampler. The seed is ignored — queries draw from the
+    /// caller's [`QueryCtx`] — and kept so every backend seeds alike
+    /// (`SeedableBackend::with_seed`).
     pub fn new(seed: u64) -> Self {
         Self::with_capacity_seed(0, seed)
     }
@@ -214,8 +209,9 @@ impl DpssSampler {
         (s, ids)
     }
 
-    /// Creates an empty sampler sized for `n` upcoming insertions.
-    pub fn with_capacity_seed(n: usize, seed: u64) -> Self {
+    /// Creates an empty sampler sized for `n` upcoming insertions (the seed
+    /// is ignored; see [`DpssSampler::new`]).
+    pub fn with_capacity_seed(n: usize, _seed: u64) -> Self {
         let n0 = n.max(N0_FLOOR);
         let (g1, g2) = derive_widths(n0);
         DpssSampler {
@@ -227,7 +223,6 @@ impl DpssSampler {
             journal: ChangeJournal::new(),
             table_modulus: g2,
             instance: pss_core::fresh_backend_id(),
-            ctx: QueryCtx::new(seed),
             force_exact: false,
             poisoned: false,
         }
@@ -298,16 +293,15 @@ impl DpssSampler {
         self.rebuild_factor = k;
     }
 
-    /// Rows materialized in the internal default context's lookup table so
-    /// far (ablation A3; rows built through *other* contexts are counted by
-    /// those contexts).
-    pub fn lookup_rows_built(&self) -> u64 {
-        self.ctx.state_ref::<PlanState>(self.instance).map_or(0, |st| st.table.rows_built())
+    /// Rows materialized in this sampler's lookup table inside `ctx` so far
+    /// (ablation A3; each context memoizes its own rows).
+    pub fn lookup_rows_built(&self, ctx: &QueryCtx) -> u64 {
+        ctx.state_ref::<PlanState>(self.instance).map_or(0, |st| st.table.rows_built())
     }
 
-    /// `(hits, misses, refreshes)` of the per-`(α, β)` query-plan cache in
-    /// the internal default context since construction: a *hit* answers a
-    /// query from a still-valid cached plan (no multi-word
+    /// `(hits, misses, refreshes)` of this sampler's per-`(α, β)` query-plan
+    /// cache inside `ctx` (each context keeps its own cache): a *hit*
+    /// answers a query from a still-valid cached plan (no multi-word
     /// `W`/threshold/accelerator setup), a *miss* builds and caches a fresh
     /// entry, and a *refresh* re-derives a stale entry's plan **in place** —
     /// the journal-driven middle path for weight-only churn, which skips the
@@ -315,15 +309,6 @@ impl DpssSampler {
     /// table. Degenerate `W = 0` queries bypass the cache and count as none
     /// of the three. Observability hook — snapshotted by `bench_core` so
     /// cache regressions show in the perf trajectory.
-    pub fn plan_cache_stats(&self) -> (u64, u64, u64) {
-        self.ctx
-            .state_ref::<PlanState>(self.instance)
-            .map_or((0, 0, 0), |st| (st.hits, st.misses, st.refreshes))
-    }
-
-    /// `(hits, misses, refreshes)` of this sampler's plan cache inside an
-    /// *external* context (each context keeps its own cache; see
-    /// [`DpssSampler::plan_cache_stats`] for the semantics).
     pub fn plan_cache_stats_in(&self, ctx: &QueryCtx) -> (u64, u64, u64) {
         ctx.state_ref::<PlanState>(self.instance)
             .map_or((0, 0, 0), |st| (st.hits, st.misses, st.refreshes))
@@ -334,27 +319,12 @@ impl DpssSampler {
         &self.journal
     }
 
-    /// Runs `f` with the internal default context moved out of `self` (the
-    /// borrow-splitting step every legacy `&mut self` wrapper needs: `f`
-    /// gets `&Self` *and* the context). A panic inside `f` leaves the field
-    /// as a seed-0 default — acceptable, since a panicking query is a bug
-    /// and the suites abort; nothing unwinds past this and keeps sampling.
-    fn with_default_ctx<T>(&mut self, f: impl FnOnce(&Self, &mut QueryCtx) -> T) -> T {
-        let mut ctx = std::mem::take(&mut self.ctx);
-        let out = f(self, &mut ctx);
-        self.ctx = ctx;
-        out
-    }
-
     /// Eagerly materializes every lookup-table row of configuration dimension
-    /// `k` in the internal default context — the paper's O(n₀) preprocessing
-    /// mode (ablation A3). Bounded to small `(m+1)^k`; the default is lazy
-    /// memoization.
-    pub fn eager_lookup(&mut self, k: usize) {
-        self.with_default_ctx(|s, ctx| {
-            let (_, st) = s.plan_state(ctx);
-            st.table.build_all(k);
-        });
+    /// `k` in `ctx` — the paper's O(n₀) preprocessing mode (ablation A3).
+    /// Bounded to small `(m+1)^k`; the default is lazy memoization.
+    pub fn eager_lookup(&self, ctx: &mut QueryCtx, k: usize) {
+        let (_, st) = self.plan_state(ctx);
+        st.table.build_all(k);
     }
 
     /// `true` iff an earlier update unwound mid-cascade and the structure
@@ -795,36 +765,6 @@ impl DpssSampler {
         st.items.to_vec()
     }
 
-    // -- Legacy convenience surface (internal default context) --------------
-
-    /// Legacy convenience: [`DpssSampler::query_in`] over the internal
-    /// default context (seeded at construction), preserving the pre-split
-    /// `&mut self` call shape and its exact sampling law.
-    pub fn query(&mut self, alpha: &Ratio, beta: &Ratio) -> Vec<ItemId> {
-        self.with_default_ctx(|s, ctx| s.query_in(ctx, alpha, beta))
-    }
-
-    /// Legacy convenience: a batch of PSS queries on the internal default
-    /// context, one result per `(α, β)` pair — a plain loop of
-    /// [`DpssSampler::query`] on one continuous stream (the shared-read
-    /// `PssBackend::query_many` instead derives an independent stream per
-    /// index; both produce the same law).
-    pub fn query_many(&mut self, params: &[(Ratio, Ratio)]) -> Vec<Vec<ItemId>> {
-        params.iter().map(|(a, b)| self.query(a, b)).collect()
-    }
-
-    /// Convenience: query with machine-word rational parameters
-    /// `α = a.0/a.1`, `β = b.0/b.1`.
-    pub fn query_rational(&mut self, a: (u64, u64), b: (u64, u64)) -> Vec<ItemId> {
-        self.query(&Ratio::from_u64s(a.0, a.1), &Ratio::from_u64s(b.0, b.1))
-    }
-
-    /// Legacy convenience: [`DpssSampler::query_with_total_in`] over the
-    /// internal default context.
-    pub fn query_with_total(&mut self, w: &Ratio) -> Vec<ItemId> {
-        self.with_default_ctx(|s, ctx| s.query_with_total_in(ctx, w))
-    }
-
     /// Validates every structural invariant (test/debug hook; O(n)).
     pub fn validate(&self) {
         self.level1.validate();
@@ -850,7 +790,6 @@ impl Snapshottable for DpssSampler {
             FinalLevelMode::Lookup => 0,
             FinalLevelMode::Direct => 1,
         });
-        enc.put_u64(self.ctx.seed());
         enc.put_u64(self.journal.epoch());
         w.section(TAG_SAMPLER, enc);
         let mut slab = Enc::new();
@@ -873,7 +812,6 @@ impl Snapshottable for DpssSampler {
             1 => FinalLevelMode::Direct,
             _ => return Err(SnapshotError::Invalid("final-mode byte out of range")),
         };
-        let seed = dec.get_u64()?;
         let watermark = dec.get_u64()?;
         dec.finish()?;
         // Sizing sanity: the widths divide bucket universes and the rebuild
@@ -904,10 +842,8 @@ impl Snapshottable for DpssSampler {
             // `table_modulus` tracks `l2_group_width` by construction.
             table_modulus: g2,
             // Process-local identity is deliberately not durable: a restored
-            // sampler keys fresh per-context state (and the default context
-            // restarts its derived stream at the saved seed).
+            // sampler keys fresh per-context state.
             instance: pss_core::fresh_backend_id(),
-            ctx: QueryCtx::new(seed),
             force_exact,
             poisoned: false,
         })
@@ -916,13 +852,10 @@ impl Snapshottable for DpssSampler {
 
 impl SpaceUsage for DpssSampler {
     fn space_words(&self) -> usize {
-        // The hierarchy plus whatever the internal default context memoized
-        // on this sampler's behalf. Rows memoized in *external* contexts are
-        // owned — and must be accounted — by those contexts (the structure
-        // cannot see them from `&self`); they are derived data bounded per
-        // context by the state cap, not part of the structure's O(n) story.
-        let table =
-            self.ctx.state_ref::<PlanState>(self.instance).map_or(0, |st| st.table.space_words());
-        self.level1.space_words() + table + self.journal.space_words() + 6
+        // The hierarchy alone. Rows memoized in a context are owned — and
+        // must be accounted — by that context; they are derived data bounded
+        // per context by the state cap, not part of the structure's O(n)
+        // story.
+        self.level1.space_words() + self.journal.space_words() + 6
     }
 }

@@ -536,116 +536,6 @@ impl SpaceUsage for NodePool {
     }
 }
 
-/// Software write-combining buffers for the bulk fill — the IPS²Ra-style
-/// block permute of the classifier's scatter phase. The naive fill streams
-/// every classified id straight to its class cursor, which keeps up to
-/// [`L1_BUCKETS`] destination cache lines (and their TLB entries) open at
-/// once; beyond L2 that turns the fill into a random-write workload. Ids
-/// instead gather in one-cache-line buffers (8 ids) that live in L1, and
-/// each full buffer flushes as one 64-byte burst to its class block — the
-/// arena sees a handful of sequential line-sized writes per class instead
-/// of 64 interleaved streams. Store order within a class is unchanged, so
-/// bucket contents (and therefore sample streams) are bit-identical to the
-/// direct fill — which is exactly what the pass-through variant below
-/// compiles to.
-///
-/// Gated behind the off-by-default `wc-fill` feature: the staging hop costs
-/// an extra store + branch per id, which pays for itself only when the
-/// destination streams overwhelm the core's write-combine/fill buffers.
-/// On the suite's single-core CI host the direct fill keeps up with 64
-/// streams and `wc-fill` measures ~20% *slower*; on wide multi-stream
-/// hardware the buffered path is the intended configuration. The A/B bench
-/// arms keep both measurable in-tree.
-#[cfg(all(feature = "wc-fill", not(feature = "layout-baseline")))]
-struct ClassBufs {
-    buf: [[ItemId; ClassBufs::LINE]; L1_BUCKETS],
-    len: [u8; L1_BUCKETS],
-}
-
-#[cfg(all(feature = "wc-fill", not(feature = "layout-baseline")))]
-impl ClassBufs {
-    /// One cache line of 8-byte ids.
-    const LINE: usize = 8;
-
-    fn new() -> Self {
-        ClassBufs { buf: [[ItemId::from_raw(0); Self::LINE]; L1_BUCKETS], len: [0; L1_BUCKETS] }
-    }
-
-    /// Ids buffered for `class` but not yet stored through its cursor (the
-    /// fill adds this to `FillCursor::pos` to get an item's final position).
-    #[inline]
-    fn pending(&self, class: usize) -> u32 {
-        u32::from(self.len[class])
-    }
-
-    /// Buffers `id` for `class`, flushing the full line through `cur`. One
-    /// line before a flush comes due, the flush target is prefetched for
-    /// write — the "one stride ahead" hint of the bulk fill.
-    #[inline]
-    fn push(
-        &mut self,
-        arena: &mut BucketArena<ItemId>,
-        cur: &mut FillCursor,
-        class: usize,
-        id: ItemId,
-    ) {
-        let l = self.len[class] as usize;
-        self.buf[class][l] = id;
-        if l + 1 == Self::LINE {
-            arena.push_raw_line(cur, &self.buf[class]);
-            self.len[class] = 0;
-        } else {
-            if l + 2 == Self::LINE {
-                arena.prefetch_at(cur);
-            }
-            self.len[class] += 1;
-        }
-    }
-
-    /// Flushes every partial line (end of the fill pass).
-    fn drain(&mut self, arena: &mut BucketArena<ItemId>, cur: &mut [FillCursor; L1_BUCKETS]) {
-        for class in 0..L1_BUCKETS {
-            let l = self.len[class] as usize;
-            if l > 0 {
-                arena.push_raw_line(&mut cur[class], &self.buf[class][..l]);
-                self.len[class] = 0;
-            }
-        }
-    }
-}
-
-/// Direct-fill arm (default, and the `layout-baseline` A/B arm): a
-/// zero-sized pass-through that stores every id straight through its class
-/// cursor. Identical store order to the buffered variant, so the two fills
-/// are bit-identical in bucket contents and sample streams.
-#[cfg(any(not(feature = "wc-fill"), feature = "layout-baseline"))]
-struct ClassBufs;
-
-#[cfg(any(not(feature = "wc-fill"), feature = "layout-baseline"))]
-impl ClassBufs {
-    fn new() -> Self {
-        ClassBufs
-    }
-
-    #[inline]
-    fn pending(&self, _class: usize) -> u32 {
-        0
-    }
-
-    #[inline]
-    fn push(
-        &mut self,
-        arena: &mut BucketArena<ItemId>,
-        cur: &mut FillCursor,
-        _class: usize,
-        id: ItemId,
-    ) {
-        arena.push_raw(cur, id);
-    }
-
-    fn drain(&mut self, _arena: &mut BucketArena<ItemId>, _cur: &mut [FillCursor; L1_BUCKETS]) {}
-}
-
 /// `BG-Str(S)`: the level-1 structure over the real item set. Owns the item
 /// slab, the level-1 bucket arena, and the [`NodePool`] holding every
 /// deeper node.
@@ -821,7 +711,6 @@ impl Level1 {
         }
         let recycled = self.slab.free_slots().min(weights.len());
         let (head, tail) = weights.split_at(recycled);
-        let mut bufs = ClassBufs::new();
         for &w in head {
             // Recycled slots land at free-list positions, i.e. random
             // access into the slab; peek the list a stride ahead so the
@@ -834,9 +723,8 @@ impl Level1 {
                 continue;
             }
             let i = floor_log2_u64(w) as usize;
-            let id = self.slab.insert_bucketed(w, cur[i].pos() + bufs.pending(i));
-            // pss-lint: allow(no-alloc-hot-path) — fill-pass store through a pre-carved cursor; the bulk build is the amortized O(n) path
-            bufs.push(&mut self.item_arena, &mut cur[i], i, id);
+            let id = self.slab.insert_bucketed(w, cur[i].pos());
+            self.item_arena.push_raw(&mut cur[i], id);
             // pss-lint: allow(no-alloc-hot-path) — bulk build is the amortized O(n) path, not the per-update cascade
             ids.push(id);
         }
@@ -848,13 +736,11 @@ impl Level1 {
                 continue;
             }
             let i = floor_log2_u64(w) as usize;
-            let id = self.slab.insert_bucketed_fresh(w, cur[i].pos() + bufs.pending(i));
-            // pss-lint: allow(no-alloc-hot-path) — fill-pass store through a pre-carved cursor; the bulk build is the amortized O(n) path
-            bufs.push(&mut self.item_arena, &mut cur[i], i, id);
+            let id = self.slab.insert_bucketed_fresh(w, cur[i].pos());
+            self.item_arena.push_raw(&mut cur[i], id);
             // pss-lint: allow(no-alloc-hot-path) — bulk build is the amortized O(n) path, not the per-update cascade
             ids.push(id);
         }
-        bufs.drain(&mut self.item_arena, &mut cur);
         for (i, &c) in add.iter().enumerate() {
             if c > 0 {
                 let fc = cur[i];

@@ -5,14 +5,15 @@
 // HashMap/HashSet sanctioned: test-side bookkeeping only; no iteration order reaches an assertion or a sample.
 #![allow(clippy::disallowed_types)]
 
-use dpss::{DpssSampler, FinalLevelMode, ItemId, Ratio};
+use dpss::{DpssSampler, FinalLevelMode, ItemId, QueryCtx, Ratio};
 use randvar::stats::binomial_z;
 use std::collections::HashMap;
 
 /// Runs `trials` queries and asserts each item's empirical inclusion frequency
 /// is within `z_bound` standard deviations of its exact probability.
 fn assert_marginals(
-    s: &mut DpssSampler,
+    s: &DpssSampler,
+    ctx: &mut QueryCtx,
     alpha: &Ratio,
     beta: &Ratio,
     trials: u64,
@@ -28,7 +29,7 @@ fn assert_marginals(
         .collect();
     let mut hits: HashMap<ItemId, u64> = probs.keys().map(|&id| (id, 0)).collect();
     for _ in 0..trials {
-        for id in s.query(alpha, beta) {
+        for id in s.query_in(ctx, alpha, beta) {
             *hits.get_mut(&id).expect("sampled unknown item") += 1;
         }
     }
@@ -52,66 +53,74 @@ fn assert_marginals(
 #[test]
 fn uniform_weights_alpha_one() {
     let weights = vec![5u64; 20];
-    let (mut s, _) = DpssSampler::from_weights(&weights, 1);
+    let (s, _) = DpssSampler::from_weights(&weights, 1);
+    let mut ctx = QueryCtx::new(1);
     // α=1, β=0: p_x = 5/100 = 1/20 each.
-    assert_marginals(&mut s, &Ratio::one(), &Ratio::zero(), 40_000, 4.8, "uniform");
+    assert_marginals(&s, &mut ctx, &Ratio::one(), &Ratio::zero(), 40_000, 4.8, "uniform");
 }
 
 #[test]
 fn geometric_weights_span_buckets() {
     // Weights 1, 2, 4, …, 2^19 hit 20 distinct buckets.
     let weights: Vec<u64> = (0..20).map(|i| 1u64 << i).collect();
-    let (mut s, _) = DpssSampler::from_weights(&weights, 2);
-    assert_marginals(&mut s, &Ratio::one(), &Ratio::zero(), 40_000, 4.8, "geometric");
+    let (s, _) = DpssSampler::from_weights(&weights, 2);
+    let mut ctx = QueryCtx::new(2);
+    assert_marginals(&s, &mut ctx, &Ratio::one(), &Ratio::zero(), 40_000, 4.8, "geometric");
 }
 
 #[test]
 fn mixed_magnitude_weights() {
     let weights = vec![1, 1, 3, 7, 100, 1000, 12345, 1 << 30, (1 << 40) + 17, 2];
-    let (mut s, _) = DpssSampler::from_weights(&weights, 3);
-    assert_marginals(&mut s, &Ratio::one(), &Ratio::zero(), 40_000, 4.8, "mixed");
+    let (s, _) = DpssSampler::from_weights(&weights, 3);
+    let mut ctx = QueryCtx::new(3);
+    assert_marginals(&s, &mut ctx, &Ratio::one(), &Ratio::zero(), 40_000, 4.8, "mixed");
 }
 
 #[test]
 fn beta_scales_probabilities_down() {
     // β ≫ Σw: all probabilities tiny — exercises the insignificant path.
     let weights = vec![10u64, 20, 40, 80, 160];
-    let (mut s, _) = DpssSampler::from_weights(&weights, 4);
+    let (s, _) = DpssSampler::from_weights(&weights, 4);
+    let mut ctx = QueryCtx::new(4);
     let beta = Ratio::from_int(1_000_000);
-    assert_marginals(&mut s, &Ratio::zero(), &beta, 60_000, 4.8, "big-beta");
+    assert_marginals(&s, &mut ctx, &Ratio::zero(), &beta, 60_000, 4.8, "big-beta");
 }
 
 #[test]
 fn alpha_below_one_creates_certain_items() {
     // α = 1/100: heavy items get p = 1 (certain path), light ones p < 1.
     let weights = vec![1u64, 2, 3, 50, 60, 100_000, 200_000];
-    let (mut s, _) = DpssSampler::from_weights(&weights, 5);
+    let (s, _) = DpssSampler::from_weights(&weights, 5);
+    let mut ctx = QueryCtx::new(5);
     let alpha = Ratio::from_u64s(1, 100);
-    assert_marginals(&mut s, &alpha, &Ratio::zero(), 30_000, 4.8, "certain-mix");
+    assert_marginals(&s, &mut ctx, &alpha, &Ratio::zero(), 30_000, 4.8, "certain-mix");
 }
 
 #[test]
 fn fractional_alpha_beta() {
     let weights = vec![9u64, 17, 33, 65, 129, 257, 513];
-    let (mut s, _) = DpssSampler::from_weights(&weights, 6);
+    let (s, _) = DpssSampler::from_weights(&weights, 6);
+    let mut ctx = QueryCtx::new(6);
     let alpha = Ratio::from_u64s(3, 7);
     let beta = Ratio::from_u64s(22, 5);
-    assert_marginals(&mut s, &alpha, &beta, 40_000, 4.8, "fractional");
+    assert_marginals(&s, &mut ctx, &alpha, &beta, 40_000, 4.8, "fractional");
 }
 
 #[test]
 fn zero_weight_items_never_sampled() {
-    let (mut s, ids) = DpssSampler::from_weights(&[0, 5, 0, 7, 0], 7);
+    let (s, ids) = DpssSampler::from_weights(&[0, 5, 0, 7, 0], 7);
+    let mut ctx = QueryCtx::new(7);
     for _ in 0..2000 {
-        let t = s.query(&Ratio::one(), &Ratio::zero());
+        let t = s.query_in(&mut ctx, &Ratio::one(), &Ratio::zero());
         assert!(!t.contains(&ids[0]) && !t.contains(&ids[2]) && !t.contains(&ids[4]));
     }
 }
 
 #[test]
 fn w_zero_convention_returns_all_positive() {
-    let (mut s, ids) = DpssSampler::from_weights(&[0, 5, 7], 8);
-    let t = s.query(&Ratio::zero(), &Ratio::zero());
+    let (s, ids) = DpssSampler::from_weights(&[0, 5, 7], 8);
+    let mut ctx = QueryCtx::new(8);
+    let t = s.query_in(&mut ctx, &Ratio::zero(), &Ratio::zero());
     assert_eq!(t.len(), 2);
     assert!(t.contains(&ids[1]) && t.contains(&ids[2]));
 }
@@ -119,17 +128,18 @@ fn w_zero_convention_returns_all_positive() {
 #[test]
 fn empty_and_single_item() {
     let mut s = DpssSampler::new(9);
-    assert!(s.query(&Ratio::one(), &Ratio::zero()).is_empty());
+    let mut ctx = QueryCtx::new(9);
+    assert!(s.query_in(&mut ctx, &Ratio::one(), &Ratio::zero()).is_empty());
     let id = s.insert(42);
     // Single item, α=1: p = 1.
     for _ in 0..50 {
-        assert_eq!(s.query(&Ratio::one(), &Ratio::zero()), vec![id]);
+        assert_eq!(s.query_in(&mut ctx, &Ratio::one(), &Ratio::zero()), vec![id]);
     }
     // α=2: p = 1/2.
     let mut hits = 0u64;
     let trials = 20_000;
     for _ in 0..trials {
-        hits += s.query(&Ratio::from_int(2), &Ratio::zero()).len() as u64;
+        hits += s.query_in(&mut ctx, &Ratio::from_int(2), &Ratio::zero()).len() as u64;
     }
     let z = binomial_z(hits, trials, 0.5);
     assert!(z.abs() < 4.8, "z = {z}");
@@ -138,15 +148,17 @@ fn empty_and_single_item() {
 #[test]
 fn marginals_survive_dynamic_updates() {
     let (mut s, ids) = DpssSampler::from_weights(&[1, 2, 4, 8, 16, 32, 64, 128], 10);
+    let mut ctx = QueryCtx::new(10);
     // Delete a few, insert others — including a dominating weight.
     s.delete(ids[0]).unwrap();
     s.delete(ids[5]).unwrap();
     s.insert(1000);
     s.insert(3);
     s.insert(1 << 35);
-    assert_marginals(&mut s, &Ratio::one(), &Ratio::zero(), 40_000, 4.8, "post-update");
+    assert_marginals(&s, &mut ctx, &Ratio::one(), &Ratio::zero(), 40_000, 4.8, "post-update");
     assert_marginals(
-        &mut s,
+        &s,
+        &mut ctx,
         &Ratio::from_u64s(1, 3),
         &Ratio::from_int(10),
         40_000,
@@ -159,6 +171,7 @@ fn marginals_survive_dynamic_updates() {
 fn marginals_survive_rebuild() {
     // Grow from 4 to 300 items (several rebuilds), then shrink to 30.
     let (mut s, _) = DpssSampler::from_weights(&[3, 5, 9, 11], 11);
+    let mut ctx = QueryCtx::new(11);
     let mut ids: Vec<ItemId> = Vec::new();
     for i in 0..296u64 {
         ids.push(s.insert((i * 7919) % 1000 + 1));
@@ -168,26 +181,28 @@ fn marginals_survive_rebuild() {
         s.delete(id).unwrap();
     }
     s.validate();
-    assert_marginals(&mut s, &Ratio::one(), &Ratio::zero(), 30_000, 4.8, "post-rebuild");
+    assert_marginals(&s, &mut ctx, &Ratio::one(), &Ratio::zero(), 30_000, 4.8, "post-rebuild");
 }
 
 #[test]
 fn direct_final_mode_matches() {
     let weights = vec![1u64, 2, 4, 8, 1 << 20, (1 << 20) + 3, 12345];
     let (mut s, _) = DpssSampler::from_weights(&weights, 12);
+    let mut ctx = QueryCtx::new(12);
     s.set_final_mode(FinalLevelMode::Direct);
-    assert_marginals(&mut s, &Ratio::one(), &Ratio::zero(), 40_000, 4.8, "direct-mode");
+    assert_marginals(&s, &mut ctx, &Ratio::one(), &Ratio::zero(), 40_000, 4.8, "direct-mode");
 }
 
 #[test]
 fn pairwise_independence_spot_check() {
     // Two equal-weight items: P[both] must be p² (independence), not shared.
-    let (mut s, ids) = DpssSampler::from_weights(&[100, 100, 100, 100], 13);
+    let (s, ids) = DpssSampler::from_weights(&[100, 100, 100, 100], 13);
+    let mut ctx = QueryCtx::new(13);
     let (a, b) = (ids[0], ids[1]);
     let trials = 60_000u64;
     let (mut ha, mut hb, mut hab) = (0u64, 0u64, 0u64);
     for _ in 0..trials {
-        let t = s.query(&Ratio::one(), &Ratio::zero()); // p = 1/4 each
+        let t = s.query_in(&mut ctx, &Ratio::one(), &Ratio::zero()); // p = 1/4 each
         let ia = t.contains(&a);
         let ib = t.contains(&b);
         ha += ia as u64;
@@ -202,11 +217,13 @@ fn pairwise_independence_spot_check() {
 #[test]
 fn query_size_matches_mu() {
     let weights: Vec<u64> = (1..=100).collect();
-    let (mut s, _) = DpssSampler::from_weights(&weights, 14);
+    let (s, _) = DpssSampler::from_weights(&weights, 14);
+    let mut ctx = QueryCtx::new(14);
     let alpha = Ratio::from_u64s(1, 10); // μ = Σ min(10·w/Σw, 1)
     let mu = s.expected_sample_size(&alpha, &Ratio::zero());
     let trials = 5_000u64;
-    let total: u64 = (0..trials).map(|_| s.query(&alpha, &Ratio::zero()).len() as u64).sum();
+    let total: u64 =
+        (0..trials).map(|_| s.query_in(&mut ctx, &alpha, &Ratio::zero()).len() as u64).sum();
     let mean = total as f64 / trials as f64;
     assert!((mean - mu).abs() < 0.35, "mean sample size {mean} vs expected {mu}");
 }
@@ -214,12 +231,14 @@ fn query_size_matches_mu() {
 #[test]
 fn determinism_with_same_seed() {
     let weights = vec![1u64, 10, 100, 1000];
-    let (mut s1, _) = DpssSampler::from_weights(&weights, 99);
-    let (mut s2, _) = DpssSampler::from_weights(&weights, 99);
+    let (s1, _) = DpssSampler::from_weights(&weights, 99);
+    let mut s1_ctx = QueryCtx::new(99);
+    let (s2, _) = DpssSampler::from_weights(&weights, 99);
+    let mut s2_ctx = QueryCtx::new(99);
     for _ in 0..200 {
         assert_eq!(
-            s1.query(&Ratio::one(), &Ratio::zero()),
-            s2.query(&Ratio::one(), &Ratio::zero())
+            s1.query_in(&mut s1_ctx, &Ratio::one(), &Ratio::zero()),
+            s2.query_in(&mut s2_ctx, &Ratio::one(), &Ratio::zero())
         );
     }
 }
@@ -227,16 +246,18 @@ fn determinism_with_same_seed() {
 #[test]
 fn huge_weights_near_word_boundary() {
     let weights = vec![u64::MAX, u64::MAX - 1, 1, 2, u64::MAX / 2];
-    let (mut s, _) = DpssSampler::from_weights(&weights, 15);
+    let (s, _) = DpssSampler::from_weights(&weights, 15);
+    let mut ctx = QueryCtx::new(15);
     s.validate();
-    assert_marginals(&mut s, &Ratio::one(), &Ratio::zero(), 30_000, 4.8, "huge");
+    assert_marginals(&s, &mut ctx, &Ratio::one(), &Ratio::zero(), 30_000, 4.8, "huge");
 }
 
 #[test]
 fn alpha_zero_beta_small_all_certain() {
     // β < min weight: every item certain.
-    let (mut s, ids) = DpssSampler::from_weights(&[10, 20, 30], 16);
-    let t = s.query(&Ratio::zero(), &Ratio::from_int(5));
+    let (s, ids) = DpssSampler::from_weights(&[10, 20, 30], 16);
+    let mut ctx = QueryCtx::new(16);
+    let t = s.query_in(&mut ctx, &Ratio::zero(), &Ratio::from_int(5));
     assert_eq!(t.len(), 3);
     for id in ids {
         assert!(t.contains(&id));

@@ -9,13 +9,14 @@
 //! probabilities `min(w/W, 1)`. Seeded proptest over weights and `(α, β)`.
 
 use bignum::Ratio;
-use dpss::{DpssSampler, ItemId};
+use dpss::{DpssSampler, ItemId, QueryCtx};
 use proptest::prelude::*;
 use randvar::stats::binomial_z;
 
 /// Per-item hit counts over `trials` repeated queries.
 fn hit_counts(
-    s: &mut DpssSampler,
+    s: &DpssSampler,
+    ctx: &mut QueryCtx,
     ids: &[ItemId],
     alpha: &Ratio,
     beta: &Ratio,
@@ -23,7 +24,7 @@ fn hit_counts(
 ) -> Vec<u64> {
     let mut hits = vec![0u64; ids.len()];
     for _ in 0..trials {
-        for id in s.query(alpha, beta) {
+        for id in s.query_in(ctx, alpha, beta) {
             let slot = ids.iter().position(|&x| x == id).expect("query returned unknown id");
             hits[slot] += 1;
         }
@@ -45,8 +46,10 @@ fn check_agreement(weights: &[u64], a: (u64, u64), b: (u64, u64), seed: u64, tri
     let alpha = Ratio::from_u64s(a.0, a.1);
     let beta = Ratio::from_u64s(b.0, b.1);
 
-    let (mut fast, fast_ids) = DpssSampler::from_weights(weights, seed);
+    let (fast, fast_ids) = DpssSampler::from_weights(weights, seed);
+    let mut fast_ctx = QueryCtx::new(seed);
     let (mut exact, exact_ids) = DpssSampler::from_weights(weights, seed ^ 0xE0);
+    let mut exact_ctx = QueryCtx::new(seed ^ 0xE0);
     exact.set_force_exact(true);
     assert!(exact.force_exact() && !fast.force_exact());
 
@@ -54,8 +57,8 @@ fn check_agreement(weights: &[u64], a: (u64, u64), b: (u64, u64), seed: u64, tri
     assert_eq!(fast.len(), exact.len());
     assert_eq!(fast.total_weight(), exact.total_weight());
 
-    let fast_hits = hit_counts(&mut fast, &fast_ids, &alpha, &beta, trials);
-    let exact_hits = hit_counts(&mut exact, &exact_ids, &alpha, &beta, trials);
+    let fast_hits = hit_counts(&fast, &mut fast_ctx, &fast_ids, &alpha, &beta, trials);
+    let exact_hits = hit_counts(&exact, &mut exact_ctx, &exact_ids, &alpha, &beta, trials);
 
     let w_total = fast.param_weight(&alpha, &beta);
     for (i, (&fh, &eh)) in fast_hits.iter().zip(&exact_hits).enumerate() {
@@ -103,7 +106,9 @@ fn agreement_on_heavy_tail_with_updates() {
     check_agreement(&weights, (1, 4), (0, 1), 99, 4000);
 
     let (mut fast, ids) = DpssSampler::from_weights(&weights, 7);
+    let mut fast_ctx = QueryCtx::new(7);
     let (mut exact, ids_e) = DpssSampler::from_weights(&weights, 8);
+    let mut exact_ctx = QueryCtx::new(8);
     exact.set_force_exact(true);
     // Same deterministic mutations on both.
     for (f, e) in ids.iter().zip(&ids_e).take(6) {
@@ -118,8 +123,8 @@ fn agreement_on_heavy_tail_with_updates() {
     let trials = 4000u64;
     let (mut f_hits, mut e_hits) = (0u64, 0u64);
     for _ in 0..trials {
-        f_hits += u64::from(fast.query(&alpha, &beta).contains(&hf));
-        e_hits += u64::from(exact.query(&alpha, &beta).contains(&he));
+        f_hits += u64::from(fast.query_in(&mut fast_ctx, &alpha, &beta).contains(&hf));
+        e_hits += u64::from(exact.query_in(&mut exact_ctx, &alpha, &beta).contains(&he));
     }
     let z = two_sample_z(f_hits, e_hits, trials);
     assert!(z.abs() < 5.0, "post-update agreement: {f_hits} vs {e_hits}, z = {z}");
@@ -130,23 +135,26 @@ fn plan_cache_reuse_does_not_change_the_law() {
     // Alternating between two parameter pairs exercises cache hits; a fresh
     // sampler issuing the same pair-sequence must agree distributionally.
     let weights: Vec<u64> = (1..=20).map(|i| i * i).collect();
-    let (mut cached, ids) = DpssSampler::from_weights(&weights, 21);
+    let (cached, ids) = DpssSampler::from_weights(&weights, 21);
+    let mut cached_ctx = QueryCtx::new(21);
     let (mut fresh, ids_f) = DpssSampler::from_weights(&weights, 22);
+    let mut fresh_ctx = QueryCtx::new(22);
     let p1 = (Ratio::from_u64s(1, 2), Ratio::zero());
     let p2 = (Ratio::from_u64s(1, 9), Ratio::from_u64s(5, 1));
     let trials = 3000u64;
     let (mut c_hits, mut f_hits) = (vec![0u64; 20], vec![0u64; 20]);
     for t in 0..trials {
         let (a, b) = if t % 2 == 0 { &p1 } else { &p2 };
-        for id in cached.query(a, b) {
+        for id in cached.query_in(&mut cached_ctx, a, b) {
             c_hits[ids.iter().position(|&x| x == id).unwrap()] += 1;
         }
         // The fresh sampler is rebuilt every 500 queries: its plans never
         // survive long enough to matter.
         if t % 500 == 0 {
             fresh = DpssSampler::from_weights(&weights, 23 + t).0;
+            fresh_ctx = QueryCtx::new(23 + t);
         }
-        for id in fresh.query(a, b) {
+        for id in fresh.query_in(&mut fresh_ctx, a, b) {
             f_hits[ids_f.iter().position(|&x| x == id).unwrap()] += 1;
         }
     }

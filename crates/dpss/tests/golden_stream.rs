@@ -9,9 +9,14 @@
 //! final-level strategies, at target sample sizes μ ∈ {1, 4, 16, 64, 256}.
 //! Any change to the order or number of words a query consumes, or to what
 //! it returns, moves a constant.
+//!
+//! A second golden pins [`DeamortizedDpss`]: queries interleaved with
+//! updates across an open migration epoch and past its completion, so the
+//! stream over both halves (shared `W`, handle translation, successor
+//! creation) is pinned too.
 
 use bignum::Ratio;
-use dpss::{DpssSampler, FinalLevelMode};
+use dpss::{DeamortizedDpss, DpssSampler, FinalLevelMode};
 use pss_core::QueryCtx;
 
 const N: usize = 2048;
@@ -120,4 +125,45 @@ fn golden_stream_fast_path() {
 #[test]
 fn golden_stream_force_exact() {
     check(true);
+}
+
+/// `(handle hash, words drawn, items returned, epochs completed)` of one
+/// query per update while a de-amortized sampler grows from 256 items
+/// through a migration epoch (opened at 3/2 of the baseline size, drained
+/// four items per update) and keeps going after it completes. Every third
+/// round also deletes an earlier handle, so deletes route to both halves.
+fn deam_stream() -> (u64, u64, u64, u64) {
+    const BASE: usize = 256;
+    const ROUNDS: usize = 400;
+    let w = weights();
+    let mut s = DeamortizedDpss::new(29);
+    let mut handles = s.insert_many(&w[..BASE]);
+    let alpha = Ratio::from_u64s(1, 4);
+    let mut ctx = QueryCtx::new(29);
+    let (mut hash, mut items) = (0xCBF2_9CE4_8422_2325u64, 0u64);
+    let (mut saw_migrating, mut queried_after) = (false, false);
+    for r in 0..ROUNDS {
+        handles.push(s.insert(w[BASE + r]));
+        if r % 3 == 2 {
+            let h = handles.swap_remove((r * 7) % handles.len());
+            assert!(s.delete(h).is_some());
+        }
+        saw_migrating |= s.migrating();
+        queried_after |= s.epochs_completed() > 0 && !s.migrating();
+        let beta = if r % 4 == 3 { Ratio::from_u64s(r as u64, 3) } else { Ratio::zero() };
+        let out = s.query_in(&mut ctx, &alpha, &beta);
+        items += out.len() as u64;
+        fnv(&mut hash, out.len() as u64);
+        for h in out {
+            fnv(&mut hash, h);
+        }
+    }
+    assert!(saw_migrating && queried_after, "the stream must span a whole migration epoch");
+    (hash, ctx.words_consumed(), items, s.epochs_completed())
+}
+
+#[test]
+fn golden_stream_deamortized() {
+    let got = deam_stream();
+    assert_eq!(got, (0x0718_80c2_a65c_5c70, 32132, 1605, 1), "stream moved; got {got:#x?}");
 }

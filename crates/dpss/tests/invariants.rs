@@ -2,7 +2,7 @@
 //! sequence of insertions and deletions, every level of the hierarchy must
 //! agree with a from-scratch reconstruction.
 
-use dpss::{DpssSampler, ItemId, Ratio, SpaceUsage};
+use dpss::{DpssSampler, ItemId, QueryCtx, Ratio, SpaceUsage};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -26,6 +26,7 @@ proptest! {
     #[test]
     fn hierarchy_invariants_under_churn(ops in proptest::collection::vec(op_strategy(), 1..220)) {
         let mut s = DpssSampler::new(0xD57);
+        let mut ctx = QueryCtx::new(0xD57);
         let mut live: Vec<ItemId> = Vec::new();
         for op in ops {
             match op {
@@ -37,7 +38,7 @@ proptest! {
                     }
                 }
                 Op::Query => {
-                    let t = s.query(&Ratio::one(), &Ratio::zero());
+                    let t = s.query_in(&mut ctx, &Ratio::one(), &Ratio::zero());
                     for id in &t {
                         prop_assert!(s.contains(*id), "query returned dead item");
                     }
@@ -75,6 +76,7 @@ proptest! {
     fn queries_never_return_zero_weight(ops in proptest::collection::vec(0u64..5, 1..80)) {
         // Mix zero and positive weights; zero-weight items must never appear.
         let mut s = DpssSampler::new(3);
+        let mut ctx = QueryCtx::new(3);
         let mut zero_ids = Vec::new();
         for (i, &sel) in ops.iter().enumerate() {
             if sel == 0 {
@@ -84,7 +86,7 @@ proptest! {
             }
         }
         for _ in 0..20 {
-            let t = s.query(&Ratio::from_u64s(1, 2), &Ratio::one());
+            let t = s.query_in(&mut ctx, &Ratio::from_u64s(1, 2), &Ratio::one());
             for id in &t {
                 prop_assert!(!zero_ids.contains(id));
             }
@@ -110,6 +112,7 @@ proptest! {
 fn rebuild_boundary_stress() {
     // Oscillate around the rebuild thresholds to exercise grow/shrink cycles.
     let mut s = DpssSampler::new(77);
+    let mut ctx = QueryCtx::new(77);
     let mut ids: Vec<ItemId> = Vec::new();
     for round in 0..6 {
         for i in 0..120u64 {
@@ -122,7 +125,7 @@ fn rebuild_boundary_stress() {
         s.validate();
         // With μ = 1 a single sample may be empty (~1/e of the time); over 40
         // queries the probability of all-empty is ≈ e^{-40}.
-        let any = (0..40).any(|_| !s.query(&Ratio::one(), &Ratio::zero()).is_empty());
+        let any = (0..40).any(|_| !s.query_in(&mut ctx, &Ratio::one(), &Ratio::zero()).is_empty());
         assert!(any || s.is_empty(), "40 consecutive empty samples at μ=1");
         let _ = round;
     }

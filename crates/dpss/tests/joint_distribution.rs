@@ -5,7 +5,7 @@
 // HashMap/HashSet sanctioned: test-side bookkeeping only; no iteration order reaches an assertion or a sample.
 #![allow(clippy::disallowed_types)]
 
-use dpss::{DpssSampler, ItemId, Ratio};
+use dpss::{DpssSampler, ItemId, QueryCtx, Ratio};
 use randvar::stats::chi_square;
 use std::collections::HashMap;
 
@@ -25,7 +25,8 @@ fn joint_check(weights: &[u64], alpha: Ratio, beta: Ratio, trials: u64, seed: u6
     let trials = scaled(trials);
     let k = weights.len();
     assert!(k <= 12);
-    let (mut s, ids) = DpssSampler::from_weights(weights, seed);
+    let (s, ids) = DpssSampler::from_weights(weights, seed);
+    let mut ctx = QueryCtx::new(seed);
     let index: HashMap<ItemId, usize> = ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
     let probs: Vec<f64> =
         ids.iter().map(|&id| s.inclusion_prob(id, &alpha, &beta).unwrap().to_f64_lossy()).collect();
@@ -38,7 +39,7 @@ fn joint_check(weights: &[u64], alpha: Ratio, beta: Ratio, trials: u64, seed: u6
     let mut counts = vec![0u64; 1 << k];
     for _ in 0..trials {
         let mut mask = 0usize;
-        for id in s.query(&alpha, &beta) {
+        for id in s.query_in(&mut ctx, &alpha, &beta) {
             mask |= 1 << index[&id];
         }
         counts[mask] += 1;
@@ -88,6 +89,7 @@ fn joint_after_updates() {
     // Same check, but after a delete + reinsert cycle shuffles bucket
     // positions (catches position-dependent correlations).
     let (mut s, ids) = DpssSampler::from_weights(&[9, 9, 9, 9, 50], 6);
+    let mut ctx = QueryCtx::new(6);
     s.delete(ids[1]).unwrap();
     s.delete(ids[3]).unwrap();
     let a = s.insert(9);
@@ -109,7 +111,7 @@ fn joint_after_updates() {
     let mut counts = vec![0u64; 1 << k];
     for _ in 0..trials {
         let mut mask = 0usize;
-        for id in s.query(&alpha, &Ratio::zero()) {
+        for id in s.query_in(&mut ctx, &alpha, &Ratio::zero()) {
             mask |= 1 << index[&id];
         }
         counts[mask] += 1;

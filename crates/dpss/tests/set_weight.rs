@@ -3,7 +3,7 @@
 //! the handle survives.
 
 use bignum::Ratio;
-use dpss::DpssSampler;
+use dpss::{DpssSampler, QueryCtx};
 use proptest::prelude::*;
 use randvar::stats::binomial_z;
 
@@ -38,18 +38,19 @@ fn reweight_across_buckets() {
 #[test]
 fn reweight_to_and_from_zero() {
     let mut s = DpssSampler::new(3);
+    let mut ctx = QueryCtx::new(3);
     let id = s.insert(100);
     assert_eq!(s.set_weight(id, 0), Some(100));
     assert_eq!(s.total_weight(), 0);
     s.validate();
     // Zero-weight items are never sampled.
     for _ in 0..50 {
-        assert!(s.query(&Ratio::one(), &Ratio::zero()).is_empty());
+        assert!(s.query_in(&mut ctx, &Ratio::one(), &Ratio::zero()).is_empty());
     }
     assert_eq!(s.set_weight(id, 7), Some(0));
     s.validate();
     // And they come back.
-    assert!(s.query(&Ratio::one(), &Ratio::zero()).contains(&id));
+    assert!(s.query_in(&mut ctx, &Ratio::one(), &Ratio::zero()).contains(&id));
 }
 
 #[test]
@@ -74,6 +75,7 @@ fn marginals_correct_after_reweight() {
     // After re-weighting, inclusion probabilities must follow the *new*
     // weights exactly.
     let mut s = DpssSampler::new(6);
+    let mut ctx = QueryCtx::new(6);
     let a = s.insert(1000);
     let b = s.insert(1000);
     let c = s.insert(2000);
@@ -81,7 +83,7 @@ fn marginals_correct_after_reweight() {
     let trials = 40_000u64;
     let mut hits = [0u64; 3];
     for _ in 0..trials {
-        for id in s.query(&Ratio::one(), &Ratio::zero()) {
+        for id in s.query_in(&mut ctx, &Ratio::one(), &Ratio::zero()) {
             if id == a {
                 hits[0] += 1;
             } else if id == b {

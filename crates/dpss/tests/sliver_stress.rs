@@ -16,7 +16,7 @@
 //! fraction of coins).
 
 use bignum::Ratio;
-use dpss::{DpssSampler, ItemId};
+use dpss::{DpssSampler, ItemId, QueryCtx};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use randvar::sliver_hits;
@@ -33,6 +33,7 @@ fn sliver_rate_stays_negligible_under_load() {
         })
         .collect();
     let (mut s, mut ids) = DpssSampler::from_weights(&weights, 0xBEEF);
+    let mut ctx = QueryCtx::new(0xBEEF);
 
     let rounds = 50usize;
     let queries_per_round = 40usize;
@@ -53,7 +54,7 @@ fn sliver_rate_stays_negligible_under_load() {
         for q in 0..queries_per_round {
             let mu = 1 + ((round * queries_per_round + q) % 64) as u64;
             let before = sliver_hits();
-            let _ = s.query(&Ratio::from_u64s(1, mu), &Ratio::zero());
+            let _ = s.query_in(&mut ctx, &Ratio::from_u64s(1, mu), &Ratio::zero());
             let hits = sliver_hits() - before;
             worst_per_query = worst_per_query.max(hits);
             assert!(hits <= 2, "round {round} query {q} (μ={mu}): {hits} sliver fallbacks");

@@ -152,10 +152,9 @@ impl std::fmt::Debug for QueryCtx {
 }
 
 impl QueryCtx {
-    /// Creates a context whose main stream is seeded from `seed` — the same
+    /// Creates a context whose main stream is seeded from `seed` (the
     /// SplitMix64 expansion the samplers used before the RNG moved here, so
-    /// single-query sequences through a context match the legacy sampler
-    /// streams bit for bit.
+    /// older pinned streams carry over bit for bit).
     pub fn new(seed: u64) -> Self {
         QueryCtx { seed, rng: CtxRng::seeded(seed), next_batch: 0, state: Vec::new() }
     }

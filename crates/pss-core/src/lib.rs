@@ -250,8 +250,8 @@ pub trait PssBackend: SpaceUsage + Send + Sync {
 /// and the benchmark harness rely on for reproducibility.
 ///
 /// Since the query-path RNG moved into [`QueryCtx`], the seed no longer
-/// drives trait-level query randomness (the *context's* seed does); concrete
-/// backends may still use it for legacy convenience-method streams.
+/// drives query randomness (the *context's* seed does); backends without
+/// coins of their own, the HALT samplers among them, ignore it.
 pub trait SeedableBackend: PssBackend + Sized {
     /// Creates an empty backend whose internal coin flips (if any) are
     /// driven by `seed`.

@@ -45,7 +45,8 @@ use wordram::narrow;
 pub const MAGIC: &[u8; 8] = b"PSSSNAP\0";
 
 /// Format version written by this codec (readers reject anything else).
-pub const FORMAT_VERSION: u16 = 1;
+/// Version 2 dropped the query-context seeds from both HALT sections.
+pub const FORMAT_VERSION: u16 = 2;
 
 /// Salt XORed into the total-length trailer so a torn tail whose last eight
 /// bytes happen to be payload data is unlikely to alias a valid length.

@@ -7,12 +7,8 @@
 //! cross-file pass, the `journal-completeness` fixpoint of
 //! [`crate::resolve`], over all files' facts, and settles the deferred
 //! `unused-pragma` verdicts for journal waivers (whether a waiver is
-//! load-bearing is only knowable after the fixpoint). The split is what
-//! makes the scan cache sound: a [`FileAnalysis`] is a pure function of
-//! (path, bytes), so it can be replayed from disk, while the fixpoint is
-//! cheap and re-runs from replayed facts on every scan.
+//! load-bearing is only knowable after the fixpoint).
 
-use crate::cache::{file_key, Cache, FileEntry};
 use crate::classify::{classify, FileClass, FileKind};
 use crate::diag::{rules as ids, Diagnostic};
 use crate::lexer::{lex, TokKind};
@@ -31,8 +27,6 @@ pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
     /// Number of files lexed and checked (skipped files not counted).
     pub files_scanned: usize,
-    /// How many of those were replayed from the scan cache.
-    pub files_reused: usize,
 }
 
 /// A `journal-completeness` waiver whose unused-pragma verdict is
@@ -66,7 +60,7 @@ pub struct FileAnalysis {
 }
 
 /// Phase 1: analyse a single source text under an explicit
-/// classification. Pure in (path_label, src, class) — cacheable.
+/// classification. Pure in (path_label, src, class).
 pub fn analyze_source(path_label: &str, src: &str, class: &FileClass) -> FileAnalysis {
     let mut analysis = FileAnalysis::default();
     analysis.facts.path = path_label.to_string();
@@ -232,15 +226,10 @@ pub fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// Lint every classified file under `root`, replaying unchanged files
-/// from the scan cache when `use_cache` is set.
-pub fn lint_workspace_with(root: &Path, use_cache: bool) -> io::Result<Report> {
+/// Lint every classified file under `root`.
+pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     let files = workspace_files(root)?;
-    let cache_path = Cache::default_path(root);
-    let mut cache = if use_cache { Cache::load(&cache_path) } else { Cache::default() };
     let mut analyses = Vec::new();
-    let mut files_scanned = 0usize;
-    let mut files_reused = 0usize;
     for path in files {
         let rel = path
             .strip_prefix(root)
@@ -254,39 +243,8 @@ pub fn lint_workspace_with(root: &Path, use_cache: bool) -> io::Result<Report> {
             continue;
         }
         let src = std::fs::read_to_string(&path)?;
-        files_scanned += 1;
-        let key = file_key(&rel, &src);
-        if use_cache {
-            if let Some(e) = cache.get(key) {
-                files_reused += 1;
-                analyses.push(FileAnalysis {
-                    diags: e.diags.clone(),
-                    facts: e.facts.clone(),
-                    pending: e.pending.clone(),
-                });
-                continue;
-            }
-        }
-        let a = analyze_source(&rel, &src, &class);
-        if use_cache {
-            cache.put(
-                key,
-                FileEntry {
-                    diags: a.diags.clone(),
-                    facts: a.facts.clone(),
-                    pending: a.pending.clone(),
-                },
-            );
-        }
-        analyses.push(a);
+        analyses.push(analyze_source(&rel, &src, &class));
     }
-    if use_cache {
-        cache.store(&cache_path);
-    }
-    Ok(Report { diagnostics: finalize(analyses), files_scanned, files_reused })
-}
-
-/// Lint every classified file under `root` (cache enabled).
-pub fn lint_workspace(root: &Path) -> io::Result<Report> {
-    lint_workspace_with(root, true)
+    let files_scanned = analyses.len();
+    Ok(Report { diagnostics: finalize(analyses), files_scanned })
 }

@@ -20,7 +20,6 @@
 #![forbid(unsafe_code)]
 
 pub mod ast;
-pub mod cache;
 pub mod cfg;
 pub mod classify;
 pub mod dataflow;
@@ -35,8 +34,8 @@ pub mod rules;
 pub use classify::{classify, FileClass, FileKind};
 pub use diag::{is_known_rule, json_escape, Diagnostic, RuleInfo, META_RULES, RULES};
 pub use engine::{
-    analyze_source, finalize, lint_source, lint_workspace, lint_workspace_with, workspace_files,
-    FileAnalysis, PendingWaiver, Report,
+    analyze_source, finalize, lint_source, lint_workspace, workspace_files, FileAnalysis,
+    PendingWaiver, Report,
 };
 
 #[cfg(test)]

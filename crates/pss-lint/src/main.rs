@@ -1,7 +1,7 @@
 //! `pss-lint` CLI.
 //!
 //! ```text
-//! pss-lint check [--workspace] [--root PATH] [--format human|json] [--max-ms N] [--no-cache] [FILES...]
+//! pss-lint check [--workspace] [--root PATH] [--format human|json] [--max-ms N] [FILES...]
 //! pss-lint rules
 //! ```
 //!
@@ -13,7 +13,7 @@
 // Instant sanctioned: pss-lint is a build-time tool; wall-clock here feeds the CI "< 5 s" bench guard.
 #![allow(clippy::disallowed_types)]
 
-use pss_lint::{classify, lint_source, lint_workspace_with, FileKind, META_RULES, RULES};
+use pss_lint::{classify, lint_source, lint_workspace, FileKind, META_RULES, RULES};
 use std::path::PathBuf;
 use std::process::ExitCode;
 // pss-lint is a build-time tool, not serving-path code: wall-clock timing
@@ -26,12 +26,11 @@ struct Args {
     root: PathBuf,
     format: String,
     max_ms: Option<u128>,
-    no_cache: bool,
     files: Vec<PathBuf>,
 }
 
 fn usage() -> &'static str {
-    "usage: pss-lint check [--workspace] [--root PATH] [--format human|json] [--max-ms N] [--no-cache] [FILES...]\n       pss-lint rules"
+    "usage: pss-lint check [--workspace] [--root PATH] [--format human|json] [--max-ms N] [FILES...]\n       pss-lint rules"
 }
 
 fn parse_args(argv: &[String]) -> Result<(String, Args), String> {
@@ -41,7 +40,6 @@ fn parse_args(argv: &[String]) -> Result<(String, Args), String> {
         root: PathBuf::from("."),
         format: "human".to_string(),
         max_ms: None,
-        no_cache: false,
         files: Vec::new(),
     };
     while let Some(a) = it.next() {
@@ -61,7 +59,6 @@ fn parse_args(argv: &[String]) -> Result<(String, Args), String> {
                 let v = it.next().ok_or("--max-ms needs a value")?;
                 args.max_ms = Some(v.parse::<u128>().map_err(|e| format!("--max-ms: {e}"))?);
             }
-            "--no-cache" => args.no_cache = true,
             f if !f.starts_with('-') => args.files.push(PathBuf::from(f)),
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -89,8 +86,7 @@ fn print_rules() {
 fn run_check(args: &Args) -> Result<ExitCode, String> {
     let started = Instant::now();
     let report = if args.files.is_empty() {
-        lint_workspace_with(&args.root, !args.no_cache)
-            .map_err(|e| format!("workspace scan: {e}"))?
+        lint_workspace(&args.root).map_err(|e| format!("workspace scan: {e}"))?
     } else {
         let mut diagnostics = Vec::new();
         for f in &args.files {
@@ -105,7 +101,7 @@ fn run_check(args: &Args) -> Result<ExitCode, String> {
             let src = std::fs::read_to_string(f).map_err(|e| format!("{}: {e}", f.display()))?;
             diagnostics.extend(lint_source(&rel, &src, &class));
         }
-        pss_lint::Report { diagnostics, files_scanned: args.files.len(), files_reused: 0 }
+        pss_lint::Report { diagnostics, files_scanned: args.files.len() }
     };
     let elapsed_ms = started.elapsed().as_millis();
 
@@ -113,9 +109,8 @@ fn run_check(args: &Args) -> Result<ExitCode, String> {
         let rules: Vec<String> = RULES.iter().map(|r| format!("\"{}\"", r.id)).collect();
         let diags: Vec<String> = report.diagnostics.iter().map(|d| d.to_json()).collect();
         println!(
-            "{{\"files\":{},\"reused\":{},\"elapsed_ms\":{},\"rules\":[{}],\"diagnostics\":[{}]}}",
+            "{{\"files\":{},\"elapsed_ms\":{},\"rules\":[{}],\"diagnostics\":[{}]}}",
             report.files_scanned,
-            report.files_reused,
             elapsed_ms,
             rules.join(","),
             diags.join(",")
@@ -125,9 +120,8 @@ fn run_check(args: &Args) -> Result<ExitCode, String> {
             println!("{d}");
         }
         println!(
-            "pss-lint: {} files scanned ({} from cache), {} diagnostics, {} rules enforced, {} ms",
+            "pss-lint: {} files scanned, {} diagnostics, {} rules enforced, {} ms",
             report.files_scanned,
-            report.files_reused,
             report.diagnostics.len(),
             RULES.len(),
             elapsed_ms

@@ -16,14 +16,12 @@
 //!   snapshot codec in `pss-core`;
 //! - [`SpaceUsage`]: word-granularity space accounting used by the E4
 //!   experiment (space is "measured in words", §2.1);
-//! - [`prefetch`] / [`pages`]: cache- and TLB-level hints for the beyond-L2
-//!   regime — bounds-checked software prefetch for stride walks and
-//!   `madvise(MADV_HUGEPAGE)` backing for the big flat vectors (feature
-//!   `hugepages`, plain-`Vec` fallback otherwise).
+//! - [`prefetch`]: bounds-checked software prefetch for the stride walks
+//!   of the beyond-L2 regime.
 //!
-//! `unsafe` is denied workspace-wide and allowed only inside [`prefetch`]
-//! and [`pages`], whose entire purpose is the intrinsic/syscall hint; both
-//! confine it to bounds-checked or advisory-only call sites.
+//! `unsafe` is denied workspace-wide and allowed only inside [`prefetch`],
+//! whose entire purpose is the intrinsic hint; it confines it to
+//! bounds-checked call sites.
 
 #![warn(missing_docs)]
 
@@ -31,7 +29,6 @@ pub mod bits;
 mod bitset_list;
 pub mod crc;
 pub mod narrow;
-pub mod pages;
 mod pool;
 pub mod prefetch;
 mod u256;

@@ -195,12 +195,6 @@ impl<T: Copy> BucketArena<T> {
         self.reset();
         let total: usize = caps.filter(|&c| c > 0).map(|c| 1usize << class_for(c)).sum();
         assert!(total <= u32::MAX as usize, "bucket arena exhausted");
-        // Reserve → advise → fill, so that under the `hugepages` feature the
-        // first-touch faults of the planned region land on 2 MiB pages
-        // (advice after faulting would wait on khugepaged instead); a
-        // growing plan takes a fresh mapping rather than an mremap, which
-        // would split the huge pages (see `pages::reserve_advised`).
-        crate::pages::reserve_advised(&mut self.data, total);
         // pss-lint: allow(no-alloc-hot-path) — bulk-plan resize; runs once per rebuild, amortized
         self.data.resize(total, self.fill);
     }
@@ -233,9 +227,6 @@ impl<T: Copy> BucketArena<T> {
         let off = self.data.len();
         let new_len = off + (1usize << class);
         assert!(new_len <= u32::MAX as usize, "bucket arena exhausted");
-        if new_len > self.data.capacity() {
-            crate::pages::reserve_advised(&mut self.data, 1usize << class);
-        }
         // pss-lint: allow(no-alloc-hot-path) — tail growth toward the arena high-water mark; steady state is satisfied from the free lists
         self.data.resize(new_len, self.fill);
         narrow::u32_of_usize(off)
@@ -369,36 +360,12 @@ impl<T: Copy> BucketArena<T> {
         c.abs += 1;
     }
 
-    /// Appends a whole slice through a raw cursor as one block store — the
-    /// line-flush form of [`BucketArena::push_raw`] for write-combined bulk
-    /// fills: one bounds check and one `memcpy` per cache line instead of a
-    /// checked store per element.
-    #[inline]
-    pub fn push_raw_line(&mut self, c: &mut FillCursor, vs: &[T]) {
-        debug_assert!(
-            c.abs as usize + vs.len() <= c.end as usize,
-            "push_raw_line beyond the reserved block"
-        );
-        let start = c.abs as usize;
-        self.data[start..start + vs.len()].copy_from_slice(vs);
-        c.abs += narrow::u32_of_usize(vs.len());
-    }
-
     /// Publishes a cursor's final length back into the `Bucket` it was
     /// issued from.
     #[inline]
     pub fn commit_cursor(&self, b: &mut Bucket, c: FillCursor) {
         debug_assert_eq!(b.off, c.base, "cursor committed to a different bucket");
         b.len = c.abs - c.base;
-    }
-
-    /// Hints that the slots at `c` will soon be written through
-    /// [`BucketArena::push_raw`] (bounds-checked no-op otherwise) — issued
-    /// one stride ahead by bulk fills so the destination line is resident
-    /// when its burst of stores arrives.
-    #[inline]
-    pub fn prefetch_at(&mut self, c: &FillCursor) {
-        crate::prefetch::prefetch_write(&mut self.data, c.abs as usize);
     }
 
     /// Writes `v` at within-block position `pos` of `b`'s carved block and

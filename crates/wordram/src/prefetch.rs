@@ -1,7 +1,7 @@
 //! Software prefetch hints for stride walks over arena-backed storage.
 //!
-//! The HALT hot paths — the level-1 geometric stride walk and the bulk-fill
-//! scatter — touch arena cells whose *indices* are known one stride before
+//! The HALT hot paths — the level-1 geometric stride walk and the query's
+//! slab reads — touch arena cells whose *indices* are known one stride before
 //! their *contents* are needed. At n ≥ 2^20 the backing vectors leave L2 and
 //! every such touch is a DRAM miss on the critical path; issuing the address
 //! one stride ahead overlaps the miss with the acceptance arithmetic that
@@ -39,22 +39,6 @@ pub fn prefetch_read<T>(s: &[T], i: usize) {
     let _ = (s, i);
 }
 
-/// Hints that `s[i]` will soon be written. x86_64 has no separate write
-/// hint short of PREFETCHW's feature gate, so this is the same T0 fetch —
-/// pulling the line in exclusive-adjacent state is still the win on the
-/// bulk-fill scatter. Same no-op conditions as [`prefetch_read`].
-#[inline(always)]
-pub fn prefetch_write<T>(s: &mut [T], i: usize) {
-    #[cfg(all(target_arch = "x86_64", not(feature = "layout-baseline")))]
-    if let Some(cell) = s.get(i) {
-        // SAFETY: `cell` is a live in-bounds reference; PREFETCHT0 has no
-        // architectural effect beyond cache-line movement.
-        unsafe { _mm_prefetch((cell as *const T).cast::<i8>(), _MM_HINT_T0) };
-    }
-    #[cfg(not(all(target_arch = "x86_64", not(feature = "layout-baseline"))))]
-    let _ = (s, i);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,17 +50,11 @@ mod tests {
         prefetch_read(&v, 2);
         prefetch_read(&v, 3); // one past the end — must not fault
         prefetch_read(&v, usize::MAX);
-        let mut w = [1u32; 4];
-        prefetch_write(&mut w, 3);
-        prefetch_write(&mut w, 4);
-        prefetch_write(&mut w, usize::MAX);
     }
 
     #[test]
     fn empty_slice_is_fine() {
         let v: [u8; 0] = [];
         prefetch_read(&v, 0);
-        let mut w: [u64; 0] = [];
-        prefetch_write(&mut w, 0);
     }
 }

@@ -15,7 +15,7 @@
 // Wall-clock timing is sanctioned here: this is measurement/driver code, not serving-path library code.
 #![allow(clippy::disallowed_types)]
 
-use dpss::{DeamortizedDpss, Ratio};
+use dpss::{DeamortizedDpss, QueryCtx, Ratio};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -27,6 +27,7 @@ const SAMPLE_EVERY: usize = 10_000;
 fn main() {
     let mut rng = SmallRng::seed_from_u64(42);
     let mut window = DeamortizedDpss::new(7);
+    let mut ctx = QueryCtx::new(7);
     let mut fifo = VecDeque::with_capacity(WINDOW + 1);
     let alpha = Ratio::from_u64s(1, 8); // μ = 8 when nothing clamps
     let beta = Ratio::zero();
@@ -50,7 +51,7 @@ fn main() {
         max_ns = max_ns.max(dt);
 
         if (t + 1) % SAMPLE_EVERY == 0 {
-            let picked = window.query(&alpha, &beta);
+            let picked = window.query_in(&mut ctx, &alpha, &beta);
             let heavy =
                 picked.iter().filter(|&&h| window.weight(h).unwrap_or(0) >= 1 << 20).count();
             println!(

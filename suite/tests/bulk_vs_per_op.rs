@@ -90,7 +90,7 @@ fn assert_same_samples(a: &DpssSampler, b: &DpssSampler, seed: u64) {
 
 /// Deterministic packed-layout case: a load wide enough to populate many
 /// weight classes across several level-1 groups, so the locality-packed
-/// derive (class-adjacent carve plan, write-combined fills) runs its full
+/// derive (class-adjacent carve plan) runs its full
 /// multi-group walk — then bit-identity against the per-op oracle, and
 /// against a snapshot round-trip (whose load re-derives the hierarchy
 /// through the same packed plan).

@@ -5,7 +5,7 @@
 
 use baselines::{all_backends, OdssDss};
 use bignum::Ratio;
-use dpss::{DeamortizedDpss, DpssSampler};
+use dpss::{DeamortizedDpss, DpssSampler, QueryCtx};
 use graphsub::{gen, local_cluster, InfluenceMaximizer};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -133,7 +133,8 @@ fn odss_and_halt_agree_on_induced_probabilities() {
     let total: u64 = weights.iter().sum();
     // HALT with (α,β) = (1,0) induces p_i = w_i / Σw; feed those exact
     // probabilities to the ODSS DSS directly.
-    let (mut halt, ids) = DpssSampler::from_weights(&weights, 11);
+    let (halt, ids) = DpssSampler::from_weights(&weights, 11);
+    let mut halt_ctx = QueryCtx::new(11);
     let mut odss = OdssDss::new(11);
     let oh: Vec<u64> = weights.iter().map(|&w| odss.insert(Ratio::from_u64s(w, total))).collect();
 
@@ -141,7 +142,7 @@ fn odss_and_halt_agree_on_induced_probabilities() {
     let mut hits_h = vec![0u64; weights.len()];
     let mut hits_o = vec![0u64; weights.len()];
     for _ in 0..trials {
-        for id in halt.query(&Ratio::one(), &Ratio::zero()) {
+        for id in halt.query_in(&mut halt_ctx, &Ratio::one(), &Ratio::zero()) {
             hits_h[ids.iter().position(|&x| x == id).unwrap()] += 1;
         }
         for h in odss.query() {

@@ -22,6 +22,7 @@ use dpss::{DeamortizedDpss, DpssSampler};
 use proptest::prelude::*;
 use pss_core::{
     recover, PssBackend, QueryCtx, RecoverError, SeedableBackend, SnapshotError, Snapshottable,
+    FORMAT_VERSION, MAGIC,
 };
 
 /// SplitMix64 — deterministic weight streams.
@@ -152,6 +153,31 @@ fn wrong_backend_kind_is_a_typed_error() {
         Err(SnapshotError::WrongBackend { .. }) => {}
         other => panic!("expected WrongBackend, got {other:?}"),
     }
+}
+
+/// A version field one off the codec's, in either direction, is refused by
+/// name: `UnsupportedVersion` carrying the version found, not some other
+/// typed error. The field is the `u16` right after the magic; the header
+/// carries no checksum, so the patched image passes every earlier check.
+fn assert_version_gated<B: Snapshottable + PssBackend + SeedableBackend>() {
+    let img = seeded::<B>(5, 16).snapshot();
+    let at = MAGIC.len();
+    for v in [FORMAT_VERSION - 1, FORMAT_VERSION + 1] {
+        let mut bad = img.clone();
+        bad[at..at + 2].copy_from_slice(&v.to_le_bytes());
+        assert_eq!(
+            B::from_snapshot(&bad).err(),
+            Some(SnapshotError::UnsupportedVersion(v)),
+            "version {v} must be refused as unsupported"
+        );
+    }
+}
+
+#[test]
+fn off_by_one_format_version_is_refused() {
+    assert_version_gated::<DpssSampler>();
+    assert_version_gated::<DeamortizedDpss>();
+    assert_version_gated::<NaiveExact>();
 }
 
 proptest! {

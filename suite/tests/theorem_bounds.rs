@@ -7,7 +7,7 @@
 #![allow(clippy::disallowed_types)]
 
 use bignum::Ratio;
-use dpss::{DpssSampler, SpaceUsage};
+use dpss::{DpssSampler, QueryCtx, SpaceUsage};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -41,11 +41,12 @@ fn build_is_roughly_linear() {
 fn query_is_independent_of_n_at_fixed_mu() {
     let per_query = |n: usize| {
         let w = random_weights(n, 2);
-        let (mut s, _) = DpssSampler::from_weights(&w, 9);
+        let (s, _) = DpssSampler::from_weights(&w, 9);
+        let mut ctx = QueryCtx::new(9);
         let alpha = Ratio::one();
         let t = Instant::now();
         for _ in 0..300 {
-            std::hint::black_box(s.query(&alpha, &Ratio::zero()));
+            std::hint::black_box(s.query_in(&mut ctx, &alpha, &Ratio::zero()));
         }
         t.elapsed().as_secs_f64() / 300.0
     };
@@ -123,11 +124,12 @@ fn beyond_l2_insert_and_query_stay_flat() {
             })
             .fold(f64::INFINITY, f64::min);
         // Query: μ≈1 cost on the built structure.
-        let (mut s, _) = DpssSampler::from_weights(&w, 17);
+        let (s, _) = DpssSampler::from_weights(&w, 17);
+        let mut ctx = QueryCtx::new(17);
         let alpha = Ratio::one();
         let t = Instant::now();
         for _ in 0..300 {
-            std::hint::black_box(s.query(&alpha, &Ratio::zero()));
+            std::hint::black_box(s.query_in(&mut ctx, &alpha, &Ratio::zero()));
         }
         (ins, t.elapsed().as_secs_f64() / 300.0)
     };
@@ -151,17 +153,18 @@ fn beyond_l2_insert_and_query_stay_flat() {
 fn query_cost_tracks_mu() {
     let n = 1usize << 16;
     let w = vec![1000u64; n];
-    let (mut s, _) = DpssSampler::from_weights(&w, 15);
+    let (s, _) = DpssSampler::from_weights(&w, 15);
+    let mut ctx = QueryCtx::new(15);
     let beta = Ratio::zero();
-    let time_at = |s: &mut DpssSampler, alpha: &Ratio, reps: usize| {
+    let time_at = |s: &DpssSampler, ctx: &mut QueryCtx, alpha: &Ratio, reps: usize| {
         let t = Instant::now();
         for _ in 0..reps {
-            std::hint::black_box(s.query(alpha, &beta));
+            std::hint::black_box(s.query_in(ctx, alpha, &beta));
         }
         t.elapsed().as_secs_f64() / reps as f64
     };
-    let t_mu1 = time_at(&mut s, &Ratio::one(), 300);
+    let t_mu1 = time_at(&s, &mut ctx, &Ratio::one(), 300);
     let alpha64 = Ratio::from_u64s(1, 64); // μ = 64
-    let t_mu64 = time_at(&mut s, &alpha64, 100);
+    let t_mu64 = time_at(&s, &mut ctx, &alpha64, 100);
     assert!(t_mu64 < t_mu1 * 40.0, "μ=64 at {t_mu64:.2e}s vs μ=1 at {t_mu1:.2e}s");
 }
