@@ -1,7 +1,7 @@
 //! # baselines — comparison samplers for the DPSS experiments
 //!
-//! Three baselines against which the HALT sampler is evaluated (experiment E5
-//! in DESIGN.md), all implementing the [`PssBackend`] facade that lives in
+//! Three baselines against which the HALT sampler is evaluated (experiment E5,
+//! `exp e5`), all implementing the [`PssBackend`] facade that lives in
 //! `pss-core` (re-exported here for compatibility):
 //!
 //! - [`NaiveExact`]: O(n) per query — one exact rational Bernoulli per item.

@@ -26,7 +26,7 @@
 //! independent of `n`, which is the engineering reading of ODSS's `O(1+μ)`
 //! bound (the KDD paper removes the `B` with a second recursion level; with
 //! `B ≤ 66` the recursion saves nothing at word size 64, so we keep the flat
-//! form and document it here and in DESIGN.md §3).
+//! form and document it here).
 //!
 //! ## Why this is the DPSS foil
 //!

@@ -1,88 +1,77 @@
-//! `exp` — the experiment harness. Regenerates every theorem-derived table of
-//! EXPERIMENTS.md (the paper has no empirical tables; each experiment checks
-//! the *shape* claimed by a theorem — see DESIGN.md §4).
+//! `exp` — the experiment harness for the paper's claims. Prints every
+//! theorem-derived table: E1–E10, the V1–V2 exactness checks and the A1–A4
+//! ablations (the paper has no empirical tables; each experiment checks the
+//! *shape* claimed by a theorem — see the README's "Paper → module map" for
+//! the code each one drives).
 //!
 //! Usage: `cargo run --release -p bench --bin exp -- [e1|…|e10|e3b|e9b|e10b|v1|v2|a1|…|a4|all]`
+//! (default `all`); an unknown name lists the valid ones and exits non-zero.
 
 // Wall-clock timing is sanctioned here: this is measurement/driver code, not serving-path library code.
 #![allow(clippy::disallowed_types)]
 
 use baselines::all_backends;
-use bench::{fmt_secs, header, row, time, time_per, WeightDist};
+use bench::{fmt_secs, header, radix_sort_u64, row, time, time_per, WeightDist};
 use bignum::Ratio;
 use dpss::{DpssSampler, FinalLevelMode, QueryCtx, SpaceUsage};
 use floatdpss::sort_via_dpss;
 use graphsub::{gen, randomized_push, rr_set};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use randvar::stats::{binomial_z, chi_square};
 use randvar::{
     ber_oracle, ber_u64, bgeo, tgeo, tgeo_paper_literal, CountingRng, HalfRecipPStarOracle,
     PStarOracle,
 };
+use std::process::ExitCode;
 use wordram::bits;
 
-fn main() {
+/// One experiment: its command-line name and the function printing its table.
+type Experiment = (&'static str, fn());
+
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: &[Experiment] = &[
+    ("e1", e1_build),
+    ("e2", e2_query),
+    ("e3", e3_update),
+    ("e3b", e3b_streams),
+    ("e4", e4_space),
+    ("e5", e5_baselines),
+    ("e6", e6_tgeo),
+    ("e7", e7_sorting),
+    ("e8", e8_bernoulli),
+    ("e9", e9_rr_sets),
+    ("e9b", e9b_seed_selection),
+    ("e10", e10_push),
+    ("e10b", e10b_sweep_cut),
+    ("v1", v1_marginals),
+    ("v2", v2_variates),
+    ("a1", a1_final_mode),
+    ("a2", a2_rebuild_factor),
+    ("a3", a3_lookup_laziness),
+    ("a4", a4_set_weight),
+];
+
+/// The experiments `name` selects: the whole table for `all`, else the one
+/// entry so named; `None` for an unknown name.
+fn select(name: &str) -> Option<&'static [Experiment]> {
+    if name == "all" {
+        return Some(EXPERIMENTS);
+    }
+    EXPERIMENTS.iter().find(|(n, _)| *n == name).map(std::slice::from_ref)
+}
+
+fn main() -> ExitCode {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".into());
-    let all = which == "all";
-    let run = |name: &str| all || which == name;
-    if run("e1") {
-        e1_build();
+    let Some(selected) = select(&which) else {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+        eprintln!("exp: unknown experiment `{which}`; expected one of: {} all", names.join(" "));
+        return ExitCode::FAILURE;
+    };
+    for (_, run) in selected {
+        run();
     }
-    if run("e2") {
-        e2_query();
-    }
-    if run("e3") {
-        e3_update();
-    }
-    if run("e3b") {
-        e3b_streams();
-    }
-    if run("e4") {
-        e4_space();
-    }
-    if run("e5") {
-        e5_baselines();
-    }
-    if run("e6") {
-        e6_tgeo();
-    }
-    if run("e7") {
-        e7_sorting();
-    }
-    if run("e8") {
-        e8_bernoulli();
-    }
-    if run("e9") {
-        e9_rr_sets();
-    }
-    if run("e9b") {
-        e9b_seed_selection();
-    }
-    if run("e10") {
-        e10_push();
-    }
-    if run("e10b") {
-        e10b_sweep_cut();
-    }
-    if run("v1") {
-        v1_marginals();
-    }
-    if run("v2") {
-        v2_variates();
-    }
-    if run("a1") {
-        a1_final_mode();
-    }
-    if run("a2") {
-        a2_rebuild_factor();
-    }
-    if run("a3") {
-        a3_lookup_laziness();
-    }
-    if run("a4") {
-        a4_set_weight();
-    }
+    ExitCode::SUCCESS
 }
 
 // ---------------------------------------------------------------------------
@@ -309,7 +298,7 @@ fn e6b_literal_bias() {
 
 fn e7_sorting() {
     println!("\n## E7 — Theorem 1.2: Integer Sorting via deletion-only float DPSS\n");
-    header(&["N", "dpss-sort", "std sort", "ratio", "correct"]);
+    header(&["N", "dpss-sort", "std sort", "radix sort", "ratio", "correct"]);
     let mut rng = SmallRng::seed_from_u64(41);
     for exp in [8u32, 10, 12, 14] {
         let n = bits::pow2_usize(u64::from(exp));
@@ -317,16 +306,19 @@ fn e7_sorting() {
         let (ours, t_ours) = time(|| sort_via_dpss(&vals, 43));
         let mut std_sorted = vals.clone();
         let (_, t_std) = time(|| std_sorted.sort_unstable());
+        let (radix, t_radix) = time(|| radix_sort_u64(&vals));
         row(&[
             format!("2^{exp}"),
             fmt_secs(t_ours),
             fmt_secs(t_std),
+            fmt_secs(t_radix),
             format!("{:.0}x", t_ours / t_std.max(1e-9)),
-            format!("{}", ours == std_sorted),
+            format!("{}", ours == std_sorted && radix == std_sorted),
         ]);
     }
-    println!("\n(The growing ratio is the point: our float-weight structure pays");
-    println!("O(log N)+bignum per op; an optimal one would sort in O(N) — open.)");
+    println!("\n(The growing ratio, dpss-sort over std sort, is the point: our float-weight");
+    println!("structure pays O(log N)+bignum per op; an optimal one would sort in O(N),");
+    println!("as the LSD radix sort does — open.)");
 }
 
 fn e8_bernoulli() {
@@ -334,41 +326,34 @@ fn e8_bernoulli() {
     header(&["variate", "ns/draw", "random words/draw"]);
     let mut crng = CountingRng::new(SmallRng::seed_from_u64(47));
     let reps = 50_000usize;
-
-    let per = time_per(reps, || ber_u64(&mut crng, 355, 1130));
-    let words = crng.words_consumed() as f64 / reps as f64;
-    row(&["type (i): Ber(355/1130)".into(), format!("{:.0}", per * 1e9), format!("{words:.2}")]);
-
-    crng.reset_count();
+    e8_row("type (i): Ber(355/1130)", &mut crng, reps, |r| ber_u64(r, 355, 1130));
     let q = Ratio::from_u64s(1, 1 << 20);
     let mut o2 = PStarOracle::new(&q, 1 << 18);
-    let per = time_per(reps / 10, || ber_oracle(&mut crng, &mut o2));
-    let words = crng.words_consumed() as f64 / (reps / 10) as f64;
-    row(&[
-        "type (ii): Ber(p*), q=2^-20, n=2^18".into(),
-        format!("{:.0}", per * 1e9),
-        format!("{words:.2}"),
-    ]);
-
-    crng.reset_count();
+    e8_row("type (ii): Ber(p*), q=2^-20, n=2^18", &mut crng, reps / 10, |r| ber_oracle(r, &mut o2));
     let mut o3 = HalfRecipPStarOracle::new(&q, 1 << 18);
-    let per = time_per(reps / 10, || ber_oracle(&mut crng, &mut o3));
-    let words = crng.words_consumed() as f64 / (reps / 10) as f64;
-    row(&[
-        "type (iii): Ber(1/2p*), q=2^-20, n=2^18".into(),
-        format!("{:.0}", per * 1e9),
-        format!("{words:.2}"),
-    ]);
+    e8_row("type (iii): Ber(1/2p*), q=2^-20, n=2^18", &mut crng, reps / 10, |r| {
+        ber_oracle(r, &mut o3)
+    });
+    for (label, p, n) in [
+        ("B-Geo(1/1000, 2^20) (Fact 3)", Ratio::from_u64s(1, 1000), 1 << 20),
+        ("B-Geo(1/2, 2^16)", Ratio::from_u64s(1, 2), 1 << 16),
+        ("B-Geo(2^-20, 2^16)", Ratio::from_u64s(1, 1 << 20), 1 << 16),
+    ] {
+        e8_row(label, &mut crng, reps / 5, |r| bgeo(r, &p, n));
+    }
+}
 
+/// One E8 row: ns/draw and random words/draw of `draw` over `reps` draws.
+fn e8_row<R: RngCore, T>(
+    label: &str,
+    crng: &mut CountingRng<R>,
+    reps: usize,
+    mut draw: impl FnMut(&mut CountingRng<R>) -> T,
+) {
     crng.reset_count();
-    let p = Ratio::from_u64s(1, 1000);
-    let per = time_per(reps / 5, || bgeo(&mut crng, &p, 1 << 20));
-    let words = crng.words_consumed() as f64 / (reps / 5) as f64;
-    row(&[
-        "B-Geo(1/1000, 2^20) (Fact 3)".into(),
-        format!("{:.0}", per * 1e9),
-        format!("{words:.2}"),
-    ]);
+    let per = time_per(reps, || draw(crng));
+    let words = crng.words_consumed() as f64 / reps as f64;
+    row(&[label.into(), format!("{:.0}", per * 1e9), format!("{words:.2}")]);
 }
 
 fn e9_rr_sets() {
@@ -843,5 +828,31 @@ fn a3_lookup_laziness() {
             fmt_secs(t_first),
             format!("{}", s.lookup_rows_built(&ctx)),
         ]);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn experiment_names_resolve() {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "duplicate experiment name in {names:?}");
+        for name in [
+            "e1", "e2", "e3", "e3b", "e4", "e5", "e6", "e7", "e8", "e9", "e9b", "e10", "e10b",
+            "v1", "v2", "a1", "a2", "a3", "a4",
+        ] {
+            let picked = select(name).unwrap_or_else(|| panic!("`{name}` does not resolve"));
+            assert_eq!(picked.len(), 1);
+            assert_eq!(picked[0].0, name);
+        }
+        assert_eq!(select("all").map(<[_]>::len), Some(EXPERIMENTS.len()));
+        for unknown in ["nonsense", "", "E1", "e11", "all "] {
+            assert!(select(unknown).is_none(), "`{unknown}` resolved");
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! Shared workload generators, timing helpers, and table reporting for the
-//! experiment harness (`exp` binary) and the Criterion benches.
+//! experiment harness (`exp` binary), plus the `bench_core` JSON schema.
 
 #![forbid(unsafe_code)]
 // Wall-clock timing is sanctioned here: this is measurement/driver code, not serving-path library code.

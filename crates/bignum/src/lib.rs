@@ -7,7 +7,7 @@
 //! generation relies on certified *i*-bit approximations (Definition 3.2).
 //!
 //! Three layers:
-//! - [`BigUint`]: exact arbitrary-precision unsigned integers (S1 in DESIGN.md);
+//! - [`BigUint`]: exact arbitrary-precision unsigned integers (see the README's crate table);
 //! - [`Ratio`]: exact non-negative rationals with `floor_log2`/`ceil_log2`
 //!   implementing Claim 4.3, plus certified `to_f64_bounds` brackets (a
 //!   rational pinched between adjacent floats) for the query fast path;

@@ -5,7 +5,7 @@
 //! outcome (§4.3). We store the same distribution as a Walker alias table with
 //! *integer* weights: a uniform slot pick plus one exact integer comparison
 //! reproduces the identical distribution with O(#outcomes) memory instead of
-//! `(m²)^K` cells (substitution 1 in DESIGN.md). No floating point is involved
+//! `(m²)^K` cells; `lookup` builds every row this way. No floating point is involved
 //! anywhere, so sampling remains exact.
 
 // pss-lint: allow-file(no-bare-index) — alias tables index fixed-length parallel arrays (primary/alias/thresh, all of length k) built together in the constructor

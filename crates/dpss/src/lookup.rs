@@ -6,7 +6,7 @@
 //! a `K`-bit string whose probability is an integer multiple of `1/(m²)^K`.
 //!
 //! Rows are realized as exact integer alias tables over the `2^K` outcomes
-//! (substitution 1 in DESIGN.md — distribution-identical to the paper's flat
+//! (see the `alias` module docs: distribution-identical to the paper's flat
 //! `(m²)^K`-cell array) and built lazily on first use, memoized by packed
 //! configuration key. `K` is bounded by `2·log2(m) + O(1)` (Lemma 4.15), so a
 //! row costs `O(2^K·K)` = polylog(n₀) to build and O(1) to query.

@@ -1,4 +1,5 @@
-//! The three-level sampling hierarchy of HALT (§4.1–§4.2, S10/S12 in DESIGN.md).
+//! The three-level sampling hierarchy of HALT (§4.1–§4.2; see the README's
+//! "Paper → module map").
 //!
 //! - [`Level1`] is `BG-Str(S)`: real items bucketed by `⌊log2 w⌋`, buckets
 //!   grouped into windows of `g₁ = ⌈log2 n₀⌉` indices; each non-empty group `j`

@@ -1,4 +1,5 @@
-//! End-to-end exactness tests for the HALT sampler (V1 in DESIGN.md):
+//! End-to-end exactness tests for the HALT sampler (the test form of
+//! `exp v1`):
 //! empirical inclusion frequencies must match the exact `p_x(α,β)` for every
 //! item, across weight regimes, parameter regimes, and dynamic updates.
 

@@ -1,4 +1,4 @@
-//! Structural-invariant property tests (I1–I5 in DESIGN.md): after any
+//! Structural-invariant property tests (`DpssSampler::validate`): after any
 //! sequence of insertions and deletions, every level of the hierarchy must
 //! agree with a from-scratch reconstruction.
 

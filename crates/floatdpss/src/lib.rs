@@ -17,7 +17,8 @@
 //!   exponent into a backwards insertion sort } — with the paper's O(1)
 //!   expected retries (Lemma 5.1) and O(1) expected swaps (Lemma 5.3).
 //!
-//! **ε-exactness note** (substitution 4 in DESIGN.md): a query walks items in
+//! **ε-exactness note** (a deliberate substitution, bounded by `TAIL_CUTOFF`
+//! below): a query walks items in
 //! descending weight and stops once every remaining item satisfies
 //! `p_x < 2^{-(TAIL_CUTOFF-64)}` even after accounting for up to `2^64`
 //! items; the total-variation error per query is below `2^{-128}`,

@@ -6,9 +6,9 @@
 //!
 //! - [`bits`]: O(1) highest/lowest-set-bit and integer log2 instructions;
 //! - [`BitsetList`]: the Fact 2.1 dynamic sorted set over a bounded universe
-//!   with O(1) worst-case update / predecessor / successor (S4 in DESIGN.md);
+//!   with O(1) worst-case update / predecessor / successor (see the README's "Paper → module map");
 //! - [`U256`]: fixed-width 256-bit integers for next-level item weights that
-//!   exceed 128 bits while remaining O(1) words (S3);
+//!   exceed 128 bits while remaining O(1) words;
 //! - [`Pool`] / [`BucketArena`]: index-addressed slab and size-class block
 //!   arena backing the allocation-free update cascade (nodes and bucket
 //!   lists live in flat storage instead of behind `Box`/`Vec` pointers);

@@ -4,7 +4,8 @@
 //! the paper's O(1)-expected-time algorithms, checks each empirical
 //! distribution against its exact pmf with a χ² test, and demonstrates the
 //! bias of the paper's verbatim Case-2.2 pseudocode (`tgeo_paper_literal`)
-//! that our DESIGN.md erratum documents.
+//! that the `randvar::tgeo` module docs record as an erratum (`exp e6` prints
+//! it as table E6b).
 //!
 //! Run with: `cargo run --release --example exact_variates`
 
