@@ -80,8 +80,7 @@ fn collect_node(pool: &NodePool, idx: u32, l2: &mut LevelStats, l3: &mut LevelSt
     stats.nonempty_buckets += node.nonempty_buckets.len();
     stats.nonempty_groups += node.nonempty_groups.len();
     for b in node.nonempty_buckets.iter() {
-        // pss-lint: allow(no-bare-index) — b iterates nonempty_buckets, whose bits mirror buckets.len() by construction
-        stats.max_bucket_len = stats.max_bucket_len.max(node.buckets[b].len());
+        stats.max_bucket_len = stats.max_bucket_len.max(node.bucket_len(b));
     }
     for &child in &node.children {
         if child != NO_NODE {

@@ -743,7 +743,7 @@ fn query_final_into<R: RngCore + Clone>(
         let config = &mut buf[..k_len as usize];
         let mut any = false;
         for (t, c) in config.iter_mut().enumerate() {
-            if let Some(b) = node.buckets.get(lo as usize + t) {
+            if let Some(b) = node.bucket(lo as usize + t) {
                 *c = narrow::u32_of_usize(b.len());
                 any |= *c > 0;
             }
@@ -765,14 +765,13 @@ fn query_final_into<R: RngCore + Clone>(
         }
     } else {
         // Direct mode: one Bernoulli min(1, w_v/W) per significant bucket.
-        // `checked_sub` guards the empty-bucket-vector edge case (no
-        // underflowing `len() - 1`).
-        if let Some(last) = node.buckets.len().checked_sub(1) {
+        // `checked_sub` guards the empty-universe edge case (no
+        // underflowing `universe() - 1`).
+        if let Some(last) = node.nonempty_buckets.universe().checked_sub(1) {
             let hi = ((i2 - 1) as usize).min(last);
             if lo.max(0) as usize <= hi {
                 for idx in node.nonempty_buckets.range(lo.max(0) as usize, hi) {
-                    // pss-lint: allow(no-bare-index) — idx iterates nonempty_buckets, whose bits mirror buckets.len()
-                    let c = node.buckets[idx].len() as u64;
+                    let c = node.bucket_len(idx) as u64;
                     if accept_direct_candidate(frame.rng, frame.w, &frame.accel, idx, c) {
                         candidates.push(narrow::u16_of_usize(idx));
                     }
@@ -1089,8 +1088,12 @@ mod tests {
                 table: &mut table,
                 final_mode: mode,
             };
-            let view =
-                crate::structure::NodeView { pool: &pool, node: pool.node(idx), parent: &[] };
+            let view = crate::structure::NodeView {
+                pool: &pool,
+                node: pool.node(idx),
+                parent: &[],
+                parent_base: 0,
+            };
             assert!(query_final(&view, &mut ctx).is_empty(), "{mode:?}");
         }
     }

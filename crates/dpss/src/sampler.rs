@@ -26,7 +26,7 @@ use pss_core::{
     kind, ChangeJournal, CtxRng, Delta, Enc, Handle, QueryCtx, Replay, SnapshotError,
     SnapshotReader, SnapshotWriter, Snapshottable,
 };
-use wordram::bits::ceil_log2_u64;
+use wordram::bits::{ceil_log2_u64, floor_log2_u64};
 use wordram::SpaceUsage;
 
 /// Floor for the sizing parameter `n₀` so tiny sets get sane group widths and
@@ -129,6 +129,14 @@ fn derive_widths(n0: usize) -> (u32, u32) {
     (g1, g2)
 }
 
+/// `⌊log2 n_cap⌋` for `n_cap = n₀·k + 1`: a rebuild fires as soon as the
+/// size leaves `[n₀/k, k·n₀]`, so no level-1 bucket holds more than `n_cap`
+/// items before the next one — the bound the level-2 windows are sized
+/// for ([`Level1::count_bits`]).
+fn count_bits(n0: usize, rebuild_factor: usize) -> u32 {
+    floor_log2_u64(n0.saturating_mul(rebuild_factor).saturating_add(1) as u64)
+}
+
 /// Why a fallible HALT update (`try_insert` & co.) refused to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpError {
@@ -214,12 +222,15 @@ impl DpssSampler {
     pub fn with_capacity_seed(n: usize, _seed: u64) -> Self {
         let n0 = n.max(N0_FLOOR);
         let (g1, g2) = derive_widths(n0);
+        let rebuild_factor = 2;
+        let mut level1 = Level1::new(g1, g2);
+        level1.count_bits = count_bits(n0, rebuild_factor);
         DpssSampler {
-            level1: Level1::new(g1, g2),
+            level1,
             n0,
             final_mode: FinalLevelMode::default(),
             rebuilds: 0,
-            rebuild_factor: 2,
+            rebuild_factor,
             journal: ChangeJournal::new(),
             table_modulus: g2,
             instance: pss_core::fresh_backend_id(),
@@ -291,6 +302,9 @@ impl DpssSampler {
     pub fn set_rebuild_factor(&mut self, k: usize) {
         assert!(k >= 2, "rebuild factor must be ≥ 2");
         self.rebuild_factor = k;
+        // A wider band lets bucket counts grow further before the next
+        // rebuild: widen the level-2 windows to match.
+        self.level1.set_count_bits(count_bits(self.n0, k));
     }
 
     /// Rows materialized in this sampler's lookup table inside `ctx` so far
@@ -560,7 +574,7 @@ impl DpssSampler {
         // Grow rebuilds keep the item buckets (O(1) hierarchy work); shrink
         // rebuilds compact the bucket blocks to keep space O(n).
         let compact = n0 < self.n0;
-        self.level1.rebuild(g1, g2, compact);
+        self.level1.rebuild(g1, g2, count_bits(n0, self.rebuild_factor), compact);
         // Failpoint between the structural rebuild and its journal entry: a
         // crash here leaves a rebuilt hierarchy the journal knows nothing
         // about — recovery must converge through replay, not the journal.
@@ -829,7 +843,7 @@ impl Snapshottable for DpssSampler {
         let mut sdec = r.section(TAG_SLAB)?;
         let slab = read_slab(&mut sdec)?;
         sdec.finish()?;
-        let level1 = level1_from_slab(slab, g1, g2)?;
+        let level1 = level1_from_slab(slab, g1, g2, count_bits(n0, rebuild_factor))?;
         Ok(DpssSampler {
             level1,
             n0,

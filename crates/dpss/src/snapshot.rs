@@ -68,7 +68,12 @@ pub(crate) fn read_slab(dec: &mut Dec<'_>) -> Result<Slab, SnapshotError> {
 /// layer and proxy hierarchy in one canonical pass. Rejects any slab whose
 /// `bucket_pos` fields do not form an exact permutation per weight class —
 /// a corrupt placement would otherwise sample the wrong items silently.
-pub(crate) fn level1_from_slab(slab: Slab, g1: u32, g2: u32) -> Result<Level1, SnapshotError> {
+pub(crate) fn level1_from_slab(
+    slab: Slab,
+    g1: u32,
+    g2: u32,
+    count_bits: u32,
+) -> Result<Level1, SnapshotError> {
     let mut lv = Level1::new(g1, g2);
     // Classify: the per-class occupancy histogram plus the recomputed
     // aggregates (never trusted from the image).
@@ -136,7 +141,7 @@ pub(crate) fn level1_from_slab(slab: Slab, g1: u32, g2: u32) -> Result<Level1, S
     lv.n_zero = n_zero;
     // Derive: group bitsets + the whole proxy hierarchy, one canonical pass
     // over the non-empty buckets (identical to the bulk build's pass 4).
-    lv.rebuild(g1, g2, false);
+    lv.rebuild(g1, g2, count_bits, false);
     Ok(lv)
 }
 
@@ -178,7 +183,7 @@ mod tests {
         let (second, _) = slab.iter().nth(1).expect("live item");
         slab.set_bucket_pos(second, 0);
         assert_eq!(
-            level1_from_slab(slab, 4, 2).err(),
+            level1_from_slab(slab, 4, 2, 5).err(),
             Some(SnapshotError::Invalid("bucket position repeated"))
         );
     }
@@ -193,7 +198,7 @@ mod tests {
         write_slab(&mut enc, &lv.slab);
         let mut dec = Dec::new(enc.bytes());
         let slab = read_slab(&mut dec).expect("valid payload");
-        let restored = level1_from_slab(slab, 5, 3).expect("valid slab");
+        let restored = level1_from_slab(slab, 5, 3, 6).expect("valid slab");
         restored.validate();
         assert_eq!(restored.total_weight, lv.total_weight);
         assert_eq!(restored.n_positive, lv.n_positive);

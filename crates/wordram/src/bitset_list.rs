@@ -66,6 +66,12 @@ impl BitsetList {
         self.words.len() + 3
     }
 
+    /// Words of heap this set holds (its leaf words, at their allocated
+    /// capacity), for owners that account for the inline struct themselves.
+    pub fn heap_words(&self) -> usize {
+        self.words.capacity()
+    }
+
     /// `true` iff `q` is in the set.
     #[inline]
     pub fn contains(&self, q: usize) -> bool {

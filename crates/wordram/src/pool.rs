@@ -113,7 +113,9 @@ impl Bucket {
 #[derive(Clone, Debug)]
 pub struct BucketArena<T: Copy> {
     data: Vec<T>,
-    /// `free[c]` holds offsets of free blocks of capacity `2^c`.
+    /// `free[c]` holds offsets of free blocks of capacity `2^c`. Empty until
+    /// the first block is parked: most small arenas never grow a bucket past
+    /// its first class, and the table of 32 lists would outweigh them.
     free: Vec<Vec<u32>>,
     /// Padding value for freshly carved blocks.
     fill: T,
@@ -159,8 +161,8 @@ impl<T: Copy> BucketArena<T> {
         BucketArena {
             // pss-lint: allow(no-alloc-hot-path) — one-time construction, not the steady-state cascade
             data: Vec::new(),
-            // pss-lint: allow(no-alloc-hot-path) — one-time construction, not the steady-state cascade
-            free: vec![Vec::new(); (MAX_CLASS + 1) as usize],
+            // pss-lint: allow(no-alloc-hot-path) — an empty Vec does not allocate; the table is created on the first park
+            free: Vec::new(),
             fill,
             plan_cursor: 0,
         }
@@ -221,7 +223,7 @@ impl<T: Copy> BucketArena<T> {
 
     /// Pops a free block of `class` or carves a new one from the tail.
     fn alloc_block(&mut self, class: u8) -> u32 {
-        if let Some(off) = self.free[class as usize].pop() {
+        if let Some(off) = self.free.get_mut(class as usize).and_then(Vec::pop) {
             return off;
         }
         let off = self.data.len();
@@ -230,6 +232,17 @@ impl<T: Copy> BucketArena<T> {
         // pss-lint: allow(no-alloc-hot-path) — tail growth toward the arena high-water mark; steady state is satisfied from the free lists
         self.data.resize(new_len, self.fill);
         narrow::u32_of_usize(off)
+    }
+
+    /// Parks the block at `off` of `class` on its free list, creating the
+    /// free-list table on first use (a growth path, like the tail carve).
+    fn park(&mut self, class: u8, off: u32) {
+        if self.free.is_empty() {
+            // pss-lint: allow(no-alloc-hot-path) — the table is created once, on the arena's first park; steady state reuses it
+            self.free.resize((MAX_CLASS + 1) as usize, Vec::new());
+        }
+        // pss-lint: allow(no-alloc-hot-path) — free-list push; capacity is retained across cycles and bounded by the high-water mark
+        self.free[class as usize].push(off);
     }
 
     /// Appends `v` to `b`, growing the bucket to the next size class when
@@ -244,8 +257,7 @@ impl<T: Copy> BucketArena<T> {
             assert!(class <= MAX_CLASS, "bucket exceeds 2^31 elements");
             let off = self.alloc_block(class);
             self.data.copy_within(b.off as usize..(b.off + b.len) as usize, off as usize);
-            // pss-lint: allow(no-alloc-hot-path) — free-list push; capacity is retained across cycles and bounded by the high-water mark
-            self.free[b.class as usize].push(b.off);
+            self.park(b.class, b.off);
             b.off = off;
             b.class = class;
         }
@@ -265,8 +277,7 @@ impl<T: Copy> BucketArena<T> {
         let off = self.alloc_block(class);
         if b.class != NO_CLASS {
             self.data.copy_within(b.off as usize..(b.off + b.len) as usize, off as usize);
-            // pss-lint: allow(no-alloc-hot-path) — free-list push; capacity is retained across cycles and bounded by the high-water mark
-            self.free[b.class as usize].push(b.off);
+            self.park(b.class, b.off);
         }
         b.off = off;
         b.class = class;
@@ -286,8 +297,7 @@ impl<T: Copy> BucketArena<T> {
             assert!(class <= MAX_CLASS, "bucket exceeds 2^31 elements");
             let off = self.alloc_block(class);
             self.data.copy_within(b.off as usize..(b.off + b.len) as usize, off as usize);
-            // pss-lint: allow(no-alloc-hot-path) — free-list push; capacity is retained across cycles and bounded by the high-water mark
-            self.free[b.class as usize].push(b.off);
+            self.park(b.class, b.off);
             b.off = off;
             b.class = class;
         }
@@ -397,8 +407,7 @@ impl<T: Copy> BucketArena<T> {
     /// Returns the bucket's block to the free list and resets the handle.
     pub fn release(&mut self, b: &mut Bucket) {
         if b.class != NO_CLASS {
-            // pss-lint: allow(no-alloc-hot-path) — free-list push; capacity is retained across cycles and bounded by the high-water mark
-            self.free[b.class as usize].push(b.off);
+            self.park(b.class, b.off);
         }
         *b = Bucket::EMPTY;
     }
@@ -457,10 +466,12 @@ impl<T: Copy> BucketArena<T> {
 impl<T: Copy> SpaceUsage for BucketArena<T> {
     fn space_words(&self) -> usize {
         let elem_bytes = std::mem::size_of::<T>();
-        // Carved storage (the analogue of the old per-bucket Vec capacities)
-        // plus half a word per parked free-block offset.
+        // Carved storage (the analogue of the old per-bucket Vec capacities),
+        // the free-list table (three words per list header) and half a word
+        // per allocated free-block slot, plus the scalars.
         (self.data.len() * elem_bytes).div_ceil(8)
-            + self.free.iter().map(|f| f.len().div_ceil(2)).sum::<usize>()
+            + self.free.capacity() * 3
+            + self.free.iter().map(|f| f.capacity().div_ceil(2)).sum::<usize>()
             + 2
     }
 }
@@ -570,9 +581,15 @@ impl<T> Pool<T> {
         Ok(())
     }
 
-    /// Space in words given a per-slot accounting function.
-    pub fn space_words_by(&self, per_slot: impl Fn(&T) -> usize) -> usize {
-        self.slots.iter().map(per_slot).sum::<usize>() + self.free.capacity().div_ceil(2) + 2
+    /// Space in words: the slot array at its allocated capacity (each slot
+    /// `size_of::<T>()` bytes, rounded up to words as a whole), plus
+    /// `heap_words` of every slot — the words its own heap blocks hold —
+    /// plus the free list.
+    pub fn space_words_by(&self, heap_words: impl Fn(&T) -> usize) -> usize {
+        (self.slots.capacity() * std::mem::size_of::<T>()).div_ceil(8)
+            + self.slots.iter().map(heap_words).sum::<usize>()
+            + self.free.capacity().div_ceil(2)
+            + 2
     }
 }
 
@@ -796,6 +813,25 @@ mod tests {
         let r3 = arena.residency();
         assert_eq!(r3.live_words, 128);
         assert_eq!(r3.parked_words, 0);
+    }
+
+    #[test]
+    fn free_table_is_created_on_first_park() {
+        let mut arena = BucketArena::new(0u16);
+        let mut b = Bucket::EMPTY;
+        for i in 0..4u16 {
+            arena.push(&mut b, i);
+        }
+        // One first-class block and nothing parked: no table, and the
+        // accounting charges only the carved words and the scalars.
+        assert!(arena.free.is_empty());
+        assert_eq!(arena.space_words(), 1 + 2);
+        arena.push(&mut b, 4);
+        // Growing parks the old block: the table now exists and is charged.
+        assert_eq!(arena.free.len(), (MAX_CLASS + 1) as usize);
+        assert_eq!(arena.free_blocks().collect::<Vec<_>>(), vec![(0, 4)]);
+        assert!(arena.space_words() >= 3 * arena.free.len() + 3);
+        arena.audit(std::iter::once(b)).expect("tiling after the first park");
     }
 
     #[test]

@@ -77,8 +77,9 @@ fn long_mixed_workload_end_to_end() {
     s.validate();
     assert_eq!(s.len(), live.len());
     assert!(sampled_total > 0, "workload should have sampled something");
-    // Space stays linear after all the churn.
-    assert!(s.space_words() < 64 * live.len().max(1) + 400_000);
+    // Space stays linear after all the churn, with a fixed offset of a few
+    // thousand words (window-sized nodes; no universe-sized skeleton).
+    assert!(s.space_words() < 64 * live.len().max(1) + 4096);
 }
 
 /// RR sets + edge churn + push on the same graph, end to end.

@@ -98,6 +98,31 @@ fn space_is_linear_with_small_constant() {
     }
 }
 
+/// Space is linear at small n too: `space_words() ≤ 32·n + 512` for every
+/// n ≤ 64, built one insert at a time (rebuilds and warm nodes included)
+/// and in bulk, with narrow and full-range weights. The offset is a few
+/// hundred words because every hierarchy node stores only the bucket window
+/// its group can reach; full-universe nodes made a 4-item sampler report
+/// 1,604 words.
+#[test]
+fn space_is_linear_at_small_n() {
+    let mut rng = SmallRng::seed_from_u64(0x5A11);
+    for hi in [100u64, u64::MAX] {
+        for n in 1..=64usize {
+            let weights: Vec<u64> = (0..n).map(|_| rng.gen_range(1..=hi)).collect();
+            let mut per_op = DpssSampler::new(1);
+            for &w in &weights {
+                per_op.insert(w);
+            }
+            let (bulk, _) = DpssSampler::from_weights(&weights, 1);
+            for (name, s) in [("per-op", &per_op), ("bulk", &bulk)] {
+                let words = s.space_words();
+                assert!(words <= 32 * n + 512, "{name}, weights ≤ {hi}, n = {n}: {words} words");
+            }
+        }
+    }
+}
+
 /// Beyond-L2 flatness: per-op insert and μ≈1 query cost at n=2^20 must stay
 /// within a coarse constant of their n=2^14 cost. This is the cache-regime
 /// counterpart of the small-n flatness tests above — at 2^20 the working set
