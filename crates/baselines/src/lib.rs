@@ -27,10 +27,10 @@
 //! Queries take `&self` plus a caller-owned [`QueryCtx`]: the naive samplers
 //! draw their coins from the context's stream, and the ODSS-style structures
 //! park their materializations *in the context* (keyed by backend instance
-//! and journal-revalidated) instead of mutating the structure — which is
-//! what lets `pss_core::ShardedQuery` fan batches out over any backend in
-//! this roster. Rebuild/replay accounting lives in atomic counters so
-//! `&self` queries can still report the costs E5 charges.
+//! and journal-revalidated) instead of mutating the structure, so any
+//! backend in this roster can serve several contexts at once. Rebuild/replay
+//! accounting lives in atomic counters so `&self` queries can still report
+//! the costs E5 charges.
 //!
 //! The HALT samplers themselves implement [`PssBackend`] in the `dpss` crate;
 //! [`all_backends`] assembles the full comparison roster (HALT, de-amortized

@@ -1,53 +1,38 @@
 //! `bench_core` — machine-readable core-operation benchmark.
 //!
-//! Measures insert / churn / delete / set_weight / query / batched-query
-//! throughput for every backend in the roster through the `pss-core` facade
-//! and writes `BENCH_core.json` (see `--out`), validated against schema v7
-//! right after writing, so successive PRs accumulate a performance
-//! trajectory that scripts can diff and whose shape cannot silently drift.
-//! Queries run through the shared-read surface (`&self` + `QueryCtx`); the
-//! snapshot carries six structure-level observability blocks: HALT's
-//! `(α, β)` plan-cache hit/miss/refresh counters (refreshes are the
-//! journal's shrunk miss path), a FIFO sliding-window replay, the
-//! decayed-weight replay (periodic `ScaleAllWeights`, the `set_weight`-heavy
-//! stream), the `query_par` block comparing sequential `query_many` against
-//! the `ShardedQuery` parallel front-end (whose results are asserted
-//! bit-identical before timing), and the `mixed_regime` block replaying the
-//! reweight+query interleaved stream on the `odss-style` backend — the
-//! workload whose Θ(n)-per-round re-materialization the epoch-delta change
-//! journal turned into O(deltas) catch-ups (replay/fallback counters
-//! included). The `bulk_load` block measures the radix-partitioned bulk
-//! build (`from_weights` at n = 2^14 and 2^20 against the per-item insert
-//! loop, plus the shrink-compaction rebuild latency), and every replay
-//! block reports its initial-load time separately as `setup_ms`. The
-//! `snapshot` block measures the durability path at n = 2^20: image size,
-//! encode/decode wall time (decode rides the same radix-partitioned bulk
-//! build, so `load_items_per_sec` is held to within 2× of the bulk rate),
-//! and `pss_core::recover` replaying a 4096-delta journal tail from a
-//! durable log — gated on the recovered sampler being byte-identical to
-//! the live one. The `scaling` block (schema v7) walks HALT across the
-//! cache hierarchy — n ∈ {2^14, 2^17, 2^20, 2^23} full, n = 2^20 under
-//! `--quick` — recording per-op insert/churn/μ≈16-query rates, bulk-load
-//! items/s, and per-point space telemetry (arena residency split), plus
-//! the smallest-to-largest flatness ratios. Two-arm A/B: build the
-//! `layout-baseline` arm with `--scaling-fragment FILE` to emit its points,
-//! then run the optimized arm with `--scaling-baseline FILE` to embed them
-//! and the packed-over-baseline speedups under `scaling.ab`.
+//! Writes `BENCH_core.json` (see `--out`) and validates it against schema
+//! [`SCHEMA_VERSION`] right after writing, so a shape drift fails the run.
+//! It measures what neither perfbench nor `exp` does:
+//!
+//! - the backend roster: insert / churn-pair / delete / set_weight /
+//!   μ≈16 query / 16-pair `query_many` / mixed-round rates for every
+//!   backend through the `dyn PssBackend` facade;
+//! - `fifo_window` and `decayed`: update throughput of the exact-FIFO
+//!   sliding-window replay and of the decayed-weight replay (periodic
+//!   `ScaleAllWeights`), each with its initial-load time as `setup_ms`;
+//! - `bulk_load`: the radix-partitioned bulk build at n = 2^14 and 2^20
+//!   against the per-item insert loop, plus one shrink-compaction rebuild;
+//! - `snapshot`: image size and save/load/recover times at n = 2^20, gated
+//!   on the recovered sampler re-encoding byte-identical to the live one;
+//! - `scaling`: HALT at n ∈ {2^14, 2^17, 2^20, 2^23} (2^20 only under
+//!   `--quick`) with per-point space telemetry and flatness ratios. Two-arm
+//!   A/B: build the `layout-baseline` arm with `--scaling-fragment FILE` to
+//!   emit its points, then run the default arm with `--scaling-baseline
+//!   FILE` to embed them and the packed-over-baseline speedups under
+//!   `scaling.ab`.
+//!
 //! Human-readable numbers go to stdout as they are produced.
 //!
 //! Usage: `cargo run --release -p bench --bin bench_core [-- --out PATH
-//! --n ITEMS --threads T --quick --scaling-fragment PATH
-//! --scaling-baseline PATH]`; `--threads` defaults to the available
-//! parallelism.
+//! --n ITEMS --quick --scaling-only --scaling-fragment PATH
+//! --scaling-baseline PATH]`.
 
-use baselines::{all_backends, OdssStyle};
+use baselines::all_backends;
+use bench::schema::{validate_bench_core, SCHEMA_VERSION};
 use bench::{fmt_secs, time, time_per};
 use bignum::Ratio;
 use dpss::DpssSampler;
-use pss_core::{
-    recover, ChangeJournal, Delta, Handle, PssBackend, QueryCtx, SeedableBackend, ShardedQuery,
-    Snapshottable,
-};
+use pss_core::{recover, ChangeJournal, Delta, Handle, PssBackend, QueryCtx, Snapshottable};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use workloads::drive::replay_stream_timed;
@@ -203,60 +188,6 @@ fn measure(seed: u64, n: usize, quick: bool) -> Vec<Row> {
     rows
 }
 
-/// Snapshots HALT's `(α, β)` plan-cache counters under the batched query
-/// workload: 16 distinct pairs driven 4 times on a static item set cost 16
-/// misses and 48 hits; one reweight between rounds is weight-only churn, so
-/// the journal-revalidated cache *refreshes* all 16 entries in place
-/// (keeping keys and the memoized lookup table) instead of re-missing —
-/// expect (48, 16, 16). Every query runs through one context, whose cache
-/// the stats read.
-fn plan_cache_probe(seed: u64, n: usize, weights: &[u64]) -> (u64, u64, u64) {
-    let (mut s, ids) = DpssSampler::from_weights(weights, seed);
-    let mut ctx = QueryCtx::new(seed);
-    let batch: Vec<(Ratio, Ratio)> =
-        (0..16u64).map(|i| (Ratio::from_u64s(1, 8 + i), Ratio::zero())).collect();
-    let run_batch = |s: &DpssSampler, ctx: &mut QueryCtx| {
-        for (a, b) in &batch {
-            let _ = s.query_in(ctx, a, b);
-        }
-    };
-    for _ in 0..4 {
-        run_batch(&s, &mut ctx);
-    }
-    // One mutation, one more batch: 16 in-place refreshes (not misses).
-    let _ = DpssSampler::set_weight(&mut s, ids[n / 2], 12345);
-    run_batch(&s, &mut ctx);
-    s.plan_cache_stats_in(&ctx)
-}
-
-/// Replays the mixed update+query regime (reweight-dominated churn, one
-/// single-parameter query after every update) into a fresh `odss-style`
-/// backend — the workload where the old all-or-nothing epoch forced a Θ(n)
-/// re-materialization per round (~500 rounds/s at n = 2^14) and the
-/// epoch-delta journal now patches per-context state forward in O(deltas).
-/// Returns rounds/s, the initial-load time in ms, plus the journal
-/// accounting: items rebuilt by Θ(n) materializations, delta replays
-/// applied, and ring-wrap fallbacks.
-fn mixed_regime_probe(seed: u64, n: usize, quick: bool) -> (f64, f64, u64, u64, u64) {
-    let rounds = if quick { n / 4 } else { n };
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x317ED);
-    let dist = WeightDist::Zipf { s_num: 2, s_den: 1, w_max: 1 << 30 };
-    let kind = StreamKind::MixedRegime { insert_permille: 150, reweight_permille: 600 };
-    let stream = UpdateStream::generate(kind, n, rounds, dist, &mut rng);
-    let mut backend = OdssStyle::with_seed(seed ^ 0x317EE);
-    let mut ctx = QueryCtx::new(seed ^ 0x317EF);
-    let params = [(Ratio::from_u64s(1, 16), Ratio::zero())];
-    let (report, timing) = replay_stream_timed(&mut backend, &mut ctx, &stream, Some((1, &params)));
-    debug_assert_eq!(report.queries, rounds as u64);
-    (
-        rounds as f64 / timing.ops.as_secs_f64(),
-        timing.setup.as_secs_f64() * 1e3,
-        backend.rematerialized(),
-        backend.replays(),
-        backend.fallbacks(),
-    )
-}
-
 /// Replays the exact-FIFO sliding-window stream (insert at head, delete at
 /// tail) into a fresh HALT sampler — the first scenario whose steady state
 /// is dominated by delete throughput — and reports update ops per second
@@ -294,47 +225,6 @@ fn decayed_probe(seed: u64, n: usize, quick: bool) -> (usize, f64, f64) {
     (scale_every, sem_ops as f64 / timing.ops.as_secs_f64(), timing.setup.as_secs_f64() * 1e3)
 }
 
-/// Times sequential `query_many` against the `ShardedQuery` parallel
-/// front-end on an n-item HALT sampler with a μ≈16 batch, after asserting
-/// the two produce bit-identical results. Returns `(threads, sequential
-/// queries/s, parallel queries/s)` — on a single-core host the "parallel"
-/// number honestly degrades to sequential-plus-spawn-overhead; the speedup
-/// is `min(threads, cores)`-bound on real hardware.
-fn query_par_probe(seed: u64, n: usize, threads: usize, quick: bool) -> (usize, f64, f64) {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x9A7);
-    let weights = WeightDist::Zipf { s_num: 2, s_den: 1, w_max: 1 << 30 }.generate(n, &mut rng);
-    let (s, _) = DpssSampler::from_weights(&weights, seed ^ 0x9A8);
-    let batch_len = if quick { 64u64 } else { 256 };
-    let batch: Vec<(Ratio, Ratio)> =
-        (0..batch_len).map(|i| (Ratio::from_u64s(1, 8 + (i % 16)), Ratio::zero())).collect();
-
-    // Determinism gate: the sharded result must be bit-identical to the
-    // sequential one before any throughput is recorded.
-    let mut check_ctx = QueryCtx::new(seed);
-    let seq_out = PssBackend::query_many(&s, &mut check_ctx, &batch);
-    let mut check_sharded = ShardedQuery::new(seed, threads);
-    assert_eq!(
-        check_sharded.query_many(&s, &batch),
-        seq_out,
-        "sharded query_many diverged from sequential"
-    );
-
-    let reps = if quick { 3 } else { 10 };
-    let mut seq_ctx = QueryCtx::new(seed ^ 1);
-    let _ = PssBackend::query_many(&s, &mut seq_ctx, &batch); // warm plans
-    let per_seq = time_per(reps, || {
-        PssBackend::query_many(&s, &mut seq_ctx, &batch).iter().map(Vec::len).sum::<usize>()
-    }) / batch.len() as f64;
-
-    let mut sharded = ShardedQuery::new(seed ^ 2, threads);
-    let _ = sharded.query_many(&s, &batch); // warm per-worker plans
-    let per_par =
-        time_per(reps, || sharded.query_many(&s, &batch).iter().map(Vec::len).sum::<usize>())
-            / batch.len() as f64;
-
-    (threads, 1.0 / per_seq, 1.0 / per_par)
-}
-
 /// Outcome of [`bulk_load_probe`].
 struct BulkLoad {
     n_small: usize,
@@ -349,9 +239,9 @@ struct BulkLoad {
 /// Measures the radix-partitioned bulk build at two fixed sizes (2^14 and
 /// 2^20, independent of `--n` so the trajectory stays diffable): items/s
 /// through `from_weights`, the per-op insert rate at 2^20 (the reference the
-/// ISSUE's ≥3× acceptance bar compares against — the facade insert loop,
-/// exactly the methodology behind the roster's insert column and exactly
-/// what a caller without `insert_many` pays: handle bookkeeping, journal
+/// bulk build's ≥3× bar compares against — the facade insert loop, exactly
+/// the methodology behind the roster's insert column and exactly what a
+/// caller without `insert_many` pays: handle bookkeeping, journal
 /// traffic, and the whole doubling chain of rebuilds), and `rebuild_ms`, the
 /// wall time of the single delete that crosses the shrink threshold at
 /// n = 2^19 and fires a full shrink-compaction rebuild (itself a radix
@@ -716,8 +606,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_path = "BENCH_core.json".to_string();
     let mut n = 1usize << 14;
-    // One worker per available core: more would measure oversubscription.
-    let mut threads = std::thread::available_parallelism().map_or(1, |t| t.get());
     let mut quick = false;
     let mut scaling_only = false;
     let mut scaling_fragment: Option<String> = None;
@@ -730,10 +618,6 @@ fn main() {
                 n = it.next().expect("--n ITEMS").parse().expect("integer n");
                 assert!(n >= 1, "--n must be at least 1");
             }
-            "--threads" => {
-                threads = it.next().expect("--threads T").parse().expect("integer threads");
-                assert!(threads >= 1, "--threads must be at least 1");
-            }
             "--quick" => quick = true,
             "--scaling-only" => scaling_only = true,
             "--scaling-fragment" => {
@@ -743,7 +627,7 @@ fn main() {
                 scaling_baseline = Some(it.next().expect("--scaling-baseline PATH").clone());
             }
             other => panic!(
-                "unknown argument {other} (expected --out/--n/--threads/--quick/\
+                "unknown argument {other} (expected --out/--n/--quick/--scaling-only/\
                  --scaling-fragment/--scaling-baseline)"
             ),
         }
@@ -815,13 +699,6 @@ fn main() {
     println!("# bench_core: n = {n}, roster driven via dyn PssBackend\n");
     let rows = measure(42, n, quick);
 
-    let mut rng = SmallRng::seed_from_u64(42);
-    let weights = WeightDist::Zipf { s_num: 2, s_den: 1, w_max: 1 << 30 }.generate(n, &mut rng);
-    let (hits, misses, refreshes) = plan_cache_probe(42, n, &weights);
-    println!(
-        "\nplan cache probe: {hits} hits / {misses} misses / {refreshes} refreshes \
-         (expect 48 / 16 / 16)"
-    );
     let (fifo_window, fifo_ops, fifo_setup) = fifo_window_probe(42, n, quick);
     println!(
         "fifo window (w={fifo_window}): {fifo_ops:.0} update ops/s on halt \
@@ -831,19 +708,6 @@ fn main() {
     println!(
         "decayed weights (scale_every={scale_every}): {decayed_ops:.0} update ops/s on halt \
          (setup {decayed_setup:.2} ms)"
-    );
-    let (threads, seq_qps, par_qps) = query_par_probe(42, n, threads, quick);
-    let speedup = par_qps / seq_qps;
-    println!(
-        "query_par ({threads} threads, bit-identical checked): \
-         seq {seq_qps:.0} q/s, sharded {par_qps:.0} q/s — {speedup:.2}x"
-    );
-    let (mr_rounds, mr_setup, mr_remat, mr_replays, mr_fallbacks) =
-        mixed_regime_probe(42, n, quick);
-    println!(
-        "mixed regime (odss-style, update+query per round): {mr_rounds:.0} rounds/s — \
-         {mr_remat} items rematerialized, {mr_replays} journal replays, \
-         {mr_fallbacks} fallbacks (setup {mr_setup:.2} ms)"
     );
     let bl = bulk_load_probe(42);
     println!(
@@ -867,19 +731,12 @@ fn main() {
         sn.journal_tail
     );
 
-    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": 7,\n");
+    json.push_str(&format!("  \"schema\": {SCHEMA_VERSION},\n"));
     json.push_str(&format!("  \"n_items\": {n},\n"));
-    json.push_str(&format!("  \"nproc\": {nproc},\n"));
     json.push_str(&format!("  \"quick\": {quick},\n"));
     json.push_str("  \"unit\": \"ops_per_sec\",\n");
-    json.push_str(&format!(
-        "  \"plan_cache\": {{\"hits\": {hits}, \"misses\": {misses}, \
-         \"refreshes\": {refreshes}}},\n"
-    ));
     json.push_str(&format!(
         "  \"fifo_window\": {{\"window\": {fifo_window}, \"ops_per_sec\": {fifo_ops:.1}, \
          \"setup_ms\": {fifo_setup:.3}}},\n"
@@ -887,16 +744,6 @@ fn main() {
     json.push_str(&format!(
         "  \"decayed\": {{\"scale_every\": {scale_every}, \"ops_per_sec\": {decayed_ops:.1}, \
          \"setup_ms\": {decayed_setup:.3}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"query_par\": {{\"threads\": {threads}, \"seq_ops_per_sec\": {seq_qps:.1}, \
-         \"par_ops_per_sec\": {par_qps:.1}, \"speedup\": {speedup:.3}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"mixed_regime\": {{\"rounds_per_sec\": {mr_rounds:.1}, \
-         \"setup_ms\": {mr_setup:.3}, \
-         \"rematerialized\": {mr_remat}, \"replays\": {mr_replays}, \
-         \"fallbacks\": {mr_fallbacks}}},\n"
     ));
     json.push_str(&format!(
         "  \"bulk_load\": {{\"n_small\": {}, \"small_items_per_sec\": {:.1}, \
@@ -959,7 +806,7 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write BENCH_core.json");
     // Self-validate the snapshot so a shape regression fails the run (and
     // CI's --quick smoke step) instead of silently breaking the trajectory.
-    bench::schema::validate_bench_core_v7(&json)
-        .unwrap_or_else(|e| panic!("emitted snapshot violates schema v7: {e}"));
-    println!("\nwrote {out_path} (schema v7 OK)");
+    validate_bench_core(&json)
+        .unwrap_or_else(|e| panic!("emitted snapshot violates schema v{SCHEMA_VERSION}: {e}"));
+    println!("\nwrote {out_path} (schema v{SCHEMA_VERSION} OK)");
 }

@@ -1,56 +1,32 @@
-//! Schema validation for the machine-readable benchmark snapshots.
+//! Schema validation for the machine-readable benchmark snapshot.
 //!
-//! `bench_core` emits `BENCH_core.json` so successive PRs accumulate a
+//! `bench_core` emits `BENCH_core.json` so successive changes leave a
 //! performance trajectory that scripts can diff. A snapshot whose *shape*
 //! silently drifts (renamed field, string where a number belongs, empty
-//! backend roster) breaks every downstream diff without failing anything —
-//! so the emitter validates its own output against schema v7 right after
-//! writing, and CI runs the same check on the `--quick` smoke snapshot.
+//! backend roster) breaks every downstream diff without failing anything,
+//! so the emitter validates its own output right after writing, and CI
+//! runs the same check on its `--quick` smoke snapshots.
 //!
-//! Schema history: v2 extended v1 with per-backend `delete`/`set_weight`
-//! throughput plus the `plan_cache` and `fifo_window` observability blocks.
-//! Schema v3 added two blocks for the query-API redesign: `query_par`
-//! (threads, sequential and sharded `query_many` throughput, and the
-//! parallel speedup of `ShardedQuery` — recorded honestly even on
-//! single-core hosts where it degrades to ≈1×) and `decayed` (update
-//! throughput of the decayed-weight stream, whose periodic
-//! `ScaleAllWeights` makes `set_weight` cost visible end-to-end).
-//! Schema v4 instrumented the epoch-delta change journal: `plan_cache`
-//! gained `refreshes` (stale plans re-derived in place after weight-only
-//! churn — the journal's shrunk miss path), and the `mixed_regime` block
-//! records the interleaved update+query replay on the `odss-style` backend
-//! (rounds/s, items rematerialized by Θ(n) fallbacks, and the journal
-//! replay/fallback counters) — the regime the journal rewrite exists to fix.
-//! Schema v5 measured the radix-partitioned bulk build: the
-//! `bulk_load` block records `from_weights` throughput at n = 2^14 and
-//! n = 2^20 (fixed sizes, independent of `--n`), the per-item reference
-//! insert rate at 2^20, their ratio (`speedup`, the ≥3× acceptance bar),
-//! and `rebuild_ms` — the wall time of the single delete that fires the
-//! shrink-compaction rebuild, now itself a radix partition. The three
-//! replay blocks (`fifo_window`, `decayed`, `mixed_regime`) each gain
-//! `setup_ms`: initial-load time reported separately so bulk-build speed
-//! never hides inside a steady-state op rate.
-//! Schema v6 measured the durability path: the `snapshot` block
-//! records, at n = 2^20, the encoded image size (`bytes`), `save_ms` and
-//! `load_ms` for `snapshot()`/`from_snapshot`, the restored-image load rate
-//! (`load_items_per_sec` — the acceptance bar keeps it within 2× of the
-//! bulk-build rate, since the loader *is* the classify→carve→fill→derive
-//! bulk build), and `recover_ms`: `pss_core::recover` replaying a
-//! `journal_tail`-delta suffix (4096 deltas) from a durable log on top of
-//! the snapshot.
-//! Schema v7 (this PR) adds the cache-regime scaling tier: a top-level
-//! integer `nproc` (worker threads the host actually offers, so sharded
-//! speedups are interpretable), and the `scaling` block — a `packed`
-//! boolean naming the compiled arm, a `points` array with one
-//! entry per size (n ∈ {2^14, 2^17, 2^20, 2^23}; `--quick` keeps only
-//! 2^20) carrying insert/churn-pair/μ≈16-query op rates, the bulk-load
-//! items/s, and per-point space telemetry (`space_words` plus the arena
-//! residency split `live_words`/`parked_words`/`slack_words`), a
-//! `flatness` object with the smallest-to-largest per-op cost ratios
-//! (`insert_ratio`, `churn_ratio`, `query_ratio` — ≈1 is the O(1)/O(1+μ)
-//! story holding beyond L2), and `ab`: `null` in a single-arm run, or the
-//! `layout-baseline` arm's points plus the packed-over-baseline `speedups`
-//! for `query_mu16`, `churn_pair`, and `bulk_load` at the largest common n.
+//! The current shape, schema [`SCHEMA_VERSION`]:
+//!
+//! - top level: `schema`, `n_items` (the roster's item count), `quick`,
+//!   `unit` (always `"ops_per_sec"`);
+//! - `fifo_window` and `decayed`: the two update-stream replays on HALT,
+//!   each with its stream parameter (`window`, `scale_every`), update
+//!   `ops_per_sec` and initial-load `setup_ms`;
+//! - `bulk_load`: `from_weights` items/s at `n_small` = 2^14 and `n_large`
+//!   = 2^20, the per-item insert loop's rate at 2^20, their ratio
+//!   (`speedup`), and `rebuild_ms` for one shrink-compaction rebuild;
+//! - `snapshot`: at `n` = 2^20, the image size in `bytes`, `save_ms`,
+//!   `load_ms` and `load_items_per_sec`, and `recover_ms` for replaying a
+//!   `journal_tail`-delta durable log on top of the image;
+//! - `scaling`: `packed` (which layout arm was compiled), one `points`
+//!   entry per size with op rates and arena space telemetry, the
+//!   smallest-to-largest `flatness` cost ratios, and `ab` — `null` in a
+//!   single-arm run, or the `layout-baseline` arm's `baseline_points` plus
+//!   the packed-over-baseline `speedups` at the largest common n;
+//! - `backends`: one row per roster backend with the rates in
+//!   [`BACKEND_RATE_FIELDS`] and `space_words`.
 //!
 //! The workspace is offline (no serde), so this carries a deliberately tiny
 //! recursive-descent JSON reader: objects, arrays, strings (with escapes),
@@ -271,7 +247,11 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-/// Per-backend numeric throughput fields required by schema v7.
+/// The `schema` version `bench_core` emits and [`validate_bench_core`]
+/// accepts.
+pub const SCHEMA_VERSION: u32 = 8;
+
+/// Per-backend numeric throughput fields of every `backends[]` row.
 pub const BACKEND_RATE_FIELDS: [&str; 7] =
     ["insert", "churn_pair", "delete", "set_weight", "query_mu16", "query_batch16", "mixed_round"];
 
@@ -287,161 +267,103 @@ fn require_num(obj: &Json, field: &str, min: f64, path: &str) -> Result<f64, Str
     Ok(v)
 }
 
-/// Required numeric-rate fields of one `scaling.points[]` entry.
-const SCALING_POINT_RATES: [&str; 4] =
-    ["insert_ops", "churn_pair_ops", "query_mu16_ops", "bulk_items_per_sec"];
-
-/// Required integer space-telemetry fields of one `scaling.points[]` entry.
-const SCALING_POINT_SPACE: [&str; 4] = ["space_words", "live_words", "parked_words", "slack_words"];
-
-/// Validates one `scaling.points[]`-shaped array (also used for
-/// `ab.baseline_points`). Returns the points for cross-checks.
-fn validate_scaling_points<'a>(
-    scaling: &'a Json,
-    key: &str,
-    path: &str,
-) -> Result<&'a [Json], String> {
-    let points = match scaling.get(key) {
-        Some(Json::Arr(rows)) if !rows.is_empty() => rows,
-        Some(Json::Arr(_)) => return Err(format!("{path}: '{key}' is empty")),
-        _ => return Err(format!("{path}: missing array '{key}'")),
-    };
-    for (i, pt) in points.iter().enumerate() {
-        let p = format!("{path}.{key}[{i}]");
-        let n = require_num(pt, "n", 1.0, &p)?;
-        if n.fract() != 0.0 {
-            return Err(format!("{p}: 'n' = {n} is not an integer"));
-        }
-        for field in SCALING_POINT_RATES {
-            require_num(pt, field, 0.0, &p)?;
-        }
-        for field in SCALING_POINT_SPACE {
-            let v = require_num(pt, field, 0.0, &p)?;
-            if v.fract() != 0.0 {
-                return Err(format!("{p}: '{field}' = {v} is not an integer"));
-            }
-        }
+/// Requires `obj[field]` to be an integer with `v ≥ min`.
+fn require_int(obj: &Json, field: &str, min: f64, path: &str) -> Result<(), String> {
+    let v = require_num(obj, field, min, path)?;
+    if v.fract() != 0.0 {
+        return Err(format!("{path}: '{field}' = {v} is not an integer"));
     }
-    Ok(points)
+    Ok(())
 }
 
-/// Validates a `BENCH_core.json` document against schema v7:
-///
-/// - top level: `schema == 7`, integer `n_items ≥ 1`, integer `nproc ≥ 1`,
-///   boolean `quick`, `unit == "ops_per_sec"`, non-empty `backends` array;
-/// - `plan_cache`: finite non-negative `hits`, `misses`, and `refreshes`;
-/// - `fifo_window`: integer `window ≥ 1`, finite non-negative `ops_per_sec`
-///   and `setup_ms`;
-/// - `query_par`: integer `threads ≥ 1`, finite non-negative
-///   `seq_ops_per_sec` and `par_ops_per_sec`, finite non-negative `speedup`;
-/// - `decayed`: integer `scale_every ≥ 1`, finite non-negative
-///   `ops_per_sec` and `setup_ms`;
-/// - `mixed_regime`: finite non-negative `rounds_per_sec` and `setup_ms`,
-///   integer `rematerialized ≥ 0`, integer `replays ≥ 0`, integer
-///   `fallbacks ≥ 0`;
-/// - `bulk_load`: integers `n_small ≥ 1` and `n_large ≥ 1`, finite
-///   non-negative `small_items_per_sec`, `large_items_per_sec`,
-///   `per_op_items_per_sec`, `speedup`, and `rebuild_ms`;
-/// - `snapshot`: integers `n ≥ 1`, `bytes ≥ 1`, `journal_tail ≥ 0`, finite
-///   non-negative `save_ms`, `load_ms`, `recover_ms`, and
-///   `load_items_per_sec`;
-/// - `scaling`: boolean `packed`, a non-empty `points`
-///   array (per point: integer `n ≥ 1`, finite non-negative rates for every
-///   field in `SCALING_POINT_RATES`, integer space telemetry for every
-///   field in `SCALING_POINT_SPACE`), a `flatness` object with finite
-///   non-negative `insert_ratio`/`churn_ratio`/`query_ratio`, and `ab`:
-///   `null`, or an object with `baseline_points` (same shape as `points`)
-///   and a `speedups` object with finite non-negative `query_mu16`,
-///   `churn_pair`, and `bulk_load`;
-/// - each backend: non-empty string `name`, finite non-negative numbers for
-///   every field in [`BACKEND_RATE_FIELDS`] plus `space_words`.
-///
-/// Unknown extra fields are allowed (forward-compatible); missing or
-/// mistyped required fields are errors naming the offending path.
-pub fn validate_bench_core_v7(text: &str) -> Result<(), String> {
+/// Requires `doc[key]` to be an object.
+fn require_obj<'a>(doc: &'a Json, key: &str, path: &str) -> Result<&'a Json, String> {
+    match doc.get(key) {
+        Some(obj @ Json::Obj(_)) => Ok(obj),
+        _ => Err(format!("{path}: missing object '{key}'")),
+    }
+}
+
+/// Requires `doc[key]` to be a boolean.
+fn require_bool(doc: &Json, key: &str, path: &str) -> Result<(), String> {
+    match doc.get(key) {
+        Some(Json::Bool(_)) => Ok(()),
+        _ => Err(format!("{path}: missing boolean '{key}'")),
+    }
+}
+
+/// Requires `doc[key]` to be a non-empty array and returns its items.
+fn require_rows<'a>(doc: &'a Json, key: &str, path: &str) -> Result<&'a [Json], String> {
+    match doc.get(key) {
+        Some(Json::Arr(rows)) if !rows.is_empty() => Ok(rows),
+        Some(Json::Arr(_)) => Err(format!("{path}: '{key}' is empty")),
+        _ => Err(format!("{path}: missing array '{key}'")),
+    }
+}
+
+/// Validates one `scaling.points`-shaped array (also `ab.baseline_points`):
+/// per point an integer `n ≥ 1`, finite non-negative op rates, and integer
+/// space telemetry.
+fn validate_scaling_points(scaling: &Json, key: &str, path: &str) -> Result<(), String> {
+    for (i, pt) in require_rows(scaling, key, path)?.iter().enumerate() {
+        let p = format!("{path}.{key}[{i}]");
+        require_int(pt, "n", 1.0, &p)?;
+        for field in ["insert_ops", "churn_pair_ops", "query_mu16_ops", "bulk_items_per_sec"] {
+            require_num(pt, field, 0.0, &p)?;
+        }
+        for field in ["space_words", "live_words", "parked_words", "slack_words"] {
+            require_int(pt, field, 0.0, &p)?;
+        }
+    }
+    Ok(())
+}
+
+/// Validates a `BENCH_core.json` document against schema
+/// [`SCHEMA_VERSION`] (the shape is listed in the module docs). Counts and
+/// sizes must be integers, every rate, time and ratio a finite non-negative
+/// number. Unknown extra fields are allowed; missing or mistyped required
+/// fields are errors naming the offending path.
+pub fn validate_bench_core(text: &str) -> Result<(), String> {
     let doc = parse(text)?;
-    let schema = doc.get("schema").and_then(Json::as_num).ok_or("missing numeric 'schema'")?;
-    if schema != 7.0 {
-        return Err(format!("schema version {schema} is not 7"));
+    let top = "top level";
+    let schema = require_num(&doc, "schema", 0.0, top)?;
+    if schema != f64::from(SCHEMA_VERSION) {
+        return Err(format!("schema version {schema} is not {SCHEMA_VERSION}"));
     }
-    let n_items = doc.get("n_items").and_then(Json::as_num).ok_or("missing numeric 'n_items'")?;
-    if n_items < 1.0 || n_items.fract() != 0.0 {
-        return Err(format!("'n_items' must be a positive integer, got {n_items}"));
-    }
-    let nproc = require_num(&doc, "nproc", 1.0, "top level")?;
-    if nproc.fract() != 0.0 {
-        return Err(format!("'nproc' = {nproc} is not an integer"));
-    }
-    if !matches!(doc.get("quick"), Some(Json::Bool(_))) {
-        return Err("missing boolean 'quick'".into());
-    }
+    require_int(&doc, "n_items", 1.0, top)?;
+    require_bool(&doc, "quick", top)?;
     if doc.get("unit").and_then(Json::as_str) != Some("ops_per_sec") {
         return Err("'unit' must be \"ops_per_sec\"".into());
     }
-    let pc = doc.get("plan_cache").ok_or("missing object 'plan_cache'")?;
-    require_num(pc, "hits", 0.0, "plan_cache")?;
-    require_num(pc, "misses", 0.0, "plan_cache")?;
-    require_num(pc, "refreshes", 0.0, "plan_cache")?;
-    let fw = doc.get("fifo_window").ok_or("missing object 'fifo_window'")?;
-    let window = require_num(fw, "window", 1.0, "fifo_window")?;
-    if window.fract() != 0.0 {
-        return Err(format!("fifo_window: 'window' = {window} is not an integer"));
+    for (block, param) in [("fifo_window", "window"), ("decayed", "scale_every")] {
+        let b = require_obj(&doc, block, top)?;
+        require_int(b, param, 1.0, block)?;
+        require_num(b, "ops_per_sec", 0.0, block)?;
+        require_num(b, "setup_ms", 0.0, block)?;
     }
-    require_num(fw, "ops_per_sec", 0.0, "fifo_window")?;
-    require_num(fw, "setup_ms", 0.0, "fifo_window")?;
-    let qp = doc.get("query_par").ok_or("missing object 'query_par'")?;
-    let threads = require_num(qp, "threads", 1.0, "query_par")?;
-    if threads.fract() != 0.0 {
-        return Err(format!("query_par: 'threads' = {threads} is not an integer"));
+    let bl = require_obj(&doc, "bulk_load", top)?;
+    require_int(bl, "n_small", 1.0, "bulk_load")?;
+    require_int(bl, "n_large", 1.0, "bulk_load")?;
+    for field in [
+        "small_items_per_sec",
+        "large_items_per_sec",
+        "per_op_items_per_sec",
+        "speedup",
+        "rebuild_ms",
+    ] {
+        require_num(bl, field, 0.0, "bulk_load")?;
     }
-    require_num(qp, "seq_ops_per_sec", 0.0, "query_par")?;
-    require_num(qp, "par_ops_per_sec", 0.0, "query_par")?;
-    require_num(qp, "speedup", 0.0, "query_par")?;
-    let dc = doc.get("decayed").ok_or("missing object 'decayed'")?;
-    let scale_every = require_num(dc, "scale_every", 1.0, "decayed")?;
-    if scale_every.fract() != 0.0 {
-        return Err(format!("decayed: 'scale_every' = {scale_every} is not an integer"));
+    let sn = require_obj(&doc, "snapshot", top)?;
+    require_int(sn, "n", 1.0, "snapshot")?;
+    require_int(sn, "bytes", 1.0, "snapshot")?;
+    require_int(sn, "journal_tail", 0.0, "snapshot")?;
+    for field in ["save_ms", "load_ms", "recover_ms", "load_items_per_sec"] {
+        require_num(sn, field, 0.0, "snapshot")?;
     }
-    require_num(dc, "ops_per_sec", 0.0, "decayed")?;
-    require_num(dc, "setup_ms", 0.0, "decayed")?;
-    let mr = doc.get("mixed_regime").ok_or("missing object 'mixed_regime'")?;
-    require_num(mr, "rounds_per_sec", 0.0, "mixed_regime")?;
-    require_num(mr, "setup_ms", 0.0, "mixed_regime")?;
-    for field in ["rematerialized", "replays", "fallbacks"] {
-        let v = require_num(mr, field, 0.0, "mixed_regime")?;
-        if v.fract() != 0.0 {
-            return Err(format!("mixed_regime: '{field}' = {v} is not an integer"));
-        }
-    }
-    let bl = doc.get("bulk_load").ok_or("missing object 'bulk_load'")?;
-    for field in ["n_small", "n_large"] {
-        let v = require_num(bl, field, 1.0, "bulk_load")?;
-        if v.fract() != 0.0 {
-            return Err(format!("bulk_load: '{field}' = {v} is not an integer"));
-        }
-    }
-    require_num(bl, "small_items_per_sec", 0.0, "bulk_load")?;
-    require_num(bl, "large_items_per_sec", 0.0, "bulk_load")?;
-    require_num(bl, "per_op_items_per_sec", 0.0, "bulk_load")?;
-    require_num(bl, "speedup", 0.0, "bulk_load")?;
-    require_num(bl, "rebuild_ms", 0.0, "bulk_load")?;
-    let sn = doc.get("snapshot").ok_or("missing object 'snapshot'")?;
-    for (field, min) in [("n", 1.0), ("bytes", 1.0), ("journal_tail", 0.0)] {
-        let v = require_num(sn, field, min, "snapshot")?;
-        if v.fract() != 0.0 {
-            return Err(format!("snapshot: '{field}' = {v} is not an integer"));
-        }
-    }
-    require_num(sn, "save_ms", 0.0, "snapshot")?;
-    require_num(sn, "load_ms", 0.0, "snapshot")?;
-    require_num(sn, "recover_ms", 0.0, "snapshot")?;
-    require_num(sn, "load_items_per_sec", 0.0, "snapshot")?;
-    let sc = doc.get("scaling").ok_or("missing object 'scaling'")?;
-    if !matches!(sc.get("packed"), Some(Json::Bool(_))) {
-        return Err("scaling: missing boolean 'packed'".to_string());
-    }
+    let sc = require_obj(&doc, "scaling", top)?;
+    require_bool(sc, "packed", "scaling")?;
     validate_scaling_points(sc, "points", "scaling")?;
-    let fl = sc.get("flatness").ok_or("scaling: missing object 'flatness'")?;
+    let fl = require_obj(sc, "flatness", "scaling")?;
     for field in ["insert_ratio", "churn_ratio", "query_ratio"] {
         require_num(fl, field, 0.0, "scaling.flatness")?;
     }
@@ -449,29 +371,24 @@ pub fn validate_bench_core_v7(text: &str) -> Result<(), String> {
         Some(Json::Null) => {}
         Some(ab @ Json::Obj(_)) => {
             validate_scaling_points(ab, "baseline_points", "scaling.ab")?;
-            let sp = ab.get("speedups").ok_or("scaling.ab: missing object 'speedups'")?;
+            let sp = require_obj(ab, "speedups", "scaling.ab")?;
             for field in ["query_mu16", "churn_pair", "bulk_load"] {
                 require_num(sp, field, 0.0, "scaling.ab.speedups")?;
             }
         }
         _ => return Err("scaling: 'ab' must be null or an object".into()),
     }
-    let backends = match doc.get("backends") {
-        Some(Json::Arr(rows)) if !rows.is_empty() => rows,
-        Some(Json::Arr(_)) => return Err("'backends' is empty".into()),
-        _ => return Err("missing array 'backends'".into()),
-    };
-    for (i, row) in backends.iter().enumerate() {
+    for (i, row) in require_rows(&doc, "backends", top)?.iter().enumerate() {
         let name = row
             .get("name")
             .and_then(Json::as_str)
-            .ok_or_else(|| format!("backends[{i}]: missing string 'name'"))?;
-        if name.is_empty() {
-            return Err(format!("backends[{i}]: empty 'name'"));
+            .filter(|name| !name.is_empty())
+            .ok_or_else(|| format!("backends[{i}]: missing non-empty string 'name'"))?;
+        let path = format!("backends[{i}] ({name})");
+        for field in BACKEND_RATE_FIELDS {
+            require_num(row, field, 0.0, &path)?;
         }
-        for field in BACKEND_RATE_FIELDS.iter().chain(std::iter::once(&"space_words")) {
-            require_num(row, field, 0.0, &format!("backends[{i}] ({name})"))?;
-        }
+        require_int(row, "space_words", 0.0, &path)?;
     }
     Ok(())
 }
@@ -481,15 +398,9 @@ mod tests {
     use super::*;
 
     const GOOD: &str = r#"{
-      "schema": 7, "n_items": 4096, "nproc": 1, "quick": true, "unit": "ops_per_sec",
-      "plan_cache": {"hits": 48, "misses": 16, "refreshes": 16},
+      "schema": 8, "n_items": 4096, "quick": true, "unit": "ops_per_sec",
       "fifo_window": {"window": 1024, "ops_per_sec": 5.0e6, "setup_ms": 0.0},
-      "query_par": {"threads": 8, "seq_ops_per_sec": 5.0e4,
-                    "par_ops_per_sec": 1.5e5, "speedup": 3.0},
       "decayed": {"scale_every": 256, "ops_per_sec": 2.0e6, "setup_ms": 0.4},
-      "mixed_regime": {"rounds_per_sec": 2.5e4, "setup_ms": 1.2,
-                       "rematerialized": 4096,
-                       "replays": 4000, "fallbacks": 1},
       "bulk_load": {"n_small": 16384, "small_items_per_sec": 8.0e7,
                     "n_large": 1048576, "large_items_per_sec": 6.5e7,
                     "per_op_items_per_sec": 1.8e7, "speedup": 3.6,
@@ -526,119 +437,63 @@ mod tests {
 
     #[test]
     fn accepts_a_valid_snapshot() {
-        validate_bench_core_v7(GOOD).unwrap();
+        validate_bench_core(GOOD).unwrap();
+        // A single-arm run has no A/B block.
+        let ab = GOOD.find("\"ab\": {").expect("marker in GOOD");
+        let backends = GOOD.find("\n      \"backends\"").expect("marker in GOOD");
+        let single = format!("{}\"ab\": null}},{}", &GOOD[..ab], &GOOD[backends..]);
+        validate_bench_core(&single).unwrap();
     }
 
     #[test]
     fn rejects_shape_drift() {
-        // Wrong version.
-        assert!(validate_bench_core_v7(&GOOD.replace("\"schema\": 7", "\"schema\": 6")).is_err());
-        // Missing v1 field.
-        assert!(validate_bench_core_v7(&GOOD.replace("\"query_mu16\": 3.0,", "")).is_err());
-        // Missing v2 update-path field.
-        assert!(validate_bench_core_v7(&GOOD.replace("\"delete\": 6.0,", "")).is_err());
-        assert!(validate_bench_core_v7(&GOOD.replace("\"set_weight\": 7.0,", "")).is_err());
-        // Missing observability blocks.
-        assert!(validate_bench_core_v7(
-            &GOOD.replace("\"plan_cache\": {\"hits\": 48, \"misses\": 16, \"refreshes\": 16},", "")
-        )
-        .is_err());
-        assert!(validate_bench_core_v7(&GOOD.replace(
-            "\"fifo_window\": {\"window\": 1024, \"ops_per_sec\": 5.0e6, \"setup_ms\": 0.0},",
-            ""
-        ))
-        .is_err());
-        // Missing v3 blocks.
-        assert!(validate_bench_core_v7(
-            &GOOD.replace(
-                "\"query_par\": {\"threads\": 8, \"seq_ops_per_sec\": 5.0e4,\n                    \"par_ops_per_sec\": 1.5e5, \"speedup\": 3.0},",
-                ""
-            )
-        )
-        .is_err());
-        assert!(validate_bench_core_v7(&GOOD.replace(
-            "\"decayed\": {\"scale_every\": 256, \"ops_per_sec\": 2.0e6, \"setup_ms\": 0.4},",
-            ""
-        ))
-        .is_err());
-        // Missing v4 instrumentation.
-        assert!(validate_bench_core_v7(&GOOD.replace(", \"refreshes\": 16", "")).is_err());
-        assert!(validate_bench_core_v7(&GOOD.replace("\"rematerialized\": 4096,", "")).is_err());
-        assert!(validate_bench_core_v7(&GOOD.replace("\"replays\": 4000", "\"replays\": 4000.5"))
-            .is_err());
-        // Missing v5 instrumentation: the bulk_load block, any field inside
-        // it, and the setup_ms split on the replay blocks.
-        assert!(validate_bench_core_v7(
-            &GOOD.replace(
-                "\"bulk_load\": {\"n_small\": 16384, \"small_items_per_sec\": 8.0e7,\n                    \"n_large\": 1048576, \"large_items_per_sec\": 6.5e7,\n                    \"per_op_items_per_sec\": 1.8e7, \"speedup\": 3.6,\n                    \"rebuild_ms\": 2.5},",
-                ""
-            )
-        )
-        .is_err());
-        assert!(validate_bench_core_v7(&GOOD.replace("\"rebuild_ms\": 2.5", "\"rebuild_ms\": -1"))
-            .is_err());
-        assert!(validate_bench_core_v7(&GOOD.replace("\"n_large\": 1048576", "\"n_large\": 2.5"))
-            .is_err());
-        assert!(validate_bench_core_v7(&GOOD.replace(", \"setup_ms\": 0.4", "")).is_err());
-        assert!(validate_bench_core_v7(&GOOD.replace("\"setup_ms\": 1.2,", "")).is_err());
-        // Missing field inside a v3 block.
-        assert!(validate_bench_core_v7(&GOOD.replace("\"speedup\": 3.0", "\"speedup\": \"3x\""))
-            .is_err());
-        // Fractional integers.
-        assert!(
-            validate_bench_core_v7(&GOOD.replace("\"window\": 1024", "\"window\": 2.5")).is_err()
-        );
-        assert!(
-            validate_bench_core_v7(&GOOD.replace("\"threads\": 8", "\"threads\": 1.5")).is_err()
-        );
-        // Missing v6 instrumentation: the snapshot block and any field
-        // inside it; its counts must be integral and its timings finite.
-        assert!(validate_bench_core_v7(
-            &GOOD.replace(
-                "\"snapshot\": {\"n\": 1048576, \"bytes\": 25165824, \"journal_tail\": 4096,\n                   \"save_ms\": 4.0, \"load_ms\": 12.0, \"recover_ms\": 13.0,\n                   \"load_items_per_sec\": 8.0e7},",
-                ""
-            )
-        )
-        .is_err());
-        assert!(validate_bench_core_v7(&GOOD.replace("\"recover_ms\": 13.0,", "")).is_err());
-        assert!(
-            validate_bench_core_v7(&GOOD.replace("\"bytes\": 25165824", "\"bytes\": 0")).is_err()
-        );
-        assert!(
-            validate_bench_core_v7(&GOOD.replace("\"bytes\": 25165824", "\"bytes\": 2.5")).is_err()
-        );
-        assert!(validate_bench_core_v7(
-            &GOOD.replace("\"journal_tail\": 4096", "\"journal_tail\": -1")
-        )
-        .is_err());
-        assert!(validate_bench_core_v7(&GOOD.replace("\"load_ms\": 12.0", "\"load_ms\": -0.5"))
-            .is_err());
-        // String where a number belongs.
-        assert!(validate_bench_core_v7(&GOOD.replace("\"insert\": 1.5e6", "\"insert\": \"fast\""))
-            .is_err());
-        // Empty roster.
-        let empty = r#"{"schema": 6, "n_items": 1, "quick": false,
-                        "unit": "ops_per_sec",
-                        "plan_cache": {"hits": 0, "misses": 0, "refreshes": 0},
-                        "fifo_window": {"window": 16, "ops_per_sec": 1.0, "setup_ms": 0.0},
-                        "query_par": {"threads": 1, "seq_ops_per_sec": 1.0,
-                                      "par_ops_per_sec": 1.0, "speedup": 1.0},
-                        "decayed": {"scale_every": 16, "ops_per_sec": 1.0, "setup_ms": 0.0},
-                        "mixed_regime": {"rounds_per_sec": 1.0, "setup_ms": 0.0,
-                                         "rematerialized": 0,
-                                         "replays": 0, "fallbacks": 0},
-                        "bulk_load": {"n_small": 16, "small_items_per_sec": 1.0,
-                                      "n_large": 32, "large_items_per_sec": 1.0,
-                                      "per_op_items_per_sec": 1.0, "speedup": 1.0,
-                                      "rebuild_ms": 0.0},
-                        "snapshot": {"n": 16, "bytes": 1, "journal_tail": 0,
-                                     "save_ms": 0.0, "load_ms": 0.0,
-                                     "recover_ms": 0.0,
-                                     "load_items_per_sec": 1.0},
-                        "backends": []}"#;
-        assert!(validate_bench_core_v7(empty).is_err());
+        let drifted = |from: &str, to: &str| {
+            assert!(GOOD.contains(from), "test edit {from:?} matches nothing");
+            validate_bench_core(&GOOD.replace(from, to))
+        };
+        // Wrong version: the previous shape is not accepted.
+        assert!(drifted("\"schema\": 8", "\"schema\": 7").is_err());
+        // Missing top-level fields.
+        assert!(drifted("\"n_items\": 4096,", "").is_err());
+        assert!(drifted("\"quick\": true,", "").is_err());
+        assert!(drifted("\"ops_per_sec\",", "\"ns\",").is_err());
+        // Missing blocks.
+        for block in ["fifo_window", "decayed", "bulk_load", "snapshot", "scaling"] {
+            assert!(drifted(&format!("\"{block}\""), "\"renamed\"").is_err(), "{block}");
+        }
+        // Missing or mistyped fields inside a block.
+        assert!(drifted(", \"setup_ms\": 0.4", "").is_err());
+        assert!(drifted("\"recover_ms\": 13.0,", "").is_err());
+        assert!(drifted("\"rebuild_ms\": 2.5", "\"rebuild_ms\": -1").is_err());
+        assert!(drifted("\"load_ms\": 12.0", "\"load_ms\": -0.5").is_err());
+        assert!(drifted("\"speedup\": 3.6", "\"speedup\": \"3x\"").is_err());
+        assert!(drifted("\"packed\": true", "\"packed\": 1").is_err());
+        assert!(drifted("\"query_ratio\": 1.7", "\"query_ratio\": null").is_err());
+        assert!(drifted("\"churn_pair\": 1.66,", "").is_err());
+        // Counts and sizes must be integers in range.
+        assert!(drifted("\"window\": 1024", "\"window\": 2.5").is_err());
+        assert!(drifted("\"scale_every\": 256", "\"scale_every\": 0").is_err());
+        assert!(drifted("\"n_large\": 1048576", "\"n_large\": 2.5").is_err());
+        assert!(drifted("\"bytes\": 25165824", "\"bytes\": 0").is_err());
+        assert!(drifted("\"bytes\": 25165824", "\"bytes\": 2.5").is_err());
+        assert!(drifted("\"journal_tail\": 4096", "\"journal_tail\": -1").is_err());
+        assert!(drifted("\"slack_words\": 40000", "\"slack_words\": 0.5").is_err());
+        assert!(drifted("\"space_words\": 99", "\"space_words\": 9.9").is_err());
+        // Roster rows.
+        assert!(drifted("\"query_mu16\": 3.0,", "").is_err());
+        assert!(drifted("\"delete\": 6.0,", "").is_err());
+        assert!(drifted("\"insert\": 1.5e6", "\"insert\": \"fast\"").is_err());
+        assert!(drifted("\"name\": \"halt\"", "\"name\": \"\"").is_err());
+        // Empty point list and empty roster.
+        let points = GOOD.find("\"points\": [").expect("marker in GOOD");
+        let flatness = GOOD.find("\"flatness\"").expect("marker in GOOD");
+        let no_points = format!("{}\"points\": [],\n{}", &GOOD[..points], &GOOD[flatness..]);
+        assert!(validate_bench_core(&no_points).is_err());
+        let backends = GOOD.find("\"backends\": [").expect("marker in GOOD");
+        let no_rows = format!("{}\"backends\": []}}", &GOOD[..backends]);
+        assert!(validate_bench_core(&no_rows).is_err());
         // Not JSON at all.
-        assert!(validate_bench_core_v7("{").is_err());
+        assert!(validate_bench_core("{").is_err());
     }
 
     #[test]
@@ -659,9 +514,9 @@ mod tests {
 
     #[test]
     fn committed_snapshot_is_valid() {
-        // The repository's own BENCH_core.json must always pass schema v7.
+        // The repository's own BENCH_core.json must pass the current schema.
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_core.json");
         let text = std::fs::read_to_string(path).expect("committed BENCH_core.json");
-        validate_bench_core_v7(&text).expect("committed snapshot violates schema v7");
+        validate_bench_core(&text).expect("committed snapshot violates the current schema");
     }
 }

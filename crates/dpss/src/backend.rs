@@ -11,8 +11,7 @@
 //! Queries go through the shared-read surface (`&self` + [`QueryCtx`]):
 //! the trait's `query`/`query_many` delegate to
 //! [`DpssSampler::query_in`] / [`DeamortizedDpss::query_in`], so one shared
-//! sampler can serve many contexts — including `pss_core::ShardedQuery`'s
-//! thread-per-chunk workers.
+//! sampler can serve many contexts, one per caller thread if need be.
 //!
 //! Handles are the samplers' own ids re-wrapped as the opaque
 //! [`pss_core::Handle`]; both directions are free (`raw`/`from_raw`).
@@ -47,10 +46,9 @@ impl PssBackend for DpssSampler {
             .collect()
     }
 
-    // `query_many` deliberately uses the trait's default batch-stream loop:
-    // the per-context (α, β) plan cache inside `query_in` already gives
-    // batches their cross-query reuse, so an override would duplicate the
-    // default verbatim.
+    // `query_many` uses the trait's default batch-stream loop: the
+    // per-context (α, β) plan cache inside `query_in` already gives batches
+    // their cross-query reuse, so an override would duplicate the default.
 
     fn len(&self) -> usize {
         DpssSampler::len(self)
@@ -112,8 +110,8 @@ impl PssBackend for DeamortizedDpss {
 
     // `query_many` uses the trait's default batch-stream loop. Hoisting the
     // per-query Σw → BigUint conversion out of a batch would save a handful
-    // of word ops — not worth deviating from the shared stream discipline
-    // that keeps `ShardedQuery` bit-identical to the sequential path.
+    // of word ops — not worth a second copy of the per-index stream
+    // discipline that makes batch answers index-deterministic.
 
     fn len(&self) -> usize {
         DeamortizedDpss::len(self)

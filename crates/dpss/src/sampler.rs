@@ -8,8 +8,8 @@
 //! lookup-table rows, and the per-`(α, β)` plan cache all live in the
 //! caller's context (keyed by this sampler's instance id and validated
 //! against its mutation epoch), so independent queries can run concurrently
-//! over one shared sampler — see `pss_core::ShardedQuery`. There is no
-//! other query surface: a caller that wants one continuous stream keeps one
+//! over one shared sampler, each on its own context. There is no other
+//! query surface: a caller that wants one continuous stream keeps one
 //! context and queries through it.
 
 use crate::item::ItemId;
@@ -34,9 +34,8 @@ use wordram::SpaceUsage;
 const N0_FLOOR: usize = 16;
 
 /// Capacity of the per-`(α, β)` query-plan cache. Sized to hold a whole
-/// `query_many` batch of distinct parameter pairs (the bench drives 16) with
-/// headroom — a batch larger than the cache would otherwise evict its own
-/// entries FIFO and never hit.
+/// `query_many` batch of a few dozen distinct parameter pairs — a batch
+/// larger than the cache evicts its own entries FIFO and never hits.
 const PLAN_CACHE: usize = 32;
 
 /// A cached per-`(α, β)` query plan: the exact total weight `W`, its
@@ -321,8 +320,8 @@ impl DpssSampler {
     /// the journal-driven middle path for weight-only churn, which skips the
     /// key clone and cache eviction of a miss and keeps the memoized lookup
     /// table. Degenerate `W = 0` queries bypass the cache and count as none
-    /// of the three. Observability hook — snapshotted by `bench_core` so
-    /// cache regressions show in the perf trajectory.
+    /// of the three. Observability hook — read by perfbench's
+    /// `dpss.sampler.plan_*` metrics.
     pub fn plan_cache_stats_in(&self, ctx: &QueryCtx) -> (u64, u64, u64) {
         ctx.state_ref::<PlanState>(self.instance)
             .map_or((0, 0, 0), |st| (st.hits, st.misses, st.refreshes))

@@ -18,19 +18,21 @@
 //!
 //! With that split, `PssBackend::query` takes `&self` + `&mut QueryCtx`:
 //! many threads can each hold their own context and query one shared `&B`
-//! concurrently — the door [`crate::ShardedQuery`] walks through.
+//! concurrently.
 //!
 //! ## Batch stream discipline
 //!
 //! `query_many` does **not** thread one RNG stream through the batch.
 //! Instead the context derives an independent stream per query *index*
 //! (seeded from `(ctx seed, batch counter, index)` — see
-//! [`QueryCtx::select_stream`]). Because the derivation depends only on
-//! values every worker can compute, a batch partitioned across any number of
-//! threads reproduces the sequential result bit for bit. Backend overrides
-//! of `query_many` must preserve this discipline (hoisting *deterministic,
-//! RNG-free* setup out of the loop is fine; reordering or skipping
-//! `select_stream` is not).
+//! [`QueryCtx::select_stream`]). The derivation depends only on those three
+//! values, never on what the context drew or cached before, so a batch's
+//! output is index-deterministic: a caller may answer its indices in any
+//! order, or split them over same-seeded contexts on its own threads,
+//! calling `select_stream(batch, i)` before each query, and reproduce the
+//! sequential result bit for bit. Backend overrides of `query_many` must
+//! preserve this discipline (hoisting *deterministic, RNG-free* setup out
+//! of the loop is fine; reordering or skipping `select_stream` is not).
 
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
@@ -66,7 +68,8 @@ fn splitmix(mut z: u64) -> u64 {
 
 /// The seed of the derived RNG stream for query `index` of batch `batch`
 /// under context seed `seed`. Pure function of its arguments — this is what
-/// makes sharded batches bit-identical to sequential ones.
+/// makes a batch's answers independent of the order and the context that
+/// compute them.
 pub fn stream_seed(seed: u64, batch: u64, index: u64) -> u64 {
     splitmix(seed ^ splitmix(batch ^ 0xA076_1D64_78BD_642F) ^ splitmix(index))
 }
@@ -180,8 +183,9 @@ impl QueryCtx {
     }
 
     /// Claims the next batch number. `query_many` implementations call this
-    /// once per batch; [`crate::ShardedQuery`] keeps its own counter in
-    /// lockstep so parallel and sequential batches derive identical streams.
+    /// once per batch. The counter starts at 0 and advances by one per call,
+    /// so a caller answering batch `b` on other contexts selects
+    /// `(b, i)` streams there and gets the same answers.
     pub fn begin_batch(&mut self) -> u64 {
         let b = self.next_batch;
         self.next_batch += 1;

@@ -17,14 +17,15 @@
 //! - [`PssBackend`]: `&mut self` updates, **`&self` queries** with an
 //!   explicit [`QueryCtx`] holding all read-path mutable state;
 //! - [`QueryCtx`]: the caller-owned context (RNG stream + per-backend plan
-//!   caches/memoizations) that makes shared-read queries possible;
+//!   caches/memoizations) that makes shared-read queries possible, and
+//!   whose per-index batch streams ([`stream_seed`]) make a `query_many`
+//!   batch's answers independent of the order and the thread that compute
+//!   them;
 //! - [`ChangeJournal`]: the bounded epoch-stamped ring of fine-grained
 //!   [`Delta`]s a backend appends to on its update path, with the
 //!   [`ChangeJournal::catch_up`] revalidation API through which per-context
 //!   read-path state patches itself forward in O(deltas) instead of
 //!   rebuilding Θ(n);
-//! - [`ShardedQuery`]: the parallel `query_many` front-end built on the
-//!   shared-read split — bit-identical to sequential at any thread count;
 //! - [`Handle`]: the opaque item identifier shared by every backend;
 //! - [`SeedableBackend`]: the uniform seeding surface (deterministic
 //!   construction from a `u64` seed);
@@ -45,12 +46,10 @@ use wordram::narrow;
 mod ctx;
 pub mod fault;
 mod journal;
-mod shard;
 mod snapshot;
 
 pub use ctx::{fresh_backend_id, stream_seed, CtxRng, QueryCtx};
 pub use journal::{ChangeJournal, Delta, DeltaReplay, Replay, DEFAULT_JOURNAL_CAPACITY};
-pub use shard::ShardedQuery;
 pub use snapshot::{
     kind, recover, Dec, Enc, RecoverError, SnapshotError, SnapshotReader, SnapshotWriter,
     Snapshottable, FORMAT_VERSION, MAGIC,
@@ -108,7 +107,7 @@ impl std::fmt::Display for Handle {
 /// HALT's `(α, β)` plan cache, the ODSS baselines' materialized buckets).
 /// Queries mutate nothing in the structure, so independent queries may run
 /// concurrently over one shared backend, each thread holding its own
-/// context — that is what [`ShardedQuery`] does.
+/// context.
 ///
 /// Every sampler in the workspace implements this trait, which is what lets
 /// the benches, the workload drivers, and the agreement tests treat HALT, its
@@ -117,8 +116,8 @@ impl std::fmt::Display for Handle {
 ///
 /// `Send + Sync` are supertraits: with every piece of query-time mutable
 /// state evicted into [`QueryCtx`], a conforming backend is plain shared
-/// data, and requiring it here is what lets [`ShardedQuery`] fan out over
-/// `&dyn PssBackend` without per-callsite bounds.
+/// data, so a caller can hand one `&dyn PssBackend` to its own threads
+/// without per-callsite bounds.
 pub trait PssBackend: SpaceUsage + Send + Sync {
     /// Inserts an item with the given weight, returning its handle.
     fn insert(&mut self, weight: u64) -> Handle;
@@ -146,11 +145,13 @@ pub trait PssBackend: SpaceUsage + Send + Sync {
     ///
     /// The default implementation follows the **batch stream discipline**
     /// (see [`QueryCtx`] docs): query `i` runs on an RNG stream derived from
-    /// `(ctx seed, batch, i)`, which is what makes [`ShardedQuery`]
-    /// bit-identical to this sequential loop at any thread count. Overrides
-    /// may hoist deterministic RNG-free setup out of the loop (HALT-style
-    /// structures reuse the per-`(α, β)` plans cached in `ctx` anyway), but
-    /// must keep the same per-index stream selection.
+    /// `(ctx seed, batch, i)` alone, so the output is index-deterministic:
+    /// a caller that selects the same `(batch, i)` streams itself — for any
+    /// subset of the indices, in any order, on any context built from the
+    /// same seed (one per thread, say) — gets each index's answer bit for
+    /// bit. Overrides may hoist deterministic RNG-free setup out of the loop
+    /// (HALT-style structures reuse the per-`(α, β)` plans cached in `ctx`
+    /// anyway), but must keep the same per-index stream selection.
     fn query_many(&self, ctx: &mut QueryCtx, params: &[(Ratio, Ratio)]) -> Vec<Vec<Handle>> {
         let batch = ctx.begin_batch();
         params

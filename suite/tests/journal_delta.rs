@@ -14,7 +14,7 @@
 use baselines::{OdssStyle, PssBackend, SeedableBackend};
 use bignum::Ratio;
 use dpss::DpssSampler;
-use pss_core::{QueryCtx, ShardedQuery, DEFAULT_JOURNAL_CAPACITY};
+use pss_core::{QueryCtx, DEFAULT_JOURNAL_CAPACITY};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -220,10 +220,10 @@ fn dyn_graph_per_node_ctxs_catch_up_over_odss() {
     assert!(hits[2] > 0 && hits[3] > 0);
 }
 
-/// `ShardedQuery` workers catch up through the same journal API: a sharded
-/// batch over `odss-style` stays bit-identical to the sequential loop
-/// across update epochs at any thread count, with each worker context
-/// patching (or building) its own materialization independently.
+/// A second persistent context catches up through the same journal API: it
+/// answers each batch's indices in reverse through `select_stream`, patching
+/// (or building) its own materialization independently, and stays
+/// bit-identical to the sequential `query_many` across update epochs.
 #[test]
 fn sharded_odss_stays_bit_identical_across_updates() {
     let mut o = OdssStyle::with_seed(4);
@@ -235,15 +235,18 @@ fn sharded_odss_stays_bit_identical_across_updates() {
     let params: Vec<(Ratio, Ratio)> =
         (0..12u64).map(|i| (Ratio::from_u64s(1, 2 + i % 4), Ratio::zero())).collect();
     let mut seq_ctx = QueryCtx::new(77);
-    let mut sharded2 = ShardedQuery::new(77, 2);
-    let mut sharded8 = ShardedQuery::new(77, 8);
-    for _ in 0..6 {
+    let mut rev_ctx = QueryCtx::new(77);
+    for batch in 0..6u64 {
         for _ in 0..10 {
             apply_update(&mut o, &mut live, &mut rng);
         }
         let seq = o.query_many(&mut seq_ctx, &params);
-        assert_eq!(sharded2.query_many(&o, &params), seq, "2 threads diverged");
-        assert_eq!(sharded8.query_many(&o, &params), seq, "8 threads diverged");
+        let mut rev = vec![Vec::new(); params.len()];
+        for (i, (a, b)) in params.iter().enumerate().rev() {
+            rev_ctx.select_stream(batch, i as u64);
+            rev[i] = o.query(&mut rev_ctx, a, b);
+        }
+        assert_eq!(rev, seq, "batch {batch}: reverse-order context diverged");
     }
-    assert!(o.replays() > 0, "persistent worker contexts must patch forward");
+    assert!(o.replays() > 0, "persistent contexts must patch forward");
 }
