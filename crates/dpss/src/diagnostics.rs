@@ -109,6 +109,12 @@ fn collect_level1(l1: &Level1) -> [LevelStats; 3] {
 }
 
 impl DpssSampler {
+    /// The level-1 structure, read-only: the item buckets, their non-empty
+    /// bucket and group bitsets, and the node pool below them.
+    pub fn level1(&self) -> &Level1 {
+        &self.level1
+    }
+
     /// Collects a full structural snapshot in O(capacity).
     pub fn stats(&self) -> StructureStats {
         StructureStats {

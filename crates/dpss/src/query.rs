@@ -14,6 +14,19 @@
 //!   sampling ([`extract_items`], Algorithm 5); the recursion bottoms out at
 //!   the lookup table (§4.3–4.4).
 //!
+//! **Sparse level-1 groups open in place.** The recursion exists so that a
+//! significant group costs O(1) however many buckets it holds. A level-1
+//! group with at most [`IN_PLACE_BUCKETS`] non-empty buckets (4, the group
+//! width at the size floor) needs none of it: each of its buckets is opened
+//! directly, as a candidate with probability 1 — `B-Geo(p_b, n_b+1)` to the
+//! first potential item, `p_b = min(1, 2^{b+1}/W)`, then the usual walk —
+//! so every item is still included independently with probability exactly
+//! `p_b·w_x/2^{b+1} = w_x/W`, at O(1 + μ_group) cost for a constant number
+//! of buckets. Samplers of a few items (the many tiny neighbourhood samplers
+//! of the graph applications) then skip the level-2/3 thresholds, the
+//! insignificant instances, the lookup table and two extract passes. Levels
+//! 2 and 3 always recurse (see `query_level1_into`).
+//!
 //! Every acceptance probability is an exact rational, so the returned subset
 //! has exactly the distribution `Π_x Ber(p_x(α,β))`.
 //!
@@ -57,7 +70,8 @@
 
 use crate::item::ItemId;
 use crate::lookup::{LookupTable, MAX_K};
-use crate::structure::{pow2_scaled, pow2f, Level1, LevelView, NodeView};
+use crate::sampler::N0_FLOOR;
+use crate::structure::{pow2_scaled, pow2f, Level1, LevelView, NodeView, L1_BUCKETS};
 use bignum::{BigUint, Ratio};
 use rand::RngCore;
 use randvar::{
@@ -415,17 +429,32 @@ pub fn extract_items<V: LevelView, R: RngCore + Clone>(
     candidate_buckets: &[u16],
 ) -> Vec<V::Id> {
     let mut out = Vec::new();
-    extract_items_into(view, rng, w, accel, candidate_buckets, &mut out);
+    extract_items_into(view, rng, w, accel, candidate_buckets, Opening::Proxy, &mut out);
     out
 }
 
-/// [`extract_items`] appending to `out`.
+/// How the buckets handed to [`extract_items_into`] became candidates.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Opening {
+    /// Sampled as next-level proxies: bucket `b` is a candidate with
+    /// probability `min(1, 2^{b+1}·n_b/W)` (Algorithm 5).
+    Proxy,
+    /// Every non-empty bucket of a sparse level-1 group, each a candidate
+    /// with probability 1 (see [`query_level1_into`]).
+    InPlace,
+}
+
+/// [`extract_items`] appending to `out`; `opening` says how the buckets
+/// were chosen. A bucket opened in place skips the promising coin and the
+/// `T-Geo` draw — they only condition on a proxy having been sampled — and
+/// finds its first potential index by `B-Geo(p, n_b+1)` whatever `p·n_b`.
 fn extract_items_into<V: LevelView, R: RngCore + Clone>(
     view: &V,
     rng: &mut R,
     w: &Ratio,
     accel: &QueryAccel,
     candidate_buckets: &[u16],
+    opening: Opening,
     out: &mut Vec<V::Id>,
 ) {
     // Warm every candidate bucket's head before the first coin is drawn:
@@ -468,7 +497,7 @@ fn extract_items_into<V: LevelView, R: RngCore + Clone>(
         // first-index draw and every stride.
         let d = accel.bucket_desc(w, shift, n_b + 1);
         // First potential index.
-        let k = if d.np_at_least_one(n_b) {
+        let k = if opening == Opening::InPlace || d.np_at_least_one(n_b) {
             d.bgeo(rng, n_b + 1)
         } else {
             if !d.ber_pstar(rng, n_b) {
@@ -638,9 +667,30 @@ fn p0_of(n: usize) -> (u128, u128) {
     (1, (n as u128) * (n as u128))
 }
 
+/// Most non-empty buckets a significant level-1 group may hold and still be
+/// opened in place: `⌈log2 N0_FLOOR⌉`, the group width `g₁` of a sampler at
+/// the size floor, so such a sampler answers every group in place.
+pub const IN_PLACE_BUCKETS: usize = (usize::BITS - (N0_FLOOR - 1).leading_zeros()) as usize;
+
 /// Algorithm 1 at the root: the full PSS query on the real item set under
 /// the level-1 thresholds `th`, appending the sample to `out`. The levels
 /// below write into `scratch`, so a warm query allocates nothing here.
+///
+/// A significant group with at most [`IN_PLACE_BUCKETS`] non-empty buckets
+/// is *sparse*: its buckets are opened in place, each as a candidate with
+/// probability 1 (Algorithm 5's open-bucket step without the promising
+/// coin), instead of sampled as proxies through the group's level-2 child.
+/// A clamped bucket (`2^{b+1} ≥ W`) runs the plain coin on every item; any
+/// other draws its first potential index by `B-Geo(p_b, n_b+1)` with
+/// `p_b = 2^{b+1}/W` and walks on, accepting each potential item with
+/// `w_x/2^{b+1}`. Either way `x` is included independently with
+/// probability `p_b·w_x/2^{b+1} = w_x/W`, so the law is exact. The cost
+/// stays O(1 + μ): the group's expected potential items number
+/// `Σ_b p_b·n_b ≤ 2·μ_group`, on top of at most `IN_PLACE_BUCKETS` draws,
+/// and there are O(1) significant groups (Lemma 4.2). Only a dense group
+/// pays for the level-2/3 descent, whose whole purpose is to make the
+/// number of buckets it opens independent of its size. The non-empty
+/// buckets are counted from the level-1 bitset; no node is touched.
 pub(crate) fn query_level1_into<R: RngCore + Clone>(
     level1: &Level1,
     frame: &mut QueryFrame<'_, R>,
@@ -656,12 +706,20 @@ pub(crate) fn query_level1_into<R: RngCore + Clone>(
     query_insignificant_into(level1, frame.rng, frame.w, &frame.accel, th.i_insig_top, p0, out);
     query_certain_into(level1, th.i_cert_bottom, out);
     let QueryScratch { proxies, finals, candidates } = scratch;
+    let g = level1.group_width as usize;
     for_significant_groups(&level1.nonempty_groups, th, |j| {
-        // pss-lint: allow(no-panic-paths) — for_significant_groups only yields groups whose bitset bit is set, and a set bit implies an allocated child
-        let child = level1.child_view(j).expect("non-empty group without child");
+        let (lo, hi) = (j * g, ((j + 1) * g).min(L1_BUCKETS) - 1);
         proxies.clear();
-        query_node_into(&child, frame, finals, candidates, proxies);
-        extract_items_into(level1, frame.rng, frame.w, &frame.accel, proxies, out);
+        let opening = if level1.nonempty_buckets.count_range(lo, hi) <= IN_PLACE_BUCKETS {
+            proxies.extend(level1.nonempty_buckets.range(lo, hi).map(narrow::u16_of_usize));
+            Opening::InPlace
+        } else {
+            // pss-lint: allow(no-panic-paths) — for_significant_groups only yields groups whose bitset bit is set, and a set bit implies an allocated child
+            let child = level1.child_view(j).expect("non-empty group without child");
+            query_node_into(&child, frame, finals, candidates, proxies);
+            Opening::Proxy
+        };
+        extract_items_into(level1, frame.rng, frame.w, &frame.accel, proxies, opening, out);
     });
 }
 
@@ -688,7 +746,7 @@ fn query_node_into<R: RngCore + Clone>(
         let child = view.child(l).expect("non-empty group without child");
         finals.clear();
         query_final_into(&child, frame, candidates, finals);
-        extract_items_into(view, frame.rng, frame.w, &frame.accel, finals, out);
+        extract_items_into(view, frame.rng, frame.w, &frame.accel, finals, Opening::Proxy, out);
     });
 }
 
@@ -779,7 +837,7 @@ fn query_final_into<R: RngCore + Clone>(
             }
         }
     }
-    extract_items_into(view, frame.rng, frame.w, &frame.accel, candidates, out);
+    extract_items_into(view, frame.rng, frame.w, &frame.accel, candidates, Opening::Proxy, out);
 }
 
 /// Exact parts of the table-candidate acceptance probability
@@ -863,7 +921,6 @@ fn accept_direct_candidate<R: RngCore>(
 mod tests {
     use super::*;
     use crate::item::ItemId;
-    use crate::structure::L1_BUCKETS;
     use pss_core::QueryCtx;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -1096,6 +1153,12 @@ mod tests {
             };
             assert!(query_final(&view, &mut ctx).is_empty(), "{mode:?}");
         }
+    }
+
+    #[test]
+    fn in_place_cap_is_the_floor_group_width() {
+        let floor = crate::DpssSampler::new(0).stats().group_width_l1;
+        assert_eq!(floor as usize, IN_PLACE_BUCKETS);
     }
 
     #[test]

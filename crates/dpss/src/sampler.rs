@@ -31,7 +31,7 @@ use wordram::SpaceUsage;
 
 /// Floor for the sizing parameter `n₀` so tiny sets get sane group widths and
 /// rebuilds don't thrash.
-const N0_FLOOR: usize = 16;
+pub(crate) const N0_FLOOR: usize = 16;
 
 /// Capacity of the per-`(α, β)` query-plan cache. Sized to hold a whole
 /// `query_many` batch of a few dozen distinct parameter pairs — a batch

@@ -65,6 +65,9 @@ pub struct DynGraph<B: PssBackend = DpssSampler> {
     nodes: Vec<NodeState<B>>,
     /// (u, v) → (item in u's out-sampler, item in v's in-sampler, weight).
     edges: HashMap<(NodeId, NodeId), (Handle, Handle, u64)>,
+    /// The neighbourhood queries' `(α, β) = (1, 0)`, built once: a `Ratio`
+    /// holds its parts on the heap.
+    params: (Ratio, Ratio),
 }
 
 impl<B: SeedableBackend> DynGraph<B> {
@@ -75,6 +78,7 @@ impl<B: SeedableBackend> DynGraph<B> {
                 .map(|i| NodeState::new(seed.wrapping_add(i as u64 * 2654435761)))
                 .collect(),
             edges: HashMap::new(),
+            params: (Ratio::one(), Ratio::zero()),
         }
     }
 
@@ -153,8 +157,9 @@ impl<B: SeedableBackend> DynGraph<B> {
     /// node's context keeps this method `&mut`.
     pub fn sample_in_neighbors(&mut self, v: NodeId) -> Vec<NodeId> {
         let st = &mut self.nodes[v as usize];
+        let (alpha, beta) = &self.params;
         st.in_sampler
-            .query(&mut st.ctx, &Ratio::one(), &Ratio::zero())
+            .query(&mut st.ctx, alpha, beta)
             .into_iter()
             .map(|item| st.in_edges[&item])
             .collect()
@@ -164,8 +169,9 @@ impl<B: SeedableBackend> DynGraph<B> {
     /// with probability `A_uv / d_out(u)` (the Appendix A.2 push probability).
     pub fn sample_out_neighbors(&mut self, u: NodeId) -> Vec<NodeId> {
         let st = &mut self.nodes[u as usize];
+        let (alpha, beta) = &self.params;
         st.out_sampler
-            .query(&mut st.ctx, &Ratio::one(), &Ratio::zero())
+            .query(&mut st.ctx, alpha, beta)
             .into_iter()
             .map(|item| st.out_edges[&item])
             .collect()

@@ -167,6 +167,22 @@ impl BitsetList {
         BitsetIter { set: self, next: self.min() }
     }
 
+    /// Number of stored integers in the inclusive range `[lo, hi]`: one
+    /// masked popcount per leaf word the range spans.
+    pub fn count_range(&self, lo: usize, hi: usize) -> usize {
+        let hi = hi.min(self.universe.saturating_sub(1));
+        if lo > hi || lo >= self.universe {
+            return 0;
+        }
+        let (first, last) = (lo / 64, hi / 64);
+        let leaves = self.words[first..=last].iter().enumerate().map(|(i, &word)| {
+            let low = if i == 0 { u64::MAX << (lo % 64) } else { u64::MAX };
+            let high = if first + i == last { u64::MAX >> (63 - hi % 64) } else { u64::MAX };
+            (word & low & high).count_ones() as usize
+        });
+        leaves.sum()
+    }
+
     /// Iterates the stored integers in the inclusive range `[lo, hi]`.
     pub fn range(&self, lo: usize, hi: usize) -> BitsetRangeIter<'_> {
         let next = if lo >= self.universe { None } else { self.succ(lo) };
@@ -307,6 +323,7 @@ mod tests {
         assert_eq!(s.iter().count(), 0);
         assert_eq!(s.range(0, usize::MAX).count(), 0);
         assert_eq!(s.range(5, 3).count(), 0);
+        assert_eq!(s.count_range(0, usize::MAX), 0);
     }
 
     #[test]
@@ -326,6 +343,8 @@ mod tests {
             let q = (x >> 13) as usize % 1024;
             assert_eq!(s.succ(q), m.range(q..).next().copied(), "succ {q} step {step}");
             assert_eq!(s.pred(q), m.range(..=q).next_back().copied(), "pred {q} step {step}");
+            let hi = q + (x >> 43) as usize % 300;
+            assert_eq!(s.count_range(q, hi), m.range(q..=hi).count(), "count [{q}, {hi}]");
             assert_eq!(s.len(), m.len());
         }
     }

@@ -223,3 +223,19 @@ fn open_bucket_walk_does_not_allocate_per_stride() {
         }
     }
 }
+
+#[test]
+fn tiny_sampler_query_does_not_allocate() {
+    // An `rr_sets`-shaped neighbourhood: five edge weights in 1..=100,
+    // queried at the weighted-cascade (α, β) = (1, 0), so μ = 1 and about
+    // three queries in ten come back empty. Sized at the floor (g₁ = 4),
+    // the sampler opens every significant level-1 group in place.
+    let (s, _) = DpssSampler::from_weights(&[37, 5, 92, 18, 64], 3);
+    let mut ctx = QueryCtx::new(13);
+    let (items, off) = query_allocs(&s, &mut ctx, &Ratio::one(), &Ratio::zero());
+    assert!((0.75..=1.25).contains(&items), "μ = 1: {items}");
+    #[cfg(not(debug_assertions))]
+    assert_eq!(off, 0, "{off} queries allocated more than their result");
+    #[cfg(debug_assertions)]
+    let _ = off;
+}
