@@ -219,6 +219,12 @@ impl DeamortizedDpss {
         self.new.is_some()
     }
 
+    /// The young half: the successor being populated while a migration
+    /// epoch is in progress, read-only (`None` between epochs).
+    pub fn young(&self) -> Option<&DpssSampler> {
+        self.new.as_ref()
+    }
+
     /// Records `handle` in a dense reverse map at `id`'s slot index.
     fn rev_set(rev: &mut Vec<Handle>, id: ItemId, h: Handle) {
         let idx = id.idx();

@@ -45,7 +45,14 @@ pub struct StructureStats {
     pub group_width_l1: u32,
     /// Level-2 group width `g₂` (also the lookup-table modulus `m`).
     pub group_width_l2: u32,
-    /// Per-level occupancy (index 0 = level 1).
+    /// Per-level occupancy (index 0 = level 1). When `g₁` exceeds
+    /// [`IN_PLACE_BUCKETS`] every non-empty level-k bucket has one
+    /// level-(k+1) proxy, so `levels[1].n_members == levels[0].nonempty_buckets`
+    /// and `levels[2].n_members == levels[1].nonempty_buckets`. Otherwise the
+    /// sampler is flat and builds no nodes: `levels[1]` and `levels[2]` are
+    /// all zero.
+    ///
+    /// [`IN_PLACE_BUCKETS`]: crate::structure::IN_PLACE_BUCKETS
     pub levels: [LevelStats; 3],
     /// Total space in words (the model's measure, not RSS).
     pub space_words: usize,

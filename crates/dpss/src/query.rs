@@ -27,6 +27,12 @@
 //! insignificant instances, the lookup table and two extract passes. Levels
 //! 2 and 3 always recurse (see `query_level1_into`).
 //!
+//! **Flat samplers need no nodes.** A level-1 group spans `g₁` buckets, so a
+//! sampler with `g₁ ≤ IN_PLACE_BUCKETS` (every sampler at the size floor)
+//! opens every significant group in place and never reads a level-2/3 node.
+//! Its [`Level1`] therefore builds none ([`Level1::is_flat`]); the query
+//! code is the same either way, and so are the drawn words and the law.
+//!
 //! Every acceptance probability is an exact rational, so the returned subset
 //! has exactly the distribution `Π_x Ber(p_x(α,β))`.
 //!
@@ -70,8 +76,9 @@
 
 use crate::item::ItemId;
 use crate::lookup::{LookupTable, MAX_K};
-use crate::sampler::N0_FLOOR;
-use crate::structure::{pow2_scaled, pow2f, Level1, LevelView, NodeView, L1_BUCKETS};
+use crate::structure::{
+    pow2_scaled, pow2f, Level1, LevelView, NodeView, IN_PLACE_BUCKETS, L1_BUCKETS,
+};
 use bignum::{BigUint, Ratio};
 use rand::RngCore;
 use randvar::{
@@ -667,11 +674,6 @@ fn p0_of(n: usize) -> (u128, u128) {
     (1, (n as u128) * (n as u128))
 }
 
-/// Most non-empty buckets a significant level-1 group may hold and still be
-/// opened in place: `⌈log2 N0_FLOOR⌉`, the group width `g₁` of a sampler at
-/// the size floor, so such a sampler answers every group in place.
-pub const IN_PLACE_BUCKETS: usize = (usize::BITS - (N0_FLOOR - 1).leading_zeros()) as usize;
-
 /// Algorithm 1 at the root: the full PSS query on the real item set under
 /// the level-1 thresholds `th`, appending the sample to `out`. The levels
 /// below write into `scratch`, so a warm query allocates nothing here.
@@ -714,7 +716,7 @@ pub(crate) fn query_level1_into<R: RngCore + Clone>(
             proxies.extend(level1.nonempty_buckets.range(lo, hi).map(narrow::u16_of_usize));
             Opening::InPlace
         } else {
-            // pss-lint: allow(no-panic-paths) — for_significant_groups only yields groups whose bitset bit is set, and a set bit implies an allocated child
+            // pss-lint: allow(no-panic-paths) — this group holds more than IN_PLACE_BUCKETS non-empty buckets, so g₁ > IN_PLACE_BUCKETS and the hierarchy is built (a flat one never reaches this arm); a built hierarchy gives every non-empty group a child, and for_significant_groups yields only non-empty groups
             let child = level1.child_view(j).expect("non-empty group without child");
             query_node_into(&child, frame, finals, candidates, proxies);
             Opening::Proxy

@@ -2,13 +2,23 @@
 //! "Paper → module map").
 //!
 //! - [`Level1`] is `BG-Str(S)`: real items bucketed by `⌊log2 w⌋`, buckets
-//!   grouped into windows of `g₁ = ⌈log2 n₀⌉` indices; each non-empty group `j`
-//!   owns a level-2 [`Node`] over the next-level item set `Y_j` (one proxy item
-//!   per non-empty level-1 bucket, weight `2^{i+1}·|B(i)|`).
+//!   grouped into windows of `g₁ = ⌈log2 n₀⌉` indices; above the size floor
+//!   (`g₁ > IN_PLACE_BUCKETS`) each non-empty group `j` owns a level-2
+//!   [`Node`] over the next-level item set `Y_j` (one proxy item per
+//!   non-empty level-1 bucket, weight `2^{i+1}·|B(i)|`).
 //! - A level-2 [`Node`] is `BG-Str(Y_j)` with group width `g₂ = ⌈log2 g₁⌉`;
 //!   each non-empty group `l` owns a level-3 [`Node`] over `Z_l`.
 //! - A level-3 [`Node`] is `BG-Str(Z_l)`; its buckets form the final-level
 //!   instance answered by the adapter + lookup table (§4.3–4.4).
+//!
+//! **Flat samplers.** A query opens every level-1 group with at most
+//! [`IN_PLACE_BUCKETS`] non-empty buckets in place, without its level-2
+//! node. A group spans `g₁` buckets, so when `g₁ ≤ IN_PLACE_BUCKETS` (every
+//! sampler at the size floor) no query reads a node at all, and the
+//! structure builds none: updates stop at the level-1 bitsets and derives
+//! produce nothing ([`Level1::is_flat`]). The rule depends only on `g₁`,
+//! which changes only at a rebuild, and a rebuild re-derives the hierarchy
+//! from scratch, so a sampler that grows past the floor gets its nodes then.
 //!
 //! Every update cascades through at most two proxy delete+insert pairs per
 //! level (§4.5), i.e. O(1) worst-case pointer/bitmap operations, because all
@@ -36,6 +46,7 @@
 
 // pss-lint: hot-path — the O(1) update cascade must not touch the global allocator in steady state
 use crate::item::{ItemId, Slab};
+use crate::sampler::N0_FLOOR;
 use wordram::bits::floor_log2_u64;
 use wordram::narrow;
 use wordram::{BitsetList, Bucket, BucketArena, FillCursor, Pool, SpaceUsage, U256};
@@ -49,6 +60,12 @@ pub const L3_BUCKETS: usize = 160;
 
 /// Sentinel child link: "no node".
 pub const NO_NODE: u32 = u32::MAX;
+
+/// Most non-empty buckets a significant level-1 group may hold and still be
+/// opened in place by a query, without its level-2 node: `⌈log2 N0_FLOOR⌉`,
+/// the group width `g₁` of a sampler at the size floor. A [`Level1`] whose
+/// groups are no wider than this is flat: it builds no level-2/3 nodes.
+pub const IN_PLACE_BUCKETS: usize = (usize::BITS - (N0_FLOOR - 1).leading_zeros()) as usize;
 
 /// `2^e` as an `f64` (exact for `|e| ≤ 1023`; the hierarchy's bucket
 /// indices stay below 161). Shared with the query layer, which calls it per
@@ -109,6 +126,9 @@ impl Member {
 
 /// One `BG-Str` over proxy items (levels 2 and 3 of the hierarchy), stored
 /// inside a [`NodePool`]; its bucket lists live in the pool's shared arena.
+/// Only a [`Level1`] above the size floor (`g₁ > IN_PLACE_BUCKETS`) has
+/// nodes: there, each non-empty level-1 group owns a level-2 node and each
+/// non-empty level-2 group a level-3 node.
 ///
 /// **Window layout.** A node holds the proxies of one group of the level
 /// below, children `c ∈ [base, base + members.len())`, and a proxy's bucket
@@ -375,6 +395,11 @@ impl NodePool {
     #[inline]
     pub fn node(&self, idx: u32) -> &Node {
         self.nodes.get(idx)
+    }
+
+    /// Number of live nodes (allocated and not parked for recycling).
+    pub fn live_nodes(&self) -> usize {
+        self.nodes.live_count()
     }
 
     /// Exclusive access to a node (test/construction hook; structural
@@ -703,9 +728,10 @@ pub struct Level1 {
     pub nonempty_groups: BitsetList,
     /// Group width `g₁ = ⌈log2 n₀⌉` (fixed until rebuild).
     pub group_width: u32,
-    /// Level-2 children, one per non-empty group (pool indices).
+    /// Level-2 children, one per non-empty group (pool indices); every slot
+    /// is [`NO_NODE`] while the structure is flat ([`Level1::is_flat`]).
     pub children: Vec<u32>,
-    /// Every level-2/3 node of this hierarchy.
+    /// Every level-2/3 node of this hierarchy (none live while flat).
     pub pool: NodePool,
     /// Exact Σw over all live items.
     pub total_weight: u128,
@@ -750,6 +776,14 @@ impl Level1 {
             l2_group_width: level2_group_width,
             count_bits: group_width + 1,
         }
+    }
+
+    /// `true` iff no group spans more than [`IN_PLACE_BUCKETS`] buckets:
+    /// every query then opens every group in place, so the structure builds
+    /// and maintains no level-2/3 node.
+    #[inline]
+    pub fn is_flat(&self) -> bool {
+        self.group_width as usize <= IN_PLACE_BUCKETS
     }
 
     /// Sizes the level-2 windows for level-1 bucket counts below
@@ -1063,8 +1097,12 @@ impl Level1 {
         }
     }
 
-    /// Pushes the new count of bucket `i` into the level-2 child of its group.
+    /// Pushes the new count of bucket `i` into the level-2 child of its group
+    /// (nothing on a flat structure, which has no nodes).
     fn cascade_bucket(&mut self, i: u16, count: u64) {
+        if self.is_flat() {
+            return;
+        }
         let j = i as usize / self.group_width as usize;
         let mut child = self.children[j];
         if child == NO_NODE {
@@ -1082,8 +1120,12 @@ impl Level1 {
     /// non-empty bucket under the `layout-baseline` A/B feature. Both land
     /// on the identical logical structure — the hierarchy is a pure
     /// function of the bucket counts (canonical ascending-child order) —
-    /// so sample streams cannot tell the arms apart.
+    /// so sample streams cannot tell the arms apart. A flat structure
+    /// derives nothing.
     fn derive_hierarchy(&mut self) {
+        if self.is_flat() {
+            return;
+        }
         // Counts above the sizing bound (a structure filled without the
         // sampler's rebuilds) widen the windows up front.
         if let Some(max) = self.buckets.iter().map(Bucket::len).max().filter(|&c| c > 0) {
@@ -1412,15 +1454,17 @@ impl Level1 {
         for j in 0..self.nonempty_groups.universe() {
             assert_eq!(!self.group_is_empty(j), self.nonempty_groups.contains(j));
         }
+        // Above the floor, every non-empty group has a validated child; a
+        // flat structure has no live node (checked by `audit_storage`).
         let gw = self.group_width as usize;
         for (j, &child) in self.children.iter().enumerate() {
             let lo = j * gw;
             let hi = (lo + gw).min(L1_BUCKETS);
             if child != NO_NODE {
                 self.pool.validate_node(child, &self.buckets, 0, lo..hi);
-            } else {
+            } else if !self.is_flat() {
                 for i in lo..hi {
-                    assert!(self.buckets[i].is_empty());
+                    assert!(self.buckets[i].is_empty(), "group {j} non-empty but no child");
                 }
             }
         }
@@ -1428,10 +1472,19 @@ impl Level1 {
         self.audit_storage().expect("storage audit");
     }
 
-    /// Verifies the flat-storage invariants: node-pool free list, arena
-    /// block tiling for both arenas. O(capacity); test hook.
+    /// Verifies the storage invariants: node-pool free list, arena block
+    /// tiling for both arenas, and no live node while the structure is
+    /// flat ([`Level1::is_flat`]). O(capacity); test hook.
     pub fn audit_storage(&self) -> Result<(), String> {
         self.item_arena.audit(self.buckets.iter().copied())?;
+        if self.is_flat() && self.pool.live_nodes() != 0 {
+            // pss-lint: allow(no-alloc-hot-path) — audit_storage() is an O(capacity) test/debug hook, never on the update path
+            return Err(format!(
+                "flat structure (g₁ = {}) holds {} live nodes",
+                self.group_width,
+                self.pool.live_nodes()
+            ));
+        }
         self.pool.audit(self.children.iter().copied())
     }
 }
@@ -1702,44 +1755,88 @@ mod tests {
     }
 
     #[test]
-    fn windows_span_only_the_reachable_buckets() {
+    fn flat_structures_build_no_nodes() {
+        let ws = weights(300, 3);
+        for g1 in 2..=IN_PLACE_BUCKETS as u32 + 1 {
+            let mut bulk = Level1::new(g1, 2);
+            let mut per_op = Level1::new(g1, 2);
+            bulk.insert_many(&ws);
+            let ids: Vec<ItemId> = ws.iter().map(|&w| per_op.insert(w)).collect();
+            for &id in ids.iter().step_by(2) {
+                per_op.set_weight(id, 1 << 33);
+            }
+            let built = |l: &Level1| l.pool.live_nodes();
+            if bulk.is_flat() {
+                assert_eq!((built(&bulk), built(&per_op)), (0, 0), "g₁ = {g1}");
+                assert!(bulk.children.iter().chain(&per_op.children).all(|&c| c == NO_NODE));
+            } else {
+                assert!(built(&bulk) > 0 && built(&per_op) > 0, "g₁ = {g1}");
+            }
+            bulk.validate();
+            per_op.validate();
+        }
+        // A rebuild across the floor builds the hierarchy, and back parks it.
         let mut l = Level1::new(4, 2);
+        l.insert_many(&ws);
+        l.rebuild(6, 3, 9, false);
+        assert!(!l.is_flat() && l.pool.live_nodes() > 0);
+        l.validate();
+        l.rebuild(4, 2, 5, true);
+        assert_eq!(l.pool.live_nodes(), 0);
+        l.validate();
+    }
+
+    #[test]
+    fn windows_span_only_the_reachable_buckets() {
+        // g₁ = 8 (above the flat floor) with g₂ = ⌈log2 g₁⌉ = 3: level-2
+        // windows reach `count_bits = g₁ + 1` buckets past their members,
+        // level-3 windows `⌊log2 g₁⌋ = 3`.
+        let mut l = Level1::new(8, 3);
         for w in [1u64, 2, 3, 1 << 20, 1 << 40, u64::MAX] {
             l.insert(w);
         }
         l.validate();
+        let mut seen = (0, 0);
         for &i2 in l.children.iter().filter(|&&c| c != NO_NODE) {
             let n2 = l.pool.node(i2);
             let end = n2.base as usize + n2.members.len();
-            assert_eq!(n2.members.len(), 4);
-            assert_eq!(n2.bucket_range(), n2.base as usize + 1..(end + 5).min(127) + 1);
+            assert_eq!(n2.members.len(), 8);
+            assert_eq!(n2.bucket_range(), n2.base as usize + 1..(end + 9).min(127) + 1);
+            seen.0 += 1;
             for &i3 in n2.children.iter().filter(|&&c| c != NO_NODE) {
                 let n3 = l.pool.node(i3);
                 let end = n3.base as usize + n3.members.len();
-                assert_eq!(n3.members.len(), 2);
-                assert_eq!(n3.bucket_range(), n3.base as usize + 1..end + 2 + 1);
+                assert_eq!(n3.members.len(), 3);
+                assert_eq!(n3.bucket_range(), n3.base as usize + 1..end + 3 + 1);
+                seen.1 += 1;
             }
         }
+        assert_eq!(seen.0, 4, "one level-2 node per non-empty group");
+        assert!(seen.1 >= seen.0, "every level-2 node has a level-3 child");
     }
 
     #[test]
     fn windows_widen_when_counts_outgrow_the_bound() {
-        // Sized for counts below 2^4, then filled far past that without a
-        // rebuild: per-op cascades widen on the cold arm, the bulk derive
-        // up front, and both land on the same logical structure.
-        let ws = vec![5u64; 300];
-        let mut a = Level1::new(3, 2);
-        let mut b = Level1::new(3, 2);
+        // Sized for counts below 2^7 (g₁ = 5, just above the flat floor),
+        // then filled far past that without a rebuild: per-op cascades
+        // widen on the cold arm, the bulk derive up front, and both land on
+        // the same logical structure.
+        // Bucket 4, the top of group 0, so the proxy of 300 items lands in
+        // level-2 bucket 4 + 1 + 8 = 13, past the sized window's top 11.
+        let ws = vec![20u64; 300];
+        let mut a = Level1::new(5, 3);
+        let mut b = Level1::new(5, 3);
         a.insert_many(&ws);
         for &w in &ws {
             b.insert(w);
         }
         assert_equivalent(&a, &b);
-        // A looser bound widens every live level-2 window in place.
         let before = b.pool.node(b.children[0]).bucket_range();
+        assert_eq!((before.start, before.end), (1, 13 + 1), "window widened to the proxy");
+        // A looser bound widens every live level-2 window in place.
         b.set_count_bits(20);
         let after = b.pool.node(b.children[0]).bucket_range();
-        assert_eq!((after.start, after.end), (before.start, 3 + 20 + 1));
+        assert_eq!((after.start, after.end), (before.start, 5 + 20 + 1));
         b.validate();
     }
 

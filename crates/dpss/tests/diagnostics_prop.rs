@@ -2,8 +2,22 @@
 //! invariants (proxy counts mirror bucket counts, space stays linear) must
 //! hold under arbitrary update churn, not just on fresh builds.
 
-use dpss::DpssSampler;
+use dpss::structure::IN_PLACE_BUCKETS;
+use dpss::{DpssSampler, StructureStats};
 use proptest::prelude::*;
+
+/// The exact shape identity: above the size floor every non-empty level-k
+/// bucket has one level-(k+1) proxy; a flat sampler (g₁ ≤
+/// `IN_PLACE_BUCKETS`) has no level-2/3 node at all.
+fn assert_shape(st: &StructureStats) {
+    if st.group_width_l1 as usize > IN_PLACE_BUCKETS {
+        assert_eq!(st.levels[1].n_members, st.levels[0].nonempty_buckets);
+        assert_eq!(st.levels[2].n_members, st.levels[1].nonempty_buckets);
+    } else {
+        assert_eq!(st.levels[1].n_nodes, 0);
+        assert_eq!(st.levels[2].n_nodes, 0);
+    }
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -46,9 +60,9 @@ proptest! {
         prop_assert_eq!(st.n_zero, zero_count);
         let expect_total: u128 = live.iter().map(|&(_, w)| u128::from(w)).sum();
         prop_assert_eq!(st.total_weight, expect_total);
-        // Shape: proxies at level k+1 mirror non-empty buckets at level k.
-        prop_assert_eq!(st.levels[1].n_members, st.levels[0].nonempty_buckets);
-        prop_assert_eq!(st.levels[2].n_members, st.levels[1].nonempty_buckets);
+        // Shape: proxies at level k+1 mirror non-empty buckets at level k,
+        // or there are no nodes at all below the size floor.
+        assert_shape(&st);
         prop_assert_eq!(st.levels[0].n_members, live.len() - zero_count);
         // Level-1 buckets live in a 64-index universe.
         prop_assert!(st.levels[0].nonempty_buckets <= 64);
@@ -73,7 +87,8 @@ proptest! {
         let grew = s.rebuild_count();
         prop_assert!(grew >= 1, "no rebuild after {n_grow} inserts");
         let st = s.stats();
-        prop_assert_eq!(st.levels[1].n_members, st.levels[0].nonempty_buckets);
+        prop_assert!(st.group_width_l1 as usize > IN_PLACE_BUCKETS);
+        assert_shape(&st);
         for id in ids.drain(..) {
             s.delete(id);
         }
@@ -82,5 +97,6 @@ proptest! {
         prop_assert_eq!(st.n_items, 0);
         prop_assert_eq!(st.levels[0].nonempty_buckets, 0);
         prop_assert_eq!(st.levels[1].n_members, 0);
+        assert_shape(&st);
     }
 }

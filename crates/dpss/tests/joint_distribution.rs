@@ -5,7 +5,8 @@
 // HashMap/HashSet sanctioned: test-side bookkeeping only; no iteration order reaches an assertion or a sample.
 #![allow(clippy::disallowed_types)]
 
-use dpss::query::{thresholds, IN_PLACE_BUCKETS};
+use dpss::query::thresholds;
+use dpss::structure::IN_PLACE_BUCKETS;
 use dpss::{DpssSampler, ItemId, QueryCtx, Ratio};
 use randvar::stats::{chi_square, chi_square_test};
 use std::collections::HashMap;

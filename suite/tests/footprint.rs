@@ -6,9 +6,9 @@
 //! node, so the fixed cost of a tiny sampler is what those workloads pay
 //! per node. Two checks:
 //!
-//! - an 8-item sampler stays within a few KiB of live heap (the hierarchy
-//!   nodes store only the bucket window their group can reach, not the
-//!   whole bucket universe);
+//! - an 8-item sampler stays within 2 KiB of live heap: at the size floor
+//!   (g₁ ≤ `IN_PLACE_BUCKETS`) it builds no level-2/3 node, so its heap is
+//!   the level-1 bucket vector, the bitsets, the slab and the item arena;
 //! - `space_words()` tracks the live heap: across sizes and both build
 //!   paths it stays within a factor of two of the measured bytes.
 //!
@@ -84,12 +84,15 @@ fn bulk(weights: &[u64]) -> (DpssSampler, usize) {
     (s, bytes.unsigned_abs())
 }
 
+/// Measured: 1,556 B built per-op and 1,172 B in bulk. The bound fails a
+/// floor-sized sampler that keeps a level-2/3 node per non-empty group
+/// (4,100 and 3,684 B).
 #[test]
 fn eight_item_sampler_fits_in_a_few_kib() {
     let weights = [37u64, 5, 81, 12, 64, 3, 99, 20];
     for (name, (s, bytes)) in [("per-op", per_op(&weights)), ("bulk", bulk(&weights))] {
         s.validate();
-        assert!(bytes <= 6 * 1024, "{name}: 8-item sampler holds {bytes} B of live heap");
+        assert!(bytes <= 2 * 1024, "{name}: 8-item sampler holds {bytes} B of live heap");
     }
 }
 

@@ -104,8 +104,16 @@ fn space_is_linear_with_small_constant() {
 /// hundred words because every hierarchy node stores only the bucket window
 /// its group can reach; full-universe nodes made a 4-item sampler report
 /// 1,604 words.
+///
+/// Up to n = 32 the bound is `SMALL_N_WORDS`: a sampler built one insert
+/// at a time stays at the size floor (g₁ = 4) and builds no level-2/3 node,
+/// and a bulk build of 17..=32 items (g₁ = 5) has the largest footprint,
+/// 585 words at n = 32. The bound fails floor-sized samplers that keep a
+/// node per non-empty group (up to 1,090 words here).
 #[test]
 fn space_is_linear_at_small_n() {
+    /// 25% over the largest footprint measured for n ≤ 32 (585 words).
+    const SMALL_N_WORDS: usize = 731;
     let mut rng = SmallRng::seed_from_u64(0x5A11);
     for hi in [100u64, u64::MAX] {
         for n in 1..=64usize {
@@ -117,7 +125,8 @@ fn space_is_linear_at_small_n() {
             let (bulk, _) = DpssSampler::from_weights(&weights, 1);
             for (name, s) in [("per-op", &per_op), ("bulk", &bulk)] {
                 let words = s.space_words();
-                assert!(words <= 32 * n + 512, "{name}, weights ≤ {hi}, n = {n}: {words} words");
+                let bound = if n <= 32 { SMALL_N_WORDS } else { 32 * n + 512 };
+                assert!(words <= bound, "{name}, weights ≤ {hi}, n = {n}: {words} words");
             }
         }
     }
