@@ -261,8 +261,7 @@ impl DeamortizedDpss {
     /// from under every observing context.
     ///
     /// With no migration in flight the batch rides the radix-partitioned
-    /// bulk build (see [`DeamortizedDpss::insert_many_settled`] for the
-    /// contract): an in-band batch evolves the structure exactly like a
+    /// bulk build: an in-band batch evolves the structure exactly like a
     /// per-item loop, while a band-crossing batch re-sizes the primary once
     /// and re-baselines the trigger snapshot — O(batch) for the batch op,
     /// with the per-update O([`MIGRATION_BATCH`]) worst case unchanged for

@@ -102,8 +102,7 @@ fn collect_level1(l1: &Level1) -> [LevelStats; 3] {
     s1.nonempty_buckets = l1.nonempty_buckets.len();
     s1.nonempty_groups = l1.nonempty_groups.len();
     for b in l1.nonempty_buckets.iter() {
-        // pss-lint: allow(no-bare-index) — b iterates nonempty_buckets, whose bits mirror buckets.len() by construction
-        s1.max_bucket_len = s1.max_bucket_len.max(l1.buckets[b].len());
+        s1.max_bucket_len = s1.max_bucket_len.max(l1.bucket_len(b));
     }
     let mut s2 = LevelStats::default();
     let mut s3 = LevelStats::default();

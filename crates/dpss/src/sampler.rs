@@ -718,6 +718,10 @@ impl DpssSampler {
                 if st.plans.len() >= PLAN_CACHE {
                     st.plans.remove(0);
                 }
+                // One entry at a time: a context that only ever asks one
+                // `(α, β)` pair (a graph node's) holds one entry, not the
+                // four a first `push` reserves.
+                st.plans.reserve_exact(1);
                 st.plans.push(PlanEntry {
                     alpha: alpha.clone(),
                     beta: beta.clone(),

@@ -101,15 +101,9 @@ pub(crate) fn level1_from_slab(
     // n⁺ distinct in-range cells is a full permutation proof: no holes, and
     // the restored bucket lists match the originals cell for cell. One pass
     // and no intermediate placement array — at 2^20 items that array was a
-    // measurable slice of load time.
-    lv.item_arena.reset_to_plan(counts.iter().copied());
-    for (i, &c) in counts.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        // pss-lint: allow(no-bare-index) — i enumerates counts, which has L1_BUCKETS = buckets.len() entries
-        lv.item_arena.carve_exact(&mut lv.buckets[i], c);
-    }
+    // measurable slice of load time. The bucket window is fitted to the
+    // classes present.
+    lv.carve_classes(&counts);
     let vacant = ItemId::from_raw(u64::MAX);
     for idx in 0..slab.slot_count() {
         let Some((id, w)) = slab.entry_at(idx) else { continue };
@@ -122,8 +116,8 @@ pub(crate) fn level1_from_slab(
         if pos as usize >= counts[i] {
             return Err(SnapshotError::Invalid("bucket position out of range"));
         }
-        // pss-lint: allow(no-bare-index) — i = floor_log2 of a u64 is < 64 = L1_BUCKETS
-        if lv.item_arena.scatter_raw(&lv.buckets[i], pos, id) != vacant {
+        let (arena, b) = lv.arena_and_bucket(i);
+        if arena.scatter_raw(b, pos, id) != vacant {
             return Err(SnapshotError::Invalid("bucket position repeated"));
         }
     }
@@ -131,8 +125,8 @@ pub(crate) fn level1_from_slab(
         if c == 0 {
             continue;
         }
-        // pss-lint: allow(no-bare-index) — i enumerates counts, which has L1_BUCKETS = buckets.len() entries
-        lv.item_arena.commit_len(&mut lv.buckets[i], narrow::u32_of_usize(c));
+        let (arena, b) = lv.arena_and_bucket(i);
+        arena.commit_len(b, narrow::u32_of_usize(c));
         lv.nonempty_buckets.insert(i);
     }
     lv.slab = slab;

@@ -29,7 +29,10 @@
 //! live in an index-addressed [`Pool`] (4-byte child links, no `Box`), and
 //! every dynamic bucket list is a block in a size-class [`BucketArena`] (one
 //! shared `u16` arena for all proxy buckets, one `ItemId` arena for the
-//! level-1 buckets).
+//! level-1 buckets). Every level stores bucket handles only for a window
+//! of indices: a node for the buckets its proxies can reach, [`Level1`]
+//! for its lowest to highest non-empty bucket. So a tiny sampler pays for
+//! the buckets it holds, not for the 64/128/160-index universes.
 //!
 //! **Derived proxy weights.** A proxy's weight `2^{i+1}·|B(i)|` is a pure
 //! function of the child bucket's index and current length — both already
@@ -448,8 +451,9 @@ impl NodePool {
     /// removes the proxy), cascading the resulting bucket-count changes into
     /// this node's own level-3 proxies (level 2 only).
     ///
-    /// Callers that know the previous count pre-filter with [`proxy_moves`];
-    /// a call that lands on an unchanged placement returns after one
+    /// Callers that know the previous count pre-filter with `proxy_moves`
+    /// (did the count cross a power of two or flip to or from zero?); a
+    /// call that lands on an unchanged placement returns after one
     /// members-slot read.
     pub fn set_member(&mut self, idx: u32, child: u16, count: u64, shift: u32) {
         let node = self.nodes.get(idx);
@@ -714,12 +718,28 @@ impl SpaceUsage for NodePool {
 /// `BG-Str(S)`: the level-1 structure over the real item set. Owns the item
 /// slab, the level-1 bucket arena, and the [`NodePool`] holding every
 /// deeper node.
+///
+/// **Bucket window.** Like a [`Node`], the structure stores bucket handles
+/// only for a window of indices: from the lowest to the highest non-empty
+/// bucket, not the 64-index universe. A sampler over weights in `1..=100`
+/// holds 7 handles (84 bytes) instead of 64 (768), and an empty one holds
+/// none. The window widens on the cold arm of an insert into a bucket
+/// outside it, and never narrows on a delete (the emptied bucket keeps its
+/// block, as every bucket does); a rebuild, a fresh bulk build and a
+/// snapshot restore re-fit it to the live range. Indices stay absolute at
+/// the API ([`Level1::bucket`], [`Level1::bucket_len`]), so queries, goldens
+/// and snapshot bytes cannot tell the window from the full vector.
 #[derive(Debug)]
 pub struct Level1 {
     /// Item storage.
     pub slab: Slab,
-    /// `buckets[i]` holds items with `2^i ≤ w < 2^{i+1}` (arena handles).
-    pub buckets: Vec<Bucket>,
+    /// The bucket window: `buckets[i − bucket_base]` holds the items with
+    /// `2^i ≤ w < 2^{i+1}` (arena handles). It spans only the lowest to the
+    /// highest non-empty bucket index (an empty structure allocates none);
+    /// see [`Level1::bucket`].
+    buckets: Vec<Bucket>,
+    /// Absolute index of `buckets[0]`.
+    bucket_base: usize,
     /// Backing storage for the level-1 bucket lists.
     pub item_arena: BucketArena<ItemId>,
     /// Non-empty bucket indices.
@@ -728,8 +748,9 @@ pub struct Level1 {
     pub nonempty_groups: BitsetList,
     /// Group width `g₁ = ⌈log2 n₀⌉` (fixed until rebuild).
     pub group_width: u32,
-    /// Level-2 children, one per non-empty group (pool indices); every slot
-    /// is [`NO_NODE`] while the structure is flat ([`Level1::is_flat`]).
+    /// Level-2 children, one slot per group (pool indices, [`NO_NODE`] for
+    /// an empty group). Unallocated while the structure is flat
+    /// ([`Level1::is_flat`]), which has no nodes to link.
     pub children: Vec<u32>,
     /// Every level-2/3 node of this hierarchy (none live while flat).
     pub pool: NodePool,
@@ -750,14 +771,16 @@ impl Level1 {
     /// Creates an empty level-1 structure with group widths derived from
     /// `n0`. Level-2 windows are sized for counts up to `2^{g₁+1}`: the
     /// rebuild band of factor 2 around `n₀ ≤ 2^{g₁}`
-    /// ([`Level1::set_count_bits`] widens them).
+    /// ([`Level1::set_count_bits`] widens them). Allocates neither the
+    /// bucket window nor, while flat, the child links.
     pub fn new(group_width: u32, level2_group_width: u32) -> Self {
         debug_assert!(group_width >= 1 && level2_group_width >= 1);
         let n_groups = L1_BUCKETS / group_width as usize + 1;
-        Level1 {
+        let mut level1 = Level1 {
             slab: Slab::new(),
-            // pss-lint: allow(no-alloc-hot-path) — one-time construction, not the steady-state cascade
-            buckets: vec![Bucket::EMPTY; L1_BUCKETS],
+            // pss-lint: allow(no-alloc-hot-path) — an empty Vec does not allocate; the window grows with the first insert
+            buckets: Vec::new(),
+            bucket_base: 0,
             // The arena's fill padding is never observable through the
             // `Bucket` API; `u64::MAX` is unreachable as a real handle
             // (31-bit generations keep raw ids below 2^63), so the snapshot
@@ -767,14 +790,134 @@ impl Level1 {
             nonempty_buckets: BitsetList::new(L1_BUCKETS),
             nonempty_groups: BitsetList::new(n_groups),
             group_width,
-            // pss-lint: allow(no-alloc-hot-path) — one-time construction, not the steady-state cascade
-            children: vec![NO_NODE; n_groups],
+            // pss-lint: allow(no-alloc-hot-path) — an empty Vec does not allocate; reset_children sizes it
+            children: Vec::new(),
             pool: NodePool::new(),
             total_weight: 0,
             n_positive: 0,
             n_zero: 0,
             l2_group_width: level2_group_width,
             count_bits: group_width + 1,
+        };
+        level1.reset_children();
+        level1
+    }
+
+    /// Unlinks every level-2 child: one [`NO_NODE`] slot per group, or no
+    /// slots at all (and no allocation) while the structure is flat.
+    fn reset_children(&mut self) {
+        if self.is_flat() {
+            // pss-lint: allow(no-alloc-hot-path) — an empty Vec does not allocate; this frees the links a rebuild to the floor leaves unused
+            self.children = Vec::new();
+        } else {
+            let n_groups = L1_BUCKETS / self.group_width as usize + 1;
+            self.children.clear();
+            // pss-lint: allow(no-alloc-hot-path) — clear+resize to the retained length reuses the kept allocation — no allocator traffic (construction/rebuild)
+            self.children.resize(n_groups, NO_NODE);
+        }
+    }
+
+    /// Absolute indices of the bucket window (empty when no bucket was
+    /// ever filled since the last re-fit).
+    pub fn bucket_range(&self) -> std::ops::Range<usize> {
+        self.bucket_base..self.bucket_base + self.buckets.len()
+    }
+
+    /// Bucket `i` (absolute index); `None` outside the window, where every
+    /// bucket is empty.
+    #[inline]
+    pub fn bucket(&self, i: usize) -> Option<&Bucket> {
+        self.buckets.get(i.wrapping_sub(self.bucket_base))
+    }
+
+    /// Length of bucket `i` (absolute index; 0 outside the window).
+    #[inline]
+    pub fn bucket_len(&self, i: usize) -> usize {
+        self.bucket(i).map_or(0, Bucket::len)
+    }
+
+    /// Bucket `i` (absolute index, inside the window).
+    #[inline]
+    fn bucket_at(&self, i: usize) -> &Bucket {
+        &self.buckets[i - self.bucket_base]
+    }
+
+    /// The item arena and bucket `i`'s handle (absolute index, inside the
+    /// window), borrowed apart for the arena calls that take both.
+    #[inline]
+    pub(crate) fn arena_and_bucket(&mut self, i: usize) -> (&mut BucketArena<ItemId>, &mut Bucket) {
+        (&mut self.item_arena, &mut self.buckets[i - self.bucket_base])
+    }
+
+    /// Bucket `i`'s handle for an insert: widens the window to `i` first
+    /// when it lies outside (the cold arm; a bucket index the structure has
+    /// held before since the last re-fit is already inside).
+    #[inline]
+    fn insert_slot(&mut self, i: usize) -> (&mut BucketArena<ItemId>, &mut Bucket) {
+        if i.wrapping_sub(self.bucket_base) >= self.buckets.len() {
+            self.widen_to(i);
+        }
+        self.arena_and_bucket(i)
+    }
+
+    /// Grows the window to cover bucket `i`, allocating it at its exact
+    /// new length: the universe has 64 indices, so a window widens at most
+    /// 64 times between re-fits.
+    #[cold]
+    #[inline(never)]
+    fn widen_to(&mut self, i: usize) {
+        let range = self.bucket_range();
+        let (lo, hi) =
+            if range.is_empty() { (i, i) } else { (range.start.min(i), (range.end - 1).max(i)) };
+        self.place_window(lo..hi + 1);
+    }
+
+    /// Re-fits the window to exactly `span` (empty: no window at all),
+    /// keeping the handles inside it and releasing the blocks of those that
+    /// fall outside, which must all be empty. A window that moves is
+    /// reallocated at its exact new length; one that stays costs nothing.
+    fn place_window(&mut self, span: std::ops::Range<usize>) {
+        let old = self.bucket_range();
+        if span == old {
+            return;
+        }
+        for i in old.filter(|i| !span.contains(i)) {
+            let (arena, b) = self.arena_and_bucket(i);
+            debug_assert!(b.is_empty(), "re-fit drops non-empty bucket {i}");
+            arena.release(b);
+        }
+        if span.is_empty() {
+            // pss-lint: allow(no-alloc-hot-path) — an empty Vec does not allocate; this frees the window of a structure left with no positive item
+            self.buckets = Vec::new();
+            self.bucket_base = 0;
+            return;
+        }
+        // pss-lint: allow(no-alloc-hot-path) — window (re-)sizing: the cold widening arm or a rebuild/bulk/restore re-fit, never the steady-state cascade
+        let mut next = Vec::with_capacity(span.len());
+        // pss-lint: allow(no-alloc-hot-path) — fills the exact capacity reserved above
+        next.extend(
+            (span.start..span.end).map(|i| self.bucket(i).copied().unwrap_or(Bucket::EMPTY)),
+        );
+        self.buckets = next;
+        self.bucket_base = span.start;
+    }
+
+    /// Resets the item arena to one carved block per non-zero class count
+    /// (`counts[i]` items for bucket `i`) with the window fitted to exactly
+    /// those classes: the carve step shared by the fresh bulk build, the
+    /// compacting rebuild and the snapshot restore. Every previous handle
+    /// is discarded; the caller fills the blocks.
+    pub(crate) fn carve_classes(&mut self, counts: &[usize; L1_BUCKETS]) {
+        self.item_arena.reset_to_plan(counts.iter().copied());
+        self.buckets.iter_mut().for_each(|b| *b = Bucket::EMPTY);
+        let lo = counts.iter().position(|&c| c > 0);
+        let hi = counts.iter().rposition(|&c| c > 0);
+        self.place_window(lo.zip(hi).map_or(0..0, |(lo, hi)| lo..hi + 1));
+        for (i, &c) in counts.iter().enumerate() {
+            if c > 0 {
+                let (arena, b) = self.arena_and_bucket(i);
+                arena.carve_exact(b, c);
+            }
         }
     }
 
@@ -822,12 +965,12 @@ impl Level1 {
     /// A read-only view of the level-2 child of group `j`, if present.
     #[inline]
     pub fn child_view(&self, j: usize) -> Option<NodeView<'_>> {
-        let idx = self.children[j];
+        let idx = self.children.get(j).copied().unwrap_or(NO_NODE);
         (idx != NO_NODE).then(|| NodeView {
             pool: &self.pool,
             node: self.pool.node(idx),
             parent: &self.buckets,
-            parent_base: 0,
+            parent_base: self.bucket_base,
         })
     }
 
@@ -844,10 +987,11 @@ impl Level1 {
         }
         self.n_positive += 1;
         let i = floor_log2_u64(weight) as usize;
-        let pos = narrow::u32_of_usize(self.buckets[i].len());
+        let pos = narrow::u32_of_usize(self.insert_slot(i).1.len());
         let id = self.slab.insert_bucketed(weight, pos);
+        let (arena, b) = self.arena_and_bucket(i);
         // pss-lint: allow(no-alloc-hot-path) — BucketArena::push is the arena primitive; it allocates only while a size class grows toward its high-water mark
-        self.item_arena.push(&mut self.buckets[i], id);
+        arena.push(b, id);
         if pos == 0 {
             self.nonempty_buckets.insert(i);
             self.nonempty_groups.insert(i / self.group_width as usize);
@@ -865,9 +1009,10 @@ impl Level1 {
     ///
     /// Bit-identical to a loop of [`Level1::insert`]: level-1 bucket
     /// contents are input-ordered either way, and the node buckets' canonical
-    /// ascending-child order (see [`Node::buckets`]) makes the hierarchy a
-    /// pure function of the final bucket counts, so deriving once and
-    /// cascading n times land on the same structure.
+    /// ascending-child order (see [`Node`]) makes the hierarchy a pure
+    /// function of the final bucket counts, so deriving once and cascading n
+    /// times land on the same structure. A fresh build fits the bucket
+    /// window to the batch's classes; a warm one widens it to them.
     pub fn insert_many(&mut self, weights: &[u64]) -> Vec<ItemId> {
         // Pass 1: classify — the per-class occupancy histogram.
         let mut add = [0usize; L1_BUCKETS];
@@ -893,17 +1038,13 @@ impl Level1 {
         // the doubling chain.
         let fresh = self.n_positive == 0 && self.item_arena.carved() == 0;
         if fresh {
-            self.item_arena.reset_to_plan(add.iter().copied());
-            for (i, &c) in add.iter().enumerate() {
-                if c > 0 {
-                    self.item_arena.carve_exact(&mut self.buckets[i], c);
-                }
-            }
+            self.carve_classes(&add);
         } else {
             for (i, &c) in add.iter().enumerate() {
                 if c > 0 {
-                    let cap = self.buckets[i].len() + c;
-                    self.item_arena.reserve(&mut self.buckets[i], cap);
+                    let (arena, b) = self.insert_slot(i);
+                    let cap = b.len() + c;
+                    arena.reserve(b, cap);
                 }
             }
         }
@@ -922,7 +1063,7 @@ impl Level1 {
         let mut cur = [FillCursor::default(); L1_BUCKETS];
         for (i, &c) in add.iter().enumerate() {
             if c > 0 {
-                cur[i] = self.item_arena.fill_cursor(&self.buckets[i]);
+                cur[i] = self.item_arena.fill_cursor(self.bucket_at(i));
             }
         }
         let recycled = self.slab.free_slots().min(weights.len());
@@ -959,8 +1100,8 @@ impl Level1 {
         }
         for (i, &c) in add.iter().enumerate() {
             if c > 0 {
-                let fc = cur[i];
-                self.item_arena.commit_cursor(&mut self.buckets[i], fc);
+                let (arena, b) = self.arena_and_bucket(i);
+                arena.commit_cursor(b, cur[i]);
             }
         }
         self.n_positive += weights.len() - add_zero;
@@ -983,7 +1124,7 @@ impl Level1 {
                 if c == 0 {
                     continue;
                 }
-                let count = self.buckets[i].len() as u64;
+                let count = self.bucket_at(i).len() as u64;
                 let old_count = count - c as u64;
                 if old_count == 0 {
                     self.nonempty_buckets.insert(i);
@@ -1005,7 +1146,7 @@ impl Level1 {
         }
         let i = floor_log2_u64(weight) as usize;
         self.n_positive -= 1;
-        let count = self.buckets[i].len() as u64;
+        let count = self.bucket_at(i).len() as u64;
         self.detach(i, pos as usize);
         self.cascade_if_moved(i, count, count - 1);
         Some(weight)
@@ -1014,12 +1155,14 @@ impl Level1 {
     /// Removes the item at `pos` of bucket `i`, patching the swap-removed
     /// slot and the empty-bucket/empty-group bitsets (no cascade).
     fn detach(&mut self, i: usize, pos: usize) {
-        self.item_arena.swap_remove(&mut self.buckets[i], pos);
-        if pos < self.buckets[i].len() {
-            let moved = self.item_arena.get(&self.buckets[i], pos);
+        let (arena, b) = self.arena_and_bucket(i);
+        arena.swap_remove(b, pos);
+        let left = b.len();
+        if pos < left {
+            let moved = self.item_arena.get(self.bucket_at(i), pos);
             self.slab.set_bucket_pos(moved, narrow::u32_of_usize(pos));
         }
-        if self.buckets[i].is_empty() {
+        if left == 0 {
             self.nonempty_buckets.remove(i);
             let j = i / self.group_width as usize;
             if self.group_is_empty(j) {
@@ -1062,7 +1205,7 @@ impl Level1 {
         // Detach from the old bucket, if any.
         if let Some(i) = old_bucket {
             let pos = self.slab.bucket_pos(id) as usize;
-            let count = self.buckets[i].len() as u64;
+            let count = self.bucket_at(i).len() as u64;
             self.detach(i, pos);
             self.cascade_if_moved(i, count, count - 1);
             self.n_positive -= 1;
@@ -1071,9 +1214,10 @@ impl Level1 {
         }
         // Attach to the new bucket, if any.
         if let Some(i) = new_bucket {
-            let pos = narrow::u32_of_usize(self.buckets[i].len());
+            let (arena, b) = self.insert_slot(i);
+            let pos = narrow::u32_of_usize(b.len());
             // pss-lint: allow(no-alloc-hot-path) — BucketArena::push is the arena primitive; it allocates only while a size class grows toward its high-water mark
-            self.item_arena.push(&mut self.buckets[i], id);
+            arena.push(b, id);
             self.slab.set_bucket_pos(id, pos);
             if pos == 0 {
                 self.nonempty_buckets.insert(i);
@@ -1134,8 +1278,8 @@ impl Level1 {
         #[cfg(not(feature = "layout-baseline"))]
         self.derive_packed();
         #[cfg(feature = "layout-baseline")]
-        for i in 0..L1_BUCKETS {
-            let count = self.buckets[i].len() as u64;
+        for i in self.bucket_range() {
+            let count = self.bucket_at(i).len() as u64;
             if count > 0 {
                 self.cascade_bucket(narrow::u16_of_usize(i), count);
             }
@@ -1186,7 +1330,7 @@ impl Level1 {
             len2.fill(0);
             let mut any = false;
             for i in lo..hi {
-                let c = self.buckets[i].len() as u64;
+                let c = self.bucket_len(i) as u64;
                 if c > 0 {
                     len2[i + 1 + floor_log2_u64(c) as usize] += 1;
                     any = true;
@@ -1236,7 +1380,8 @@ impl Level1 {
         // allocates, so the cascade's steady-state guarantee holds here
         // trivially).
         let count_bits = self.count_bits;
-        let Level1 { buckets, pool, children, .. } = self;
+        let Level1 { buckets, bucket_base, pool, children, .. } = self;
+        let len1 = |i: usize| buckets.get(i.wrapping_sub(*bucket_base)).map_or(0, Bucket::len);
         let NodePool { nodes, arena } = pool;
         for j in 0..n_groups {
             let lo = j * gw;
@@ -1247,7 +1392,7 @@ impl Level1 {
             len2.fill(0);
             let mut any = false;
             for i in lo..hi {
-                let c = buckets[i].len() as u64;
+                let c = len1(i) as u64;
                 if c > 0 {
                     len2[i + 1 + floor_log2_u64(c) as usize] += 1;
                     any = true;
@@ -1269,7 +1414,7 @@ impl Level1 {
                     }
                 }
                 for i in lo..hi {
-                    let c = buckets[i].len() as u64;
+                    let c = len1(i) as u64;
                     if c == 0 {
                         continue;
                     }
@@ -1339,7 +1484,10 @@ impl Level1 {
     /// (global rebuilding, §4.5). Item handles are preserved, and **storage
     /// is recycled**: the arenas, the node pool, and every bitset keep their
     /// allocations, so a rebuild performs no heap traffic up to the
-    /// structure's previous high-water size.
+    /// structure's previous high-water size. The exceptions are sized to
+    /// the live items: the level-1 bucket window is re-fitted to the
+    /// non-empty buckets (reallocated when that range moved), and the child
+    /// links exist only above the flat floor.
     ///
     /// The level-1 bucket assignment `⌊log2 w⌋` does not depend on the group
     /// widths, so a plain (grow) rebuild keeps the item buckets as they are
@@ -1362,12 +1510,9 @@ impl Level1 {
         self.l2_group_width = level2_group_width;
         self.count_bits = count_bits;
         self.pool.reset();
-        self.children.clear();
-        // pss-lint: allow(no-alloc-hot-path) — clear+resize to the retained length reuses the kept allocation — no allocator traffic (reinit/rebuild)
-        self.children.resize(n_groups, NO_NODE);
+        self.reset_children();
         self.nonempty_groups.reset(n_groups);
         if compact {
-            self.buckets.iter_mut().for_each(|b| *b = Bucket::EMPTY);
             self.nonempty_buckets.reset(L1_BUCKETS);
             self.total_weight = 0;
             self.n_positive = 0;
@@ -1376,7 +1521,8 @@ impl Level1 {
             // the bulk build — so shrink-compaction is a radix partition:
             // one arena resize plans the whole region, and every block is
             // carved at its final size class by cursor arithmetic (no
-            // free-list traffic, no doubling-chain copies during the fill).
+            // free-list traffic, no doubling-chain copies during the fill),
+            // inside a window fitted to the live classes.
             let mut counts = [0usize; L1_BUCKETS];
             for idx in 0..self.slab.slot_count() {
                 if let Some((_, w)) = self.slab.entry_at(idx) {
@@ -1385,12 +1531,7 @@ impl Level1 {
                     }
                 }
             }
-            self.item_arena.reset_to_plan(counts.iter().copied());
-            for (i, &c) in counts.iter().enumerate() {
-                if c > 0 {
-                    self.item_arena.carve_exact(&mut self.buckets[i], c);
-                }
-            }
+            self.carve_classes(&counts);
             // Pass 2: place the items.
             for idx in 0..self.slab.slot_count() {
                 let Some((id, w)) = self.slab.entry_at(idx) else { continue };
@@ -1401,25 +1542,28 @@ impl Level1 {
                 self.n_positive += 1;
                 self.total_weight += w as u128;
                 let i = floor_log2_u64(w) as usize;
-                let pos = narrow::u32_of_usize(self.buckets[i].len());
+                let (arena, b) = self.arena_and_bucket(i);
+                let pos = narrow::u32_of_usize(b.len());
                 // pss-lint: allow(no-alloc-hot-path) — BucketArena::push is the arena primitive; it allocates only while a size class grows toward its high-water mark (rebuild)
-                self.item_arena.push(&mut self.buckets[i], id);
+                arena.push(b, id);
                 self.slab.set_bucket_pos(id, pos);
             }
-            for i in 0..L1_BUCKETS {
-                if !self.buckets[i].is_empty() {
+            for i in self.bucket_range() {
+                if !self.bucket_at(i).is_empty() {
                     self.nonempty_buckets.insert(i);
                 }
             }
+        } else {
+            // Re-fit the window to the buckets that are non-empty now.
+            let live = self.nonempty_buckets.min().zip(self.nonempty_buckets.max());
+            self.place_window(live.map_or(0..0, |(lo, hi)| lo..hi + 1));
         }
         // Re-derive grouping and the whole proxy hierarchy — locality-packed
         // by default (one contiguous arena run per group), per-bucket
         // cascades under `layout-baseline`; identical logical structure
         // either way.
-        for i in 0..L1_BUCKETS {
-            if !self.buckets[i].is_empty() {
-                self.nonempty_groups.insert(i / group_width as usize);
-            }
+        for i in self.nonempty_buckets.iter() {
+            self.nonempty_groups.insert(i / group_width as usize);
         }
         self.derive_hierarchy();
     }
@@ -1439,7 +1583,7 @@ impl Level1 {
             let i = floor_log2_u64(w) as usize;
             let pos = self.slab.bucket_pos(id) as usize;
             assert!(
-                pos < self.buckets[i].len() && self.item_arena.get(&self.buckets[i], pos) == id,
+                pos < self.bucket_len(i) && self.item_arena.get(self.bucket_at(i), pos) == id,
                 "item {id:?} misplaced"
             );
         }
@@ -1449,7 +1593,7 @@ impl Level1 {
         let bucketed: usize = self.buckets.iter().map(Bucket::len).sum();
         assert_eq!(bucketed, self.n_positive);
         for i in 0..L1_BUCKETS {
-            assert_eq!(!self.buckets[i].is_empty(), self.nonempty_buckets.contains(i));
+            assert_eq!(self.bucket_len(i) > 0, self.nonempty_buckets.contains(i), "bucket {i}");
         }
         for j in 0..self.nonempty_groups.universe() {
             assert_eq!(!self.group_is_empty(j), self.nonempty_groups.contains(j));
@@ -1461,10 +1605,10 @@ impl Level1 {
             let lo = j * gw;
             let hi = (lo + gw).min(L1_BUCKETS);
             if child != NO_NODE {
-                self.pool.validate_node(child, &self.buckets, 0, lo..hi);
-            } else if !self.is_flat() {
+                self.pool.validate_node(child, &self.buckets, self.bucket_base, lo..hi);
+            } else {
                 for i in lo..hi {
-                    assert!(self.buckets[i].is_empty(), "group {j} non-empty but no child");
+                    assert_eq!(self.bucket_len(i), 0, "group {j} non-empty but no child");
                 }
             }
         }
@@ -1473,10 +1617,20 @@ impl Level1 {
     }
 
     /// Verifies the storage invariants: node-pool free list, arena block
-    /// tiling for both arenas, and no live node while the structure is
-    /// flat ([`Level1::is_flat`]). O(capacity); test hook.
+    /// tiling for both arenas, a bucket window that covers every non-empty
+    /// bucket, and no live node or child link while the structure is flat
+    /// ([`Level1::is_flat`]). O(capacity); test hook.
     pub fn audit_storage(&self) -> Result<(), String> {
         self.item_arena.audit(self.buckets.iter().copied())?;
+        let window = self.bucket_range();
+        if let Some(i) = self.nonempty_buckets.iter().find(|i| !window.contains(i)) {
+            // pss-lint: allow(no-alloc-hot-path) — audit_storage() is an O(capacity) test/debug hook, never on the update path
+            return Err(format!("non-empty bucket {i} outside the window {window:?}"));
+        }
+        if self.is_flat() && !self.children.is_empty() {
+            // pss-lint: allow(no-alloc-hot-path) — audit_storage() is an O(capacity) test/debug hook, never on the update path
+            return Err(format!("flat structure holds {} child links", self.children.len()));
+        }
         if self.is_flat() && self.pool.live_nodes() != 0 {
             // pss-lint: allow(no-alloc-hot-path) — audit_storage() is an O(capacity) test/debug hook, never on the update path
             return Err(format!(
@@ -1491,10 +1645,12 @@ impl Level1 {
 
 impl SpaceUsage for Level1 {
     fn space_words(&self) -> usize {
+        // Heap blocks at their allocated capacity: the bucket window's
+        // handles (12 bytes each) and the child links (4).
         self.slab.space_words()
-            + self.buckets.len() * 3 / 2
+            + (self.buckets.capacity() * std::mem::size_of::<Bucket>()).div_ceil(8)
             + self.item_arena.space_words()
-            + self.children.len().div_ceil(2)
+            + (self.children.capacity() * std::mem::size_of::<u32>()).div_ceil(8)
             + self.pool.space_words()
             + self.nonempty_buckets.space_words()
             + self.nonempty_groups.space_words()
@@ -1546,13 +1702,15 @@ impl LevelView for Level1 {
         &self.nonempty_buckets
     }
     fn bucket_len(&self, b: usize) -> usize {
-        self.buckets[b].len()
+        Level1::bucket_len(self, b)
     }
     fn bucket_item(&self, b: usize, pos: usize) -> ItemId {
-        self.item_arena.get(&self.buckets[b], pos)
+        self.item_arena.get(self.bucket_at(b), pos)
     }
     fn prefetch_bucket_item(&self, b: usize, pos: usize) {
-        wordram::prefetch::prefetch_read(self.item_arena.slice(&self.buckets[b]), pos);
+        if let Some(bucket) = self.bucket(b) {
+            wordram::prefetch::prefetch_read(self.item_arena.slice(bucket), pos);
+        }
     }
     fn prefetch_weight(&self, id: ItemId) {
         self.slab.prefetch_slot(id.idx());
@@ -1686,15 +1844,14 @@ mod tests {
         assert_eq!(a.total_weight, b.total_weight);
         assert_eq!(a.n_positive, b.n_positive);
         assert_eq!(a.n_zero, b.n_zero);
-        for (x, y) in a.buckets.iter().zip(&b.buckets) {
-            assert_eq!(a.item_arena.slice(x), b.item_arena.slice(y));
-        }
+        let items = |l: &Level1, i| l.bucket(i).map(|x| l.item_arena.slice(x).to_vec());
         for i in 0..L1_BUCKETS {
+            assert_eq!(items(a, i).unwrap_or_default(), items(b, i).unwrap_or_default());
             assert_eq!(a.nonempty_buckets.contains(i), b.nonempty_buckets.contains(i));
         }
         for j in 0..a.nonempty_groups.universe() {
             assert_eq!(a.nonempty_groups.contains(j), b.nonempty_groups.contains(j));
-            if a.nonempty_groups.contains(j) {
+            if a.nonempty_groups.contains(j) && !a.is_flat() {
                 assert_ne!(a.children[j], NO_NODE);
                 assert_ne!(b.children[j], NO_NODE);
                 assert_nodes_equal(&a.pool, a.children[j], &b.pool, b.children[j]);
@@ -1838,6 +1995,93 @@ mod tests {
         let after = b.pool.node(b.children[0]).bucket_range();
         assert_eq!((after.start, after.end), (before.start, 5 + 20 + 1));
         b.validate();
+    }
+
+    #[test]
+    fn bucket_window_widens_on_insert_and_refits_on_rebuild() {
+        // An empty structure has no window and, while flat, no child links:
+        // it allocates neither.
+        let mut l = Level1::new(4, 2);
+        assert_eq!(l.bucket_range(), 0..0);
+        assert_eq!((l.buckets.capacity(), l.children.capacity()), (0, 0));
+        assert!(l.bucket(0).is_none() && l.bucket(63).is_none());
+        l.validate();
+        // The first insert opens a one-bucket window; inserts below and
+        // above it widen it to exactly the span covered, inside leave it.
+        let mid = l.insert(40); // bucket 5
+        assert_eq!(l.bucket_range(), 5..6);
+        let low = l.insert(3); // bucket 1
+        assert_eq!(l.bucket_range(), 1..6);
+        let high = l.insert(1 << 20); // bucket 20
+        assert_eq!(l.bucket_range(), 1..21);
+        assert_eq!(l.buckets.capacity(), 20, "widened to the exact length");
+        l.insert(9); // bucket 3
+        l.insert(0); // zero weight: no bucket
+        assert_eq!(l.bucket_range(), 1..21);
+        assert_eq!((l.bucket_len(1), l.bucket_len(2), l.bucket_len(64)), (1, 0, 0));
+        l.validate();
+        // Deletes leave the window as it is (the emptied bucket keeps its
+        // block); a grow rebuild re-fits it to the live range and returns
+        // the trimmed blocks to the arena.
+        l.delete(low);
+        l.delete(high);
+        assert_eq!(l.bucket_range(), 1..21);
+        l.validate();
+        l.rebuild(4, 2, 5, false);
+        assert_eq!(l.bucket_range(), 3..6);
+        l.validate();
+        // Reweighting into a new bucket widens the window too.
+        l.set_weight(mid, 1 << 40);
+        assert_eq!(l.bucket_range(), 3..41);
+        l.validate();
+        // A compacting rebuild re-fits as well, and across the flat floor
+        // the child links come and go with the nodes.
+        l.rebuild(6, 3, 9, true);
+        assert_eq!(l.bucket_range(), 3..41);
+        assert!(!l.is_flat() && l.children.len() == L1_BUCKETS / 6 + 1);
+        l.validate();
+        l.delete(mid);
+        l.rebuild(4, 2, 5, true);
+        assert_eq!(l.bucket_range(), 3..4);
+        assert_eq!(l.children.capacity(), 0);
+        l.validate();
+        // With every positive item gone, a rebuild leaves no window.
+        let last = l.slab.iter().find(|&(_, w)| w > 0).map(|(id, _)| id).expect("live item");
+        l.delete(last);
+        l.rebuild(4, 2, 5, false);
+        assert_eq!(l.bucket_range(), 0..0);
+        assert_eq!(l.buckets.capacity(), 0);
+        l.validate();
+    }
+
+    #[test]
+    fn per_op_bulk_and_restored_windows_agree() {
+        use crate::snapshot::{level1_from_slab, read_slab, write_slab};
+        use pss_core::{Dec, Enc};
+        for (g1, g2) in [(4u32, 2u32), (9, 4)] {
+            for n in [0usize, 1, 7, 300] {
+                let ws = weights(n, 0x51DE ^ n as u64);
+                let mut per_op = Level1::new(g1, g2);
+                ws.iter().for_each(|&w| {
+                    per_op.insert(w);
+                });
+                let mut bulk = Level1::new(g1, g2);
+                bulk.insert_many(&ws);
+                let mut enc = Enc::new();
+                write_slab(&mut enc, &per_op.slab);
+                let slab = read_slab(&mut Dec::new(enc.bytes())).expect("valid payload");
+                let restored =
+                    level1_from_slab(slab, g1, g2, per_op.count_bits).expect("valid slab");
+                let live = per_op.nonempty_buckets.min().zip(per_op.nonempty_buckets.max());
+                let want = live.map_or(0..0, |(lo, hi)| lo..hi + 1);
+                for (name, l) in [("per-op", &per_op), ("bulk", &bulk), ("restored", &restored)] {
+                    assert_eq!(l.bucket_range(), want, "{name}, g₁ = {g1}, n = {n}");
+                    assert_eq!(l.buckets.capacity(), want.len(), "{name}, g₁ = {g1}, n = {n}");
+                }
+                assert_equivalent(&per_op, &bulk);
+                assert_equivalent(&per_op, &restored);
+            }
+        }
     }
 
     #[test]

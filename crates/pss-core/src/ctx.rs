@@ -204,7 +204,7 @@ impl QueryCtx {
     /// once. The entry's *type* is part of the identity: a key re-used with
     /// a different `T` gets a fresh entry rather than a panic.
     ///
-    /// At most [`STATE_CAP`] entries are kept (oldest evicted first).
+    /// At most `STATE_CAP` (128) entries are kept (oldest evicted first).
     pub fn state<T: Any + Send + Sync>(
         &mut self,
         key: u64,
@@ -217,6 +217,10 @@ impl QueryCtx {
                 if self.state.len() >= STATE_CAP {
                     self.state.remove(0);
                 }
+                // One entry at a time: most contexts serve one or two
+                // backends (a graph node's), not the four a first `push`
+                // reserves.
+                self.state.reserve_exact(1);
                 self.state.push((key, Box::new(init())));
                 self.state.len() - 1
             }

@@ -238,7 +238,7 @@ pub trait PssBackend: SpaceUsage + Send + Sync {
     /// half-cascaded structure. A poisoned backend still answers
     /// [`PssBackend::journal`] (recovery reads the durable watermark off it)
     /// but must not be queried or updated; the way out is
-    /// [`recover`](crate::recover) from a snapshot + journal. Backends whose
+    /// [`recover`] from a snapshot + journal. Backends whose
     /// updates are single-step (the [`Store`]-backed baselines) never
     /// poison, which is what this default encodes.
     fn poisoned(&self) -> bool {

@@ -139,7 +139,7 @@ impl GeoDesc<'_> {
 
     /// Draws `Ber(p*)` for `p* = (1−(1−p)^n)/(n·p)` — the promising-bucket
     /// coin of Theorem 3.1 — through the two-sided fast path: one uniform
-    /// word against [`GeoDesc::pstar_bounds`], with the interval oracle
+    /// word against a certified `f64` bracket of `p*`, with the interval oracle
     /// (conditioned on the drawn word) only inside the ulp-wide sliver.
     /// Requires `n ≥ 1` and `n·p ≤ 1` ([`PStarOracle::new`]); the fast
     /// branch never even constructs the oracle.

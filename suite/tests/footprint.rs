@@ -4,20 +4,28 @@
 //! The paper promises space linear in the current number of items
 //! (Theorem 1.1), and the graph applications run one small sampler per
 //! node, so the fixed cost of a tiny sampler is what those workloads pay
-//! per node. Two checks:
+//! per node. The checks:
 //!
-//! - an 8-item sampler stays within 2 KiB of live heap: at the size floor
+//! - an empty sampler holds only its two bitsets' words: no bucket window,
+//!   no child links, no slab or arena storage;
+//! - an 8-item sampler stays under 1 KiB of live heap: at the size floor
 //!   (g₁ ≤ `IN_PLACE_BUCKETS`) it builds no level-2/3 node, so its heap is
-//!   the level-1 bucket vector, the bitsets, the slab and the item arena;
-//! - `space_words()` tracks the live heap: across sizes and both build
-//!   paths it stays within a factor of two of the measured bytes.
+//!   the level-1 bucket window (lowest to highest non-empty bucket), the
+//!   bitsets, the slab, the item arena and the journal;
+//! - a context's read state for one tiny sampler (one `(α, β)` plan) stays
+//!   under 1 KiB;
+//! - `space_words()` tracks the footprint: across sizes and both build
+//!   paths it stays within a factor of two of the measured bytes (the
+//!   sampler's inline struct plus its live heap).
 //!
 //! The counting allocator delegates to `System` verbatim; like
 //! `alloc_free.rs`, it is a sanctioned use of `unsafe` (`GlobalAlloc` is an
 //! unsafe trait).
 #![allow(unsafe_code)]
 
+use bignum::Ratio;
 use dpss::{DpssSampler, SpaceUsage};
+use pss_core::QueryCtx;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -84,16 +92,47 @@ fn bulk(weights: &[u64]) -> (DpssSampler, usize) {
     (s, bytes.unsigned_abs())
 }
 
-/// Measured: 1,556 B built per-op and 1,172 B in bulk. The bound fails a
-/// floor-sized sampler that keeps a level-2/3 node per non-empty group
-/// (4,100 and 3,684 B).
+/// Measured: 16 B, the two bitsets' leaf words. The bound (measured plus
+/// 25%) fails a sampler that allocates its full 64-handle bucket vector or
+/// its child links up front (852 B).
+#[test]
+fn empty_sampler_holds_only_its_bitsets() {
+    for (name, (s, bytes)) in [("per-op", per_op(&[])), ("bulk", bulk(&[]))] {
+        s.validate();
+        assert!(bytes <= 20, "{name}: empty sampler holds {bytes} B of live heap");
+    }
+}
+
+/// Measured: 792 B built per-op and 408 B in bulk (weights in buckets 1–6).
+/// The bound (the larger plus 25%) fails a sampler that allocates the whole
+/// 64-handle bucket vector (1,556 and 1,172 B), let alone one that keeps a
+/// level-2/3 node per non-empty group (4,100 and 3,684 B).
 #[test]
 fn eight_item_sampler_fits_in_a_few_kib() {
     let weights = [37u64, 5, 81, 12, 64, 3, 99, 20];
     for (name, (s, bytes)) in [("per-op", per_op(&weights)), ("bulk", bulk(&weights))] {
         s.validate();
-        assert!(bytes <= 2 * 1024, "{name}: 8-item sampler holds {bytes} B of live heap");
+        assert!(bytes <= 990, "{name}: 8-item sampler holds {bytes} B of live heap");
     }
+}
+
+/// A graph node's query context over its tiny sampler, after one query at
+/// its one `(α, β)` pair: the live heap the context holds (the returned
+/// sample freed). Measured: 560 B. The bound (measured plus 25%) fails a
+/// context that reserves room for four plans and four state entries on the
+/// first one (1,280 B).
+#[test]
+fn warm_context_over_a_tiny_sampler_fits_in_under_a_kib() {
+    let (s, _) = bulk(&[37, 5, 92, 18, 64]);
+    let (alpha, beta) = (Ratio::one(), Ratio::zero());
+    let before = live();
+    let mut ctx = QueryCtx::new(3);
+    for _ in 0..4 {
+        drop(s.query_in(&mut ctx, &alpha, &beta));
+    }
+    let bytes = (live() - before).unsigned_abs();
+    assert!(bytes <= 700, "a warm context holds {bytes} B of live heap");
+    drop(ctx);
 }
 
 #[test]
@@ -106,11 +145,14 @@ fn space_words_tracks_live_heap() {
                 rng.gen_range(1..=u64::MAX >> e)
             })
             .collect();
-        for (name, (s, bytes)) in [("per-op", per_op(&weights)), ("bulk", bulk(&weights))] {
+        for (name, (s, heap)) in [("per-op", per_op(&weights)), ("bulk", bulk(&weights))] {
+            // An empty sampler's heap is two words, so the inline struct,
+            // which `space_words` charges too, is part of what it measures.
+            let bytes = heap + std::mem::size_of::<DpssSampler>();
             let accounted = s.space_words() * 8;
             assert!(
                 accounted * 2 >= bytes && accounted <= 2 * bytes,
-                "{name}, n = {n}: space_words()·8 = {accounted} B vs {bytes} B live"
+                "{name}, n = {n}: space_words()·8 = {accounted} B vs {bytes} B (inline + heap)"
             );
         }
     }
