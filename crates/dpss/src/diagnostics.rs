@@ -87,7 +87,7 @@ fn collect_node(pool: &NodePool, idx: u32, l2: &mut LevelStats, l3: &mut LevelSt
     stats.nonempty_buckets += node.nonempty_buckets.len();
     stats.nonempty_groups += node.nonempty_groups.len();
     for b in node.nonempty_buckets.iter() {
-        stats.max_bucket_len = stats.max_bucket_len.max(node.bucket_len(b));
+        stats.max_bucket_len = stats.max_bucket_len.max(node.buckets.len_of(b));
     }
     for &child in &node.children {
         if child != NO_NODE {
@@ -102,7 +102,7 @@ fn collect_level1(l1: &Level1) -> [LevelStats; 3] {
     s1.nonempty_buckets = l1.nonempty_buckets.len();
     s1.nonempty_groups = l1.nonempty_groups.len();
     for b in l1.nonempty_buckets.iter() {
-        s1.max_bucket_len = s1.max_bucket_len.max(l1.bucket_len(b));
+        s1.max_bucket_len = s1.max_bucket_len.max(l1.buckets().len_of(b));
     }
     let mut s2 = LevelStats::default();
     let mut s3 = LevelStats::default();

@@ -101,7 +101,14 @@ impl Slab {
 
     /// Space in words.
     pub fn space_words(&self) -> usize {
-        self.recs.capacity() * 2 + self.free.capacity().div_ceil(2) + 3
+        self.heap_words() + 3
+    }
+
+    /// Words of heap the slab holds: the record vector at its allocated
+    /// capacity (two words a record) and the free list (half a word a
+    /// slot), for owners that account for the inline struct themselves.
+    pub fn heap_words(&self) -> usize {
+        self.recs.capacity() * 2 + self.free.capacity().div_ceil(2)
     }
 
     /// Inserts an item, returning its handle.

@@ -803,7 +803,7 @@ fn query_final_into<R: RngCore + Clone>(
         let config = &mut buf[..k_len as usize];
         let mut any = false;
         for (t, c) in config.iter_mut().enumerate() {
-            if let Some(b) = node.bucket(lo as usize + t) {
+            if let Some(b) = node.buckets.get(lo as usize + t) {
                 *c = narrow::u32_of_usize(b.len());
                 any |= *c > 0;
             }
@@ -831,7 +831,7 @@ fn query_final_into<R: RngCore + Clone>(
             let hi = ((i2 - 1) as usize).min(last);
             if lo.max(0) as usize <= hi {
                 for idx in node.nonempty_buckets.range(lo.max(0) as usize, hi) {
-                    let c = node.bucket_len(idx) as u64;
+                    let c = node.buckets.len_of(idx) as u64;
                     if accept_direct_candidate(frame.rng, frame.w, &frame.accel, idx, c) {
                         candidates.push(narrow::u16_of_usize(idx));
                     }
@@ -1125,7 +1125,7 @@ mod tests {
         let mut pool = crate::structure::NodePool::new();
         let idx = pool.alloc_level3();
         let node = pool.node_mut(idx);
-        node.buckets = Vec::new();
+        node.buckets = crate::structure::BucketWindow::default();
         node.nonempty_buckets = BitsetList::new(0);
         node.nonempty_groups = BitsetList::new(0);
         node.members = Vec::new();
@@ -1150,8 +1150,7 @@ mod tests {
             let view = crate::structure::NodeView {
                 pool: &pool,
                 node: pool.node(idx),
-                parent: &[],
-                parent_base: 0,
+                parent: &crate::structure::BucketWindow::default(),
             };
             assert!(query_final(&view, &mut ctx).is_empty(), "{mode:?}");
         }

@@ -872,7 +872,10 @@ impl SpaceUsage for DpssSampler {
         // The hierarchy alone. Rows memoized in a context are owned — and
         // must be accounted — by that context; they are derived data bounded
         // per context by the state cap, not part of the structure's O(n)
-        // story.
-        self.level1.space_words() + self.journal.space_words() + 6
+        // story. The inline struct (the level-1 structure and the journal
+        // embedded) plus the heap both of them hold.
+        std::mem::size_of::<Self>().div_ceil(8)
+            + self.level1.heap_words()
+            + self.journal.heap_words()
     }
 }

@@ -127,6 +127,56 @@ impl Member {
     }
 }
 
+/// Bucket handles for a window of absolute bucket indices: `handles[k]` is
+/// bucket `base + k`, and every bucket outside [`BucketWindow::range`] is
+/// empty. The bucket storage of both a [`Node`] and [`Level1`]; each owner
+/// keeps its own widening policy (a node grows upward from the start its
+/// group fixes, [`Level1`] spans its non-empty range and re-fits).
+#[derive(Debug, Default)]
+pub struct BucketWindow {
+    /// Absolute index of `handles[0]`.
+    base: usize,
+    /// Arena handles of the window's buckets.
+    handles: Vec<Bucket>,
+}
+
+impl BucketWindow {
+    /// Absolute indices of the window.
+    pub fn range(&self) -> std::ops::Range<usize> {
+        self.base..self.base + self.handles.len()
+    }
+
+    /// Bucket `b`; `None` outside the window, where every bucket is empty.
+    #[inline]
+    pub fn get(&self, b: usize) -> Option<&Bucket> {
+        self.handles.get(b.wrapping_sub(self.base))
+    }
+
+    /// Length of bucket `b` (0 outside the window).
+    #[inline]
+    pub fn len_of(&self, b: usize) -> usize {
+        self.get(b).map_or(0, Bucket::len)
+    }
+
+    /// Bucket `b` (inside the window).
+    #[inline]
+    fn at(&self, b: usize) -> &Bucket {
+        &self.handles[b - self.base]
+    }
+
+    /// Bucket `b` (inside the window) for writing.
+    #[inline]
+    fn at_mut(&mut self, b: usize) -> &mut Bucket {
+        &mut self.handles[b - self.base]
+    }
+
+    /// Words of heap the handles hold at their allocated capacity (12
+    /// bytes each).
+    fn heap_words(&self) -> usize {
+        (self.handles.capacity() * std::mem::size_of::<Bucket>()).div_ceil(8)
+    }
+}
+
 /// One `BG-Str` over proxy items (levels 2 and 3 of the hierarchy), stored
 /// inside a [`NodePool`]; its bucket lists live in the pool's shared arena.
 /// Only a [`Level1`] above the size floor (`g₁ > IN_PLACE_BUCKETS`) has
@@ -151,7 +201,7 @@ impl Member {
 /// O(g₁ + log n) words per level-2 node and O(g₂ + log g₁) per level-3
 /// node, so a hierarchy over n items takes O(n) words, not O(n·w).
 ///
-/// Indices stay absolute at the API — [`Node::bucket`], [`Node::member`],
+/// Indices stay absolute at the API — [`Node::buckets`], [`Node::member`],
 /// [`Node::child`] and the [`LevelView`] translate — and both bitsets stay
 /// absolute, so the logical structure, every query path and every drawn
 /// word are those of full-universe arrays. Should a count ever outgrow the
@@ -165,8 +215,9 @@ pub struct Node {
     pub base: u16,
     /// Width of this node's groups in bucket indices (level 2 only).
     pub group_width: u32,
-    /// `buckets[b − base − 1]` lists the child bucket indices whose proxies
-    /// live in bucket `b` (arena handles; resolve through the owning pool).
+    /// The bucket window, starting at `base + 1`: bucket `b` lists the
+    /// child bucket indices whose proxies live in it (arena handles; resolve
+    /// through the owning pool).
     /// **Canonical order invariant:** every bucket lists its children in
     /// ascending child index — the order a class-ascending derive produces
     /// — so the node's layout is a pure function of the child level's
@@ -174,7 +225,7 @@ pub struct Node {
     /// build derive the whole hierarchy in one sweep and still be
     /// bit-identical (position-sensitive queries included) to n incremental
     /// cascades.
-    pub(crate) buckets: Vec<Bucket>,
+    pub(crate) buckets: BucketWindow,
     /// Non-empty bucket indices (Fact 2.1 structure; absolute).
     pub nonempty_buckets: BitsetList,
     /// Non-empty group indices (level 2 only; absolute).
@@ -222,8 +273,7 @@ impl Node {
             level,
             base: 0,
             group_width,
-            // pss-lint: allow(no-alloc-hot-path) — one-time construction, not the steady-state cascade
-            buckets: Vec::new(),
+            buckets: BucketWindow::default(),
             nonempty_buckets: BitsetList::new(universe_of(level)),
             nonempty_groups: BitsetList::new(group_universe_of(level, group_width)),
             // pss-lint: allow(no-alloc-hot-path) — one-time construction, not the steady-state cascade
@@ -252,7 +302,8 @@ impl Node {
         self.level = level;
         self.base = narrow::u16_of_usize(children.start);
         self.group_width = group_width;
-        self.buckets.clear();
+        self.buckets.handles.clear();
+        self.buckets.base = children.start + 1;
         self.nonempty_buckets.reset(universe);
         self.nonempty_groups.reset(group_universe_of(level, group_width));
         self.members.clear();
@@ -274,12 +325,12 @@ impl Node {
     /// Grows the window upward so that bucket `top` lies inside it (no-op
     /// when it already does), extending `children` to the new groups.
     fn widen_to(&mut self, top: usize) {
-        let first = self.base as usize + 1;
-        if top < first + self.buckets.len() {
+        if top < self.buckets.range().end {
             return;
         }
+        let first = self.buckets.base;
         // pss-lint: allow(no-alloc-hot-path) — window sizing at node creation, or the cold widening arm when a count outgrew the sizing bound
-        self.buckets.resize(top + 1 - first, Bucket::EMPTY);
+        self.buckets.handles.resize(top + 1 - first, Bucket::EMPTY);
         if self.level == 2 {
             let g = self.group_width as usize;
             // pss-lint: allow(no-alloc-hot-path) — window sizing at node creation, or the cold widening arm when a count outgrew the sizing bound
@@ -287,35 +338,9 @@ impl Node {
         }
     }
 
-    /// Absolute indices of the bucket window.
-    pub fn bucket_range(&self) -> std::ops::Range<usize> {
-        let first = self.base as usize + 1;
-        first..first + self.buckets.len()
-    }
-
-    /// Bucket `b` (absolute index); `None` outside the window, where every
-    /// bucket is empty.
-    #[inline]
-    pub fn bucket(&self, b: usize) -> Option<&Bucket> {
-        self.buckets.get(b.wrapping_sub(self.base as usize + 1))
-    }
-
-    /// Length of bucket `b` (absolute index; 0 outside the window).
-    #[inline]
-    pub fn bucket_len(&self, b: usize) -> usize {
-        self.bucket(b).map_or(0, Bucket::len)
-    }
-
-    /// Bucket `b` (absolute index, inside the window).
-    #[inline]
-    fn bucket_at(&self, b: usize) -> &Bucket {
-        &self.buckets[b - self.base as usize - 1]
-    }
-
-    /// Bucket `b` (absolute index, inside the window) for writing.
-    #[inline]
-    fn bucket_mut(&mut self, b: usize) -> &mut Bucket {
-        &mut self.buckets[b - self.base as usize - 1]
+    /// The bucket window (absolute indices).
+    pub fn buckets(&self) -> &BucketWindow {
+        &self.buckets
     }
 
     /// Placement of the proxy for child `c` ([`Member::NONE`] outside the
@@ -334,7 +359,7 @@ impl Node {
     /// Children index of group `l` (level 2 only).
     #[inline]
     fn child_slot(&self, l: usize) -> usize {
-        l.wrapping_sub((self.base as usize + 1) / self.group_width as usize)
+        l.wrapping_sub(self.buckets.base / self.group_width as usize)
     }
 
     /// Pool index of the level-3 child of group `l` ([`NO_NODE`] when
@@ -440,7 +465,7 @@ impl NodePool {
     /// callers that prune.
     pub fn free_node(&mut self, idx: u32) {
         let node = self.nodes.get_mut(idx);
-        for b in &mut node.buckets {
+        for b in &mut node.buckets.handles {
             self.arena.release(b);
         }
         self.nodes.free(idx);
@@ -500,13 +525,13 @@ impl NodePool {
             let old = std::mem::replace(node.member_mut(child as usize), Member::NONE);
             if old.present() {
                 let b = old.bucket as usize;
-                let removed = arena.remove_at(node.bucket_mut(b), old.pos as usize);
+                let removed = arena.remove_at(node.buckets.at_mut(b), old.pos as usize);
                 debug_assert_eq!(removed, child, "bucket {b} held ghost child");
-                for q in old.pos as usize..node.bucket_len(b) {
-                    let moved = arena.get(node.bucket_at(b), q);
+                for q in old.pos as usize..node.buckets.len_of(b) {
+                    let moved = arena.get(node.buckets.at(b), q);
                     node.member_mut(moved as usize).pos = narrow::u32_of_usize(q);
                 }
-                if node.bucket_len(b) == 0 {
+                if node.buckets.len_of(b) == 0 {
                     node.nonempty_buckets.remove(b);
                     flipped[0] = true;
                 }
@@ -520,12 +545,12 @@ impl NodePool {
             if let Some(bucket) = new_bucket {
                 let b = bucket as usize;
                 node.widen_to(b);
-                let was_empty = node.bucket_len(b) == 0;
-                let slot = node.bucket_mut(b);
+                let was_empty = node.buckets.len_of(b) == 0;
+                let slot = node.buckets.at_mut(b);
                 let pos = arena.slice(slot).partition_point(|&c| c < child);
                 arena.insert_at(slot, pos, child);
-                for q in pos + 1..node.bucket_len(b) {
-                    let moved = arena.get(node.bucket_at(b), q);
+                for q in pos + 1..node.buckets.len_of(b) {
+                    let moved = arena.get(node.buckets.at(b), q);
                     node.member_mut(moved as usize).pos = narrow::u32_of_usize(q);
                 }
                 if was_empty {
@@ -556,7 +581,7 @@ impl NodePool {
                 let node = self.nodes.get(idx);
                 // A level-2 bucket holds at most the node's member count.
                 let bits = floor_log2_u64(node.members.len() as u64);
-                (node.bucket_len(b as usize) as u64, node.child(l), bits)
+                (node.buckets.len_of(b as usize) as u64, node.child(l), bits)
             };
             // Bucket 0's count changed by exactly one: removal target went
             // count+1 → count, insertion target count−1 → count.
@@ -586,18 +611,12 @@ impl NodePool {
     }
 
     /// Debug-only full validation of a node and its descendants against the
-    /// owning level's bucket handles (`parent[c − parent_base]` is child
-    /// bucket `c`; `children` is the half-open range of child indices this
-    /// node owns — one group of the level below).
-    pub fn validate_node(
-        &self,
-        idx: u32,
-        parent: &[Bucket],
-        parent_base: usize,
-        children: std::ops::Range<usize>,
-    ) {
+    /// owning level's bucket window (`parent`; `children` is the half-open
+    /// range of child indices this node owns — one group of the level
+    /// below).
+    pub fn validate_node(&self, idx: u32, parent: &BucketWindow, children: std::ops::Range<usize>) {
         let node = self.nodes.get(idx);
-        let window = node.bucket_range();
+        let window = node.buckets.range();
         assert_eq!(node.base as usize, children.start, "window starts off its group");
         assert_eq!(node.members.len(), children.len(), "member window is not its group");
         for b in node.nonempty_buckets.iter() {
@@ -605,7 +624,7 @@ impl NodePool {
         }
         let mut seen = 0usize;
         for b in window.start..window.end {
-            let items = self.arena.slice(node.bucket_at(b));
+            let items = self.arena.slice(node.buckets.at(b));
             assert_eq!(!items.is_empty(), node.nonempty_buckets.contains(b), "bucket {b} bitset");
             assert!(
                 items.windows(2).all(|p| p[0] < p[1]),
@@ -625,7 +644,7 @@ impl NodePool {
         // derived weight's bucket).
         for c in children {
             let m = node.member(c);
-            let count = parent.get(c.wrapping_sub(parent_base)).map_or(0, Bucket::len) as u64;
+            let count = parent.len_of(c) as u64;
             if count == 0 {
                 assert!(!m.present(), "child {c} empty but proxy present");
             } else {
@@ -647,10 +666,10 @@ impl NodePool {
             for (k, &child) in node.children.iter().enumerate() {
                 let group = level3_children(first_group + k, gw);
                 if child != NO_NODE {
-                    self.validate_node(child, &node.buckets, window.start, group);
+                    self.validate_node(child, &node.buckets, group);
                 } else {
                     for b in group {
-                        assert_eq!(node.bucket_len(b), 0, "bucket {b} non-empty but no child");
+                        assert_eq!(node.buckets.len_of(b), 0, "bucket {b} non-empty but no child");
                     }
                 }
             }
@@ -688,31 +707,38 @@ impl NodePool {
                 self.nodes.slot_count()
             ));
         }
-        let live_buckets = live_nodes
-            .iter()
-            .enumerate()
-            .filter(|&(_, &live)| live)
-            .flat_map(|(i, _)| self.nodes.get(narrow::u32_of_usize(i)).buckets.iter().copied());
+        let live_buckets =
+            live_nodes.iter().enumerate().filter(|&(_, &live)| live).flat_map(|(i, _)| {
+                self.nodes.get(narrow::u32_of_usize(i)).buckets.handles.iter().copied()
+            });
         self.arena.audit(live_buckets)
     }
 }
 
-impl SpaceUsage for NodePool {
-    fn space_words(&self) -> usize {
-        // The pool charges every node slot at `size_of::<Node>()`; each
-        // node adds its heap blocks at their allocated capacity: bucket
-        // handles (12 bytes each), member placements (8), child links (4)
-        // and the two bitsets' words. The bucket *contents* are accounted
-        // once, by the shared arena.
-        let nodes = self.nodes.space_words_by(|n| {
-            (n.buckets.capacity() * std::mem::size_of::<Bucket>()).div_ceil(8)
+impl NodePool {
+    /// Words of heap the pool holds: every node slot at `size_of::<Node>()`
+    /// plus each node's heap blocks at their allocated capacity (bucket
+    /// handles, 12 bytes each; member placements, 8; child links, 4; the
+    /// two bitsets' words), and the shared arena, which holds the bucket
+    /// *contents* once.
+    pub fn heap_words(&self) -> usize {
+        let nodes = self.nodes.heap_words_by(|n| {
+            n.buckets.heap_words()
                 + (n.members.capacity() * std::mem::size_of::<Member>()).div_ceil(8)
                 + (n.children.capacity() * std::mem::size_of::<u32>()).div_ceil(8)
                 + n.nonempty_buckets.heap_words()
                 + n.nonempty_groups.heap_words()
         });
-        nodes + self.arena.space_words()
+        nodes + self.arena.heap_words()
     }
+}
+
+/// The lowest to the highest class with a non-zero count (empty when every
+/// count is zero).
+fn class_span(counts: &[usize; L1_BUCKETS]) -> std::ops::Range<usize> {
+    let lo = counts.iter().position(|&c| c > 0);
+    let hi = counts.iter().rposition(|&c| c > 0);
+    lo.zip(hi).map_or(0..0, |(lo, hi)| lo..hi + 1)
 }
 
 /// `BG-Str(S)`: the level-1 structure over the real item set. Owns the item
@@ -727,19 +753,17 @@ impl SpaceUsage for NodePool {
 /// outside it, and never narrows on a delete (the emptied bucket keeps its
 /// block, as every bucket does); a rebuild, a fresh bulk build and a
 /// snapshot restore re-fit it to the live range. Indices stay absolute at
-/// the API ([`Level1::bucket`], [`Level1::bucket_len`]), so queries, goldens
-/// and snapshot bytes cannot tell the window from the full vector.
+/// the API ([`Level1::buckets`]), so queries, goldens and snapshot bytes
+/// cannot tell the window from the full vector.
 #[derive(Debug)]
 pub struct Level1 {
     /// Item storage.
     pub slab: Slab,
-    /// The bucket window: `buckets[i − bucket_base]` holds the items with
+    /// The bucket window: bucket `i` holds the items with
     /// `2^i ≤ w < 2^{i+1}` (arena handles). It spans only the lowest to the
     /// highest non-empty bucket index (an empty structure allocates none);
-    /// see [`Level1::bucket`].
-    buckets: Vec<Bucket>,
-    /// Absolute index of `buckets[0]`.
-    bucket_base: usize,
+    /// see [`Level1::buckets`].
+    buckets: BucketWindow,
     /// Backing storage for the level-1 bucket lists.
     pub item_arena: BucketArena<ItemId>,
     /// Non-empty bucket indices.
@@ -778,9 +802,7 @@ impl Level1 {
         let n_groups = L1_BUCKETS / group_width as usize + 1;
         let mut level1 = Level1 {
             slab: Slab::new(),
-            // pss-lint: allow(no-alloc-hot-path) — an empty Vec does not allocate; the window grows with the first insert
-            buckets: Vec::new(),
-            bucket_base: 0,
+            buckets: BucketWindow::default(),
             // The arena's fill padding is never observable through the
             // `Bucket` API; `u64::MAX` is unreachable as a real handle
             // (31-bit generations keep raw ids below 2^63), so the snapshot
@@ -817,36 +839,17 @@ impl Level1 {
         }
     }
 
-    /// Absolute indices of the bucket window (empty when no bucket was
-    /// ever filled since the last re-fit).
-    pub fn bucket_range(&self) -> std::ops::Range<usize> {
-        self.bucket_base..self.bucket_base + self.buckets.len()
-    }
-
-    /// Bucket `i` (absolute index); `None` outside the window, where every
-    /// bucket is empty.
-    #[inline]
-    pub fn bucket(&self, i: usize) -> Option<&Bucket> {
-        self.buckets.get(i.wrapping_sub(self.bucket_base))
-    }
-
-    /// Length of bucket `i` (absolute index; 0 outside the window).
-    #[inline]
-    pub fn bucket_len(&self, i: usize) -> usize {
-        self.bucket(i).map_or(0, Bucket::len)
-    }
-
-    /// Bucket `i` (absolute index, inside the window).
-    #[inline]
-    fn bucket_at(&self, i: usize) -> &Bucket {
-        &self.buckets[i - self.bucket_base]
+    /// The bucket window (absolute indices; empty when no bucket was filled
+    /// since the last re-fit).
+    pub fn buckets(&self) -> &BucketWindow {
+        &self.buckets
     }
 
     /// The item arena and bucket `i`'s handle (absolute index, inside the
     /// window), borrowed apart for the arena calls that take both.
     #[inline]
     pub(crate) fn arena_and_bucket(&mut self, i: usize) -> (&mut BucketArena<ItemId>, &mut Bucket) {
-        (&mut self.item_arena, &mut self.buckets[i - self.bucket_base])
+        (&mut self.item_arena, self.buckets.at_mut(i))
     }
 
     /// Bucket `i`'s handle for an insert: widens the window to `i` first
@@ -854,22 +857,24 @@ impl Level1 {
     /// held before since the last re-fit is already inside).
     #[inline]
     fn insert_slot(&mut self, i: usize) -> (&mut BucketArena<ItemId>, &mut Bucket) {
-        if i.wrapping_sub(self.bucket_base) >= self.buckets.len() {
-            self.widen_to(i);
+        if self.buckets.get(i).is_none() {
+            self.widen_to(i..i + 1);
         }
         self.arena_and_bucket(i)
     }
 
-    /// Grows the window to cover bucket `i`, allocating it at its exact
-    /// new length: the universe has 64 indices, so a window widens at most
-    /// 64 times between re-fits.
+    /// Grows the window to cover the non-empty `span`, allocating it at
+    /// its exact new length: the universe has 64 indices, so a window
+    /// widens at most 64 times between re-fits.
     #[cold]
     #[inline(never)]
-    fn widen_to(&mut self, i: usize) {
-        let range = self.bucket_range();
-        let (lo, hi) =
-            if range.is_empty() { (i, i) } else { (range.start.min(i), (range.end - 1).max(i)) };
-        self.place_window(lo..hi + 1);
+    fn widen_to(&mut self, span: std::ops::Range<usize>) {
+        let range = self.buckets.range();
+        if !range.is_empty() {
+            self.place_window(range.start.min(span.start)..range.end.max(span.end));
+        } else {
+            self.place_window(span);
+        }
     }
 
     /// Re-fits the window to exactly `span` (empty: no window at all),
@@ -877,7 +882,7 @@ impl Level1 {
     /// fall outside, which must all be empty. A window that moves is
     /// reallocated at its exact new length; one that stays costs nothing.
     fn place_window(&mut self, span: std::ops::Range<usize>) {
-        let old = self.bucket_range();
+        let old = self.buckets.range();
         if span == old {
             return;
         }
@@ -887,19 +892,14 @@ impl Level1 {
             arena.release(b);
         }
         if span.is_empty() {
-            // pss-lint: allow(no-alloc-hot-path) — an empty Vec does not allocate; this frees the window of a structure left with no positive item
-            self.buckets = Vec::new();
-            self.bucket_base = 0;
+            self.buckets = BucketWindow::default();
             return;
         }
         // pss-lint: allow(no-alloc-hot-path) — window (re-)sizing: the cold widening arm or a rebuild/bulk/restore re-fit, never the steady-state cascade
-        let mut next = Vec::with_capacity(span.len());
+        let mut handles = Vec::with_capacity(span.len());
         // pss-lint: allow(no-alloc-hot-path) — fills the exact capacity reserved above
-        next.extend(
-            (span.start..span.end).map(|i| self.bucket(i).copied().unwrap_or(Bucket::EMPTY)),
-        );
-        self.buckets = next;
-        self.bucket_base = span.start;
+        handles.extend(span.clone().map(|i| self.buckets.get(i).copied().unwrap_or(Bucket::EMPTY)));
+        self.buckets = BucketWindow { base: span.start, handles };
     }
 
     /// Resets the item arena to one carved block per non-zero class count
@@ -909,10 +909,8 @@ impl Level1 {
     /// is discarded; the caller fills the blocks.
     pub(crate) fn carve_classes(&mut self, counts: &[usize; L1_BUCKETS]) {
         self.item_arena.reset_to_plan(counts.iter().copied());
-        self.buckets.iter_mut().for_each(|b| *b = Bucket::EMPTY);
-        let lo = counts.iter().position(|&c| c > 0);
-        let hi = counts.iter().rposition(|&c| c > 0);
-        self.place_window(lo.zip(hi).map_or(0..0, |(lo, hi)| lo..hi + 1));
+        self.buckets.handles.iter_mut().for_each(|b| *b = Bucket::EMPTY);
+        self.place_window(class_span(counts));
         for (i, &c) in counts.iter().enumerate() {
             if c > 0 {
                 let (arena, b) = self.arena_and_bucket(i);
@@ -970,7 +968,6 @@ impl Level1 {
             pool: &self.pool,
             node: self.pool.node(idx),
             parent: &self.buckets,
-            parent_base: self.bucket_base,
         })
     }
 
@@ -1040,9 +1037,13 @@ impl Level1 {
         if fresh {
             self.carve_classes(&add);
         } else {
+            let span = class_span(&add);
+            if !span.is_empty() {
+                self.widen_to(span);
+            }
             for (i, &c) in add.iter().enumerate() {
                 if c > 0 {
-                    let (arena, b) = self.insert_slot(i);
+                    let (arena, b) = self.arena_and_bucket(i);
                     let cap = b.len() + c;
                     arena.reserve(b, cap);
                 }
@@ -1063,7 +1064,7 @@ impl Level1 {
         let mut cur = [FillCursor::default(); L1_BUCKETS];
         for (i, &c) in add.iter().enumerate() {
             if c > 0 {
-                cur[i] = self.item_arena.fill_cursor(self.bucket_at(i));
+                cur[i] = self.item_arena.fill_cursor(self.buckets.at(i));
             }
         }
         let recycled = self.slab.free_slots().min(weights.len());
@@ -1124,7 +1125,7 @@ impl Level1 {
                 if c == 0 {
                     continue;
                 }
-                let count = self.bucket_at(i).len() as u64;
+                let count = self.buckets.at(i).len() as u64;
                 let old_count = count - c as u64;
                 if old_count == 0 {
                     self.nonempty_buckets.insert(i);
@@ -1146,7 +1147,7 @@ impl Level1 {
         }
         let i = floor_log2_u64(weight) as usize;
         self.n_positive -= 1;
-        let count = self.bucket_at(i).len() as u64;
+        let count = self.buckets.at(i).len() as u64;
         self.detach(i, pos as usize);
         self.cascade_if_moved(i, count, count - 1);
         Some(weight)
@@ -1159,7 +1160,7 @@ impl Level1 {
         arena.swap_remove(b, pos);
         let left = b.len();
         if pos < left {
-            let moved = self.item_arena.get(self.bucket_at(i), pos);
+            let moved = self.item_arena.get(self.buckets.at(i), pos);
             self.slab.set_bucket_pos(moved, narrow::u32_of_usize(pos));
         }
         if left == 0 {
@@ -1205,7 +1206,7 @@ impl Level1 {
         // Detach from the old bucket, if any.
         if let Some(i) = old_bucket {
             let pos = self.slab.bucket_pos(id) as usize;
-            let count = self.bucket_at(i).len() as u64;
+            let count = self.buckets.at(i).len() as u64;
             self.detach(i, pos);
             self.cascade_if_moved(i, count, count - 1);
             self.n_positive -= 1;
@@ -1272,14 +1273,14 @@ impl Level1 {
         }
         // Counts above the sizing bound (a structure filled without the
         // sampler's rebuilds) widen the windows up front.
-        if let Some(max) = self.buckets.iter().map(Bucket::len).max().filter(|&c| c > 0) {
+        if let Some(max) = self.buckets.handles.iter().map(Bucket::len).max().filter(|&c| c > 0) {
             self.count_bits = self.count_bits.max(floor_log2_u64(max as u64));
         }
         #[cfg(not(feature = "layout-baseline"))]
         self.derive_packed();
         #[cfg(feature = "layout-baseline")]
-        for i in self.bucket_range() {
-            let count = self.bucket_at(i).len() as u64;
+        for i in self.buckets.range() {
+            let count = self.buckets.at(i).len() as u64;
             if count > 0 {
                 self.cascade_bucket(narrow::u16_of_usize(i), count);
             }
@@ -1330,7 +1331,7 @@ impl Level1 {
             len2.fill(0);
             let mut any = false;
             for i in lo..hi {
-                let c = self.bucket_len(i) as u64;
+                let c = self.buckets.len_of(i) as u64;
                 if c > 0 {
                     len2[i + 1 + floor_log2_u64(c) as usize] += 1;
                     any = true;
@@ -1380,8 +1381,7 @@ impl Level1 {
         // allocates, so the cascade's steady-state guarantee holds here
         // trivially).
         let count_bits = self.count_bits;
-        let Level1 { buckets, bucket_base, pool, children, .. } = self;
-        let len1 = |i: usize| buckets.get(i.wrapping_sub(*bucket_base)).map_or(0, Bucket::len);
+        let Level1 { buckets, pool, children, .. } = self;
         let NodePool { nodes, arena } = pool;
         for j in 0..n_groups {
             let lo = j * gw;
@@ -1392,7 +1392,7 @@ impl Level1 {
             len2.fill(0);
             let mut any = false;
             for i in lo..hi {
-                let c = len1(i) as u64;
+                let c = buckets.len_of(i) as u64;
                 if c > 0 {
                     len2[i + 1 + floor_log2_u64(c) as usize] += 1;
                     any = true;
@@ -1408,20 +1408,20 @@ impl Level1 {
                 let mut n2 = 0usize;
                 for b2 in (lo + 1)..L2_BUCKETS {
                     if len2[b2] > 0 {
-                        arena.carve_exact(node.bucket_mut(b2), len2[b2] as usize);
+                        arena.carve_exact(node.buckets.at_mut(b2), len2[b2] as usize);
                         node.nonempty_buckets.insert(b2);
                         node.nonempty_groups.insert(b2 / g2w);
                     }
                 }
                 for i in lo..hi {
-                    let c = len1(i) as u64;
+                    let c = buckets.len_of(i) as u64;
                     if c == 0 {
                         continue;
                     }
                     let b2 = i + 1 + floor_log2_u64(c) as usize;
-                    let pos = node.bucket_len(b2);
+                    let pos = node.buckets.len_of(b2);
                     // pss-lint: allow(no-alloc-hot-path) — per-class bulk derive; blocks were carved by the plan, push is cursor arithmetic
-                    arena.push(node.bucket_mut(b2), narrow::u16_of_usize(i));
+                    arena.push(node.buckets.at_mut(b2), narrow::u16_of_usize(i));
                     *node.member_mut(i) =
                         Member { bucket: narrow::u16_of_usize(b2), pos: narrow::u32_of_usize(pos) };
                     n2 += 1;
@@ -1453,7 +1453,7 @@ impl Level1 {
                 let node3 = nodes.get_mut(child3);
                 for b3 in lo3..=hi3 {
                     if len3[b3] > 0 {
-                        arena.carve_exact(node3.bucket_mut(b3), len3[b3] as usize);
+                        arena.carve_exact(node3.buckets.at_mut(b3), len3[b3] as usize);
                         node3.nonempty_buckets.insert(b3);
                         len3[b3] = 0;
                     }
@@ -1465,9 +1465,9 @@ impl Level1 {
                         continue;
                     }
                     let b3 = b2 + 1 + floor_log2_u64(c2) as usize;
-                    let pos = node3.bucket_len(b3);
+                    let pos = node3.buckets.len_of(b3);
                     // pss-lint: allow(no-alloc-hot-path) — per-class bulk derive; blocks were carved by the plan, push is cursor arithmetic
-                    arena.push(node3.bucket_mut(b3), narrow::u16_of_usize(b2));
+                    arena.push(node3.buckets.at_mut(b3), narrow::u16_of_usize(b2));
                     *node3.member_mut(b2) =
                         Member { bucket: narrow::u16_of_usize(b3), pos: narrow::u32_of_usize(pos) };
                     n3 += 1;
@@ -1548,8 +1548,8 @@ impl Level1 {
                 arena.push(b, id);
                 self.slab.set_bucket_pos(id, pos);
             }
-            for i in self.bucket_range() {
-                if !self.bucket_at(i).is_empty() {
+            for i in self.buckets.range() {
+                if !self.buckets.at(i).is_empty() {
                     self.nonempty_buckets.insert(i);
                 }
             }
@@ -1583,17 +1583,17 @@ impl Level1 {
             let i = floor_log2_u64(w) as usize;
             let pos = self.slab.bucket_pos(id) as usize;
             assert!(
-                pos < self.bucket_len(i) && self.item_arena.get(self.bucket_at(i), pos) == id,
+                pos < self.buckets.len_of(i) && self.item_arena.get(self.buckets.at(i), pos) == id,
                 "item {id:?} misplaced"
             );
         }
         assert_eq!(total, self.total_weight);
         assert_eq!(positive, self.n_positive);
         assert_eq!(zero, self.n_zero);
-        let bucketed: usize = self.buckets.iter().map(Bucket::len).sum();
+        let bucketed: usize = self.buckets.handles.iter().map(Bucket::len).sum();
         assert_eq!(bucketed, self.n_positive);
         for i in 0..L1_BUCKETS {
-            assert_eq!(self.bucket_len(i) > 0, self.nonempty_buckets.contains(i), "bucket {i}");
+            assert_eq!(self.buckets.len_of(i) > 0, self.nonempty_buckets.contains(i), "bucket {i}");
         }
         for j in 0..self.nonempty_groups.universe() {
             assert_eq!(!self.group_is_empty(j), self.nonempty_groups.contains(j));
@@ -1605,10 +1605,10 @@ impl Level1 {
             let lo = j * gw;
             let hi = (lo + gw).min(L1_BUCKETS);
             if child != NO_NODE {
-                self.pool.validate_node(child, &self.buckets, self.bucket_base, lo..hi);
+                self.pool.validate_node(child, &self.buckets, lo..hi);
             } else {
                 for i in lo..hi {
-                    assert_eq!(self.bucket_len(i), 0, "group {j} non-empty but no child");
+                    assert_eq!(self.buckets.len_of(i), 0, "group {j} non-empty but no child");
                 }
             }
         }
@@ -1621,8 +1621,8 @@ impl Level1 {
     /// bucket, and no live node or child link while the structure is flat
     /// ([`Level1::is_flat`]). O(capacity); test hook.
     pub fn audit_storage(&self) -> Result<(), String> {
-        self.item_arena.audit(self.buckets.iter().copied())?;
-        let window = self.bucket_range();
+        self.item_arena.audit(self.buckets.handles.iter().copied())?;
+        let window = self.buckets.range();
         if let Some(i) = self.nonempty_buckets.iter().find(|i| !window.contains(i)) {
             // pss-lint: allow(no-alloc-hot-path) — audit_storage() is an O(capacity) test/debug hook, never on the update path
             return Err(format!("non-empty bucket {i} outside the window {window:?}"));
@@ -1643,18 +1643,25 @@ impl Level1 {
     }
 }
 
+impl Level1 {
+    /// Words of heap the structure holds, every block at its allocated
+    /// capacity: the slab, the bucket window's handles, the item arena, the
+    /// child links (4 bytes each), the node pool and the two bitsets' words.
+    /// Owners that embed a `Level1` charge its inline struct themselves.
+    pub fn heap_words(&self) -> usize {
+        self.slab.heap_words()
+            + self.buckets.heap_words()
+            + self.item_arena.heap_words()
+            + (self.children.capacity() * std::mem::size_of::<u32>()).div_ceil(8)
+            + self.pool.heap_words()
+            + self.nonempty_buckets.heap_words()
+            + self.nonempty_groups.heap_words()
+    }
+}
+
 impl SpaceUsage for Level1 {
     fn space_words(&self) -> usize {
-        // Heap blocks at their allocated capacity: the bucket window's
-        // handles (12 bytes each) and the child links (4).
-        self.slab.space_words()
-            + (self.buckets.capacity() * std::mem::size_of::<Bucket>()).div_ceil(8)
-            + self.item_arena.space_words()
-            + (self.children.capacity() * std::mem::size_of::<u32>()).div_ceil(8)
-            + self.pool.space_words()
-            + self.nonempty_buckets.space_words()
-            + self.nonempty_groups.space_words()
-            + 8
+        std::mem::size_of::<Self>().div_ceil(8) + self.heap_words()
     }
 }
 
@@ -1702,13 +1709,13 @@ impl LevelView for Level1 {
         &self.nonempty_buckets
     }
     fn bucket_len(&self, b: usize) -> usize {
-        Level1::bucket_len(self, b)
+        self.buckets.len_of(b)
     }
     fn bucket_item(&self, b: usize, pos: usize) -> ItemId {
-        self.item_arena.get(self.bucket_at(b), pos)
+        self.item_arena.get(self.buckets.at(b), pos)
     }
     fn prefetch_bucket_item(&self, b: usize, pos: usize) {
-        if let Some(bucket) = self.bucket(b) {
+        if let Some(bucket) = self.buckets.get(b) {
             wordram::prefetch::prefetch_read(self.item_arena.slice(bucket), pos);
         }
     }
@@ -1743,11 +1750,9 @@ pub struct NodeView<'a> {
     pub pool: &'a NodePool,
     /// The node itself.
     pub node: &'a Node,
-    /// Bucket handles of the level below (weights derive from their
-    /// lengths): `parent[0]` is that level's bucket `parent_base`.
-    pub parent: &'a [Bucket],
-    /// Absolute bucket index of `parent[0]`.
-    pub parent_base: usize,
+    /// Bucket window of the level below (weights derive from its bucket
+    /// lengths).
+    pub parent: &'a BucketWindow,
 }
 
 impl<'a> NodeView<'a> {
@@ -1759,14 +1764,13 @@ impl<'a> NodeView<'a> {
             pool: self.pool,
             node: self.pool.node(idx),
             parent: &self.node.buckets,
-            parent_base: self.node.bucket_range().start,
         })
     }
 
     /// The derived child-bucket count behind proxy `id` (must be live).
     #[inline]
     fn proxy_count(&self, id: u16) -> u64 {
-        let count = self.parent[id as usize - self.parent_base].len() as u64;
+        let count = self.parent.at(id as usize).len() as u64;
         debug_assert!(count > 0, "live proxy {id} over empty child bucket");
         count
     }
@@ -1782,10 +1786,10 @@ impl LevelView for NodeView<'_> {
         &self.node.nonempty_buckets
     }
     fn bucket_len(&self, b: usize) -> usize {
-        self.node.bucket_len(b)
+        self.node.buckets.len_of(b)
     }
     fn bucket_item(&self, b: usize, pos: usize) -> u16 {
-        self.pool.arena.get(self.node.bucket_at(b), pos)
+        self.pool.arena.get(self.node.buckets.at(b), pos)
     }
     fn weight_u256(&self, id: u16) -> U256 {
         U256::from_u64_shifted(self.proxy_count(id), u32::from(id) + 1)
@@ -1819,7 +1823,8 @@ mod tests {
         let universe = a.nonempty_buckets.universe();
         assert_eq!(universe, b.nonempty_buckets.universe());
         for i in 0..universe {
-            let slice = |p: &NodePool, n: &Node| n.bucket(i).map(|x| p.arena.slice(x).to_vec());
+            let slice =
+                |p: &NodePool, n: &Node| n.buckets.get(i).map(|x| p.arena.slice(x).to_vec());
             assert_eq!(slice(pa, a).unwrap_or_default(), slice(pb, b).unwrap_or_default());
             assert_eq!(a.nonempty_buckets.contains(i), b.nonempty_buckets.contains(i));
         }
@@ -1844,7 +1849,7 @@ mod tests {
         assert_eq!(a.total_weight, b.total_weight);
         assert_eq!(a.n_positive, b.n_positive);
         assert_eq!(a.n_zero, b.n_zero);
-        let items = |l: &Level1, i| l.bucket(i).map(|x| l.item_arena.slice(x).to_vec());
+        let items = |l: &Level1, i| l.buckets.get(i).map(|x| l.item_arena.slice(x).to_vec());
         for i in 0..L1_BUCKETS {
             assert_eq!(items(a, i).unwrap_or_default(), items(b, i).unwrap_or_default());
             assert_eq!(a.nonempty_buckets.contains(i), b.nonempty_buckets.contains(i));
@@ -1958,13 +1963,13 @@ mod tests {
             let n2 = l.pool.node(i2);
             let end = n2.base as usize + n2.members.len();
             assert_eq!(n2.members.len(), 8);
-            assert_eq!(n2.bucket_range(), n2.base as usize + 1..(end + 9).min(127) + 1);
+            assert_eq!(n2.buckets.range(), n2.base as usize + 1..(end + 9).min(127) + 1);
             seen.0 += 1;
             for &i3 in n2.children.iter().filter(|&&c| c != NO_NODE) {
                 let n3 = l.pool.node(i3);
                 let end = n3.base as usize + n3.members.len();
                 assert_eq!(n3.members.len(), 3);
-                assert_eq!(n3.bucket_range(), n3.base as usize + 1..end + 3 + 1);
+                assert_eq!(n3.buckets.range(), n3.base as usize + 1..end + 3 + 1);
                 seen.1 += 1;
             }
         }
@@ -1988,11 +1993,11 @@ mod tests {
             b.insert(w);
         }
         assert_equivalent(&a, &b);
-        let before = b.pool.node(b.children[0]).bucket_range();
+        let before = b.pool.node(b.children[0]).buckets.range();
         assert_eq!((before.start, before.end), (1, 13 + 1), "window widened to the proxy");
         // A looser bound widens every live level-2 window in place.
         b.set_count_bits(20);
-        let after = b.pool.node(b.children[0]).bucket_range();
+        let after = b.pool.node(b.children[0]).buckets.range();
         assert_eq!((after.start, after.end), (before.start, 5 + 20 + 1));
         b.validate();
     }
@@ -2002,55 +2007,69 @@ mod tests {
         // An empty structure has no window and, while flat, no child links:
         // it allocates neither.
         let mut l = Level1::new(4, 2);
-        assert_eq!(l.bucket_range(), 0..0);
-        assert_eq!((l.buckets.capacity(), l.children.capacity()), (0, 0));
-        assert!(l.bucket(0).is_none() && l.bucket(63).is_none());
+        assert_eq!(l.buckets.range(), 0..0);
+        assert_eq!((l.buckets.handles.capacity(), l.children.capacity()), (0, 0));
+        assert!(l.buckets.get(0).is_none() && l.buckets.get(63).is_none());
         l.validate();
         // The first insert opens a one-bucket window; inserts below and
         // above it widen it to exactly the span covered, inside leave it.
         let mid = l.insert(40); // bucket 5
-        assert_eq!(l.bucket_range(), 5..6);
+        assert_eq!(l.buckets.range(), 5..6);
         let low = l.insert(3); // bucket 1
-        assert_eq!(l.bucket_range(), 1..6);
+        assert_eq!(l.buckets.range(), 1..6);
         let high = l.insert(1 << 20); // bucket 20
-        assert_eq!(l.bucket_range(), 1..21);
-        assert_eq!(l.buckets.capacity(), 20, "widened to the exact length");
+        assert_eq!(l.buckets.range(), 1..21);
+        assert_eq!(l.buckets.handles.capacity(), 20, "widened to the exact length");
         l.insert(9); // bucket 3
         l.insert(0); // zero weight: no bucket
-        assert_eq!(l.bucket_range(), 1..21);
-        assert_eq!((l.bucket_len(1), l.bucket_len(2), l.bucket_len(64)), (1, 0, 0));
+        assert_eq!(l.buckets.range(), 1..21);
+        assert_eq!((l.buckets.len_of(1), l.buckets.len_of(2), l.buckets.len_of(64)), (1, 0, 0));
         l.validate();
         // Deletes leave the window as it is (the emptied bucket keeps its
         // block); a grow rebuild re-fits it to the live range and returns
         // the trimmed blocks to the arena.
         l.delete(low);
         l.delete(high);
-        assert_eq!(l.bucket_range(), 1..21);
+        assert_eq!(l.buckets.range(), 1..21);
         l.validate();
         l.rebuild(4, 2, 5, false);
-        assert_eq!(l.bucket_range(), 3..6);
+        assert_eq!(l.buckets.range(), 3..6);
         l.validate();
         // Reweighting into a new bucket widens the window too.
         l.set_weight(mid, 1 << 40);
-        assert_eq!(l.bucket_range(), 3..41);
+        assert_eq!(l.buckets.range(), 3..41);
         l.validate();
         // A compacting rebuild re-fits as well, and across the flat floor
         // the child links come and go with the nodes.
         l.rebuild(6, 3, 9, true);
-        assert_eq!(l.bucket_range(), 3..41);
+        assert_eq!(l.buckets.range(), 3..41);
         assert!(!l.is_flat() && l.children.len() == L1_BUCKETS / 6 + 1);
         l.validate();
         l.delete(mid);
         l.rebuild(4, 2, 5, true);
-        assert_eq!(l.bucket_range(), 3..4);
+        assert_eq!(l.buckets.range(), 3..4);
         assert_eq!(l.children.capacity(), 0);
         l.validate();
         // With every positive item gone, a rebuild leaves no window.
         let last = l.slab.iter().find(|&(_, w)| w > 0).map(|(id, _)| id).expect("live item");
         l.delete(last);
         l.rebuild(4, 2, 5, false);
-        assert_eq!(l.bucket_range(), 0..0);
-        assert_eq!(l.buckets.capacity(), 0);
+        assert_eq!(l.buckets.range(), 0..0);
+        assert_eq!(l.buckets.handles.capacity(), 0);
+        l.validate();
+    }
+
+    #[test]
+    fn warm_bulk_insert_widens_the_window_to_the_batch() {
+        let mut l = Level1::new(4, 2);
+        l.insert(40); // bucket 5
+        l.insert_many(&[1 << 20, 3, 0, 1 << 9]); // buckets 20, 1, none, 9
+        assert_eq!(l.buckets.range(), 1..21);
+        assert_eq!(l.buckets.handles.capacity(), 20, "widened to the exact length");
+        l.validate();
+        // A batch inside the window leaves it as it is.
+        l.insert_many(&[6, 1 << 12]);
+        assert_eq!(l.buckets.range(), 1..21);
         l.validate();
     }
 
@@ -2075,8 +2094,12 @@ mod tests {
                 let live = per_op.nonempty_buckets.min().zip(per_op.nonempty_buckets.max());
                 let want = live.map_or(0..0, |(lo, hi)| lo..hi + 1);
                 for (name, l) in [("per-op", &per_op), ("bulk", &bulk), ("restored", &restored)] {
-                    assert_eq!(l.bucket_range(), want, "{name}, g₁ = {g1}, n = {n}");
-                    assert_eq!(l.buckets.capacity(), want.len(), "{name}, g₁ = {g1}, n = {n}");
+                    assert_eq!(l.buckets.range(), want, "{name}, g₁ = {g1}, n = {n}");
+                    assert_eq!(
+                        l.buckets.handles.capacity(),
+                        want.len(),
+                        "{name}, g₁ = {g1}, n = {n}"
+                    );
                 }
                 assert_equivalent(&per_op, &bulk);
                 assert_equivalent(&per_op, &restored);

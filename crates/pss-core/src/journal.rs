@@ -178,7 +178,13 @@ impl ChangeJournal {
     /// Words of storage charged to the journal (ring entries are an epoch
     /// word plus a four-word delta).
     pub fn space_words(&self) -> usize {
-        self.ring.capacity() * 5 + 5
+        self.heap_words() + 5
+    }
+
+    /// Words of heap the ring holds at its allocated capacity, for owners
+    /// that account for the inline struct themselves.
+    pub fn heap_words(&self) -> usize {
+        self.ring.capacity() * 5
     }
 
     /// Appends one delta under a freshly bumped epoch; returns the new

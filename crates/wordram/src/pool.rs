@@ -463,16 +463,22 @@ impl<T: Copy> BucketArena<T> {
     }
 }
 
-impl<T: Copy> SpaceUsage for BucketArena<T> {
-    fn space_words(&self) -> usize {
-        let elem_bytes = std::mem::size_of::<T>();
-        // Carved storage (the analogue of the old per-bucket Vec capacities),
-        // the free-list table (three words per list header) and half a word
-        // per allocated free-block slot, plus the scalars.
-        (self.data.len() * elem_bytes).div_ceil(8)
+impl<T: Copy> BucketArena<T> {
+    /// Words of heap the arena holds: carved storage (the analogue of the
+    /// old per-bucket Vec capacities), the free-list table (three words per
+    /// list header) and half a word per allocated free-block slot, for
+    /// owners that account for the inline struct themselves.
+    pub fn heap_words(&self) -> usize {
+        (self.data.len() * std::mem::size_of::<T>()).div_ceil(8)
             + self.free.capacity() * 3
             + self.free.iter().map(|f| f.capacity().div_ceil(2)).sum::<usize>()
-            + 2
+    }
+}
+
+impl<T: Copy> SpaceUsage for BucketArena<T> {
+    fn space_words(&self) -> usize {
+        // The heap plus the scalars.
+        self.heap_words() + 2
     }
 }
 
@@ -586,10 +592,16 @@ impl<T> Pool<T> {
     /// `heap_words` of every slot — the words its own heap blocks hold —
     /// plus the free list.
     pub fn space_words_by(&self, heap_words: impl Fn(&T) -> usize) -> usize {
+        self.heap_words_by(heap_words) + 2
+    }
+
+    /// [`Pool::space_words_by`] without the pool's own scalars: the words
+    /// of heap the pool holds, for owners that account for the inline
+    /// struct themselves.
+    pub fn heap_words_by(&self, heap_words: impl Fn(&T) -> usize) -> usize {
         (self.slots.capacity() * std::mem::size_of::<T>()).div_ceil(8)
             + self.slots.iter().map(heap_words).sum::<usize>()
             + self.free.capacity().div_ceil(2)
-            + 2
     }
 }
 

@@ -14,9 +14,10 @@
 //!   bitsets, the slab, the item arena and the journal;
 //! - a context's read state for one tiny sampler (one `(α, β)` plan) stays
 //!   under 1 KiB;
-//! - `space_words()` tracks the footprint: across sizes and both build
-//!   paths it stays within a factor of two of the measured bytes (the
-//!   sampler's inline struct plus its live heap).
+//! - `space_words()` tracks the footprint: it charges the sampler's inline
+//!   struct plus the heap it holds, and across sizes and both build paths
+//!   it stays within 25% of the same two measured (`size_of` plus live
+//!   heap).
 //!
 //! The counting allocator delegates to `System` verbatim; like
 //! `alloc_free.rs`, it is a sanctioned use of `unsafe` (`GlobalAlloc` is an
@@ -146,12 +147,14 @@ fn space_words_tracks_live_heap() {
             })
             .collect();
         for (name, (s, heap)) in [("per-op", per_op(&weights)), ("bulk", bulk(&weights))] {
-            // An empty sampler's heap is two words, so the inline struct,
-            // which `space_words` charges too, is part of what it measures.
+            // `space_words` charges `size_of::<DpssSampler>()` plus the
+            // heap, so the measurement counts the same two. Measured ratios
+            // run 0.90–1.01 (the per-op arena's doubling slack is the low
+            // end).
             let bytes = heap + std::mem::size_of::<DpssSampler>();
             let accounted = s.space_words() * 8;
             assert!(
-                accounted * 2 >= bytes && accounted <= 2 * bytes,
+                accounted * 5 >= bytes * 4 && accounted * 4 <= bytes * 5,
                 "{name}, n = {n}: space_words()·8 = {accounted} B vs {bytes} B (inline + heap)"
             );
         }
