@@ -118,8 +118,10 @@ pub struct DeamortizedDpss {
     /// Incremented each time an epoch *opens*; stamps new-resident entries.
     epoch: u64,
     epochs_done: u64,
-    /// Epoch-delta change log over the *union* handle space (each migration
-    /// half additionally keeps its own journal over its internal ids).
+    /// Change journal over the *union* handle space (each migration half
+    /// additionally keeps its own journal over its internal ids). Like a
+    /// [`DpssSampler`]'s, it keeps no delta ring unless one is attached
+    /// ([`DeamortizedDpss::attach_journal_ring`]).
     journal: ChangeJournal,
     /// Set while a `&mut` update is mid-flight and cleared on completion: an
     /// unwind (or injected fault) in between leaves it stuck `true`, and
@@ -146,7 +148,7 @@ impl DeamortizedDpss {
             force_exact: false,
             epoch: 0,
             epochs_done: 0,
-            journal: ChangeJournal::new(),
+            journal: ChangeJournal::ringless_at(0),
             poisoned: false,
         }
     }
@@ -171,6 +173,12 @@ impl DeamortizedDpss {
     /// they move between halves).
     pub fn journal(&self) -> &ChangeJournal {
         &self.journal
+    }
+
+    /// Makes the union journal retain up to `capacity ≥ 1` deltas from now
+    /// on (see [`DpssSampler::attach_journal_ring`]).
+    pub fn attach_journal_ring(&mut self, capacity: usize) {
+        self.journal.attach_ring(capacity);
     }
 
     /// Number of live items.
@@ -714,9 +722,9 @@ impl Snapshottable for DeamortizedDpss {
             force_exact,
             epoch,
             epochs_done,
-            // The union journal resumes at the saved watermark with an empty
-            // ring: recovery replays a durable journal's suffix from here.
-            journal: ChangeJournal::resumed_at(watermark),
+            // The union journal resumes at the saved watermark, ring-less:
+            // recovery replays a durable journal's suffix from here.
+            journal: ChangeJournal::ringless_at(watermark),
             poisoned: false,
         })
     }

@@ -59,7 +59,8 @@ pub struct StructureStats {
     /// Words carved by the level-1 item arena (live + parked blocks) — the
     /// piece shrink-rebuild compaction reclaims.
     pub item_arena_words: usize,
-    /// Words carved by the shared proxy-bucket arena of the node pool.
+    /// Words carved by the shared proxy-bucket arena of the node pool (0
+    /// for a flat sampler, which has no node pool).
     pub proxy_arena_words: usize,
     /// Residency split of the item arena: live vs parked (free-listed) vs
     /// reserved-but-uncarved words. `parked + slack` is the fragmentation
@@ -106,9 +107,11 @@ fn collect_level1(l1: &Level1) -> [LevelStats; 3] {
     }
     let mut s2 = LevelStats::default();
     let mut s3 = LevelStats::default();
-    for &child in &l1.children {
-        if child != NO_NODE {
-            collect_node(&l1.pool, child, &mut s2, &mut s3);
+    if let Some(h) = l1.hierarchy() {
+        for &child in &h.children {
+            if child != NO_NODE {
+                collect_node(&h.pool, child, &mut s2, &mut s3);
+            }
         }
     }
     [s1, s2, s3]
@@ -116,13 +119,14 @@ fn collect_level1(l1: &Level1) -> [LevelStats; 3] {
 
 impl DpssSampler {
     /// The level-1 structure, read-only: the item buckets, their non-empty
-    /// bucket and group bitsets, and the node pool below them.
+    /// bucket and group bitsets, and the hierarchy of nodes below them.
     pub fn level1(&self) -> &Level1 {
         &self.level1
     }
 
     /// Collects a full structural snapshot in O(capacity).
     pub fn stats(&self) -> StructureStats {
+        let proxy_arena = self.level1.hierarchy().map(|h| &h.pool.arena);
         StructureStats {
             n_items: self.len(),
             n_zero: self.level1.n_zero,
@@ -132,9 +136,9 @@ impl DpssSampler {
             levels: collect_level1(&self.level1),
             space_words: self.space_words(),
             item_arena_words: self.level1.item_arena.space_words(),
-            proxy_arena_words: self.level1.pool.arena.space_words(),
+            proxy_arena_words: proxy_arena.map_or(0, SpaceUsage::space_words),
             item_arena_residency: self.level1.item_arena.residency(),
-            proxy_arena_residency: self.level1.pool.arena.residency(),
+            proxy_arena_residency: proxy_arena.map(|a| a.residency()).unwrap_or_default(),
         }
     }
 }

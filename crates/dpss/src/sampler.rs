@@ -23,8 +23,8 @@ use crate::structure::Level1;
 use bignum::{BigUint, Ratio};
 use pss_core::fault::{self, FaultError, Site};
 use pss_core::{
-    kind, ChangeJournal, CtxRng, Delta, Enc, Handle, QueryCtx, Replay, SnapshotError,
-    SnapshotReader, SnapshotWriter, Snapshottable,
+    kind, ChangeJournal, CtxRng, Delta, Enc, Handle, QueryCtx, SnapshotError, SnapshotReader,
+    SnapshotWriter, Snapshottable,
 };
 use wordram::bits::{ceil_log2_u64, floor_log2_u64};
 use wordram::SpaceUsage;
@@ -72,15 +72,16 @@ struct PlanEntry {
 /// capacity from query to query, and the sample is copied out of `items`
 /// once, at its exact length (no allocation at all when it is empty).
 ///
-/// Revalidation is journal-driven (the epoch-delta protocol): the state
-/// remembers the [`ChangeJournal`] epoch it last synchronized to plus a
-/// `(Σw, n⁺)` snapshot, and [`DpssSampler::query_in`] catches it up before
-/// every lookup. Weight-only churn (a delta replay) keeps the memoized
+/// Revalidation reads the [`ChangeJournal`]'s version, never its deltas:
+/// the state remembers the epoch it last synchronized to plus a `(Σw, n⁺)`
+/// snapshot, and [`DpssSampler::query_in`] revalidates it before every
+/// lookup. Churn between two rebuilds, however long, keeps the memoized
 /// lookup table *and* every cache entry — entries are merely marked stale
 /// and refreshed in place on next use, and if the churn was weight-neutral
 /// (`Σw` and `n⁺` both unchanged) the plans stay exactly valid. Only a
-/// structural rebuild (`Rebuilt` entry, or a replay window lost to ring
-/// wrap) clears the cache, and only a modulus change rebuilds the table.
+/// structural rebuild since the synchronized epoch
+/// ([`ChangeJournal::rebuilt_since`]) clears the cache, and only a modulus
+/// change rebuilds the table.
 #[derive(Debug)]
 pub(crate) struct PlanState {
     pub(crate) table: LookupTable,
@@ -131,7 +132,7 @@ fn derive_widths(n0: usize) -> (u32, u32) {
 /// `⌊log2 n_cap⌋` for `n_cap = n₀·k + 1`: a rebuild fires as soon as the
 /// size leaves `[n₀/k, k·n₀]`, so no level-1 bucket holds more than `n_cap`
 /// items before the next one — the bound the level-2 windows are sized
-/// for ([`Level1::count_bits`]).
+/// for ([`crate::structure::Hierarchy::count_bits`]).
 fn count_bits(n0: usize, rebuild_factor: usize) -> u32 {
     floor_log2_u64(n0.saturating_mul(rebuild_factor).saturating_add(1) as u64)
 }
@@ -179,14 +180,13 @@ pub struct DpssSampler {
     final_mode: FinalLevelMode,
     rebuilds: u64,
     rebuild_factor: usize,
-    /// The epoch-delta change log: every item-set mutation appends a
-    /// [`Delta`], structural rebuilds append [`Delta::Rebuilt`], and every
-    /// context's [`PlanState`] catches up through it (weight-only churn
-    /// refreshes plans in place; only structural entries clear them).
+    /// The change journal: every item-set mutation records a [`Delta`] and
+    /// structural rebuilds record [`Delta::Rebuilt`]. Every context's
+    /// [`PlanState`] revalidates against its version alone (churn refreshes
+    /// plans in place; only a rebuild clears them), so the journal keeps no
+    /// delta ring unless one is attached
+    /// ([`DpssSampler::attach_journal_ring`]).
     journal: ChangeJournal,
-    /// Lookup modulus `g₂` for the current sizing (contexts rebuild their
-    /// memoized tables lazily when this moves under them).
-    table_modulus: u32,
     /// Process-unique id keying this sampler's state inside any [`QueryCtx`].
     instance: u64,
     /// Disables the word-level fast path (all coins exact; agreement tests).
@@ -222,16 +222,13 @@ impl DpssSampler {
         let n0 = n.max(N0_FLOOR);
         let (g1, g2) = derive_widths(n0);
         let rebuild_factor = 2;
-        let mut level1 = Level1::new(g1, g2);
-        level1.count_bits = count_bits(n0, rebuild_factor);
         DpssSampler {
-            level1,
+            level1: Level1::sized(g1, g2, count_bits(n0, rebuild_factor)),
             n0,
             final_mode: FinalLevelMode::default(),
             rebuilds: 0,
             rebuild_factor,
-            journal: ChangeJournal::new(),
-            table_modulus: g2,
+            journal: ChangeJournal::ringless_at(0),
             instance: pss_core::fresh_backend_id(),
             force_exact: false,
             poisoned: false,
@@ -328,8 +325,21 @@ impl DpssSampler {
     }
 
     /// The sampler's change journal (shared epoch-delta protocol surface).
+    /// Its epoch counts every mutation; it retains deltas only once a ring
+    /// is attached ([`DpssSampler::attach_journal_ring`]), and until then
+    /// answers every lagging [`ChangeJournal::catch_up`] with
+    /// [`pss_core::Replay::TooOld`].
     pub fn journal(&self) -> &ChangeJournal {
         &self.journal
+    }
+
+    /// Makes the journal retain up to `capacity ≥ 1` deltas from now on:
+    /// for a caller that replays them, such as a write-ahead log bridging a
+    /// snapshot to the present through [`pss_core::recover`]. Queries never
+    /// read the ring, and a sampler without one (the default) pays neither
+    /// its memory nor its appends.
+    pub fn attach_journal_ring(&mut self, capacity: usize) {
+        self.journal.attach_ring(capacity);
     }
 
     /// Eagerly materializes every lookup-table row of configuration dimension
@@ -582,7 +592,6 @@ impl DpssSampler {
         // rebuild (group widths moved), and contexts re-derive their
         // memoized tables lazily when the modulus changed (`plan_state`).
         self.journal.record_rebuilt();
-        self.table_modulus = g2;
         self.n0 = n0;
         self.rebuilds += 1;
     }
@@ -616,7 +625,7 @@ impl DpssSampler {
     /// lookup table re-derived if a rebuild changed the modulus), returned
     /// together with the context's RNG so the query can hold both mutably.
     fn plan_state<'c>(&self, ctx: &'c mut QueryCtx) -> (&'c mut CtxRng, &'c mut PlanState) {
-        let modulus = self.table_modulus;
+        let modulus = self.level1.l2_group_width;
         let (rng, st) = ctx.state(self.instance, || {
             // Fresh state synchronizes to the journal *now*: no sentinel
             // epochs, no spurious first-query invalidation.
@@ -634,33 +643,30 @@ impl DpssSampler {
         (rng, st)
     }
 
-    /// Journal-driven revalidation of one context's [`PlanState`] — the
-    /// epoch-delta replacement for the old "any mutation stales everything"
-    /// protocol. Weight-only churn keeps the cache: entries go stale (to be
-    /// refreshed in place) only if `(Σw, n⁺)` actually moved, and survive
-    /// untouched when the churn was weight-neutral. A structural rebuild or
-    /// a lost replay window clears the cache outright (the memoized table
-    /// still survives unless the modulus moved — `plan_state` handles that).
+    /// Version-driven revalidation of one context's [`PlanState`] — the
+    /// replacement for the old "any mutation stales everything" protocol.
+    /// Churn keeps the cache: entries go stale (to be refreshed in place)
+    /// only if `(Σw, n⁺)` actually moved, and survive untouched when the
+    /// churn was weight-neutral. Only a structural rebuild since the
+    /// context's epoch clears the cache outright (the memoized table still
+    /// survives unless the modulus moved — `plan_state` handles that). No
+    /// delta is read: a plan depends on `(Σw, n⁺)` and the sizing, not on
+    /// which items moved.
     fn revalidate(&self, st: &mut PlanState) {
         let epoch = self.journal.epoch();
         if st.journal_epoch == epoch {
             return;
         }
-        match self.journal.catch_up(st.journal_epoch) {
-            Replay::UpToDate => {}
-            Replay::Deltas(_) => {
-                // The hierarchy's sizing is intact (a rebuild would have
-                // taken the structural path), so plans survive keyed on the
-                // quantities they actually depend on.
-                if st.total_snapshot != self.level1.total_weight
-                    || st.n_pos_snapshot != self.level1.n_positive
-                {
-                    for entry in &mut st.plans {
-                        entry.valid = false;
-                    }
-                }
+        if self.journal.rebuilt_since(st.journal_epoch) {
+            st.plans.clear();
+        } else if st.total_snapshot != self.level1.total_weight
+            || st.n_pos_snapshot != self.level1.n_positive
+        {
+            // The hierarchy's sizing is intact, so plans survive keyed on
+            // the quantities they actually depend on.
+            for entry in &mut st.plans {
+                entry.valid = false;
             }
-            Replay::TooOld => st.plans.clear(),
         }
         st.journal_epoch = epoch;
         st.total_snapshot = self.level1.total_weight;
@@ -853,11 +859,10 @@ impl Snapshottable for DpssSampler {
             final_mode,
             rebuilds,
             rebuild_factor,
-            // The journal resumes at the saved watermark with an empty ring:
-            // recovery replays a durable journal's suffix from here.
-            journal: ChangeJournal::resumed_at(watermark),
-            // `table_modulus` tracks `l2_group_width` by construction.
-            table_modulus: g2,
+            // The journal resumes at the saved watermark, ring-less like a
+            // fresh sampler's: recovery replays a durable journal's suffix
+            // from here.
+            journal: ChangeJournal::ringless_at(watermark),
             // Process-local identity is deliberately not durable: a restored
             // sampler keys fresh per-context state.
             instance: pss_core::fresh_backend_id(),
@@ -873,7 +878,8 @@ impl SpaceUsage for DpssSampler {
         // must be accounted — by that context; they are derived data bounded
         // per context by the state cap, not part of the structure's O(n)
         // story. The inline struct (the level-1 structure and the journal
-        // embedded) plus the heap both of them hold.
+        // embedded) plus the heap both of them hold: the boxed hierarchy
+        // above the flat floor, and the journal's ring if one is attached.
         std::mem::size_of::<Self>().div_ceil(8)
             + self.level1.heap_words()
             + self.journal.heap_words()

@@ -190,7 +190,7 @@ impl BucketWindow {
 ///
 /// - Level 2, for level-1 group `j`: `base = j·g₁`. Level-1 bucket counts
 ///   stay `≤ n_cap = n₀·k + 1` until the next rebuild (`k` the rebuild
-///   factor), so `top = (j+1)·g₁ + ⌊log2 n_cap⌋` ([`Level1::count_bits`]):
+///   factor), so `top = (j+1)·g₁ + ⌊log2 n_cap⌋` ([`Hierarchy::count_bits`]):
 ///   about `g₁ + log2 n` buckets instead of 128.
 /// - Level 3, for level-2 group `l`: `base = l·g₂`. A level-2 bucket holds
 ///   at most one level-1 group's proxies (`≤ g₁`), so
@@ -741,9 +741,26 @@ fn class_span(counts: &[usize; L1_BUCKETS]) -> std::ops::Range<usize> {
     lo.zip(hi).map_or(0..0, |(lo, hi)| lo..hi + 1)
 }
 
+/// The level-2/3 hierarchy of a [`Level1`] above the flat floor: its child
+/// links, the [`NodePool`] holding every deeper node, and the bound the
+/// level-2 windows are sized for. A flat structure ([`Level1::is_flat`])
+/// reads none of it, so [`Level1`] keeps it boxed and only while not flat:
+/// a sampler at the size floor pays one pointer for it.
+#[derive(Debug)]
+pub struct Hierarchy {
+    /// Level-2 children, one slot per level-1 group (pool indices,
+    /// [`NO_NODE`] for an empty group).
+    pub children: Vec<u32>,
+    /// Every level-2/3 node of the hierarchy.
+    pub pool: NodePool,
+    /// `⌊log2⌋` of the largest level-1 bucket count the level-2 windows are
+    /// sized for until the next rebuild (`⌊log2 n_cap⌋`; see [`Node`]).
+    pub count_bits: u32,
+}
+
 /// `BG-Str(S)`: the level-1 structure over the real item set. Owns the item
-/// slab, the level-1 bucket arena, and the [`NodePool`] holding every
-/// deeper node.
+/// slab, the level-1 bucket arena, and, above the flat floor, the
+/// [`Hierarchy`] of deeper nodes.
 ///
 /// **Bucket window.** Like a [`Node`], the structure stores bucket handles
 /// only for a window of indices: from the lowest to the highest non-empty
@@ -772,23 +789,19 @@ pub struct Level1 {
     pub nonempty_groups: BitsetList,
     /// Group width `g₁ = ⌈log2 n₀⌉` (fixed until rebuild).
     pub group_width: u32,
-    /// Level-2 children, one slot per group (pool indices, [`NO_NODE`] for
-    /// an empty group). Unallocated while the structure is flat
+    /// Level-2 group width `g₂ = ⌈log2 g₁⌉` (fixed until rebuild): the
+    /// width of the level-2 nodes' groups and the lookup modulus of the
+    /// final level.
+    pub l2_group_width: u32,
+    /// The level-2/3 hierarchy; `None` exactly while the structure is flat
     /// ([`Level1::is_flat`]), which has no nodes to link.
-    pub children: Vec<u32>,
-    /// Every level-2/3 node of this hierarchy (none live while flat).
-    pub pool: NodePool,
+    hierarchy: Option<Box<Hierarchy>>,
     /// Exact Σw over all live items.
     pub total_weight: u128,
     /// Number of items with positive weight (they live in buckets).
     pub n_positive: usize,
     /// Number of zero-weight items (never sampled).
     pub n_zero: usize,
-    /// Level-2 group width `g₂` used when creating children.
-    pub l2_group_width: u32,
-    /// `⌊log2⌋` of the largest level-1 bucket count the level-2 windows are
-    /// sized for until the next rebuild (`⌊log2 n_cap⌋`; see [`Node`]).
-    pub count_bits: u32,
 }
 
 impl Level1 {
@@ -796,8 +809,14 @@ impl Level1 {
     /// `n0`. Level-2 windows are sized for counts up to `2^{g₁+1}`: the
     /// rebuild band of factor 2 around `n₀ ≤ 2^{g₁}`
     /// ([`Level1::set_count_bits`] widens them). Allocates neither the
-    /// bucket window nor, while flat, the child links.
+    /// bucket window nor, while flat, the hierarchy.
     pub fn new(group_width: u32, level2_group_width: u32) -> Self {
+        Self::sized(group_width, level2_group_width, group_width + 1)
+    }
+
+    /// [`Level1::new`] with the level-2 windows sized for counts below
+    /// `2^{count_bits+1}` ([`Hierarchy::count_bits`]).
+    pub(crate) fn sized(group_width: u32, level2_group_width: u32, count_bits: u32) -> Self {
         debug_assert!(group_width >= 1 && level2_group_width >= 1);
         let n_groups = L1_BUCKETS / group_width as usize + 1;
         let mut level1 = Level1 {
@@ -812,31 +831,50 @@ impl Level1 {
             nonempty_buckets: BitsetList::new(L1_BUCKETS),
             nonempty_groups: BitsetList::new(n_groups),
             group_width,
-            // pss-lint: allow(no-alloc-hot-path) — an empty Vec does not allocate; reset_children sizes it
-            children: Vec::new(),
-            pool: NodePool::new(),
+            l2_group_width: level2_group_width,
+            hierarchy: None,
             total_weight: 0,
             n_positive: 0,
             n_zero: 0,
-            l2_group_width: level2_group_width,
-            count_bits: group_width + 1,
         };
-        level1.reset_children();
+        level1.reset_hierarchy(count_bits);
         level1
     }
 
-    /// Unlinks every level-2 child: one [`NO_NODE`] slot per group, or no
-    /// slots at all (and no allocation) while the structure is flat.
-    fn reset_children(&mut self) {
+    /// Empties the hierarchy for the current group width: no hierarchy at
+    /// all while flat (dropping one a rebuild to the floor leaves unused),
+    /// else every child unlinked and every node parked, with the pool's
+    /// storage kept for the re-derive and the windows sized by
+    /// `count_bits`.
+    fn reset_hierarchy(&mut self, count_bits: u32) {
         if self.is_flat() {
-            // pss-lint: allow(no-alloc-hot-path) — an empty Vec does not allocate; this frees the links a rebuild to the floor leaves unused
-            self.children = Vec::new();
-        } else {
-            let n_groups = L1_BUCKETS / self.group_width as usize + 1;
-            self.children.clear();
-            // pss-lint: allow(no-alloc-hot-path) — clear+resize to the retained length reuses the kept allocation — no allocator traffic (construction/rebuild)
-            self.children.resize(n_groups, NO_NODE);
+            self.hierarchy = None;
+            return;
         }
+        let n_groups = L1_BUCKETS / self.group_width as usize + 1;
+        match self.hierarchy.as_deref_mut() {
+            Some(h) => {
+                h.pool.reset();
+                h.children.clear();
+                // pss-lint: allow(no-alloc-hot-path) — clear+resize to the retained length reuses the kept allocation — no allocator traffic (construction/rebuild)
+                h.children.resize(n_groups, NO_NODE);
+                h.count_bits = count_bits;
+            }
+            None => {
+                // pss-lint: allow(no-alloc-hot-path) — construction or a rebuild crossing the flat floor, never the steady-state cascade
+                self.hierarchy = Some(Box::new(Hierarchy {
+                    // pss-lint: allow(no-alloc-hot-path) — construction or a rebuild crossing the flat floor, never the steady-state cascade
+                    children: vec![NO_NODE; n_groups],
+                    pool: NodePool::new(),
+                    count_bits,
+                }));
+            }
+        }
+    }
+
+    /// The level-2/3 hierarchy (`None` while flat).
+    pub fn hierarchy(&self) -> Option<&Hierarchy> {
+        self.hierarchy.as_deref()
     }
 
     /// The bucket window (absolute indices; empty when no bucket was filled
@@ -932,23 +970,22 @@ impl Level1 {
     /// level-2 node that falls short (a looser rebuild band raises the
     /// bound). Never narrows: the counts the old bound allowed may still be
     /// reached before the next rebuild.
+    /// A flat structure has no windows to size: its next rebuild above the
+    /// floor passes the bound afresh.
     pub fn set_count_bits(&mut self, count_bits: u32) {
-        if count_bits <= self.count_bits {
+        let Some(Hierarchy { children, pool, count_bits: bits }) = self.hierarchy.as_deref_mut()
+        else {
+            return;
+        };
+        if count_bits <= *bits {
             return;
         }
-        self.count_bits = count_bits;
-        for &idx in &self.children {
+        *bits = count_bits;
+        for &idx in children.iter() {
             if idx != NO_NODE {
-                self.pool.node_mut(idx).widen_for(count_bits);
+                pool.node_mut(idx).widen_for(count_bits);
             }
         }
-    }
-
-    /// The level-1 bucket indices of group `j`: the member range of its
-    /// level-2 node.
-    fn group_children(&self, j: usize) -> std::ops::Range<usize> {
-        let gw = self.group_width as usize;
-        j * gw..((j + 1) * gw).min(L1_BUCKETS)
     }
 
     fn group_is_empty(&self, j: usize) -> bool {
@@ -963,10 +1000,11 @@ impl Level1 {
     /// A read-only view of the level-2 child of group `j`, if present.
     #[inline]
     pub fn child_view(&self, j: usize) -> Option<NodeView<'_>> {
-        let idx = self.children.get(j).copied().unwrap_or(NO_NODE);
+        let h = self.hierarchy.as_deref()?;
+        let idx = h.children.get(j).copied().unwrap_or(NO_NODE);
         (idx != NO_NODE).then(|| NodeView {
-            pool: &self.pool,
-            node: self.pool.node(idx),
+            pool: &h.pool,
+            node: h.pool.node(idx),
             parent: &self.buckets,
         })
     }
@@ -1245,18 +1283,19 @@ impl Level1 {
     /// Pushes the new count of bucket `i` into the level-2 child of its group
     /// (nothing on a flat structure, which has no nodes).
     fn cascade_bucket(&mut self, i: u16, count: u64) {
-        if self.is_flat() {
+        let (gw, g2) = (self.group_width as usize, self.l2_group_width);
+        let Some(h) = self.hierarchy.as_deref_mut() else {
             return;
-        }
-        let j = i as usize / self.group_width as usize;
-        let mut child = self.children[j];
+        };
+        let j = i as usize / gw;
+        let mut child = h.children[j];
         if child == NO_NODE {
-            let children = self.group_children(j);
-            child =
-                alloc_node(&mut self.pool.nodes, 2, self.l2_group_width, children, self.count_bits);
-            self.children[j] = child;
+            // The level-1 bucket indices of group `j`: the new node's members.
+            let members = j * gw..((j + 1) * gw).min(L1_BUCKETS);
+            child = alloc_node(&mut h.pool.nodes, 2, g2, members, h.count_bits);
+            h.children[j] = child;
         }
-        self.pool.set_member(child, i, count, u32::from(i) + 1);
+        h.pool.set_member(child, i, count, u32::from(i) + 1);
     }
 
     /// Derives the whole proxy hierarchy from the final level-1 bucket
@@ -1268,13 +1307,13 @@ impl Level1 {
     /// so sample streams cannot tell the arms apart. A flat structure
     /// derives nothing.
     fn derive_hierarchy(&mut self) {
-        if self.is_flat() {
+        let Some(h) = self.hierarchy.as_deref_mut() else {
             return;
-        }
+        };
         // Counts above the sizing bound (a structure filled without the
         // sampler's rebuilds) widen the windows up front.
         if let Some(max) = self.buckets.handles.iter().map(Bucket::len).max().filter(|&c| c > 0) {
-            self.count_bits = self.count_bits.max(floor_log2_u64(max as u64));
+            h.count_bits = h.count_bits.max(floor_log2_u64(max as u64));
         }
         #[cfg(not(feature = "layout-baseline"))]
         self.derive_packed();
@@ -1304,13 +1343,17 @@ impl Level1 {
     /// here.
     #[cfg(not(feature = "layout-baseline"))]
     fn derive_packed(&mut self) {
-        let gw = self.group_width as usize;
-        let g2 = self.l2_group_width;
+        let Level1 { buckets, hierarchy, group_width, l2_group_width: g2, .. } = self;
+        let Some(h) = hierarchy.as_deref_mut() else {
+            return;
+        };
+        let gw = *group_width as usize;
+        let g2 = *g2;
         let g2w = g2 as usize;
-        let n_groups = self.children.len();
+        let n_groups = h.children.len();
         let n2_groups = L2_BUCKETS / g2w + 1;
-        self.pool.reset();
-        self.children.iter_mut().for_each(|c| *c = NO_NODE);
+        h.pool.reset();
+        h.children.iter_mut().for_each(|c| *c = NO_NODE);
         // Plan pass: every node's non-empty-bucket capacities, in the exact
         // order the fill pass carves them. Scratch histograms: `len2[b2]`
         // counts the group's proxies landing in level-2 bucket `b2`
@@ -1331,7 +1374,7 @@ impl Level1 {
             len2.fill(0);
             let mut any = false;
             for i in lo..hi {
-                let c = self.buckets.len_of(i) as u64;
+                let c = buckets.len_of(i) as u64;
                 if c > 0 {
                     len2[i + 1 + floor_log2_u64(c) as usize] += 1;
                     any = true;
@@ -1374,15 +1417,14 @@ impl Level1 {
         if caps.is_empty() {
             return;
         }
-        self.pool.arena.reset_to_plan(caps.iter().copied());
+        h.pool.arena.reset_to_plan(caps.iter().copied());
         // Fill pass: the same walk, claiming each planned block in order
         // and placing every proxy at its canonical position (children
         // ascending within each bucket — `push` into a carved block never
         // allocates, so the cascade's steady-state guarantee holds here
         // trivially).
-        let count_bits = self.count_bits;
-        let Level1 { buckets, pool, children, .. } = self;
-        let NodePool { nodes, arena } = pool;
+        let Hierarchy { children, pool: NodePool { nodes, arena }, count_bits } = h;
+        let count_bits = *count_bits;
         for j in 0..n_groups {
             let lo = j * gw;
             if lo >= L1_BUCKETS {
@@ -1497,7 +1539,7 @@ impl Level1 {
     /// tight blocks, which is what keeps space O(n) after mass deletion
     /// (O(n) time, amortized against the deletes that triggered it).
     /// `count_bits` sizes the new level-2 windows (see
-    /// [`Level1::count_bits`]).
+    /// [`Hierarchy::count_bits`]).
     pub fn rebuild(
         &mut self,
         group_width: u32,
@@ -1508,9 +1550,7 @@ impl Level1 {
         let n_groups = L1_BUCKETS / group_width as usize + 1;
         self.group_width = group_width;
         self.l2_group_width = level2_group_width;
-        self.count_bits = count_bits;
-        self.pool.reset();
-        self.reset_children();
+        self.reset_hierarchy(count_bits);
         self.nonempty_groups.reset(n_groups);
         if compact {
             self.nonempty_buckets.reset(L1_BUCKETS);
@@ -1599,16 +1639,18 @@ impl Level1 {
             assert_eq!(!self.group_is_empty(j), self.nonempty_groups.contains(j));
         }
         // Above the floor, every non-empty group has a validated child; a
-        // flat structure has no live node (checked by `audit_storage`).
+        // flat structure has no hierarchy (checked by `audit_storage`).
         let gw = self.group_width as usize;
-        for (j, &child) in self.children.iter().enumerate() {
-            let lo = j * gw;
-            let hi = (lo + gw).min(L1_BUCKETS);
-            if child != NO_NODE {
-                self.pool.validate_node(child, &self.buckets, lo..hi);
-            } else {
-                for i in lo..hi {
-                    assert_eq!(self.buckets.len_of(i), 0, "group {j} non-empty but no child");
+        if let Some(h) = self.hierarchy.as_deref() {
+            for (j, &child) in h.children.iter().enumerate() {
+                let lo = j * gw;
+                let hi = (lo + gw).min(L1_BUCKETS);
+                if child != NO_NODE {
+                    h.pool.validate_node(child, &self.buckets, lo..hi);
+                } else {
+                    for i in lo..hi {
+                        assert_eq!(self.buckets.len_of(i), 0, "group {j} non-empty but no child");
+                    }
                 }
             }
         }
@@ -1618,7 +1660,7 @@ impl Level1 {
 
     /// Verifies the storage invariants: node-pool free list, arena block
     /// tiling for both arenas, a bucket window that covers every non-empty
-    /// bucket, and no live node or child link while the structure is flat
+    /// bucket, and a hierarchy exactly while the structure is not flat
     /// ([`Level1::is_flat`]). O(capacity); test hook.
     pub fn audit_storage(&self) -> Result<(), String> {
         self.item_arena.audit(self.buckets.handles.iter().copied())?;
@@ -1627,33 +1669,35 @@ impl Level1 {
             // pss-lint: allow(no-alloc-hot-path) — audit_storage() is an O(capacity) test/debug hook, never on the update path
             return Err(format!("non-empty bucket {i} outside the window {window:?}"));
         }
-        if self.is_flat() && !self.children.is_empty() {
-            // pss-lint: allow(no-alloc-hot-path) — audit_storage() is an O(capacity) test/debug hook, never on the update path
-            return Err(format!("flat structure holds {} child links", self.children.len()));
+        match (self.is_flat(), self.hierarchy.as_deref()) {
+            (true, None) => Ok(()),
+            (false, Some(h)) => h.pool.audit(h.children.iter().copied()),
+            (flat, _) => {
+                // pss-lint: allow(no-alloc-hot-path) — audit_storage() is an O(capacity) test/debug hook, never on the update path
+                Err(format!(
+                    "g₁ = {} (flat: {flat}) with the hierarchy's presence flipped",
+                    self.group_width
+                ))
+            }
         }
-        if self.is_flat() && self.pool.live_nodes() != 0 {
-            // pss-lint: allow(no-alloc-hot-path) — audit_storage() is an O(capacity) test/debug hook, never on the update path
-            return Err(format!(
-                "flat structure (g₁ = {}) holds {} live nodes",
-                self.group_width,
-                self.pool.live_nodes()
-            ));
-        }
-        self.pool.audit(self.children.iter().copied())
     }
 }
 
 impl Level1 {
     /// Words of heap the structure holds, every block at its allocated
     /// capacity: the slab, the bucket window's handles, the item arena, the
-    /// child links (4 bytes each), the node pool and the two bitsets' words.
-    /// Owners that embed a `Level1` charge its inline struct themselves.
+    /// two bitsets' words and, above the flat floor, the boxed hierarchy
+    /// with its child links (4 bytes each) and node pool. Owners that embed
+    /// a `Level1` charge its inline struct themselves.
     pub fn heap_words(&self) -> usize {
         self.slab.heap_words()
             + self.buckets.heap_words()
             + self.item_arena.heap_words()
-            + (self.children.capacity() * std::mem::size_of::<u32>()).div_ceil(8)
-            + self.pool.heap_words()
+            + self.hierarchy.as_deref().map_or(0, |h| {
+                std::mem::size_of::<Hierarchy>().div_ceil(8)
+                    + (h.children.capacity() * std::mem::size_of::<u32>()).div_ceil(8)
+                    + h.pool.heap_words()
+            })
             + self.nonempty_buckets.heap_words()
             + self.nonempty_groups.heap_words()
     }
@@ -1806,6 +1850,11 @@ impl LevelView for NodeView<'_> {
 mod tests {
     use super::*;
 
+    /// The hierarchy of a structure above the flat floor.
+    fn hier(l: &Level1) -> &Hierarchy {
+        l.hierarchy().expect("a structure above the flat floor has a hierarchy")
+    }
+
     /// Bucket-level equality of two nodes: same members, same bucket
     /// contents in the same order, same bitsets, recursing into the
     /// children of non-empty groups. Arena offsets, pool slot indices and
@@ -1857,9 +1906,10 @@ mod tests {
         for j in 0..a.nonempty_groups.universe() {
             assert_eq!(a.nonempty_groups.contains(j), b.nonempty_groups.contains(j));
             if a.nonempty_groups.contains(j) && !a.is_flat() {
-                assert_ne!(a.children[j], NO_NODE);
-                assert_ne!(b.children[j], NO_NODE);
-                assert_nodes_equal(&a.pool, a.children[j], &b.pool, b.children[j]);
+                let (ha, hb) = (hier(a), hier(b));
+                assert_ne!(ha.children[j], NO_NODE);
+                assert_ne!(hb.children[j], NO_NODE);
+                assert_nodes_equal(&ha.pool, ha.children[j], &hb.pool, hb.children[j]);
             }
         }
         a.validate();
@@ -1927,24 +1977,23 @@ mod tests {
             for &id in ids.iter().step_by(2) {
                 per_op.set_weight(id, 1 << 33);
             }
-            let built = |l: &Level1| l.pool.live_nodes();
+            let built = |l: &Level1| l.hierarchy().map_or(0, |h| h.pool.live_nodes());
             if bulk.is_flat() {
-                assert_eq!((built(&bulk), built(&per_op)), (0, 0), "g₁ = {g1}");
-                assert!(bulk.children.iter().chain(&per_op.children).all(|&c| c == NO_NODE));
+                assert!(bulk.hierarchy().is_none() && per_op.hierarchy().is_none(), "g₁ = {g1}");
             } else {
                 assert!(built(&bulk) > 0 && built(&per_op) > 0, "g₁ = {g1}");
             }
             bulk.validate();
             per_op.validate();
         }
-        // A rebuild across the floor builds the hierarchy, and back parks it.
+        // A rebuild across the floor builds the hierarchy, and back drops it.
         let mut l = Level1::new(4, 2);
         l.insert_many(&ws);
         l.rebuild(6, 3, 9, false);
-        assert!(!l.is_flat() && l.pool.live_nodes() > 0);
+        assert!(!l.is_flat() && hier(&l).pool.live_nodes() > 0);
         l.validate();
         l.rebuild(4, 2, 5, true);
-        assert_eq!(l.pool.live_nodes(), 0);
+        assert!(l.hierarchy().is_none());
         l.validate();
     }
 
@@ -1959,14 +2008,15 @@ mod tests {
         }
         l.validate();
         let mut seen = (0, 0);
-        for &i2 in l.children.iter().filter(|&&c| c != NO_NODE) {
-            let n2 = l.pool.node(i2);
+        let h = hier(&l);
+        for &i2 in h.children.iter().filter(|&&c| c != NO_NODE) {
+            let n2 = h.pool.node(i2);
             let end = n2.base as usize + n2.members.len();
             assert_eq!(n2.members.len(), 8);
             assert_eq!(n2.buckets.range(), n2.base as usize + 1..(end + 9).min(127) + 1);
             seen.0 += 1;
             for &i3 in n2.children.iter().filter(|&&c| c != NO_NODE) {
-                let n3 = l.pool.node(i3);
+                let n3 = h.pool.node(i3);
                 let end = n3.base as usize + n3.members.len();
                 assert_eq!(n3.members.len(), 3);
                 assert_eq!(n3.buckets.range(), n3.base as usize + 1..end + 3 + 1);
@@ -1993,22 +2043,24 @@ mod tests {
             b.insert(w);
         }
         assert_equivalent(&a, &b);
-        let before = b.pool.node(b.children[0]).buckets.range();
+        let level2 = |l: &Level1| hier(l).pool.node(hier(l).children[0]).buckets.range();
+        let before = level2(&b);
         assert_eq!((before.start, before.end), (1, 13 + 1), "window widened to the proxy");
         // A looser bound widens every live level-2 window in place.
         b.set_count_bits(20);
-        let after = b.pool.node(b.children[0]).buckets.range();
+        let after = level2(&b);
         assert_eq!((after.start, after.end), (before.start, 5 + 20 + 1));
         b.validate();
     }
 
     #[test]
     fn bucket_window_widens_on_insert_and_refits_on_rebuild() {
-        // An empty structure has no window and, while flat, no child links:
+        // An empty structure has no window and, while flat, no hierarchy:
         // it allocates neither.
         let mut l = Level1::new(4, 2);
         assert_eq!(l.buckets.range(), 0..0);
-        assert_eq!((l.buckets.handles.capacity(), l.children.capacity()), (0, 0));
+        assert_eq!(l.buckets.handles.capacity(), 0);
+        assert!(l.hierarchy().is_none());
         assert!(l.buckets.get(0).is_none() && l.buckets.get(63).is_none());
         l.validate();
         // The first insert opens a one-bucket window; inserts below and
@@ -2040,15 +2092,15 @@ mod tests {
         assert_eq!(l.buckets.range(), 3..41);
         l.validate();
         // A compacting rebuild re-fits as well, and across the flat floor
-        // the child links come and go with the nodes.
+        // the hierarchy comes and goes with the nodes.
         l.rebuild(6, 3, 9, true);
         assert_eq!(l.buckets.range(), 3..41);
-        assert!(!l.is_flat() && l.children.len() == L1_BUCKETS / 6 + 1);
+        assert!(!l.is_flat() && hier(&l).children.len() == L1_BUCKETS / 6 + 1);
         l.validate();
         l.delete(mid);
         l.rebuild(4, 2, 5, true);
         assert_eq!(l.buckets.range(), 3..4);
-        assert_eq!(l.children.capacity(), 0);
+        assert!(l.hierarchy().is_none());
         l.validate();
         // With every positive item gone, a rebuild leaves no window.
         let last = l.slab.iter().find(|&(_, w)| w > 0).map(|(id, _)| id).expect("live item");
@@ -2089,8 +2141,8 @@ mod tests {
                 let mut enc = Enc::new();
                 write_slab(&mut enc, &per_op.slab);
                 let slab = read_slab(&mut Dec::new(enc.bytes())).expect("valid payload");
-                let restored =
-                    level1_from_slab(slab, g1, g2, per_op.count_bits).expect("valid slab");
+                let bits = per_op.hierarchy().map_or(g1 + 1, |h| h.count_bits);
+                let restored = level1_from_slab(slab, g1, g2, bits).expect("valid slab");
                 let live = per_op.nonempty_buckets.min().zip(per_op.nonempty_buckets.max());
                 let want = live.map_or(0..0, |(lo, hi)| lo..hi + 1);
                 for (name, l) in [("per-op", &per_op), ("bulk", &bulk), ("restored", &restored)] {

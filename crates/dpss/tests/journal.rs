@@ -1,14 +1,16 @@
 //! Journal-driven plan-cache revalidation and batch-insert semantics.
 //!
-//! The epoch-delta protocol replaced the coarse "any mutation stales
+//! The journal's version replaced the coarse "any mutation stales
 //! everything" epoch: these tests pin the three revalidation regimes
 //! (weight-only churn → in-place refresh, weight-neutral churn → plans stay
-//! valid, structural rebuild / ring wrap → full clear) and that the batched
-//! insert path is structurally bit-identical to the per-op loop.
+//! valid, structural rebuild → full clear), that a sampler's journal keeps
+//! a delta ring only when one is attached and its plans never depend on
+//! it, and that the batched insert path is structurally bit-identical to
+//! the per-op loop.
 
 use bignum::Ratio;
 use dpss::DpssSampler;
-use pss_core::{PssBackend, QueryCtx, Replay};
+use pss_core::{PssBackend, QueryCtx, Replay, DEFAULT_JOURNAL_CAPACITY};
 
 fn batch() -> Vec<(Ratio, Ratio)> {
     (0..8u64).map(|i| (Ratio::from_u64s(1, 8 + i), Ratio::zero())).collect()
@@ -118,22 +120,58 @@ fn structural_rebuild_clears_plans() {
 #[test]
 fn ring_wrap_falls_back_for_slow_observers() {
     let (mut s, ids) = DpssSampler::from_weights(&(1..=32u64).collect::<Vec<_>>(), 5);
+    s.attach_journal_ring(DEFAULT_JOURNAL_CAPACITY);
     let mut ctx = QueryCtx::new(17);
     let (a, b) = (Ratio::from_u64s(1, 4), Ratio::zero());
     let _ = s.query_in(&mut ctx, &a, &b);
     let synced = s.journal().epoch();
-    // More reweights than the default ring retains (no rebuild triggers:
-    // the size never moves).
+    // More reweights than the ring retains (no rebuild triggers: the size
+    // never moves).
     for k in 0..3000u64 {
         let id = ids[(k % 32) as usize];
         let _ = s.set_weight(id, (k % 96) + 1);
     }
+    assert_eq!(s.journal().len(), DEFAULT_JOURNAL_CAPACITY, "the ring is full");
     assert!(matches!(s.journal().catch_up(synced), Replay::TooOld), "ring must have wrapped");
-    // The stale context still answers correctly (full clear + re-derive).
+    assert!(
+        matches!(s.journal().catch_up(s.journal().epoch() - 1), Replay::Deltas(d) if d.len() == 1),
+        "an observer inside the window replays"
+    );
+    // The plan cache reads the version, not the ring: the wrap costs the
+    // stale context an in-place refresh, never a fresh miss.
     let t = s.query_in(&mut ctx, &a, &b);
     assert!(t.iter().all(|&id| s.contains(id)));
-    let (_, m, _) = s.plan_cache_stats_in(&ctx);
-    assert_eq!(m, 2, "wrapped window costs a fresh miss");
+    assert_eq!(s.plan_cache_stats_in(&ctx), (0, 1, 1), "wrapped ring: refresh, no miss");
+}
+
+#[test]
+fn ringless_sampler_refreshes_plans_until_a_rebuild() {
+    let (mut s, ids) = DpssSampler::from_weights(&(1..=32u64).collect::<Vec<_>>(), 5);
+    assert_eq!((s.journal().capacity(), s.journal().heap_words()), (0, 0), "no ring by default");
+    let mut ctx = QueryCtx::new(17);
+    let (a, b) = (Ratio::from_u64s(1, 4), Ratio::zero());
+    let _ = s.query_in(&mut ctx, &a, &b);
+    let synced = s.journal().epoch();
+    let mut moved = 0;
+    for k in 0..3000u64 {
+        let (id, w) = (ids[(k % 32) as usize], (k % 96) + 1);
+        moved += u64::from(s.set_weight(id, w) != Some(w));
+    }
+    assert_eq!(s.journal().epoch(), synced + moved, "every real reweight is a version");
+    assert!(matches!(s.journal().catch_up(synced), Replay::TooOld), "no tail is held");
+    assert_eq!(s.journal().heap_words(), 0);
+    // The lagging context refreshes its plan in place: no miss.
+    let t = s.query_in(&mut ctx, &a, &b);
+    assert!(t.iter().all(|&id| s.contains(id)));
+    assert_eq!(s.plan_cache_stats_in(&ctx), (0, 1, 1), "lag without a rebuild: refresh");
+    // A growth rebuild is structural: the next query misses.
+    let r0 = s.rebuild_count();
+    for i in 0..64u64 {
+        let _ = s.insert(i + 1);
+    }
+    assert!(s.rebuild_count() > r0, "growth must have rebuilt");
+    let _ = s.query_in(&mut ctx, &a, &b);
+    assert_eq!(s.plan_cache_stats_in(&ctx), (0, 2, 1), "post-rebuild query misses");
 }
 
 #[test]

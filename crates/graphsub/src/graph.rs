@@ -31,12 +31,14 @@ struct NodeState<B> {
     /// Query context for this node's two samplers. Per-node (rather than one
     /// graph-wide context) so that each sampler's plan/table state survives
     /// round-robin sampling over arbitrarily many nodes — a shared context's
-    /// bounded state area would thrash above its entry cap. Since the
-    /// backends adopted the epoch-delta change journal, this persistence is
-    /// also what makes edge churn cheap: the context's cached read-path
-    /// state (plan caches, DSS materializations) catches up through
-    /// `ChangeJournal::catch_up` in O(deltas touched) at the node's next
-    /// sample instead of rebuilding.
+    /// bounded state area would thrash above its entry cap. This
+    /// persistence is also what makes edge churn cheap: at the node's next
+    /// sample the context's cached read-path state revalidates against the
+    /// backend's change journal instead of rebuilding. A HALT plan cache
+    /// reads only the journal's version, in O(1) however many edges moved,
+    /// and refreshes its one plan in place unless the sampler rebuilt; a
+    /// baseline's materialization replays the deltas through
+    /// `ChangeJournal::catch_up` in O(deltas touched).
     ctx: QueryCtx,
 }
 

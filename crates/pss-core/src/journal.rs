@@ -1,5 +1,6 @@
-//! [`ChangeJournal`] — the epoch-delta change log every backend keeps on its
-//! update path.
+//! [`ChangeJournal`] — the epoch-delta change log a backend keeps on its
+//! update path: always a version, and a ring of deltas when the backend's
+//! readers patch from them.
 //!
 //! ## Why a journal
 //!
@@ -10,21 +11,36 @@
 //! the most pessimistic answer ("everything is stale") and per-context
 //! materializations paid Θ(n) rebuilds for single-item weight moves.
 //!
-//! The journal replaces that protocol with a bounded, epoch-stamped ring of
-//! fine-grained [`Delta`]s. Backends append one entry per `&mut self` update
-//! (or one *epoch* per batch — see [`ChangeJournal::record_batch`]); context
-//! state remembers the epoch it last observed and calls
-//! [`ChangeJournal::catch_up`] at query time:
+//! The journal replaces that protocol with a version and an optional
+//! bounded, epoch-stamped ring of fine-grained [`Delta`]s. Backends record
+//! one entry per `&mut self` update (or one *epoch* per batch — see
+//! [`ChangeJournal::record_batch`]); context state remembers the epoch it
+//! last observed and calls [`ChangeJournal::catch_up`] at query time:
 //!
 //! - [`Replay::UpToDate`] — nothing moved, reuse everything;
 //! - [`Replay::Deltas`] — patch forward in O(deltas), not Θ(n);
-//! - [`Replay::TooOld`] — the ring wrapped past the observer, or a
-//!   structural [`Delta::Rebuilt`] entry intervened: rebuild from scratch.
+//! - [`Replay::TooOld`] — the ring wrapped past the observer, a structural
+//!   [`Delta::Rebuilt`] entry intervened, or the journal keeps no ring:
+//!   rebuild from scratch.
 //!
 //! The fallback is what keeps the ring *bounded*: a journal never grows with
 //! the update rate, it only trades replay reach for space. A `Rebuilt` entry
 //! additionally clears the ring outright — no replay crosses a structural
 //! rebuild, so retaining pre-rebuild deltas would be dead weight.
+//!
+//! ## Version without a ring
+//!
+//! A reader that never patches from deltas needs only the version: the
+//! current epoch and the epoch of the last structural rebuild
+//! ([`ChangeJournal::rebuilt_since`]). HALT's plan caches are such readers —
+//! a plan depends on `(Σw, n⁺)` and the sizing, not on which items moved —
+//! so a HALT sampler keeps a ring-less journal ([`ChangeJournal::ringless_at`])
+//! unless its owner attaches one ([`ChangeJournal::attach_ring`]), for
+//! instance to serve as a write-ahead log for [`crate::recover`]. A
+//! ring-less journal bumps its epoch exactly like a ring-ful one, so
+//! snapshot watermarks do not depend on the choice, and it answers
+//! [`ChangeJournal::catch_up`] with [`Replay::TooOld`] for any lag: it
+//! never claims a tail it does not hold.
 //!
 //! ## Epoch discipline
 //!
@@ -39,9 +55,12 @@
 
 use crate::Handle;
 
-/// Default ring capacity: deep enough that a query-interleaved update stream
-/// (the mixed regimes the journal exists for) replays instead of falling
-/// back, small enough that the journal never shows up in a space profile.
+/// Default ring capacity of [`ChangeJournal::new`]: deep enough that a
+/// query-interleaved update stream (the mixed regimes the ring exists for)
+/// replays instead of falling back. At 40 bytes per entry a full ring holds
+/// 40 KiB, which dominates a small structure's footprint — one ring per
+/// sampler is what a graph of tiny samplers cannot afford, and why HALT
+/// samplers keep none unless asked ([`ChangeJournal::ringless_at`]).
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 1024;
 
 /// One fine-grained backend mutation, as observed by read-path state.
@@ -94,24 +113,101 @@ struct Entry {
     delta: Delta,
 }
 
-/// The bounded epoch-delta ring (see the module docs).
-///
-/// All operations are O(1) except [`ChangeJournal::catch_up`], which is
-/// O(log cap) to locate the replay suffix plus O(1) per delta yielded.
+/// The bounded delta ring of a [`ChangeJournal`] that keeps one.
 #[derive(Clone, Debug)]
-pub struct ChangeJournal {
-    /// Physical ring storage (`ring.len() ≤ cap` during fill-up).
-    ring: Vec<Entry>,
+struct Ring {
+    /// Physical ring storage (`entries.len() ≤ cap` during fill-up).
+    entries: Vec<Entry>,
     cap: usize,
     /// Physical index of the logically oldest entry.
     head: usize,
     /// Number of live entries.
     len: usize,
+    /// Observers strictly below this epoch lost deltas: the ring wrapped
+    /// past them, or it was attached after they synchronized.
+    floor: u64,
+}
+
+impl Ring {
+    fn new(capacity: usize, floor: u64) -> Self {
+        assert!(capacity >= 1, "journal capacity must be at least 1");
+        Ring { entries: Vec::new(), cap: capacity, head: 0, len: 0, floor }
+    }
+
+    #[inline]
+    fn push(&mut self, entry: Entry) {
+        // Invariant: either the ring is still filling (`head == 0`,
+        // `entries.len() == len`) or it is physically full and wrapped
+        // (`entries.len() == cap == len`); `clear` returns to the filling
+        // state.
+        if self.entries.len() < self.cap {
+            debug_assert_eq!(self.head, 0);
+            self.entries.push(entry);
+            self.len += 1;
+        } else {
+            // Evict the oldest entry: observers older than it fall back.
+            // (Conditional wrap, not `%`: the capacity is a runtime value,
+            // and an integer division per update would dominate the append.)
+            // pss-lint: allow(no-bare-index) — the ring is full here (len == cap == entries.len()) and head < cap
+            self.floor = self.floor.max(self.entries[self.head].epoch);
+            // pss-lint: allow(no-bare-index) — the ring is full here (len == cap == entries.len()) and head < cap
+            self.entries[self.head] = entry;
+            self.head += 1;
+            if self.head == self.cap {
+                self.head = 0;
+            }
+        }
+    }
+
+    /// Drops every entry, keeping the allocation: the ring refills from
+    /// index 0.
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.head = 0;
+        self.len = 0;
+    }
+
+    /// Entry at logical index `i` (0 = oldest).
+    #[inline]
+    fn entry(&self, i: usize) -> &Entry {
+        debug_assert!(i < self.len);
+        let mut p = self.head + i;
+        if p >= self.cap {
+            p -= self.cap;
+        }
+        // pss-lint: allow(no-bare-index) — p = (head + i) mod cap with i < len ≤ cap = entries.len()
+        &self.entries[p]
+    }
+
+    /// First logical index whose epoch exceeds `since`.
+    fn partition_point(&self, since: u64) -> usize {
+        let (mut lo, mut hi) = (0usize, self.len);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.entry(mid).epoch <= since {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+}
+
+/// A backend's version plus, optionally, its bounded epoch-delta ring (see
+/// the module docs).
+///
+/// All operations are O(1) except [`ChangeJournal::catch_up`], which is
+/// O(log cap) to locate the replay suffix plus O(1) per delta yielded.
+#[derive(Clone, Debug)]
+pub struct ChangeJournal {
     /// Current version.
     epoch: u64,
-    /// Observers strictly below this epoch must fully rebuild: the ring
-    /// wrapped past them, or a structural rebuild intervened.
-    floor: u64,
+    /// Epoch of the last structural rebuild, or the watermark a journal
+    /// resumed at: observers strictly below it must fully rebuild.
+    rebuilt: u64,
+    /// The delta ring; `None` for a version-only journal.
+    ring: Option<Box<Ring>>,
 }
 
 impl Default for ChangeJournal {
@@ -123,8 +219,7 @@ impl Default for ChangeJournal {
 impl ChangeJournal {
     /// Creates an empty journal retaining at most `capacity ≥ 1` deltas.
     pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity >= 1, "journal capacity must be at least 1");
-        ChangeJournal { ring: Vec::new(), cap: capacity, head: 0, len: 0, epoch: 0, floor: 0 }
+        Self::resumed_with_capacity(0, capacity)
     }
 
     /// Creates an empty journal with the default capacity.
@@ -149,8 +244,22 @@ impl ChangeJournal {
     /// catch-ups): a [`crate::recover`] caller sizes it to the longest
     /// journal tail it intends to replay.
     pub fn resumed_with_capacity(epoch: u64, capacity: usize) -> Self {
-        assert!(capacity >= 1, "journal capacity must be at least 1");
-        ChangeJournal { ring: Vec::new(), cap: capacity, head: 0, len: 0, epoch, floor: epoch }
+        ChangeJournal { epoch, rebuilt: epoch, ring: Some(Box::new(Ring::new(capacity, epoch))) }
+    }
+
+    /// A version-only journal at `epoch`: it counts versions and rebuilds
+    /// like any other, retains no delta, and answers every
+    /// [`ChangeJournal::catch_up`] that lags with [`Replay::TooOld`]. For
+    /// owners whose readers only ask [`ChangeJournal::rebuilt_since`].
+    pub fn ringless_at(epoch: u64) -> Self {
+        ChangeJournal { epoch, rebuilt: epoch, ring: None }
+    }
+
+    /// Starts retaining up to `capacity ≥ 1` deltas from the current epoch
+    /// on, replacing any ring held before. Observers behind the current
+    /// epoch cannot replay (the deltas that moved them were not kept).
+    pub fn attach_ring(&mut self, capacity: usize) {
+        self.ring = Some(Box::new(Ring::new(capacity, self.epoch)));
     }
 
     /// The current version. Context state stores this after building or
@@ -160,31 +269,45 @@ impl ChangeJournal {
         self.epoch
     }
 
-    /// Retained entries (diagnostics).
+    /// `true` iff an observer synchronized at `since` must rebuild its
+    /// derived state from scratch: a structural rebuild (or the resumption
+    /// this journal started from) lies after it, or `since` is an epoch
+    /// this journal never issued. The ring plays no part.
+    #[inline]
+    pub fn rebuilt_since(&self, since: u64) -> bool {
+        since < self.rebuilt || since > self.epoch
+    }
+
+    /// Retained entries (diagnostics; 0 without a ring).
     pub fn len(&self) -> usize {
-        self.len
+        self.ring.as_ref().map_or(0, |r| r.len)
     }
 
     /// `true` iff no entries are retained.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// Maximum retained entries.
+    /// Maximum retained entries (0 without a ring).
     pub fn capacity(&self) -> usize {
-        self.cap
+        self.ring.as_ref().map_or(0, |r| r.cap)
     }
 
-    /// Words of storage charged to the journal (ring entries are an epoch
-    /// word plus a four-word delta).
+    /// Words of storage charged to the journal: its inline struct plus
+    /// [`ChangeJournal::heap_words`].
     pub fn space_words(&self) -> usize {
-        self.heap_words() + 5
+        std::mem::size_of::<Self>().div_ceil(8) + self.heap_words()
     }
 
-    /// Words of heap the ring holds at its allocated capacity, for owners
-    /// that account for the inline struct themselves.
+    /// Words of heap the journal holds, for owners that account for the
+    /// inline struct themselves: nothing without a ring, else the boxed
+    /// ring and its entries at their allocated capacity (an epoch word plus
+    /// a four-word delta each).
     pub fn heap_words(&self) -> usize {
-        self.ring.capacity() * 5
+        self.ring.as_ref().map_or(0, |r| {
+            std::mem::size_of::<Ring>().div_ceil(8)
+                + r.entries.capacity() * std::mem::size_of::<Entry>().div_ceil(8)
+        })
     }
 
     /// Appends one delta under a freshly bumped epoch; returns the new
@@ -196,7 +319,9 @@ impl ChangeJournal {
             return self.record_rebuilt();
         }
         self.epoch += 1;
-        self.push(Entry { epoch: self.epoch, delta });
+        if let Some(ring) = &mut self.ring {
+            ring.push(Entry { epoch: self.epoch, delta });
+        }
         self.epoch
     }
 
@@ -215,95 +340,52 @@ impl ChangeJournal {
             return self.epoch;
         }
         self.epoch += 1;
+        let epoch = self.epoch;
         for delta in iter {
             assert!(
                 !matches!(delta, Delta::Rebuilt),
                 "Delta::Rebuilt is a version boundary, not a batch member"
             );
-            self.push(Entry { epoch: self.epoch, delta });
+            if let Some(ring) = &mut self.ring {
+                ring.push(Entry { epoch, delta });
+            }
         }
         self.epoch
     }
 
-    /// Records a structural rebuild: bumps the epoch, raises the replay
+    /// Records a structural rebuild: bumps the epoch, raises the rebuild
     /// floor to it, and clears the ring (no replay crosses a rebuild, so
     /// retained entries are dead weight). Returns the new epoch.
     pub fn record_rebuilt(&mut self) -> u64 {
         self.epoch += 1;
-        self.floor = self.epoch;
-        // Keeps the allocation; the ring refills from index 0.
-        self.ring.clear();
-        self.head = 0;
-        self.len = 0;
+        self.rebuilt = self.epoch;
+        if let Some(ring) = &mut self.ring {
+            ring.clear();
+        }
         self.epoch
-    }
-
-    #[inline]
-    fn push(&mut self, entry: Entry) {
-        // Invariant: either the ring is still filling (`head == 0`,
-        // `ring.len() == len`) or it is physically full and wrapped
-        // (`ring.len() == cap == len`); `record_rebuilt` clears back to the
-        // filling state.
-        if self.ring.len() < self.cap {
-            debug_assert_eq!(self.head, 0);
-            self.ring.push(entry);
-            self.len += 1;
-        } else {
-            // Evict the oldest entry: observers older than it fall back.
-            // (Conditional wrap, not `%`: the capacity is a runtime value,
-            // and an integer division per update would dominate the append.)
-            // pss-lint: allow(no-bare-index) — the ring is full here (len == cap == ring.len()) and head < cap
-            self.floor = self.floor.max(self.ring[self.head].epoch);
-            // pss-lint: allow(no-bare-index) — the ring is full here (len == cap == ring.len()) and head < cap
-            self.ring[self.head] = entry;
-            self.head += 1;
-            if self.head == self.cap {
-                self.head = 0;
-            }
-        }
-    }
-
-    /// Entry at logical index `i` (0 = oldest).
-    #[inline]
-    fn entry(&self, i: usize) -> &Entry {
-        debug_assert!(i < self.len);
-        let mut p = self.head + i;
-        if p >= self.cap {
-            p -= self.cap;
-        }
-        // pss-lint: allow(no-bare-index) — p = (head + i) mod cap with i < len ≤ cap = ring.len()
-        &self.ring[p]
     }
 
     /// How an observer last synchronized at `since` gets back to
     /// [`ChangeJournal::epoch`]: nothing to do, a delta replay, or a full
-    /// rebuild (ring wrapped / structural rebuild / unknown future epoch).
+    /// rebuild (ring wrapped / structural rebuild / unknown future epoch /
+    /// no ring at all).
     pub fn catch_up(&self, since: u64) -> Replay<'_> {
         if since == self.epoch {
             return Replay::UpToDate;
         }
-        if since > self.epoch || since < self.floor {
-            // A future epoch means the observer synchronized against some
-            // other journal life; treat it like a wrap.
+        // A future epoch means the observer synchronized against some other
+        // journal life; treat it like a wrap.
+        if self.rebuilt_since(since) {
             return Replay::TooOld;
         }
-        // Entries with epoch > since form a suffix (stamps are monotone).
-        let start = self.partition_point(since);
-        Replay::Deltas(DeltaReplay { journal: self, next: start })
-    }
-
-    /// First logical index whose epoch exceeds `since`.
-    fn partition_point(&self, since: u64) -> usize {
-        let (mut lo, mut hi) = (0usize, self.len);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.entry(mid).epoch <= since {
-                lo = mid + 1;
-            } else {
-                hi = mid;
+        match &self.ring {
+            Some(ring) if since >= ring.floor => {
+                // Entries with epoch > since form a suffix (stamps are
+                // monotone).
+                Replay::Deltas(DeltaReplay { ring, next: ring.partition_point(since) })
             }
+            _ => Replay::TooOld,
         }
-        lo
     }
 }
 
@@ -314,23 +396,23 @@ pub enum Replay<'a> {
     UpToDate,
     /// The observer can patch forward by applying these deltas in order.
     Deltas(DeltaReplay<'a>),
-    /// The window is gone (ring wrap or structural rebuild): the observer
-    /// must rebuild its state from the backend and re-synchronize at
-    /// [`ChangeJournal::epoch`].
+    /// The window is gone (ring wrap, structural rebuild, or no ring): the
+    /// observer must rebuild its state from the backend and re-synchronize
+    /// at [`ChangeJournal::epoch`].
     TooOld,
 }
 
 /// Iterator over the replay suffix, oldest first.
 #[derive(Debug)]
 pub struct DeltaReplay<'a> {
-    journal: &'a ChangeJournal,
+    ring: &'a Ring,
     next: usize,
 }
 
 impl DeltaReplay<'_> {
     /// Deltas remaining in the replay.
     pub fn len(&self) -> usize {
-        self.journal.len - self.next
+        self.ring.len - self.next
     }
 
     /// `true` iff nothing remains (an observer can be behind on *epoch*
@@ -345,10 +427,10 @@ impl<'a> Iterator for DeltaReplay<'a> {
     type Item = &'a Delta;
 
     fn next(&mut self) -> Option<&'a Delta> {
-        if self.next >= self.journal.len {
+        if self.next >= self.ring.len {
             return None;
         }
-        let delta = &self.journal.entry(self.next).delta;
+        let delta = &self.ring.entry(self.next).delta;
         self.next += 1;
         Some(delta)
     }
@@ -506,5 +588,68 @@ mod tests {
         let mut j = ChangeJournal::with_capacity(4);
         j.record(ins(1, 1));
         assert!(j.space_words() > 0);
+    }
+
+    #[test]
+    fn ringless_journal_is_too_old_at_any_lag() {
+        let mut j = ChangeJournal::ringless_at(0);
+        assert!(matches!(j.catch_up(0), Replay::UpToDate));
+        for i in 0..5u64 {
+            assert_eq!(j.record(ins(i, i + 1)), i + 1, "every record is a version");
+        }
+        assert!(matches!(j.catch_up(5), Replay::UpToDate), "lag 0 is up to date");
+        for since in 0..5 {
+            assert!(matches!(j.catch_up(since), Replay::TooOld), "lag {} holds no tail", 5 - since);
+        }
+        assert!(matches!(j.catch_up(6), Replay::TooOld), "future epochs too");
+        assert!(!j.rebuilt_since(0), "no rebuild yet: a plan cache may keep its plans");
+        assert_eq!((j.len(), j.capacity()), (0, 0));
+    }
+
+    #[test]
+    fn ringless_journal_holds_no_heap() {
+        let mut j = ChangeJournal::ringless_at(7);
+        for i in 0..3000u64 {
+            j.record(Delta::Reweighted { handle: Handle::from_raw(i % 4), old: i, new: i + 1 });
+        }
+        assert_eq!(j.heap_words(), 0);
+        assert_eq!(j.space_words(), std::mem::size_of::<ChangeJournal>().div_ceil(8));
+        assert!(ChangeJournal::with_capacity(4).heap_words() > 0, "the boxed ring is charged");
+    }
+
+    #[test]
+    fn ringless_batch_bumps_the_epoch_once() {
+        let mut j = ChangeJournal::ringless_at(0);
+        assert_eq!(j.record_batch([ins(1, 1), ins(2, 2), ins(3, 3)]), 1);
+        assert_eq!(j.record_batch([]), 1, "an empty batch is no version");
+        assert!(j.is_empty());
+        assert!(matches!(j.catch_up(1), Replay::UpToDate));
+        assert!(matches!(j.catch_up(0), Replay::TooOld));
+    }
+
+    #[test]
+    fn ringless_rebuild_raises_the_floor() {
+        let mut j = ChangeJournal::ringless_at(10);
+        assert!(j.rebuilt_since(9), "observers before the resumption fall back");
+        assert!(!j.rebuilt_since(10));
+        j.record(ins(1, 1));
+        assert!(!j.rebuilt_since(10), "a plain record is no rebuild");
+        assert_eq!(j.record(Delta::Rebuilt), 12);
+        assert!(j.rebuilt_since(11));
+        assert!(!j.rebuilt_since(12));
+        j.record(ins(2, 2));
+        assert!(!j.rebuilt_since(12), "post-rebuild observers keep their state");
+        assert!(j.rebuilt_since(14), "an epoch never issued");
+    }
+
+    #[test]
+    fn attached_ring_replays_from_the_attach_epoch() {
+        let mut j = ChangeJournal::ringless_at(0);
+        j.record(ins(1, 1));
+        j.attach_ring(8);
+        assert_eq!(j.capacity(), 8);
+        j.record(ins(2, 2));
+        assert_eq!(collect(j.catch_up(1)), vec![ins(2, 2)]);
+        assert!(matches!(j.catch_up(0), Replay::TooOld), "deltas before the attach are gone");
     }
 }

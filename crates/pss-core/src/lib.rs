@@ -21,11 +21,11 @@
 //!   whose per-index batch streams ([`stream_seed`]) make a `query_many`
 //!   batch's answers independent of the order and the thread that compute
 //!   them;
-//! - [`ChangeJournal`]: the bounded epoch-stamped ring of fine-grained
-//!   [`Delta`]s a backend appends to on its update path, with the
-//!   [`ChangeJournal::catch_up`] revalidation API through which per-context
-//!   read-path state patches itself forward in O(deltas) instead of
-//!   rebuilding Θ(n);
+//! - [`ChangeJournal`]: the version a backend bumps on its update path
+//!   plus, where its readers patch from them, a bounded epoch-stamped ring
+//!   of fine-grained [`Delta`]s, with the [`ChangeJournal::catch_up`]
+//!   revalidation API through which per-context read-path state patches
+//!   itself forward in O(deltas) instead of rebuilding Θ(n);
 //! - [`Handle`]: the opaque item identifier shared by every backend;
 //! - [`SeedableBackend`]: the uniform seeding surface (deterministic
 //!   construction from a `u64` seed);
@@ -221,9 +221,13 @@ pub trait PssBackend: SpaceUsage + Send + Sync {
     ///
     /// Backends whose queries park derived state in a [`QueryCtx`] (HALT's
     /// plan caches, the ODSS materializations) maintain a journal so that
-    /// state can [`catch up`](ChangeJournal::catch_up) in O(deltas); stateless
-    /// backends (the naive O(n) scans, whose update paths run at memcpy
-    /// speed and have nothing to revalidate) return `None`.
+    /// state can revalidate: the ODSS materializations
+    /// [`catch up`](ChangeJournal::catch_up) in O(deltas) through its ring,
+    /// HALT's plan caches read only its version
+    /// ([`ChangeJournal::rebuilt_since`]), and HALT keeps no ring unless one
+    /// is attached. Stateless backends (the naive O(n) scans, whose update
+    /// paths run at memcpy speed and have nothing to revalidate) return
+    /// `None`.
     fn journal(&self) -> Option<&ChangeJournal> {
         None
     }

@@ -32,9 +32,9 @@
 //! a durable journal: [`Replay::Deltas`] patches the restored backend
 //! forward through its public update ops (each replayed op re-journals, so
 //! the restored epoch tracks the original's), [`Replay::TooOld`] — the ring
-//! wrapped past the watermark, or a structural rebuild intervened — surfaces
-//! as the typed [`RecoverError::NeedsResync`] instead of silently serving
-//! stale state.
+//! wrapped past the watermark, a structural rebuild intervened, or the
+//! journal keeps no ring at all — surfaces as the typed
+//! [`RecoverError::NeedsResync`] instead of silently serving stale state.
 
 use crate::journal::{ChangeJournal, Delta, Replay};
 use crate::{fault, PssBackend, Store};
@@ -530,7 +530,8 @@ pub enum RecoverError {
     /// The snapshot image itself failed to load.
     Snapshot(SnapshotError),
     /// The journal no longer reaches back to the snapshot's watermark (ring
-    /// wrap, or a structural rebuild after the save): the caller must resync
+    /// wrap, a structural rebuild after the save, or a journal without a
+    /// ring that has moved past it): the caller must resync
     /// from a full current snapshot instead of patching — a partial patch
     /// would silently serve stale state.
     NeedsResync {

@@ -36,6 +36,9 @@ const MIN_CLASS: u8 = 2;
 /// Largest representable block: `2^31` slots.
 const MAX_CLASS: u8 = 31;
 
+/// One free list per size class of a [`BucketArena`].
+type FreeTable = [Vec<u32>; MAX_CLASS as usize + 1];
+
 /// Word-granularity residency breakdown of one [`BucketArena`], for the
 /// fragmentation telemetry in `StructureStats`/`SpaceUsage` diagnostics:
 /// how much of the backing vector is owned by live buckets, how much sits
@@ -113,10 +116,11 @@ impl Bucket {
 #[derive(Clone, Debug)]
 pub struct BucketArena<T: Copy> {
     data: Vec<T>,
-    /// `free[c]` holds offsets of free blocks of capacity `2^c`. Empty until
-    /// the first block is parked: most small arenas never grow a bucket past
-    /// its first class, and the table of 32 lists would outweigh them.
-    free: Vec<Vec<u32>>,
+    /// `free[c]` holds offsets of free blocks of capacity `2^c`. Absent
+    /// until the first block is parked: most small arenas never grow a
+    /// bucket past its first class, and the table of 32 lists would
+    /// outweigh them (so would an empty table's inline header).
+    free: Option<Box<FreeTable>>,
     /// Padding value for freshly carved blocks.
     fill: T,
     /// Next offset handed out by [`BucketArena::carve_exact`] inside the
@@ -161,8 +165,7 @@ impl<T: Copy> BucketArena<T> {
         BucketArena {
             // pss-lint: allow(no-alloc-hot-path) — one-time construction, not the steady-state cascade
             data: Vec::new(),
-            // pss-lint: allow(no-alloc-hot-path) — an empty Vec does not allocate; the table is created on the first park
-            free: Vec::new(),
+            free: None,
             fill,
             plan_cursor: 0,
         }
@@ -179,7 +182,7 @@ impl<T: Copy> BucketArena<T> {
     /// refill the arena without returning memory to the global allocator.
     pub fn reset(&mut self) {
         self.data.clear();
-        for f in &mut self.free {
+        for f in self.free.iter_mut().flat_map(|t| t.iter_mut()) {
             f.clear();
         }
         self.plan_cursor = 0;
@@ -217,13 +220,13 @@ impl<T: Copy> BucketArena<T> {
     pub fn free_blocks(&self) -> impl Iterator<Item = (u32, usize)> + '_ {
         self.free
             .iter()
-            .enumerate()
+            .flat_map(|t| t.iter().enumerate())
             .flat_map(|(c, offs)| offs.iter().map(move |&off| (off, 1usize << c)))
     }
 
     /// Pops a free block of `class` or carves a new one from the tail.
     fn alloc_block(&mut self, class: u8) -> u32 {
-        if let Some(off) = self.free.get_mut(class as usize).and_then(Vec::pop) {
+        if let Some(off) = self.free.as_mut().and_then(|t| t[class as usize].pop()) {
             return off;
         }
         let off = self.data.len();
@@ -237,12 +240,10 @@ impl<T: Copy> BucketArena<T> {
     /// Parks the block at `off` of `class` on its free list, creating the
     /// free-list table on first use (a growth path, like the tail carve).
     fn park(&mut self, class: u8, off: u32) {
-        if self.free.is_empty() {
-            // pss-lint: allow(no-alloc-hot-path) — the table is created once, on the arena's first park; steady state reuses it
-            self.free.resize((MAX_CLASS + 1) as usize, Vec::new());
-        }
+        // pss-lint: allow(no-alloc-hot-path) — the table is created once, on the arena's first park; steady state reuses it
+        let table = self.free.get_or_insert_with(|| Box::new(std::array::from_fn(|_| Vec::new())));
         // pss-lint: allow(no-alloc-hot-path) — free-list push; capacity is retained across cycles and bounded by the high-water mark
-        self.free[class as usize].push(off);
+        table[class as usize].push(off);
     }
 
     /// Appends `v` to `b`, growing the bucket to the next size class when
@@ -470,8 +471,9 @@ impl<T: Copy> BucketArena<T> {
     /// owners that account for the inline struct themselves.
     pub fn heap_words(&self) -> usize {
         (self.data.len() * std::mem::size_of::<T>()).div_ceil(8)
-            + self.free.capacity() * 3
-            + self.free.iter().map(|f| f.capacity().div_ceil(2)).sum::<usize>()
+            + self.free.as_ref().map_or(0, |t| {
+                t.len() * 3 + t.iter().map(|f| f.capacity().div_ceil(2)).sum::<usize>()
+            })
     }
 }
 
@@ -836,13 +838,14 @@ mod tests {
         }
         // One first-class block and nothing parked: no table, and the
         // accounting charges only the carved words and the scalars.
-        assert!(arena.free.is_empty());
+        assert!(arena.free.is_none());
         assert_eq!(arena.space_words(), 1 + 2);
         arena.push(&mut b, 4);
         // Growing parks the old block: the table now exists and is charged.
-        assert_eq!(arena.free.len(), (MAX_CLASS + 1) as usize);
+        let lists = arena.free.as_ref().map_or(0, |t| t.len());
+        assert_eq!(lists, (MAX_CLASS + 1) as usize);
         assert_eq!(arena.free_blocks().collect::<Vec<_>>(), vec![(0, 4)]);
-        assert!(arena.space_words() >= 3 * arena.free.len() + 3);
+        assert!(arena.space_words() >= 3 * lists + 3);
         arena.audit(std::iter::once(b)).expect("tiling after the first park");
     }
 

@@ -11,7 +11,10 @@
 //! every op journals atomically (one record per op, whichever side of the
 //! mutation the append lands on), the recovered state is exactly "the op
 //! prefix the journal reached" — which is what the epoch-counted twin
-//! reproduces without ever crashing.
+//! reproduces without ever crashing. HALT journals keep no deltas by
+//! default, so the crashing run attaches a ring to serve as that log
+//! ([`Logged`]); the twin and the restored samplers stay ring-less, like
+//! every sampler built by `with_seed` or restored from a snapshot.
 //!
 //! Build with `--features fault-injection`; the whole file compiles away
 //! otherwise (the shim is a no-op and nothing can be armed).
@@ -68,7 +71,7 @@ fn mixed_tail(seed: u64, len: usize, live0: usize, with_set_weight: bool) -> Vec
         z = splitmix(z);
         let w = (z >> 33) | 1;
         let kinds = if with_set_weight { 3 } else { 2 };
-        if z % kinds == 0 || live <= live0 / 2 + 2 {
+        if z.is_multiple_of(kinds) || live <= live0 / 2 + 2 {
             ops.push(TailOp::Insert(w));
             live += 1;
         } else if z % kinds == 1 {
@@ -124,20 +127,42 @@ fn assert_twin_equal<B: Snapshottable + PssBackend>(recovered: &B, twin: &B) {
     }
 }
 
+/// Ring depth of the write-ahead log: deeper than any tail below.
+const WAL_CAPACITY: usize = 1024;
+
+/// A backend whose own journal doubles as the write-ahead log: built like
+/// `with_seed`, with a delta ring attached.
+trait Logged: Snapshottable + PssBackend + SeedableBackend {
+    fn logged(seed: u64) -> Self;
+}
+
+impl Logged for DpssSampler {
+    fn logged(seed: u64) -> Self {
+        let mut s = DpssSampler::with_seed(seed);
+        s.attach_journal_ring(WAL_CAPACITY);
+        s
+    }
+}
+
+impl Logged for DeamortizedDpss {
+    fn logged(seed: u64) -> Self {
+        let mut s = DeamortizedDpss::with_seed(seed);
+        s.attach_journal_ring(WAL_CAPACITY);
+        s
+    }
+}
+
 /// The harness: seeded prelude → snapshot → arm `site` (nth hit) → run the
 /// tail until the injected unwind kills the backend → recover from snapshot
 /// + surviving journal → compare against an uncrashed epoch-counted twin.
-fn crash_and_recover<B>(site: Site, nth: u64, tail: &[TailOp], expect_poisoned: bool)
-where
-    B: Snapshottable + PssBackend + SeedableBackend,
-{
+fn crash_and_recover<B: Logged>(site: Site, nth: u64, tail: &[TailOp], expect_poisoned: bool) {
     let _g = lock();
     fault::clear();
     let seed = 0xC0FF_EE00 ^ nth;
     let prelude: Vec<u64> = (0..48u64).map(|i| splitmix(seed ^ i) >> 33).collect();
 
-    // The run that will crash.
-    let mut s = B::with_seed(seed);
+    // The run that will crash, its journal the write-ahead log.
+    let mut s = B::logged(seed);
     let mut live: Vec<Handle> = s.insert_many(&prelude);
     let snap = s.snapshot();
     // Count hits from the tail only, then arm the kill.

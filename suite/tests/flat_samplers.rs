@@ -9,7 +9,7 @@
 //! the de-amortized sampler.
 
 use bignum::Ratio;
-use dpss::structure::{IN_PLACE_BUCKETS, NO_NODE};
+use dpss::structure::IN_PLACE_BUCKETS;
 use dpss::{DeamortizedDpss, DpssSampler, ItemId};
 use pss_core::{QueryCtx, Snapshottable, FORMAT_VERSION, MAGIC};
 
@@ -20,16 +20,19 @@ fn weight(i: u64) -> u64 {
     (z >> (i % 50)) | 1
 }
 
-/// The exact rule: flat (g₁ ≤ `IN_PLACE_BUCKETS`) ⇒ no live node and no
-/// child link; otherwise every non-empty group has its level-2 child.
-/// Returns whether the sampler is flat.
+/// The exact rule: flat (g₁ ≤ `IN_PLACE_BUCKETS`) ⇒ no hierarchy at all,
+/// so no live node and no child link; otherwise every non-empty group has
+/// its level-2 child. Returns whether the sampler is flat.
 fn check_shape(s: &DpssSampler) -> bool {
     let l1 = s.level1();
     let flat = l1.group_width as usize <= IN_PLACE_BUCKETS;
     assert_eq!(l1.is_flat(), flat);
     if flat {
-        assert_eq!(l1.pool.live_nodes(), 0, "flat sampler (g₁ = {}) built nodes", l1.group_width);
-        assert!(l1.children.iter().all(|&c| c == NO_NODE), "flat sampler links a child");
+        assert!(
+            l1.hierarchy().is_none(),
+            "flat sampler (g₁ = {}) holds a hierarchy",
+            l1.group_width
+        );
         let st = s.stats();
         assert_eq!((st.levels[1].n_nodes, st.levels[2].n_nodes), (0, 0));
     } else {

@@ -11,10 +11,12 @@
 //!    truncation boundary of a valid image yields a *typed* [`SnapshotError`]
 //!    from `from_snapshot`: never a panic, never a silent load.
 //! 3. **Resync contract** — when the durable journal no longer reaches the
-//!    snapshot's watermark (ring wrap, or a structural rebuild after the
-//!    save), [`recover`] refuses with [`RecoverError::NeedsResync`] instead
-//!    of patching partially; and every `Replay::TooOld` consumer in the
-//!    workspace falls back to a full Θ(n) rebuild, never a partial patch.
+//!    snapshot's watermark (ring wrap, a structural rebuild after the save,
+//!    or a HALT journal that keeps no ring), [`recover`] refuses with
+//!    [`RecoverError::NeedsResync`] instead of patching partially; and every
+//!    `Replay::TooOld` consumer in the workspace falls back to a full Θ(n)
+//!    rebuild, never a partial patch. HALT journals keep deltas only once a
+//!    ring is attached, so the replay tests below attach one.
 
 use baselines::{NaiveExact, NaiveFloat, OdssStyle, OdssUnderDpss};
 use bignum::Ratio;
@@ -22,7 +24,7 @@ use dpss::{DeamortizedDpss, DpssSampler};
 use proptest::prelude::*;
 use pss_core::{
     recover, PssBackend, QueryCtx, RecoverError, SeedableBackend, SnapshotError, Snapshottable,
-    FORMAT_VERSION, MAGIC,
+    DEFAULT_JOURNAL_CAPACITY, FORMAT_VERSION, MAGIC,
 };
 
 /// SplitMix64 — deterministic weight streams.
@@ -202,6 +204,7 @@ proptest! {
 #[test]
 fn wrapped_ring_mid_recovery_forces_full_resync() {
     let mut s = DpssSampler::new(9);
+    s.attach_journal_ring(DEFAULT_JOURNAL_CAPACITY);
     let ids = DpssSampler::insert_many(&mut s, &(1..=40u64).collect::<Vec<_>>());
     let snap = s.snapshot();
     let watermark = DpssSampler::journal(&s).epoch();
@@ -228,6 +231,7 @@ fn rebuild_after_snapshot_forces_full_resync() {
     // A structural rebuild raises the journal floor past the watermark:
     // group widths moved, so no delta replay can reproduce the hierarchy.
     let mut s = DpssSampler::new(5);
+    s.attach_journal_ring(DEFAULT_JOURNAL_CAPACITY);
     DpssSampler::insert_many(&mut s, &(1..=48u64).collect::<Vec<_>>());
     let snap = s.snapshot();
     // n₀ = 48 after the bulk load; 60 more singles cross n > 2·n₀ = 96 and
@@ -246,6 +250,7 @@ fn in_band_journal_tail_recovers_exactly() {
     // The positive control for the two tests above: a tail that stays inside
     // the ring band replays to the exact current state.
     let mut s = DpssSampler::new(5);
+    s.attach_journal_ring(DEFAULT_JOURNAL_CAPACITY);
     let ids = DpssSampler::insert_many(&mut s, &(1..=48u64).collect::<Vec<_>>());
     let snap = s.snapshot();
     for k in 0..100u64 {
@@ -253,6 +258,33 @@ fn in_band_journal_tail_recovers_exactly() {
     }
     let r: DpssSampler = recover(&snap, DpssSampler::journal(&s)).expect("in-band tail");
     assert_eq!(r.snapshot(), s.snapshot(), "replayed state must equal the live original");
+}
+
+#[test]
+fn ringless_journal_forces_a_resync_at_any_lag() {
+    // A sampler without an attached ring counts versions but holds no tail:
+    // recovery across even one op must resync, never replay nothing.
+    let mut s = DpssSampler::new(5);
+    let ids = DpssSampler::insert_many(&mut s, &(1..=48u64).collect::<Vec<_>>());
+    let snap = s.snapshot();
+    let watermark = DpssSampler::journal(&s).epoch();
+    let r: DpssSampler = recover(&snap, DpssSampler::journal(&s)).expect("lag 0 is up to date");
+    assert_eq!(r.snapshot(), snap);
+    for k in 0..3u64 {
+        DpssSampler::set_weight(&mut s, ids[k as usize], 1000 + k);
+        match recover::<DpssSampler>(&snap, DpssSampler::journal(&s)) {
+            Err(RecoverError::NeedsResync { watermark: w, journal_epoch }) => {
+                assert_eq!((w, journal_epoch), (watermark, watermark + k + 1));
+            }
+            other => {
+                panic!("lag {}: a ring-less journal must force a resync, got {other:?}", k + 1)
+            }
+        }
+    }
+    // The restored sampler is ring-less too, and resumes the same version.
+    let restored = DpssSampler::from_snapshot(&s.snapshot()).expect("current image");
+    assert_eq!(DpssSampler::journal(&restored).epoch(), DpssSampler::journal(&s).epoch());
+    assert_eq!(DpssSampler::journal(&restored).heap_words(), 0);
 }
 
 #[test]
@@ -287,9 +319,11 @@ fn odss_style_falls_back_to_full_rebuild_on_wrap() {
 
 #[test]
 fn halt_plan_state_survives_a_wrapped_ring() {
-    // `Replay::TooOld` consumer #2: the HALT per-context plan cache drops
-    // its plans (full re-derivation) instead of patching across the gap.
+    // Not a `Replay::TooOld` consumer: the HALT per-context plan cache reads
+    // the journal's version alone, so a wrapped ring leaves its plans to be
+    // refreshed in place, and the samples stay those of the current items.
     let mut s = DpssSampler::new(2);
+    s.attach_journal_ring(DEFAULT_JOURNAL_CAPACITY);
     let ids = DpssSampler::insert_many(&mut s, &(1..=48u64).collect::<Vec<_>>());
     let alpha = Ratio::from_u64s(1, 2);
     let beta = Ratio::from_u64s(1, 1);
@@ -307,7 +341,7 @@ fn halt_plan_state_survives_a_wrapped_ring() {
 
 #[test]
 fn odss_under_dpss_rematerializes_fully_on_any_movement() {
-    // `Replay::TooOld` consumer #3 (degenerate): the absolute-probability
+    // `Replay::TooOld` consumer #2 (degenerate): the absolute-probability
     // adapter treats *any* journal movement as a full rematerialization —
     // its fallback contract is "always resync", by construction.
     let mut s = OdssUnderDpss::new(4);
