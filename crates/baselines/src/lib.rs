@@ -110,10 +110,9 @@ impl PssBackend for NaiveExact {
         self.store.delete(handle)
     }
 
-    fn query(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio) -> Vec<Handle> {
+    fn query_into(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio, out: &mut Vec<Handle>) {
         let w = self.store.param_weight(alpha, beta);
         let rng = ctx.rng();
-        let mut out = Vec::new();
         for (h, wx) in self.store.iter_live() {
             if wx == 0 {
                 continue;
@@ -128,7 +127,10 @@ impl PssBackend for NaiveExact {
                 out.push(h);
             }
         }
-        out
+    }
+
+    fn slot(&self, handle: Handle) -> usize {
+        Store::slot(handle)
     }
 
     fn len(&self) -> usize {
@@ -205,10 +207,9 @@ impl PssBackend for NaiveFloat {
         self.store.delete(handle)
     }
 
-    fn query(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio) -> Vec<Handle> {
+    fn query_into(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio, out: &mut Vec<Handle>) {
         let w = self.store.param_weight(alpha, beta).to_f64_lossy();
         let rng = ctx.rng();
-        let mut out = Vec::new();
         for (h, wx) in self.store.iter_live() {
             if wx == 0 {
                 continue;
@@ -220,7 +221,10 @@ impl PssBackend for NaiveFloat {
                 out.push(h);
             }
         }
-        out
+    }
+
+    fn slot(&self, handle: Handle) -> usize {
+        Store::slot(handle)
     }
 
     fn len(&self) -> usize {
@@ -485,11 +489,15 @@ impl PssBackend for OdssStyle {
         }
     }
 
-    fn query(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio) -> Vec<Handle> {
+    fn query_into(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio, out: &mut Vec<Handle>) {
         let (rng, mat) = ctx.state(self.instance, OdssMat::default);
         self.catch_up_mat(mat, alpha, beta);
         let built = mat.built.as_ref().expect("caught up above");
-        built.dss.sample(rng, &built.w).into_iter().map(|s| Handle::from_raw(s as u64)).collect()
+        out.extend(built.dss.sample(rng, &built.w).into_iter().map(|s| Handle::from_raw(s as u64)));
+    }
+
+    fn slot(&self, handle: Handle) -> usize {
+        Store::slot(handle)
     }
 
     fn len(&self) -> usize {

@@ -9,14 +9,16 @@
 //! - [`DeamortizedDpss`] — worst-case O(1) structure work per update.
 //!
 //! Queries go through the shared-read surface (`&self` + [`QueryCtx`]):
-//! the trait's `query`/`query_many` delegate to
-//! [`DpssSampler::query_in`] / [`DeamortizedDpss::query_in`], so one shared
+//! the trait's `query_into` runs the same body as
+//! [`DpssSampler::query_in`] / [`DeamortizedDpss::query_in`], extending the
+//! caller's buffer straight from the context's item buffer, so one shared
 //! sampler can serve many contexts, one per caller thread if need be.
 //!
 //! Handles are the samplers' own ids re-wrapped as the opaque
-//! [`pss_core::Handle`]; both directions are free (`raw`/`from_raw`).
+//! [`pss_core::Handle`]; both directions are free (`raw`/`from_raw`). A
+//! handle's `slot` is its slab index, the low 32 bits of its id.
 
-use crate::deamortized::DeamortizedDpss;
+use crate::deamortized::{handle_idx, DeamortizedDpss};
 use crate::item::ItemId;
 use crate::sampler::DpssSampler;
 use bignum::Ratio;
@@ -39,11 +41,12 @@ impl PssBackend for DpssSampler {
         DpssSampler::delete(self, ItemId::from_raw(handle.raw())).is_some()
     }
 
-    fn query(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio) -> Vec<Handle> {
-        DpssSampler::query_in(self, ctx, alpha, beta)
-            .into_iter()
-            .map(|id| Handle::from_raw(id.raw()))
-            .collect()
+    fn query_into(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio, out: &mut Vec<Handle>) {
+        out.extend(self.sample(ctx, alpha, beta).iter().map(|id| Handle::from_raw(id.raw())));
+    }
+
+    fn slot(&self, handle: Handle) -> usize {
+        ItemId::from_raw(handle.raw()).idx()
     }
 
     // `query_many` uses the trait's default batch-stream loop: the
@@ -101,11 +104,12 @@ impl PssBackend for DeamortizedDpss {
         DeamortizedDpss::delete(self, handle.raw()).is_some()
     }
 
-    fn query(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio) -> Vec<Handle> {
-        DeamortizedDpss::query_in(self, ctx, alpha, beta)
-            .into_iter()
-            .map(Handle::from_raw)
-            .collect()
+    fn query_into(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio, out: &mut Vec<Handle>) {
+        self.sample_each(ctx, alpha, beta, |h| out.push(Handle::from_raw(h)));
+    }
+
+    fn slot(&self, handle: Handle) -> usize {
+        handle_idx(handle.raw())
     }
 
     // `query_many` uses the trait's default batch-stream loop. Hoisting the

@@ -70,8 +70,9 @@ fn handle_of(idx: u32, gen: u32) -> Handle {
     ((gen as u64) << 32) | idx as u64
 }
 
+/// The slot a handle addresses (what the facade's `slot` answers).
 #[inline]
-fn handle_idx(h: Handle) -> usize {
+pub(crate) fn handle_idx(h: Handle) -> usize {
     (h & 0xFFFF_FFFF) as usize
 }
 
@@ -436,17 +437,29 @@ impl DeamortizedDpss {
     /// `ctx`. O(1 + μ) expected — handle translation is by dense reverse
     /// maps.
     pub fn query_in(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio) -> Vec<Handle> {
-        let w = alpha.mul_big(&BigUint::from_u128(self.total_weight())).add(beta);
         let mut out = Vec::new();
-        for id in self.old.query_with_total_in(ctx, &w) {
-            out.push(self.rev_old[id.idx()]);
+        self.sample_each(ctx, alpha, beta, |h| out.push(h));
+        out
+    }
+
+    /// The one body of [`DeamortizedDpss::query_in`] and the facade's
+    /// `query_into`: hands each sampled handle to `emit`, old half first.
+    pub(crate) fn sample_each(
+        &self,
+        ctx: &mut QueryCtx,
+        alpha: &Ratio,
+        beta: &Ratio,
+        mut emit: impl FnMut(Handle),
+    ) {
+        let w = alpha.mul_big(&BigUint::from_u128(self.total_weight())).add(beta);
+        for id in self.old.sample_with_total(ctx, &w) {
+            emit(self.rev_old[id.idx()]);
         }
         if let Some(new) = &self.new {
-            for id in new.query_with_total_in(ctx, &w) {
-                out.push(self.rev_new[id.idx()]);
+            for id in new.sample_with_total(ctx, &w) {
+                emit(self.rev_new[id.idx()]);
             }
         }
-        out
     }
 
     /// Disables (`true`) or re-enables the word-level query fast path on both

@@ -401,7 +401,7 @@ pub fn query_certain<V: LevelView>(view: &V, i_bottom: i64) -> Vec<V::Id> {
 }
 
 /// [`query_certain`] appending to `out`.
-fn query_certain_into<V: LevelView>(view: &V, i_bottom: i64, out: &mut Vec<V::Id>) {
+pub(crate) fn query_certain_into<V: LevelView>(view: &V, i_bottom: i64, out: &mut Vec<V::Id>) {
     let lo = i_bottom.max(0) as usize;
     let universe = view.nonempty().universe();
     if lo >= universe {

@@ -15,7 +15,7 @@
 use crate::item::ItemId;
 use crate::lookup::LookupTable;
 use crate::query::{
-    query_certain, query_level1_into, thresholds_at, FinalLevelMode, QueryAccel, QueryFrame,
+    query_certain_into, query_level1_into, thresholds_at, FinalLevelMode, QueryAccel, QueryFrame,
     QueryScratch, Thresholds,
 };
 use crate::snapshot::{level1_from_slab, read_slab, write_slab};
@@ -688,6 +688,25 @@ impl DpssSampler {
     /// per (parameters, item-set version, context) rather than per query.
     /// On a hit the query allocates nothing but the returned `Vec`.
     pub fn query_in(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio) -> Vec<ItemId> {
+        self.sample(ctx, alpha, beta).to_vec()
+    }
+
+    /// The one body of [`DpssSampler::query_in`] and the facade's
+    /// `query_into`: samples into the context's item buffer and returns it,
+    /// for the caller to copy wherever it wants the sample. On a plan hit
+    /// nothing here allocates.
+    pub(crate) fn sample<'c>(
+        &self,
+        ctx: &'c mut QueryCtx,
+        alpha: &Ratio,
+        beta: &Ratio,
+    ) -> &'c [ItemId] {
+        if self.level1.total_weight == 0 && beta.is_zero() {
+            // `W = α·0 + 0 = 0`: the degenerate convention samples every
+            // positive-weight item, and there are none. Answered before
+            // `W` is built, which allocates, and without a coin, as below.
+            return &[];
+        }
         let (rng, st) = self.plan_state(ctx);
         self.revalidate(st);
         let idx = match st.plans.iter().position(|e| e.alpha == *alpha && e.beta == *beta) {
@@ -704,7 +723,7 @@ impl DpssSampler {
                     // Degenerate convention; the entry can never be
                     // refreshed into a usable plan, so drop it.
                     st.plans.remove(i);
-                    return query_certain(&self.level1, 0);
+                    return self.sample_all_positive(&mut st.items);
                 }
                 st.refreshes += 1;
                 // pss-lint: allow(no-bare-index) — i was returned by position() over st.plans
@@ -717,7 +736,7 @@ impl DpssSampler {
                 let w = self.param_weight(alpha, beta);
                 if w.is_zero() {
                     // Degenerate convention; not worth a cache slot.
-                    return query_certain(&self.level1, 0);
+                    return self.sample_all_positive(&mut st.items);
                 }
                 st.misses += 1;
                 let plan = self.make_plan(w);
@@ -749,7 +768,15 @@ impl DpssSampler {
         };
         st.items.clear();
         query_level1_into(&self.level1, &mut frame, &plan.th, &mut st.scratch, &mut st.items);
-        st.items.to_vec()
+        &st.items
+    }
+
+    /// The degenerate `W = 0` sample, every positive-weight item, written
+    /// into `items`.
+    fn sample_all_positive<'c>(&self, items: &'c mut Vec<ItemId>) -> &'c [ItemId] {
+        items.clear();
+        query_certain_into(&self.level1, 0, items);
+        items
     }
 
     /// The level-1 thresholds under a non-zero total weight `w`.
@@ -774,10 +801,16 @@ impl DpssSampler {
     /// [`DpssSampler::query_in`]. It allocates nothing but the returned
     /// `Vec` while `w`'s parts fit in two words.
     pub fn query_with_total_in(&self, ctx: &mut QueryCtx, w: &Ratio) -> Vec<ItemId> {
-        if w.is_zero() {
-            return query_certain(&self.level1, 0);
-        }
+        self.sample_with_total(ctx, w).to_vec()
+    }
+
+    /// [`DpssSampler::query_with_total_in`] returning the context's item
+    /// buffer (see [`DpssSampler::sample`]).
+    pub(crate) fn sample_with_total<'c>(&self, ctx: &'c mut QueryCtx, w: &Ratio) -> &'c [ItemId] {
         let (rng, st) = self.plan_state(ctx);
+        if w.is_zero() {
+            return self.sample_all_positive(&mut st.items);
+        }
         let _guard = self.force_exact.then(randvar::exact_mode_guard);
         let accel = QueryAccel::new(w, !self.force_exact);
         let th = self.level1_thresholds(w, &accel);
@@ -785,7 +818,7 @@ impl DpssSampler {
             QueryFrame { rng, w, accel, table: &mut st.table, final_mode: self.final_mode };
         st.items.clear();
         query_level1_into(&self.level1, &mut frame, &th, &mut st.scratch, &mut st.items);
-        st.items.to_vec()
+        &st.items
     }
 
     /// Validates every structural invariant (test/debug hook; O(n)).

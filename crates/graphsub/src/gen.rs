@@ -1,6 +1,7 @@
 //! Synthetic graph generators for the application experiments (E9/E10).
 
-// HashMap/HashSet sanctioned: graph application layer; sampling determinism is owned by the DpssSampler underneath, and these maps never feed a sample order.
+// HashSet sanctioned: the generators only test membership in it; edges are
+// emitted in the order the seeded RNG proposes them.
 #![allow(clippy::disallowed_types)]
 
 use crate::graph::{DynGraph, NaiveDynGraph, NodeId};

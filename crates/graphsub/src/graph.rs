@@ -5,39 +5,54 @@
 //! probability implicitly rescales — the DPSS property the appendix
 //! applications rely on. [`NaiveDynGraph`] is the linear-scan comparator.
 
-// HashMap/HashSet sanctioned: graph application layer; sampling determinism is owned by the DpssSampler underneath, and these maps never feed a sample order.
+// HashMap sanctioned: the edge map is only ever looked up by `(u, v)`, never
+// iterated, so its hasher cannot reach a sample order; `DynGraph::edges`
+// walks the slot tables instead.
 #![allow(clippy::disallowed_types)]
 
+use crate::rrset::Cascade;
 use dpss::{DpssSampler, Ratio};
 use pss_core::{Handle, PssBackend, QueryCtx, SeedableBackend};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
 /// Node identifier.
 pub type NodeId = u32;
 
+/// A slot-table entry whose sampler slot holds no edge.
+const NO_NODE: NodeId = NodeId::MAX;
+
 /// Per-node sampling state.
+///
+/// The two neighbour tables are indexed by sampler slot
+/// ([`PssBackend::slot`]): entry `s` of `in_nbr` is the source of the
+/// in-edge whose item sits in slot `s` of `in_sampler`, or [`NO_NODE`] when
+/// that slot holds no edge. A sampled handle turns into its neighbour with
+/// one array read, and the tables cost one `u32` per sampler slot — the
+/// samplers recycle freed slots, so that is about one per edge.
 #[derive(Debug)]
 struct NodeState<B> {
     /// Sampler over in-edges; item = edge, weight = A_uv.
     in_sampler: B,
     /// Sampler over out-edges.
     out_sampler: B,
-    /// in-edge item → source node.
-    in_edges: HashMap<Handle, NodeId>,
-    /// out-edge item → target node.
-    out_edges: HashMap<Handle, NodeId>,
+    /// `in_sampler` slot → source node.
+    in_nbr: Vec<NodeId>,
+    /// `out_sampler` slot → target node.
+    out_nbr: Vec<NodeId>,
     /// Query context for this node's two samplers. Per-node (rather than one
     /// graph-wide context) so that each sampler's plan/table state survives
     /// round-robin sampling over arbitrarily many nodes — a shared context's
-    /// bounded state area would thrash above its entry cap. This
-    /// persistence is also what makes edge churn cheap: at the node's next
-    /// sample the context's cached read-path state revalidates against the
-    /// backend's change journal instead of rebuilding. A HALT plan cache
-    /// reads only the journal's version, in O(1) however many edges moved,
-    /// and refreshes its one plan in place unless the sampler rebuilt; a
-    /// baseline's materialization replays the deltas through
+    /// bounded state area would thrash above its entry cap. It also makes a
+    /// node's draws independent of the order in which other nodes are
+    /// queried. This persistence is also what makes edge churn cheap: at the
+    /// node's next sample the context's cached read-path state revalidates
+    /// against the backend's change journal instead of rebuilding. A HALT
+    /// plan cache reads only the journal's version, in O(1) however many
+    /// edges moved, and refreshes its one plan in place unless the sampler
+    /// rebuilt; a baseline's materialization replays the deltas through
     /// `ChangeJournal::catch_up` in O(deltas touched).
     ctx: QueryCtx,
 }
@@ -47,10 +62,96 @@ impl<B: SeedableBackend> NodeState<B> {
         NodeState {
             in_sampler: B::with_seed(seed),
             out_sampler: B::with_seed(seed ^ 0x9E37_79B9_7F4A_7C15),
-            in_edges: HashMap::new(),
-            out_edges: HashMap::new(),
+            in_nbr: Vec::new(),
+            out_nbr: Vec::new(),
             ctx: QueryCtx::new(seed ^ 0x6A09_E667_F3BC_C909),
         }
+    }
+}
+
+impl<B: PssBackend> NodeState<B> {
+    /// Queries the in-sampler (`inward`) or the out-sampler through
+    /// `handles` and yields the sampled neighbours, in sample order.
+    fn sample<'a>(
+        &'a mut self,
+        inward: bool,
+        (alpha, beta): &(Ratio, Ratio),
+        handles: &'a mut Vec<Handle>,
+    ) -> impl Iterator<Item = NodeId> + 'a {
+        let (sampler, table) = if inward {
+            (&self.in_sampler, &self.in_nbr)
+        } else {
+            (&self.out_sampler, &self.out_nbr)
+        };
+        handles.clear();
+        sampler.query_into(&mut self.ctx, alpha, beta, handles);
+        handles.iter().map(move |&h| table[sampler.slot(h)])
+    }
+}
+
+/// Points entry `slot` of a neighbour table at `node`, growing the table
+/// with empty entries as its sampler's slots grow.
+fn link(table: &mut Vec<NodeId>, slot: usize, node: NodeId) {
+    if slot >= table.len() {
+        table.resize(slot + 1, NO_NODE);
+    }
+    table[slot] = node;
+}
+
+/// One edge's record in the edge map.
+#[derive(Clone, Copy, Debug)]
+struct EdgeRec {
+    /// The edge's item in its source's out-sampler.
+    out_item: Handle,
+    /// The edge's item in its target's in-sampler.
+    in_item: Handle,
+    weight: u64,
+}
+
+/// The edge map's key: the ordered pair packed into one word.
+fn pair(u: NodeId, v: NodeId) -> u64 {
+    (u64::from(u) << 32) | u64::from(v)
+}
+
+/// Builds the edge map's [`PairHasher`]s, keyed from the graph's seed.
+#[derive(Clone, Copy, Debug)]
+struct PairHash {
+    key: u64,
+}
+
+impl BuildHasher for PairHash {
+    type Hasher = PairHasher;
+
+    fn build_hasher(&self) -> PairHasher {
+        PairHasher { key: self.key, h: 0 }
+    }
+}
+
+/// Multiply-xorshift hash of a packed node pair: two multiplies and two
+/// shifts per edge-map probe where SipHash runs its rounds. The high bits
+/// (the map's control tags) and the low bits (its bucket index) both depend
+/// on every key bit. The key varies placement from graph to graph; it is no
+/// defence against someone who knows the seed and picks colliding pairs.
+#[derive(Debug)]
+struct PairHasher {
+    key: u64,
+    h: u64,
+}
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let mut z = (self.h ^ x ^ self.key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z ^= z >> 32;
+        z = z.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+        self.h = z ^ (z >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.h
     }
 }
 
@@ -62,14 +163,30 @@ impl<B: SeedableBackend> NodeState<B> {
 /// driven exclusively through the `pss-core` facade, so swapping in a
 /// baseline — or a future sharded/batched backend — is a type parameter, not
 /// a rewrite.
+///
+/// The state around the samplers is dense and reused:
+/// - each node maps sampled handles to neighbours through slot-indexed
+///   tables (see `NodeState`), not per-node hash maps;
+/// - the `(u, v)` edge map hashes the packed pair with a multiply-xorshift
+///   keyed from the graph's seed, not SipHash;
+/// - RR sets mark visited nodes with epoch stamps (one `u32` per node,
+///   bumped per set instead of cleared), and the frontier, the activation
+///   list and the handle buffer the samplers write into keep their capacity
+///   from call to call. [`crate::rr_set`],
+///   [`DynGraph::sample_in_neighbors`] and
+///   [`DynGraph::sample_out_neighbors`] allocate only the `Vec` they
+///   return once the contexts they query are warm.
 #[derive(Debug)]
 pub struct DynGraph<B: PssBackend = DpssSampler> {
     nodes: Vec<NodeState<B>>,
-    /// (u, v) → (item in u's out-sampler, item in v's in-sampler, weight).
-    edges: HashMap<(NodeId, NodeId), (Handle, Handle, u64)>,
+    edges: HashMap<u64, EdgeRec, PairHash>,
     /// The neighbourhood queries' `(α, β) = (1, 0)`, built once: a `Ratio`
     /// holds its parts on the heap.
     params: (Ratio, Ratio),
+    /// The RR loop's stamps and buffers.
+    cascade: Cascade,
+    /// The buffer every neighbourhood query writes its handles into.
+    handles: Vec<Handle>,
 }
 
 impl<B: SeedableBackend> DynGraph<B> {
@@ -79,11 +196,17 @@ impl<B: SeedableBackend> DynGraph<B> {
             nodes: (0..n)
                 .map(|i| NodeState::new(seed.wrapping_add(i as u64 * 2654435761)))
                 .collect(),
-            edges: HashMap::new(),
+            edges: HashMap::with_hasher(PairHash {
+                key: (seed ^ 0xBB67_AE85_84CA_A73B).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            }),
             params: (Ratio::one(), Ratio::zero()),
+            cascade: Cascade::new(n),
+            handles: Vec::new(),
         }
     }
+}
 
+impl<B: PssBackend> DynGraph<B> {
     /// Number of nodes.
     pub fn n_nodes(&self) -> usize {
         self.nodes.len()
@@ -96,17 +219,26 @@ impl<B: SeedableBackend> DynGraph<B> {
 
     /// `true` iff the edge exists.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.edges.contains_key(&(u, v))
+        self.edges.contains_key(&pair(u, v))
     }
 
     /// Weight of an edge.
     pub fn edge_weight(&self, u: NodeId, v: NodeId) -> Option<u64> {
-        self.edges.get(&(u, v)).map(|&(_, _, w)| w)
+        self.edges.get(&pair(u, v)).map(|e| e.weight)
     }
 
-    /// Iterates over all edges as `(u, v, w)`.
+    /// Iterates over all edges as `(u, v, w)`, by source node id and then
+    /// in the order of the source's out-sampler slots. The order depends
+    /// only on the sequence of updates the graph has taken, so two graphs
+    /// built by the same updates list their edges identically, in any
+    /// process.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, u64)> + '_ {
-        self.edges.iter().map(|(&(u, v), &(_, _, w))| (u, v, w))
+        self.nodes.iter().zip(0..).flat_map(move |(st, u)| {
+            st.out_nbr
+                .iter()
+                .filter(|&&v| v != NO_NODE)
+                .map(move |&v| (u, v, self.edges[&pair(u, v)].weight))
+        })
     }
 
     /// Inserts (or replaces) edge `(u, v)` with weight `w ≥ 1`. O(1).
@@ -115,40 +247,45 @@ impl<B: SeedableBackend> DynGraph<B> {
     pub fn add_edge(&mut self, u: NodeId, v: NodeId, w: u64) {
         assert!(w >= 1, "edge weights must be positive");
         assert!((u as usize) < self.nodes.len() && (v as usize) < self.nodes.len());
-        if let Some(&(out_item, in_item, _)) = self.edges.get(&(u, v)) {
+        if let Some(e) = self.edges.get_mut(&pair(u, v)) {
             // `set_weight` may re-issue the handle on backends without native
-            // in-place reweighting; adopt whatever comes back.
-            let new_out =
-                self.nodes[u as usize].out_sampler.set_weight(out_item, w).expect("edge desync");
-            if new_out != out_item {
-                let t = self.nodes[u as usize].out_edges.remove(&out_item).expect("edge desync");
-                self.nodes[u as usize].out_edges.insert(new_out, t);
+            // in-place reweighting; adopt whatever comes back. The old slot
+            // is cleared before the new one is linked: they may coincide.
+            let src = &mut self.nodes[u as usize];
+            let new_out = src.out_sampler.set_weight(e.out_item, w).expect("edge desync");
+            if new_out != e.out_item {
+                src.out_nbr[src.out_sampler.slot(e.out_item)] = NO_NODE;
+                link(&mut src.out_nbr, src.out_sampler.slot(new_out), v);
             }
-            let new_in =
-                self.nodes[v as usize].in_sampler.set_weight(in_item, w).expect("edge desync");
-            if new_in != in_item {
-                let s = self.nodes[v as usize].in_edges.remove(&in_item).expect("edge desync");
-                self.nodes[v as usize].in_edges.insert(new_in, s);
+            let dst = &mut self.nodes[v as usize];
+            let new_in = dst.in_sampler.set_weight(e.in_item, w).expect("edge desync");
+            if new_in != e.in_item {
+                dst.in_nbr[dst.in_sampler.slot(e.in_item)] = NO_NODE;
+                link(&mut dst.in_nbr, dst.in_sampler.slot(new_in), u);
             }
-            self.edges.insert((u, v), (new_out, new_in, w));
+            *e = EdgeRec { out_item: new_out, in_item: new_in, weight: w };
             return;
         }
-        let out_item = self.nodes[u as usize].out_sampler.insert(w);
-        self.nodes[u as usize].out_edges.insert(out_item, v);
-        let in_item = self.nodes[v as usize].in_sampler.insert(w);
-        self.nodes[v as usize].in_edges.insert(in_item, u);
-        self.edges.insert((u, v), (out_item, in_item, w));
+        let src = &mut self.nodes[u as usize];
+        let out_item = src.out_sampler.insert(w);
+        link(&mut src.out_nbr, src.out_sampler.slot(out_item), v);
+        let dst = &mut self.nodes[v as usize];
+        let in_item = dst.in_sampler.insert(w);
+        link(&mut dst.in_nbr, dst.in_sampler.slot(in_item), u);
+        self.edges.insert(pair(u, v), EdgeRec { out_item, in_item, weight: w });
     }
 
     /// Removes edge `(u, v)` if present. O(1).
     pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> bool {
-        let Some((out_item, in_item, _)) = self.edges.remove(&(u, v)) else {
+        let Some(e) = self.edges.remove(&pair(u, v)) else {
             return false;
         };
-        self.nodes[u as usize].out_sampler.delete(out_item);
-        self.nodes[u as usize].out_edges.remove(&out_item);
-        self.nodes[v as usize].in_sampler.delete(in_item);
-        self.nodes[v as usize].in_edges.remove(&in_item);
+        let src = &mut self.nodes[u as usize];
+        src.out_sampler.delete(e.out_item);
+        src.out_nbr[src.out_sampler.slot(e.out_item)] = NO_NODE;
+        let dst = &mut self.nodes[v as usize];
+        dst.in_sampler.delete(e.in_item);
+        dst.in_nbr[dst.in_sampler.slot(e.in_item)] = NO_NODE;
         true
     }
 
@@ -158,35 +295,33 @@ impl<B: SeedableBackend> DynGraph<B> {
     /// is queried on `&self` through the shared-read surface; only the
     /// node's context keeps this method `&mut`.
     pub fn sample_in_neighbors(&mut self, v: NodeId) -> Vec<NodeId> {
-        let st = &mut self.nodes[v as usize];
-        let (alpha, beta) = &self.params;
-        st.in_sampler
-            .query(&mut st.ctx, alpha, beta)
-            .into_iter()
-            .map(|item| st.in_edges[&item])
-            .collect()
+        self.nodes[v as usize].sample(true, &self.params, &mut self.handles).collect()
     }
 
     /// Samples a subset of `u`'s out-neighbors, each included independently
     /// with probability `A_uv / d_out(u)` (the Appendix A.2 push probability).
     pub fn sample_out_neighbors(&mut self, u: NodeId) -> Vec<NodeId> {
-        let st = &mut self.nodes[u as usize];
-        let (alpha, beta) = &self.params;
-        st.out_sampler
-            .query(&mut st.ctx, alpha, beta)
-            .into_iter()
-            .map(|item| st.out_edges[&item])
-            .collect()
+        self.nodes[u as usize].sample(false, &self.params, &mut self.handles).collect()
+    }
+
+    /// The body of [`crate::rr_set`]: each activated node's in-neighbours
+    /// are sampled in turn, depth first, until the frontier empties or
+    /// `max_size` nodes are active.
+    pub(crate) fn rr_set(&mut self, root: NodeId, max_size: usize) -> Vec<NodeId> {
+        let (nodes, params, handles) = (&mut self.nodes, &self.params, &mut self.handles);
+        self.cascade.rr_set(root, max_size, |v, nbrs| {
+            nbrs.extend(nodes[v as usize].sample(true, params, handles));
+        })
     }
 
     /// In-degree of `v`.
     pub fn in_degree(&self, v: NodeId) -> usize {
-        self.nodes[v as usize].in_edges.len()
+        self.nodes[v as usize].in_sampler.len()
     }
 
     /// Out-degree of `u`.
     pub fn out_degree(&self, u: NodeId) -> usize {
-        self.nodes[u as usize].out_edges.len()
+        self.nodes[u as usize].out_sampler.len()
     }
 
     /// Total weight of `u`'s out-edges.
@@ -201,13 +336,16 @@ impl<B: SeedableBackend> DynGraph<B> {
 }
 
 /// Baseline graph with identical semantics but linear-scan sampling and
-/// per-node `Vec` edge lists (the E9/E10 comparator).
+/// per-node `Vec` edge lists (the E9/E10 comparator). Its RR sets run the
+/// same stamped-mark loop as [`crate::rr_set`], so E9 compares the
+/// neighbourhood sampling and nothing else.
 #[derive(Debug)]
 pub struct NaiveDynGraph {
     in_adj: Vec<Vec<(NodeId, u64)>>,
     out_adj: Vec<Vec<(NodeId, u64)>>,
     rng: SmallRng,
     n_edges: usize,
+    cascade: Cascade,
 }
 
 impl NaiveDynGraph {
@@ -218,6 +356,7 @@ impl NaiveDynGraph {
             out_adj: vec![Vec::new(); n],
             rng: SmallRng::seed_from_u64(seed),
             n_edges: 0,
+            cascade: Cascade::new(n),
         }
     }
 
@@ -250,51 +389,36 @@ impl NaiveDynGraph {
 
     /// Linear-scan in-neighbor sampling (f64 coins; E9 baseline).
     pub fn sample_in_neighbors(&mut self, v: NodeId) -> Vec<NodeId> {
-        let total: u128 = self.in_adj[v as usize].iter().map(|&(_, w)| w as u128).sum();
-        if total == 0 {
-            return Vec::new();
-        }
         let mut out = Vec::new();
-        for &(u, w) in &self.in_adj[v as usize] {
-            if self.rng.gen::<f64>() < w as f64 / total as f64 {
-                out.push(u);
-            }
-        }
+        scan_sample(&self.in_adj[v as usize], &mut self.rng, &mut out);
         out
     }
 
     /// Linear-scan out-neighbor sampling (f64 coins; E10 baseline).
     pub fn sample_out_neighbors(&mut self, u: NodeId) -> Vec<NodeId> {
-        let total: u128 = self.out_adj[u as usize].iter().map(|&(_, w)| w as u128).sum();
-        if total == 0 {
-            return Vec::new();
-        }
         let mut out = Vec::new();
-        for &(v, w) in &self.out_adj[u as usize] {
-            if self.rng.gen::<f64>() < w as f64 / total as f64 {
-                out.push(v);
-            }
-        }
+        scan_sample(&self.out_adj[u as usize], &mut self.rng, &mut out);
         out
     }
 
     /// Linear-scan RR set with identical cascade semantics.
     pub fn rr_set(&mut self, root: NodeId, max_size: usize) -> Vec<NodeId> {
-        let mut activated = vec![root];
-        let mut seen = std::collections::HashSet::from([root]);
-        let mut frontier = vec![root];
-        while let Some(v) = frontier.pop() {
-            if activated.len() >= max_size {
-                break;
-            }
-            for u in self.sample_in_neighbors(v) {
-                if seen.insert(u) {
-                    activated.push(u);
-                    frontier.push(u);
-                }
-            }
+        let (in_adj, rng) = (&self.in_adj, &mut self.rng);
+        self.cascade.rr_set(root, max_size, |v, nbrs| scan_sample(&in_adj[v as usize], rng, nbrs))
+    }
+}
+
+/// One linear-scan neighbourhood sample: flips an f64 coin with probability
+/// `w / Σw` per listed neighbour and appends the winners to `out`.
+fn scan_sample(adj: &[(NodeId, u64)], rng: &mut SmallRng, out: &mut Vec<NodeId>) {
+    let total: u128 = adj.iter().map(|&(_, w)| w as u128).sum();
+    if total == 0 {
+        return;
+    }
+    for &(x, w) in adj {
+        if rng.gen::<f64>() < w as f64 / total as f64 {
+            out.push(x);
         }
-        activated
     }
 }
 

@@ -15,7 +15,12 @@
 //! 3. [`sweep_cut`] scans prefixes of the ranking and returns the prefix with
 //!    the lowest conductance.
 
-// HashMap/HashSet sanctioned: graph application layer; sampling determinism is owned by the DpssSampler underneath, and these maps never feed a sample order.
+// HashMap/HashSet sanctioned: they are this module's public types. Walking
+// `current` in `randomized_push` does set the order of the neighbourhood
+// queries, but each node draws from its own context, so the visit counts do
+// not depend on it; `sweep_cut` breaks score ties by node id, so its ranking
+// does not depend on the order of `scores`; and the sums over `adj` and
+// `set` are exact integers, so their order cannot show.
 #![allow(clippy::disallowed_types)]
 
 use crate::graph::{DynGraph, NodeId};
@@ -199,7 +204,10 @@ pub fn sweep_cut(view: &UndirectedView, scores: &HashMap<NodeId, f64>) -> Option
             (s > 0.0 && d > 0).then(|| (u, s / d as f64))
         })
         .collect();
-    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    // Ties go to the lower node id: `scores` iterates in hasher order.
+    ranked.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
+    });
 
     // Incremental conductance over growing prefixes.
     let mut set: HashSet<NodeId> = HashSet::new();

@@ -13,32 +13,90 @@
 //! on `v`'s in-edges, so a dynamic graph needs DPSS (a single edge update at
 //! `v` moves *all* of `v`'s in-probabilities).
 
-// HashMap/HashSet sanctioned: graph application layer; sampling determinism is owned by the DpssSampler underneath, and these maps never feed a sample order.
-#![allow(clippy::disallowed_types)]
-
 use crate::graph::{DynGraph, NodeId};
 use rand::Rng;
 use rand::RngCore;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// One reverse-reachable (RR) set from `root` under the weighted
 /// independent-cascade model. `max_size` caps runaway cascades.
+///
+/// Allocates only the returned `Vec` once the contexts of the nodes it
+/// visits are warm: seen marks, frontier and query buffers are the
+/// graph's, reused from set to set.
 pub fn rr_set(g: &mut DynGraph, root: NodeId, max_size: usize) -> Vec<NodeId> {
-    let mut activated = vec![root];
-    let mut seen = HashSet::from([root]);
-    let mut frontier = vec![root];
-    while let Some(v) = frontier.pop() {
-        if activated.len() >= max_size {
-            break;
-        }
-        for u in g.sample_in_neighbors(v) {
-            if seen.insert(u) {
-                activated.push(u);
-                frontier.push(u);
-            }
+    g.rr_set(root, max_size)
+}
+
+/// The reverse cascade's reusable state, shared by [`DynGraph`] and
+/// [`crate::NaiveDynGraph`]: epoch-stamped seen marks, one `u32` per node,
+/// plus the frontier, activation and neighbour buffers, all of which keep
+/// their capacity from set to set.
+///
+/// A node is in the current set iff its mark equals the current stamp, so
+/// starting a set costs one increment rather than a clear of every mark
+/// (the marks are cleared once per 2^32 − 1 sets, when the stamp wraps).
+#[derive(Debug)]
+pub(crate) struct Cascade {
+    seen: Vec<u32>,
+    stamp: u32,
+    frontier: Vec<NodeId>,
+    activated: Vec<NodeId>,
+    nbrs: Vec<NodeId>,
+}
+
+impl Cascade {
+    /// State for a graph of `n` nodes.
+    pub(crate) fn new(n: usize) -> Self {
+        Cascade {
+            seen: vec![0; n],
+            stamp: 0,
+            frontier: Vec::new(),
+            activated: Vec::new(),
+            nbrs: Vec::new(),
         }
     }
-    activated
+
+    /// Runs one RR set from `root`: pops the frontier depth first, has
+    /// `sample_in(v, nbrs)` append a sample of `v`'s in-neighbours to
+    /// `nbrs`, and activates the ones not seen yet, until the frontier
+    /// empties or `max_size` nodes are active. Returns the activated nodes
+    /// in activation order, `root` first, in a `Vec` of exactly their
+    /// number: the only allocation a warm run makes.
+    pub(crate) fn rr_set(
+        &mut self,
+        root: NodeId,
+        max_size: usize,
+        mut sample_in: impl FnMut(NodeId, &mut Vec<NodeId>),
+    ) -> Vec<NodeId> {
+        if self.stamp == u32::MAX {
+            self.seen.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        let stamp = self.stamp;
+        self.seen[root as usize] = stamp;
+        self.activated.clear();
+        self.activated.push(root);
+        self.frontier.clear();
+        self.frontier.push(root);
+        while let Some(v) = self.frontier.pop() {
+            if self.activated.len() >= max_size {
+                break;
+            }
+            self.nbrs.clear();
+            sample_in(v, &mut self.nbrs);
+            for &u in &self.nbrs {
+                let mark = &mut self.seen[u as usize];
+                if *mark != stamp {
+                    *mark = stamp;
+                    self.activated.push(u);
+                    self.frontier.push(u);
+                }
+            }
+        }
+        self.activated.clone()
+    }
 }
 
 /// Greedy maximum coverage: repeatedly picks the node contained in the most
@@ -203,14 +261,16 @@ pub fn forward_influence(g: &mut DynGraph, seeds: &[NodeId], trials: u32) -> f64
     // Forward direction: u activates each out-neighbor v with probability
     // A_uv / Σ_x A_xv (v's in-normalized weight), so the coin must be flipped
     // from v's perspective: sample v's in-neighborhood and test membership of
-    // u. Out-adjacency is snapshotted once — cascades don't mutate edges.
+    // u. Out-adjacency is snapshotted once — cascades don't mutate edges —
+    // in `edges()` order, which fixes the order of the neighbourhood
+    // queries and with it the estimate.
     let mut out_adj: Vec<Vec<NodeId>> = vec![Vec::new(); g.n_nodes()];
     for (u, v, _) in g.edges() {
         out_adj[u as usize].push(v);
     }
     let mut total = 0u64;
     for _ in 0..trials {
-        let mut active: HashSet<NodeId> = seeds.iter().copied().collect();
+        let mut active: BTreeSet<NodeId> = seeds.iter().copied().collect();
         let mut frontier: Vec<NodeId> = seeds.to_vec();
         while let Some(u) = frontier.pop() {
             for &v in &out_adj[u as usize] {
@@ -350,6 +410,30 @@ mod tests {
         let fwd = forward_influence(&mut g, &sel.seeds, 1500);
         let rel = (sel.influence_estimate - fwd).abs() / fwd.max(1.0);
         assert!(rel < 0.15, "RIS {} vs forward {} (rel err {rel})", sel.influence_estimate, fwd);
+    }
+
+    #[test]
+    fn edges_and_forward_influence_are_reproducible() {
+        // Two graphs built by the same updates, churn included, list their
+        // edges in the same order and so estimate the same influence.
+        let build = || {
+            let mut g: DynGraph = DynGraph::new(12, 8);
+            for &(u, v, w) in &crate::gen::uniform_digraph(12, 60, 9, 31) {
+                g.add_edge(u, v, w);
+            }
+            for u in 0..6u32 {
+                g.remove_edge(u, (u + 1) % 12);
+                g.add_edge(u, (u + 7) % 12, 5);
+            }
+            g
+        };
+        let (mut a, mut b) = (build(), build());
+        let ea: Vec<_> = a.edges().collect();
+        assert_eq!(ea, b.edges().collect::<Vec<_>>());
+        assert_eq!(ea.len(), a.n_edges());
+        assert!(ea.windows(2).all(|w| w[0].0 <= w[1].0), "edges() must run by source node");
+        let fa = forward_influence(&mut a, &[0, 5], 200);
+        assert_eq!(fa, forward_influence(&mut b, &[0, 5], 200));
     }
 
     #[test]

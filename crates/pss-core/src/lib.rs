@@ -15,7 +15,9 @@
 //! `baselines`); this crate defines:
 //!
 //! - [`PssBackend`]: `&mut self` updates, **`&self` queries** with an
-//!   explicit [`QueryCtx`] holding all read-path mutable state;
+//!   explicit [`QueryCtx`] holding all read-path mutable state, written
+//!   into a caller's buffer by [`PssBackend::query_into`], and the dense
+//!   [`PssBackend::slot`] of each handle for slot-indexed side tables;
 //! - [`QueryCtx`]: the caller-owned context (RNG stream + per-backend plan
 //!   caches/memoizations) that makes shared-read queries possible, and
 //!   whose per-index batch streams ([`stream_seed`]) make a `query_many`
@@ -72,7 +74,10 @@ pub fn scale_weight(w: u64, num: u32, den: u32) -> u64 {
 ///
 /// Handles are only meaningful to the backend that issued them, and only
 /// until that backend deletes the item. The `u64` payload is exposed for
-/// serialization and slot-addressed bookkeeping, not for interpretation.
+/// serialization, not for interpretation: each backend packs it its own way
+/// (HALT adds a generation above the slab index), so a caller that wants a
+/// dense index to address side tables by reads it only through
+/// [`PssBackend::slot`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Handle(u64);
 
@@ -137,8 +142,32 @@ pub trait PssBackend: SpaceUsage + Send + Sync {
     fn delete(&mut self, handle: Handle) -> bool;
 
     /// Answers one PSS query with parameters `(α, β)`, drawing randomness
-    /// (and any cached read-path state) from `ctx`.
-    fn query(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio) -> Vec<Handle>;
+    /// (and any cached read-path state) from `ctx`, and appends the sampled
+    /// handles to `out` (whose existing contents are kept).
+    ///
+    /// This is each backend's one query body. A caller that reuses `out`
+    /// across queries pays no allocation once it has grown to the largest
+    /// sample: HALT extends it straight from the context's item buffer, so
+    /// a warm HALT query into a reused buffer allocates nothing.
+    fn query_into(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio, out: &mut Vec<Handle>);
+
+    /// Answers one PSS query with parameters `(α, β)` into a fresh `Vec`:
+    /// [`PssBackend::query_into`] an empty one. Same coins, same sample.
+    fn query(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio) -> Vec<Handle> {
+        let mut out = Vec::new();
+        self.query_into(ctx, alpha, beta, &mut out);
+        out
+    }
+
+    /// The slot `handle` addresses: a dense index a caller can key side
+    /// tables by (a `Vec` indexed by slot instead of a map keyed by handle).
+    ///
+    /// Live handles of one backend have distinct slots, and a slot is below
+    /// the number of item records the backend holds, live and recycled — it
+    /// is HALT's slab index or a [`Store`] slot. A deleted item's slot may be
+    /// reissued to a later insert. Pure decoding: it reads no state, and
+    /// answers for stale handles too (the slot they used to address).
+    fn slot(&self, handle: Handle) -> usize;
 
     /// Answers a batch of PSS queries, one independent result per `(α, β)`
     /// pair, in order.
@@ -298,6 +327,13 @@ impl Store {
         self.weights.len()
     }
 
+    /// The slot a handle this store issued addresses (its payload: store
+    /// handles are bare slot indices). What the backends built on a store
+    /// answer [`PssBackend::slot`] with.
+    pub fn slot(h: Handle) -> usize {
+        h.raw() as usize
+    }
+
     /// `true` iff slot `i` holds a live item. Out-of-range is `false`.
     pub fn is_live(&self, i: usize) -> bool {
         self.live.get(i).copied().unwrap_or(false)
@@ -343,7 +379,7 @@ impl Store {
 
     /// Deletes an item by handle; `true` if it was live.
     pub fn delete(&mut self, h: Handle) -> bool {
-        let i = h.raw() as usize;
+        let i = Store::slot(h);
         if i >= self.live.len() || !self.live[i] {
             return false;
         }
@@ -361,7 +397,7 @@ impl Store {
     /// This is what the baselines route [`PssBackend::set_weight`] through
     /// instead of the handle-churning delete + reinsert default.
     pub fn set_weight(&mut self, h: Handle, w: u64) -> Option<u64> {
-        let i = h.raw() as usize;
+        let i = Store::slot(h);
         if !self.is_live(i) {
             return None;
         }

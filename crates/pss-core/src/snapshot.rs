@@ -873,13 +873,16 @@ mod tests {
         fn delete(&mut self, handle: crate::Handle) -> bool {
             self.0.delete(handle)
         }
-        fn query(
+        fn query_into(
             &self,
             _ctx: &mut crate::QueryCtx,
             _alpha: &bignum::Ratio,
             _beta: &bignum::Ratio,
-        ) -> Vec<crate::Handle> {
-            Vec::new()
+            _out: &mut Vec<crate::Handle>,
+        ) {
+        }
+        fn slot(&self, handle: crate::Handle) -> usize {
+            Store::slot(handle)
         }
         fn len(&self) -> usize {
             self.0.len()

@@ -206,8 +206,17 @@ mod tests {
         fn delete(&mut self, handle: pss_core::Handle) -> bool {
             self.store.delete(handle)
         }
-        fn query(&self, _ctx: &mut QueryCtx, _alpha: &Ratio, _beta: &Ratio) -> Vec<Handle> {
-            self.store.iter_live().map(|(h, _)| h).collect()
+        fn query_into(
+            &self,
+            _ctx: &mut QueryCtx,
+            _alpha: &Ratio,
+            _beta: &Ratio,
+            out: &mut Vec<Handle>,
+        ) {
+            out.extend(self.store.iter_live().map(|(h, _)| h));
+        }
+        fn slot(&self, handle: Handle) -> usize {
+            pss_core::Store::slot(handle)
         }
         fn len(&self) -> usize {
             self.store.len()

@@ -8,7 +8,9 @@
 //! 50k-op `set_weight` storm) on both HALT backends. On the query side, a
 //! release-build `query_in` that hits its plan makes exactly one allocation
 //! when it samples something — the returned `Vec` — and none when it
-//! samples nothing, at every μ and however many strides the walk takes.
+//! samples nothing, at every μ and however many strides the walk takes;
+//! the facade's `query_into` into a reused buffer allocates nothing at all,
+//! and so a warm graph's `rr_set` allocates only the set it returns.
 //!
 //! The counting allocator is the workspace's one sanctioned use of `unsafe`
 //! (see the workspace lint table): `GlobalAlloc` is an unsafe trait, and
@@ -17,7 +19,8 @@
 
 use bignum::Ratio;
 use dpss::{DeamortizedDpss, DpssSampler, ItemId};
-use pss_core::QueryCtx;
+use graphsub::{rr_set, DynGraph};
+use pss_core::{PssBackend, QueryCtx};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -236,6 +239,84 @@ fn tiny_sampler_query_does_not_allocate() {
     assert!((0.75..=1.25).contains(&items), "μ = 1: {items}");
     #[cfg(not(debug_assertions))]
     assert_eq!(off, 0, "{off} queries allocated more than their result");
+    #[cfg(debug_assertions)]
+    let _ = off;
+}
+
+#[test]
+fn warm_query_into_a_reused_buffer_does_not_allocate() {
+    let mut rng = SmallRng::seed_from_u64(0x1A70);
+    let weights: Vec<u64> = (0..1 << 12).map(|_| weight(&mut rng)).collect();
+    let (s, _) = DpssSampler::from_weights(&weights, 5);
+    let mut ctx = QueryCtx::new(17);
+    // Room for any sample at these μ, so the buffer never grows.
+    let mut out = Vec::with_capacity(1 << 10);
+    for mu in [64, 16, 1] {
+        let (alpha, beta) = (Ratio::from_u64s(1, mu), Ratio::zero());
+        for _ in 0..64 {
+            out.clear();
+            PssBackend::query_into(&s, &mut ctx, &alpha, &beta, &mut out);
+        }
+        let (mut items, mut allocated) = (0, 0);
+        for _ in 0..400 {
+            out.clear();
+            let before = allocs();
+            PssBackend::query_into(&s, &mut ctx, &alpha, &beta, &mut out);
+            allocated += allocs() - before;
+            items += out.len() as u64;
+        }
+        let mean = items as f64 / 400.0;
+        assert!((mu as f64 * 0.75..=mu as f64 * 1.25 + 0.1).contains(&mean), "μ ≈ {mu}: {mean}");
+        // Debug builds check coin brackets against exact BigUint thresholds.
+        #[cfg(not(debug_assertions))]
+        assert_eq!(allocated, 0, "μ ≈ {mu}: {allocated} allocations across 400 warm queries");
+        #[cfg(debug_assertions)]
+        let _ = allocated;
+    }
+}
+
+#[test]
+fn warm_rr_set_allocates_only_its_result() {
+    // Every node has four in-edges of weight 1..=100, so each in-sample
+    // holds at most four items: the first allocation of every per-context
+    // and per-graph buffer (four slots) is already its high-water mark.
+    // Warm-up queries every node until its context holds its plan and its
+    // buffers, and runs RR sets until the frontier and activation buffers
+    // have held a capped set; after that each RR set allocates the `Vec` it
+    // returns and nothing else.
+    const NODES: u32 = 1 << 10;
+    const CAP: usize = 300;
+    let mut rng = SmallRng::seed_from_u64(0x5E7);
+    let mut g: DynGraph = DynGraph::new(NODES as usize, 0x6EA7);
+    for v in 0..NODES {
+        while g.in_degree(v) < 4 {
+            let u = rng.gen_range(0..NODES);
+            if u != v {
+                g.add_edge(u, v, rng.gen_range(1..=100));
+            }
+        }
+    }
+    for v in 0..NODES {
+        for _ in 0..64 {
+            g.sample_in_neighbors(v);
+        }
+    }
+    let mut largest = 0;
+    for _ in 0..20_000 {
+        largest = largest.max(rr_set(&mut g, rng.gen_range(0..NODES), CAP).len());
+    }
+    assert!(largest >= CAP, "warm-up never filled an RR set: largest {largest}");
+    let (mut nodes, mut off) = (0, 0);
+    for _ in 0..2000 {
+        let root = rng.gen_range(0..NODES);
+        let before = allocs();
+        let set = rr_set(&mut g, root, CAP);
+        off += u64::from(allocs() - before != 1);
+        nodes += set.len();
+    }
+    assert!(nodes > 2 * 2000, "RR sets too small to exercise the loop: {nodes} nodes");
+    #[cfg(not(debug_assertions))]
+    assert_eq!(off, 0, "{off} of 2000 warm RR sets allocated more than their result");
     #[cfg(debug_assertions)]
     let _ = off;
 }
