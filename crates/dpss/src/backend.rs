@@ -10,9 +10,11 @@
 //!
 //! Queries go through the shared-read surface (`&self` + [`QueryCtx`]):
 //! the trait's `query_into` runs the same body as
-//! [`DpssSampler::query_in`] / [`DeamortizedDpss::query_in`], extending the
-//! caller's buffer straight from the context's item buffer, so one shared
-//! sampler can serve many contexts, one per caller thread if need be.
+//! [`DpssSampler::query_in`] / [`DeamortizedDpss::query_in`], appending
+//! the sample to the caller's buffer (from the context's item buffer, or
+//! from a stack buffer for a small flat sampler that scans its slots), so
+//! one shared sampler can serve many contexts, one per caller thread if
+//! need be.
 //!
 //! Handles are the samplers' own ids re-wrapped as the opaque
 //! [`pss_core::Handle`]; both directions are free (`raw`/`from_raw`). A
@@ -42,7 +44,7 @@ impl PssBackend for DpssSampler {
     }
 
     fn query_into(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio, out: &mut Vec<Handle>) {
-        out.extend(self.sample(ctx, alpha, beta).iter().map(|id| Handle::from_raw(id.raw())));
+        self.sample(ctx, alpha, beta, out, |id| Handle::from_raw(id.raw()));
     }
 
     fn slot(&self, handle: Handle) -> usize {
@@ -105,7 +107,7 @@ impl PssBackend for DeamortizedDpss {
     }
 
     fn query_into(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio, out: &mut Vec<Handle>) {
-        self.sample_each(ctx, alpha, beta, |h| out.push(Handle::from_raw(h)));
+        self.sample_into(ctx, alpha, beta, out, Handle::from_raw);
     }
 
     fn slot(&self, handle: Handle) -> usize {

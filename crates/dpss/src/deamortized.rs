@@ -438,27 +438,25 @@ impl DeamortizedDpss {
     /// maps.
     pub fn query_in(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio) -> Vec<Handle> {
         let mut out = Vec::new();
-        self.sample_each(ctx, alpha, beta, |h| out.push(h));
+        self.sample_into(ctx, alpha, beta, &mut out, |h| h);
         out
     }
 
     /// The one body of [`DeamortizedDpss::query_in`] and the facade's
-    /// `query_into`: hands each sampled handle to `emit`, old half first.
-    pub(crate) fn sample_each(
+    /// `query_into`: appends `map` of each sampled handle to `out`, old half
+    /// first.
+    pub(crate) fn sample_into<T>(
         &self,
         ctx: &mut QueryCtx,
         alpha: &Ratio,
         beta: &Ratio,
-        mut emit: impl FnMut(Handle),
+        out: &mut Vec<T>,
+        map: impl Fn(Handle) -> T,
     ) {
         let w = alpha.mul_big(&BigUint::from_u128(self.total_weight())).add(beta);
-        for id in self.old.sample_with_total(ctx, &w) {
-            emit(self.rev_old[id.idx()]);
-        }
+        self.old.sample_with_total(ctx, &w, out, |id| map(self.rev_old[id.idx()]));
         if let Some(new) = &self.new {
-            for id in new.sample_with_total(ctx, &w) {
-                emit(self.rev_new[id.idx()]);
-            }
+            new.sample_with_total(ctx, &w, out, |id| map(self.rev_new[id.idx()]));
         }
     }
 

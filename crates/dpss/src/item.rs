@@ -245,8 +245,9 @@ impl Slab {
         self.recs[id.idx()].bucket_pos = pos;
     }
 
-    /// Number of slots (live + recycled); slot indices range over it.
-    pub(crate) fn slot_count(&self) -> usize {
+    /// Number of slots (live + recycled); slot indices range over it. A
+    /// slab never shrinks, so this is its high-water mark.
+    pub fn slot_count(&self) -> usize {
         self.recs.len()
     }
 

@@ -33,6 +33,20 @@
 //! Its [`Level1`] therefore builds none ([`Level1::is_flat`]); the query
 //! code is the same either way, and so are the drawn words and the law.
 //!
+//! **Small flat samplers scan.** A flat sampler whose slab holds at most
+//! [`crate::sampler::SCAN_SLOTS`] slots (twice the size floor) skips all of
+//! the above: [`crate::DpssSampler`] walks its slab records in slot order
+//! and flips one plain inclusion coin `Ber(min(1, w_x/W))` per positive
+//! item, returning the accepted items in slot order. The law is the product
+//! law by construction, and the cost is O(1): at most `SCAN_SLOTS` record
+//! reads and one word per positive item off the sliver. For samplers this
+//! small that is cheaper than level 1's fixed cost — a bucket descriptor, a
+//! first-index draw and a batched walk per non-empty bucket, plus the
+//! insignificant instance — for the one item or so a query returns. The
+//! coin is the one body the in-bucket plain coins use, so fast and exact
+//! decisions agree as everywhere else. A flat sampler whose slab grew past
+//! the bound (deletes leave its high-water mark) keeps the level-1 path.
+//!
 //! Every acceptance probability is an exact rational, so the returned subset
 //! has exactly the distribution `Π_x Ber(p_x(α,β))`.
 //!
@@ -74,10 +88,10 @@
 //! high-water mark. The `Vec`-returning functions are thin wrappers for
 //! callers that drive one level at a time.
 
-use crate::item::ItemId;
+use crate::item::{ItemId, Slab};
 use crate::lookup::{LookupTable, MAX_K};
 use crate::structure::{
-    pow2_scaled, pow2f, Level1, LevelView, NodeView, IN_PLACE_BUCKETS, L1_BUCKETS,
+    pow2_scaled, pow2f, u64_f64_bounds, Level1, LevelView, NodeView, IN_PLACE_BUCKETS, L1_BUCKETS,
 };
 use bignum::{BigUint, Ratio};
 use rand::RngCore;
@@ -312,16 +326,51 @@ fn accept_plain<V: LevelView, R: RngCore>(
     accel: &QueryAccel,
     x: V::Id,
 ) -> bool {
+    plain_coin(rng, w, accel, view.weight_f64_bounds(x), || view.weight_u256(x))
+}
+
+/// The one body of the plain inclusion coin ([`accept_plain`] and
+/// [`scan_into`]): `bounds` is the certified bracket of the weight `w_x`,
+/// and `w_x` yields it exactly, which only the sliver and force-exact mode
+/// ask for.
+#[inline]
+fn plain_coin<R: RngCore>(
+    rng: &mut R,
+    w: &Ratio,
+    accel: &QueryAccel,
+    bounds: (f64, f64),
+    w_x: impl Fn() -> U256,
+) -> bool {
+    let num = || w_x().to_biguint().mul(w.den());
     if accel.use_fast() {
-        let bits = accel.incl_bits(view.weight_f64_bounds(x));
+        let bits = accel.incl_bits(bounds);
         if cfg!(debug_assertions) {
-            bits.debug_validate(&view.weight_u256(x).to_biguint().mul(w.den()), w.num());
+            bits.debug_validate(&num(), w.num());
         }
-        return ber_bits_with(rng, &bits, |rng, u| {
-            ber_rational_from_word(rng, &view.weight_u256(x).to_biguint().mul(w.den()), w.num(), u)
-        });
+        return ber_bits_with(rng, &bits, |rng, u| ber_rational_from_word(rng, &num(), w.num(), u));
     }
-    ber_rational_parts(rng, &view.weight_u256(x).to_biguint().mul(w.den()), w.num())
+    ber_rational_parts(rng, &num(), w.num())
+}
+
+/// The whole query of a *scan sampler* (see [`crate::DpssSampler`]'s
+/// `sample`): one plain coin `Ber(min(1, w_x/W))` per positive item, in
+/// slot order, handing each accepted item to `emit`. Zero-weight items and
+/// the slab's holes draw nothing. Each item is decided by its own coin, so
+/// the law is exactly the product law; the cost is one record read per
+/// slot and one word per positive item off the sliver, O(1) for a slab of
+/// a bounded number of slots.
+pub(crate) fn scan_into<R: RngCore>(
+    slab: &Slab,
+    rng: &mut R,
+    w: &Ratio,
+    accel: &QueryAccel,
+    mut emit: impl FnMut(ItemId),
+) {
+    for (id, w_x) in slab.iter() {
+        if w_x > 0 && plain_coin(rng, w, accel, u64_f64_bounds(w_x), || U256::from_u64(w_x)) {
+            emit(id);
+        }
+    }
 }
 
 /// Algorithm 2: the insignificant instance. Samples from all items in buckets

@@ -15,8 +15,8 @@
 use crate::item::ItemId;
 use crate::lookup::LookupTable;
 use crate::query::{
-    query_certain_into, query_level1_into, thresholds_at, FinalLevelMode, QueryAccel, QueryFrame,
-    QueryScratch, Thresholds,
+    query_certain_into, query_level1_into, scan_into, thresholds_at, FinalLevelMode, QueryAccel,
+    QueryFrame, QueryScratch, Thresholds,
 };
 use crate::snapshot::{level1_from_slab, read_slab, write_slab};
 use crate::structure::Level1;
@@ -32,6 +32,13 @@ use wordram::SpaceUsage;
 /// Floor for the sizing parameter `n₀` so tiny sets get sane group widths and
 /// rebuilds don't thrash.
 pub(crate) const N0_FLOOR: usize = 16;
+
+/// Most slab slots a flat sampler may hold and still answer queries by
+/// scanning them, one coin per item (see [`DpssSampler::query_in`]): twice
+/// the size floor, the largest size a default-band sampler reaches before
+/// its grow rebuild leaves the floor sizing. Chosen over the floor itself
+/// (16) by measuring `rr_sets` throughput with each.
+pub const SCAN_SLOTS: usize = 2 * N0_FLOOR;
 
 /// Capacity of the per-`(α, β)` query-plan cache. Sized to hold a whole
 /// `query_many` batch of a few dozen distinct parameter pairs — a batch
@@ -687,25 +694,57 @@ impl DpssSampler {
     /// fast-path accelerators, and the level-1 thresholds are computed once
     /// per (parameters, item-set version, context) rather than per query.
     /// On a hit the query allocates nothing but the returned `Vec`.
+    ///
+    /// A *scan sampler* — flat ([`Level1::is_flat`]) with a slab of at most
+    /// [`SCAN_SLOTS`] slots — skips the hierarchy: it flips one exact
+    /// `Ber(min(1, w_x/W))` coin per positive item and returns the accepted
+    /// items in slot order. With at most `SCAN_SLOTS` slots that is O(1)
+    /// work, and for the few items such a sampler holds it costs less than
+    /// level 1's per-bucket setup. A flat sampler whose slab outgrew the
+    /// bound (deletes leave its high-water mark) keeps the hierarchy.
     pub fn query_in(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio) -> Vec<ItemId> {
-        self.sample(ctx, alpha, beta).to_vec()
+        let mut out = Vec::new();
+        self.sample(ctx, alpha, beta, &mut out, |id| id);
+        out
+    }
+
+    /// `true` iff this is a *scan sampler*: flat, so a query never reads a
+    /// level-2/3 node, and holding at most [`SCAN_SLOTS`] slab slots.
+    fn scans(&self) -> bool {
+        self.level1.is_flat() && self.level1.slab.slot_count() <= SCAN_SLOTS
     }
 
     /// The one body of [`DpssSampler::query_in`] and the facade's
-    /// `query_into`: samples into the context's item buffer and returns it,
-    /// for the caller to copy wherever it wants the sample. On a plan hit
-    /// nothing here allocates.
-    pub(crate) fn sample<'c>(
+    /// `query_into`: appends `map` of each sampled item to `out`, growing it
+    /// at most once. On a plan hit nothing else allocates.
+    ///
+    /// Two ways to answer, both exact:
+    /// - A scan sampler walks its slab records in slot order and decides
+    ///   each positive item by one plain inclusion coin (`scan_into` in
+    ///   [`crate::query`]). With at most [`SCAN_SLOTS`] slots that is O(1)
+    ///   work — and for the few items such a sampler holds, fewer coins
+    ///   than the fixed cost of the level-1 machinery (a bucket descriptor
+    ///   and a first-index draw per non-empty bucket) it replaces. The
+    ///   sample is staged on the stack, so the context keeps no item
+    ///   buffer for it.
+    /// - Every other sampler runs the hierarchy (Algorithm 1 at level 1)
+    ///   into the context's item buffer. The slot bound keeps a flat
+    ///   sampler whose slab outgrew `n` (a high-water mark left by deletes,
+    ///   or a wide [`DpssSampler::set_rebuild_factor`]) on this path, where
+    ///   the cost stays O(1 + μ).
+    pub(crate) fn sample<T>(
         &self,
-        ctx: &'c mut QueryCtx,
+        ctx: &mut QueryCtx,
         alpha: &Ratio,
         beta: &Ratio,
-    ) -> &'c [ItemId] {
+        out: &mut Vec<T>,
+        map: impl FnMut(ItemId) -> T,
+    ) {
         if self.level1.total_weight == 0 && beta.is_zero() {
             // `W = α·0 + 0 = 0`: the degenerate convention samples every
             // positive-weight item, and there are none. Answered before
             // `W` is built, which allocates, and without a coin, as below.
-            return &[];
+            return;
         }
         let (rng, st) = self.plan_state(ctx);
         self.revalidate(st);
@@ -723,7 +762,7 @@ impl DpssSampler {
                     // Degenerate convention; the entry can never be
                     // refreshed into a usable plan, so drop it.
                     st.plans.remove(i);
-                    return self.sample_all_positive(&mut st.items);
+                    return self.sample_all_positive(&mut st.items, out, map);
                 }
                 st.refreshes += 1;
                 // pss-lint: allow(no-bare-index) — i was returned by position() over st.plans
@@ -736,7 +775,7 @@ impl DpssSampler {
                 let w = self.param_weight(alpha, beta);
                 if w.is_zero() {
                     // Degenerate convention; not worth a cache slot.
-                    return self.sample_all_positive(&mut st.items);
+                    return self.sample_all_positive(&mut st.items, out, map);
                 }
                 st.misses += 1;
                 let plan = self.make_plan(w);
@@ -759,6 +798,9 @@ impl DpssSampler {
         // pss-lint: allow(no-bare-index) — idx is position() over st.plans or len() - 1 after a push
         let plan = &st.plans[idx].plan;
         let _guard = self.force_exact.then(randvar::exact_mode_guard);
+        if self.scans() {
+            return self.scan(rng, &plan.w, &plan.accel, out, map);
+        }
         let mut frame = QueryFrame {
             rng,
             w: &plan.w,
@@ -768,15 +810,44 @@ impl DpssSampler {
         };
         st.items.clear();
         query_level1_into(&self.level1, &mut frame, &plan.th, &mut st.scratch, &mut st.items);
-        &st.items
+        out.extend(st.items.iter().copied().map(map));
     }
 
-    /// The degenerate `W = 0` sample, every positive-weight item, written
-    /// into `items`.
-    fn sample_all_positive<'c>(&self, items: &'c mut Vec<ItemId>) -> &'c [ItemId] {
+    /// A scan sampler's query under `w > 0`: [`scan_into`] staged in a
+    /// stack buffer of [`SCAN_SLOTS`] items, then appended to `out` in one
+    /// exact-size step.
+    fn scan<T>(
+        &self,
+        rng: &mut CtxRng,
+        w: &Ratio,
+        accel: &QueryAccel,
+        out: &mut Vec<T>,
+        map: impl FnMut(ItemId) -> T,
+    ) {
+        let mut staged = [ItemId::from_raw(0); SCAN_SLOTS];
+        let mut n = 0;
+        scan_into(&self.level1.slab, rng, w, accel, |id| {
+            // One entry per live slot at most, and a scan sampler has at
+            // most SCAN_SLOTS slots.
+            if let Some(slot) = staged.get_mut(n) {
+                *slot = id;
+                n += 1;
+            }
+        });
+        out.extend(staged.iter().take(n).copied().map(map));
+    }
+
+    /// The degenerate `W = 0` sample, every positive-weight item, gathered
+    /// in `items` and appended to `out`.
+    fn sample_all_positive<T>(
+        &self,
+        items: &mut Vec<ItemId>,
+        out: &mut Vec<T>,
+        map: impl FnMut(ItemId) -> T,
+    ) {
         items.clear();
         query_certain_into(&self.level1, 0, items);
-        items
+        out.extend(items.iter().copied().map(map));
     }
 
     /// The level-1 thresholds under a non-zero total weight `w`.
@@ -798,27 +869,39 @@ impl DpssSampler {
     /// uses internally (§4.1); it also lets several samplers share one global
     /// `W` (the de-amortized structure queries both migration halves with
     /// the union's `W`). `w = 0` follows the same convention as
-    /// [`DpssSampler::query_in`]. It allocates nothing but the returned
-    /// `Vec` while `w`'s parts fit in two words.
+    /// [`DpssSampler::query_in`], and a scan sampler scans as there. It
+    /// allocates nothing but the returned `Vec` while `w`'s parts fit in two
+    /// words.
     pub fn query_with_total_in(&self, ctx: &mut QueryCtx, w: &Ratio) -> Vec<ItemId> {
-        self.sample_with_total(ctx, w).to_vec()
+        let mut out = Vec::new();
+        self.sample_with_total(ctx, w, &mut out, |id| id);
+        out
     }
 
-    /// [`DpssSampler::query_with_total_in`] returning the context's item
-    /// buffer (see [`DpssSampler::sample`]).
-    pub(crate) fn sample_with_total<'c>(&self, ctx: &'c mut QueryCtx, w: &Ratio) -> &'c [ItemId] {
+    /// [`DpssSampler::query_with_total_in`] appending `map` of each sampled
+    /// item to `out` (see [`DpssSampler::sample`]).
+    pub(crate) fn sample_with_total<T>(
+        &self,
+        ctx: &mut QueryCtx,
+        w: &Ratio,
+        out: &mut Vec<T>,
+        map: impl FnMut(ItemId) -> T,
+    ) {
         let (rng, st) = self.plan_state(ctx);
         if w.is_zero() {
-            return self.sample_all_positive(&mut st.items);
+            return self.sample_all_positive(&mut st.items, out, map);
         }
         let _guard = self.force_exact.then(randvar::exact_mode_guard);
         let accel = QueryAccel::new(w, !self.force_exact);
+        if self.scans() {
+            return self.scan(rng, w, &accel, out, map);
+        }
         let th = self.level1_thresholds(w, &accel);
         let mut frame =
             QueryFrame { rng, w, accel, table: &mut st.table, final_mode: self.final_mode };
         st.items.clear();
         query_level1_into(&self.level1, &mut frame, &th, &mut st.scratch, &mut st.items);
-        &st.items
+        out.extend(st.items.iter().copied().map(map));
     }
 
     /// Validates every structural invariant (test/debug hook; O(n)).

@@ -83,6 +83,19 @@ pub(crate) fn pow2f(e: i32) -> f64 {
     }
 }
 
+/// Certified `f64` bracket of an item weight: `u64 → f64` is correctly
+/// rounded, so the bracket is the value itself below `2^53` and one ulp
+/// either side above.
+#[inline]
+pub(crate) fn u64_f64_bounds(w: u64) -> (f64, f64) {
+    let f = w as f64;
+    if w <= 1 << 53 {
+        (f, f)
+    } else {
+        (f.next_down(), f.next_up())
+    }
+}
+
 /// `c·2^e` as an exact `f64`: scaling by a power of two only shifts the
 /// exponent, so the product is exact whenever `c` itself is (`c < 2^53`)
 /// and no overflow occurs — the bucket counts and indices the query layer
@@ -1772,14 +1785,7 @@ impl LevelView for Level1 {
     }
     fn weight_f64_bounds(&self, id: ItemId) -> (f64, f64) {
         // pss-lint: allow(no-panic-paths) — ids handed to weight_f64_bounds come from this level's own bucket lists, which hold only live items
-        let w = self.slab.weight(id).expect("live item");
-        // u64 → f64 is correctly rounded; exact below 2^53, else nudge.
-        let f = w as f64;
-        if w <= 1 << 53 {
-            (f, f)
-        } else {
-            (f.next_down(), f.next_up())
-        }
+        u64_f64_bounds(self.slab.weight(id).expect("live item"))
     }
 }
 

@@ -6,6 +6,9 @@
 // HashMap/HashSet sanctioned: test-side bookkeeping only; no iteration order reaches an assertion or a sample.
 #![allow(clippy::disallowed_types)]
 
+mod common;
+
+use common::level1_sampler;
 use dpss::{DpssSampler, FinalLevelMode, ItemId, QueryCtx, Ratio};
 use randvar::stats::binomial_z;
 use std::collections::HashMap;
@@ -80,8 +83,7 @@ fn mixed_magnitude_weights() {
 #[test]
 fn beta_scales_probabilities_down() {
     // β ≫ Σw: all probabilities tiny — exercises the insignificant path.
-    let weights = vec![10u64, 20, 40, 80, 160];
-    let (s, _) = DpssSampler::from_weights(&weights, 4);
+    let (s, _) = level1_sampler(&[10, 20, 40, 80, 160], 4);
     let mut ctx = QueryCtx::new(4);
     let beta = Ratio::from_int(1_000_000);
     assert_marginals(&s, &mut ctx, &Ratio::zero(), &beta, 60_000, 4.8, "big-beta");
@@ -90,8 +92,7 @@ fn beta_scales_probabilities_down() {
 #[test]
 fn alpha_below_one_creates_certain_items() {
     // α = 1/100: heavy items get p = 1 (certain path), light ones p < 1.
-    let weights = vec![1u64, 2, 3, 50, 60, 100_000, 200_000];
-    let (s, _) = DpssSampler::from_weights(&weights, 5);
+    let (s, _) = level1_sampler(&[1, 2, 3, 50, 60, 100_000, 200_000], 5);
     let mut ctx = QueryCtx::new(5);
     let alpha = Ratio::from_u64s(1, 100);
     assert_marginals(&s, &mut ctx, &alpha, &Ratio::zero(), 30_000, 4.8, "certain-mix");
@@ -256,7 +257,7 @@ fn huge_weights_near_word_boundary() {
 #[test]
 fn alpha_zero_beta_small_all_certain() {
     // β < min weight: every item certain.
-    let (s, ids) = DpssSampler::from_weights(&[10, 20, 30], 16);
+    let (s, ids) = level1_sampler(&[10, 20, 30], 16);
     let mut ctx = QueryCtx::new(16);
     let t = s.query_in(&mut ctx, &Ratio::zero(), &Ratio::from_int(5));
     assert_eq!(t.len(), 3);

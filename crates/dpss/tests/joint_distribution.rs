@@ -5,6 +5,9 @@
 // HashMap/HashSet sanctioned: test-side bookkeeping only; no iteration order reaches an assertion or a sample.
 #![allow(clippy::disallowed_types)]
 
+mod common;
+
+use common::level1_sampler;
 use dpss::query::thresholds;
 use dpss::structure::IN_PLACE_BUCKETS;
 use dpss::{DpssSampler, ItemId, QueryCtx, Ratio};
@@ -59,11 +62,19 @@ fn subset_counts(
     counts
 }
 
-/// Runs `trials` queries and chi-squares the empirical joint distribution over
-/// all 2^k subsets against the exact product law.
-fn joint_check(weights: &[u64], alpha: Ratio, beta: Ratio, trials: u64, seed: u64) -> f64 {
+/// Runs `trials` queries of the sampler `(s, ids)` and chi-squares the
+/// empirical joint distribution over all 2^k subsets of `ids` against the
+/// exact product law. The tests that target a level-1 path build their
+/// sampler with [`level1_sampler`], so it does not answer by the slot scan
+/// of a small flat sampler.
+fn joint_check(
+    (s, ids): (DpssSampler, Vec<ItemId>),
+    alpha: Ratio,
+    beta: Ratio,
+    trials: u64,
+    seed: u64,
+) -> f64 {
     let trials = scaled(trials);
-    let (s, ids) = DpssSampler::from_weights(weights, seed);
     let counts = subset_counts(&s, &ids, (&alpha, &beta), trials, seed);
     chi_square(&counts, &product_law(&inclusion_probs(&s, &ids, &alpha, &beta)), trials)
 }
@@ -71,14 +82,20 @@ fn joint_check(weights: &[u64], alpha: Ratio, beta: Ratio, trials: u64, seed: u6
 #[test]
 fn joint_two_items() {
     // p = (1/3, 2/3): 4 outcomes, df ≤ 3; 0.9999 quantile ≈ 21.1.
-    let s = joint_check(&[10, 20], Ratio::one(), Ratio::zero(), 300_000, 1);
+    let s = joint_check(
+        DpssSampler::from_weights(&[10, 20], 1),
+        Ratio::one(),
+        Ratio::zero(),
+        300_000,
+        1,
+    );
     assert!(s < 21.1, "chi2 = {s}");
 }
 
 #[test]
 fn joint_four_items_mixed_buckets() {
     // Weights across distinct buckets: 16 outcomes.
-    let s = joint_check(&[1, 2, 4, 8], Ratio::one(), Ratio::zero(), 400_000, 2);
+    let s = joint_check(level1_sampler(&[1, 2, 4, 8], 2), Ratio::one(), Ratio::zero(), 400_000, 2);
     assert!(s < 37.7, "chi2 = {s}"); // df≤15
 }
 
@@ -86,7 +103,7 @@ fn joint_four_items_mixed_buckets() {
 fn joint_six_items_same_bucket() {
     // All items share one bucket — stresses the within-bucket B-Geo walk,
     // where a dependence bug would be most likely.
-    let s = joint_check(&[7, 7, 7, 7, 7, 7], Ratio::one(), Ratio::zero(), 500_000, 3);
+    let s = joint_check(level1_sampler(&[7; 6], 3), Ratio::one(), Ratio::zero(), 500_000, 3);
     assert!(s < 120.0, "chi2 = {s}"); // df≤63, 0.9999 quantile ≈ 103.4 + slack
 }
 
@@ -94,14 +111,26 @@ fn joint_six_items_same_bucket() {
 fn joint_with_certain_and_tiny_items() {
     // One certain item (p=1), one dominating, two tiny: exercises all three
     // instance types in one query.
-    let s = joint_check(&[1, 2, 1000, 100_000], Ratio::zero(), Ratio::from_int(50_000), 400_000, 4);
+    let s = joint_check(
+        level1_sampler(&[1, 2, 1000, 100_000], 4),
+        Ratio::zero(),
+        Ratio::from_int(50_000),
+        400_000,
+        4,
+    );
     assert!(s < 37.7, "chi2 = {s}");
 }
 
 #[test]
 fn joint_under_beta_scaling() {
     // β pushes everything into the insignificant instance.
-    let s = joint_check(&[3, 5, 7, 11], Ratio::zero(), Ratio::from_int(1000), 600_000, 5);
+    let s = joint_check(
+        level1_sampler(&[3, 5, 7, 11], 5),
+        Ratio::zero(),
+        Ratio::from_int(1000),
+        600_000,
+        5,
+    );
     assert!(s < 37.7, "chi2 = {s}");
 }
 
@@ -109,7 +138,7 @@ fn joint_under_beta_scaling() {
 fn joint_after_updates() {
     // Same check, but after a delete + reinsert cycle shuffles bucket
     // positions (catches position-dependent correlations).
-    let (mut s, ids) = DpssSampler::from_weights(&[9, 9, 9, 9, 50], 6);
+    let (mut s, ids) = level1_sampler(&[9, 9, 9, 9, 50], 6);
     s.delete(ids[1]).unwrap();
     s.delete(ids[3]).unwrap();
     let a = s.insert(9);

@@ -32,6 +32,14 @@ const NO_NODE: NodeId = NodeId::MAX;
 /// that slot holds no edge. A sampled handle turns into its neighbour with
 /// one array read, and the tables cost one `u32` per sampler slot — the
 /// samplers recycle freed slots, so that is about one per edge.
+///
+/// Most nodes of a sparse graph have a few dozen edges at most, and a HALT
+/// sampler that small (flat, at most `dpss::sampler::SCAN_SLOTS` slots)
+/// answers a neighbourhood query by one exact coin per edge in slot order
+/// rather than through its level-1 buckets, and appends the sample to the
+/// graph's handle buffer. Its state in the node's context is then the
+/// cached plan (`W` and its accelerators); the item buffer a level-1 query
+/// fills is never allocated.
 #[derive(Debug)]
 struct NodeState<B> {
     /// Sampler over in-edges; item = edge, weight = A_uv.

@@ -78,5 +78,5 @@ fn pinned_hash() -> u64 {
 
 #[test]
 fn rr_sets_and_push_visits_are_pinned() {
-    assert_eq!(pinned_hash(), 6_643_542_408_574_612_224, "graph-layer outputs moved");
+    assert_eq!(pinned_hash(), 10_714_847_459_611_466_070, "graph-layer outputs moved");
 }

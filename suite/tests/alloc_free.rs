@@ -18,6 +18,7 @@
 #![allow(unsafe_code)]
 
 use bignum::Ratio;
+use dpss::sampler::SCAN_SLOTS;
 use dpss::{DeamortizedDpss, DpssSampler, ItemId};
 use graphsub::{rr_set, DynGraph};
 use pss_core::{PssBackend, QueryCtx};
@@ -232,8 +233,18 @@ fn tiny_sampler_query_does_not_allocate() {
     // An `rr_sets`-shaped neighbourhood: five edge weights in 1..=100,
     // queried at the weighted-cascade (α, β) = (1, 0), so μ = 1 and about
     // three queries in ten come back empty. Sized at the floor (g₁ = 4),
-    // the sampler opens every significant level-1 group in place.
-    let (s, _) = DpssSampler::from_weights(&[37, 5, 92, 18, 64], 3);
+    // the sampler opens every significant level-1 group in place: it
+    // first held SCAN_SLOTS more items, now deleted, so its slab is over
+    // the bound below which a flat sampler scans its slots instead.
+    let mut s = DpssSampler::new(3);
+    for w in [37, 5, 92, 18, 64] {
+        s.insert(w);
+    }
+    let fillers: Vec<ItemId> = (0..SCAN_SLOTS).map(|_| s.insert(1)).collect();
+    for id in fillers {
+        s.delete(id).unwrap();
+    }
+    assert!(s.level1().is_flat() && s.level1().slab.slot_count() > SCAN_SLOTS);
     let mut ctx = QueryCtx::new(13);
     let (items, off) = query_allocs(&s, &mut ctx, &Ratio::one(), &Ratio::zero());
     assert!((0.75..=1.25).contains(&items), "μ = 1: {items}");
@@ -241,6 +252,28 @@ fn tiny_sampler_query_does_not_allocate() {
     assert_eq!(off, 0, "{off} queries allocated more than their result");
     #[cfg(debug_assertions)]
     let _ = off;
+}
+
+#[test]
+fn scan_sampler_query_does_not_allocate() {
+    // The same neighbourhood built directly: a flat sampler of five slots,
+    // which answers by one coin per item. Its result is staged off the
+    // heap, so a warm query allocates exactly the returned `Vec`, also at
+    // α = 1/4 (μ ≈ 3.1, two items certain), where about one sample in 50
+    // holds all five items, one more than a growing `Vec` first makes room
+    // for.
+    let (s, _) = DpssSampler::from_weights(&[37, 5, 92, 18, 64], 3);
+    assert!(s.level1().is_flat() && s.level1().slab.slot_count() <= SCAN_SLOTS);
+    let mut ctx = QueryCtx::new(13);
+    for alpha in [Ratio::one(), Ratio::from_u64s(1, 4)] {
+        let mu = s.expected_sample_size(&alpha, &Ratio::zero());
+        let (items, off) = query_allocs(&s, &mut ctx, &alpha, &Ratio::zero());
+        assert!((mu * 0.75..=mu * 1.25).contains(&items), "μ = {mu}: {items}");
+        #[cfg(not(debug_assertions))]
+        assert_eq!(off, 0, "μ = {mu}: {off} queries allocated more than their result");
+        #[cfg(debug_assertions)]
+        let _ = off;
+    }
 }
 
 #[test]

@@ -139,9 +139,11 @@ fn eight_item_sampler_fits_in_a_few_kib() {
 
 /// A graph node's query context over its tiny sampler, after one query at
 /// its one `(α, β)` pair: the live heap the context holds (the returned
-/// sample freed). Measured: 560 B. The bound (measured plus 25%) fails a
-/// context that reserves room for four plans and four state entries on the
-/// first one (1,280 B).
+/// sample freed). Measured: 520 B, since a sampler this small scans its
+/// slots and leaves the context's item buffer unallocated; 560 B when its
+/// query filled that buffer. The bound (the 560 B plus 25%) fails a context
+/// that reserves room for four plans and four state entries on the first
+/// one (1,280 B).
 #[test]
 fn warm_context_over_a_tiny_sampler_fits_in_under_a_kib() {
     let (s, _) = bulk(&[37, 5, 92, 18, 64]);
