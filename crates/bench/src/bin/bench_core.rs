@@ -15,17 +15,12 @@
 //! - `snapshot`: image size and save/load/recover times at n = 2^20, gated
 //!   on the recovered sampler re-encoding byte-identical to the live one;
 //! - `scaling`: HALT at n ∈ {2^14, 2^17, 2^20, 2^23} (2^20 only under
-//!   `--quick`) with per-point space telemetry and flatness ratios. Two-arm
-//!   A/B: build the `layout-baseline` arm with `--scaling-fragment FILE` to
-//!   emit its points, then run the default arm with `--scaling-baseline
-//!   FILE` to embed them and the packed-over-baseline speedups under
-//!   `scaling.ab`.
+//!   `--quick`) with per-point space telemetry and flatness ratios.
 //!
 //! Human-readable numbers go to stdout as they are produced.
 //!
 //! Usage: `cargo run --release -p bench --bin bench_core [-- --out PATH
-//! --n ITEMS --quick --scaling-only --scaling-fragment PATH
-//! --scaling-baseline PATH]`.
+//! --n ITEMS --quick]`.
 
 use baselines::all_backends;
 use bench::schema::{validate_bench_core, SCHEMA_VERSION};
@@ -527,10 +522,8 @@ fn scaling_probe(seed: u64, quick: bool) -> Vec<ScalingPoint> {
         // victim is drawn one pair ahead and its record hinted through
         // `PssBackend::prefetch_handle` (the journal-replay pattern) before
         // the insert, so the insert's work is the prefetch distance covering
-        // the next delete's first dependent miss. Under `layout-baseline`
-        // the hint compiles to a no-op — the A/B delta is the value of the
-        // prefetch subsystem itself. The hint never lands on the id pushed
-        // afterwards, so every hinted index stays valid.
+        // the next delete's first dependent miss. The hint never lands on
+        // the id pushed afterwards, so every hinted index stays valid.
         let mut next_j = rng.gen_range(0..ids.len());
         let per_churn = best_of_three(|| {
             time_per(reps, || {
@@ -578,43 +571,11 @@ fn scaling_probe(seed: u64, quick: bool) -> Vec<ScalingPoint> {
     points
 }
 
-/// Reads a `--scaling-fragment` file (the baseline arm's points array) and
-/// returns `(verbatim trimmed text, parsed points)` for embedding under
-/// `scaling.ab.baseline_points`.
-fn read_baseline_fragment(path: &str) -> (String, Vec<(usize, f64, f64, f64)>) {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("--scaling-baseline {path}: {e}"));
-    let parsed = bench::schema::parse(&text)
-        .unwrap_or_else(|e| panic!("--scaling-baseline {path}: bad JSON: {e}"));
-    let rows = match &parsed {
-        bench::schema::Json::Arr(rows) if !rows.is_empty() => rows,
-        _ => panic!("--scaling-baseline {path}: expected a non-empty points array"),
-    };
-    let mut points = Vec::new();
-    for row in rows {
-        let get = |k: &str| {
-            row.get(k)
-                .and_then(bench::schema::Json::as_num)
-                .unwrap_or_else(|| panic!("--scaling-baseline {path}: point missing '{k}'"))
-        };
-        points.push((
-            get("n") as usize,
-            get("query_mu16_ops"),
-            get("churn_pair_ops"),
-            get("bulk_items_per_sec"),
-        ));
-    }
-    (text.trim().to_string(), points)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_path = "BENCH_core.json".to_string();
     let mut n = 1usize << 14;
     let mut quick = false;
-    let mut scaling_only = false;
-    let mut scaling_fragment: Option<String> = None;
-    let mut scaling_baseline: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -624,22 +585,11 @@ fn main() {
                 assert!(n >= 1, "--n must be at least 1");
             }
             "--quick" => quick = true,
-            "--scaling-only" => scaling_only = true,
-            "--scaling-fragment" => {
-                scaling_fragment = Some(it.next().expect("--scaling-fragment PATH").clone());
-            }
-            "--scaling-baseline" => {
-                scaling_baseline = Some(it.next().expect("--scaling-baseline PATH").clone());
-            }
-            other => panic!(
-                "unknown argument {other} (expected --out/--n/--quick/--scaling-only/\
-                 --scaling-fragment/--scaling-baseline)"
-            ),
+            other => panic!("unknown argument {other} (expected --out/--n/--quick)"),
         }
     }
 
-    let packed = !cfg!(feature = "layout-baseline");
-    println!("\nscaling tier ({} arm):", if packed { "packed" } else { "layout-baseline" });
+    println!("\nscaling tier:");
     let points = scaling_probe(42, quick);
     // Flatness: per-op cost at the largest n over the smallest n (ops are
     // rates, so the cost ratio is small_ops/large_ops). ≈1 means the O(1)
@@ -654,52 +604,6 @@ fn main() {
         first.n.trailing_zeros(),
         last.n.trailing_zeros()
     );
-
-    if let Some(path) = &scaling_fragment {
-        let mut frag = String::from("[\n");
-        for (i, p) in points.iter().enumerate() {
-            frag.push_str("  ");
-            frag.push_str(&p.to_json());
-            frag.push_str(if i + 1 == points.len() { "\n" } else { ",\n" });
-        }
-        frag.push_str("]\n");
-        std::fs::write(path, &frag).expect("write scaling fragment");
-        println!("wrote scaling fragment to {path}");
-    }
-
-    // Two-arm merge: embed the baseline arm's points and the packed-over-
-    // baseline speedups at the largest n both arms measured.
-    let ab_json = match &scaling_baseline {
-        None => "null".to_string(),
-        Some(path) => {
-            let (baseline_text, baseline_points) = read_baseline_fragment(path);
-            let (bn, bq, bc, bb) = *baseline_points
-                .iter()
-                .filter(|(bn, ..)| points.iter().any(|p| p.n == *bn))
-                .max_by_key(|(bn, ..)| *bn)
-                .expect("baseline fragment shares no point size with this run");
-            let here = points.iter().find(|p| p.n == bn).expect("filtered on shared n");
-            let sp_q = here.query_mu16_ops / bq;
-            let sp_c = here.churn_pair_ops / bc;
-            let sp_b = here.bulk_items_per_sec / bb;
-            println!(
-                "A/B at n=2^{:02}: packed/baseline query {sp_q:.2}x  churn {sp_c:.2}x  \
-                 bulk {sp_b:.2}x",
-                bn.trailing_zeros()
-            );
-            format!(
-                "{{\"baseline_points\": {baseline_text}, \
-                 \"speedups\": {{\"query_mu16\": {sp_q:.3}, \"churn_pair\": {sp_c:.3}, \
-                 \"bulk_load\": {sp_b:.3}}}}}"
-            )
-        }
-    };
-
-    if scaling_only {
-        println!("scaling-only run: skipping the roster and BENCH emission");
-        let _ = ab_json;
-        return;
-    }
 
     println!("# bench_core: n = {n}, roster driven via dyn PssBackend\n");
     let rows = measure(42, n, quick);
@@ -775,8 +679,7 @@ fn main() {
         sn.recover_ms,
         sn.load_items_per_sec
     ));
-    json.push_str(&format!("  \"scaling\": {{\"packed\": {packed},\n"));
-    json.push_str("    \"points\": [\n");
+    json.push_str("  \"scaling\": {\"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         json.push_str("      ");
         json.push_str(&p.to_json());
@@ -785,9 +688,8 @@ fn main() {
     json.push_str("    ],\n");
     json.push_str(&format!(
         "    \"flatness\": {{\"insert_ratio\": {insert_ratio:.3}, \
-         \"churn_ratio\": {churn_ratio:.3}, \"query_ratio\": {query_ratio:.3}}},\n"
+         \"churn_ratio\": {churn_ratio:.3}, \"query_ratio\": {query_ratio:.3}}}}},\n"
     ));
-    json.push_str(&format!("    \"ab\": {ab_json}}},\n"));
     json.push_str("  \"backends\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(

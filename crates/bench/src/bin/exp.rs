@@ -356,6 +356,14 @@ fn e8_row<R: RngCore, T>(
     row(&[label.into(), format!("{:.0}", per * 1e9), format!("{words:.2}")]);
 }
 
+/// `mean ± standard error` of a sample of set sizes.
+fn mean_se(sizes: &[usize]) -> String {
+    let n = sizes.len() as f64;
+    let mean = sizes.iter().sum::<usize>() as f64 / n;
+    let var = sizes.iter().map(|&x| (x as f64 - mean).powi(2)).sum::<f64>() / (n - 1.0);
+    format!("{mean:.2} ± {:.2}", (var / n).sqrt())
+}
+
 fn e9_rr_sets() {
     println!("\n## E9 — Appendix A.1: RR-set generation under edge churn\n");
     let n = 20_000usize;
@@ -365,15 +373,13 @@ fn e9_rr_sets() {
         "power-law digraph: {n} nodes, {} edges; per round: 10 edge updates + 20 RR sets\n",
         edges.len()
     );
-    header(&["graph backend", "time/round", "mean RR size"]);
+    header(&["graph backend", "time/round", "mean RR size ± SE"]);
     // DPSS-backed.
     {
         let mut g = gen::build_dpss_graph(n, &edges, 59);
         let mut rng = SmallRng::seed_from_u64(61);
-        let mut sizes = 0usize;
-        let mut rounds = 0usize;
+        let mut sizes = Vec::with_capacity(50 * 20);
         let per = time_per(50, || {
-            rounds += 1;
             for _ in 0..10 {
                 let u = rng.gen_range(0..n as u32);
                 let v = rng.gen_range(0..n as u32);
@@ -383,23 +389,17 @@ fn e9_rr_sets() {
             }
             for _ in 0..20 {
                 let root = rng.gen_range(0..n as u32);
-                sizes += rr_set(&mut g, root, 500).len();
+                sizes.push(rr_set(&mut g, root, 500).len());
             }
         });
-        row(&[
-            "dpss (HALT per node)".into(),
-            fmt_secs(per),
-            format!("{:.2}", sizes as f64 / (rounds * 20) as f64),
-        ]);
+        row(&["dpss (HALT per node)".into(), fmt_secs(per), mean_se(&sizes)]);
     }
     // Naive linear-scan.
     {
         let mut g = gen::build_naive_graph(n, &edges, 59);
         let mut rng = SmallRng::seed_from_u64(61);
-        let mut sizes = 0usize;
-        let mut rounds = 0usize;
+        let mut sizes = Vec::with_capacity(50 * 20);
         let per = time_per(50, || {
-            rounds += 1;
             for _ in 0..10 {
                 let u = rng.gen_range(0..n as u32);
                 let v = rng.gen_range(0..n as u32);
@@ -409,14 +409,10 @@ fn e9_rr_sets() {
             }
             for _ in 0..20 {
                 let root = rng.gen_range(0..n as u32);
-                sizes += g.rr_set(root, 500).len();
+                sizes.push(g.rr_set(root, 500).len());
             }
         });
-        row(&[
-            "naive (linear scan)".into(),
-            fmt_secs(per),
-            format!("{:.2}", sizes as f64 / (rounds * 20) as f64),
-        ]);
+        row(&["naive (linear scan)".into(), fmt_secs(per), mean_se(&sizes)]);
     }
     println!("\nHub stress (one node with 10^5 in-edges; RR sets rooted at the hub):");
     println!("this is the regime the output-sensitive bound targets — μ stays O(1)");

@@ -20,11 +20,8 @@
 //! - `snapshot`: at `n` = 2^20, the image size in `bytes`, `save_ms`,
 //!   `load_ms` and `load_items_per_sec`, and `recover_ms` for replaying a
 //!   `journal_tail`-delta durable log on top of the image;
-//! - `scaling`: `packed` (which layout arm was compiled), one `points`
-//!   entry per size with op rates and arena space telemetry, the
-//!   smallest-to-largest `flatness` cost ratios, and `ab` — `null` in a
-//!   single-arm run, or the `layout-baseline` arm's `baseline_points` plus
-//!   the packed-over-baseline `speedups` at the largest common n;
+//! - `scaling`: one `points` entry per size with op rates and arena space
+//!   telemetry, and the smallest-to-largest `flatness` cost ratios;
 //! - `backends`: one row per roster backend with the rates in
 //!   [`BACKEND_RATE_FIELDS`] and `space_words`.
 //!
@@ -249,7 +246,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 
 /// The `schema` version `bench_core` emits and [`validate_bench_core`]
 /// accepts.
-pub const SCHEMA_VERSION: u32 = 8;
+pub const SCHEMA_VERSION: u32 = 9;
 
 /// Per-backend numeric throughput fields of every `backends[]` row.
 pub const BACKEND_RATE_FIELDS: [&str; 7] =
@@ -301,12 +298,11 @@ fn require_rows<'a>(doc: &'a Json, key: &str, path: &str) -> Result<&'a [Json], 
     }
 }
 
-/// Validates one `scaling.points`-shaped array (also `ab.baseline_points`):
-/// per point an integer `n ≥ 1`, finite non-negative op rates, and integer
-/// space telemetry.
-fn validate_scaling_points(scaling: &Json, key: &str, path: &str) -> Result<(), String> {
-    for (i, pt) in require_rows(scaling, key, path)?.iter().enumerate() {
-        let p = format!("{path}.{key}[{i}]");
+/// Validates the `scaling.points` array: per point an integer `n ≥ 1`,
+/// finite non-negative op rates, and integer space telemetry.
+fn validate_scaling_points(scaling: &Json) -> Result<(), String> {
+    for (i, pt) in require_rows(scaling, "points", "scaling")?.iter().enumerate() {
+        let p = format!("scaling.points[{i}]");
         require_int(pt, "n", 1.0, &p)?;
         for field in ["insert_ops", "churn_pair_ops", "query_mu16_ops", "bulk_items_per_sec"] {
             require_num(pt, field, 0.0, &p)?;
@@ -361,22 +357,10 @@ pub fn validate_bench_core(text: &str) -> Result<(), String> {
         require_num(sn, field, 0.0, "snapshot")?;
     }
     let sc = require_obj(&doc, "scaling", top)?;
-    require_bool(sc, "packed", "scaling")?;
-    validate_scaling_points(sc, "points", "scaling")?;
+    validate_scaling_points(sc)?;
     let fl = require_obj(sc, "flatness", "scaling")?;
     for field in ["insert_ratio", "churn_ratio", "query_ratio"] {
         require_num(fl, field, 0.0, "scaling.flatness")?;
-    }
-    match sc.get("ab") {
-        Some(Json::Null) => {}
-        Some(ab @ Json::Obj(_)) => {
-            validate_scaling_points(ab, "baseline_points", "scaling.ab")?;
-            let sp = require_obj(ab, "speedups", "scaling.ab")?;
-            for field in ["query_mu16", "churn_pair", "bulk_load"] {
-                require_num(sp, field, 0.0, "scaling.ab.speedups")?;
-            }
-        }
-        _ => return Err("scaling: 'ab' must be null or an object".into()),
     }
     for (i, row) in require_rows(&doc, "backends", top)?.iter().enumerate() {
         let name = row
@@ -398,7 +382,7 @@ mod tests {
     use super::*;
 
     const GOOD: &str = r#"{
-      "schema": 8, "n_items": 4096, "quick": true, "unit": "ops_per_sec",
+      "schema": 9, "n_items": 4096, "quick": true, "unit": "ops_per_sec",
       "fifo_window": {"window": 1024, "ops_per_sec": 5.0e6, "setup_ms": 0.0},
       "decayed": {"scale_every": 256, "ops_per_sec": 2.0e6, "setup_ms": 0.4},
       "bulk_load": {"n_small": 16384, "small_items_per_sec": 8.0e7,
@@ -408,8 +392,7 @@ mod tests {
       "snapshot": {"n": 1048576, "bytes": 25165824, "journal_tail": 4096,
                    "save_ms": 4.0, "load_ms": 12.0, "recover_ms": 13.0,
                    "load_items_per_sec": 8.0e7},
-      "scaling": {"packed": true,
-                  "points": [
+      "scaling": {"points": [
                     {"n": 16384, "insert_ops": 2.0e7, "churn_pair_ops": 1.8e7,
                      "query_mu16_ops": 5.0e4, "bulk_items_per_sec": 9.0e7,
                      "space_words": 180000, "live_words": 120000,
@@ -419,15 +402,7 @@ mod tests {
                      "space_words": 12000000, "live_words": 9000000,
                      "parked_words": 1000000, "slack_words": 2000000}],
                   "flatness": {"insert_ratio": 4.0, "churn_ratio": 7.2,
-                               "query_ratio": 1.7},
-                  "ab": {"baseline_points": [
-                           {"n": 1048576, "insert_ops": 3.0e6,
-                            "churn_pair_ops": 1.5e6, "query_mu16_ops": 2.0e4,
-                            "bulk_items_per_sec": 5.0e7,
-                            "space_words": 12000000, "live_words": 9000000,
-                            "parked_words": 1000000, "slack_words": 2000000}],
-                         "speedups": {"query_mu16": 1.5, "churn_pair": 1.66,
-                                      "bulk_load": 1.6}}},
+                               "query_ratio": 1.7}},
       "backends": [
         {"name": "halt", "insert": 1.5e6, "churn_pair": 2.0, "delete": 6.0,
          "set_weight": 7.0, "query_mu16": 3.0,
@@ -438,11 +413,6 @@ mod tests {
     #[test]
     fn accepts_a_valid_snapshot() {
         validate_bench_core(GOOD).unwrap();
-        // A single-arm run has no A/B block.
-        let ab = GOOD.find("\"ab\": {").expect("marker in GOOD");
-        let backends = GOOD.find("\n      \"backends\"").expect("marker in GOOD");
-        let single = format!("{}\"ab\": null}},{}", &GOOD[..ab], &GOOD[backends..]);
-        validate_bench_core(&single).unwrap();
     }
 
     #[test]
@@ -452,7 +422,7 @@ mod tests {
             validate_bench_core(&GOOD.replace(from, to))
         };
         // Wrong version: the previous shape is not accepted.
-        assert!(drifted("\"schema\": 8", "\"schema\": 7").is_err());
+        assert!(drifted("\"schema\": 9", "\"schema\": 8").is_err());
         // Missing top-level fields.
         assert!(drifted("\"n_items\": 4096,", "").is_err());
         assert!(drifted("\"quick\": true,", "").is_err());
@@ -467,9 +437,7 @@ mod tests {
         assert!(drifted("\"rebuild_ms\": 2.5", "\"rebuild_ms\": -1").is_err());
         assert!(drifted("\"load_ms\": 12.0", "\"load_ms\": -0.5").is_err());
         assert!(drifted("\"speedup\": 3.6", "\"speedup\": \"3x\"").is_err());
-        assert!(drifted("\"packed\": true", "\"packed\": 1").is_err());
         assert!(drifted("\"query_ratio\": 1.7", "\"query_ratio\": null").is_err());
-        assert!(drifted("\"churn_pair\": 1.66,", "").is_err());
         // Counts and sizes must be integers in range.
         assert!(drifted("\"window\": 1024", "\"window\": 2.5").is_err());
         assert!(drifted("\"scale_every\": 256", "\"scale_every\": 0").is_err());

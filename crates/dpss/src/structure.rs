@@ -235,9 +235,9 @@ pub struct Node {
     /// ascending child index — the order a class-ascending derive produces
     /// — so the node's layout is a pure function of the child level's
     /// bucket counts, never of update history. That is what lets a bulk
-    /// build derive the whole hierarchy in one sweep and still be
-    /// bit-identical (position-sensitive queries included) to n incremental
-    /// cascades.
+    /// build, a rebuild or a restore derive the whole hierarchy in one
+    /// sweep and still be bit-identical (position-sensitive queries
+    /// included) to the per-item cascades of an insert loop.
     pub(crate) buckets: BucketWindow,
     /// Non-empty bucket indices (Fact 2.1 structure; absolute).
     pub nonempty_buckets: BitsetList,
@@ -1312,136 +1312,55 @@ impl Level1 {
     }
 
     /// Derives the whole proxy hierarchy from the final level-1 bucket
-    /// counts (rebuilds, fresh bulk loads, snapshot restores): the packed
-    /// single-pass construction by default, one incremental cascade per
-    /// non-empty bucket under the `layout-baseline` A/B feature. Both land
-    /// on the identical logical structure — the hierarchy is a pure
-    /// function of the bucket counts (canonical ascending-child order) —
-    /// so sample streams cannot tell the arms apart. A flat structure
-    /// derives nothing.
-    fn derive_hierarchy(&mut self) {
-        let Some(h) = self.hierarchy.as_deref_mut() else {
-            return;
-        };
-        // Counts above the sizing bound (a structure filled without the
-        // sampler's rebuilds) widen the windows up front.
-        if let Some(max) = self.buckets.handles.iter().map(Bucket::len).max().filter(|&c| c > 0) {
-            h.count_bits = h.count_bits.max(floor_log2_u64(max as u64));
-        }
-        #[cfg(not(feature = "layout-baseline"))]
-        self.derive_packed();
-        #[cfg(feature = "layout-baseline")]
-        for i in self.buckets.range() {
-            let count = self.buckets.at(i).len() as u64;
-            if count > 0 {
-                self.cascade_bucket(narrow::u16_of_usize(i), count);
-            }
-        }
-    }
-
-    /// Locality-packed derive: plans the proxy arena so each level-1
-    /// group's working set — its level-2 node's bucket blocks followed by
-    /// that node's level-3 children's blocks — is one contiguous run, then
-    /// carves and fills it in that order. The incremental cascade instead
-    /// allocates blocks in proxy-arrival order and grows them through the
-    /// doubling chain, scattering one group's blocks across the arena; a
-    /// query descends group-locally, so packing by group is what keeps a
-    /// descent on a handful of cache lines at any n.
+    /// counts (rebuilds, fresh bulk loads, snapshot restores), packed by
+    /// locality: each level-1 group's working set — its level-2 node's
+    /// bucket blocks followed by that node's level-3 children's blocks — is
+    /// one contiguous run of the proxy arena. The arena is reset first, so
+    /// [`BucketArena::reserve`] carves each block from the tail, in fill
+    /// order and straight at its final size class. An incremental cascade
+    /// would instead allocate blocks in proxy-arrival order and grow them
+    /// through the doubling chain, scattering one group's blocks across the
+    /// arena; a query descends group-locally, so packing by group is what
+    /// keeps a descent on a handful of cache lines at any n.
     ///
-    /// Logical structure is identical to cascading every bucket (same
-    /// members, same canonical ascending-child bucket contents, same
-    /// bitsets); only arena offsets and pool slot order differ, which no
-    /// query or snapshot observes. Preconditions: bucket lists final;
-    /// callers may leave stale pool contents/child links — both are reset
-    /// here.
-    #[cfg(not(feature = "layout-baseline"))]
-    fn derive_packed(&mut self) {
+    /// The logical structure is the one cascading every bucket builds
+    /// (same members, same canonical ascending-child bucket contents, same
+    /// bitsets — see [`Node`]), so sample streams cannot tell the two
+    /// apart; only arena offsets and pool slot order differ, which no query
+    /// or snapshot observes. Preconditions: bucket lists final; callers may
+    /// leave stale pool contents/child links — both are reset here. A flat
+    /// structure derives nothing.
+    fn derive_hierarchy(&mut self) {
         let Level1 { buckets, hierarchy, group_width, l2_group_width: g2, .. } = self;
         let Some(h) = hierarchy.as_deref_mut() else {
             return;
         };
+        // Counts above the sizing bound (a structure filled without the
+        // sampler's rebuilds) widen the windows up front.
+        if let Some(max) = buckets.handles.iter().map(Bucket::len).max().filter(|&c| c > 0) {
+            h.count_bits = h.count_bits.max(floor_log2_u64(max as u64));
+        }
         let gw = *group_width as usize;
         let g2 = *g2;
         let g2w = g2 as usize;
-        let n_groups = h.children.len();
         let n2_groups = L2_BUCKETS / g2w + 1;
         h.pool.reset();
-        h.children.iter_mut().for_each(|c| *c = NO_NODE);
-        // Plan pass: every node's non-empty-bucket capacities, in the exact
-        // order the fill pass carves them. Scratch histograms: `len2[b2]`
-        // counts the group's proxies landing in level-2 bucket `b2`
-        // (`b2 = i+1+⌊log2 count⌋ < 128`), `len3[b3]` likewise per level-2
-        // group (`b3 = b2+1+⌊log2 len2⌋ < 160`); `len2` is zeroed whole per
-        // group and `len3` via its touched range, so no stale class leaks
-        // between groups.
-        // pss-lint: allow(no-alloc-hot-path) — rebuild/bulk-scale derive; one plan vector per derive, amortized against the batch that triggered it
-        let mut caps: Vec<usize> = Vec::new();
-        let mut len2 = [0u32; L2_BUCKETS];
-        let mut len3 = [0u32; L3_BUCKETS];
-        for j in 0..n_groups {
-            let lo = j * gw;
-            if lo >= L1_BUCKETS {
-                break;
-            }
-            let hi = (lo + gw).min(L1_BUCKETS);
-            len2.fill(0);
-            let mut any = false;
-            for i in lo..hi {
-                let c = buckets.len_of(i) as u64;
-                if c > 0 {
-                    len2[i + 1 + floor_log2_u64(c) as usize] += 1;
-                    any = true;
-                }
-            }
-            if !any {
-                continue;
-            }
-            for b2 in (lo + 1)..L2_BUCKETS {
-                if len2[b2] > 0 {
-                    // pss-lint: allow(no-alloc-hot-path) — carve-plan construction, once per bulk build/rebuild
-                    caps.push(len2[b2] as usize);
-                }
-            }
-            for l in 0..n2_groups {
-                let lo2 = l * g2w;
-                if lo2 >= L2_BUCKETS {
-                    break;
-                }
-                let hi2 = (lo2 + g2w).min(L2_BUCKETS);
-                let (mut lo3, mut hi3) = (L3_BUCKETS, 0usize);
-                for b2 in lo2..hi2 {
-                    let c2 = len2[b2] as u64;
-                    if c2 > 0 {
-                        let b3 = b2 + 1 + floor_log2_u64(c2) as usize;
-                        len3[b3] += 1;
-                        lo3 = lo3.min(b3);
-                        hi3 = hi3.max(b3);
-                    }
-                }
-                for b3 in lo3..=hi3.min(L3_BUCKETS - 1) {
-                    if len3[b3] > 0 {
-                        // pss-lint: allow(no-alloc-hot-path) — carve-plan construction, once per bulk build/rebuild
-                        caps.push(len3[b3] as usize);
-                        len3[b3] = 0;
-                    }
-                }
-            }
-        }
-        if caps.is_empty() {
-            return;
-        }
-        h.pool.arena.reset_to_plan(caps.iter().copied());
-        // Fill pass: the same walk, claiming each planned block in order
-        // and placing every proxy at its canonical position (children
-        // ascending within each bucket — `push` into a carved block never
-        // allocates, so the cascade's steady-state guarantee holds here
-        // trivially).
         let Hierarchy { children, pool: NodePool { nodes, arena }, count_bits } = h;
         let count_bits = *count_bits;
-        for j in 0..n_groups {
+        // Scratch histograms: `len2[b2]` counts the group's proxies landing
+        // in level-2 bucket `b2` (`b2 = i+1+⌊log2 count⌋ < 128`), `len3[b3]`
+        // likewise per level-2 group (`b3 = b2+1+⌊log2 len2⌋ < 160`); `len2`
+        // is zeroed whole per group and `len3` via its touched range, so no
+        // stale class leaks between groups. Each block is reserved at its
+        // histogram count before any proxy lands in it, so every `push`
+        // below is cursor arithmetic.
+        let mut len2 = [0u32; L2_BUCKETS];
+        let mut len3 = [0u32; L3_BUCKETS];
+        for (j, child) in children.iter_mut().enumerate() {
+            *child = NO_NODE;
             let lo = j * gw;
             if lo >= L1_BUCKETS {
-                break;
+                continue;
             }
             let hi = (lo + gw).min(L1_BUCKETS);
             len2.fill(0);
@@ -1457,13 +1376,12 @@ impl Level1 {
                 continue;
             }
             let child2 = alloc_node(nodes, 2, g2, lo..hi, count_bits);
-            children[j] = child2;
+            *child = child2;
             {
                 let node = nodes.get_mut(child2);
-                let mut n2 = 0usize;
                 for b2 in (lo + 1)..L2_BUCKETS {
                     if len2[b2] > 0 {
-                        arena.carve_exact(node.buckets.at_mut(b2), len2[b2] as usize);
+                        arena.reserve(node.buckets.at_mut(b2), len2[b2] as usize);
                         node.nonempty_buckets.insert(b2);
                         node.nonempty_groups.insert(b2 / g2w);
                     }
@@ -1475,13 +1393,12 @@ impl Level1 {
                     }
                     let b2 = i + 1 + floor_log2_u64(c) as usize;
                     let pos = node.buckets.len_of(b2);
-                    // pss-lint: allow(no-alloc-hot-path) — per-class bulk derive; blocks were carved by the plan, push is cursor arithmetic
+                    // pss-lint: allow(no-alloc-hot-path) — per-class bulk derive; the block was reserved at its final class, push is cursor arithmetic
                     arena.push(node.buckets.at_mut(b2), narrow::u16_of_usize(i));
                     *node.member_mut(i) =
                         Member { bucket: narrow::u16_of_usize(b2), pos: narrow::u32_of_usize(pos) };
-                    n2 += 1;
+                    node.n_members += 1;
                 }
-                node.n_members = n2;
             }
             // A level-2 bucket holds at most the node's `hi − lo` members.
             let l3_count_bits = floor_log2_u64((hi - lo) as u64);
@@ -1508,12 +1425,11 @@ impl Level1 {
                 let node3 = nodes.get_mut(child3);
                 for b3 in lo3..=hi3 {
                     if len3[b3] > 0 {
-                        arena.carve_exact(node3.buckets.at_mut(b3), len3[b3] as usize);
+                        arena.reserve(node3.buckets.at_mut(b3), len3[b3] as usize);
                         node3.nonempty_buckets.insert(b3);
                         len3[b3] = 0;
                     }
                 }
-                let mut n3 = 0usize;
                 for b2 in lo2..hi2 {
                     let c2 = len2[b2] as u64;
                     if c2 == 0 {
@@ -1521,13 +1437,12 @@ impl Level1 {
                     }
                     let b3 = b2 + 1 + floor_log2_u64(c2) as usize;
                     let pos = node3.buckets.len_of(b3);
-                    // pss-lint: allow(no-alloc-hot-path) — per-class bulk derive; blocks were carved by the plan, push is cursor arithmetic
+                    // pss-lint: allow(no-alloc-hot-path) — per-class bulk derive; the block was reserved at its final class, push is cursor arithmetic
                     arena.push(node3.buckets.at_mut(b3), narrow::u16_of_usize(b2));
                     *node3.member_mut(b2) =
                         Member { bucket: narrow::u16_of_usize(b3), pos: narrow::u32_of_usize(pos) };
-                    n3 += 1;
+                    node3.n_members += 1;
                 }
-                node3.n_members = n3;
                 let node2 = nodes.get_mut(child2);
                 let slot = node2.child_slot(l);
                 node2.children[slot] = child3;
@@ -1546,8 +1461,8 @@ impl Level1 {
     ///
     /// The level-1 bucket assignment `⌊log2 w⌋` does not depend on the group
     /// widths, so a plain (grow) rebuild keeps the item buckets as they are
-    /// and only re-derives the grouping and the proxy hierarchy —
-    /// O([`L1_BUCKETS`]) cascades, *not* O(n). Pass `compact = true` on
+    /// and only re-derives the grouping and the proxy hierarchy — one
+    /// O([`L1_BUCKETS`]) derive, *not* O(n). Pass `compact = true` on
     /// shrink rebuilds to also re-place every item into freshly carved
     /// tight blocks, which is what keeps space O(n) after mass deletion
     /// (O(n) time, amortized against the deletes that triggered it).
@@ -1611,10 +1526,8 @@ impl Level1 {
             let live = self.nonempty_buckets.min().zip(self.nonempty_buckets.max());
             self.place_window(live.map_or(0..0, |(lo, hi)| lo..hi + 1));
         }
-        // Re-derive grouping and the whole proxy hierarchy — locality-packed
-        // by default (one contiguous arena run per group), per-bucket
-        // cascades under `layout-baseline`; identical logical structure
-        // either way.
+        // Re-derive grouping and the whole proxy hierarchy (one contiguous
+        // proxy-arena run per group).
         for i in self.nonempty_buckets.iter() {
             self.nonempty_groups.insert(i / group_width as usize);
         }
@@ -2163,6 +2076,66 @@ mod tests {
                 assert_equivalent(&per_op, &restored);
             }
         }
+    }
+
+    /// Asserts the derive's layout: the proxy arena holds no parked block,
+    /// passes its audit, and is tiled from offset 0 by each group's level-2
+    /// blocks followed by its level-3 children's, group after group, with
+    /// some block above the minimum class. Returns the blocks in that order.
+    fn assert_packed(l: &Level1, label: &str) -> Vec<(u32, usize)> {
+        let h = hier(l);
+        assert_eq!(h.pool.arena.residency().parked_words, 0, "{label}: parked blocks");
+        l.audit_storage().unwrap_or_else(|e| panic!("{label}: {e}"));
+        let mut blocks = Vec::new();
+        let mut push = |n: &Node| blocks.extend(n.buckets.handles.iter().filter_map(Bucket::block));
+        for &c2 in h.children.iter().filter(|&&c| c != NO_NODE) {
+            let n2 = h.pool.node(c2);
+            push(n2);
+            n2.children.iter().filter(|&&c| c != NO_NODE).for_each(|&c3| push(h.pool.node(c3)));
+        }
+        let mut end = 0;
+        for &(off, size) in &blocks {
+            assert_eq!(off as usize, end, "{label}: a gap or reorder in the packed run");
+            end += size;
+        }
+        assert_eq!(end, h.pool.arena.carved(), "{label}: blocks do not tile the arena");
+        assert!(blocks.iter().any(|&(_, size)| size > 4), "{label}: no multi-class block");
+        blocks
+    }
+
+    #[test]
+    fn derives_pack_every_proxy_block_at_its_final_class() {
+        // Four level-1 groups of g₁ = 8 buckets; bucket 8j + k (k < 5) holds
+        // 2^{4−k} items, so the five proxies of group j share level-2 bucket
+        // 8j + 5: a block one class above the first, which a per-bucket
+        // cascade reaches by growing, parking the smaller block.
+        let ws: Vec<u64> = (0..4)
+            .flat_map(|j| (0..5).flat_map(move |k| vec![1u64 << (8 * j + k); 1 << (4 - k)]))
+            .collect();
+        let mut l = Level1::new(8, 3);
+        l.insert_many(&ws);
+        let fresh = assert_packed(&l, "fresh bulk build");
+        assert_eq!(hier(&l).children.iter().filter(|&&c| c != NO_NODE).count(), 4);
+        // Per-item inserts double every count, moving every proxy one
+        // level-2 bucket up through the cascade, which parks blocks; a grow
+        // rebuild repacks them.
+        ws.iter().for_each(|&w| {
+            l.insert(w);
+        });
+        assert!(hier(&l).pool.arena.residency().parked_words > 0, "the cascade parked nothing");
+        l.rebuild(8, 3, 9, false);
+        assert_packed(&l, "grow rebuild");
+        // A restore of the fresh build derives the same packed layout.
+        use crate::snapshot::{level1_from_slab, read_slab, write_slab};
+        use pss_core::{Dec, Enc};
+        let mut bulk = Level1::new(8, 3);
+        bulk.insert_many(&ws);
+        let mut enc = Enc::new();
+        write_slab(&mut enc, &bulk.slab);
+        let slab = read_slab(&mut Dec::new(enc.bytes())).expect("valid payload");
+        let restored = level1_from_slab(slab, 8, 3, 9).expect("valid slab");
+        assert_eq!(assert_packed(&restored, "snapshot restore"), fresh);
+        assert_equivalent(&bulk, &restored);
     }
 
     #[test]

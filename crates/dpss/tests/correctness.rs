@@ -188,11 +188,23 @@ fn marginals_survive_rebuild() {
 
 #[test]
 fn direct_final_mode_matches() {
-    let weights = vec![1u64, 2, 4, 8, 1 << 20, (1 << 20) + 3, 12345];
+    // 96 items, four in each of 24 weight classes: g₁ = 7 > IN_PLACE_BUCKETS,
+    // and the heavy groups hold more non-empty buckets than open in place,
+    // so queries descend through levels 2 and 3 to the final level.
+    let weights: Vec<u64> = (0..96u64).map(|i| (1u64 << (8 + i % 24)) + i).collect();
     let (mut s, _) = DpssSampler::from_weights(&weights, 12);
-    let mut ctx = QueryCtx::new(12);
+    assert!(!s.level1().is_flat(), "g₁ = {}", s.level1().group_width);
+    // The Lookup-mode twin at the same weights and parameters reaches the
+    // final level: it materializes lookup-table rows.
+    let mut lookup_ctx = QueryCtx::new(12);
+    for _ in 0..100 {
+        s.query_in(&mut lookup_ctx, &Ratio::one(), &Ratio::zero());
+    }
+    assert!(s.lookup_rows_built(&lookup_ctx) > 0, "queries never reached the final level");
     s.set_final_mode(FinalLevelMode::Direct);
+    let mut ctx = QueryCtx::new(12);
     assert_marginals(&s, &mut ctx, &Ratio::one(), &Ratio::zero(), 40_000, 4.8, "direct-mode");
+    assert_eq!(s.lookup_rows_built(&ctx), 0, "Direct mode consulted the lookup table");
 }
 
 #[test]

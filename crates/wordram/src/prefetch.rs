@@ -11,9 +11,7 @@
 //!   never UB, so callers may speculate past the end of a walk freely;
 //! - they are **semantically invisible** — a prefetch moves no data anyone
 //!   reads and rolls no RNG, so pinned-stream sample equality is unaffected;
-//! - they compile to **nothing** on targets without `_mm_prefetch` and under
-//!   the `layout-baseline` A/B feature, which is how the bench tier measures
-//!   their contribution in-tree.
+//! - they compile to **nothing** on targets without `_mm_prefetch`.
 //!
 //! The `unsafe` here is confined to the intrinsic calls themselves; the
 //! pointer is always derived from an in-bounds slice element.
@@ -22,20 +20,20 @@
 // stays checked.
 #![allow(unsafe_code)]
 
-#[cfg(all(target_arch = "x86_64", not(feature = "layout-baseline")))]
+#[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
 
 /// Hints that `s[i]` will soon be read. No-op if `i` is out of bounds, on
-/// non-x86_64 targets, and under `layout-baseline`.
+/// non-x86_64 targets.
 #[inline(always)]
 pub fn prefetch_read<T>(s: &[T], i: usize) {
-    #[cfg(all(target_arch = "x86_64", not(feature = "layout-baseline")))]
+    #[cfg(target_arch = "x86_64")]
     if let Some(cell) = s.get(i) {
         // SAFETY: `cell` is a live in-bounds reference; PREFETCHT0 has no
         // architectural effect beyond cache-line movement.
         unsafe { _mm_prefetch((cell as *const T).cast::<i8>(), _MM_HINT_T0) };
     }
-    #[cfg(not(all(target_arch = "x86_64", not(feature = "layout-baseline"))))]
+    #[cfg(not(target_arch = "x86_64"))]
     let _ = (s, i);
 }
 

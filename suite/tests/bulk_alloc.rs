@@ -1,9 +1,11 @@
 //! Proof that the radix-partitioned bulk build allocates O(1) times.
 //!
 //! The whole point of classify → carve → fill → derive is that a load of n
-//! items costs a handful of reservations (slab, id vector, one arena resize
-//! from `reset_to_plan`, the fixed hierarchy skeleton, ≤ 64 weight-class
-//! node allocations) and then runs at array-write speed. If the build ever
+//! items costs a handful of reservations (slab, id vector, one item-arena
+//! resize from `reset_to_plan`, the fixed hierarchy skeleton, ≤ 64
+//! weight-class node allocations, and the few geometric growths of a proxy
+//! arena sized by the weight classes, not by n) and then runs at
+//! array-write speed. If the build ever
 //! regressed to per-item `Vec` growth or per-item node churn, the allocation
 //! count would scale with n — so the assertion compares the counter across
 //! an 8× size gap and requires it to stay flat.

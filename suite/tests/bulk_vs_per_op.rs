@@ -90,10 +90,10 @@ fn assert_same_samples(a: &DpssSampler, b: &DpssSampler, seed: u64) {
 
 /// Deterministic packed-layout case: a load wide enough to populate many
 /// weight classes across several level-1 groups, so the locality-packed
-/// derive (class-adjacent carve plan) runs its full
-/// multi-group walk — then bit-identity against the per-op oracle, and
-/// against a snapshot round-trip (whose load re-derives the hierarchy
-/// through the same packed plan).
+/// derive (one pass, each group's proxy blocks carved contiguously at their
+/// final classes) runs its full multi-group walk — then bit-identity against
+/// the per-op oracle, and against a snapshot round-trip (whose load
+/// re-derives the hierarchy through the same packed derive).
 #[test]
 fn packed_layout_matches_per_op_and_snapshot_roundtrip() {
     // 4096 weights spread over classes 0..=47, plus zeros and exact powers.

@@ -144,8 +144,8 @@ fn space_is_linear_at_small_n() {
 /// and prefetched walks hold the O(1)/O(1+μ) bounds against DRAM latency,
 /// not just against instruction counts.
 ///
-/// ~seconds of wall clock at 2^20, so it only runs when
-/// `PSS_SLOW_TESTS=1` is set (the CI scaling smoke covers it nightly).
+/// A wall-clock test, so it only runs when `PSS_SLOW_TESTS=1` is set: CI's
+/// release-build query checks set it for this one test.
 #[test]
 fn beyond_l2_insert_and_query_stay_flat() {
     if std::env::var_os("PSS_SLOW_TESTS").is_none() {
