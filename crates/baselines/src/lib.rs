@@ -1,6 +1,6 @@
 //! # baselines — comparison samplers for the DPSS experiments
 //!
-//! Three baselines against which the HALT sampler is evaluated (experiment E5,
+//! Four baselines against which the HALT sampler is evaluated (experiment E5,
 //! `exp e5`), all implementing the [`PssBackend`] facade that lives in
 //! `pss-core` (re-exported here for compatibility):
 //!
@@ -22,6 +22,21 @@
 //!   optimal ODSS algorithm requires Ω(n) time to support an update in the
 //!   DPSS setup").
 //!
+//! ## One body, four query strategies
+//!
+//! All four are one generic [`Baseline<Q>`]. It owns the slot [`Store`], a
+//! [`ChangeJournal`] and the instance id that keys its per-context state,
+//! and implements every update, the journal, seeding, snapshots and space
+//! accounting once. A baseline differs only in its [`QueryStrategy`]: its
+//! name, its snapshot kind, whether its journal keeps a delta ring, its
+//! query body, the space of its materialization and its own counters.
+//!
+//! Every baseline journals. Only [`OdssStyle`] keeps a delta ring, because
+//! its catch-up replays deltas; the others keep a version alone
+//! ([`ChangeJournal::ringless_at`]). Store handles are generational, so a
+//! stale handle — one whose slot was reissued included — is rejected by
+//! every update instead of reaching the slot's new occupant.
+//!
 //! ## Shared-read queries
 //!
 //! Queries take `&self` plus a caller-owned [`QueryCtx`]: the naive samplers
@@ -41,7 +56,7 @@
 
 pub mod odss;
 
-pub use odss::{DeltaDss, OdssDss, OdssUnderDpss};
+pub use odss::{AbsoluteBuckets, DeltaBuckets, DeltaDss, OdssDss, OdssStyle, OdssUnderDpss};
 pub use pss_core::{
     boxed, recover, Handle, PssBackend, QueryCtx, RecoverError, SeedableBackend, SnapshotError,
     Snapshottable, SpaceUsage, Store,
@@ -49,427 +64,95 @@ pub use pss_core::{
 
 use bignum::{BigUint, Ratio};
 use dpss::{DeamortizedDpss, DpssSampler};
-use pss_core::{kind, ChangeJournal, Delta, Enc, Replay, SnapshotReader, SnapshotWriter};
+use pss_core::{kind, ChangeJournal, Delta, Enc, SnapshotReader, SnapshotWriter};
 use rand::Rng;
 use randvar::ber_rational_parts;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-
-/// The one definition of a journaled bulk load for [`Store`]-backed
-/// backends: insert every weight, then record the whole batch under a
-/// single journal epoch (a bulk load must not wrap the ring out from under
-/// every observing context).
-pub(crate) fn store_insert_many(
-    store: &mut Store,
-    journal: &mut ChangeJournal,
-    weights: &[u64],
-) -> Vec<Handle> {
-    let handles: Vec<Handle> = weights.iter().map(|&w| store.insert(w)).collect();
-    journal.record_batch(
-        handles.iter().zip(weights).map(|(&h, &w)| Delta::Inserted { handle: h, weight: w }),
-    );
-    handles
-}
 
 /// Section tag for the [`Store`] payload inside every baseline snapshot.
-pub(crate) const TAG_STORE: u32 = 1;
-/// Section tag for journaled baselines' scalar metadata (journal watermark).
-pub(crate) const TAG_META: u32 = 2;
+const TAG_STORE: u32 = 1;
+/// Section tag for the journal watermark inside every baseline snapshot.
+const TAG_META: u32 = 2;
 
 // ---------------------------------------------------------------------------
-// NaiveExact
+// The shared body
 // ---------------------------------------------------------------------------
 
-/// O(n)-per-query baseline with exact rational coins. Stateless on the query
-/// path — all randomness comes from the caller's context.
-#[derive(Debug, Default)]
-pub struct NaiveExact {
-    store: Store,
+/// What one baseline adds to the shared [`Baseline`] body: everything but
+/// the store, the journal and the updates.
+pub trait QueryStrategy: Default + std::fmt::Debug + Send + Sync + 'static {
+    /// Display name ([`PssBackend::name`]).
+    const NAME: &'static str;
+    /// Snapshot kind ([`pss_core::kind`]).
+    const KIND: u16;
+    /// Whether the journal keeps a delta ring: only a strategy whose
+    /// per-context state replays deltas needs one.
+    const DELTA_RING: bool;
+
+    /// The query body ([`PssBackend::query_into`]).
+    fn query_into(
+        base: &Baseline<Self>,
+        ctx: &mut QueryCtx,
+        alpha: &Ratio,
+        beta: &Ratio,
+        out: &mut Vec<Handle>,
+    );
+
+    /// Words of one image of the per-context materialization a query needs
+    /// to exist somewhere (charged to the backend so space comparisons stay
+    /// honest); 0 for a scan.
+    fn materialization_words(_store: &Store) -> usize {
+        0
+    }
 }
 
-impl NaiveExact {
+/// A [`Store`]-backed baseline: the store, its change journal and the
+/// instance id keying per-context state, with the query strategy `Q` and
+/// its counters.
+#[derive(Debug)]
+pub struct Baseline<Q> {
+    store: Store,
+    /// Every update appends to it; a ring only if `Q::DELTA_RING`.
+    journal: ChangeJournal,
+    /// Keys this structure's state inside any [`QueryCtx`].
+    instance: u64,
+    /// The strategy's own counters (atomic: queries run on `&self`).
+    strategy: Q,
+}
+
+impl<Q: QueryStrategy> Baseline<Q> {
     /// Creates an empty sampler. The seed is accepted for the uniform
     /// [`SeedableBackend`] surface; query randomness is owned by the
     /// caller's [`QueryCtx`], so nothing here consumes it.
     pub fn new(_seed: u64) -> Self {
-        NaiveExact { store: Store::default() }
-    }
-}
-
-impl SpaceUsage for NaiveExact {
-    fn space_words(&self) -> usize {
-        self.store.space_words() + 4
-    }
-}
-
-impl PssBackend for NaiveExact {
-    fn insert(&mut self, weight: u64) -> Handle {
-        self.store.insert(weight)
+        Self::resumed(Store::default(), 0)
     }
 
-    fn delete(&mut self, handle: Handle) -> bool {
-        self.store.delete(handle)
-    }
-
-    fn query_into(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio, out: &mut Vec<Handle>) {
-        let w = self.store.param_weight(alpha, beta);
-        let rng = ctx.rng();
-        for (h, wx) in self.store.iter_live() {
-            if wx == 0 {
-                continue;
-            }
-            let keep = if w.is_zero() {
-                true
-            } else {
-                let num = BigUint::from_u64(wx).mul(w.den());
-                ber_rational_parts(rng, &num, w.num())
-            };
-            if keep {
-                out.push(h);
-            }
-        }
-    }
-
-    fn slot(&self, handle: Handle) -> usize {
-        Store::slot(handle)
-    }
-
-    fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    fn total_weight(&self) -> u128 {
-        self.store.total()
-    }
-
-    fn name(&self) -> &'static str {
-        "naive-exact"
-    }
-
-    fn set_weight(&mut self, handle: Handle, new_weight: u64) -> Option<Handle> {
-        // Native in-place reweighting: the slot — and the handle — is stable.
-        self.store.set_weight(handle, new_weight).map(|_| handle)
-    }
-}
-
-impl SeedableBackend for NaiveExact {
-    fn with_seed(seed: u64) -> Self {
-        NaiveExact::new(seed)
-    }
-}
-
-impl Snapshottable for NaiveExact {
-    fn write_snapshot(&self, out: &mut Vec<u8>) {
-        let mut w = SnapshotWriter::new(kind::NAIVE_EXACT);
-        let mut enc = Enc::new();
-        self.store.write_snapshot_payload(&mut enc);
-        w.section(TAG_STORE, enc);
-        w.finish(out);
-    }
-
-    fn from_snapshot(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let r = SnapshotReader::new(bytes, kind::NAIVE_EXACT)?;
-        let mut dec = r.section(TAG_STORE)?;
-        let store = Store::from_snapshot_payload(&mut dec)?;
-        dec.finish()?;
-        Ok(NaiveExact { store })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// NaiveFloat
-// ---------------------------------------------------------------------------
-
-/// O(n)-per-query baseline with `f64` coins (inexact; speed reference only).
-#[derive(Debug, Default)]
-pub struct NaiveFloat {
-    store: Store,
-}
-
-impl NaiveFloat {
-    /// Creates an empty sampler (see [`NaiveExact::new`] on the seed).
-    pub fn new(_seed: u64) -> Self {
-        NaiveFloat { store: Store::default() }
-    }
-}
-
-impl SpaceUsage for NaiveFloat {
-    fn space_words(&self) -> usize {
-        self.store.space_words() + 4
-    }
-}
-
-impl PssBackend for NaiveFloat {
-    fn insert(&mut self, weight: u64) -> Handle {
-        self.store.insert(weight)
-    }
-
-    fn delete(&mut self, handle: Handle) -> bool {
-        self.store.delete(handle)
-    }
-
-    fn query_into(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio, out: &mut Vec<Handle>) {
-        let w = self.store.param_weight(alpha, beta).to_f64_lossy();
-        let rng = ctx.rng();
-        for (h, wx) in self.store.iter_live() {
-            if wx == 0 {
-                continue;
-            }
-            // pss-lint: allow(float-taint) — NaiveFloat IS the deliberately-inexact f64 control the exact samplers are measured against
-            let p = if w == 0.0 { 1.0 } else { (wx as f64 / w).min(1.0) };
-            // pss-lint: allow(float-taint) — same: the raw f64 coin is the point of this baseline
-            if rng.gen::<f64>() < p {
-                out.push(h);
-            }
-        }
-    }
-
-    fn slot(&self, handle: Handle) -> usize {
-        Store::slot(handle)
-    }
-
-    fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    fn total_weight(&self) -> u128 {
-        self.store.total()
-    }
-
-    fn name(&self) -> &'static str {
-        "naive-float"
-    }
-
-    fn set_weight(&mut self, handle: Handle, new_weight: u64) -> Option<Handle> {
-        self.store.set_weight(handle, new_weight).map(|_| handle)
-    }
-}
-
-impl SeedableBackend for NaiveFloat {
-    fn with_seed(seed: u64) -> Self {
-        NaiveFloat::new(seed)
-    }
-}
-
-impl Snapshottable for NaiveFloat {
-    fn write_snapshot(&self, out: &mut Vec<u8>) {
-        let mut w = SnapshotWriter::new(kind::NAIVE_FLOAT);
-        let mut enc = Enc::new();
-        self.store.write_snapshot_payload(&mut enc);
-        w.section(TAG_STORE, enc);
-        w.finish(out);
-    }
-
-    fn from_snapshot(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let r = SnapshotReader::new(bytes, kind::NAIVE_FLOAT)?;
-        let mut dec = r.section(TAG_STORE)?;
-        let store = Store::from_snapshot_payload(&mut dec)?;
-        dec.finish()?;
-        Ok(NaiveFloat { store })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// OdssStyle
-// ---------------------------------------------------------------------------
-
-/// A DSS structure in the style of Yi et al.'s ODSS, driven **incrementally**
-/// under DPSS semantics through the epoch-delta change journal.
-///
-/// The materialization — a weight-bucketed [`DeltaDss`] with the shared
-/// denominator `W(α, β)` factored out — lives in the caller's [`QueryCtx`],
-/// keyed by this structure's instance id and stamped with the journal epoch
-/// it reflects. A query first catches the context up
-/// ([`pss_core::ChangeJournal::catch_up`]):
-///
-/// - no movement → the structure is reused as-is;
-/// - a delta replay → only the items the deltas name are re-bucketed,
-///   **O(deltas)** instead of the Θ(n) rebuild every update used to force
-///   (the mixed update+query regime this closes is the ROADMAP's
-///   "ODSS mixed-regime foil" item);
-/// - a lost window (ring wrap) → Θ(n) fallback rebuild, counted in
-///   [`OdssStyle::fallbacks`].
-///
-/// Parameter changes are no longer rebuilds at all: the bucketing is
-/// `W`-independent, so new `(α, β)` just recomputes one rational. Queries
-/// stay output-sensitive (`B-Geo` jumps inside each non-empty weight
-/// bucket) and exact — each item is included with probability exactly
-/// `min(w_x/W, 1)`, see [`DeltaDss::sample`].
-#[derive(Debug)]
-pub struct OdssStyle {
-    store: Store,
-    /// The epoch-delta change log every update appends to.
-    journal: ChangeJournal,
-    /// Keys this structure's materialization inside any [`QueryCtx`].
-    instance: u64,
-    /// Θ(n) materializations performed across all contexts (first builds +
-    /// fallbacks; atomic because queries run on `&self`).
-    pub rebuild_count: AtomicU64,
-    /// Θ(n) rebuilds forced by a lost replay window (ring wrap) — the
-    /// subset of [`OdssStyle::rebuild_count`] the journal failed to save.
-    pub fallback_count: AtomicU64,
-    /// Delta catch-ups applied (each one replaced a would-be Θ(n) rebuild).
-    pub replay_count: AtomicU64,
-    /// Items whose bucket was recomputed by full materializations.
-    pub items_rematerialized: AtomicU64,
-    /// Item slots touched by delta patches (the O(deltas) work).
-    pub items_patched: AtomicU64,
-}
-
-/// One context's materialization slot for an [`OdssStyle`]: `None` until
-/// the first query builds it (an explicit option, not an epoch sentinel).
-#[derive(Debug, Default)]
-struct OdssMat {
-    built: Option<OdssBuilt>,
-}
-
-/// A built materialization: the weight-bucketed structure plus the cached
-/// denominator of the most recent parameters.
-#[derive(Debug)]
-struct OdssBuilt {
-    /// Journal epoch the structure reflects.
-    journal_epoch: u64,
-    /// Parameters `w` was computed for.
-    params: (Ratio, Ratio),
-    /// `W(α, β)` at `journal_epoch` — the only parameter-dependent state.
-    w: Ratio,
-    dss: DeltaDss,
-}
-
-impl OdssStyle {
-    /// Creates an empty sampler (see [`NaiveExact::new`] on the seed).
-    pub fn new(_seed: u64) -> Self {
-        OdssStyle {
-            store: Store::default(),
-            journal: ChangeJournal::new(),
-            instance: pss_core::fresh_backend_id(),
-            rebuild_count: AtomicU64::new(0),
-            fallback_count: AtomicU64::new(0),
-            replay_count: AtomicU64::new(0),
-            items_rematerialized: AtomicU64::new(0),
-            items_patched: AtomicU64::new(0),
-        }
-    }
-
-    /// Θ(n) materializations performed so far (first builds + fallbacks).
-    pub fn rebuilds(&self) -> u64 {
-        self.rebuild_count.load(AtomicOrdering::Relaxed)
-    }
-
-    /// Θ(n) fallbacks forced by a lost replay window.
-    pub fn fallbacks(&self) -> u64 {
-        self.fallback_count.load(AtomicOrdering::Relaxed)
-    }
-
-    /// Delta catch-ups applied so far.
-    pub fn replays(&self) -> u64 {
-        self.replay_count.load(AtomicOrdering::Relaxed)
-    }
-
-    /// Items recomputed by full materializations so far.
-    pub fn rematerialized(&self) -> u64 {
-        self.items_rematerialized.load(AtomicOrdering::Relaxed)
-    }
-
-    /// Item slots touched by delta patches so far.
-    pub fn patched(&self) -> u64 {
-        self.items_patched.load(AtomicOrdering::Relaxed)
-    }
-
-    /// A clone of this structure's materialization inside `ctx`, if that
-    /// context has built one (test/diagnostic hook — the churn suite
-    /// compares a delta-patched context's structure bit-for-bit against a
-    /// from-scratch one).
-    pub fn materialization(&self, ctx: &QueryCtx) -> Option<DeltaDss> {
-        ctx.state_ref::<OdssMat>(self.instance)
-            .and_then(|m| m.built.as_ref())
-            .map(|b| b.dss.clone())
-    }
-
-    /// Validates `ctx`'s materialization (bucket layout, weights, liveness,
-    /// canonical order) against the backing store; panics on violation, or
-    /// if the context has none. Test hook.
-    pub fn validate_materialization(&self, ctx: &QueryCtx) {
-        let mat = ctx
-            .state_ref::<OdssMat>(self.instance)
-            .and_then(|m| m.built.as_ref())
-            .expect("context has no materialization to validate");
-        mat.dss.validate(&self.store);
-    }
-
-    /// Brings `mat` to the journal's current epoch: reuse, O(deltas) patch,
-    /// or Θ(n) fallback — then refreshes the cached denominator if either
-    /// the structure or the parameters moved.
-    fn catch_up_mat(&self, mat: &mut OdssMat, alpha: &Ratio, beta: &Ratio) {
-        let epoch = self.journal.epoch();
-        let rebuilt = match &mut mat.built {
-            None => {
-                mat.built = Some(self.build_mat(alpha, beta, epoch));
-                true
-            }
-            Some(built) => match self.journal.catch_up(built.journal_epoch) {
-                Replay::UpToDate => false,
-                Replay::Deltas(deltas) => {
-                    let mut touched = 0u64;
-                    for delta in deltas {
-                        touched += built.dss.apply(delta);
-                    }
-                    self.replay_count.fetch_add(1, AtomicOrdering::Relaxed);
-                    self.items_patched.fetch_add(touched, AtomicOrdering::Relaxed);
-                    built.journal_epoch = epoch;
-                    // The item set moved, so the cached denominator did too.
-                    built.w = self.store.param_weight(alpha, beta);
-                    built.params = (alpha.clone(), beta.clone());
-                    return;
-                }
-                Replay::TooOld => {
-                    self.fallback_count.fetch_add(1, AtomicOrdering::Relaxed);
-                    mat.built = Some(self.build_mat(alpha, beta, epoch));
-                    true
-                }
-            },
+    /// A baseline over `store` whose journal resumes at `watermark` with no
+    /// retained delta. Process-local state is not durable: the instance id
+    /// is fresh (contexts build anew) and the counters start at zero.
+    fn resumed(store: Store, watermark: u64) -> Self {
+        let journal = if Q::DELTA_RING {
+            ChangeJournal::resumed_at(watermark)
+        } else {
+            ChangeJournal::ringless_at(watermark)
         };
-        if rebuilt {
-            return;
-        }
-        let built = mat.built.as_mut().expect("checked above");
-        if built.params.0 != *alpha || built.params.1 != *beta {
-            // New parameters are *not* a rebuild: the weight buckets are
-            // W-independent — one rational recomputation suffices.
-            built.w = self.store.param_weight(alpha, beta);
-            built.params = (alpha.clone(), beta.clone());
-        }
-    }
-
-    /// Θ(n) from-scratch materialization (first build or fallback).
-    fn build_mat(&self, alpha: &Ratio, beta: &Ratio, epoch: u64) -> OdssBuilt {
-        self.rebuild_count.fetch_add(1, AtomicOrdering::Relaxed);
-        let (dss, built) = DeltaDss::build_from(&self.store);
-        self.items_rematerialized.fetch_add(built, AtomicOrdering::Relaxed);
-        OdssBuilt {
-            journal_epoch: epoch,
-            params: (alpha.clone(), beta.clone()),
-            w: self.store.param_weight(alpha, beta),
-            dss,
-        }
+        Baseline { store, journal, instance: pss_core::fresh_backend_id(), strategy: Q::default() }
     }
 }
 
-impl SpaceUsage for OdssStyle {
+impl<Q: QueryStrategy> SpaceUsage for Baseline<Q> {
     fn space_words(&self) -> usize {
-        // The materialized structure lives in caller contexts; the structure
-        // itself is the store, the journal, plus scalars. One n-slot
-        // materialization image (weights + liveness + bucket entries) is
-        // charged here so the E4-style space comparison stays honest about
-        // what a query needs to exist somewhere.
+        // The store, the journal, one materialization image, the instance id
+        // and the strategy's counters.
         self.store.space_words()
             + self.journal.space_words()
-            + self.store.slot_count() * 2
-            + self.store.len().div_ceil(2)
-            + 8
+            + Q::materialization_words(&self.store)
+            + 1
+            + std::mem::size_of::<Q>().div_ceil(8)
     }
 }
 
-impl PssBackend for OdssStyle {
+impl<Q: QueryStrategy> PssBackend for Baseline<Q> {
     fn insert(&mut self, weight: u64) -> Handle {
         let h = self.store.insert(weight);
         self.journal.record(Delta::Inserted { handle: h, weight });
@@ -477,7 +160,13 @@ impl PssBackend for OdssStyle {
     }
 
     fn insert_many(&mut self, weights: &[u64]) -> Vec<Handle> {
-        store_insert_many(&mut self.store, &mut self.journal, weights)
+        // One journal epoch for the whole batch: a bulk load must not wrap
+        // the ring out from under every observing context.
+        let handles: Vec<Handle> = weights.iter().map(|&w| self.store.insert(w)).collect();
+        self.journal.record_batch(
+            handles.iter().zip(weights).map(|(&h, &w)| Delta::Inserted { handle: h, weight: w }),
+        );
+        handles
     }
 
     fn delete(&mut self, handle: Handle) -> bool {
@@ -490,10 +179,7 @@ impl PssBackend for OdssStyle {
     }
 
     fn query_into(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio, out: &mut Vec<Handle>) {
-        let (rng, mat) = ctx.state(self.instance, OdssMat::default);
-        self.catch_up_mat(mat, alpha, beta);
-        let built = mat.built.as_ref().expect("caught up above");
-        out.extend(built.dss.sample(rng, &built.w).into_iter().map(|s| Handle::from_raw(s as u64)));
+        Q::query_into(self, ctx, alpha, beta, out);
     }
 
     fn slot(&self, handle: Handle) -> usize {
@@ -509,10 +195,11 @@ impl PssBackend for OdssStyle {
     }
 
     fn name(&self) -> &'static str {
-        "odss-style"
+        Q::NAME
     }
 
     fn set_weight(&mut self, handle: Handle, new_weight: u64) -> Option<Handle> {
+        // Native in-place reweighting: the slot — and the handle — is stable.
         let old = self.store.set_weight(handle, new_weight)?;
         if old != new_weight {
             self.journal.record(Delta::Reweighted { handle, old, new: new_weight });
@@ -535,15 +222,15 @@ impl PssBackend for OdssStyle {
     }
 }
 
-impl SeedableBackend for OdssStyle {
+impl<Q: QueryStrategy> SeedableBackend for Baseline<Q> {
     fn with_seed(seed: u64) -> Self {
-        OdssStyle::new(seed)
+        Self::new(seed)
     }
 }
 
-impl Snapshottable for OdssStyle {
+impl<Q: QueryStrategy> Snapshottable for Baseline<Q> {
     fn write_snapshot(&self, out: &mut Vec<u8>) {
-        let mut w = SnapshotWriter::new(kind::ODSS_STYLE);
+        let mut w = SnapshotWriter::new(Q::KIND);
         let mut enc = Enc::new();
         self.store.write_snapshot_payload(&mut enc);
         w.section(TAG_STORE, enc);
@@ -554,30 +241,95 @@ impl Snapshottable for OdssStyle {
     }
 
     fn from_snapshot(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let r = SnapshotReader::new(bytes, kind::ODSS_STYLE)?;
+        let r = SnapshotReader::new(bytes, Q::KIND)?;
         let mut dec = r.section(TAG_STORE)?;
         let store = Store::from_snapshot_payload(&mut dec)?;
         dec.finish()?;
         let mut meta = r.section(TAG_META)?;
         let watermark = meta.get_u64()?;
         meta.finish()?;
-        Ok(OdssStyle {
-            store,
-            // The journal resumes at the saved watermark with an empty ring:
-            // recovery replays a durable journal's suffix from here; the
-            // first post-restore query in any context is a Θ(n) first build.
-            journal: ChangeJournal::resumed_at(watermark),
-            // Process-local identity is deliberately not durable: a restored
-            // structure keys fresh per-context materializations.
-            instance: pss_core::fresh_backend_id(),
-            // Cost counters describe work done by *this* process's structure,
-            // so a restored copy starts its accounting from zero.
-            rebuild_count: AtomicU64::new(0),
-            fallback_count: AtomicU64::new(0),
-            replay_count: AtomicU64::new(0),
-            items_rematerialized: AtomicU64::new(0),
-            items_patched: AtomicU64::new(0),
-        })
+        // The journal resumes at the saved watermark with nothing retained:
+        // recovery replays a durable journal's suffix from here, and the
+        // first post-restore query in any context builds from scratch.
+        Ok(Self::resumed(store, watermark))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The naive scans
+// ---------------------------------------------------------------------------
+
+/// O(n)-per-query baseline with exact rational coins. Stateless on the query
+/// path — all randomness comes from the caller's context.
+pub type NaiveExact = Baseline<ExactScan>;
+
+/// O(n)-per-query baseline with `f64` coins (inexact; speed reference only).
+pub type NaiveFloat = Baseline<FloatScan>;
+
+/// [`NaiveExact`]'s strategy: one exact `Ber(min(w/W, 1))` per live item.
+#[derive(Debug, Default)]
+pub struct ExactScan;
+
+impl QueryStrategy for ExactScan {
+    const NAME: &'static str = "naive-exact";
+    const KIND: u16 = kind::NAIVE_EXACT;
+    const DELTA_RING: bool = false;
+
+    fn query_into(
+        base: &Baseline<Self>,
+        ctx: &mut QueryCtx,
+        alpha: &Ratio,
+        beta: &Ratio,
+        out: &mut Vec<Handle>,
+    ) {
+        let w = base.store.param_weight(alpha, beta);
+        let rng = ctx.rng();
+        for (h, wx) in base.store.iter_live() {
+            if wx == 0 {
+                continue;
+            }
+            let keep = if w.is_zero() {
+                true
+            } else {
+                let num = BigUint::from_u64(wx).mul(w.den());
+                ber_rational_parts(rng, &num, w.num())
+            };
+            if keep {
+                out.push(h);
+            }
+        }
+    }
+}
+
+/// [`NaiveFloat`]'s strategy: one `f64` coin per live item.
+#[derive(Debug, Default)]
+pub struct FloatScan;
+
+impl QueryStrategy for FloatScan {
+    const NAME: &'static str = "naive-float";
+    const KIND: u16 = kind::NAIVE_FLOAT;
+    const DELTA_RING: bool = false;
+
+    fn query_into(
+        base: &Baseline<Self>,
+        ctx: &mut QueryCtx,
+        alpha: &Ratio,
+        beta: &Ratio,
+        out: &mut Vec<Handle>,
+    ) {
+        let w = base.store.param_weight(alpha, beta).to_f64_lossy();
+        let rng = ctx.rng();
+        for (h, wx) in base.store.iter_live() {
+            if wx == 0 {
+                continue;
+            }
+            // pss-lint: allow(float-taint) — NaiveFloat IS the deliberately-inexact f64 control the exact samplers are measured against
+            let p = if w == 0.0 { 1.0 } else { (wx as f64 / w).min(1.0) };
+            // pss-lint: allow(float-taint) — same: the raw f64 coin is the point of this baseline
+            if rng.gen::<f64>() < p {
+                out.push(h);
+            }
+        }
     }
 }
 
@@ -782,6 +534,16 @@ mod tests {
             assert!(backend.delete(h), "{}", backend.name());
             assert!(!backend.delete(h), "{}: double delete", backend.name());
             assert_eq!(backend.len(), 0);
+            // Recycle the slot: the stale handle must not reach the new item.
+            let fresh = backend.insert(7);
+            assert_eq!(backend.slot(fresh), backend.slot(h), "{}: slot recycled", backend.name());
+            assert!(!backend.delete(h), "{}: stale delete accepted", backend.name());
+            assert_eq!(backend.set_weight(h, 9), None, "{}: stale set_weight", backend.name());
+            assert_eq!(backend.len(), 1, "{}", backend.name());
+            assert_eq!(backend.total_weight(), 7, "{}: new item reweighted", backend.name());
+            let mut ctx = QueryCtx::new(9);
+            let t = backend.query(&mut ctx, &Ratio::zero(), &Ratio::one());
+            assert_eq!(t, vec![fresh], "{}: query must return the new handle", backend.name());
         }
     }
 

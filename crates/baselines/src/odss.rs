@@ -37,10 +37,7 @@
 //! that Θ(n) penalty (the gap stated in the paper's introduction).
 
 use bignum::{BigUint, Ratio};
-use pss_core::{
-    kind, ChangeJournal, Delta, Enc, Replay, SnapshotError, SnapshotReader, SnapshotWriter,
-    Snapshottable,
-};
+use pss_core::{kind, Delta, Replay};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use randvar::{ber_rational_parts, bgeo};
@@ -49,7 +46,10 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use wordram::bits::floor_log2_u64;
 use wordram::BitsetList;
 
-use crate::{Handle, PssBackend, QueryCtx, Store};
+use crate::{Baseline, Handle, QueryCtx, QueryStrategy, Store};
+// The unit tests below drive the backends through the facade.
+#[cfg(test)]
+use crate::PssBackend;
 
 /// Probabilities below `2^{-TAIL_EXP}` share the last bucket.
 const TAIL_EXP: usize = 64;
@@ -394,7 +394,7 @@ impl DeltaDss {
         dss.live = vec![false; slots];
         let mut built = 0u64;
         for (h, w) in store.iter_live() {
-            let slot = h.raw() as usize;
+            let slot = Store::slot(h);
             dss.weights[slot] = w;
             dss.live[slot] = true;
             built += 1;
@@ -424,7 +424,7 @@ impl DeltaDss {
     pub fn apply(&mut self, delta: &Delta) -> u64 {
         match *delta {
             Delta::Inserted { handle, weight } => {
-                let slot = handle.raw() as usize;
+                let slot = Store::slot(handle);
                 if slot >= self.weights.len() {
                     self.weights.resize(slot + 1, 0);
                     self.live.resize(slot + 1, false);
@@ -438,7 +438,7 @@ impl DeltaDss {
                 1
             }
             Delta::Deleted { handle } => {
-                let slot = handle.raw() as usize;
+                let slot = Store::slot(handle);
                 debug_assert!(self.live[slot], "delete of dead slot");
                 if self.weights[slot] > 0 {
                     self.detach(slot as u32, self.weights[slot]);
@@ -447,7 +447,7 @@ impl DeltaDss {
                 1
             }
             Delta::Reweighted { handle, old, new } => {
-                let slot = handle.raw() as usize;
+                let slot = Store::slot(handle);
                 debug_assert!(self.live[slot], "reweight of dead slot");
                 debug_assert_eq!(self.weights[slot], old, "reweight from unexpected weight");
                 self.weights[slot] = new;
@@ -645,6 +645,192 @@ impl PartialEq for DeltaDss {
 impl Eq for DeltaDss {}
 
 // ---------------------------------------------------------------------------
+// ODSS driven incrementally through the journal
+// ---------------------------------------------------------------------------
+
+/// A DSS structure in the style of Yi et al.'s ODSS, driven **incrementally**
+/// under DPSS semantics through the epoch-delta change journal.
+///
+/// The materialization — a weight-bucketed [`DeltaDss`] with the shared
+/// denominator `W(α, β)` factored out — lives in the caller's [`QueryCtx`],
+/// keyed by this structure's instance id and stamped with the journal epoch
+/// it reflects. A query first catches the context up
+/// ([`pss_core::ChangeJournal::catch_up`]):
+///
+/// - no movement → the structure is reused as-is;
+/// - a delta replay → only the items the deltas name are re-bucketed,
+///   **O(deltas)** instead of a Θ(n) rebuild per update;
+/// - a lost window (ring wrap) → Θ(n) fallback rebuild, counted in
+///   [`OdssStyle::fallbacks`].
+///
+/// Parameter changes are not rebuilds at all: the bucketing is
+/// `W`-independent, so new `(α, β)` just recomputes one rational. Queries
+/// stay output-sensitive (`B-Geo` jumps inside each non-empty weight
+/// bucket) and exact — each item is included with probability exactly
+/// `min(w_x/W, 1)`, see [`DeltaDss::sample`].
+pub type OdssStyle = Baseline<DeltaBuckets>;
+
+/// [`OdssStyle`]'s strategy and its cost counters.
+#[derive(Debug, Default)]
+pub struct DeltaBuckets {
+    /// Θ(n) materializations across all contexts (first builds + fallbacks).
+    rebuilds: AtomicU64,
+    /// Θ(n) rebuilds forced by a lost replay window (ring wrap).
+    fallbacks: AtomicU64,
+    /// Delta catch-ups applied (each one replaced a would-be Θ(n) rebuild).
+    replays: AtomicU64,
+    /// Items whose bucket was recomputed by full materializations.
+    rematerialized: AtomicU64,
+    /// Item slots touched by delta patches (the O(deltas) work).
+    patched: AtomicU64,
+}
+
+/// One context's materialization slot for an [`OdssStyle`]: `None` until
+/// the first query builds it (an explicit option, not an epoch sentinel).
+#[derive(Debug, Default)]
+struct OdssMat {
+    built: Option<OdssBuilt>,
+}
+
+/// A built materialization: the weight-bucketed structure plus the cached
+/// denominator of the most recent parameters.
+#[derive(Debug)]
+struct OdssBuilt {
+    /// Journal epoch the structure reflects.
+    journal_epoch: u64,
+    /// Parameters `w` was computed for.
+    params: (Ratio, Ratio),
+    /// `W(α, β)` at `journal_epoch` — the only parameter-dependent state.
+    w: Ratio,
+    dss: DeltaDss,
+}
+
+impl QueryStrategy for DeltaBuckets {
+    const NAME: &'static str = "odss-style";
+    const KIND: u16 = kind::ODSS_STYLE;
+    const DELTA_RING: bool = true;
+
+    fn query_into(
+        base: &OdssStyle,
+        ctx: &mut QueryCtx,
+        alpha: &Ratio,
+        beta: &Ratio,
+        out: &mut Vec<Handle>,
+    ) {
+        let (rng, mat) = ctx.state(base.instance, OdssMat::default);
+        base.catch_up_mat(mat, alpha, beta);
+        let built = mat.built.as_ref().expect("caught up above");
+        out.extend(
+            built.dss.sample(rng, &built.w).into_iter().map(|s| base.store.handle_at(s as usize)),
+        );
+    }
+
+    fn materialization_words(store: &Store) -> usize {
+        // Weights + liveness + bucket entries of one n-slot image.
+        store.slot_count() * 2 + store.len().div_ceil(2)
+    }
+}
+
+impl OdssStyle {
+    /// Θ(n) materializations performed so far (first builds + fallbacks).
+    pub fn rebuilds(&self) -> u64 {
+        self.strategy.rebuilds.load(AtomicOrdering::Relaxed)
+    }
+
+    /// Θ(n) fallbacks forced by a lost replay window.
+    pub fn fallbacks(&self) -> u64 {
+        self.strategy.fallbacks.load(AtomicOrdering::Relaxed)
+    }
+
+    /// Delta catch-ups applied so far.
+    pub fn replays(&self) -> u64 {
+        self.strategy.replays.load(AtomicOrdering::Relaxed)
+    }
+
+    /// Items recomputed by full materializations so far.
+    pub fn rematerialized(&self) -> u64 {
+        self.strategy.rematerialized.load(AtomicOrdering::Relaxed)
+    }
+
+    /// Item slots touched by delta patches so far.
+    pub fn patched(&self) -> u64 {
+        self.strategy.patched.load(AtomicOrdering::Relaxed)
+    }
+
+    /// A clone of this structure's materialization inside `ctx`, if that
+    /// context has built one (test/diagnostic hook — the churn suite
+    /// compares a delta-patched context's structure bit-for-bit against a
+    /// from-scratch one).
+    pub fn materialization(&self, ctx: &QueryCtx) -> Option<DeltaDss> {
+        ctx.state_ref::<OdssMat>(self.instance)
+            .and_then(|m| m.built.as_ref())
+            .map(|b| b.dss.clone())
+    }
+
+    /// Validates `ctx`'s materialization (bucket layout, weights, liveness,
+    /// canonical order) against the backing store; panics on violation, or
+    /// if the context has none. Test hook.
+    pub fn validate_materialization(&self, ctx: &QueryCtx) {
+        let mat = ctx
+            .state_ref::<OdssMat>(self.instance)
+            .and_then(|m| m.built.as_ref())
+            .expect("context has no materialization to validate");
+        mat.dss.validate(&self.store);
+    }
+
+    /// Brings `mat` to the journal's current epoch: reuse, O(deltas) patch,
+    /// or Θ(n) fallback — then refreshes the cached denominator if either
+    /// the structure or the parameters moved.
+    fn catch_up_mat(&self, mat: &mut OdssMat, alpha: &Ratio, beta: &Ratio) {
+        let epoch = self.journal.epoch();
+        let Some(built) = &mut mat.built else {
+            mat.built = Some(self.build_mat(alpha, beta, epoch));
+            return;
+        };
+        match self.journal.catch_up(built.journal_epoch) {
+            Replay::UpToDate => {}
+            Replay::Deltas(deltas) => {
+                let mut touched = 0u64;
+                for delta in deltas {
+                    touched += built.dss.apply(delta);
+                }
+                self.strategy.replays.fetch_add(1, AtomicOrdering::Relaxed);
+                self.strategy.patched.fetch_add(touched, AtomicOrdering::Relaxed);
+                built.journal_epoch = epoch;
+                // The item set moved, so the cached denominator did too.
+                built.w = self.store.param_weight(alpha, beta);
+                built.params = (alpha.clone(), beta.clone());
+                return;
+            }
+            Replay::TooOld => {
+                self.strategy.fallbacks.fetch_add(1, AtomicOrdering::Relaxed);
+                mat.built = Some(self.build_mat(alpha, beta, epoch));
+                return;
+            }
+        }
+        if built.params.0 != *alpha || built.params.1 != *beta {
+            // New parameters are *not* a rebuild: the weight buckets are
+            // W-independent — one rational recomputation suffices.
+            built.w = self.store.param_weight(alpha, beta);
+            built.params = (alpha.clone(), beta.clone());
+        }
+    }
+
+    /// Θ(n) from-scratch materialization (first build or fallback).
+    fn build_mat(&self, alpha: &Ratio, beta: &Ratio, epoch: u64) -> OdssBuilt {
+        self.strategy.rebuilds.fetch_add(1, AtomicOrdering::Relaxed);
+        let (dss, built) = DeltaDss::build_from(&self.store);
+        self.strategy.rematerialized.fetch_add(built, AtomicOrdering::Relaxed);
+        OdssBuilt {
+            journal_epoch: epoch,
+            params: (alpha.clone(), beta.clone()),
+            w: self.store.param_weight(alpha, beta),
+            dss,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // ODSS under DPSS semantics
 // ---------------------------------------------------------------------------
 
@@ -655,30 +841,26 @@ impl Eq for DeltaDss {}
 /// stored probabilities are *absolute*, so no delta replay can save them.
 /// This backend deliberately stays on that path: it **measures** the
 /// DSS-under-DPSS penalty the paper's introduction identifies (the
-/// incremental, journal-patched foil is `baselines::OdssStyle`). The counter
-/// [`OdssUnderDpss::items_rematerialized`] accumulates the penalty that
-/// experiment E5 reports (atomic: queries run on `&self`).
+/// incremental, journal-patched foil is [`OdssStyle`]).
+/// [`OdssUnderDpss::rematerialized`] accumulates the penalty that experiment
+/// E5 reports.
 ///
-/// Staleness detection still rides the shared [`ChangeJournal`] protocol
-/// (`catch_up` deciding between reuse and rebuild), and a context that has
-/// never built is an explicit [`Option`] — not the `epoch: u64::MAX`
-/// sentinel this replaces, which a sufficiently long-lived journal could in
-/// principle have aliased.
+/// Staleness detection compares the journal's version alone (any movement
+/// means rebuild), so its journal keeps no delta ring; a context that has
+/// never built is an explicit [`Option`], not an epoch sentinel.
 ///
 /// Query coins are drawn from the context's stream via
 /// [`OdssDss::query_with`], so sharded batches over this backend are a pure
 /// function of the per-index derived streams, like every other backend.
-#[derive(Debug)]
-pub struct OdssUnderDpss {
-    store: Store,
-    /// Update log; any replayable entry still means "rebuild" here.
-    journal: ChangeJournal,
-    /// Keys this structure's materialization inside any [`QueryCtx`].
-    instance: u64,
+pub type OdssUnderDpss = Baseline<AbsoluteBuckets>;
+
+/// [`OdssUnderDpss`]'s strategy and its cost counters.
+#[derive(Debug, Default)]
+pub struct AbsoluteBuckets {
     /// Total items whose probability was recomputed across all rebuilds.
-    pub items_rematerialized: AtomicU64,
+    rematerialized: AtomicU64,
     /// Number of Θ(n) rebuilds performed.
-    pub rebuild_count: AtomicU64,
+    rebuilds: AtomicU64,
 }
 
 /// One context's materialization slot for an [`OdssUnderDpss`]: `None`
@@ -694,26 +876,53 @@ struct BuiltMat {
     journal_epoch: u64,
     params: (Ratio, Ratio),
     inner: OdssDss<SmallRng>,
-    /// Maps inner DSS handles back to store handles.
+    /// Maps inner DSS handles back to store slots.
     dss_to_store: Vec<u32>,
 }
 
-impl OdssUnderDpss {
-    /// Creates an empty adapter. The seed is accepted for the uniform
-    /// seeding surface; query randomness is owned by the caller's context.
-    pub fn new(_seed: u64) -> Self {
-        OdssUnderDpss {
-            store: Store::default(),
-            journal: ChangeJournal::new(),
-            instance: pss_core::fresh_backend_id(),
-            items_rematerialized: AtomicU64::new(0),
-            rebuild_count: AtomicU64::new(0),
+impl QueryStrategy for AbsoluteBuckets {
+    const NAME: &'static str = "odss-dss";
+    const KIND: u16 = kind::ODSS_UNDER_DPSS;
+    const DELTA_RING: bool = false;
+
+    fn query_into(
+        base: &OdssUnderDpss,
+        ctx: &mut QueryCtx,
+        alpha: &Ratio,
+        beta: &Ratio,
+        out: &mut Vec<Handle>,
+    ) {
+        let (rng, mat) = ctx.state(base.instance, DssMat::default);
+        // Absolute probabilities cannot be delta-patched: any journal
+        // movement, or new parameters, means rebuild.
+        let stale = mat.built.as_ref().is_none_or(|built| {
+            built.journal_epoch != base.journal.epoch()
+                || built.params.0.cmp(alpha) != Ordering::Equal
+                || built.params.1.cmp(beta) != Ordering::Equal
+        });
+        if stale {
+            mat.built = Some(base.materialize(alpha, beta));
         }
+        let built = mat.built.as_mut().expect("materialized above");
+        let sampled = built.inner.query_with(rng);
+        out.extend(
+            sampled
+                .into_iter()
+                .map(|h| base.store.handle_at(built.dss_to_store[h as usize] as usize)),
+        );
     }
 
+    fn materialization_words(store: &Store) -> usize {
+        // One exact probability per item, coarsely 8 words of shared-
+        // denominator limbs each, plus the handle map.
+        store.len() * 8 + store.len().div_ceil(2)
+    }
+}
+
+impl OdssUnderDpss {
     /// Θ(n): builds an inner DSS with the probabilities induced by `(α,β)`.
     fn materialize(&self, alpha: &Ratio, beta: &Ratio) -> BuiltMat {
-        self.rebuild_count.fetch_add(1, AtomicOrdering::Relaxed);
+        self.strategy.rebuilds.fetch_add(1, AtomicOrdering::Relaxed);
         // Fresh inner structure; its internal RNG is never drawn from (all
         // query coins come from the caller's context via `query_with`).
         let mut inner = OdssDss::new(0);
@@ -732,9 +941,9 @@ impl OdssUnderDpss {
             };
             let dh = inner.insert(p);
             debug_assert_eq!(dh as usize, dss_to_store.len());
-            dss_to_store.push(h.raw() as u32);
+            dss_to_store.push(Store::slot(h) as u32);
         }
-        self.items_rematerialized.fetch_add(rebuilt, AtomicOrdering::Relaxed);
+        self.strategy.rematerialized.fetch_add(rebuilt, AtomicOrdering::Relaxed);
         BuiltMat {
             journal_epoch: self.journal.epoch(),
             params: (alpha.clone(), beta.clone()),
@@ -743,143 +952,14 @@ impl OdssUnderDpss {
         }
     }
 
-    /// Re-materializations performed so far (convenience over the atomic).
+    /// Re-materializations performed so far.
     pub fn rebuilds(&self) -> u64 {
-        self.rebuild_count.load(AtomicOrdering::Relaxed)
+        self.strategy.rebuilds.load(AtomicOrdering::Relaxed)
     }
 
     /// Items whose probability was recomputed so far.
     pub fn rematerialized(&self) -> u64 {
-        self.items_rematerialized.load(AtomicOrdering::Relaxed)
-    }
-}
-
-impl crate::SpaceUsage for OdssUnderDpss {
-    fn space_words(&self) -> usize {
-        // The materialized inner DSS lives in caller contexts; one image of
-        // it (one exact probability per item, coarsely 8 words of shared-
-        // denominator limbs each, plus the handle map) is charged here so
-        // the space comparison stays honest about what a query needs.
-        self.store.space_words() + self.store.len() * 8 + self.store.len().div_ceil(2) + 8
-    }
-}
-
-impl PssBackend for OdssUnderDpss {
-    fn insert(&mut self, weight: u64) -> Handle {
-        // W moves: every stored probability is stale (the measured penalty).
-        let h = self.store.insert(weight);
-        self.journal.record(Delta::Inserted { handle: h, weight });
-        h
-    }
-
-    fn insert_many(&mut self, weights: &[u64]) -> Vec<Handle> {
-        crate::store_insert_many(&mut self.store, &mut self.journal, weights)
-    }
-
-    fn delete(&mut self, handle: Handle) -> bool {
-        if self.store.delete(handle) {
-            self.journal.record(Delta::Deleted { handle });
-            true
-        } else {
-            false
-        }
-    }
-
-    fn query_into(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio, out: &mut Vec<Handle>) {
-        let (rng, mat) = ctx.state(self.instance, DssMat::default);
-        let rebuild = match &mat.built {
-            None => true,
-            Some(built) => {
-                // Absolute probabilities cannot be delta-patched: any
-                // journal movement (replayable or not) means rebuild.
-                !matches!(self.journal.catch_up(built.journal_epoch), Replay::UpToDate)
-                    || built.params.0.cmp(alpha) != Ordering::Equal
-                    || built.params.1.cmp(beta) != Ordering::Equal
-            }
-        };
-        if rebuild {
-            mat.built = Some(self.materialize(alpha, beta));
-        }
-        let built = mat.built.as_mut().expect("materialized above");
-        let sampled = built.inner.query_with(rng);
-        out.extend(
-            sampled.into_iter().map(|h| Handle::from_raw(built.dss_to_store[h as usize] as u64)),
-        );
-    }
-
-    fn slot(&self, handle: Handle) -> usize {
-        Store::slot(handle)
-    }
-
-    fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    fn total_weight(&self) -> u128 {
-        self.store.total()
-    }
-
-    fn name(&self) -> &'static str {
-        "odss-dss"
-    }
-
-    fn set_weight(&mut self, handle: Handle, new_weight: u64) -> Option<Handle> {
-        let old = self.store.set_weight(handle, new_weight)?;
-        if old != new_weight {
-            self.journal.record(Delta::Reweighted { handle, old, new: new_weight });
-        }
-        // pss-lint: allow(journal-completeness) — equal-weight re-set is a semantic no-op (store value unchanged); every actual change records above
-        Some(handle)
-    }
-
-    fn scale_all_weights(&mut self, num: u32, den: u32) -> bool {
-        self.store.scale_all(num, den);
-        self.journal.record(Delta::ScaledAll { num, den });
-        true
-    }
-
-    fn journal(&self) -> Option<&ChangeJournal> {
-        Some(&self.journal)
-    }
-}
-
-impl crate::SeedableBackend for OdssUnderDpss {
-    fn with_seed(seed: u64) -> Self {
-        OdssUnderDpss::new(seed)
-    }
-}
-
-impl Snapshottable for OdssUnderDpss {
-    fn write_snapshot(&self, out: &mut Vec<u8>) {
-        let mut w = SnapshotWriter::new(kind::ODSS_UNDER_DPSS);
-        let mut enc = Enc::new();
-        self.store.write_snapshot_payload(&mut enc);
-        w.section(crate::TAG_STORE, enc);
-        let mut meta = Enc::new();
-        meta.put_u64(self.journal.epoch());
-        w.section(crate::TAG_META, meta);
-        w.finish(out);
-    }
-
-    fn from_snapshot(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let r = SnapshotReader::new(bytes, kind::ODSS_UNDER_DPSS)?;
-        let mut dec = r.section(crate::TAG_STORE)?;
-        let store = Store::from_snapshot_payload(&mut dec)?;
-        dec.finish()?;
-        let mut meta = r.section(crate::TAG_META)?;
-        let watermark = meta.get_u64()?;
-        meta.finish()?;
-        Ok(OdssUnderDpss {
-            store,
-            // Resumed at the saved watermark with an empty ring; any context
-            // re-materializes from scratch on its first post-restore query
-            // (which is this adapter's behavior on any `W` movement anyway).
-            journal: ChangeJournal::resumed_at(watermark),
-            instance: pss_core::fresh_backend_id(),
-            // Counters account this process's work only.
-            items_rematerialized: AtomicU64::new(0),
-            rebuild_count: AtomicU64::new(0),
-        })
+        self.strategy.rematerialized.load(AtomicOrdering::Relaxed)
     }
 }
 

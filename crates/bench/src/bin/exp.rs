@@ -442,7 +442,7 @@ fn percentiles(lat: &mut [f64]) -> (f64, f64, f64) {
 
 fn e3b_streams() {
     use dpss::DeamortizedDpss;
-    use workloads::updates::{LiveSet, Op, StreamKind, UpdateStream};
+    use workloads::updates::{StreamKind, UpdateStream};
     use workloads::weights::WeightDist as WDist;
     println!("\n## E3b — §4.5 de-amortization: worst-case update latency under streams\n");
     println!("60k ops per stream. De-amortization shows up in the tail: the");
@@ -458,77 +458,48 @@ fn e3b_streams() {
     for (label, kind) in streams {
         let mut rng = SmallRng::seed_from_u64(83);
         let stream = UpdateStream::generate(kind, 1 << 12, 60_000, dist, &mut rng);
-        // Amortized HALT.
-        {
-            let mut s = DpssSampler::new(5);
-            let mut live = LiveSet::new();
-            for &w in &stream.initial {
-                live.insert(s.insert(w));
-            }
-            let mut lat = Vec::with_capacity(stream.ops.len());
-            let (_, total) = time(|| {
-                for op in &stream.ops {
-                    let t0 = std::time::Instant::now();
-                    match *op {
-                        Op::Insert(w) => live.insert(s.insert(w)),
-                        Op::DeleteAt(i) => {
-                            s.delete(live.remove_at(i));
-                        }
-                        Op::DeleteOldest => {
-                            s.delete(live.remove_oldest());
-                        }
-                        Op::ReweightAt { .. } => unreachable!("e3b streams never reweight"),
-                        Op::ScaleAllWeights { .. } => unreachable!("e3b streams never scale"),
-                    }
-                    lat.push(t0.elapsed().as_secs_f64());
-                }
-            });
-            let (p99, p999, mx) = percentiles(&mut lat);
-            row(&[
-                label.into(),
-                "halt (amortized)".into(),
-                fmt_secs(total),
-                fmt_secs(p99),
-                fmt_secs(p999),
-                fmt_secs(mx),
-            ]);
-        }
-        // De-amortized.
-        {
-            let mut s = DeamortizedDpss::new(5);
-            let mut live = LiveSet::new();
-            for &w in &stream.initial {
-                live.insert(s.insert(w));
-            }
-            let mut lat = Vec::with_capacity(stream.ops.len());
-            let (_, total) = time(|| {
-                for op in &stream.ops {
-                    let t0 = std::time::Instant::now();
-                    match *op {
-                        Op::Insert(w) => live.insert(s.insert(w)),
-                        Op::DeleteAt(i) => {
-                            s.delete(live.remove_at(i));
-                        }
-                        Op::DeleteOldest => {
-                            s.delete(live.remove_oldest());
-                        }
-                        Op::ReweightAt { .. } => unreachable!("e3b streams never reweight"),
-                        Op::ScaleAllWeights { .. } => unreachable!("e3b streams never scale"),
-                    }
-                    lat.push(t0.elapsed().as_secs_f64());
-                }
-            });
-            let (p99, p999, mx) = percentiles(&mut lat);
-            row(&[
-                label.into(),
-                "de-amortized".into(),
-                fmt_secs(total),
-                fmt_secs(p99),
-                fmt_secs(p999),
-                fmt_secs(mx),
-            ]);
+        let rows = [
+            ("halt (amortized)", timed_replay(DpssSampler::new(5), &stream)),
+            ("de-amortized", timed_replay(DeamortizedDpss::new(5), &stream)),
+        ];
+        for (backend, [total, p99, p999, mx]) in rows {
+            row(&[label.into(), backend.into(), total, p99, p999, mx]);
         }
     }
+}
+
+/// Loads `stream`'s initial items into `s`, then replays its ops timing each
+/// one; returns the formatted total, p99, p99.9 and max. Generic, not `dyn`,
+/// so the per-op timing includes no vtable call.
+fn timed_replay<B: pss_core::PssBackend>(
+    mut s: B,
+    stream: &workloads::updates::UpdateStream,
+) -> [String; 4] {
+    use workloads::updates::{LiveSet, Op};
+    let mut live = LiveSet::new();
+    for &w in &stream.initial {
+        live.insert(s.insert(w));
+    }
+    let mut lat = Vec::with_capacity(stream.ops.len());
+    let (_, total) = time(|| {
+        for op in &stream.ops {
+            let t0 = std::time::Instant::now();
+            match *op {
+                Op::Insert(w) => live.insert(s.insert(w)),
+                Op::DeleteAt(i) => {
+                    s.delete(live.remove_at(i));
+                }
+                Op::DeleteOldest => {
+                    s.delete(live.remove_oldest());
+                }
+                Op::ReweightAt { .. } => unreachable!("e3b streams never reweight"),
+                Op::ScaleAllWeights { .. } => unreachable!("e3b streams never scale"),
+            }
+            lat.push(t0.elapsed().as_secs_f64());
+        }
+    });
+    let (p99, p999, mx) = percentiles(&mut lat);
+    [fmt_secs(total), fmt_secs(p99), fmt_secs(p999), fmt_secs(mx)]
 }
 
 fn e9b_seed_selection() {

@@ -42,11 +42,6 @@ impl Ratio {
         Ratio { num: BigUint::from_u64(v), den: BigUint::one() }
     }
 
-    /// The integer represented by a [`BigUint`].
-    pub fn from_big(v: BigUint) -> Self {
-        Ratio { num: v, den: BigUint::one() }
-    }
-
     /// 0.
     pub fn zero() -> Self {
         Self::from_int(0)

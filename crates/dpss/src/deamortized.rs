@@ -327,26 +327,7 @@ impl DeamortizedDpss {
             self.old.reserve_for(self.old.len() + weights.len());
         }
         let ids = self.old.insert_many_frozen(weights);
-        let mut handles = Vec::with_capacity(ids.len());
-        for &id in &ids {
-            let (idx, gen) = if let Some(idx) = self.free.pop() {
-                let s = &mut self.slots[idx as usize];
-                debug_assert!(!s.alive);
-                (idx, s.gen)
-            } else {
-                let idx = narrow::u32_of_usize(self.slots.len());
-                assert!(idx != u32::MAX, "handle space exhausted");
-                self.slots.push(Slot { id, epoch: self.epoch, pos: 0, gen: 0, alive: false });
-                (idx, 0)
-            };
-            let h = handle_of(idx, gen);
-            Self::rev_set(&mut self.rev_old, id, h);
-            self.roster_old.push(h);
-            let pos = narrow::u32_of_usize(self.roster_old.len() - 1);
-            self.slots[idx as usize] = Slot { id, epoch: self.epoch, pos, gen, alive: true };
-            self.n_live += 1;
-            handles.push(h);
-        }
+        let handles: Vec<Handle> = ids.iter().map(|&id| self.issue_handle(id)).collect();
         if !in_band {
             self.snapshot = self.n_live;
         }
@@ -356,11 +337,21 @@ impl DeamortizedDpss {
     /// The body of [`DeamortizedDpss::insert`] minus the journal entry.
     fn insert_inner(&mut self, weight: u64) -> Handle {
         // Route to the successor while migrating, else to the primary.
-        let (id, epoch) = match &mut self.new {
-            Some(new) => (new.insert_frozen(weight), self.epoch),
-            None => (self.old.insert_frozen(weight), self.epoch),
+        let id = match &mut self.new {
+            Some(new) => new.insert_frozen(weight),
+            None => self.old.insert_frozen(weight),
         };
-        // Allocate a handle slot.
+        let h = self.issue_handle(id);
+        self.step();
+        h
+    }
+
+    /// Gives the just-inserted item `id` a handle: pops a free slot (or
+    /// pushes one), stamps it live under the current epoch, records it in
+    /// the reverse map and roster of the half it lives in (the successor
+    /// while migrating, else the primary) and counts it.
+    fn issue_handle(&mut self, id: ItemId) -> Handle {
+        let epoch = self.epoch;
         let (idx, gen) = if let Some(idx) = self.free.pop() {
             let s = &mut self.slots[idx as usize];
             debug_assert!(!s.alive);
@@ -372,18 +363,16 @@ impl DeamortizedDpss {
             (idx, 0)
         };
         let h = handle_of(idx, gen);
-        let pos = if self.new.is_some() {
-            Self::rev_set(&mut self.rev_new, id, h);
-            self.roster_new.push(h);
-            narrow::u32_of_usize(self.roster_new.len() - 1)
+        let (rev, roster) = if self.new.is_some() {
+            (&mut self.rev_new, &mut self.roster_new)
         } else {
-            Self::rev_set(&mut self.rev_old, id, h);
-            self.roster_old.push(h);
-            narrow::u32_of_usize(self.roster_old.len() - 1)
+            (&mut self.rev_old, &mut self.roster_old)
         };
+        Self::rev_set(rev, id, h);
+        roster.push(h);
+        let pos = narrow::u32_of_usize(roster.len() - 1);
         self.slots[idx as usize] = Slot { id, epoch, pos, gen, alive: true };
         self.n_live += 1;
-        self.step();
         h
     }
 

@@ -583,6 +583,12 @@ const WALK_BATCH: usize = 16;
 /// batch then rewinds the stream to its start and replays item by item:
 /// the output and the words drawn are the item-at-a-time loop's in every
 /// case.
+///
+/// The batch earns its place. With the item-at-a-time loop forced on the
+/// fast path too, perfbench `query_mix` fell from 3.73M to 1.53M
+/// `items_per_s` (0.41×, 10 of 10 alternating 25 s pairs, seeds
+/// 9101–9110, 2-vCPU shared host) and its `op_p99_us` rose from 61.6 to
+/// 166.8.
 fn walk_bucket<V: LevelView, R: RngCore + Clone>(
     view: &V,
     rng: &mut R,

@@ -33,9 +33,9 @@
 //!   construction from a `u64` seed);
 //! - [`SpaceUsage`] (re-exported from `wordram`): the paper's word-granularity
 //!   space measure, a supertrait of [`PssBackend`];
-//! - [`Store`]: the shared slot-based item store the O(n)-per-query baselines
-//!   are built on, with native in-place [`Store::set_weight`] and the
-//!   one-op decay [`Store::scale_all`].
+//! - [`Store`]: the shared slot-based item store the baselines are built on,
+//!   with generational handles (stale ones are rejected), native in-place
+//!   [`Store::set_weight`] and the one-op decay [`Store::scale_all`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -75,7 +75,7 @@ pub fn scale_weight(w: u64, num: u32, den: u32) -> u64 {
 /// Handles are only meaningful to the backend that issued them, and only
 /// until that backend deletes the item. The `u64` payload is exposed for
 /// serialization, not for interpretation: each backend packs it its own way
-/// (HALT adds a generation above the slab index), so a caller that wants a
+/// (HALT and [`Store`] put a generation above the slot index), so a caller that wants a
 /// dense index to address side tables by reads it only through
 /// [`PssBackend::slot`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -138,7 +138,9 @@ pub trait PssBackend: SpaceUsage + Send + Sync {
         weights.iter().map(|&w| self.insert(w)).collect()
     }
 
-    /// Deletes an item by handle; `true` if it was live.
+    /// Deletes an item by handle; `true` if it was live. A stale handle —
+    /// one already deleted, including one whose slot has since been
+    /// reissued to a later insert — returns `false` and changes nothing.
     fn delete(&mut self, handle: Handle) -> bool;
 
     /// Answers one PSS query with parameters `(α, β)`, drawing randomness
@@ -208,7 +210,9 @@ pub trait PssBackend: SpaceUsage + Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Changes the weight of a live item, returning its (possibly new)
-    /// handle, or `None` if the handle was stale.
+    /// handle, or `None` if the handle was stale (already deleted, including
+    /// one whose slot has since been reissued), in which case nothing
+    /// changes.
     ///
     /// The default implementation deletes and re-inserts, which *changes the
     /// handle*; structures with native in-place reweighting (HALT, and every
@@ -250,12 +254,12 @@ pub trait PssBackend: SpaceUsage + Send + Sync {
     ///
     /// Backends whose queries park derived state in a [`QueryCtx`] (HALT's
     /// plan caches, the ODSS materializations) maintain a journal so that
-    /// state can revalidate: the ODSS materializations
-    /// [`catch up`](ChangeJournal::catch_up) in O(deltas) through its ring,
-    /// HALT's plan caches read only its version
-    /// ([`ChangeJournal::rebuilt_since`]), and HALT keeps no ring unless one
-    /// is attached. Stateless backends (the naive O(n) scans, whose update
-    /// paths run at memcpy speed and have nothing to revalidate) return
+    /// state can revalidate: the incremental ODSS materialization
+    /// [catches up](ChangeJournal::catch_up) in O(deltas) through its
+    /// ring, while HALT's plan caches and the absolute ODSS materialization
+    /// read only its version and keep no ring unless one is attached. Every workspace backend
+    /// journals (the naive scans too, with a version alone, so snapshots
+    /// carry a watermark); the default, for a backend that keeps none, is
     /// `None`.
     fn journal(&self) -> Option<&ChangeJournal> {
         None
@@ -303,15 +307,23 @@ pub fn boxed<B: SeedableBackend + 'static>(seed: u64) -> Box<dyn PssBackend> {
 
 /// Slot-based weighted item store shared by the O(n)-per-query baselines.
 ///
-/// Handles are slot indices; freed slots are recycled. The store also tracks
-/// the exact total weight, from which [`Store::param_weight`] derives the
-/// query denominator `W(α, β) = α·Σw + β` in exact rational arithmetic.
+/// Freed slots are recycled, and handles are generational: a handle packs
+/// the slot's generation above its index (`gen << 32 | slot`, the layout
+/// HALT's item ids share), and a delete bumps the slot's generation. A stale
+/// handle — including one whose slot has since been reissued to a later
+/// insert — is rejected by [`Store::delete`] (`false`) and
+/// [`Store::set_weight`] (`None`) and never touches the slot's new occupant.
+/// The store also tracks the exact total weight, from which
+/// [`Store::param_weight`] derives the query denominator
+/// `W(α, β) = α·Σw + β` in exact rational arithmetic.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Store {
     /// Weight per slot (stale weights remain in dead slots).
     weights: Vec<u64>,
     /// Liveness per slot.
     live: Vec<bool>,
+    /// Generation per slot: the high half of the handle its occupant holds.
+    gens: Vec<u32>,
     /// Recycled slot indices.
     free: Vec<u32>,
     /// Number of live items.
@@ -321,17 +333,32 @@ pub struct Store {
 }
 
 impl Store {
-    /// Number of allocated slots (live + recycled); slot indices and handle
-    /// payloads range over `0..slot_count()`.
+    /// Number of allocated slots (live + recycled); slot indices range over
+    /// `0..slot_count()`.
     pub fn slot_count(&self) -> usize {
         self.weights.len()
     }
 
-    /// The slot a handle this store issued addresses (its payload: store
-    /// handles are bare slot indices). What the backends built on a store
-    /// answer [`PssBackend::slot`] with.
+    /// The slot a handle this store issued addresses (the low half of its
+    /// payload). What the backends built on a store answer
+    /// [`PssBackend::slot`] with: pure decoding, so stale handles answer too.
     pub fn slot(h: Handle) -> usize {
-        h.raw() as usize
+        (h.raw() & 0xFFFF_FFFF) as usize
+    }
+
+    /// The handle of the item now in slot `i` (its current generation
+    /// above the index) — the one way from a slot back to a handle. A slot
+    /// never issued answers with generation 0.
+    pub fn handle_at(&self, i: usize) -> Handle {
+        let gen = self.gens.get(i).copied().unwrap_or(0);
+        Handle::from_raw((u64::from(gen) << 32) | i as u64)
+    }
+
+    /// The slot of `h` if `h` names a live item: its slot is live and its
+    /// generation is the slot's current one.
+    fn live_slot(&self, h: Handle) -> Option<usize> {
+        let i = Store::slot(h);
+        (self.is_live(i) && u64::from(self.gens[i]) == h.raw() >> 32).then_some(i)
     }
 
     /// `true` iff slot `i` holds a live item. Out-of-range is `false`.
@@ -362,28 +389,33 @@ impl Store {
         self.total
     }
 
-    /// Inserts an item, returning its slot handle.
+    /// Inserts an item, returning its handle (a recycled slot comes back
+    /// under the generation its last delete moved it to).
     pub fn insert(&mut self, w: u64) -> Handle {
         self.n += 1;
         self.total += w as u128;
-        if let Some(i) = self.free.pop() {
-            self.weights[i as usize] = w;
-            self.live[i as usize] = true;
-            Handle::from_raw(i as u64)
+        let i = if let Some(i) = self.free.pop() {
+            let i = i as usize;
+            self.weights[i] = w;
+            self.live[i] = true;
+            i
         } else {
             self.weights.push(w);
             self.live.push(true);
-            Handle::from_raw((self.weights.len() - 1) as u64)
-        }
+            self.gens.push(0);
+            self.weights.len() - 1
+        };
+        self.handle_at(i)
     }
 
-    /// Deletes an item by handle; `true` if it was live.
+    /// Deletes an item by handle; `true` if it was live. A stale handle
+    /// returns `false` and changes nothing.
     pub fn delete(&mut self, h: Handle) -> bool {
-        let i = Store::slot(h);
-        if i >= self.live.len() || !self.live[i] {
+        let Some(i) = self.live_slot(h) else {
             return false;
-        }
+        };
         self.live[i] = false;
+        self.gens[i] = self.gens[i].wrapping_add(1);
         self.total -= self.weights[i] as u128;
         self.free.push(narrow::u32_of_usize(i));
         self.n -= 1;
@@ -397,10 +429,7 @@ impl Store {
     /// This is what the baselines route [`PssBackend::set_weight`] through
     /// instead of the handle-churning delete + reinsert default.
     pub fn set_weight(&mut self, h: Handle, w: u64) -> Option<u64> {
-        let i = Store::slot(h);
-        if !self.is_live(i) {
-            return None;
-        }
+        let i = self.live_slot(h)?;
         let old = self.weights[i];
         self.total = self.total - old as u128 + w as u128;
         self.weights[i] = w;
@@ -432,23 +461,26 @@ impl Store {
         alpha.mul_big(&BigUint::from_u128(self.total)).add(beta)
     }
 
-    /// Iterates `(handle, weight)` over live slots (zero-weight items
-    /// included — skipping them is the sampler's decision, not the store's).
+    /// Iterates `(handle, weight)` over live slots in slot order (zero-weight
+    /// items included — skipping them is the sampler's decision, not the
+    /// store's).
     pub fn iter_live(&self) -> impl Iterator<Item = (Handle, u64)> + '_ {
         self.weights
             .iter()
             .enumerate()
             .filter(|&(i, _)| self.live[i])
-            .map(|(i, &w)| (Handle::from_raw(i as u64), w))
+            .map(|(i, &w)| (self.handle_at(i), w))
     }
 }
 
 impl SpaceUsage for Store {
     fn space_words(&self) -> usize {
-        // One word per weight slot, one per 64 liveness flags (rounded up),
-        // half a word per free-list entry, plus the two scalars.
+        // One word per weight slot, half a word per generation and per
+        // free-list entry, one per 64 liveness flags (rounded up), plus the
+        // two scalars.
         self.weights.capacity()
             + self.live.capacity().div_ceil(64)
+            + self.gens.capacity().div_ceil(2)
             + self.free.capacity().div_ceil(2)
             + 3
     }
@@ -468,9 +500,11 @@ mod tests {
         assert!(s.delete(a));
         assert!(!s.delete(a), "double delete must fail");
         assert_eq!(s.total(), 7);
-        // Slot is recycled.
+        // Slot is recycled under a new generation: the old handle stays stale.
         let c = s.insert(9);
-        assert_eq!(c, a);
+        assert_eq!(Store::slot(c), Store::slot(a));
+        assert_ne!(c, a);
+        assert!(!s.delete(a), "stale handle must not delete the slot's new item");
         assert_eq!(s.total(), 16);
         assert_eq!(s.iter_live().count(), 2);
         assert!(s.iter_live().any(|(h, w)| h == b && w == 7));

@@ -444,8 +444,9 @@ impl<'a> SnapshotReader<'a> {
 impl Store {
     /// Encodes the store verbatim — weights (stale dead-slot values
     /// included, so a save→load→save round trip is byte-identical), liveness
-    /// flags, and the free list in recycling order (handle issuance after
-    /// load matches the original exactly).
+    /// flags, the free list in recycling order and the slot generations
+    /// (handle issuance after load matches the original exactly, and handles
+    /// stale before the save stay stale after the load).
     pub fn write_snapshot_payload(&self, enc: &mut Enc) {
         enc.put_usize(self.weights.len());
         for &w in &self.weights {
@@ -458,11 +459,15 @@ impl Store {
         for &f in &self.free {
             enc.put_u32(f);
         }
+        for &g in &self.gens {
+            enc.put_u32(g);
+        }
     }
 
     /// Decodes and validates a store payload: free-list entries must be
-    /// in-range, unique, and exactly the dead slots. Live count and exact
-    /// total are recomputed, never trusted from the image.
+    /// in-range, unique, and exactly the dead slots (every generation is
+    /// valid). Live count and exact total are recomputed, never trusted
+    /// from the image.
     pub fn from_snapshot_payload(dec: &mut Dec<'_>) -> Result<Store, SnapshotError> {
         let slots = dec.get_usize()?;
         // No pre-reservation from the untrusted count: the vectors grow only
@@ -496,9 +501,13 @@ impl Store {
         if n_free != slots - n {
             return Err(SnapshotError::Invalid("dead slots and free list disagree"));
         }
+        let mut gens = Vec::new();
+        for _ in 0..slots {
+            gens.push(dec.get_u32()?);
+        }
         let total =
             live.iter().zip(&weights).filter(|&(&l, _)| l).map(|(_, &w)| w as u128).sum::<u128>();
-        Ok(Store { weights, live, free, n, total })
+        Ok(Store { weights, live, gens, free, n, total })
     }
 }
 

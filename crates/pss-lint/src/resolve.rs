@@ -8,8 +8,8 @@
 //! three monotone relations over the whole workspace:
 //!
 //! 1. **journaled types** — a type is journaled iff any of its methods
-//!    touches `self.journal` (so `NaiveExact`-style baselines with no
-//!    journal field are exempt by construction);
+//!    touches `self.journal` (so a backend with no journal field is
+//!    exempt by construction);
 //! 2. **may-journal** — a fn may journal iff it records directly or
 //!    may-calls a fn that may journal (this decides which public
 //!    `&mut self` methods are *obligated*: setters that never touch the

@@ -100,11 +100,6 @@ pub fn ber_u64<R: RngCore>(rng: &mut R, a: u64, b: u64) -> bool {
     ber_rational_parts(rng, &BigUint::from_u64(a), &BigUint::from_u64(b))
 }
 
-/// Draws `Ber(a/b)` for 128-bit `a, b`.
-pub fn ber_u128<R: RngCore>(rng: &mut R, a: u128, b: u128) -> bool {
-    ber_rational_parts(rng, &BigUint::from_u128(a), &BigUint::from_u128(b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

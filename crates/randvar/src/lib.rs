@@ -56,7 +56,7 @@ mod rng;
 pub mod stats;
 mod tgeo;
 
-pub use bernoulli::{ber_rational, ber_rational_from_word, ber_rational_parts, ber_u128, ber_u64};
+pub use bernoulli::{ber_rational, ber_rational_from_word, ber_rational_parts, ber_u64};
 pub use bgeo::{ber_pow_one_minus, bgeo};
 pub use binomial::{binomial, binomial_positions};
 pub use fast::{

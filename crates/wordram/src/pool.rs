@@ -564,12 +564,6 @@ impl<T> Pool<T> {
         &mut self.slots[idx as usize]
     }
 
-    /// Iterates every slot (live and recycled — the pool does not track
-    /// liveness; callers that need it keep their own roster).
-    pub fn iter_slots(&self) -> impl Iterator<Item = &T> {
-        self.slots.iter()
-    }
-
     /// Verifies free-list sanity: indices in bounds, no duplicates.
     /// O(slots); test/debug hook.
     pub fn audit(&self) -> Result<(), String> {

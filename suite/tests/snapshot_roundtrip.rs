@@ -350,11 +350,11 @@ fn odss_under_dpss_rematerializes_fully_on_any_movement() {
     let beta = Ratio::zero();
     let mut ctx = QueryCtx::new(3);
     let _ = s.query(&mut ctx, &alpha, &beta);
-    let after_first = s.rebuild_count.load(std::sync::atomic::Ordering::Relaxed);
+    let after_first = s.rebuilds();
     assert_eq!(after_first, 1);
     PssBackend::set_weight(&mut s, hs[0], 77);
     let _ = s.query(&mut ctx, &alpha, &beta);
-    let after_move = s.rebuild_count.load(std::sync::atomic::Ordering::Relaxed);
+    let after_move = s.rebuilds();
     assert_eq!(after_move, 2, "any W movement must rematerialize in full");
 }
 
