@@ -64,7 +64,7 @@ pub use pss_core::{
 
 use bignum::{BigUint, Ratio};
 use dpss::{DeamortizedDpss, DpssSampler};
-use pss_core::{kind, ChangeJournal, Delta, Enc, SnapshotReader, SnapshotWriter};
+use pss_core::{kind, ChangeJournal, Delta, Enc, OpError, SnapshotReader, SnapshotWriter};
 use rand::Rng;
 use randvar::ber_rational_parts;
 
@@ -153,28 +153,31 @@ impl<Q: QueryStrategy> SpaceUsage for Baseline<Q> {
 }
 
 impl<Q: QueryStrategy> PssBackend for Baseline<Q> {
-    fn insert(&mut self, weight: u64) -> Handle {
+    // Store updates are single-step: a baseline never poisons and has no
+    // failpoints, so every update succeeds.
+
+    fn try_insert(&mut self, weight: u64) -> Result<Handle, OpError> {
         let h = self.store.insert(weight);
         self.journal.record(Delta::Inserted { handle: h, weight });
-        h
+        Ok(h)
     }
 
-    fn insert_many(&mut self, weights: &[u64]) -> Vec<Handle> {
+    fn try_insert_many(&mut self, weights: &[u64]) -> Result<Vec<Handle>, OpError> {
         // One journal epoch for the whole batch: a bulk load must not wrap
         // the ring out from under every observing context.
         let handles: Vec<Handle> = weights.iter().map(|&w| self.store.insert(w)).collect();
         self.journal.record_batch(
             handles.iter().zip(weights).map(|(&h, &w)| Delta::Inserted { handle: h, weight: w }),
         );
-        handles
+        Ok(handles)
     }
 
-    fn delete(&mut self, handle: Handle) -> bool {
+    fn try_delete(&mut self, handle: Handle) -> Result<bool, OpError> {
         if self.store.delete(handle) {
             self.journal.record(Delta::Deleted { handle });
-            true
+            Ok(true)
         } else {
-            false
+            Ok(false)
         }
     }
 
@@ -198,14 +201,20 @@ impl<Q: QueryStrategy> PssBackend for Baseline<Q> {
         Q::NAME
     }
 
-    fn set_weight(&mut self, handle: Handle, new_weight: u64) -> Option<Handle> {
+    fn try_set_weight(
+        &mut self,
+        handle: Handle,
+        new_weight: u64,
+    ) -> Result<Option<Handle>, OpError> {
         // Native in-place reweighting: the slot — and the handle — is stable.
-        let old = self.store.set_weight(handle, new_weight)?;
+        let Some(old) = self.store.set_weight(handle, new_weight) else {
+            return Ok(None);
+        };
         if old != new_weight {
             self.journal.record(Delta::Reweighted { handle, old, new: new_weight });
         }
         // pss-lint: allow(journal-completeness) — equal-weight re-set is a semantic no-op (store value unchanged); every actual change records above
-        Some(handle)
+        Ok(Some(handle))
     }
 
     fn scale_all_weights(&mut self, num: u32, den: u32) -> bool {

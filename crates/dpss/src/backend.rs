@@ -1,46 +1,52 @@
-//! [`PssBackend`] implementations for the two HALT samplers.
+//! [`PssBackend`] for the amortized HALT sampler, [`DpssSampler`].
 //!
 //! The facade trait lives at the bottom of the workspace (`pss-core`) so that
 //! `workloads`, `graphsub`, `bench`, and the integration suite can drive any
-//! sampler without depending on this crate's concrete types. This module
-//! adapts both HALT variants onto it:
-//!
-//! - [`DpssSampler`] — the paper's structure, O(1) *amortized* updates;
-//! - [`DeamortizedDpss`] — worst-case O(1) structure work per update.
+//! sampler without depending on this crate's concrete types. The
+//! de-amortized [`crate::DeamortizedDpss`] implements it in its own module,
+//! directly on [`Handle`]s; [`DpssSampler`] keeps its own `ItemId`-typed
+//! inherent updates, and this impl forwards the trait's `try_*` ops to
+//! them. Its reweight is native, so a handle survives it.
 //!
 //! Queries go through the shared-read surface (`&self` + [`QueryCtx`]):
 //! the trait's `query_into` runs the same body as
-//! [`DpssSampler::query_in`] / [`DeamortizedDpss::query_in`], appending
-//! the sample to the caller's buffer (from the context's item buffer, or
-//! from a stack buffer for a small flat sampler that scans its slots), so
-//! one shared sampler can serve many contexts, one per caller thread if
-//! need be.
+//! [`DpssSampler::query_in`], appending the sample to the caller's buffer
+//! (from the context's item buffer, or from a stack buffer for a small flat
+//! sampler that scans its slots), so one shared sampler can serve many
+//! contexts, one per caller thread if need be.
 //!
-//! Handles are the samplers' own ids re-wrapped as the opaque
+//! Handles are the sampler's own ids re-wrapped as the opaque
 //! [`pss_core::Handle`]; both directions are free (`raw`/`from_raw`). A
 //! handle's `slot` is its slab index, the low 32 bits of its id.
 
-use crate::deamortized::{handle_idx, DeamortizedDpss};
 use crate::item::ItemId;
 use crate::sampler::DpssSampler;
 use bignum::Ratio;
-use pss_core::{ChangeJournal, Handle, PssBackend, QueryCtx, SeedableBackend};
+use pss_core::{ChangeJournal, Handle, OpError, PssBackend, QueryCtx, SeedableBackend};
 
 impl PssBackend for DpssSampler {
-    fn insert(&mut self, weight: u64) -> Handle {
-        Handle::from_raw(DpssSampler::insert(self, weight).raw())
+    fn try_insert(&mut self, weight: u64) -> Result<Handle, OpError> {
+        DpssSampler::try_insert(self, weight).map(|id| Handle::from_raw(id.raw()))
     }
 
-    fn insert_many(&mut self, weights: &[u64]) -> Vec<Handle> {
+    fn try_insert_many(&mut self, weights: &[u64]) -> Result<Vec<Handle>, OpError> {
         // Native batch: one journal epoch for the whole load.
-        DpssSampler::insert_many(self, weights)
-            .into_iter()
-            .map(|id| Handle::from_raw(id.raw()))
-            .collect()
+        DpssSampler::try_insert_many(self, weights)
+            .map(|ids| ids.into_iter().map(|id| Handle::from_raw(id.raw())).collect())
     }
 
-    fn delete(&mut self, handle: Handle) -> bool {
-        DpssSampler::delete(self, ItemId::from_raw(handle.raw())).is_some()
+    fn try_delete(&mut self, handle: Handle) -> Result<bool, OpError> {
+        DpssSampler::try_delete(self, ItemId::from_raw(handle.raw())).map(|w| w.is_some())
+    }
+
+    fn try_set_weight(
+        &mut self,
+        handle: Handle,
+        new_weight: u64,
+    ) -> Result<Option<Handle>, OpError> {
+        // Native O(1) reweighting keeps the handle stable.
+        DpssSampler::try_set_weight(self, ItemId::from_raw(handle.raw()), new_weight)
+            .map(|old| old.map(|_| handle))
     }
 
     fn query_into(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio, out: &mut Vec<Handle>) {
@@ -67,11 +73,6 @@ impl PssBackend for DpssSampler {
         "halt"
     }
 
-    fn set_weight(&mut self, handle: Handle, new_weight: u64) -> Option<Handle> {
-        // Native O(1) reweighting keeps the handle stable.
-        DpssSampler::set_weight(self, ItemId::from_raw(handle.raw()), new_weight).map(|_| handle)
-    }
-
     fn prefetch_handle(&self, handle: Handle) {
         // Advisory: bounds-checked inside the slab, safe on stale handles.
         self.level1.slab.prefetch_slot(ItemId::from_raw(handle.raw()).idx());
@@ -92,63 +93,10 @@ impl SeedableBackend for DpssSampler {
     }
 }
 
-impl PssBackend for DeamortizedDpss {
-    fn insert(&mut self, weight: u64) -> Handle {
-        Handle::from_raw(DeamortizedDpss::insert(self, weight))
-    }
-
-    fn insert_many(&mut self, weights: &[u64]) -> Vec<Handle> {
-        // Native batch: one union-journal epoch for the whole load.
-        DeamortizedDpss::insert_many(self, weights).into_iter().map(Handle::from_raw).collect()
-    }
-
-    fn delete(&mut self, handle: Handle) -> bool {
-        DeamortizedDpss::delete(self, handle.raw()).is_some()
-    }
-
-    fn query_into(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio, out: &mut Vec<Handle>) {
-        self.sample_into(ctx, alpha, beta, out, Handle::from_raw);
-    }
-
-    fn slot(&self, handle: Handle) -> usize {
-        handle_idx(handle.raw())
-    }
-
-    // `query_many` uses the trait's default batch-stream loop. Hoisting the
-    // per-query Σw → BigUint conversion out of a batch would save a handful
-    // of word ops — not worth a second copy of the per-index stream
-    // discipline that makes batch answers index-deterministic.
-
-    fn len(&self) -> usize {
-        DeamortizedDpss::len(self)
-    }
-
-    fn total_weight(&self) -> u128 {
-        DeamortizedDpss::total_weight(self)
-    }
-
-    fn name(&self) -> &'static str {
-        "halt-deam"
-    }
-
-    fn journal(&self) -> Option<&ChangeJournal> {
-        Some(DeamortizedDpss::journal(self))
-    }
-
-    fn poisoned(&self) -> bool {
-        DeamortizedDpss::poisoned(self)
-    }
-}
-
-impl SeedableBackend for DeamortizedDpss {
-    fn with_seed(seed: u64) -> Self {
-        DeamortizedDpss::new(seed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DeamortizedDpss;
     use bignum::Ratio;
     use pss_core::boxed;
 

@@ -53,9 +53,9 @@ pub use deamortized::DeamortizedDpss;
 pub use diagnostics::{LevelStats, StructureStats};
 pub use item::ItemId;
 pub use pss_core::{
-    recover, Handle, PssBackend, QueryCtx, RecoverError, SeedableBackend, SnapshotError,
+    recover, Handle, OpError, PssBackend, QueryCtx, RecoverError, SeedableBackend, SnapshotError,
     Snapshottable,
 };
 pub use query::FinalLevelMode;
-pub use sampler::{DpssSampler, OpError};
+pub use sampler::DpssSampler;
 pub use wordram::SpaceUsage;

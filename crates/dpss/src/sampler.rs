@@ -21,10 +21,10 @@ use crate::query::{
 use crate::snapshot::{level1_from_slab, read_slab, write_slab};
 use crate::structure::Level1;
 use bignum::{BigUint, Ratio};
-use pss_core::fault::{self, FaultError, Site};
+use pss_core::fault::{self, Site};
 use pss_core::{
-    kind, ChangeJournal, CtxRng, Delta, Enc, Handle, QueryCtx, SnapshotError, SnapshotReader,
-    SnapshotWriter, Snapshottable,
+    kind, ChangeJournal, CtxRng, Delta, Enc, Handle, OpError, QueryCtx, SnapshotError,
+    SnapshotReader, SnapshotWriter, Snapshottable,
 };
 use wordram::bits::{ceil_log2_u64, floor_log2_u64};
 use wordram::SpaceUsage;
@@ -143,30 +143,6 @@ fn derive_widths(n0: usize) -> (u32, u32) {
 fn count_bits(n0: usize, rebuild_factor: usize) -> u32 {
     floor_log2_u64(n0.saturating_mul(rebuild_factor).saturating_add(1) as u64)
 }
-
-/// Why a fallible HALT update (`try_insert` & co.) refused to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OpError {
-    /// A previous `&mut` update unwound mid-cascade: the hierarchy may be
-    /// half-cascaded, so every subsequent update is refused until the caller
-    /// recovers from a snapshot (the journal stays readable for that).
-    Poisoned,
-    /// An armed failpoint fired (fault-injection builds only). At an entry
-    /// site the structure is untouched and stays usable; at a mid-cascade
-    /// site the op is torn, so the sampler is additionally poisoned.
-    Fault(FaultError),
-}
-
-impl std::fmt::Display for OpError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OpError::Poisoned => write!(f, "sampler poisoned by an earlier torn update"),
-            OpError::Fault(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for OpError {}
 
 /// Dynamic Parameterized Subset Sampling over integer-weighted items.
 ///
@@ -714,24 +690,11 @@ impl DpssSampler {
         self.level1.is_flat() && self.level1.slab.slot_count() <= SCAN_SLOTS
     }
 
-    /// The one body of [`DpssSampler::query_in`] and the facade's
-    /// `query_into`: appends `map` of each sampled item to `out`, growing it
-    /// at most once. On a plan hit nothing else allocates.
-    ///
-    /// Two ways to answer, both exact:
-    /// - A scan sampler walks its slab records in slot order and decides
-    ///   each positive item by one plain inclusion coin (`scan_into` in
-    ///   [`crate::query`]). With at most [`SCAN_SLOTS`] slots that is O(1)
-    ///   work — and for the few items such a sampler holds, fewer coins
-    ///   than the fixed cost of the level-1 machinery (a bucket descriptor
-    ///   and a first-index draw per non-empty bucket) it replaces. The
-    ///   sample is staged on the stack, so the context keeps no item
-    ///   buffer for it.
-    /// - Every other sampler runs the hierarchy (Algorithm 1 at level 1)
-    ///   into the context's item buffer. The slot bound keeps a flat
-    ///   sampler whose slab outgrew `n` (a high-water mark left by deletes,
-    ///   or a wide [`DpssSampler::set_rebuild_factor`]) on this path, where
-    ///   the cost stays O(1 + μ).
+    /// The body of [`DpssSampler::query_in`] and the facade's `query_into`:
+    /// resolves `(α, β)` to the context's cached plan — `W`, its
+    /// accelerators and the level-1 thresholds — and answers through
+    /// [`DpssSampler::answer`], appending `map` of each sampled item to
+    /// `out`. On a plan hit nothing allocates but `out`'s growth.
     pub(crate) fn sample<T>(
         &self,
         ctx: &mut QueryCtx,
@@ -797,44 +760,65 @@ impl DpssSampler {
         };
         // pss-lint: allow(no-bare-index) — idx is position() over st.plans or len() - 1 after a push
         let plan = &st.plans[idx].plan;
-        let _guard = self.force_exact.then(randvar::exact_mode_guard);
-        if self.scans() {
-            return self.scan(rng, &plan.w, &plan.accel, out, map);
-        }
-        let mut frame = QueryFrame {
+        let frame = QueryFrame {
             rng,
             w: &plan.w,
             accel: plan.accel,
             table: &mut st.table,
             final_mode: self.final_mode,
         };
-        st.items.clear();
-        query_level1_into(&self.level1, &mut frame, &plan.th, &mut st.scratch, &mut st.items);
-        out.extend(st.items.iter().copied().map(map));
+        self.answer(frame, Some(plan.th), &mut st.scratch, &mut st.items, out, map);
     }
 
-    /// A scan sampler's query under `w > 0`: [`scan_into`] staged in a
-    /// stack buffer of [`SCAN_SLOTS`] items, then appended to `out` in one
-    /// exact-size step.
-    fn scan<T>(
+    /// The one query body of [`DpssSampler::sample`] and
+    /// [`DpssSampler::sample_with_total`], under a resolved `W > 0` (the
+    /// frame's `w` and `accel`) and the level-1 thresholds if a cached plan
+    /// holds them (`None` derives them here, and only if the hierarchy
+    /// runs). Appends `map` of each sampled item to `out`, growing it at
+    /// most once.
+    ///
+    /// Two ways to answer, both exact:
+    /// - A scan sampler walks its slab records in slot order and decides
+    ///   each positive item by one plain inclusion coin (`scan_into` in
+    ///   [`crate::query`]). With at most [`SCAN_SLOTS`] slots that is O(1)
+    ///   work — and for the few items such a sampler holds, fewer coins
+    ///   than the fixed cost of the level-1 machinery (a bucket descriptor
+    ///   and a first-index draw per non-empty bucket) it replaces. The
+    ///   sample is staged on the stack, so the context keeps no item
+    ///   buffer for it.
+    /// - Every other sampler runs the hierarchy (Algorithm 1 at level 1)
+    ///   into the context's item buffer. The slot bound keeps a flat
+    ///   sampler whose slab outgrew `n` (a high-water mark left by deletes,
+    ///   or a wide [`DpssSampler::set_rebuild_factor`]) on this path, where
+    ///   the cost stays O(1 + μ).
+    fn answer<T>(
         &self,
-        rng: &mut CtxRng,
-        w: &Ratio,
-        accel: &QueryAccel,
+        mut frame: QueryFrame<'_, CtxRng>,
+        th: Option<Thresholds>,
+        scratch: &mut QueryScratch,
+        items: &mut Vec<ItemId>,
         out: &mut Vec<T>,
         map: impl FnMut(ItemId) -> T,
     ) {
-        let mut staged = [ItemId::from_raw(0); SCAN_SLOTS];
-        let mut n = 0;
-        scan_into(&self.level1.slab, rng, w, accel, |id| {
-            // One entry per live slot at most, and a scan sampler has at
-            // most SCAN_SLOTS slots.
-            if let Some(slot) = staged.get_mut(n) {
-                *slot = id;
-                n += 1;
-            }
-        });
-        out.extend(staged.iter().take(n).copied().map(map));
+        let _guard = self.force_exact.then(randvar::exact_mode_guard);
+        if self.scans() {
+            let mut staged = [ItemId::from_raw(0); SCAN_SLOTS];
+            let mut n = 0;
+            scan_into(&self.level1.slab, frame.rng, frame.w, &frame.accel, |id| {
+                // One entry per live slot at most, and a scan sampler has at
+                // most SCAN_SLOTS slots.
+                if let Some(slot) = staged.get_mut(n) {
+                    *slot = id;
+                    n += 1;
+                }
+            });
+            out.extend(staged.iter().take(n).copied().map(map));
+            return;
+        }
+        let th = th.unwrap_or_else(|| self.level1_thresholds(frame.w, &frame.accel));
+        items.clear();
+        query_level1_into(&self.level1, &mut frame, &th, scratch, items);
+        out.extend(items.iter().copied().map(map));
     }
 
     /// The degenerate `W = 0` sample, every positive-weight item, gathered
@@ -891,17 +875,9 @@ impl DpssSampler {
         if w.is_zero() {
             return self.sample_all_positive(&mut st.items, out, map);
         }
-        let _guard = self.force_exact.then(randvar::exact_mode_guard);
         let accel = QueryAccel::new(w, !self.force_exact);
-        if self.scans() {
-            return self.scan(rng, w, &accel, out, map);
-        }
-        let th = self.level1_thresholds(w, &accel);
-        let mut frame =
-            QueryFrame { rng, w, accel, table: &mut st.table, final_mode: self.final_mode };
-        st.items.clear();
-        query_level1_into(&self.level1, &mut frame, &th, &mut st.scratch, &mut st.items);
-        out.extend(st.items.iter().copied().map(map));
+        let frame = QueryFrame { rng, w, accel, table: &mut st.table, final_mode: self.final_mode };
+        self.answer(frame, None, &mut st.scratch, &mut st.items, out, map);
     }
 
     /// Validates every structural invariant (test/debug hook; O(n)).

@@ -17,7 +17,7 @@
 
 use bignum::Ratio;
 use dpss::{DeamortizedDpss, DpssSampler, FinalLevelMode};
-use pss_core::QueryCtx;
+use pss_core::{PssBackend, QueryCtx};
 
 const N: usize = 2048;
 const QUERIES: u64 = 100;
@@ -146,16 +146,16 @@ fn deam_stream() -> (u64, u64, u64, u64) {
         handles.push(s.insert(w[BASE + r]));
         if r % 3 == 2 {
             let h = handles.swap_remove((r * 7) % handles.len());
-            assert!(s.delete(h).is_some());
+            assert!(s.delete(h));
         }
         saw_migrating |= s.migrating();
         queried_after |= s.epochs_completed() > 0 && !s.migrating();
         let beta = if r % 4 == 3 { Ratio::from_u64s(r as u64, 3) } else { Ratio::zero() };
-        let out = s.query_in(&mut ctx, &alpha, &beta);
+        let out = s.query(&mut ctx, &alpha, &beta);
         items += out.len() as u64;
         fnv(&mut hash, out.len() as u64);
         for h in out {
-            fnv(&mut hash, h);
+            fnv(&mut hash, h.raw());
         }
     }
     assert!(saw_migrating && queried_after, "the stream must span a whole migration epoch");

@@ -43,42 +43,6 @@ pub fn power_law_digraph(n: usize, m: usize, w_max: u64, seed: u64) -> Vec<(Node
     edges
 }
 
-/// Chung–Lu digraph with an explicit power-law out-degree sequence
-/// `d_i ∝ (i+1)^{-1/(γ−1)}` scaled so that `Σ d_i ≈ m`: each node `u` emits
-/// `round(d_u)` edges to uniformly random distinct targets. `γ ≥ 2`
-/// (passed as `gamma_x10`, e.g. `25` for γ = 2.5).
-pub fn chung_lu_digraph(
-    n: usize,
-    m: usize,
-    gamma_x10: u32,
-    w_max: u64,
-    seed: u64,
-) -> Vec<(NodeId, NodeId, u64)> {
-    assert!(gamma_x10 >= 20, "Chung–Lu requires γ ≥ 2.0");
-    let gamma = gamma_x10 as f64 / 10.0;
-    let exp = -1.0 / (gamma - 1.0);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let raw: Vec<f64> = (0..n).map(|i| ((i + 1) as f64).powf(exp)).collect();
-    let total: f64 = raw.iter().sum();
-    let scale = m as f64 / total;
-    let mut seen = std::collections::HashSet::new();
-    let mut edges = Vec::new();
-    for (u, r) in raw.iter().enumerate() {
-        let d = (r * scale).round() as usize;
-        let mut emitted = 0usize;
-        let mut attempts = 0usize;
-        while emitted < d && attempts < d * 10 + 10 {
-            attempts += 1;
-            let v = rng.gen_range(0..n as u32);
-            if v != u as u32 && seen.insert((u as u32, v)) {
-                edges.push((u as u32, v, rng.gen_range(1..=w_max)));
-                emitted += 1;
-            }
-        }
-    }
-    edges
-}
-
 /// Planted two-community digraph: nodes `0..n/2` and `n/2..n`; an ordered
 /// pair within a community gets an edge with probability `p_in_permille`,
 /// across communities with `p_out_permille`. Intra-community edges carry
@@ -160,22 +124,6 @@ mod tests {
             deg[v as usize] += 1;
         }
         assert!(*deg.iter().max().unwrap() >= 8, "no hub emerged");
-    }
-
-    #[test]
-    fn chung_lu_head_nodes_dominate() {
-        let edges = chung_lu_digraph(200, 2000, 25, 10, 13);
-        assert!(!edges.is_empty());
-        let mut out_deg = [0u32; 200];
-        for &(u, _, _) in &edges {
-            out_deg[u as usize] += 1;
-        }
-        // Node 0 gets the largest target degree; the tail gets ~constant.
-        assert!(out_deg[0] > out_deg[150], "no power-law head: {} vs {}", out_deg[0], out_deg[150]);
-        assert!(edges.iter().all(|&(u, v, _)| u != v));
-        // No duplicate ordered pairs.
-        let set: std::collections::HashSet<_> = edges.iter().map(|&(u, v, _)| (u, v)).collect();
-        assert_eq!(set.len(), edges.len());
     }
 
     #[test]

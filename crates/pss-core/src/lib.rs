@@ -14,10 +14,16 @@
 //! structures implement [`PssBackend`] in their own crates (`dpss`,
 //! `baselines`); this crate defines:
 //!
-//! - [`PssBackend`]: `&mut self` updates, **`&self` queries** with an
-//!   explicit [`QueryCtx`] holding all read-path mutable state, written
-//!   into a caller's buffer by [`PssBackend::query_into`], and the dense
-//!   [`PssBackend::slot`] of each handle for slot-indexed side tables;
+//! - [`PssBackend`]: fallible `&mut self` updates (each backend writes
+//!   [`PssBackend::try_insert`] and [`PssBackend::try_delete`], and may
+//!   override the provided batch and reweight; the panicking `insert`,
+//!   `delete`, `set_weight` and `insert_many` are provided wrappers over
+//!   them), **`&self` queries** with an explicit [`QueryCtx`] holding all
+//!   read-path mutable state, written into a caller's buffer by
+//!   [`PssBackend::query_into`], and the dense [`PssBackend::slot`] of each
+//!   handle for slot-indexed side tables;
+//! - [`OpError`]: why a fallible update refused to run (a poisoned backend
+//!   or an injected fault);
 //! - [`QueryCtx`]: the caller-owned context (RNG stream + per-backend plan
 //!   caches/memoizations) that makes shared-read queries possible, and
 //!   whose per-index batch streams ([`stream_seed`]) make a `query_many`
@@ -99,6 +105,30 @@ impl std::fmt::Display for Handle {
     }
 }
 
+/// Why a fallible update (`try_insert` & co.) refused to run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OpError {
+    /// A previous `&mut` update unwound mid-cascade: the hierarchy may be
+    /// half-cascaded, so every subsequent update is refused until the caller
+    /// recovers from a snapshot (the journal stays readable for that).
+    Poisoned,
+    /// An armed failpoint fired (fault-injection builds only). At an entry
+    /// site the structure is untouched and stays usable; at a mid-cascade
+    /// site the op is torn, so the sampler is additionally poisoned.
+    Fault(fault::FaultError),
+}
+
+impl std::fmt::Display for OpError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            OpError::Poisoned => write!(f, "sampler poisoned by an earlier torn update"),
+            OpError::Fault(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for OpError {}
+
 /// A dynamic parameterized subset sampler: maintains a weighted item set
 /// under inserts/deletes and answers PSS queries `(α, β)` in which each live
 /// item `x` is included independently with probability
@@ -114,6 +144,24 @@ impl std::fmt::Display for Handle {
 /// concurrently over one shared backend, each thread holding its own
 /// context.
 ///
+/// ## The update contract
+///
+/// Updates are fallible: each returns `Err(`[`OpError`]`)` instead of
+/// running on a poisoned backend or past an armed failpoint. A backend
+/// writes each update once, as a `try_*` body:
+///
+/// - required: [`PssBackend::try_insert`] and [`PssBackend::try_delete`];
+/// - provided, overridden where the backend has a native form:
+///   [`PssBackend::try_insert_many`] (a loop; a journaled backend stamps
+///   the batch with one epoch instead) and [`PssBackend::try_set_weight`]
+///   (delete, then insert, which changes the handle; an in-place reweight
+///   keeps it);
+/// - provided, never overridden: [`PssBackend::insert`],
+///   [`PssBackend::insert_many`], [`PssBackend::delete`] and
+///   [`PssBackend::set_weight`], which `expect` success of the `try_*` op.
+///   They panic only where a `try_*` op errs, so a caller that never arms
+///   a failpoint and never survives a torn update can use them freely.
+///
 /// Every sampler in the workspace implements this trait, which is what lets
 /// the benches, the workload drivers, and the agreement tests treat HALT, its
 /// de-amortized variant, and all baselines as interchangeable `dyn
@@ -125,23 +173,73 @@ impl std::fmt::Display for Handle {
 /// without per-callsite bounds.
 pub trait PssBackend: SpaceUsage + Send + Sync {
     /// Inserts an item with the given weight, returning its handle.
-    fn insert(&mut self, weight: u64) -> Handle;
+    fn try_insert(&mut self, weight: u64) -> Result<Handle, OpError>;
+
+    /// Deletes an item by handle: `Ok(true)` if it was live. A stale handle
+    /// — one already deleted, including one whose slot has since been
+    /// reissued to a later insert — returns `Ok(false)` and changes nothing.
+    fn try_delete(&mut self, handle: Handle) -> Result<bool, OpError>;
 
     /// Inserts a batch of items, returning their handles in order.
     ///
-    /// Semantically identical to calling [`PssBackend::insert`] in a loop
-    /// (and that is the default). Backends with a [`ChangeJournal`] override
-    /// this to stamp the whole batch with **one** journal epoch
+    /// Semantically identical to calling [`PssBackend::try_insert`] in a
+    /// loop, and that is the default, which stops at the first refused item
+    /// (the ones before it stay inserted). Backends with a [`ChangeJournal`]
+    /// override this to stamp the whole batch with **one** journal epoch
     /// ([`ChangeJournal::record_batch`]) instead of one per item — observers
     /// replay whole batches or nothing, so per-op semantics are unchanged.
-    fn insert_many(&mut self, weights: &[u64]) -> Vec<Handle> {
-        weights.iter().map(|&w| self.insert(w)).collect()
+    fn try_insert_many(&mut self, weights: &[u64]) -> Result<Vec<Handle>, OpError> {
+        weights.iter().map(|&w| self.try_insert(w)).collect()
     }
 
-    /// Deletes an item by handle; `true` if it was live. A stale handle —
-    /// one already deleted, including one whose slot has since been
-    /// reissued to a later insert — returns `false` and changes nothing.
-    fn delete(&mut self, handle: Handle) -> bool;
+    /// Changes the weight of a live item, returning its (possibly new)
+    /// handle, or `Ok(None)` if the handle was stale (already deleted,
+    /// including one whose slot has since been reissued), in which case
+    /// nothing changes.
+    ///
+    /// The default deletes and re-inserts, which *changes the handle* (and
+    /// a refused insert leaves the item deleted); structures with native
+    /// in-place reweighting (HALT, and every [`Store`]-backed baseline via
+    /// [`Store::set_weight`]) override this and keep the handle stable.
+    /// Callers that cache handles must always adopt the returned one.
+    fn try_set_weight(
+        &mut self,
+        handle: Handle,
+        new_weight: u64,
+    ) -> Result<Option<Handle>, OpError> {
+        if !self.try_delete(handle)? {
+            return Ok(None);
+        }
+        self.try_insert(new_weight).map(Some)
+    }
+
+    /// [`PssBackend::try_insert`], panicking if the backend refuses.
+    #[inline]
+    fn insert(&mut self, weight: u64) -> Handle {
+        // pss-lint: allow(no-panic-paths) — fails only on a poisoned sampler or an armed failpoint; both mean the caller opted into fault-injection semantics and must use try_insert
+        self.try_insert(weight).expect("update refused; use try_insert on a fallible path")
+    }
+
+    /// [`PssBackend::try_insert_many`], panicking if the backend refuses.
+    #[inline]
+    fn insert_many(&mut self, weights: &[u64]) -> Vec<Handle> {
+        // pss-lint: allow(no-panic-paths) — fails only on a poisoned sampler or an armed failpoint; both mean the caller opted into fault-injection semantics and must use try_insert_many
+        self.try_insert_many(weights).expect("update refused; use try_insert_many")
+    }
+
+    /// [`PssBackend::try_delete`], panicking if the backend refuses.
+    #[inline]
+    fn delete(&mut self, handle: Handle) -> bool {
+        // pss-lint: allow(no-panic-paths) — fails only on a poisoned sampler or an armed failpoint; both mean the caller opted into fault-injection semantics and must use try_delete
+        self.try_delete(handle).expect("update refused; use try_delete on a fallible path")
+    }
+
+    /// [`PssBackend::try_set_weight`], panicking if the backend refuses.
+    #[inline]
+    fn set_weight(&mut self, handle: Handle, new_weight: u64) -> Option<Handle> {
+        // pss-lint: allow(no-panic-paths) — fails only on a poisoned sampler or an armed failpoint; both mean the caller opted into fault-injection semantics and must use try_set_weight
+        self.try_set_weight(handle, new_weight).expect("update refused; use try_set_weight")
+    }
 
     /// Answers one PSS query with parameters `(α, β)`, drawing randomness
     /// (and any cached read-path state) from `ctx`, and appends the sampled
@@ -208,23 +306,6 @@ pub trait PssBackend: SpaceUsage + Send + Sync {
 
     /// Short display name (stable; used in reports and test messages).
     fn name(&self) -> &'static str;
-
-    /// Changes the weight of a live item, returning its (possibly new)
-    /// handle, or `None` if the handle was stale (already deleted, including
-    /// one whose slot has since been reissued), in which case nothing
-    /// changes.
-    ///
-    /// The default implementation deletes and re-inserts, which *changes the
-    /// handle*; structures with native in-place reweighting (HALT, and every
-    /// [`Store`]-backed baseline via [`Store::set_weight`]) override this and
-    /// keep the handle stable. Callers that cache handles must always adopt
-    /// the returned one.
-    fn set_weight(&mut self, handle: Handle, new_weight: u64) -> Option<Handle> {
-        if !self.delete(handle) {
-            return None;
-        }
-        Some(self.insert(new_weight))
-    }
 
     /// Scales **every** live weight to `⌊w·num/den⌋` (see [`scale_weight`])
     /// in one native operation, returning `true` if the backend supports it.

@@ -37,7 +37,7 @@
 //! [`RecoverError::NeedsResync`] instead of silently serving stale state.
 
 use crate::journal::{ChangeJournal, Delta, Replay};
-use crate::{fault, PssBackend, Store};
+use crate::{fault, OpError, PssBackend, Store};
 use wordram::crc::crc32;
 use wordram::narrow;
 
@@ -45,8 +45,10 @@ use wordram::narrow;
 pub const MAGIC: &[u8; 8] = b"PSSSNAP\0";
 
 /// Format version written by this codec (readers reject anything else).
-/// Version 2 dropped the query-context seeds from both HALT sections.
-pub const FORMAT_VERSION: u16 = 2;
+/// Version 2 dropped the query-context seeds from both HALT sections;
+/// version 3 appended the slot generations to the [`Store`] payload (and a
+/// journal-watermark section to the naive baselines' images).
+pub const FORMAT_VERSION: u16 = 3;
 
 /// Salt XORed into the total-length trailer so a torn tail whose last eight
 /// bytes happen to be payload data is unlikely to alias a valid length.
@@ -190,11 +192,6 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a `u128`, little-endian.
-    pub fn put_u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a `usize` as a `u64` (snapshots are width-independent).
     pub fn put_usize(&mut self, v: usize) {
         self.put_u64(v as u64);
@@ -278,12 +275,6 @@ impl<'a> Dec<'a> {
     pub fn get_u64(&mut self) -> Result<u64, SnapshotError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes(b.try_into().map_err(|_| SnapshotError::Truncated)?))
-    }
-
-    /// Reads a little-endian `u128`.
-    pub fn get_u128(&mut self) -> Result<u128, SnapshotError> {
-        let b = self.take(16)?;
-        Ok(u128::from_le_bytes(b.try_into().map_err(|_| SnapshotError::Truncated)?))
     }
 
     /// Reads a `u64` that must fit this platform's `usize`.
@@ -557,6 +548,14 @@ pub enum RecoverError {
         /// What went wrong.
         detail: &'static str,
     },
+    /// The restored backend refused a replayed update (an armed failpoint,
+    /// or a replay that tore and poisoned it).
+    Refused {
+        /// Index of the refused delta within the replay suffix.
+        index: usize,
+        /// The backend's typed refusal.
+        error: OpError,
+    },
 }
 
 impl std::fmt::Display for RecoverError {
@@ -569,6 +568,9 @@ impl std::fmt::Display for RecoverError {
             ),
             RecoverError::ReplayMismatch { index, detail } => {
                 write!(f, "replay delta {index} did not apply: {detail}")
+            }
+            RecoverError::Refused { index, error } => {
+                write!(f, "replay delta {index} was refused: {error}")
             }
         }
     }
@@ -588,9 +590,10 @@ impl From<SnapshotError> for RecoverError {
 /// The watermark is read from the restored backend's own journal — a
 /// [`Snapshottable`] backend with a journal persists its epoch and resumes
 /// it on load — so the caller only supplies the bytes and the log. Replay
-/// drives the backend's *public* update ops, which re-journal each delta:
-/// after recovery the backend's epoch matches what the original would have
-/// reached applying the same ops.
+/// drives the backend's *public* fallible update ops, which re-journal each
+/// delta: after recovery the backend's epoch matches what the original
+/// would have reached applying the same ops. An op the backend refuses
+/// surfaces as [`RecoverError::Refused`], never as a panic.
 pub fn recover<B: Snapshottable + PssBackend>(
     snapshot: &[u8],
     journal: &ChangeJournal,
@@ -616,9 +619,10 @@ pub fn recover<B: Snapshottable + PssBackend>(
                         Delta::Inserted { .. } | Delta::ScaledAll { .. } | Delta::Rebuilt => {}
                     }
                 }
+                let refused = |error| RecoverError::Refused { index, error };
                 match *delta {
                     Delta::Inserted { handle, weight } => {
-                        if backend.insert(weight) != handle {
+                        if backend.try_insert(weight).map_err(refused)? != handle {
                             return Err(RecoverError::ReplayMismatch {
                                 index,
                                 detail: "insert issued a different handle",
@@ -626,7 +630,7 @@ pub fn recover<B: Snapshottable + PssBackend>(
                         }
                     }
                     Delta::Deleted { handle } => {
-                        if !backend.delete(handle) {
+                        if !backend.try_delete(handle).map_err(refused)? {
                             return Err(RecoverError::ReplayMismatch {
                                 index,
                                 detail: "journaled delete hit a stale handle",
@@ -634,7 +638,7 @@ pub fn recover<B: Snapshottable + PssBackend>(
                         }
                     }
                     Delta::Reweighted { handle, old: _, new } => {
-                        if backend.set_weight(handle, new) != Some(handle) {
+                        if backend.try_set_weight(handle, new).map_err(refused)? != Some(handle) {
                             return Err(RecoverError::ReplayMismatch {
                                 index,
                                 detail: "reweight was not handle-stable",
@@ -806,7 +810,6 @@ mod tests {
         enc.put_u16(300);
         enc.put_u32(70_000);
         enc.put_u64(1 << 50);
-        enc.put_u128(1 << 100);
         enc.put_usize(42);
         enc.put_bool(true);
         enc.put_bool(false);
@@ -816,7 +819,6 @@ mod tests {
         assert_eq!(dec.get_u16().unwrap(), 300);
         assert_eq!(dec.get_u32().unwrap(), 70_000);
         assert_eq!(dec.get_u64().unwrap(), 1 << 50);
-        assert_eq!(dec.get_u128().unwrap(), 1 << 100);
         assert_eq!(dec.get_usize().unwrap(), 42);
         assert!(dec.get_bool().unwrap());
         assert!(!dec.get_bool().unwrap());
@@ -876,11 +878,11 @@ mod tests {
     }
 
     impl PssBackend for StoreBackend {
-        fn insert(&mut self, weight: u64) -> crate::Handle {
-            self.0.insert(weight)
+        fn try_insert(&mut self, weight: u64) -> Result<crate::Handle, OpError> {
+            Ok(self.0.insert(weight))
         }
-        fn delete(&mut self, handle: crate::Handle) -> bool {
-            self.0.delete(handle)
+        fn try_delete(&mut self, handle: crate::Handle) -> Result<bool, OpError> {
+            Ok(self.0.delete(handle))
         }
         fn query_into(
             &self,
@@ -902,8 +904,12 @@ mod tests {
         fn name(&self) -> &'static str {
             "store-backend"
         }
-        fn set_weight(&mut self, handle: crate::Handle, w: u64) -> Option<crate::Handle> {
-            self.0.set_weight(handle, w).map(|_| handle)
+        fn try_set_weight(
+            &mut self,
+            handle: crate::Handle,
+            w: u64,
+        ) -> Result<Option<crate::Handle>, OpError> {
+            Ok(self.0.set_weight(handle, w).map(|_| handle))
         }
         fn scale_all_weights(&mut self, num: u32, den: u32) -> bool {
             self.0.scale_all(num, den);

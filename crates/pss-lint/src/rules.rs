@@ -628,9 +628,20 @@ pub const JOURNAL_CRATES: &[&str] = &["dpss", "pss-core", "baselines"];
 /// and audited by its own proptest suite.
 pub const FLOAT_CRATES: &[&str] = &["dpss", "pss-core", "baselines", "randvar"];
 
-/// `PssBackend` trait methods that mutate sampler state.
-pub const MUTATOR_NAMES: &[&str] =
-    &["insert", "insert_many", "delete", "set_weight", "scale_all_weights"];
+/// `PssBackend` trait methods that mutate sampler state: the fallible
+/// `try_*` bodies every backend writes, and the infallible names a backend
+/// may still implement directly.
+pub const MUTATOR_NAMES: &[&str] = &[
+    "try_insert",
+    "try_insert_many",
+    "try_delete",
+    "try_set_weight",
+    "insert",
+    "insert_many",
+    "delete",
+    "set_weight",
+    "scale_all_weights",
+];
 
 /// Run the semantic rules on one parsed file; returns the journal facts
 /// feeding the workspace fixpoint. Local findings are appended to `out`.

@@ -1,5 +1,7 @@
-//! Fixture: journal-completeness. One uncovered mutator exit; delegation
-//! through `try_insert` keeps `insert` clean, proving the closure works.
+//! Fixture: journal-completeness. One uncovered exit in an infallible and
+//! one in a fallible mutator; delegation through `try_insert` keeps
+//! `insert` clean, proving the closure works, and `try_delete`'s
+//! stale-handle `Ok(false)` is a no-op exit.
 
 pub struct S {
     journal: Journal,
@@ -28,5 +30,13 @@ impl PssBackend for S {
             return true; // exits a journaled mutator without recording
         }
         false
+    }
+
+    fn try_delete(&mut self, h: u64) -> Result<bool, OpError> {
+        if self.live != h {
+            return Ok(false);
+        }
+        self.live -= 1;
+        Ok(true) // a fallible mutator's exit without a record
     }
 }

@@ -80,10 +80,11 @@ fn hot_path_marker_arms_the_alloc_rule() {
 #[test]
 fn journal_completeness_flags_the_uncovered_exit_only() {
     // `insert` delegates to an always-journaling `try_insert` (clean via
-    // the call-graph closure); `delete`'s `return true` is the one exit
-    // that escapes without a record.
+    // the call-graph closure); `delete`'s `return true` and `try_delete`'s
+    // `Ok(true)` are the exits that escape without a record.
     let got = lint_fixture("sem_journal.rs");
-    let want: Vec<(u32, String)> = vec![(28, "journal-completeness".to_string())];
+    let want: Vec<(u32, String)> =
+        vec![(30, "journal-completeness".to_string()), (40, "journal-completeness".to_string())];
     assert_eq!(got, want);
 }
 

@@ -4,8 +4,8 @@
 //! correctness bug waiting for a large input. This module is the sanctioned
 //! home for narrowing: the `*_of_*` helpers are value-preserving (a debug
 //! assertion proves it on every test run, release builds keep the plain
-//! cast), while `lo32`/`lo16`/`lo8` spell out the cases where truncation is
-//! the point (hash mixing, limb decomposition). `pss-lint`'s
+//! cast), while `lo32` spells out the case where truncation is the point
+//! (hash mixing, limb decomposition). `pss-lint`'s
 //! `no-lossy-cast` rule steers every truncating `as` cast in the workspace
 //! either through here or to a per-site justification pragma.
 // pss-lint: allow-file(no-lossy-cast) — this module is the audited narrowing layer; every cast is either debug_assert-checked or deliberately truncating by name
@@ -39,13 +39,6 @@ pub fn u16_of_u64(x: u64) -> u16 {
     x as u16
 }
 
-/// Value-preserving `u64 -> u8` narrowing (callers promise it fits).
-#[inline]
-pub fn u8_of_u64(x: u64) -> u8 {
-    debug_assert!(u8::try_from(x).is_ok(), "u8_of_u64: {x} does not fit");
-    x as u8
-}
-
 /// Value-preserving `u64 -> i32` narrowing (callers promise it fits).
 #[inline]
 pub fn i32_of_u64(x: u64) -> i32 {
@@ -66,18 +59,6 @@ pub fn lo32(x: u64) -> u32 {
     x as u32
 }
 
-/// The low 16 bits of `x`. Truncation is deliberate and named.
-#[inline]
-pub fn lo16(x: u64) -> u16 {
-    x as u16
-}
-
-/// The low 8 bits of `x`. Truncation is deliberate and named.
-#[inline]
-pub fn lo8(x: u64) -> u8 {
-    x as u8
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,7 +70,6 @@ mod tests {
         assert_eq!(u32_of_u64(7), 7);
         assert_eq!(u16_of_usize(65_535), u16::MAX);
         assert_eq!(u16_of_u64(9), 9);
-        assert_eq!(u8_of_u64(255), 255);
         assert_eq!(i32_of_u64(i32::MAX as u64), i32::MAX);
         assert_eq!(i32_of_i64(-5), -5);
     }
@@ -97,8 +77,6 @@ mod tests {
     #[test]
     fn deliberate_truncation() {
         assert_eq!(lo32(0xdead_beef_0000_0001), 1);
-        assert_eq!(lo16(0x1_ffff), 0xffff);
-        assert_eq!(lo8(0x1_ff), 0xff);
     }
 
     #[test]

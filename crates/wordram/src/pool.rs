@@ -583,17 +583,11 @@ impl<T> Pool<T> {
         Ok(())
     }
 
-    /// Space in words: the slot array at its allocated capacity (each slot
-    /// `size_of::<T>()` bytes, rounded up to words as a whole), plus
-    /// `heap_words` of every slot — the words its own heap blocks hold —
-    /// plus the free list.
-    pub fn space_words_by(&self, heap_words: impl Fn(&T) -> usize) -> usize {
-        self.heap_words_by(heap_words) + 2
-    }
-
-    /// [`Pool::space_words_by`] without the pool's own scalars: the words
-    /// of heap the pool holds, for owners that account for the inline
-    /// struct themselves.
+    /// The words of heap the pool holds: the slot array at its allocated
+    /// capacity (each slot `size_of::<T>()` bytes, rounded up to words as a
+    /// whole), plus `heap_words` of every slot — the words its own heap
+    /// blocks hold — plus the free list. The pool's own scalars are left to
+    /// the owner, which accounts for its inline struct itself.
     pub fn heap_words_by(&self, heap_words: impl Fn(&T) -> usize) -> usize {
         (self.slots.capacity() * std::mem::size_of::<T>()).div_ceil(8)
             + self.slots.iter().map(heap_words).sum::<usize>()
@@ -854,6 +848,6 @@ mod tests {
         let carved_words = (arena.carved() * 2).div_ceil(8);
         assert!(arena.space_words() >= carved_words + 2);
         let pool: Pool<u64> = Pool::new();
-        assert_eq!(pool.space_words_by(|_| 1), 2);
+        assert_eq!(pool.heap_words_by(|_| 1), 0);
     }
 }

@@ -180,6 +180,7 @@ mod tests {
     use super::*;
     use crate::updates::StreamKind;
     use crate::weights::WeightDist;
+    use pss_core::OpError;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -200,11 +201,11 @@ mod tests {
     }
 
     impl PssBackend for CountingBackend {
-        fn insert(&mut self, weight: u64) -> pss_core::Handle {
-            self.store.insert(weight)
+        fn try_insert(&mut self, weight: u64) -> Result<Handle, OpError> {
+            Ok(self.store.insert(weight))
         }
-        fn delete(&mut self, handle: pss_core::Handle) -> bool {
-            self.store.delete(handle)
+        fn try_delete(&mut self, handle: Handle) -> Result<bool, OpError> {
+            Ok(self.store.delete(handle))
         }
         fn query_into(
             &self,
@@ -227,8 +228,12 @@ mod tests {
         fn name(&self) -> &'static str {
             "counting"
         }
-        fn set_weight(&mut self, handle: Handle, new_weight: u64) -> Option<Handle> {
-            self.store.set_weight(handle, new_weight).map(|_| handle)
+        fn try_set_weight(
+            &mut self,
+            handle: Handle,
+            new_weight: u64,
+        ) -> Result<Option<Handle>, OpError> {
+            Ok(self.store.set_weight(handle, new_weight).map(|_| handle))
         }
         fn scale_all_weights(&mut self, num: u32, den: u32) -> bool {
             if !self.native_scale {

@@ -36,6 +36,6 @@ pub mod updates;
 pub mod weights;
 
 pub use drive::{replay_stream, replay_stream_timed, ReplayReport, ReplayTiming};
-pub use params::{alpha_for_mu, beta_for_mu, mu_exact_f64, mu_exact_ratio, ParamSweep};
+pub use params::{alpha_for_mu, beta_for_mu, mu_exact_f64, mu_exact_ratio};
 pub use updates::{scale_weight, Op, StreamKind, UpdateStream};
 pub use weights::WeightDist;

@@ -63,60 +63,6 @@ pub fn mu_exact_f64(weights: &[u64], alpha: &Ratio, beta: &Ratio) -> f64 {
     mu_exact_ratio(weights, alpha, beta).to_f64_lossy()
 }
 
-/// A named sequence of `(α, β)` points used by the experiment harness.
-#[derive(Debug, Clone)]
-pub struct ParamSweep {
-    /// Human-readable sweep name for table headers.
-    pub name: &'static str,
-    /// The points: `(label, α, β)`.
-    pub points: Vec<(String, Ratio, Ratio)>,
-}
-
-impl ParamSweep {
-    /// The standard E2 sweep: `μ ∈ {1/16, 1, 16, 256, 4096}` via `α = 1/μ`.
-    pub fn mu_standard() -> Self {
-        let targets: [(u64, u64); 5] = [(1, 16), (1, 1), (16, 1), (256, 1), (4096, 1)];
-        let points = targets
-            .iter()
-            .map(|&(num, den)| {
-                let (a, b) = alpha_for_mu(num, den);
-                let label = if den == 1 { format!("mu={num}") } else { format!("mu={num}/{den}") };
-                (label, a, b)
-            })
-            .collect();
-        ParamSweep { name: "mu-sweep", points }
-    }
-
-    /// A β-only sweep at the same μ targets (requires the current `Σw`).
-    pub fn beta_standard(total_weight: u128) -> Self {
-        let targets: [(u64, u64); 4] = [(1, 1), (16, 1), (256, 1), (4096, 1)];
-        let points = targets
-            .iter()
-            .map(|&(num, den)| {
-                let (a, b) = beta_for_mu(total_weight, num, den);
-                (format!("beta-mu={num}"), a, b)
-            })
-            .collect();
-        ParamSweep { name: "beta-sweep", points }
-    }
-
-    /// Degenerate / boundary points: everything clamps (`α=0, β=1` with huge
-    /// weights ⇒ `p=1`), nothing sampled (`β` astronomically large), and the
-    /// identity parameterization `(1, 0)` used by the sorting reduction.
-    pub fn boundary() -> Self {
-        let points = vec![
-            ("all-in".to_string(), Ratio::zero(), Ratio::from_u64s(1, 1)),
-            (
-                "near-empty".to_string(),
-                Ratio::zero(),
-                Ratio::new(BigUint::pow2(120), BigUint::one()),
-            ),
-            ("identity".to_string(), Ratio::from_int(1), Ratio::zero()),
-        ];
-        ParamSweep { name: "boundary", points }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,22 +125,10 @@ mod tests {
     }
 
     #[test]
-    fn standard_sweep_shapes() {
-        let s = ParamSweep::mu_standard();
-        assert_eq!(s.points.len(), 5);
-        let b = ParamSweep::beta_standard(1000);
-        assert_eq!(b.points.len(), 4);
-        for (_, alpha, _) in &b.points {
-            assert!(alpha.is_zero());
-        }
-    }
-
-    #[test]
     fn boundary_all_in_clamps_everything() {
+        // α = 0, β = 1 with every weight ≥ 1: each p clamps to 1.
         let weights = vec![2u64, 4, 8];
-        let sweep = ParamSweep::boundary();
-        let (_, a, b) = &sweep.points[0];
-        let mu = mu_exact_ratio(&weights, a, b);
+        let mu = mu_exact_ratio(&weights, &Ratio::zero(), &Ratio::from_u64s(1, 1));
         assert_eq!(mu.cmp_int(3), std::cmp::Ordering::Equal);
     }
 

@@ -135,17 +135,6 @@ impl WeightDist {
             WeightDist::HeavyHitter { .. } => "heavy",
         }
     }
-
-    /// The standard suite of distributions used across experiments E1–E5.
-    pub fn standard_suite() -> Vec<WeightDist> {
-        vec![
-            WeightDist::Uniform { lo: 1, hi: 1 << 20 },
-            WeightDist::Zipf { s_num: 2, s_den: 1, w_max: 1 << 40 },
-            WeightDist::Bimodal { light: 4, heavy: 1 << 44, heavy_permille: 5 },
-            WeightDist::Equal { w: 1 << 10 },
-            WeightDist::PowersOfTwo { max_exp: 60 },
-        ]
-    }
 }
 
 /// Draws a Zipf(`s`, [`ZIPF_RANKS`]) rank in `{1..=ZIPF_RANKS}` by inversion
@@ -309,13 +298,6 @@ mod tests {
         let rate = heavy / ws.len() as f64;
         // Expected rate 1/256 ≈ 0.0039; allow generous CLT slack.
         assert!((rate - 1.0 / 256.0).abs() < 0.002, "rate {rate}");
-    }
-
-    #[test]
-    fn standard_suite_labels_are_distinct() {
-        let suite = WeightDist::standard_suite();
-        let labels: std::collections::HashSet<_> = suite.iter().map(|d| d.label()).collect();
-        assert_eq!(labels.len(), suite.len());
     }
 
     #[test]

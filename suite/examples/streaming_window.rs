@@ -15,7 +15,7 @@
 // Wall-clock timing is sanctioned here: this is measurement/driver code, not serving-path library code.
 #![allow(clippy::disallowed_types)]
 
-use dpss::{DeamortizedDpss, QueryCtx, Ratio};
+use dpss::{DeamortizedDpss, PssBackend, QueryCtx, Ratio};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -51,7 +51,7 @@ fn main() {
         max_ns = max_ns.max(dt);
 
         if (t + 1) % SAMPLE_EVERY == 0 {
-            let picked = window.query_in(&mut ctx, &alpha, &beta);
+            let picked = window.query(&mut ctx, &alpha, &beta);
             let heavy =
                 picked.iter().filter(|&&h| window.weight(h).unwrap_or(0) >= 1 << 20).count();
             println!(

@@ -21,7 +21,7 @@ use bignum::Ratio;
 use dpss::sampler::SCAN_SLOTS;
 use dpss::{DeamortizedDpss, DpssSampler, ItemId};
 use graphsub::{rr_set, DynGraph};
-use pss_core::{PssBackend, QueryCtx};
+use pss_core::{Handle, PssBackend, QueryCtx};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -135,21 +135,21 @@ fn steady_state_updates_do_not_allocate() {
     // ---- De-amortized HALT ------------------------------------------------
     let mut rng = SmallRng::seed_from_u64(0xA110D);
     let mut d = DeamortizedDpss::new(9);
-    let mut hs: Vec<u64> = Vec::with_capacity(2 * N);
+    let mut hs: Vec<Handle> = Vec::with_capacity(2 * N);
     for _ in 0..2 * N {
         hs.push(d.insert(weight(&mut rng)));
     }
     while hs.len() > N {
         let j = rng.gen_range(0..hs.len());
         let h = hs.swap_remove(j);
-        d.delete(h).unwrap();
+        assert!(d.delete(h));
     }
     // Constant-size churn cannot open a migration epoch, but the shrink
     // above may have left one in flight — drain it during warmup.
     for _ in 0..WARMUP {
         let j = rng.gen_range(0..hs.len());
         let h = hs[j];
-        d.delete(h).unwrap();
+        assert!(d.delete(h));
         hs[j] = d.insert(weight(&mut rng));
     }
     assert!(!d.migrating(), "warmup must drain any open migration epoch");
@@ -158,7 +158,7 @@ fn steady_state_updates_do_not_allocate() {
     for _ in 0..CHURN {
         let j = rng.gen_range(0..hs.len());
         let h = hs[j];
-        d.delete(h).unwrap();
+        assert!(d.delete(h));
         hs[j] = d.insert(weight(&mut rng));
     }
     let deam_allocs = allocs() - before;

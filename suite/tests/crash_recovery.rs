@@ -367,3 +367,25 @@ fn recover_from_corrupt_snapshot_is_a_typed_snapshot_error() {
         other => panic!("expected RecoverError::Snapshot, got {other:?}"),
     }
 }
+
+#[test]
+fn refused_replay_is_a_typed_recover_error() {
+    // The journal tail holds one insert; the restored sampler refuses it at
+    // its entry failpoint, and recovery reports which delta and why.
+    let _g = lock();
+    fault::clear();
+    let mut s = DpssSampler::logged(6);
+    DpssSampler::insert_many(&mut s, &[5, 6, 7]);
+    let snap = s.snapshot();
+    DpssSampler::insert(&mut s, 9);
+    fault::arm(Site::InsertEntry, Action::Error);
+    let outcome =
+        catch_unwind(AssertUnwindSafe(|| recover::<DpssSampler>(&snap, DpssSampler::journal(&s))));
+    fault::clear();
+    match outcome.expect("a refused replay must not panic") {
+        Err(RecoverError::Refused { index: 0, error: OpError::Fault(f) }) => {
+            assert_eq!(f.site, Site::InsertEntry);
+        }
+        other => panic!("expected RecoverError::Refused at delta 0, got {other:?}"),
+    }
+}

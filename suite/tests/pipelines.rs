@@ -5,7 +5,7 @@
 
 use baselines::{all_backends, OdssDss};
 use bignum::Ratio;
-use dpss::{DeamortizedDpss, DpssSampler, QueryCtx};
+use dpss::{DeamortizedDpss, DpssSampler, PssBackend, QueryCtx};
 use graphsub::{gen, local_cluster, InfluenceMaximizer};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -53,11 +53,11 @@ fn streams_replay_on_both_samplers() {
                 }
                 Op::DeleteAt(i) => {
                     assert!(halt.delete(live_h.remove_at(i)).is_some());
-                    assert!(deam.delete(live_d.remove_at(i)).is_some());
+                    assert!(deam.delete(live_d.remove_at(i)));
                 }
                 Op::DeleteOldest => {
                     assert!(halt.delete(live_h.remove_oldest()).is_some());
-                    assert!(deam.delete(live_d.remove_oldest()).is_some());
+                    assert!(deam.delete(live_d.remove_oldest()));
                 }
                 Op::ReweightAt { index, weight } => {
                     // HALT's native reweight keeps the id stable ...
@@ -65,13 +65,7 @@ fn streams_replay_on_both_samplers() {
                     assert!(halt.set_weight(id, weight).is_some());
                     // ... the de-amortized facade default re-issues handles.
                     let entry = &mut live_d.handles_mut()[index];
-                    let nh = pss_core::PssBackend::set_weight(
-                        &mut deam,
-                        pss_core::Handle::from_raw(*entry),
-                        weight,
-                    )
-                    .expect("live handle");
-                    *entry = nh.raw();
+                    *entry = deam.set_weight(*entry, weight).expect("live handle");
                 }
                 Op::ScaleAllWeights { num, den } => {
                     let scale = |w: u64| workloads::scale_weight(w, num, den);
@@ -84,13 +78,7 @@ fn streams_replay_on_both_samplers() {
                     // default (delete + reinsert) and re-issues handles.
                     for h in live_d.handles_mut() {
                         let w = deam.weight(*h).expect("live handle");
-                        let nh = pss_core::PssBackend::set_weight(
-                            &mut deam,
-                            pss_core::Handle::from_raw(*h),
-                            scale(w),
-                        )
-                        .expect("live handle");
-                        *h = nh.raw();
+                        *h = deam.set_weight(*h, scale(w)).expect("live handle");
                     }
                 }
             }

@@ -211,11 +211,11 @@ fn the_largest_scan_sampler() {
 /// `Some`.
 fn check_deamortized(
     s: &mut DeamortizedDpss,
-    watched: &[(u64, u64)],
+    watched: &[(Handle, u64)],
     words: Option<u64>,
     seed: u64,
 ) {
-    let keys: Vec<u64> = watched.iter().map(|&(h, _)| h).collect();
+    let keys: Vec<u64> = watched.iter().map(|&(h, _)| h.raw()).collect();
     let weights: Vec<u64> = watched.iter().map(|&(_, w)| w).collect();
     let probs = probs_under(&weights, s.total_weight() as f64);
     let (alpha, beta) = (Ratio::one(), Ratio::zero());
@@ -225,11 +225,11 @@ fn check_deamortized(
         let mut ctx = QueryCtx::new(seed);
         let counts = subset_counts(&keys, trials, || {
             let before = ctx.words_consumed();
-            let got = s.query_in(&mut ctx, &alpha, &beta);
+            let got = s.query(&mut ctx, &alpha, &beta);
             if let (false, Some(words)) = (force_exact, words) {
                 assert_eq!(ctx.words_consumed() - before, words, "not one word per item");
             }
-            got.into_iter().filter(|h| keys.contains(h)).collect()
+            got.into_iter().map(Handle::raw).filter(|h| keys.contains(h)).collect()
         });
         assert_law(&format!("force_exact = {force_exact}"), &counts, &probs, trials);
     }
@@ -241,7 +241,7 @@ fn deamortized_sampler_at_the_floor() {
     // Ten items, one of weight 0, never leave the first half (an epoch
     // opens above 24): the whole structure is one scan sampler.
     let mut s = DeamortizedDpss::new(5);
-    let live: Vec<(u64, u64)> =
+    let live: Vec<(Handle, u64)> =
         [0, 12, 25, 37, 50, 62, 75, 87, 100, 300].into_iter().map(|w| (s.insert(w), w)).collect();
     assert!(!s.migrating());
     check_deamortized(&mut s, &live, Some(9), 51);
@@ -259,10 +259,10 @@ fn both_halves_of_a_migrating_deamortized_sampler_scan() {
     let mut s = DeamortizedDpss::new(6);
     let weights: Vec<u64> = (0..26u64).map(|i| 10 + i * 13).collect();
     let handles = s.insert_many(&weights);
-    let mut live: Vec<(u64, u64)> = handles.into_iter().zip(weights).collect();
+    let mut live: Vec<(Handle, u64)> = handles.into_iter().zip(weights).collect();
     while !s.migrating() {
         let (h, _) = live.remove(0);
-        s.delete(h).unwrap();
+        assert!(s.delete(h));
     }
     let young = s.young().expect("migrating");
     assert!(young.level1().is_flat() && young.level1().slab.slot_count() <= SCAN_SLOTS);
