@@ -1,9 +1,14 @@
 //! Arbitrary-precision unsigned integers on 64-bit limbs.
 //!
 //! In the Word RAM model of the paper (§2.1) "every long integer is represented
-//! by an array of words". [`BigUint`] is exactly that: a little-endian vector of
-//! 64-bit limbs with no leading zero limb. All arithmetic is exact; division is
-//! Knuth's Algorithm D in base 2^32 with a fast single-limb path.
+//! by an array of words". [`BigUint`] is exactly that: little-endian 64-bit
+//! limbs with no leading zero limb. The values the samplers form — the query
+//! parameters, `W = α·Σw + β` and the threshold products — are rationals of
+//! O(1) words (§2.2), so a value of at most two limbs is held inline and only
+//! a longer one spills to the heap: arithmetic whose operands and result fit
+//! in 128 bits runs on `u128` words and never allocates. All arithmetic is
+//! exact; division is Knuth's Algorithm D in base 2^32 with a fast
+//! single-limb path.
 
 // pss-lint: allow-file(no-bare-index) — limb arrays are self-managed: every index is derived
 // from limbs.len() or a split of it, audited in place; a slip here is caught by the proptest
@@ -14,66 +19,88 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-/// An arbitrary-precision unsigned integer (little-endian 64-bit limbs).
-///
-/// Invariant: `limbs` never ends with a zero limb; zero is the empty vector.
-#[derive(Clone, Eq, Default)]
-pub struct BigUint {
-    limbs: Vec<u64>,
+/// Limbs a value holds inline; a longer value lives on the heap.
+const INLINE: usize = 2;
+
+/// The limb storage, normalized so that every value has exactly one form: a
+/// value of at most [`INLINE`] significant limbs is `Inline`, with every limb
+/// from `len` on zero, and `Heap` holds three or more limbs, the last one
+/// non-zero. Derived equality is then value equality, and a zero compares
+/// as two words.
+#[derive(Clone, PartialEq, Eq)]
+enum Repr {
+    Inline { len: u8, limbs: [u64; INLINE] },
+    Heap(Box<[u64]>),
 }
 
-/// Value equality: the representation is normalized, so equal values have
-/// equal limb vectors. Lengths are compared first and limbs without
-/// `memcmp`: handing `memcmp` two empty vectors (two zeros, behind dangling
-/// pointers) measured 146 ns against 3 ns for a one-limb compare on x86-64,
-/// and every plan-cache lookup with a zero α or β makes that comparison.
-impl PartialEq for BigUint {
-    #[inline]
-    fn eq(&self, other: &Self) -> bool {
-        self.limbs.len() == other.limbs.len()
-            && self.limbs.iter().zip(&other.limbs).all(|(a, b)| a == b)
+/// An arbitrary-precision unsigned integer (little-endian 64-bit limbs).
+///
+/// Values of at most 128 bits live inline (24 bytes, no heap); equality,
+/// ordering and hashing are by value, and [`BigUint::limbs`] is the same
+/// normalized slice whichever form holds it.
+#[derive(Clone, PartialEq, Eq)]
+pub struct BigUint {
+    repr: Repr,
+}
+
+impl Default for BigUint {
+    fn default() -> Self {
+        Self::zero()
     }
 }
 
 impl std::hash::Hash for BigUint {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.limbs.hash(state);
+        self.limbs().hash(state);
     }
 }
 
 impl BigUint {
+    /// The inline form of `v`.
+    #[inline]
+    const fn inline(v: u128) -> Self {
+        let (lo, hi) = (v as u64, (v >> 64) as u64);
+        let len = if hi != 0 { 2 } else { (lo != 0) as u8 };
+        BigUint { repr: Repr::Inline { len, limbs: [lo, hi] } }
+    }
+
+    /// The value as one `u128` word when it is held inline.
+    #[inline]
+    fn word(&self) -> Option<u128> {
+        match self.repr {
+            Repr::Inline { limbs: [lo, hi], .. } => Some(lo as u128 | (hi as u128) << 64),
+            Repr::Heap(_) => None,
+        }
+    }
+
+    /// Both operands as `u128` words when both are held inline.
+    #[inline]
+    fn words(&self, other: &Self) -> Option<(u128, u128)> {
+        Some((self.word()?, other.word()?))
+    }
+
     /// The value 0.
     #[inline]
-    pub fn zero() -> Self {
-        BigUint { limbs: Vec::new() }
+    pub const fn zero() -> Self {
+        Self::inline(0)
     }
 
     /// The value 1.
     #[inline]
-    pub fn one() -> Self {
-        BigUint { limbs: vec![1] }
+    pub const fn one() -> Self {
+        Self::inline(1)
     }
 
     /// Constructs from a `u64`.
     #[inline]
-    pub fn from_u64(v: u64) -> Self {
-        if v == 0 {
-            Self::zero()
-        } else {
-            BigUint { limbs: vec![v] }
-        }
+    pub const fn from_u64(v: u64) -> Self {
+        Self::inline(v as u128)
     }
 
     /// Constructs from a `u128`.
     #[inline]
-    pub fn from_u128(v: u128) -> Self {
-        let lo = v as u64;
-        let hi = (v >> 64) as u64;
-        if hi == 0 {
-            Self::from_u64(lo)
-        } else {
-            BigUint { limbs: vec![lo, hi] }
-        }
+    pub const fn from_u128(v: u128) -> Self {
+        Self::inline(v)
     }
 
     /// Constructs from little-endian limbs (normalizing trailing zeros).
@@ -81,58 +108,57 @@ impl BigUint {
         while limbs.last() == Some(&0) {
             limbs.pop();
         }
-        BigUint { limbs }
+        match *limbs {
+            [] => Self::zero(),
+            [lo] => Self::from_u64(lo),
+            [lo, hi] => Self::inline(lo as u128 | (hi as u128) << 64),
+            _ => BigUint { repr: Repr::Heap(limbs.into_boxed_slice()) },
+        }
     }
 
     /// Borrow the little-endian limbs.
     #[inline]
     pub fn limbs(&self) -> &[u64] {
-        &self.limbs
+        match &self.repr {
+            Repr::Inline { len, limbs } => &limbs[..usize::from(*len)],
+            Repr::Heap(limbs) => limbs,
+        }
     }
 
     /// Number of limbs (words) used; this is the model's space measure.
     #[inline]
     pub fn word_len(&self) -> usize {
-        self.limbs.len()
+        self.limbs().len()
     }
 
     /// `true` iff the value is 0.
     #[inline]
     pub fn is_zero(&self) -> bool {
-        self.limbs.is_empty()
+        matches!(self.repr, Repr::Inline { len: 0, .. })
     }
 
     /// `true` iff the value is 1.
     #[inline]
     pub fn is_one(&self) -> bool {
-        self.limbs.len() == 1 && self.limbs[0] == 1
+        self.word() == Some(1)
     }
 
     /// Converts to `u64`, returning `None` on overflow.
     #[inline]
     pub fn to_u64(&self) -> Option<u64> {
-        match self.limbs.len() {
-            0 => Some(0),
-            1 => Some(self.limbs[0]),
-            _ => None,
-        }
+        self.word().and_then(|v| u64::try_from(v).ok())
     }
 
     /// Converts to `u128`, returning `None` on overflow.
     #[inline]
     pub fn to_u128(&self) -> Option<u128> {
-        match self.limbs.len() {
-            0 => Some(0),
-            1 => Some(self.limbs[0] as u128),
-            2 => Some((self.limbs[0] as u128) | ((self.limbs[1] as u128) << 64)),
-            _ => None,
-        }
+        self.word()
     }
 
     /// Lossy conversion to `f64` (used only for diagnostics, never for sampling).
     pub fn to_f64_lossy(&self) -> f64 {
         let mut acc = 0.0_f64;
-        for &l in self.limbs.iter().rev() {
+        for &l in self.limbs().iter().rev() {
             acc = acc * 1.8446744073709552e19 + l as f64;
         }
         acc
@@ -148,7 +174,7 @@ impl BigUint {
     /// fast path: any decision made strictly against the bracket agrees with
     /// the exact value.
     pub fn to_f64_bounds(&self) -> (f64, f64) {
-        f64_bounds_from_limbs(&self.limbs, self.bit_len())
+        f64_bounds_from_limbs(self.limbs(), self.bit_len())
     }
 
     /// Number of significant bits: `bit_len(0) == 0`, `bit_len(1) == 1`.
@@ -157,38 +183,40 @@ impl BigUint {
     /// instruction per word, i.e. O(words).
     #[inline]
     pub fn bit_len(&self) -> u64 {
-        match self.limbs.last() {
+        let limbs = self.limbs();
+        match limbs.last() {
             None => 0,
-            Some(&hi) => (self.limbs.len() as u64 - 1) * 64 + (64 - hi.leading_zeros() as u64),
+            Some(&hi) => (limbs.len() as u64 - 1) * 64 + (64 - hi.leading_zeros() as u64),
         }
     }
 
     /// Returns bit `i` (little-endian; bit 0 is the least significant).
     #[inline]
     pub fn bit(&self, i: u64) -> bool {
+        let limbs = self.limbs();
         let limb = (i / 64) as usize;
-        if limb >= self.limbs.len() {
+        if limb >= limbs.len() {
             return false;
         }
         // pss-lint: allow(no-bare-shift) — amount is masked to < 64
-        (self.limbs[limb] >> (i % 64)) & 1 == 1
+        (limbs[limb] >> (i % 64)) & 1 == 1
     }
 
     /// `2^k`.
     pub fn pow2(k: u64) -> Self {
+        if let Some(v) = u32::try_from(k).ok().and_then(|k| 1u128.checked_shl(k)) {
+            return Self::inline(v);
+        }
         let limb = (k / 64) as usize;
         let mut limbs = vec![0u64; limb + 1];
         // pss-lint: allow(no-bare-shift) — amount is masked to < 64
         limbs[limb] = 1u64 << (k % 64);
-        BigUint { limbs }
+        Self::from_limbs(limbs)
     }
 
     /// `true` iff the value is an exact power of two.
     pub fn is_pow2(&self) -> bool {
-        if self.is_zero() {
-            return false;
-        }
-        let Some((last, rest)) = self.limbs.split_last() else {
+        let Some((last, rest)) = self.limbs().split_last() else {
             return false;
         };
         last.is_power_of_two() && rest.iter().all(|&l| l == 0)
@@ -196,7 +224,7 @@ impl BigUint {
 
     /// Number of trailing zero bits (`None` for zero).
     pub fn trailing_zeros(&self) -> Option<u64> {
-        for (i, &l) in self.limbs.iter().enumerate() {
+        for (i, &l) in self.limbs().iter().enumerate() {
             if l != 0 {
                 return Some(i as u64 * 64 + l.trailing_zeros() as u64);
             }
@@ -206,17 +234,19 @@ impl BigUint {
 
     /// `self + other`.
     pub fn add(&self, other: &Self) -> Self {
-        let (a, b) = if self.limbs.len() >= other.limbs.len() {
-            (&self.limbs, &other.limbs)
+        if let Some(s) = self.words(other).and_then(|(a, b)| a.checked_add(b)) {
+            return Self::inline(s);
+        }
+        let (a, b) = if self.word_len() >= other.word_len() {
+            (self.limbs(), other.limbs())
         } else {
-            (&other.limbs, &self.limbs)
+            (other.limbs(), self.limbs())
         };
         let mut out = Vec::with_capacity(a.len() + 1);
         let mut carry = 0u64;
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..a.len() {
+        for (i, &ai) in a.iter().enumerate() {
             let bi = b.get(i).copied().unwrap_or(0);
-            let (s1, c1) = a[i].overflowing_add(bi);
+            let (s1, c1) = ai.overflowing_add(bi);
             let (s2, c2) = s1.overflowing_add(carry);
             out.push(s2);
             carry = (c1 as u64) + (c2 as u64);
@@ -235,11 +265,15 @@ impl BigUint {
     /// `self - other`; panics on underflow (callers compare first).
     pub fn sub(&self, other: &Self) -> Self {
         debug_assert!(self.cmp(other) != Ordering::Less, "BigUint::sub underflow");
-        let mut out = Vec::with_capacity(self.limbs.len());
+        if let Some((a, b)) = self.words(other) {
+            return Self::inline(a.wrapping_sub(b));
+        }
+        let a = self.limbs();
+        let mut out = Vec::with_capacity(a.len());
         let mut borrow = 0u64;
-        for i in 0..self.limbs.len() {
-            let bi = other.limbs.get(i).copied().unwrap_or(0);
-            let (d1, b1) = self.limbs[i].overflowing_sub(bi);
+        for (i, &ai) in a.iter().enumerate() {
+            let bi = other.limbs().get(i).copied().unwrap_or(0);
+            let (d1, b1) = ai.overflowing_sub(bi);
             let (d2, b2) = d1.overflowing_sub(borrow);
             out.push(d2);
             borrow = (b1 as u64) + (b2 as u64);
@@ -250,18 +284,22 @@ impl BigUint {
 
     /// `self * other` (schoolbook; operand sizes in this library are tiny).
     pub fn mul(&self, other: &Self) -> Self {
+        if let Some(p) = self.words(other).and_then(|(a, b)| a.checked_mul(b)) {
+            return Self::inline(p);
+        }
         if self.is_zero() || other.is_zero() {
             return Self::zero();
         }
-        let mut out = vec![0u64; self.limbs.len() + other.limbs.len()];
-        for (i, &a) in self.limbs.iter().enumerate() {
+        let (a, b) = (self.limbs(), other.limbs());
+        let mut out = vec![0u64; a.len() + b.len()];
+        for (i, &x) in a.iter().enumerate() {
             let mut carry = 0u128;
-            for (j, &b) in other.limbs.iter().enumerate() {
-                let cur = out[i + j] as u128 + (a as u128) * (b as u128) + carry;
+            for (j, &y) in b.iter().enumerate() {
+                let cur = out[i + j] as u128 + (x as u128) * (y as u128) + carry;
                 out[i + j] = cur as u64;
                 carry = cur >> 64;
             }
-            let mut k = i + other.limbs.len();
+            let mut k = i + b.len();
             while carry != 0 {
                 let cur = out[k] as u128 + carry;
                 out[k] = cur as u64;
@@ -274,13 +312,17 @@ impl BigUint {
 
     /// `self * v` for a single limb.
     pub fn mul_u64(&self, v: u64) -> Self {
+        if let Some(p) = self.word().and_then(|a| a.checked_mul(v as u128)) {
+            return Self::inline(p);
+        }
         if v == 0 || self.is_zero() {
             return Self::zero();
         }
-        let mut out = Vec::with_capacity(self.limbs.len() + 1);
+        let a = self.limbs();
+        let mut out = Vec::with_capacity(a.len() + 1);
         let mut carry = 0u128;
-        for &a in &self.limbs {
-            let cur = (a as u128) * (v as u128) + carry;
+        for &x in a {
+            let cur = (x as u128) * (v as u128) + carry;
             out.push(cur as u64);
             carry = cur >> 64;
         }
@@ -295,14 +337,20 @@ impl BigUint {
         if self.is_zero() || k == 0 {
             return self.clone();
         }
+        if let Some(a) = self.word() {
+            // Fits in 128 bits iff k ≤ 128 − bit_len, so k < 128 here.
+            if k <= 128 - self.bit_len() {
+                return Self::inline(a.wrapping_shl(k as u32));
+            }
+        }
         let limb_shift = (k / 64) as usize;
         let bit_shift = (k % 64) as u32;
         let mut out = vec![0u64; limb_shift];
         if bit_shift == 0 {
-            out.extend_from_slice(&self.limbs);
+            out.extend_from_slice(self.limbs());
         } else {
             let mut carry = 0u64;
-            for &l in &self.limbs {
+            for &l in self.limbs() {
                 // pss-lint: allow(no-bare-shift) — bit_shift ∈ 1..=63: the == 0 case took the branch above
                 out.push((l << bit_shift) | carry);
                 // pss-lint: allow(no-bare-shift) — 64 - bit_shift ∈ 1..=63 for bit_shift ∈ 1..=63
@@ -317,12 +365,16 @@ impl BigUint {
 
     /// `self >> k` (floor).
     pub fn shr(&self, k: u64) -> Self {
+        if let Some(a) = self.word() {
+            return Self::inline(u32::try_from(k).ok().and_then(|k| a.checked_shr(k)).unwrap_or(0));
+        }
+        let limbs = self.limbs();
         let limb_shift = (k / 64) as usize;
-        if limb_shift >= self.limbs.len() {
+        if limb_shift >= limbs.len() {
             return Self::zero();
         }
         let bit_shift = (k % 64) as u32;
-        let src = &self.limbs[limb_shift..];
+        let src = &limbs[limb_shift..];
         let mut out = Vec::with_capacity(src.len());
         if bit_shift == 0 {
             out.extend_from_slice(src);
@@ -338,41 +390,46 @@ impl BigUint {
 
     /// Truncates to the lowest `k` bits (i.e. `self mod 2^k`).
     pub fn low_bits(&self, k: u64) -> Self {
-        let full = (k / 64) as usize;
-        if full >= self.limbs.len() {
+        if k >= self.bit_len() {
             return self.clone();
         }
-        let mut limbs: Vec<u64> = self.limbs[..=full].to_vec();
+        let limbs = self.limbs();
+        if k <= 128 {
+            // The result fits in the low two limbs: k < bit_len, so the
+            // value has at least one limb, and k ≤ 128 keeps the mask shift
+            // in range (k = 0 masks everything off).
+            let lo = limbs[0] as u128 | (limbs.get(1).copied().unwrap_or(0) as u128) << 64;
+            let mask = u128::MAX.checked_shr(128 - k as u32).unwrap_or(0);
+            return Self::inline(lo & mask);
+        }
+        let full = (k / 64) as usize;
+        let mut out: Vec<u64> = limbs[..=full].to_vec();
         let rem = k % 64;
         if rem == 0 {
-            limbs.pop();
-        } else {
-            if let Some(last) = limbs.last_mut() {
-                // pss-lint: allow(no-bare-shift) — rem = k % 64 and the rem == 0 case took the branch above
-                *last &= (1u64 << rem) - 1;
-            }
+            out.pop();
+        } else if let Some(last) = out.last_mut() {
+            // pss-lint: allow(no-bare-shift) — rem = k % 64 and the rem == 0 case took the branch above
+            *last &= (1u64 << rem) - 1;
         }
-        BigUint::from_limbs(limbs)
+        BigUint::from_limbs(out)
     }
 
     /// Comparison.
     #[allow(clippy::should_implement_trait)]
     pub fn cmp(&self, other: &Self) -> Ordering {
-        if self.limbs.len() != other.limbs.len() {
-            return self.limbs.len().cmp(&other.limbs.len());
+        if let Some((a, b)) = self.words(other) {
+            return a.cmp(&b);
         }
-        for i in (0..self.limbs.len()).rev() {
-            match self.limbs[i].cmp(&other.limbs[i]) {
-                Ordering::Equal => continue,
-                ord => return ord,
-            }
-        }
-        Ordering::Equal
+        let (a, b) = (self.limbs(), other.limbs());
+        a.len().cmp(&b.len()).then_with(|| a.iter().rev().cmp(b.iter().rev()))
     }
 
     /// `(self / other, self % other)`; panics if `other == 0`.
     pub fn div_rem(&self, other: &Self) -> (Self, Self) {
         assert!(!other.is_zero(), "division by zero");
+        if let Some((a, b)) = self.words(other) {
+            return (Self::inline(a / b), Self::inline(a % b));
+        }
         match self.cmp(other) {
             Ordering::Less => return (Self::zero(), self.clone()),
             Ordering::Equal => return (Self::one(), Self::zero()),
@@ -388,10 +445,14 @@ impl BigUint {
     /// `(self / d, self % d)` for a single limb divisor.
     pub fn div_rem_u64(&self, d: u64) -> (Self, u64) {
         assert!(d != 0, "division by zero");
-        let mut q = vec![0u64; self.limbs.len()];
+        if let Some(a) = self.word() {
+            return (Self::inline(a / d as u128), (a % d as u128) as u64);
+        }
+        let limbs = self.limbs();
+        let mut q = vec![0u64; limbs.len()];
         let mut rem = 0u128;
-        for i in (0..self.limbs.len()).rev() {
-            let cur = (rem << 64) | self.limbs[i] as u128;
+        for i in (0..limbs.len()).rev() {
+            let cur = (rem << 64) | limbs[i] as u128;
             q[i] = (cur / d as u128) as u64;
             rem = cur % d as u128;
         }
@@ -401,8 +462,8 @@ impl BigUint {
     /// Knuth Algorithm D in base 2^32.
     fn div_rem_knuth(&self, other: &Self) -> (Self, Self) {
         fn to32(x: &BigUint) -> Vec<u32> {
-            let mut v = Vec::with_capacity(x.limbs.len() * 2);
-            for &l in &x.limbs {
+            let mut v = Vec::with_capacity(x.word_len() * 2);
+            for &l in x.limbs() {
                 v.push(l as u32);
                 v.push((l >> 32) as u32);
             }
@@ -565,10 +626,10 @@ impl From<u128> for BigUint {
 impl fmt::Debug for BigUint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "BigUint(0x")?;
-        if self.limbs.is_empty() {
+        if self.is_zero() {
             write!(f, "0")?;
         }
-        for (i, l) in self.limbs.iter().rev().enumerate() {
+        for (i, l) in self.limbs().iter().rev().enumerate() {
             if i == 0 {
                 write!(f, "{l:x}")?;
             } else {
@@ -651,7 +712,7 @@ mod tests {
     #[test]
     fn equality_is_value_equality() {
         let zero = BigUint::zero();
-        // A zero built by arithmetic normalizes to the empty limb vector.
+        // A zero built by arithmetic normalizes to the one inline zero.
         let computed_zero = big(7).sub(&big(7));
         assert_eq!(zero, computed_zero);
         assert_eq!(zero, BigUint::from_limbs(vec![0, 0]));

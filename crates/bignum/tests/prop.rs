@@ -9,6 +9,103 @@ fn big(limbs: &[u64]) -> BigUint {
     BigUint::from_limbs(limbs.to_vec())
 }
 
+fn hash(v: &BigUint) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
+}
+
+/// The normalized limbs of `hi·2^128 + lo`.
+fn limbs_of(lo: u128, hi: u64) -> Vec<u64> {
+    let mut v = vec![lo as u64, (lo >> 64) as u64, hi];
+    while v.last() == Some(&0) {
+        v.pop();
+    }
+    v
+}
+
+// The inline/heap boundary: a value of at most two limbs is held inline and
+// a longer one on the heap. Each result below is checked against `u128`
+// arithmetic with an explicit third limb, and a result that comes back
+// under 128 bits must equal (`==`, hash, order) the value built directly
+// — which fails if it stayed in the heap form.
+proptest! {
+    #[test]
+    fn add_then_sub_crosses_two_limbs_and_back(gap in 0u128..(1 << 80), b in 1u128..) {
+        let a = u128::MAX - gap;
+        let (x, y) = (BigUint::from_u128(a), BigUint::from_u128(b));
+        let s = x.add(&y);
+        let (lo, carry) = a.overflowing_add(b);
+        prop_assert_eq!(s.limbs(), &limbs_of(lo, u64::from(carry))[..]);
+        let back = s.sub(&y);
+        prop_assert_eq!(&back, &x);
+        prop_assert_eq!(hash(&back), hash(&x));
+        prop_assert_eq!(s.sub(&x), y);
+    }
+
+    #[test]
+    fn mul_crosses_two_limbs_and_divides_back(a in 1u128.., m in 2u64..) {
+        let x = BigUint::from_u128(a);
+        let p = x.mul_u64(m);
+        prop_assert_eq!(&p, &x.mul(&BigUint::from_u64(m)));
+        // a·m = a₀·m + (a₁·m)·2^64, limb by limb.
+        let t0 = u128::from(a as u64) * u128::from(m);
+        let t1 = (a >> 64) * u128::from(m);
+        let (mid, c) = (t0 >> 64).overflowing_add(t1 & u128::from(u64::MAX));
+        let lo = (t0 & u128::from(u64::MAX)) | (mid << 64);
+        let top = (t1 >> 64) as u64 + u64::from(c) + (mid >> 64) as u64;
+        prop_assert_eq!(p.limbs(), &limbs_of(lo, top)[..]);
+        let (q, r) = p.div_rem_u64(m);
+        prop_assert_eq!(r, 0);
+        prop_assert_eq!(&q, &x);
+        let (q, r) = p.div_rem(&BigUint::from_u64(m));
+        prop_assert_eq!((q, r), (x, BigUint::zero()));
+    }
+
+    #[test]
+    fn shl_then_shr_crosses_two_limbs_and_back(a in 1u128.., k in 0u64..200) {
+        let x = BigUint::from_u128(a);
+        let y = x.shl(k);
+        prop_assert_eq!(y.bit_len(), x.bit_len() + k);
+        prop_assert_eq!(y.word_len() as u64, (x.bit_len() + k).div_ceil(64));
+        let back = y.shr(k);
+        prop_assert_eq!(&back, &x);
+        prop_assert_eq!(hash(&back), hash(&x));
+        // Truncating the shifted value to its low 128 bits lands inline.
+        let low = y.low_bits(128);
+        let want = if k < 128 { a << k } else { 0 };
+        prop_assert_eq!(low, BigUint::from_u128(want));
+    }
+
+    #[test]
+    fn equal_values_compare_and_hash_alike_whichever_path(a in any::<u128>(),
+                                                          pad in 0usize..3,
+                                                          b in 1u128..) {
+        let direct = BigUint::from_u128(a);
+        // Trailing zero limbs are trimmed, so the value lands inline.
+        let mut limbs = vec![a as u64, (a >> 64) as u64];
+        limbs.extend(std::iter::repeat_n(0, pad));
+        let padded = BigUint::from_limbs(limbs);
+        // Through a three-or-more-limb intermediate and back.
+        let spill = BigUint::pow2(128).mul(&BigUint::from_u128(b));
+        let through = direct.add(&spill);
+        prop_assert!(through.word_len() >= 3);
+        let round = through.sub(&spill);
+        let shifted = direct.shl(130).shr(130);
+        for v in [&padded, &round, &shifted] {
+            prop_assert_eq!(v, &direct);
+            prop_assert_eq!(v.cmp(&direct), Ordering::Equal);
+            prop_assert_eq!(hash(v), hash(&direct));
+            prop_assert_eq!(v.limbs(), direct.limbs());
+        }
+        // Across the boundary the shorter value is the smaller one.
+        prop_assert_eq!(direct.cmp(&through), Ordering::Less);
+        prop_assert_eq!(through.cmp(&direct), Ordering::Greater);
+        prop_assert_ne!(&through, &direct);
+    }
+}
+
 proptest! {
     #[test]
     fn add_matches_u128(a in any::<u64>(), b in any::<u64>()) {

@@ -83,10 +83,13 @@
 //! caller-supplied `Vec` — the `_into` functions are the implementation —
 //! and the buffers between levels (`QueryScratch`) live in the caller's
 //! context next to the plan cache. The heap is only reached by slivers,
-//! force-exact mode, a `W` whose parts exceed two words, a plan miss, a
-//! lookup-table row built for the first time, and a buffer growing past its
-//! high-water mark. The `Vec`-returning functions are thin wrappers for
-//! callers that drive one level at a time.
+//! force-exact mode, a `W` whose parts exceed two words, a plan miss that
+//! grows the context's cache, a lookup-table row built for the first time,
+//! and a buffer growing past its high-water mark. `W` and `(α, β)` are
+//! [`Ratio`]s whose parts of up to two words are held inline, so forming a
+//! plan allocates nothing, and a scan sampler forms `W` on every query. The
+//! `Vec`-returning functions are thin wrappers for callers that drive one
+//! level at a time.
 
 use crate::item::{ItemId, Slab};
 use crate::lookup::{LookupTable, MAX_K};
@@ -445,19 +448,24 @@ fn query_insignificant_into<V: LevelView, R: RngCore>(
 /// inclusion probability exactly 1.
 pub fn query_certain<V: LevelView>(view: &V, i_bottom: i64) -> Vec<V::Id> {
     let mut out = Vec::new();
-    query_certain_into(view, i_bottom, &mut out);
+    query_certain_into(view, i_bottom, &mut out, |id| id);
     out
 }
 
-/// [`query_certain`] appending to `out`.
-pub(crate) fn query_certain_into<V: LevelView>(view: &V, i_bottom: i64, out: &mut Vec<V::Id>) {
+/// [`query_certain`] appending `map` of each item to `out`.
+pub(crate) fn query_certain_into<V: LevelView, T>(
+    view: &V,
+    i_bottom: i64,
+    out: &mut Vec<T>,
+    mut map: impl FnMut(V::Id) -> T,
+) {
     let lo = i_bottom.max(0) as usize;
     let universe = view.nonempty().universe();
     if lo >= universe {
         return;
     }
     for b in view.nonempty().range(lo, universe - 1) {
-        out.extend((0..view.bucket_len(b)).map(|pos| view.bucket_item(b, pos)));
+        out.extend((0..view.bucket_len(b)).map(|pos| map(view.bucket_item(b, pos))));
     }
 }
 
@@ -761,7 +769,7 @@ pub(crate) fn query_level1_into<R: RngCore + Clone>(
     }
     let p0 = p0_of(n);
     query_insignificant_into(level1, frame.rng, frame.w, &frame.accel, th.i_insig_top, p0, out);
-    query_certain_into(level1, th.i_cert_bottom, out);
+    query_certain_into(level1, th.i_cert_bottom, out, |id| id);
     let QueryScratch { proxies, finals, candidates } = scratch;
     let g = level1.group_width as usize;
     for_significant_groups(&level1.nonempty_groups, th, |j| {
@@ -797,7 +805,7 @@ fn query_node_into<R: RngCore + Clone>(
     }
     let th = thresholds_at(frame.w, frame.accel.w_ceil_log2, n, view.node.group_width);
     query_insignificant_into(view, frame.rng, frame.w, &frame.accel, th.i_insig_top, p0_of(n), out);
-    query_certain_into(view, th.i_cert_bottom, out);
+    query_certain_into(view, th.i_cert_bottom, out, |id| id);
     for_significant_groups(&view.node.nonempty_groups, &th, |l| {
         // pss-lint: allow(no-panic-paths) — for_significant_groups only yields groups whose bitset bit is set, and a set bit implies an allocated child
         let child = view.child(l).expect("non-empty group without child");
@@ -840,7 +848,7 @@ fn query_final_into<R: RngCore + Clone>(
     debug_assert_eq!(i2, frame.w.ceil_log2());
     let p0 = (2, u128::from(m2));
     query_insignificant_into(view, frame.rng, frame.w, &frame.accel, i1, p0, out);
-    query_certain_into(view, i2, out);
+    query_certain_into(view, i2, out, |id| id);
 
     let k_len = i2 - i1 - 1;
     if k_len <= 0 || i2 <= 0 {

@@ -300,8 +300,9 @@ impl DpssSampler {
     /// the journal-driven middle path for weight-only churn, which skips the
     /// key clone and cache eviction of a miss and keeps the memoized lookup
     /// table. Degenerate `W = 0` queries bypass the cache and count as none
-    /// of the three. Observability hook — read by perfbench's
-    /// `dpss.sampler.plan_*` metrics.
+    /// of the three, and so does every query of a scan sampler, which keeps
+    /// no plan: its stats read `(0, 0, 0)`. Observability hook — read by
+    /// perfbench's `dpss.sampler.plan_*` metrics.
     pub fn plan_cache_stats_in(&self, ctx: &QueryCtx) -> (u64, u64, u64) {
         ctx.state_ref::<PlanState>(self.instance)
             .map_or((0, 0, 0), |st| (st.hits, st.misses, st.refreshes))
@@ -665,19 +666,23 @@ impl DpssSampler {
     /// item has probability 1 (the limit of `w/W` as `W → 0+`) and zero-weight
     /// items have probability 0.
     ///
-    /// Repeated queries at the same parameters hit the context's `(α, β)`
-    /// plan cache keyed on the sampler's mutation epoch, so `W`, its
-    /// fast-path accelerators, and the level-1 thresholds are computed once
-    /// per (parameters, item-set version, context) rather than per query.
-    /// On a hit the query allocates nothing but the returned `Vec`.
-    ///
     /// A *scan sampler* — flat ([`Level1::is_flat`]) with a slab of at most
     /// [`SCAN_SLOTS`] slots — skips the hierarchy: it flips one exact
     /// `Ber(min(1, w_x/W))` coin per positive item and returns the accepted
     /// items in slot order. With at most `SCAN_SLOTS` slots that is O(1)
     /// work, and for the few items such a sampler holds it costs less than
-    /// level 1's per-bucket setup. A flat sampler whose slab outgrew the
-    /// bound (deletes leave its high-water mark) keeps the hierarchy.
+    /// level 1's per-bucket setup. It keeps no state in `ctx`: `W` and its
+    /// accelerators are a few word operations while `W`'s parts fit in two
+    /// words, so each query forms them afresh and draws from `ctx`'s stream
+    /// alone. A flat sampler whose slab outgrew the bound (deletes leave its
+    /// high-water mark) keeps the hierarchy.
+    ///
+    /// Every other sampler keeps a plan cache in `ctx`, keyed on `(α, β)`
+    /// and revalidated against the sampler's journal, so `W`, its fast-path
+    /// accelerators and the level-1 thresholds are computed once per
+    /// (parameters, item-set version, context) rather than per query. On a
+    /// hit the query allocates nothing but the returned `Vec`; so does a
+    /// scan sampler's every query.
     pub fn query_in(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio) -> Vec<ItemId> {
         let mut out = Vec::new();
         self.sample(ctx, alpha, beta, &mut out, |id| id);
@@ -691,10 +696,11 @@ impl DpssSampler {
     }
 
     /// The body of [`DpssSampler::query_in`] and the facade's `query_into`:
+    /// a scan sampler forms `W` and scans ([`DpssSampler::scan`]); any other
     /// resolves `(α, β)` to the context's cached plan — `W`, its
     /// accelerators and the level-1 thresholds — and answers through
-    /// [`DpssSampler::answer`], appending `map` of each sampled item to
-    /// `out`. On a plan hit nothing allocates but `out`'s growth.
+    /// [`DpssSampler::answer`]. Appends `map` of each sampled item to `out`;
+    /// on a scan or a plan hit nothing allocates but `out`'s growth.
     pub(crate) fn sample<T>(
         &self,
         ctx: &mut QueryCtx,
@@ -705,9 +711,16 @@ impl DpssSampler {
     ) {
         if self.level1.total_weight == 0 && beta.is_zero() {
             // `W = α·0 + 0 = 0`: the degenerate convention samples every
-            // positive-weight item, and there are none. Answered before
-            // `W` is built, which allocates, and without a coin, as below.
+            // positive-weight item, and there are none.
             return;
+        }
+        if self.scans() {
+            let w = self.param_weight(alpha, beta);
+            if w.is_zero() {
+                return self.sample_all_positive(out, map);
+            }
+            let accel = QueryAccel::new(&w, !self.force_exact);
+            return self.scan(ctx.rng(), &w, &accel, out, map);
         }
         let (rng, st) = self.plan_state(ctx);
         self.revalidate(st);
@@ -725,7 +738,7 @@ impl DpssSampler {
                     // Degenerate convention; the entry can never be
                     // refreshed into a usable plan, so drop it.
                     st.plans.remove(i);
-                    return self.sample_all_positive(&mut st.items, out, map);
+                    return self.sample_all_positive(out, map);
                 }
                 st.refreshes += 1;
                 // pss-lint: allow(no-bare-index) — i was returned by position() over st.plans
@@ -738,7 +751,7 @@ impl DpssSampler {
                 let w = self.param_weight(alpha, beta);
                 if w.is_zero() {
                     // Degenerate convention; not worth a cache slot.
-                    return self.sample_all_positive(&mut st.items, out, map);
+                    return self.sample_all_positive(out, map);
                 }
                 st.misses += 1;
                 let plan = self.make_plan(w);
@@ -746,8 +759,8 @@ impl DpssSampler {
                     st.plans.remove(0);
                 }
                 // One entry at a time: a context that only ever asks one
-                // `(α, β)` pair (a graph node's) holds one entry, not the
-                // four a first `push` reserves.
+                // `(α, β)` pair holds one entry, not the four a first `push`
+                // reserves.
                 st.plans.reserve_exact(1);
                 st.plans.push(PlanEntry {
                     alpha: alpha.clone(),
@@ -770,27 +783,46 @@ impl DpssSampler {
         self.answer(frame, Some(plan.th), &mut st.scratch, &mut st.items, out, map);
     }
 
-    /// The one query body of [`DpssSampler::sample`] and
-    /// [`DpssSampler::sample_with_total`], under a resolved `W > 0` (the
-    /// frame's `w` and `accel`) and the level-1 thresholds if a cached plan
-    /// holds them (`None` derives them here, and only if the hierarchy
-    /// runs). Appends `map` of each sampled item to `out`, growing it at
-    /// most once.
-    ///
-    /// Two ways to answer, both exact:
-    /// - A scan sampler walks its slab records in slot order and decides
-    ///   each positive item by one plain inclusion coin (`scan_into` in
-    ///   [`crate::query`]). With at most [`SCAN_SLOTS`] slots that is O(1)
-    ///   work — and for the few items such a sampler holds, fewer coins
-    ///   than the fixed cost of the level-1 machinery (a bucket descriptor
-    ///   and a first-index draw per non-empty bucket) it replaces. The
-    ///   sample is staged on the stack, so the context keeps no item
-    ///   buffer for it.
-    /// - Every other sampler runs the hierarchy (Algorithm 1 at level 1)
-    ///   into the context's item buffer. The slot bound keeps a flat
-    ///   sampler whose slab outgrew `n` (a high-water mark left by deletes,
-    ///   or a wide [`DpssSampler::set_rebuild_factor`]) on this path, where
-    ///   the cost stays O(1 + μ).
+    /// A scan sampler's query under a resolved `W > 0`: walks the slab
+    /// records in slot order and decides each positive item by one plain
+    /// inclusion coin (`scan_into` in [`crate::query`]). With at most
+    /// [`SCAN_SLOTS`] slots that is O(1) work — and for the few items such a
+    /// sampler holds, fewer coins than the fixed cost of the level-1
+    /// machinery (a bucket descriptor and a first-index draw per non-empty
+    /// bucket) it replaces. It reads no context state: the sample is staged
+    /// on the stack and appended to `out`, growing it at most once.
+    fn scan<T>(
+        &self,
+        rng: &mut CtxRng,
+        w: &Ratio,
+        accel: &QueryAccel,
+        out: &mut Vec<T>,
+        map: impl FnMut(ItemId) -> T,
+    ) {
+        let _guard = self.force_exact.then(randvar::exact_mode_guard);
+        let mut staged = [ItemId::from_raw(0); SCAN_SLOTS];
+        let mut n = 0;
+        scan_into(&self.level1.slab, rng, w, accel, |id| {
+            // One entry per live slot at most, and a scan sampler has at
+            // most SCAN_SLOTS slots.
+            if let Some(slot) = staged.get_mut(n) {
+                *slot = id;
+                n += 1;
+            }
+        });
+        out.extend(staged.iter().take(n).copied().map(map));
+    }
+
+    /// The hierarchy's query body, shared by [`DpssSampler::sample`] and
+    /// [`DpssSampler::sample_with_total`] for every sampler that does not
+    /// scan: Algorithm 1 at level 1 under a resolved `W > 0` (the frame's
+    /// `w` and `accel`), with the level-1 thresholds if a cached plan holds
+    /// them (`None` derives them here), into the context's item buffer.
+    /// Appends `map` of each sampled item to `out`, growing it at most once.
+    /// The slot bound keeps a flat sampler whose slab outgrew `n` (a
+    /// high-water mark left by deletes, or a wide
+    /// [`DpssSampler::set_rebuild_factor`]) on this path, where the cost
+    /// stays O(1 + μ).
     fn answer<T>(
         &self,
         mut frame: QueryFrame<'_, CtxRng>,
@@ -801,37 +833,16 @@ impl DpssSampler {
         map: impl FnMut(ItemId) -> T,
     ) {
         let _guard = self.force_exact.then(randvar::exact_mode_guard);
-        if self.scans() {
-            let mut staged = [ItemId::from_raw(0); SCAN_SLOTS];
-            let mut n = 0;
-            scan_into(&self.level1.slab, frame.rng, frame.w, &frame.accel, |id| {
-                // One entry per live slot at most, and a scan sampler has at
-                // most SCAN_SLOTS slots.
-                if let Some(slot) = staged.get_mut(n) {
-                    *slot = id;
-                    n += 1;
-                }
-            });
-            out.extend(staged.iter().take(n).copied().map(map));
-            return;
-        }
         let th = th.unwrap_or_else(|| self.level1_thresholds(frame.w, &frame.accel));
         items.clear();
         query_level1_into(&self.level1, &mut frame, &th, scratch, items);
         out.extend(items.iter().copied().map(map));
     }
 
-    /// The degenerate `W = 0` sample, every positive-weight item, gathered
-    /// in `items` and appended to `out`.
-    fn sample_all_positive<T>(
-        &self,
-        items: &mut Vec<ItemId>,
-        out: &mut Vec<T>,
-        map: impl FnMut(ItemId) -> T,
-    ) {
-        items.clear();
-        query_certain_into(&self.level1, 0, items);
-        out.extend(items.iter().copied().map(map));
+    /// The degenerate `W = 0` sample, every positive-weight item in bucket
+    /// order, appended to `out`.
+    fn sample_all_positive<T>(&self, out: &mut Vec<T>, map: impl FnMut(ItemId) -> T) {
+        query_certain_into(&self.level1, 0, out, map);
     }
 
     /// The level-1 thresholds under a non-zero total weight `w`.
@@ -853,9 +864,10 @@ impl DpssSampler {
     /// uses internally (§4.1); it also lets several samplers share one global
     /// `W` (the de-amortized structure queries both migration halves with
     /// the union's `W`). `w = 0` follows the same convention as
-    /// [`DpssSampler::query_in`], and a scan sampler scans as there. It
-    /// allocates nothing but the returned `Vec` while `w`'s parts fit in two
-    /// words.
+    /// [`DpssSampler::query_in`], and a scan sampler scans as there, keeping
+    /// no state in `ctx`; any other sampler keeps its lookup table and
+    /// buffers there, but no plan. It allocates nothing but the returned
+    /// `Vec` while `w`'s parts fit in two words.
     pub fn query_with_total_in(&self, ctx: &mut QueryCtx, w: &Ratio) -> Vec<ItemId> {
         let mut out = Vec::new();
         self.sample_with_total(ctx, w, &mut out, |id| id);
@@ -871,11 +883,14 @@ impl DpssSampler {
         out: &mut Vec<T>,
         map: impl FnMut(ItemId) -> T,
     ) {
-        let (rng, st) = self.plan_state(ctx);
         if w.is_zero() {
-            return self.sample_all_positive(&mut st.items, out, map);
+            return self.sample_all_positive(out, map);
         }
         let accel = QueryAccel::new(w, !self.force_exact);
+        if self.scans() {
+            return self.scan(ctx.rng(), w, &accel, out, map);
+        }
+        let (rng, st) = self.plan_state(ctx);
         let frame = QueryFrame { rng, w, accel, table: &mut st.table, final_mode: self.final_mode };
         self.answer(frame, None, &mut st.scratch, &mut st.items, out, map);
     }

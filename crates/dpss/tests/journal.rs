@@ -9,11 +9,20 @@
 //! the per-op loop.
 
 use bignum::Ratio;
+use dpss::sampler::SCAN_SLOTS;
 use dpss::DpssSampler;
 use pss_core::{PssBackend, QueryCtx, Replay, DEFAULT_JOURNAL_CAPACITY};
 
 fn batch() -> Vec<(Ratio, Ratio)> {
     (0..8u64).map(|i| (Ratio::from_u64s(1, 8 + i), Ratio::zero())).collect()
+}
+
+/// Asserts that `s` keeps a plan cache: a scan sampler (flat, with at most
+/// `SCAN_SLOTS` slots) keeps none, so every fixture whose plan counters a
+/// test reads is built over the slot bound or above the flat floor.
+fn assert_plans(s: &DpssSampler) {
+    let l1 = s.level1();
+    assert!(!l1.is_flat() || l1.slab.slot_count() > SCAN_SLOTS, "fixture scans: no plan cache");
 }
 
 #[test]
@@ -46,6 +55,7 @@ fn insert_many_matches_per_op_inserts_bit_for_bit() {
 fn weight_only_churn_refreshes_plans_in_place() {
     let weights: Vec<u64> = (1..=256u64).collect();
     let (mut s, ids) = DpssSampler::from_weights(&weights, 5);
+    assert_plans(&s);
     let params = batch();
     let mut ctx = QueryCtx::new(9);
     for (a, b) in &params {
@@ -74,6 +84,7 @@ fn weight_only_churn_refreshes_plans_in_place() {
 fn weight_neutral_churn_keeps_plans_valid() {
     let weights: Vec<u64> = (1..=200u64).map(|i| i * 3).collect();
     let (mut s, ids) = DpssSampler::from_weights(&weights, 5);
+    assert_plans(&s);
     let params = batch();
     let mut ctx = QueryCtx::new(11);
     for (a, b) in &params {
@@ -99,6 +110,7 @@ fn weight_neutral_churn_keeps_plans_valid() {
 #[test]
 fn structural_rebuild_clears_plans() {
     let (mut s, _) = DpssSampler::from_weights(&(1..=64u64).collect::<Vec<_>>(), 5);
+    assert_plans(&s);
     let params = batch();
     let mut ctx = QueryCtx::new(13);
     for (a, b) in &params {
@@ -120,6 +132,7 @@ fn structural_rebuild_clears_plans() {
 #[test]
 fn ring_wrap_falls_back_for_slow_observers() {
     let (mut s, ids) = DpssSampler::from_weights(&(1..=32u64).collect::<Vec<_>>(), 5);
+    assert_plans(&s);
     s.attach_journal_ring(DEFAULT_JOURNAL_CAPACITY);
     let mut ctx = QueryCtx::new(17);
     let (a, b) = (Ratio::from_u64s(1, 4), Ratio::zero());
@@ -147,6 +160,7 @@ fn ring_wrap_falls_back_for_slow_observers() {
 #[test]
 fn ringless_sampler_refreshes_plans_until_a_rebuild() {
     let (mut s, ids) = DpssSampler::from_weights(&(1..=32u64).collect::<Vec<_>>(), 5);
+    assert_plans(&s);
     assert_eq!((s.journal().capacity(), s.journal().heap_words()), (0, 0), "no ring by default");
     let mut ctx = QueryCtx::new(17);
     let (a, b) = (Ratio::from_u64s(1, 4), Ratio::zero());
@@ -172,6 +186,25 @@ fn ringless_sampler_refreshes_plans_until_a_rebuild() {
     assert!(s.rebuild_count() > r0, "growth must have rebuilt");
     let _ = s.query_in(&mut ctx, &a, &b);
     assert_eq!(s.plan_cache_stats_in(&ctx), (0, 2, 1), "post-rebuild query misses");
+}
+
+/// A scan sampler forms `W` and its accelerators per query and keeps no
+/// plan, so its plan counters read `(0, 0, 0)` through misses, churn and
+/// repeats alike, and its context builds no lookup-table row.
+#[test]
+fn scan_samplers_keep_no_plan() {
+    let (mut s, ids) = DpssSampler::from_weights(&[37, 5, 92, 18, 64], 5);
+    let l1 = s.level1();
+    assert!(l1.is_flat() && l1.slab.slot_count() <= SCAN_SLOTS);
+    let mut ctx = QueryCtx::new(9);
+    for round in 0..3u64 {
+        for (a, b) in &batch() {
+            let _ = s.query_in(&mut ctx, a, b);
+        }
+        let _ = s.set_weight(ids[0], 40 + round);
+    }
+    assert_eq!(s.plan_cache_stats_in(&ctx), (0, 0, 0));
+    assert_eq!(s.lookup_rows_built(&ctx), 0);
 }
 
 #[test]

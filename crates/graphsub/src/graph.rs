@@ -37,9 +37,10 @@ const NO_NODE: NodeId = NodeId::MAX;
 /// sampler that small (flat, at most `dpss::sampler::SCAN_SLOTS` slots)
 /// answers a neighbourhood query by one exact coin per edge in slot order
 /// rather than through its level-1 buckets, and appends the sample to the
-/// graph's handle buffer. Its state in the node's context is then the
-/// cached plan (`W` and its accelerators); the item buffer a level-1 query
-/// fills is never allocated.
+/// graph's handle buffer. It forms `W` and its accelerators per query, on
+/// inline words, and keeps no state in the node's context: such a node
+/// costs its samplers, its tables and the context's inline struct, O(its
+/// edges) in all.
 #[derive(Debug)]
 struct NodeState<B> {
     /// Sampler over in-edges; item = edge, weight = A_uv.
@@ -51,16 +52,17 @@ struct NodeState<B> {
     /// `out_sampler` slot → target node.
     out_nbr: Vec<NodeId>,
     /// Query context for this node's two samplers. Per-node (rather than one
-    /// graph-wide context) so that each sampler's plan/table state survives
-    /// round-robin sampling over arbitrarily many nodes — a shared context's
-    /// bounded state area would thrash above its entry cap. It also makes a
-    /// node's draws independent of the order in which other nodes are
-    /// queried. This persistence is also what makes edge churn cheap: at the
-    /// node's next sample the context's cached read-path state revalidates
-    /// against the backend's change journal instead of rebuilding. A HALT
-    /// plan cache reads only the journal's version, in O(1) however many
-    /// edges moved, and refreshes its one plan in place unless the sampler
-    /// rebuilt; a baseline's materialization replays the deltas through
+    /// graph-wide context) so that a node's draws are independent of the
+    /// order in which other nodes are queried, and so that a sampler that
+    /// keeps read-path state there — a HALT sampler past the scan bound, or
+    /// a baseline — keeps it across round-robin sampling over arbitrarily
+    /// many nodes: a shared context's bounded state area would thrash above
+    /// its entry cap. That persistence is also what makes edge churn cheap
+    /// for them: at the node's next sample the state revalidates against
+    /// the backend's change journal instead of rebuilding. A HALT plan cache
+    /// reads only the journal's version, in O(1) however many edges moved,
+    /// and refreshes its one plan in place unless the sampler rebuilt; a
+    /// baseline's materialization replays the deltas through
     /// `ChangeJournal::catch_up` in O(deltas touched).
     ctx: QueryCtx,
 }
@@ -188,8 +190,7 @@ impl Hasher for PairHasher {
 pub struct DynGraph<B: PssBackend = DpssSampler> {
     nodes: Vec<NodeState<B>>,
     edges: HashMap<u64, EdgeRec, PairHash>,
-    /// The neighbourhood queries' `(α, β) = (1, 0)`, built once: a `Ratio`
-    /// holds its parts on the heap.
+    /// The neighbourhood queries' `(α, β) = (1, 0)`.
     params: (Ratio, Ratio),
     /// The RR loop's stamps and buffers.
     cascade: Cascade,

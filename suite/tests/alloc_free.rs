@@ -18,6 +18,7 @@
 #![allow(unsafe_code)]
 
 use bignum::Ratio;
+use dpss::query::{thresholds, QueryAccel};
 use dpss::sampler::SCAN_SLOTS;
 use dpss::{DeamortizedDpss, DpssSampler, ItemId};
 use graphsub::{rr_set, DynGraph};
@@ -352,4 +353,116 @@ fn warm_rr_set_allocates_only_its_result() {
     assert_eq!(off, 0, "{off} of 2000 warm RR sets allocated more than their result");
     #[cfg(debug_assertions)]
     let _ = off;
+}
+
+/// `W = α·Σw + β`, its accelerators and the level-1 thresholds — everything
+/// a plan holds — are formed on inline words while `Σw`, α and β have parts
+/// of at most 64 bits (and `W`'s cross products fit in 128): none of it
+/// reaches the heap. A query that misses the plan cache of a context whose
+/// cache is already full (so storing the new plan evicts one and grows
+/// nothing) then allocates only its result.
+#[test]
+fn param_weight_and_plan_build_do_not_allocate() {
+    let mut rng = SmallRng::seed_from_u64(0x9A4A);
+    let weights: Vec<u64> = (0..200).map(|_| rng.gen_range(1..=u64::MAX >> 8)).collect();
+    let (s, _) = DpssSampler::from_weights(&weights, 5);
+    assert!(!s.level1().is_flat(), "the fixture must keep a plan cache, not scan");
+    assert!(s.total_weight() >> 62 != 0 && s.total_weight() >> 64 == 0, "Σw fills one word");
+    let n = s.level1().n_positive;
+    let g = s.level1().group_width;
+    let pairs = [
+        (Ratio::one(), Ratio::zero()),
+        (Ratio::from_u64s(1, 16), Ratio::zero()),
+        (Ratio::from_u64s(3, 7), Ratio::from_u64s(u64::MAX, 5)),
+        (Ratio::from_u64s(u64::from(u32::MAX), u64::MAX), Ratio::from_int(1 << 40)),
+    ];
+    for (alpha, beta) in &pairs {
+        let before = allocs();
+        let w = s.param_weight(alpha, beta);
+        let accel = QueryAccel::new(&w, true);
+        let th = thresholds(&w, n, g);
+        let built = allocs() - before;
+        std::hint::black_box((&w, &accel, &th));
+        assert_eq!(built, 0, "α = {alpha}, β = {beta}: {built} allocations to build a plan");
+    }
+
+    // A cold miss on a full cache. μ ≈ 64 first: those queries grow the
+    // context's buffers past anything the μ ≈ 8 queries below need. Then
+    // fill the cache with distinct β, and ask fresh ones.
+    let mut ctx = QueryCtx::new(23);
+    for _ in 0..16 {
+        s.query_in(&mut ctx, &Ratio::from_u64s(1, 64), &Ratio::zero());
+    }
+    let alpha = Ratio::from_u64s(1, 8);
+    let beta = |k: u64| Ratio::from_int(k << 20);
+    for k in 0..64 {
+        s.query_in(&mut ctx, &alpha, &beta(k));
+    }
+    let (_, misses, _) = s.plan_cache_stats_in(&ctx);
+    assert_eq!(misses, 65, "every β was a fresh plan");
+    let (mut items, mut off) = (0, 0);
+    for k in 64..464 {
+        let b = beta(k);
+        let before = allocs();
+        let got = s.query_in(&mut ctx, &alpha, &b).len();
+        off += u64::from(allocs() - before != u64::from(got > 0));
+        items += got;
+    }
+    assert_eq!(s.plan_cache_stats_in(&ctx).1, 465, "every query missed");
+    assert!(items > 400, "misses must sample something: {items} items over 400 queries");
+    // Debug builds check coin brackets against exact BigUint thresholds.
+    #[cfg(not(debug_assertions))]
+    assert_eq!(off, 0, "{off} of 400 plan misses allocated more than their result");
+    #[cfg(debug_assertions)]
+    let _ = off;
+}
+
+/// A scan sampler keeps nothing in a context: its cold query, on a context
+/// made for it, forms `W` on inline words and allocates only the `Vec` it
+/// returns, and the context holds no state entry afterwards.
+#[test]
+fn cold_scan_query_allocates_only_its_result() {
+    let (s, _) = DpssSampler::from_weights(&[37, 5, 92, 18, 64, 3, 71, 40], 3);
+    assert!(s.level1().is_flat() && s.level1().slab.slot_count() <= SCAN_SLOTS);
+    let (alpha, beta) = (Ratio::from_u64s(1, 2), Ratio::from_int(11));
+    let (mut items, mut off) = (0, 0);
+    for seed in 0..200 {
+        let before = allocs();
+        let mut ctx = QueryCtx::new(seed);
+        let got = s.query_in(&mut ctx, &alpha, &beta).len();
+        off += u64::from(allocs() - before != u64::from(got > 0));
+        items += got;
+        assert_eq!(s.plan_cache_stats_in(&ctx), (0, 0, 0), "a scan counts no plan");
+        assert_eq!(s.lookup_rows_built(&ctx), 0);
+        assert!(format!("{ctx:?}").contains("state_entries: 0"), "{ctx:?}");
+    }
+    assert!(items > 200, "the scans must sample something: {items} items over 200 queries");
+    #[cfg(not(debug_assertions))]
+    assert_eq!(off, 0, "{off} of 200 cold scans allocated more than their result");
+    #[cfg(debug_assertions)]
+    let _ = off;
+}
+
+/// A cold query on a 200-item sampler (not a scan: it runs the hierarchy)
+/// through a fresh context: the context's state entry, its plan, lookup
+/// table and buffers, and the result. Measured in release: 17–21
+/// allocations over these 50 contexts, as the sample grows the buffers
+/// (26–30 while every non-zero `BigUint` was a `Vec`); the pin is the
+/// largest plus 25%.
+#[test]
+fn cold_query_on_a_200_item_sampler_allocation_count() {
+    let mut rng = SmallRng::seed_from_u64(0xC01D);
+    let weights: Vec<u64> = (0..200).map(|_| weight(&mut rng)).collect();
+    let (s, _) = DpssSampler::from_weights(&weights, 5);
+    let (alpha, beta) = (Ratio::from_u64s(1, 4), Ratio::zero());
+    let mut worst = 0;
+    for seed in 0..50 {
+        let before = allocs();
+        let mut ctx = QueryCtx::new(seed);
+        drop(s.query_in(&mut ctx, &alpha, &beta));
+        worst = worst.max(allocs() - before);
+    }
+    println!("cold query, 200 items: at most {worst} allocations");
+    #[cfg(not(debug_assertions))]
+    assert!(worst <= 26, "a cold query made {worst} allocations");
 }

@@ -15,8 +15,12 @@
 //!   journal keeps no ring, so its heap is the level-1 bucket window
 //!   (lowest to highest non-empty bucket), the bitsets, the slab and the
 //!   item arena;
-//! - a context's read state for one tiny sampler (one `(α, β)` plan) stays
-//!   under 1 KiB;
+//! - a context over a tiny sampler holds nothing: such a sampler scans, and
+//!   a scan keeps no plan;
+//! - `BigUint` and `Ratio` stay three and six words, values of at most two
+//!   limbs inline;
+//! - a `DynGraph` node costs a bounded number of bytes, and querying it
+//!   adds none;
 //! - `space_words()` tracks the footprint: it charges the sampler's inline
 //!   struct plus the heap it holds, and across sizes and both build paths
 //!   it stays within 25% of the same two measured (`size_of` plus live
@@ -27,8 +31,9 @@
 //! unsafe trait).
 #![allow(unsafe_code)]
 
-use bignum::Ratio;
+use bignum::{BigUint, Ratio};
 use dpss::{DpssSampler, SpaceUsage};
+use graphsub::DynGraph;
 use pss_core::QueryCtx;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -137,13 +142,13 @@ fn eight_item_sampler_fits_in_a_few_kib() {
     }
 }
 
-/// A graph node's query context over its tiny sampler, after one query at
+/// A graph node's query context over its tiny sampler, after queries at
 /// its one `(α, β)` pair: the live heap the context holds (the returned
-/// sample freed). Measured: 520 B, since a sampler this small scans its
-/// slots and leaves the context's item buffer unallocated; 560 B when its
-/// query filled that buffer. The bound (the 560 B plus 25%) fails a context
-/// that reserves room for four plans and four state entries on the first
-/// one (1,280 B).
+/// samples freed). Measured: 0 B. A sampler this small scans its slots,
+/// forming `W` and its accelerators per query on inline words, so it parks
+/// no state in the context; the bound fails a context that keeps a plan for
+/// it (520 B when it did, 1,280 B when its first plan and state entry also
+/// reserved room for four).
 #[test]
 fn warm_context_over_a_tiny_sampler_fits_in_under_a_kib() {
     let (s, _) = bulk(&[37, 5, 92, 18, 64]);
@@ -154,8 +159,61 @@ fn warm_context_over_a_tiny_sampler_fits_in_under_a_kib() {
         drop(s.query_in(&mut ctx, &alpha, &beta));
     }
     let bytes = (live() - before).unsigned_abs();
-    assert!(bytes <= 700, "a warm context holds {bytes} B of live heap");
+    assert_eq!(bytes, 0, "a warm context holds {bytes} B of live heap");
     drop(ctx);
+}
+
+/// Measured: 24 B and 48 B. A value of at most two limbs is held inline,
+/// so `W` and `(α, β)` of O(1)-word parts take no heap; the pins fail a
+/// representation that grows the inline form (a third limb, or a `Vec`
+/// beside the limbs) and so every `Ratio` a plan or a node holds.
+#[test]
+fn exact_numbers_stay_three_words() {
+    assert!(std::mem::size_of::<BigUint>() <= 24, "size_of::<BigUint>()");
+    assert!(std::mem::size_of::<Ratio>() <= 48, "size_of::<Ratio>()");
+    let before = live();
+    let w = Ratio::from_u128s(u128::from(u64::MAX) * 1000, 3).add(&Ratio::from_u64s(5, 7));
+    assert_eq!((w.num().word_len(), w.den().word_len()), (2, 1));
+    assert_eq!(live(), before, "two-limb parts are inline");
+    let spilled = Ratio::from_u128s(u128::MAX, 1).mul(&Ratio::from_u64s(3, 1));
+    assert_eq!(spilled.num().word_len(), 3, "a third limb spills to the heap");
+    assert!(live() > before, "the spilled numerator is on the heap");
+    drop(spilled);
+    assert_eq!(live(), before);
+}
+
+/// A `DynGraph` node's whole cost, per node of a 1,024-node graph with four
+/// in-edges per node: its two samplers (inline structs in the graph's node
+/// vector, plus their heap), its two neighbour tables, its query context
+/// and its share of the edge map. Measured: 1,533 B per node after the
+/// build, and querying every node's in- and out-neighbourhood adds 0 B:
+/// every sampler here scans, and a scan parks nothing in its node's
+/// context. When scans kept a plan, the queries added 1,040 B per node
+/// (2,573 B in all). The bounds are the build's measurement plus 25%, and
+/// a growth under 8 B per node across the queries (the graph's one shared
+/// handle buffer).
+#[test]
+fn dyn_graph_node_cost() {
+    const NODES: u32 = 1 << 10;
+    let before = live();
+    let mut g: DynGraph = DynGraph::new(NODES as usize, 7);
+    for v in 0..NODES {
+        for j in 1..=4u32 {
+            g.add_edge((v + j * 97) % NODES, v, u64::from(j * 13 + v % 7));
+        }
+    }
+    let built = (live() - before).unsigned_abs() / NODES as usize;
+    for v in 0..NODES {
+        for _ in 0..4 {
+            drop(g.sample_in_neighbors(v));
+            drop(g.sample_out_neighbors(v));
+        }
+    }
+    let queried = (live() - before).unsigned_abs() / NODES as usize;
+    println!("DynGraph: {built} B per node built, {queried} B per node queried");
+    assert!(built <= 1_916, "a graph node costs {built} B");
+    assert!(queried - built < 8, "queries grew each node by {} B", queried - built);
+    drop(g);
 }
 
 #[test]

@@ -149,6 +149,8 @@ fn odss_ring_wrap_rebuild_is_bit_identical() {
 fn halt_plan_state_delta_vs_fresh_is_bit_identical() {
     let weights: Vec<u64> = (0..500u64).map(|i| (i * 2654435761) % (1 << 30) + 1).collect();
     let (mut s, ids) = DpssSampler::from_weights(&weights, 11);
+    // Above the flat floor, so the sampler keeps plans (a scan keeps none).
+    assert!(!s.level1().is_flat(), "the fixture must not scan");
     let mut rng = SmallRng::seed_from_u64(0xCAFE);
     let mut patched = QueryCtx::new(21);
     let params: Vec<(Ratio, Ratio)> =
