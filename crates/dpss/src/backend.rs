@@ -50,7 +50,7 @@ impl PssBackend for DpssSampler {
     }
 
     fn query_into(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio, out: &mut Vec<Handle>) {
-        self.sample(ctx, alpha, beta, out, |id| Handle::from_raw(id.raw()));
+        self.sample(ctx, &self.param_weight(alpha, beta), out, |id| Handle::from_raw(id.raw()));
     }
 
     fn slot(&self, handle: Handle) -> usize {
@@ -58,8 +58,8 @@ impl PssBackend for DpssSampler {
     }
 
     // `query_many` uses the trait's default batch-stream loop: the
-    // per-context (α, β) plan cache inside `query_in` already gives batches
-    // their cross-query reuse, so an override would duplicate the default.
+    // per-context plan cache keyed on `W` already gives batches their
+    // cross-query reuse, so an override would duplicate the default.
 
     fn len(&self) -> usize {
         DpssSampler::len(self)

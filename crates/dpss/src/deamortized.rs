@@ -488,9 +488,9 @@ impl PssBackend for DeamortizedDpss {
     /// dense reverse maps.
     fn query_into(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio, out: &mut Vec<Handle>) {
         let w = alpha.mul_big(&BigUint::from_u128(self.total_weight())).add(beta);
-        self.old.sample_with_total(ctx, &w, out, |id| self.rev_old[id.idx()]);
+        self.old.sample(ctx, &w, out, |id| self.rev_old[id.idx()]);
         if let Some(new) = &self.new {
-            new.sample_with_total(ctx, &w, out, |id| self.rev_new[id.idx()]);
+            new.sample(ctx, &w, out, |id| self.rev_new[id.idx()]);
         }
     }
 

@@ -5,12 +5,11 @@
 //! Updates (`insert`/`delete`/`set_weight`) take `&mut self`. Queries take
 //! **`&self`** plus an explicit [`QueryCtx`] ([`DpssSampler::query_in`] /
 //! [`DpssSampler::query_with_total_in`]): the RNG stream, the memoized
-//! lookup-table rows, and the per-`(α, β)` plan cache all live in the
-//! caller's context (keyed by this sampler's instance id and validated
-//! against its mutation epoch), so independent queries can run concurrently
-//! over one shared sampler, each on its own context. There is no other
-//! query surface: a caller that wants one continuous stream keeps one
-//! context and queries through it.
+//! lookup-table rows, and the plan cache keyed on the total weight `W` all
+//! live in the caller's context (keyed by this sampler's instance id), so
+//! independent queries can run concurrently over one shared sampler, each
+//! on its own context. There is no other query surface: a caller that
+//! wants one continuous stream keeps one context and queries through it.
 
 use crate::item::ItemId;
 use crate::lookup::LookupTable;
@@ -40,15 +39,15 @@ pub(crate) const N0_FLOOR: usize = 16;
 /// (16) by measuring `rr_sets` throughput with each.
 pub const SCAN_SLOTS: usize = 2 * N0_FLOOR;
 
-/// Capacity of the per-`(α, β)` query-plan cache. Sized to hold a whole
-/// `query_many` batch of a few dozen distinct parameter pairs — a batch
-/// larger than the cache evicts its own entries FIFO and never hits.
+/// Capacity of a context's plan cache. Sized to hold a whole `query_many`
+/// batch of a few dozen distinct totals `W` — a batch larger than the cache
+/// evicts its own entries FIFO and never hits.
 const PLAN_CACHE: usize = 32;
 
-/// A cached per-`(α, β)` query plan: the exact total weight `W`, its
-/// word-sized accelerators, and the level-1 thresholds — everything about a
-/// query that depends only on the parameters and the current item set, so
-/// repeated queries at the same parameters skip all multi-word setup.
+/// A cached query plan: the exact total weight `W`, its word-sized
+/// accelerators, and the level-1 thresholds — everything about a query that
+/// depends only on `W` and the sampler's [`PlanStamp`], so repeated queries
+/// at the same `W` skip all multi-word setup. `w` is the cache key.
 #[derive(Clone, Debug)]
 struct QueryPlan {
     w: Ratio,
@@ -56,73 +55,54 @@ struct QueryPlan {
     th: Thresholds,
 }
 
-/// One cached plan-cache entry: the parameter pair, its plan, and whether
-/// the plan still matches the sampler's current `(Σw, n⁺)` state. A stale
-/// entry keeps its key and its allocation; the next lookup refreshes the
-/// plan in place (see [`PlanState`]).
-#[derive(Debug)]
-struct PlanEntry {
-    alpha: Ratio,
-    beta: Ratio,
-    plan: QueryPlan,
-    valid: bool,
-}
+/// `(Σw, n⁺, g₁, force_exact)`: the sampler state a context's plans were
+/// built under. A plan is a pure function of its `W`, `n⁺` and the level-1
+/// group width `g₁` (the thresholds) and the fast-path flag (the
+/// accelerators). `Σw` is in the stamp too: a plan does not read it, but a
+/// moved `Σw` moves the `W` of every `(α, β)` a caller asks, so the old
+/// plans would only crowd the cache.
+type PlanStamp = (u128, usize, u32, bool);
 
 /// The read-path scratch a [`DpssSampler`] parks in a [`QueryCtx`]: the
-/// memoized lookup-table rows, the `(α, β)` plan cache with its
-/// hit/miss/refresh counters, and the query's buffers. One entry per
-/// (context, sampler instance) pair — contexts never share plans across
-/// samplers.
+/// memoized lookup-table rows, the plan cache keyed on exact `W` with its
+/// hit/miss counters, and the query's buffers. One entry per (context,
+/// sampler instance) pair — contexts never share plans across samplers.
 ///
 /// The buffers make a warm query allocation-free apart from the `Vec` it
 /// returns: every level of the hierarchy appends into them, they keep their
 /// capacity from query to query, and the sample is copied out of `items`
 /// once, at its exact length (no allocation at all when it is empty).
 ///
-/// Revalidation reads the [`ChangeJournal`]'s version, never its deltas:
-/// the state remembers the epoch it last synchronized to plus a `(Σw, n⁺)`
-/// snapshot, and [`DpssSampler::query_in`] revalidates it before every
-/// lookup. Churn between two rebuilds, however long, keeps the memoized
-/// lookup table *and* every cache entry — entries are merely marked stale
-/// and refreshed in place on next use, and if the churn was weight-neutral
-/// (`Σw` and `n⁺` both unchanged) the plans stay exactly valid. Only a
-/// structural rebuild since the synchronized epoch
-/// ([`ChangeJournal::rebuilt_since`]) clears the cache, and only a modulus
-/// change rebuilds the table.
+/// The cache checks its own validity: it remembers the [`PlanStamp`] its
+/// plans were built under and drops them all when the sampler's stamp has
+/// moved. It never reads the [`ChangeJournal`]. Churn that leaves the stamp
+/// alone (a weight-neutral delete and reinsert, a rebuild that keeps
+/// `g₁`) keeps every plan, and only a modulus change rebuilds the table.
 #[derive(Debug)]
 pub(crate) struct PlanState {
     pub(crate) table: LookupTable,
-    plans: Vec<PlanEntry>,
+    /// Cached plans, oldest first.
+    plans: Vec<QueryPlan>,
+    /// The stamp `plans` were built under.
+    stamp: PlanStamp,
     /// Proxy and candidate buffers of levels 2 and 3.
     scratch: QueryScratch,
     /// Level-1 output, copied out as the returned sample.
     items: Vec<ItemId>,
-    /// Journal epoch this state last synchronized to.
-    journal_epoch: u64,
-    /// `Σw` at the last synchronization (plans depend on it through `W`).
-    total_snapshot: u128,
-    /// Positive-item count at the last synchronization (thresholds, `p₀`).
-    n_pos_snapshot: usize,
     hits: u64,
     misses: u64,
-    /// Stale entries re-derived in place (the shrunk miss path: no key
-    /// clone, no eviction, table untouched).
-    refreshes: u64,
 }
 
 impl PlanState {
-    fn new(modulus: u32, journal_epoch: u64, total: u128, n_pos: usize) -> Self {
+    fn new(modulus: u32, stamp: PlanStamp) -> Self {
         PlanState {
             table: LookupTable::new(modulus),
             plans: Vec::new(),
+            stamp,
             scratch: QueryScratch::default(),
             items: Vec::new(),
-            journal_epoch,
-            total_snapshot: total,
-            n_pos_snapshot: n_pos,
             hits: 0,
             misses: 0,
-            refreshes: 0,
         }
     }
 }
@@ -146,11 +126,13 @@ fn count_bits(n0: usize, rebuild_factor: usize) -> u32 {
 
 /// Dynamic Parameterized Subset Sampling over integer-weighted items.
 ///
-/// Implements the paper's Theorem 1.1 bounds: O(n) preprocessing
-/// ([`DpssSampler::from_weights`]), O(1) worst-case updates
-/// ([`DpssSampler::insert`] / [`DpssSampler::delete`], amortized across the
-/// standard global rebuilds of §4.5), O(1 + μ) expected query time
-/// ([`DpssSampler::query_in`]), and O(n) words of space at all times.
+/// Implements the paper's Theorem 1.1 bounds with amortized updates: O(n)
+/// preprocessing ([`DpssSampler::from_weights`]), O(1) amortized updates
+/// ([`DpssSampler::insert`] / [`DpssSampler::delete`]: the standard global
+/// rebuilds of §4.5 are paid for across the updates between them), O(1 + μ)
+/// expected query time ([`DpssSampler::query_in`]), and O(n) words of space
+/// at all times. [`crate::DeamortizedDpss`] spreads the rebuilds out for
+/// worst-case O(1) updates.
 ///
 /// Every inclusion decision is made with exact rational arithmetic: for any
 /// parameters `(α, β)` the returned subset contains each item `x`
@@ -164,11 +146,9 @@ pub struct DpssSampler {
     rebuilds: u64,
     rebuild_factor: usize,
     /// The change journal: every item-set mutation records a [`Delta`] and
-    /// structural rebuilds record [`Delta::Rebuilt`]. Every context's
-    /// [`PlanState`] revalidates against its version alone (churn refreshes
-    /// plans in place; only a rebuild clears them), so the journal keeps no
-    /// delta ring unless one is attached
-    /// ([`DpssSampler::attach_journal_ring`]).
+    /// structural rebuilds record [`Delta::Rebuilt`]. Queries never read it
+    /// (a [`PlanState`] checks its own stamp), so it keeps no delta ring
+    /// unless one is attached ([`DpssSampler::attach_journal_ring`]).
     journal: ChangeJournal,
     /// Process-unique id keying this sampler's state inside any [`QueryCtx`].
     instance: u64,
@@ -257,13 +237,11 @@ impl DpssSampler {
     /// path. With `force_exact` every coin runs the original all-exact
     /// arithmetic; the sampled distribution is identical either way (the fast
     /// path is exactness-preserving), which the agreement tests verify.
+    /// Cached plans bake the flag into their accelerators, so a flip drops
+    /// them: the flag is part of the stamp `(Σw, n⁺, g₁, force_exact)` each
+    /// context checks its plans against.
     pub fn set_force_exact(&mut self, force_exact: bool) {
-        if self.force_exact != force_exact {
-            self.force_exact = force_exact;
-            // Structural: cached plans bake the fast flag into the accel, so
-            // no context state may replay across the flip.
-            self.journal.record_rebuilt();
-        }
+        self.force_exact = force_exact;
     }
 
     /// `true` iff the query fast path is disabled.
@@ -292,20 +270,18 @@ impl DpssSampler {
         ctx.state_ref::<PlanState>(self.instance).map_or(0, |st| st.table.rows_built())
     }
 
-    /// `(hits, misses, refreshes)` of this sampler's per-`(α, β)` query-plan
-    /// cache inside `ctx` (each context keeps its own cache): a *hit*
-    /// answers a query from a still-valid cached plan (no multi-word
-    /// `W`/threshold/accelerator setup), a *miss* builds and caches a fresh
-    /// entry, and a *refresh* re-derives a stale entry's plan **in place** —
-    /// the journal-driven middle path for weight-only churn, which skips the
-    /// key clone and cache eviction of a miss and keeps the memoized lookup
-    /// table. Degenerate `W = 0` queries bypass the cache and count as none
-    /// of the three, and so does every query of a scan sampler, which keeps
-    /// no plan: its stats read `(0, 0, 0)`. Observability hook — read by
-    /// perfbench's `dpss.sampler.plan_*` metrics.
+    /// `(hits, misses, refreshes)` of this sampler's plan cache inside `ctx`
+    /// (each context keeps its own cache): a *hit* answers a query from a
+    /// cached plan for its exact `W` (no threshold or accelerator setup),
+    /// and a *miss* builds and caches a fresh plan. *Refreshes* always read
+    /// 0: a plan is never re-derived in place, and a moved stamp turns the
+    /// next query at every `W` into a miss. The count stays in the tuple
+    /// for the readers of perfbench's `dpss.sampler.plan_*` metrics.
+    /// Degenerate `W = 0` queries bypass the cache and count as neither,
+    /// and so does every query of a scan sampler, which keeps no plan: its
+    /// stats read `(0, 0, 0)`.
     pub fn plan_cache_stats_in(&self, ctx: &QueryCtx) -> (u64, u64, u64) {
-        ctx.state_ref::<PlanState>(self.instance)
-            .map_or((0, 0, 0), |st| (st.hits, st.misses, st.refreshes))
+        ctx.state_ref::<PlanState>(self.instance).map_or((0, 0, 0), |st| (st.hits, st.misses, 0))
     }
 
     /// The sampler's change journal (shared epoch-delta protocol surface).
@@ -539,15 +515,14 @@ impl DpssSampler {
 
     #[inline]
     fn maybe_rebuild(&mut self) {
-        let n = self.len().max(N0_FLOOR);
-        if n > self.n0 * self.rebuild_factor || n * self.rebuild_factor < self.n0 {
-            self.rebuild(n);
-        }
+        self.reserve_for(self.len());
     }
 
-    /// The batch analogue of `maybe_rebuild`: sizes the structure once for
-    /// a final count of `n_final` items, firing **at most one** rebuild up
-    /// front, so a bulk load performs zero intermediate rebuilds.
+    /// Sizes the structure for a count of `n_final` items, firing **at most
+    /// one** rebuild if that count leaves the band. `maybe_rebuild` asks it
+    /// for the current count after each update; a batch asks for its final
+    /// count up front, so a bulk load performs zero intermediate rebuilds.
+    #[inline]
     pub(crate) fn reserve_for(&mut self, n_final: usize) {
         let n = n_final.max(N0_FLOOR);
         if n > self.n0 * self.rebuild_factor || n * self.rebuild_factor < self.n0 {
@@ -572,8 +547,8 @@ impl DpssSampler {
         // crash here leaves a rebuilt hierarchy the journal knows nothing
         // about — recovery must converge through replay, not the journal.
         fault::fail_point_unwind(Site::RebuildMid);
-        // A structural journal entry: no context state replays across a
-        // rebuild (group widths moved), and contexts re-derive their
+        // A structural journal entry: no delta replays across a rebuild.
+        // Contexts see a moved g₁ in their plan stamp and re-derive their
         // memoized tables lazily when the modulus changed (`plan_state`).
         self.journal.record_rebuilt();
         self.n0 = n0;
@@ -605,62 +580,30 @@ impl DpssSampler {
         self.iter().map(|(_, w)| if w == 0 { 0.0 } else { (w as f64 / tf).min(1.0) }).sum()
     }
 
-    /// This sampler's [`PlanState`] inside `ctx` (created on first use,
-    /// lookup table re-derived if a rebuild changed the modulus), returned
-    /// together with the context's RNG so the query can hold both mutably.
+    /// This sampler's [`PlanState`] inside `ctx` (created on first use, its
+    /// plans dropped if the stamp moved, its lookup table re-derived if a
+    /// rebuild changed the modulus), returned together with the context's
+    /// RNG so the query can hold both mutably.
     fn plan_state<'c>(&self, ctx: &'c mut QueryCtx) -> (&'c mut CtxRng, &'c mut PlanState) {
-        let modulus = self.level1.l2_group_width;
-        let (rng, st) = ctx.state(self.instance, || {
-            // Fresh state synchronizes to the journal *now*: no sentinel
-            // epochs, no spurious first-query invalidation.
-            PlanState::new(
-                modulus,
-                self.journal.epoch(),
-                self.level1.total_weight,
-                self.level1.n_positive,
-            )
-        });
+        let l1 = &self.level1;
+        let modulus = l1.l2_group_width;
+        let stamp = (l1.total_weight, l1.n_positive, l1.group_width, self.force_exact);
+        let (rng, st) = ctx.state(self.instance, || PlanState::new(modulus, stamp));
+        if st.stamp != stamp {
+            st.plans.clear();
+            st.stamp = stamp;
+        }
         if st.table.modulus() != modulus {
             st.table = LookupTable::new(modulus);
-            st.plans.clear();
         }
         (rng, st)
-    }
-
-    /// Version-driven revalidation of one context's [`PlanState`] — the
-    /// replacement for the old "any mutation stales everything" protocol.
-    /// Churn keeps the cache: entries go stale (to be refreshed in place)
-    /// only if `(Σw, n⁺)` actually moved, and survive untouched when the
-    /// churn was weight-neutral. Only a structural rebuild since the
-    /// context's epoch clears the cache outright (the memoized table still
-    /// survives unless the modulus moved — `plan_state` handles that). No
-    /// delta is read: a plan depends on `(Σw, n⁺)` and the sizing, not on
-    /// which items moved.
-    fn revalidate(&self, st: &mut PlanState) {
-        let epoch = self.journal.epoch();
-        if st.journal_epoch == epoch {
-            return;
-        }
-        if self.journal.rebuilt_since(st.journal_epoch) {
-            st.plans.clear();
-        } else if st.total_snapshot != self.level1.total_weight
-            || st.n_pos_snapshot != self.level1.n_positive
-        {
-            // The hierarchy's sizing is intact, so plans survive keyed on
-            // the quantities they actually depend on.
-            for entry in &mut st.plans {
-                entry.valid = false;
-            }
-        }
-        st.journal_epoch = epoch;
-        st.total_snapshot = self.level1.total_weight;
-        st.n_pos_snapshot = self.level1.n_positive;
     }
 
     /// Answers one PSS query with parameters `(α, β)` in O(1 + μ) expected
     /// time on a **shared** receiver: returns a subset containing each item
     /// `x` independently with probability exactly `min(w(x)/W_S(α,β), 1)`,
-    /// drawing randomness and cached read-path state from `ctx`.
+    /// drawing randomness and cached read-path state from `ctx`. It is
+    /// [`DpssSampler::query_with_total_in`] at `W = α·Σw + β`.
     ///
     /// Convention for `W_S(α,β) = 0` (e.g. `α = β = 0`): every positive-weight
     /// item has probability 1 (the limit of `w/W` as `W → 0+`) and zero-weight
@@ -677,15 +620,29 @@ impl DpssSampler {
     /// alone. A flat sampler whose slab outgrew the bound (deletes leave its
     /// high-water mark) keeps the hierarchy.
     ///
-    /// Every other sampler keeps a plan cache in `ctx`, keyed on `(α, β)`
-    /// and revalidated against the sampler's journal, so `W`, its fast-path
-    /// accelerators and the level-1 thresholds are computed once per
-    /// (parameters, item-set version, context) rather than per query. On a
-    /// hit the query allocates nothing but the returned `Vec`; so does a
-    /// scan sampler's every query.
+    /// Every other sampler keeps a plan cache in `ctx`, keyed on the exact
+    /// `W` (its numerator and denominator) and dropped whenever the stamp
+    /// `(Σw, n⁺, g₁, force_exact)` moves, so `W`'s fast-path accelerators
+    /// and the level-1 thresholds are computed once per (`W`, stamp,
+    /// context) rather than per query: two `(α, β)` pairs that form the
+    /// same `W` share one plan. While `W`'s parts fit in two words, a hit
+    /// allocates nothing but the returned `Vec`; so does a scan sampler's
+    /// every query.
     pub fn query_in(&self, ctx: &mut QueryCtx, alpha: &Ratio, beta: &Ratio) -> Vec<ItemId> {
+        self.query_with_total_in(ctx, &self.param_weight(alpha, beta))
+    }
+
+    /// Answers a PSS query against an externally supplied total weight `w`
+    /// on a shared receiver: each item `x` is included independently with
+    /// probability `min(w(x)/w, 1)`. This is the `(0, W)` form the hierarchy
+    /// uses internally (§4.1) and the one every query runs through; it also
+    /// lets several samplers share one global `W` (the de-amortized
+    /// structure queries both migration halves with the union's `W`). It
+    /// follows [`DpssSampler::query_in`] in every respect: the `w = 0`
+    /// convention, the scan, and the plan cache.
+    pub fn query_with_total_in(&self, ctx: &mut QueryCtx, w: &Ratio) -> Vec<ItemId> {
         let mut out = Vec::new();
-        self.sample(ctx, alpha, beta, &mut out, |id| id);
+        self.sample(ctx, w, &mut out, |id| id);
         out
     }
 
@@ -695,92 +652,58 @@ impl DpssSampler {
         self.level1.is_flat() && self.level1.slab.slot_count() <= SCAN_SLOTS
     }
 
-    /// The body of [`DpssSampler::query_in`] and the facade's `query_into`:
-    /// a scan sampler forms `W` and scans ([`DpssSampler::scan`]); any other
-    /// resolves `(α, β)` to the context's cached plan — `W`, its
-    /// accelerators and the level-1 thresholds — and answers through
-    /// [`DpssSampler::answer`]. Appends `map` of each sampled item to `out`;
-    /// on a scan or a plan hit nothing allocates but `out`'s growth.
+    /// The one query body, behind [`DpssSampler::query_with_total_in`], the
+    /// facade's `query_into` and both halves of [`crate::DeamortizedDpss`]:
+    /// `w = 0` samples every positive item, a scan sampler scans
+    /// ([`DpssSampler::scan`]), and any other sampler looks up or builds the
+    /// context's plan for `w` and runs Algorithm 1 at level 1 under it.
+    /// Appends `map` of each sampled item to `out`, growing it at most once;
+    /// on a scan or a plan hit nothing else allocates. The slot bound keeps
+    /// a flat sampler whose slab outgrew `n` (a high-water mark left by
+    /// deletes, or a wide [`DpssSampler::set_rebuild_factor`]) on the
+    /// hierarchy, where the cost stays O(1 + μ).
     pub(crate) fn sample<T>(
         &self,
         ctx: &mut QueryCtx,
-        alpha: &Ratio,
-        beta: &Ratio,
+        w: &Ratio,
         out: &mut Vec<T>,
         map: impl FnMut(ItemId) -> T,
     ) {
-        if self.level1.total_weight == 0 && beta.is_zero() {
-            // `W = α·0 + 0 = 0`: the degenerate convention samples every
-            // positive-weight item, and there are none.
-            return;
+        if w.is_zero() {
+            return query_certain_into(&self.level1, 0, out, map);
         }
         if self.scans() {
-            let w = self.param_weight(alpha, beta);
-            if w.is_zero() {
-                return self.sample_all_positive(out, map);
-            }
-            let accel = QueryAccel::new(&w, !self.force_exact);
-            return self.scan(ctx.rng(), &w, &accel, out, map);
+            let accel = QueryAccel::new(w, !self.force_exact);
+            return self.scan(ctx.rng(), w, &accel, out, map);
         }
         let (rng, st) = self.plan_state(ctx);
-        self.revalidate(st);
-        let idx = match st.plans.iter().position(|e| e.alpha == *alpha && e.beta == *beta) {
-            // pss-lint: allow(no-bare-index) — i was returned by position() over st.plans
-            Some(i) if st.plans[i].valid => {
+        let idx = match st.plans.iter().position(|p| p.w == *w) {
+            Some(i) => {
                 st.hits += 1;
                 i
             }
-            Some(i) => {
-                // Stale entry: weight-only churn moved `W` under the cached
-                // plan. Refresh it in place — no key clone, no eviction.
-                let w = self.param_weight(alpha, beta);
-                if w.is_zero() {
-                    // Degenerate convention; the entry can never be
-                    // refreshed into a usable plan, so drop it.
-                    st.plans.remove(i);
-                    return self.sample_all_positive(out, map);
-                }
-                st.refreshes += 1;
-                // pss-lint: allow(no-bare-index) — i was returned by position() over st.plans
-                st.plans[i].plan = self.make_plan(w);
-                // pss-lint: allow(no-bare-index) — i was returned by position() over st.plans
-                st.plans[i].valid = true;
-                i
-            }
             None => {
-                let w = self.param_weight(alpha, beta);
-                if w.is_zero() {
-                    // Degenerate convention; not worth a cache slot.
-                    return self.sample_all_positive(out, map);
-                }
                 st.misses += 1;
-                let plan = self.make_plan(w);
                 if st.plans.len() >= PLAN_CACHE {
                     st.plans.remove(0);
                 }
-                // One entry at a time: a context that only ever asks one
-                // `(α, β)` pair holds one entry, not the four a first `push`
-                // reserves.
-                st.plans.reserve_exact(1);
-                st.plans.push(PlanEntry {
-                    alpha: alpha.clone(),
-                    beta: beta.clone(),
-                    plan,
-                    valid: true,
-                });
+                st.plans.push(self.make_plan(w.clone()));
                 st.plans.len() - 1
             }
         };
         // pss-lint: allow(no-bare-index) — idx is position() over st.plans or len() - 1 after a push
-        let plan = &st.plans[idx].plan;
-        let frame = QueryFrame {
+        let plan = &st.plans[idx];
+        let mut frame = QueryFrame {
             rng,
             w: &plan.w,
             accel: plan.accel,
             table: &mut st.table,
             final_mode: self.final_mode,
         };
-        self.answer(frame, Some(plan.th), &mut st.scratch, &mut st.items, out, map);
+        let _guard = self.force_exact.then(randvar::exact_mode_guard);
+        st.items.clear();
+        query_level1_into(&self.level1, &mut frame, &plan.th, &mut st.scratch, &mut st.items);
+        out.extend(st.items.iter().copied().map(map));
     }
 
     /// A scan sampler's query under a resolved `W > 0`: walks the slab
@@ -813,86 +736,12 @@ impl DpssSampler {
         out.extend(staged.iter().take(n).copied().map(map));
     }
 
-    /// The hierarchy's query body, shared by [`DpssSampler::sample`] and
-    /// [`DpssSampler::sample_with_total`] for every sampler that does not
-    /// scan: Algorithm 1 at level 1 under a resolved `W > 0` (the frame's
-    /// `w` and `accel`), with the level-1 thresholds if a cached plan holds
-    /// them (`None` derives them here), into the context's item buffer.
-    /// Appends `map` of each sampled item to `out`, growing it at most once.
-    /// The slot bound keeps a flat sampler whose slab outgrew `n` (a
-    /// high-water mark left by deletes, or a wide
-    /// [`DpssSampler::set_rebuild_factor`]) on this path, where the cost
-    /// stays O(1 + μ).
-    fn answer<T>(
-        &self,
-        mut frame: QueryFrame<'_, CtxRng>,
-        th: Option<Thresholds>,
-        scratch: &mut QueryScratch,
-        items: &mut Vec<ItemId>,
-        out: &mut Vec<T>,
-        map: impl FnMut(ItemId) -> T,
-    ) {
-        let _guard = self.force_exact.then(randvar::exact_mode_guard);
-        let th = th.unwrap_or_else(|| self.level1_thresholds(frame.w, &frame.accel));
-        items.clear();
-        query_level1_into(&self.level1, &mut frame, &th, scratch, items);
-        out.extend(items.iter().copied().map(map));
-    }
-
-    /// The degenerate `W = 0` sample, every positive-weight item in bucket
-    /// order, appended to `out`.
-    fn sample_all_positive<T>(&self, out: &mut Vec<T>, map: impl FnMut(ItemId) -> T) {
-        query_certain_into(&self.level1, 0, out, map);
-    }
-
-    /// The level-1 thresholds under a non-zero total weight `w`.
-    fn level1_thresholds(&self, w: &Ratio, accel: &QueryAccel) -> Thresholds {
-        let n = self.level1.n_positive.max(1);
-        thresholds_at(w, accel.w_ceil_log2, n, self.level1.group_width)
-    }
-
     /// Builds the cached plan for a non-zero total weight `w`.
     fn make_plan(&self, w: Ratio) -> QueryPlan {
         let accel = QueryAccel::new(&w, !self.force_exact);
-        let th = self.level1_thresholds(&w, &accel);
+        let n = self.level1.n_positive.max(1);
+        let th = thresholds_at(&w, accel.w_ceil_log2, n, self.level1.group_width);
         QueryPlan { w, accel, th }
-    }
-
-    /// Answers a PSS query against an externally supplied total weight `w`
-    /// on a shared receiver: each item `x` is included independently with
-    /// probability `min(w(x)/w, 1)`. This is the `(0, W)` form the hierarchy
-    /// uses internally (§4.1); it also lets several samplers share one global
-    /// `W` (the de-amortized structure queries both migration halves with
-    /// the union's `W`). `w = 0` follows the same convention as
-    /// [`DpssSampler::query_in`], and a scan sampler scans as there, keeping
-    /// no state in `ctx`; any other sampler keeps its lookup table and
-    /// buffers there, but no plan. It allocates nothing but the returned
-    /// `Vec` while `w`'s parts fit in two words.
-    pub fn query_with_total_in(&self, ctx: &mut QueryCtx, w: &Ratio) -> Vec<ItemId> {
-        let mut out = Vec::new();
-        self.sample_with_total(ctx, w, &mut out, |id| id);
-        out
-    }
-
-    /// [`DpssSampler::query_with_total_in`] appending `map` of each sampled
-    /// item to `out` (see [`DpssSampler::sample`]).
-    pub(crate) fn sample_with_total<T>(
-        &self,
-        ctx: &mut QueryCtx,
-        w: &Ratio,
-        out: &mut Vec<T>,
-        map: impl FnMut(ItemId) -> T,
-    ) {
-        if w.is_zero() {
-            return self.sample_all_positive(out, map);
-        }
-        let accel = QueryAccel::new(w, !self.force_exact);
-        if self.scans() {
-            return self.scan(ctx.rng(), w, &accel, out, map);
-        }
-        let (rng, st) = self.plan_state(ctx);
-        let frame = QueryFrame { rng, w, accel, table: &mut st.table, final_mode: self.final_mode };
-        self.answer(frame, None, &mut st.scratch, &mut st.items, out, map);
     }
 
     /// Validates every structural invariant (test/debug hook; O(n)).

@@ -1,12 +1,13 @@
-//! Journal-driven plan-cache revalidation and batch-insert semantics.
+//! Plan-cache validity, the sampler's journal, and batch-insert semantics.
 //!
-//! The journal's version replaced the coarse "any mutation stales
-//! everything" epoch: these tests pin the three revalidation regimes
-//! (weight-only churn → in-place refresh, weight-neutral churn → plans stay
-//! valid, structural rebuild → full clear), that a sampler's journal keeps
-//! a delta ring only when one is attached and its plans never depend on
-//! it, and that the batched insert path is structurally bit-identical to
-//! the per-op loop.
+//! A context's plans are keyed on the exact total weight `W` and dropped
+//! when the sampler's stamp `(Σw, n⁺, g₁, force_exact)` moves; the journal
+//! plays no part. These tests pin the cache's regimes (a moved `Σw` or
+//! `n⁺` → every plan re-misses, weight-neutral churn → plans stay valid, a
+//! rebuild → re-miss, pairs of equal `W` → one plan, the `(0, W)` form →
+//! hits like `(α, β)`), that a sampler's journal keeps a delta ring only
+//! when one is attached and its plans never depend on it, and that the
+//! batched insert path is structurally bit-identical to the per-op loop.
 
 use bignum::Ratio;
 use dpss::sampler::SCAN_SLOTS;
@@ -52,7 +53,7 @@ fn insert_many_matches_per_op_inserts_bit_for_bit() {
 }
 
 #[test]
-fn weight_only_churn_refreshes_plans_in_place() {
+fn weight_only_churn_re_misses_every_plan() {
     let weights: Vec<u64> = (1..=256u64).collect();
     let (mut s, ids) = DpssSampler::from_weights(&weights, 5);
     assert_plans(&s);
@@ -68,16 +69,17 @@ fn weight_only_churn_refreshes_plans_in_place() {
     }
     assert_eq!(s.plan_cache_stats_in(&ctx), (8, 8, 0), "repeat is all hits");
 
-    // A reweight moves Σw: entries refresh in place instead of missing.
+    // A reweight moves Σw, and with it every W: the plans are dropped and
+    // each pair misses once.
     assert_eq!(s.set_weight(ids[0], 12345), Some(1));
     for (a, b) in &params {
         let _ = s.query_in(&mut ctx, a, b);
     }
-    assert_eq!(s.plan_cache_stats_in(&ctx), (8, 8, 8), "churned batch refreshes");
+    assert_eq!(s.plan_cache_stats_in(&ctx), (8, 16, 0), "churned batch re-misses");
     for (a, b) in &params {
         let _ = s.query_in(&mut ctx, a, b);
     }
-    assert_eq!(s.plan_cache_stats_in(&ctx), (16, 8, 8), "refreshed entries hit again");
+    assert_eq!(s.plan_cache_stats_in(&ctx), (16, 16, 0), "rebuilt plans hit again");
 }
 
 #[test]
@@ -91,7 +93,7 @@ fn weight_neutral_churn_keeps_plans_valid() {
         let _ = s.query_in(&mut ctx, a, b);
     }
     // Delete + reinsert at the same weight: Σw and n⁺ are unchanged, so the
-    // cached plans are still exactly right — no refresh, no miss.
+    // cached plans are still exactly right — no miss.
     let w = s.weight(ids[10]).unwrap();
     assert!(s.delete(ids[10]).is_some());
     let _ = s.insert(w);
@@ -126,7 +128,7 @@ fn structural_rebuild_clears_plans() {
         let _ = s.query_in(&mut ctx, a, b);
     }
     let (h, m, r) = s.plan_cache_stats_in(&ctx);
-    assert_eq!((h, m, r), (0, 16, 0), "post-rebuild batch re-misses, never refreshes");
+    assert_eq!((h, m, r), (0, 16, 0), "post-rebuild batch re-misses");
 }
 
 #[test]
@@ -150,15 +152,15 @@ fn ring_wrap_falls_back_for_slow_observers() {
         matches!(s.journal().catch_up(s.journal().epoch() - 1), Replay::Deltas(d) if d.len() == 1),
         "an observer inside the window replays"
     );
-    // The plan cache reads the version, not the ring: the wrap costs the
-    // stale context an in-place refresh, never a fresh miss.
+    // The plan cache reads neither the version nor the ring: the reweights
+    // moved Σw, so the stale context misses once, wrap or no wrap.
     let t = s.query_in(&mut ctx, &a, &b);
     assert!(t.iter().all(|&id| s.contains(id)));
-    assert_eq!(s.plan_cache_stats_in(&ctx), (0, 1, 1), "wrapped ring: refresh, no miss");
+    assert_eq!(s.plan_cache_stats_in(&ctx), (0, 2, 0), "wrapped ring: one miss");
 }
 
 #[test]
-fn ringless_sampler_refreshes_plans_until_a_rebuild() {
+fn ringless_sampler_keys_plans_on_its_stamp() {
     let (mut s, ids) = DpssSampler::from_weights(&(1..=32u64).collect::<Vec<_>>(), 5);
     assert_plans(&s);
     assert_eq!((s.journal().capacity(), s.journal().heap_words()), (0, 0), "no ring by default");
@@ -174,18 +176,75 @@ fn ringless_sampler_refreshes_plans_until_a_rebuild() {
     assert_eq!(s.journal().epoch(), synced + moved, "every real reweight is a version");
     assert!(matches!(s.journal().catch_up(synced), Replay::TooOld), "no tail is held");
     assert_eq!(s.journal().heap_words(), 0);
-    // The lagging context refreshes its plan in place: no miss.
+    // The lagging context sees Σw moved and rebuilds its plan: one miss.
     let t = s.query_in(&mut ctx, &a, &b);
     assert!(t.iter().all(|&id| s.contains(id)));
-    assert_eq!(s.plan_cache_stats_in(&ctx), (0, 1, 1), "lag without a rebuild: refresh");
-    // A growth rebuild is structural: the next query misses.
+    assert_eq!(s.plan_cache_stats_in(&ctx), (0, 2, 0), "lag without a rebuild: one miss");
+    // A growth rebuild moves Σw and g₁: the next query misses.
     let r0 = s.rebuild_count();
     for i in 0..64u64 {
         let _ = s.insert(i + 1);
     }
     assert!(s.rebuild_count() > r0, "growth must have rebuilt");
     let _ = s.query_in(&mut ctx, &a, &b);
-    assert_eq!(s.plan_cache_stats_in(&ctx), (0, 2, 1), "post-rebuild query misses");
+    assert_eq!(s.plan_cache_stats_in(&ctx), (0, 3, 0), "post-rebuild query misses");
+}
+
+/// Plans are keyed on `W` alone: `(1, 0)` and `(0, Σw)` form the same exact
+/// `W = Σw/1`, so the second pair hits the plan the first one built.
+#[test]
+fn pairs_with_equal_w_share_one_plan() {
+    let (s, _) = DpssSampler::from_weights(&(1..=64u64).collect::<Vec<_>>(), 5);
+    assert_plans(&s);
+    let mut ctx = QueryCtx::new(19);
+    let total = Ratio::from_u128s(s.total_weight(), 1);
+    assert_eq!(s.param_weight(&Ratio::one(), &Ratio::zero()), total);
+    let _ = s.query_in(&mut ctx, &Ratio::one(), &Ratio::zero());
+    let _ = s.query_in(&mut ctx, &Ratio::zero(), &total);
+    assert_eq!(s.plan_cache_stats_in(&ctx), (1, 1, 0), "one miss, then one hit");
+}
+
+/// `n⁺` is in the stamp: zeroing one item and moving its weight onto
+/// another keeps `Σw` (so every `W`) fixed but moves the positive count,
+/// and with it the level-1 thresholds, so the next query re-misses.
+#[test]
+fn a_moved_positive_count_re_misses_at_a_fixed_total() {
+    let weights: Vec<u64> = (1..=64u64).collect();
+    let (mut s, ids) = DpssSampler::from_weights(&weights, 5);
+    assert_plans(&s);
+    let mut ctx = QueryCtx::new(21);
+    let (a, b) = (Ratio::from_u64s(1, 4), Ratio::zero());
+    let _ = s.query_in(&mut ctx, &a, &b);
+    let _ = s.query_in(&mut ctx, &a, &b);
+    assert_eq!(s.plan_cache_stats_in(&ctx), (1, 1, 0));
+    let (total, n_pos) = (s.total_weight(), s.level1().n_positive);
+    let (x, y) = (ids[3], ids[40]);
+    let (wx, wy) = (s.weight(x).unwrap(), s.weight(y).unwrap());
+    assert_eq!(s.set_weight(x, 0), Some(wx));
+    assert_eq!(s.set_weight(y, wy + wx), Some(wy));
+    assert_eq!(s.total_weight(), total, "Σw is unchanged");
+    assert_eq!(s.level1().n_positive, n_pos - 1, "n⁺ moved");
+    let _ = s.query_in(&mut ctx, &a, &b);
+    assert_eq!(s.plan_cache_stats_in(&ctx), (1, 2, 0), "a moved n⁺ re-misses");
+}
+
+/// The `(0, W)` form runs the same body as `(α, β)`: on a sampler that
+/// does not scan, a repeated `query_with_total_in` hits the plan its first
+/// call built, and a `query_in` at the same `W` shares it.
+#[test]
+fn query_with_total_hits_the_plan_cache() {
+    let (s, _) = DpssSampler::from_weights(&(1..=64u64).collect::<Vec<_>>(), 5);
+    assert_plans(&s);
+    let mut ctx = QueryCtx::new(23);
+    let w = Ratio::from_u128s(s.total_weight(), 3);
+    let _ = s.query_with_total_in(&mut ctx, &w);
+    let _ = s.query_with_total_in(&mut ctx, &w);
+    assert_eq!(s.plan_cache_stats_in(&ctx), (1, 1, 0), "the repeat hits");
+    let _ = s.query_in(&mut ctx, &Ratio::from_u64s(1, 3), &Ratio::zero());
+    assert_eq!(s.plan_cache_stats_in(&ctx), (2, 1, 0), "(1/3, 0) forms the same W");
+    // W = 0 samples every positive item and bypasses the cache.
+    assert_eq!(s.query_with_total_in(&mut ctx, &Ratio::zero()).len(), 64);
+    assert_eq!(s.plan_cache_stats_in(&ctx), (2, 1, 0));
 }
 
 /// A scan sampler forms `W` and its accelerators per query and keeps no

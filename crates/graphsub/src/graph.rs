@@ -58,12 +58,12 @@ struct NodeState<B> {
     /// a baseline — keeps it across round-robin sampling over arbitrarily
     /// many nodes: a shared context's bounded state area would thrash above
     /// its entry cap. That persistence is also what makes edge churn cheap
-    /// for them: at the node's next sample the state revalidates against
-    /// the backend's change journal instead of rebuilding. A HALT plan cache
-    /// reads only the journal's version, in O(1) however many edges moved,
-    /// and refreshes its one plan in place unless the sampler rebuilt; a
-    /// baseline's materialization replays the deltas through
-    /// `ChangeJournal::catch_up` in O(deltas touched).
+    /// for them: at the node's next sample the state revalidates instead of
+    /// rebuilding. A HALT plan cache compares the sampler's `(Σw, n⁺, g₁,
+    /// force_exact)` stamp, in O(1) however many edges moved, and rebuilds
+    /// its one plan only if the stamp moved; a baseline's materialization
+    /// replays the deltas through `ChangeJournal::catch_up` in O(deltas
+    /// touched).
     ctx: QueryCtx,
 }
 

@@ -1,7 +1,7 @@
 //! [`QueryCtx`] — caller-owned read-path state for shared-read PSS queries.
 //!
 //! The HALT structure answers each PSS query without mutating anything but
-//! the RNG and its per-`(α, β)` plan cache. Baking that mutability into the
+//! the RNG and its plan cache. Baking that mutability into the
 //! sampler (`query(&mut self, …)`) is what blocked running independent
 //! queries in parallel over one structure. This module moves every piece of
 //! query-time mutable state into an explicit context owned by the *caller*:
@@ -10,7 +10,8 @@
 //!   so the §3 randomness-cost accounting keeps working);
 //! - a keyed, type-erased **state area** where a backend parks whatever
 //!   read-path scratch it wants to reuse across queries (HALT stores its
-//!   `(α, β) → (W, thresholds, accelerators)` plan cache and its memoized
+//!   plan cache, `W → (thresholds, accelerators)` dropped whenever the
+//!   sampler's `(Σw, n⁺, g₁, force_exact)` stamp moves, and its memoized
 //!   lookup-table rows; the ODSS-style baselines store their materialized
 //!   probability buckets). Entries are keyed by the backend's
 //!   [`instance id`](fresh_backend_id) so one context can serve many

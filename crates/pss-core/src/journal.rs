@@ -5,11 +5,11 @@
 //! ## Why a journal
 //!
 //! Before this module, `pss-core` exposed only a coarse mutation epoch:
-//! read-path state parked in a [`crate::QueryCtx`] (HALT's `(α, β)` plan
-//! cache, the ODSS baselines' materialized probability buckets) could ask
-//! *whether* the backend changed, but never *how* — so every update forced
-//! the most pessimistic answer ("everything is stale") and per-context
-//! materializations paid Θ(n) rebuilds for single-item weight moves.
+//! read-path state parked in a [`crate::QueryCtx`] (the ODSS baselines'
+//! materialized probability buckets) could ask *whether* the backend
+//! changed, but never *how* — so every update forced the most pessimistic
+//! answer ("everything is stale") and per-context materializations paid
+//! Θ(n) rebuilds for single-item weight moves.
 //!
 //! The journal replaces that protocol with a version and an optional
 //! bounded, epoch-stamped ring of fine-grained [`Delta`]s. Backends record
@@ -30,17 +30,17 @@
 //!
 //! ## Version without a ring
 //!
-//! A reader that never patches from deltas needs only the version: the
-//! current epoch and the epoch of the last structural rebuild
-//! ([`ChangeJournal::rebuilt_since`]). HALT's plan caches are such readers —
-//! a plan depends on `(Σw, n⁺)` and the sizing, not on which items moved —
-//! so a HALT sampler keeps a ring-less journal ([`ChangeJournal::ringless_at`])
-//! unless its owner attaches one ([`ChangeJournal::attach_ring`]), for
-//! instance to serve as a write-ahead log for [`crate::recover`]. A
-//! ring-less journal bumps its epoch exactly like a ring-ful one, so
-//! snapshot watermarks do not depend on the choice, and it answers
-//! [`ChangeJournal::catch_up`] with [`Replay::TooOld`] for any lag: it
-//! never claims a tail it does not hold.
+//! A reader that never patches from deltas needs only the version. Some
+//! readers need not even that: HALT's plan caches depend on `(Σw, n⁺)`,
+//! the group width and the fast-path flag, not on which items moved, and
+//! check those values themselves. So a HALT sampler keeps a ring-less
+//! journal ([`ChangeJournal::ringless_at`]) unless its owner attaches one
+//! ([`ChangeJournal::attach_ring`]), for instance to serve as a
+//! write-ahead log for [`crate::recover`]. A ring-less journal bumps its
+//! epoch exactly like a ring-ful one, so snapshot watermarks do not depend
+//! on the choice, and it answers [`ChangeJournal::catch_up`] with
+//! [`Replay::TooOld`] for any lag: it never claims a tail it does not
+//! hold.
 //!
 //! ## Epoch discipline
 //!
@@ -250,7 +250,8 @@ impl ChangeJournal {
     /// A version-only journal at `epoch`: it counts versions and rebuilds
     /// like any other, retains no delta, and answers every
     /// [`ChangeJournal::catch_up`] that lags with [`Replay::TooOld`]. For
-    /// owners whose readers only ask [`ChangeJournal::rebuilt_since`].
+    /// owners whose readers read no deltas: a snapshot watermark, or a
+    /// [`crate::recover`] caller that attaches a ring when it needs one.
     pub fn ringless_at(epoch: u64) -> Self {
         ChangeJournal { epoch, rebuilt: epoch, ring: None }
     }
@@ -274,7 +275,7 @@ impl ChangeJournal {
     /// this journal started from) lies after it, or `since` is an epoch
     /// this journal never issued. The ring plays no part.
     #[inline]
-    pub fn rebuilt_since(&self, since: u64) -> bool {
+    fn rebuilt_since(&self, since: u64) -> bool {
         since < self.rebuilt || since > self.epoch
     }
 
@@ -602,7 +603,7 @@ mod tests {
             assert!(matches!(j.catch_up(since), Replay::TooOld), "lag {} holds no tail", 5 - since);
         }
         assert!(matches!(j.catch_up(6), Replay::TooOld), "future epochs too");
-        assert!(!j.rebuilt_since(0), "no rebuild yet: a plan cache may keep its plans");
+        assert!(!j.rebuilt_since(0), "no rebuild yet");
         assert_eq!((j.len(), j.capacity()), (0, 0));
     }
 

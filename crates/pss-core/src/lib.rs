@@ -139,7 +139,8 @@ impl std::error::Error for OpError {}
 /// Updates take `&mut self`; **queries take `&self`** plus an explicit
 /// [`QueryCtx`] that owns every piece of query-time mutable state (the RNG
 /// stream and whatever per-backend scratch the structure wants to reuse —
-/// HALT's `(α, β)` plan cache, the ODSS baselines' materialized buckets).
+/// HALT's plan cache keyed on `W`, the ODSS baselines' materialized
+/// buckets).
 /// Queries mutate nothing in the structure, so independent queries may run
 /// concurrently over one shared backend, each thread holding its own
 /// context.
@@ -333,15 +334,15 @@ pub trait PssBackend: SpaceUsage + Send + Sync {
 
     /// The backend's change journal, if it keeps one.
     ///
-    /// Backends whose queries park derived state in a [`QueryCtx`] (HALT's
-    /// plan caches, the ODSS materializations) maintain a journal so that
-    /// state can revalidate: the incremental ODSS materialization
-    /// [catches up](ChangeJournal::catch_up) in O(deltas) through its
-    /// ring, while HALT's plan caches and the absolute ODSS materialization
-    /// read only its version and keep no ring unless one is attached. Every workspace backend
-    /// journals (the naive scans too, with a version alone, so snapshots
-    /// carry a watermark); the default, for a backend that keeps none, is
-    /// `None`.
+    /// Backends whose queries park derived state in a [`QueryCtx`] may
+    /// maintain a journal so that state can revalidate: the incremental
+    /// ODSS materialization [catches up](ChangeJournal::catch_up) in
+    /// O(deltas) through its ring, and the absolute ODSS materialization
+    /// reads only its version. HALT's plan caches read none of it (they
+    /// check the sampler's own stamp), so a HALT journal keeps no ring
+    /// unless one is attached. Every workspace backend journals (the naive
+    /// scans too, with a version alone, so snapshots carry a watermark);
+    /// the default, for a backend that keeps none, is `None`.
     fn journal(&self) -> Option<&ChangeJournal> {
         None
     }

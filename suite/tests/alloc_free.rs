@@ -355,6 +355,16 @@ fn warm_rr_set_allocates_only_its_result() {
     let _ = off;
 }
 
+/// A 200-item sampler that keeps a plan cache, its `Σw` filling one word.
+fn one_word_sampler() -> DpssSampler {
+    let mut rng = SmallRng::seed_from_u64(0x9A4A);
+    let weights: Vec<u64> = (0..200).map(|_| rng.gen_range(1..=u64::MAX >> 8)).collect();
+    let (s, _) = DpssSampler::from_weights(&weights, 5);
+    assert!(!s.level1().is_flat(), "the fixture must keep a plan cache, not scan");
+    assert!(s.total_weight() >> 62 != 0 && s.total_weight() >> 64 == 0, "Σw fills one word");
+    s
+}
+
 /// `W = α·Σw + β`, its accelerators and the level-1 thresholds — everything
 /// a plan holds — are formed on inline words while `Σw`, α and β have parts
 /// of at most 64 bits (and `W`'s cross products fit in 128): none of it
@@ -363,11 +373,7 @@ fn warm_rr_set_allocates_only_its_result() {
 /// nothing) then allocates only its result.
 #[test]
 fn param_weight_and_plan_build_do_not_allocate() {
-    let mut rng = SmallRng::seed_from_u64(0x9A4A);
-    let weights: Vec<u64> = (0..200).map(|_| rng.gen_range(1..=u64::MAX >> 8)).collect();
-    let (s, _) = DpssSampler::from_weights(&weights, 5);
-    assert!(!s.level1().is_flat(), "the fixture must keep a plan cache, not scan");
-    assert!(s.total_weight() >> 62 != 0 && s.total_weight() >> 64 == 0, "Σw fills one word");
+    let s = one_word_sampler();
     let n = s.level1().n_positive;
     let g = s.level1().group_width;
     let pairs = [
@@ -415,6 +421,36 @@ fn param_weight_and_plan_build_do_not_allocate() {
     assert_eq!(off, 0, "{off} of 400 plan misses allocated more than their result");
     #[cfg(debug_assertions)]
     let _ = off;
+}
+
+/// A context's first misses grow its plan vector geometrically: after a
+/// warm-up on one plan, 31 fresh `β`s fill the 32-plan cache with a handful
+/// of reallocations (4 → 8 → 16 → 32 slots) beyond their results, not one
+/// reallocation per miss.
+#[test]
+fn first_plan_misses_grow_the_cache_geometrically() {
+    let s = one_word_sampler();
+    let alpha = Ratio::from_u64s(1, 8);
+    // The warm-up grows the context's buffers to what the μ ≈ 8 queries
+    // below need, so what they allocate beyond their results is the cache.
+    let mut ctx = QueryCtx::new(29);
+    for _ in 0..16 {
+        s.query_in(&mut ctx, &alpha, &Ratio::zero());
+    }
+    let (mut items, mut extra) = (0, 0);
+    for k in 1..32u64 {
+        let b = Ratio::from_int(k << 20);
+        let before = allocs();
+        let got = s.query_in(&mut ctx, &alpha, &b).len();
+        extra += allocs() - before - u64::from(got > 0);
+        items += got;
+    }
+    assert_eq!(s.plan_cache_stats_in(&ctx), (15, 32, 0), "one warm-up plan, then 31 misses");
+    assert!(items > 31, "misses must sample something: {items} items over 31 queries");
+    #[cfg(not(debug_assertions))]
+    assert!(extra <= 6, "31 first misses made {extra} allocations beyond their results");
+    #[cfg(debug_assertions)]
+    let _ = extra;
 }
 
 /// A scan sampler keeps nothing in a context: its cold query, on a context

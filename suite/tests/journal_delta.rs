@@ -8,8 +8,10 @@
 //!   compared with `PartialEq`, canonical bucket order included), across
 //!   single-item deltas, `ScaledAll` compounding, and the ring-wrap
 //!   fallback;
-//! - HALT's `PlanState` (plans compared through query outputs on pinned
-//!   derived streams, since the plan is exactly the query's setup).
+//! - HALT's `PlanState`, which keys plans on `W` and checks its own stamp
+//!   instead of reading the journal (plans compared through query outputs
+//!   on pinned derived streams, since the plan is exactly the query's
+//!   setup).
 
 use baselines::{OdssStyle, PssBackend, SeedableBackend};
 use bignum::Ratio;
@@ -139,12 +141,12 @@ fn odss_ring_wrap_rebuild_is_bit_identical() {
     assert_eq!(o.materialization(&ctx), o.materialization(&fresh));
 }
 
-/// HALT's `PlanState` under the same protocol: a long-lived context whose
-/// plans are journal-refreshed answers every query bit-identically to a
+/// HALT's `PlanState` under the same churn: a long-lived context whose
+/// plans outlive the updates answers every query bit-identically to a
 /// fresh context that derives its plans from scratch (same derived stream,
 /// same backend state ⇒ the plans must be equal — the plan *is* the query
-/// setup). Covers the refresh path, the weight-neutral keep path, and the
-/// structural-rebuild clear.
+/// setup). Covers the re-miss after a moved `Σw`, the weight-neutral keep
+/// path, and the clear after a `force_exact` flip.
 #[test]
 fn halt_plan_state_delta_vs_fresh_is_bit_identical() {
     let weights: Vec<u64> = (0..500u64).map(|i| (i * 2654435761) % (1 << 30) + 1).collect();
@@ -157,7 +159,7 @@ fn halt_plan_state_delta_vs_fresh_is_bit_identical() {
         (0..6u64).map(|i| (Ratio::from_u64s(1, 4 + i), Ratio::zero())).collect();
     for batch in 0..30u64 {
         match batch % 4 {
-            // Weight-only churn: reweights (plans refresh in place).
+            // Weight-only churn: reweights (Σw moves; every plan re-misses).
             0 | 1 => {
                 for _ in 0..5 {
                     let id = ids[rng.gen_range(0..ids.len())];
@@ -171,7 +173,7 @@ fn halt_plan_state_delta_vs_fresh_is_bit_identical() {
                 let _ = s.set_weight(id, w + 1);
                 let _ = s.set_weight(id, w);
             }
-            // Structural: flip force_exact (a Rebuilt entry; plans clear).
+            // Flip force_exact (the flag is in the stamp; plans clear).
             _ => {
                 let flip = (batch / 4) % 2 == 1;
                 s.set_force_exact(flip);
@@ -187,7 +189,9 @@ fn halt_plan_state_delta_vs_fresh_is_bit_identical() {
         }
     }
     let (hits, misses, refreshes) = s.plan_cache_stats_in(&patched);
-    assert!(refreshes > 0, "the weight-only batches must have refreshed");
+    assert_eq!(refreshes, 0, "plans are never refreshed in place");
+    let churned = (0..30u64).filter(|b| b % 4 < 2).count() as u64;
+    assert!(misses >= churned * params.len() as u64, "every weight-only batch must re-miss");
     assert!(hits > 0, "the weight-neutral batches must have hit");
     assert!(misses < 30 * params.len() as u64, "a fresh miss per query would defeat the cache");
 }

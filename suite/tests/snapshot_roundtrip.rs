@@ -319,9 +319,10 @@ fn odss_style_falls_back_to_full_rebuild_on_wrap() {
 
 #[test]
 fn halt_plan_state_survives_a_wrapped_ring() {
-    // Not a `Replay::TooOld` consumer: the HALT per-context plan cache reads
-    // the journal's version alone, so a wrapped ring leaves its plans to be
-    // refreshed in place, and the samples stay those of the current items.
+    // Not a `Replay::TooOld` consumer: the HALT per-context plan cache never
+    // reads the journal, so a wrapped ring means nothing to it; its stamp
+    // drops the plan once Σw moved, and the samples stay those of the
+    // current items.
     let mut s = DpssSampler::new(2);
     s.attach_journal_ring(DEFAULT_JOURNAL_CAPACITY);
     let ids = DpssSampler::insert_many(&mut s, &(1..=48u64).collect::<Vec<_>>());
