@@ -20,8 +20,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use randvar::stats::{binomial_z, chi_square};
 use randvar::{
-    ber_oracle, ber_u64, bgeo, tgeo, tgeo_paper_literal, CountingRng, HalfRecipPStarOracle,
-    PStarOracle,
+    ber_oracle, ber_u64, bgeo, tgeo, tgeo_paper_literal, CountingRng, GeoDesc,
+    HalfRecipPStarOracle, PStarOracle,
 };
 use std::process::ExitCode;
 use wordram::bits;
@@ -341,6 +341,17 @@ fn e8_bernoulli() {
     ] {
         e8_row(label, &mut crng, reps / 5, |r| bgeo(r, &p, n));
     }
+    // The rows above build a descriptor per draw; the open-bucket walk
+    // reuses one per bucket, and decides its strides on a stride table
+    // when it expects at least a batch of items.
+    let n = 1 << 20;
+    let d = GeoDesc::from_words(1, 1 << 11, n);
+    e8_row("B-Geo stride, reused descriptor, p=2^-11, n=2^20", &mut crng, reps * 4, |r| {
+        d.bgeo(r, n)
+    });
+    let table = d.stride_table().expect("a 2^11 block has 64 steps");
+    e8_row("  same, strides on a stride table", &mut crng, reps * 4, |r| table.bgeo(r, n));
+    e8_row("  stride table fill (64 multiply pairs)", &mut crng, reps * 4, |_| d.stride_table());
 }
 
 /// One E8 row: ns/draw and random words/draw of `draw` over `reps` draws.

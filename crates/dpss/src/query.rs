@@ -65,6 +65,13 @@
 //! the plan's `1/W` bracket scaled exactly by `2^{b+1}`, `⌊log2 p⌋` is
 //! `b+1 − ⌈log2 W⌉`, and its table of `(1−p)^{2^i}` brackets makes every
 //! promising, first-index and stride coin a handful of integer multiplies.
+//! A walk that expects at least one batch of potential items
+//! (`p·n_b ≥ 16` on the bracket) also fills a [`randvar::StrideTable`] on
+//! the stack, 65 brackets of `(1−p)^{j·2^s}` across the `B-Geo` block, and
+//! draws its strides through it: each position coin first compares its
+//! word with the two entries around its `k`, which settles all but about
+//! one coin in 32 without a multiply (`exp e8`: a stride at `p = 2^-11`
+//! takes ≈43 ns instead of ≈74).
 //! The exact `p` is only formed on a sliver. The walk itself is bound by
 //! memory, not arithmetic — each potential item is a random read of the
 //! bucket's ids and then of the item's weight — so it runs in batches whose
@@ -576,6 +583,14 @@ fn extract_items_into<V: LevelView, R: RngCore + Clone>(
 /// Potential items one batch of the open-bucket walk resolves together.
 const WALK_BATCH: usize = 16;
 
+/// Expected potential items `p·n_b` from which a walk decides its strides
+/// on a [`randvar::StrideTable`]: one [`WALK_BATCH`]. Filling the table
+/// costs 64 multiply pairs (`exp e8`: 170–350 ns on a 2-vCPU shared host)
+/// and saves 30–45 ns per stride, so it pays from about 8 strides. At 4
+/// and 64 instead, perfbench `query_mix` read 72.2k and 69.3k ops/s
+/// against 73.8k here (medians of five rotated 8 s runs, seeds 201–205).
+const STRIDE_TABLE_MIN_ITEMS: f64 = WALK_BATCH as f64;
+
 /// Walks a non-clamped bucket `b` from its first potential index `k`: each
 /// potential item `x` is accepted with `Ber(w(x)/2^{b+1})`, and the next
 /// potential item lies a `B-Geo(p, n_b+1)` stride further (Algorithm 5).
@@ -609,13 +624,26 @@ fn walk_bucket<V: LevelView, R: RngCore + Clone>(
 ) {
     let n_b = view.bucket_len(b) as u64;
     let inv_pow = pow2f(-narrow::i32_of_u64(shift));
+    let table = if accel.use_fast() && d.np_surely_at_least(n_b, STRIDE_TABLE_MIN_ITEMS) {
+        d.stride_table()
+    } else {
+        None
+    };
+    #[cfg(test)]
+    if table.is_some() {
+        tests::STRIDE_TABLES.with(|c| c.set(c.get() + 1));
+    }
+    let stride = |rng: &mut R| match &table {
+        Some(table) => table.bgeo(rng, n_b + 1),
+        None => d.bgeo(rng, n_b + 1),
+    };
     // One step of the item-at-a-time loop; returns the next position.
     let step = |rng: &mut R, k: u64, out: &mut Vec<V::Id>| {
         let x = view.bucket_item(b, (k - 1) as usize);
         if accept_in_bucket(view, rng, accel, x, shift, inv_pow) {
             out.push(x);
         }
-        k + d.bgeo(rng, n_b + 1)
+        k + stride(rng)
     };
     if !accel.use_fast() {
         while k <= n_b {
@@ -634,7 +662,7 @@ fn walk_bucket<V: LevelView, R: RngCore + Clone>(
                 break;
             }
             (*p, *u) = (k, rng.next_u64());
-            k += d.bgeo(rng, n_b + 1);
+            k += stride(rng);
             m += 1;
         }
         for &p in pos.iter().take(m) {
@@ -997,6 +1025,8 @@ mod tests {
         pub(super) static THINNING_COINS: Cell<u64> = const { Cell::new(0) };
         /// Of those, the ones whose word landed in the sliver.
         pub(super) static THINNING_SLIVERS: Cell<u64> = const { Cell::new(0) };
+        /// Open-bucket walks that drew their strides on a stride table.
+        pub(super) static STRIDE_TABLES: Cell<u64> = const { Cell::new(0) };
     }
 
     /// A [`Level1`] whose weight brackets are widened by 2⁻⁶ either side
@@ -1055,6 +1085,45 @@ mod tests {
         }
         assert!(items > 32 * 128, "walk sampled only {items} items");
         assert!(randvar::sliver_hits() - slivers > 64, "the replay path was barely exercised");
+    }
+
+    #[test]
+    fn stride_table_walk_replays_slivers_word_for_word() {
+        // 8192 weights in bucket 19 and 4096 in bucket 18 against W = 2^28:
+        // p = 2^-8 and 2^-9, so bucket 19 expects 32 potential items and
+        // draws its strides on a stride table, and bucket 18 (8 expected)
+        // keeps the power-table brackets. The widened weight brackets make
+        // most batches rewind and replay through the table's strides.
+        let weights: Vec<u64> = (0..12_288u64)
+            .map(|i| {
+                let base = if i < 8192 { 1 << 19 } else { 1 << 18 };
+                base + i.wrapping_mul(2_654_435_761) % base
+            })
+            .collect();
+        let mut level1 = Level1::new(14, 4);
+        level1.insert_many(&weights);
+        let view = WideBrackets(&level1);
+        let w = Ratio::from_int(1 << 28);
+        let buckets: Vec<u16> =
+            level1.nonempty().range(0, L1_BUCKETS - 1).map(narrow::u16_of_usize).collect();
+        assert_eq!(buckets, [18, 19]);
+        let (slivers, tables) = (randvar::sliver_hits(), STRIDE_TABLES.with(Cell::get));
+        let mut items = 0;
+        for seed in 0..128 {
+            let mut fast_ctx = QueryCtx::new(seed);
+            let fast =
+                extract_items(&view, fast_ctx.rng(), &w, &QueryAccel::new(&w, true), &buckets);
+            let mut exact_ctx = QueryCtx::new(seed);
+            let exact =
+                extract_items(&view, exact_ctx.rng(), &w, &QueryAccel::new(&w, false), &buckets);
+            assert_eq!(fast, exact, "seed {seed}: table-driven walk returned other items");
+            assert_eq!(fast_ctx.words_consumed(), exact_ctx.words_consumed(), "seed {seed}");
+            items += fast.len();
+        }
+        assert!(items > 128 * 16, "walk sampled only {items} items");
+        assert!(randvar::sliver_hits() - slivers > 32, "the replay path was barely exercised");
+        let tables = STRIDE_TABLES.with(Cell::get) - tables;
+        assert_eq!(tables, 128, "one stride table per query, for bucket 19 only");
     }
 
     #[test]

@@ -17,11 +17,14 @@
 //! The generators are methods of a [`GeoDesc`], whose power table makes
 //! the bracket of every block and position coin `popcount(k)` fixed-point
 //! products; [`bgeo`] and [`ber_pow_one_minus`] wrap one descriptor per
-//! call.
+//! call. [`StrideTable::bgeo`] draws the same variate from the same words
+//! but decides each position coin table-first: its drawn word is compared
+//! with the table's two entries around `(1−p)^k`, and only a word between
+//! them (at most about one coin in 32) pays for the `popcount(k)` products.
 
 use crate::bernoulli::{ber_rational_from_word, ber_rational_parts};
-use crate::fast::{ber_bits_with, fast_path_enabled};
-use crate::geo::{block_exp, GeoDesc};
+use crate::fast::{ber_bits_with, decide_word, fast_path_enabled};
+use crate::geo::{block_exp, GeoDesc, StrideTable};
 use crate::lazy::{ber_oracle, ber_oracle_from_word};
 use crate::oracles::PowOneMinusOracle;
 use bignum::{BigUint, Ratio};
@@ -78,6 +81,17 @@ impl GeoDesc<'_> {
     ///
     /// Requires `1 ≤ n < 2^63`.
     pub fn bgeo<R: RngCore>(&self, rng: &mut R, n: u64) -> u64 {
+        self.bgeo_by(rng, n, |rng, k| self.ber_pow_one_minus(rng, k))
+    }
+
+    /// The `B-Geo` body, with `coin(rng, k)` drawing `Ber((1−p)^k)`.
+    #[inline]
+    fn bgeo_by<R: RngCore>(
+        &self,
+        rng: &mut R,
+        n: u64,
+        mut coin: impl FnMut(&mut R, u64) -> bool,
+    ) -> u64 {
         assert!((1..(1 << 63)).contains(&n), "bgeo cap out of range");
         let t: u64 = bits::pow2_64(block_exp(self.floor_log2(), n));
 
@@ -86,7 +100,7 @@ impl GeoDesc<'_> {
             if blocks_done.saturating_mul(t) >= n {
                 return n; // Geo(p) > n already
             }
-            if self.ber_pow_one_minus(rng, t) {
+            if coin(rng, t) {
                 blocks_done += 1;
                 continue;
             }
@@ -94,12 +108,46 @@ impl GeoDesc<'_> {
             // Conditional position R: Pr[R = r] ∝ (1−p)^{r−1}, r ∈ [1, t].
             let r = loop {
                 let cand = (rng.next_u64() & (t - 1)) + 1;
-                if self.ber_pow_one_minus(rng, cand - 1) {
+                if coin(rng, cand - 1) {
                     break cand;
                 }
             };
             return (blocks_done * t + r).min(n);
         }
+    }
+}
+
+impl StrideTable<'_, '_> {
+    /// [`GeoDesc::ber_pow_one_minus`], deciding the drawn word on the
+    /// table's entry bracket first (for `k ≤ 2^top`).
+    fn ber_pow_one_minus<R: RngCore>(&self, rng: &mut R, k: u64) -> bool {
+        let d = self.desc;
+        if k == 0 {
+            return true;
+        }
+        let u = rng.next_u64();
+        if let Some(accept) = self.coarse_bits(k).and_then(|b| b.certain(u)) {
+            debug_assert!(
+                d.pow_bits(k).certain(u).is_none_or(|c| c == accept),
+                "stride table decides word {u} against the power bracket of (1−p)^{k}"
+            );
+            return accept;
+        }
+        decide_word(rng, &d.pow_bits(k), u, |rng, u| {
+            pow_one_minus_exact_from_word(rng, d.ratio(), k, u)
+        })
+    }
+
+    /// Draws `B-Geo(p, n)` exactly like [`GeoDesc::bgeo`] on the table's
+    /// descriptor — same variate, same words — deciding its position coins
+    /// on the table. A cap whose block is not the table's, and exact mode,
+    /// take [`GeoDesc::bgeo`] itself.
+    pub fn bgeo<R: RngCore>(&self, rng: &mut R, n: u64) -> u64 {
+        let d = self.desc;
+        if !fast_path_enabled() || n == 0 || block_exp(d.floor_log2(), n) != self.top {
+            return d.bgeo(rng, n);
+        }
+        d.bgeo_by(rng, n, |rng, k| self.ber_pow_one_minus(rng, k))
     }
 }
 

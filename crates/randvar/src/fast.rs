@@ -213,6 +213,17 @@ pub fn ber_bits_with<R: RngCore>(
     exact: impl FnOnce(&mut R, u64) -> bool,
 ) -> bool {
     let u = rng.next_u64();
+    decide_word(rng, bits, u, exact)
+}
+
+/// [`ber_bits_with`] for a word `u` the caller has already drawn.
+#[inline]
+pub(crate) fn decide_word<R: RngCore>(
+    rng: &mut R,
+    bits: &Bits64,
+    u: u64,
+    exact: impl FnOnce(&mut R, u64) -> bool,
+) -> bool {
     match bits.certain(u) {
         Some(accept) => accept,
         None => {

@@ -14,6 +14,14 @@
 //! - the brackets of `(1−p)^{2^i}` for every `i` up to the block exponent,
 //!   so a bracket of `(1−p)^k` is `popcount(k)` directed-rounded products.
 //!
+//! A caller that draws many strides at one `p` (the query layer's
+//! open-bucket walk) also fills a [`StrideTable`] from those squares: 65
+//! brackets of `(1−p)^{j·2^s}` cutting the block `2^top` into 64 steps. A
+//! position coin then decides its word table-first: one comparison against
+//! the two entries around its `k` settles all but about `t·p/64 ≤ 1/32` of
+//! the coins, and only those build the `popcount(k)`-product bracket (and,
+//! more rarely still, reach the sliver).
+//!
 //! The power table is kept in 63-bit fixed point (`v` as an integer bracket
 //! of `v·2^63`): a directed-rounded product is one `64×64→128` multiply and
 //! a shift, and the bracket lands directly on the 64-bit word grid the
@@ -40,6 +48,12 @@ const MAX_BLOCK_EXP: u64 = 62;
 
 /// Power-table length: one entry per exponent `0..=MAX_BLOCK_EXP`.
 const TABLE: usize = MAX_BLOCK_EXP as usize + 1;
+
+/// `log2` of the steps a [`StrideTable`] cuts its block into.
+const STRIDE_STEPS_LOG2: usize = 6;
+
+/// [`StrideTable`] length: one entry per step boundary `j = 0..=64`.
+const STRIDE_ENTRIES: usize = 65;
 
 /// `1` in the power table's 63-bit fixed point.
 const ONE: u64 = 1 << 63;
@@ -292,6 +306,36 @@ impl<'a> GeoDesc<'a> {
         (fx_to_f64_down(lo), fx_to_f64_up(hi))
     }
 
+    /// The [`StrideTable`] of this descriptor's block, or `None` when the
+    /// block is shorter than its 64 steps (block exponent below 6).
+    ///
+    /// It fills 64 entries by doubling from the power table: round `r`
+    /// multiplies each of the entries `0..2^r` by `(1−p)^{2^{s+r}}`, so each
+    /// round's multiplies are independent of each other.
+    pub fn stride_table(&self) -> Option<StrideTable<'_, 'a>> {
+        let shift = self.top.checked_sub(STRIDE_STEPS_LOG2)?;
+        let (mut lo, mut hi) = ([ONE; STRIDE_ENTRIES], [ONE; STRIDE_ENTRIES]);
+        let squares = self.sq_lo.iter().zip(&self.sq_hi).skip(shift);
+        for (r, (&b_lo, &b_hi)) in squares.take(STRIDE_STEPS_LOG2 + 1).enumerate() {
+            let done = bits::pow2_usize(r as u64);
+            let (lo_done, lo_next) = lo.split_at_mut(done);
+            let (hi_done, hi_next) = hi.split_at_mut(done);
+            for ((next, &prev), (next_hi, &prev_hi)) in
+                lo_next.iter_mut().zip(&*lo_done).zip(hi_next.iter_mut().zip(&*hi_done))
+            {
+                (*next, *next_hi) = (fx_mul_down(prev, b_lo), fx_mul_up(prev_hi, b_hi));
+            }
+        }
+        Some(StrideTable { desc: self, lo, hi, shift: shift as u64, top: self.top as u64 })
+    }
+
+    /// `n·p ≥ m` on the bracket alone: `false` whenever the bracket cannot
+    /// show it, even if the exact `n·p` reaches `m`. For cost decisions
+    /// only, which never change a result.
+    pub fn np_surely_at_least(&self, n: u64, m: f64) -> bool {
+        mul_down(u64_f64_bounds(n).0, self.p_lo) >= m
+    }
+
     /// `n·p ≥ 1`, decided on the bracket and settled exactly only when the
     /// bracket straddles 1.
     pub fn np_at_least_one(&self, n: u64) -> bool {
@@ -309,6 +353,43 @@ impl<'a> GeoDesc<'a> {
             // An overflowing product exceeds any two-word denominator.
             Parts::Words { num, den } => num.checked_mul(u128::from(n)).is_none_or(|v| v >= den),
         }
+    }
+}
+
+/// Certified fixed-point brackets of `(1−p)^{j·2^s}` for `j = 0..=64`, where
+/// `2^s` is a 64th of a descriptor's block `t = 2^top` (built by
+/// [`GeoDesc::stride_table`]).
+///
+/// A `B-Geo` position coin `Ber((1−p)^k)` has `k < t`, so with `j = k >> s`
+/// its exact value lies between entries `j+1` and `j`: a word below the
+/// first certainly accepts and one above the second certainly rejects. Only
+/// a word between them (a share of about `t·p/64 ≤ 1/32` of the coins)
+/// needs the `popcount(k)`-product bracket of `(1−p)^k`, and from there the
+/// sliver. Any certified bracket gives the same decision from the same
+/// words, so [`StrideTable::bgeo`] draws exactly what [`GeoDesc::bgeo`]
+/// draws; it only spends fewer multiplies. Filling it costs 64 multiply
+/// pairs, which a caller spends when it expects many strides at one `p`.
+#[derive(Debug)]
+pub struct StrideTable<'d, 'a> {
+    pub(crate) desc: &'d GeoDesc<'a>,
+    lo: [u64; STRIDE_ENTRIES],
+    hi: [u64; STRIDE_ENTRIES],
+    /// `s = top − 6`: entry `j` is `(1−p)^{j·2^s}`.
+    shift: u64,
+    /// The block exponent the table cuts into 64 steps.
+    pub(crate) top: u64,
+}
+
+impl StrideTable<'_, '_> {
+    /// The entry bracket that holds `(1−p)^k`, as the [`Bits64`] from
+    /// `(1−p)^{(j+1)·2^s}` up to `(1−p)^{j·2^s}`, `j = k >> s`: entry `j`
+    /// alone when `k = j·2^s` (the block coin's `k = 2^top` among them), and
+    /// `None` for `k > 2^top`.
+    #[inline]
+    pub(crate) fn coarse_bits(&self, k: u64) -> Option<Bits64> {
+        let j = bits::shr64(k, self.shift) as usize;
+        let below = j + usize::from(k & bits::low_mask64(self.shift) != 0);
+        Some(Bits64::from_fixed63(*self.lo.get(below)?, *self.hi.get(j)?))
     }
 }
 
@@ -414,6 +495,53 @@ mod tests {
             let (lo, hi) = d.pow_fixed(k_big);
             prop_assert!(fx(lo).cmp(iv.lo()) != Ordering::Greater);
             prop_assert!(fx(hi).cmp(iv.hi()) != Ordering::Less);
+        }
+
+        #[test]
+        fn stride_table_brackets_contain_exact_powers(
+            kind in 0u32..5, a in any::<u64>(), b in any::<u64>(), range in 1u64..(1 << 40),
+        ) {
+            let (num, den, shift) = family(kind, a, b);
+            let d = scaled_desc(&num, &den, shift, range);
+            let p = exact(&num, &den, shift);
+            let table = d.stride_table();
+            prop_assert_eq!(table.is_some(), d.top >= STRIDE_STEPS_LOG2, "top = {}", d.top);
+            prop_assume!(table.is_some());
+            let Some(table) = table else { unreachable!() };
+            prop_assert_eq!(table.shift, (d.top - STRIDE_STEPS_LOG2) as u64);
+            prop_assert_eq!((table.lo[0], table.hi[0]), (ONE, ONE));
+            for j in 1..STRIDE_ENTRIES as u64 {
+                // Against a 200-bit interval of (1−p)^{j·2^s}.
+                let iv = PowOneMinusOracle::new(p.num(), p.den(), j << table.shift).bracket(200);
+                let (lo, hi) = (table.lo[j as usize], table.hi[j as usize]);
+                prop_assert!(fx(lo).cmp(iv.lo()) != Ordering::Greater, "lo, j = {}", j);
+                prop_assert!(fx(hi).cmp(iv.hi()) != Ordering::Less, "hi, j = {}", j);
+            }
+        }
+
+        #[test]
+        fn stride_table_bgeo_draws_like_bgeo(
+            kind in 0u32..5, a in any::<u64>(), b in any::<u64>(),
+            n in 1u64..(1 << 20), seed in any::<u64>(),
+        ) {
+            // Same variates and words as the power-table `bgeo`, and as the
+            // all-exact one; a cap of another block takes `bgeo` itself.
+            let (num, den, shift) = family(kind, a, b);
+            let d = scaled_desc(&num, &den, shift, n);
+            let table = d.stride_table();
+            prop_assume!(table.is_some());
+            let Some(table) = table else { unreachable!() };
+            let mut r1 = CountingRng::new(SmallRng::seed_from_u64(seed));
+            let mut r2 = CountingRng::new(SmallRng::seed_from_u64(seed));
+            let mut r3 = CountingRng::new(SmallRng::seed_from_u64(seed));
+            for cap in [n, n, n, n, n / 2 + 1, n, 1] {
+                let v = table.bgeo(&mut r1, cap);
+                prop_assert_eq!(v, d.bgeo(&mut r2, cap), "cap {}", cap);
+                let _exact = crate::exact_mode_guard();
+                prop_assert_eq!(v, d.bgeo(&mut r3, cap), "cap {}, exact mode", cap);
+            }
+            prop_assert_eq!(r1.words_consumed(), r2.words_consumed());
+            prop_assert_eq!(r1.words_consumed(), r3.words_consumed());
         }
 
         #[test]

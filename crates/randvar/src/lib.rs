@@ -34,7 +34,11 @@
 //!   certified bracket of `p`, the exact `⌊log2 p⌋`, and a fixed-point
 //!   table of `(1−p)^{2^i}` brackets — it turns each `(1−p)^k` coin into
 //!   `popcount(k)` integer multiplies and keeps the exact `p` unbuilt until
-//!   a word lands in a sliver. [`bgeo`], [`tgeo`], [`ber_pstar`] and
+//!   a word lands in a sliver. A caller walking many strides at one `p`
+//!   adds a [`StrideTable`] of 65 brackets `(1−p)^{j·2^s}`: a `B-Geo`
+//!   position coin then compares its word with the two entries around its
+//!   `k` first, and only the ≤ ~1/32 of words between them pay for the
+//!   `popcount(k)` products. [`bgeo`], [`tgeo`], [`ber_pstar`] and
 //!   [`ber_pow_one_minus`] wrap one descriptor per call; callers drawing
 //!   many variates at one `p` (the query walk, [`binomial()`]) build it
 //!   once. A bracket only decides how often the sliver fallback runs, never
@@ -63,7 +67,7 @@ pub use fast::{
     ber_bits_rational, ber_bits_with, div_down, div_up, exact_mode_guard, fast_path_enabled,
     mul_down, mul_up, sliver_hits, Bits64, ExactModeGuard,
 };
-pub use geo::GeoDesc;
+pub use geo::{GeoDesc, StrideTable};
 pub use lazy::{ber_oracle, ber_oracle_from_word, ProbOracle, RatioOracle};
 pub use naive::{bgeo_naive_scan, geo_f64, tgeo_inversion_f64, tgeo_naive_scan};
 pub use oracles::{ber_pstar, HalfRecipPStarOracle, PStarOracle, PowOneMinusOracle};

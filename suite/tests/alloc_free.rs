@@ -393,8 +393,12 @@ fn param_weight_and_plan_build_do_not_allocate() {
     }
 
     // A cold miss on a full cache. μ ≈ 64 first: those queries grow the
-    // context's buffers past anything the μ ≈ 8 queries below need. Then
-    // fill the cache with distinct β, and ask fresh ones.
+    // context's `QueryScratch` buffers past anything the μ ≈ 8 queries
+    // below need. They do not warm everything: the first μ ≈ 8 query still
+    // makes 10 allocations beyond its result, building a lookup-table row
+    // the μ ≈ 64 queries never reached (the context's memo goes from 2 rows
+    // to 3). The 64 queries that fill the cache with distinct β are what
+    // warm that row, and the plan vector's growth. Then ask fresh β.
     let mut ctx = QueryCtx::new(23);
     for _ in 0..16 {
         s.query_in(&mut ctx, &Ratio::from_u64s(1, 64), &Ratio::zero());
