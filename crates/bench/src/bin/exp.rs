@@ -12,8 +12,9 @@
 
 use baselines::all_backends;
 use bench::{fmt_secs, header, radix_sort_u64, row, time, time_per, WeightDist};
-use bignum::Ratio;
-use dpss::{DpssSampler, FinalLevelMode, QueryCtx, SpaceUsage};
+use bignum::{BigUint, Ratio};
+use dpss::query::QueryAccel;
+use dpss::{DpssSampler, FinalLevelMode, PssBackend, QueryCtx, SpaceUsage};
 use floatdpss::sort_via_dpss;
 use graphsub::{gen, randomized_push, rr_set};
 use rand::rngs::SmallRng;
@@ -352,6 +353,29 @@ fn e8_bernoulli() {
     let table = d.stride_table().expect("a 2^11 block has 64 steps");
     e8_row("  same, strides on a stride table", &mut crng, reps * 4, |r| table.bgeo(r, n));
     e8_row("  stride table fill (64 multiply pairs)", &mut crng, reps * 4, |_| d.stride_table());
+    // A scan sampler's whole warm query at (α, β) = (1, 0): W formed, its
+    // accelerators built, one coin per item, into a reused buffer. Then the
+    // accelerators alone, whose `1/W` bracket is two word divisions.
+    let (one, zero) = (Ratio::one(), Ratio::zero());
+    let (mut ctx, mut out) = (QueryCtx::new(53), Vec::new());
+    for k in [4u64, 8, 16, 32] {
+        let mut s = DpssSampler::new(59);
+        for i in 0..k {
+            s.insert(1 + i.wrapping_mul(0x9E37_79B9) % (1 << 20));
+        }
+        let before = ctx.words_consumed();
+        let per = time_per(reps * 4, || s.query_into(&mut ctx, &one, &zero, &mut out));
+        let words = (ctx.words_consumed() - before) as f64 / (reps * 4) as f64;
+        let label = format!("warm (1, 0) scan query, {k} items");
+        row(&[label, format!("{:.0}", per * 1e9), format!("{words:.2}")]);
+    }
+    let limbs = BigUint::from_limbs(vec![0x9E37_79B9_7F4A_7C15, 0xBF58_476D_1CE4_E5B9, 7]);
+    for (label, w) in [
+        ("QueryAccel::new, one-limb W", Ratio::from_u64s(0x94D0_49BB_1331_11EB, 1)),
+        ("QueryAccel::new, three-limb W", Ratio::new(limbs, BigUint::from_u64(3))),
+    ] {
+        e8_row(label, &mut crng, reps * 4, |_| QueryAccel::new(&w, true));
+    }
 }
 
 /// One E8 row: ns/draw and random words/draw of `draw` over `reps` draws.

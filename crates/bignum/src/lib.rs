@@ -9,8 +9,9 @@
 //! Three layers:
 //! - [`BigUint`]: exact arbitrary-precision unsigned integers (see the README's crate table);
 //! - [`Ratio`]: exact non-negative rationals with `floor_log2`/`ceil_log2`
-//!   implementing Claim 4.3, plus certified `to_f64_bounds` brackets (a
-//!   rational pinched between adjacent floats) for the query fast path;
+//!   implementing Claim 4.3; the query fast path brackets them from their
+//!   parts' limbs in integer words (`randvar::WordBracket`), never in floating
+//!   point;
 //! - [`Dyadic`] / [`Interval`]: certified outward-rounded interval arithmetic
 //!   used to produce *i*-bit approximations of probabilities such as
 //!   `p* = (1-(1-q)^n)/(nq)` (Lemmas 3.3 and 3.4) in poly(i) time (S2).
@@ -24,4 +25,4 @@ mod uint;
 
 pub use dyadic::{Dyadic, Interval};
 pub use rational::Ratio;
-pub use uint::{f64_bounds_from_limbs, BigUint};
+pub use uint::BigUint;

@@ -196,34 +196,6 @@ impl Ratio {
         self.num.div_rem(&self.den).0
     }
 
-    /// Certified `f64` bracket: returns `(lo, hi)` with `lo ≤ self ≤ hi` as
-    /// exact inequalities, a few units in the last place wide. This is the
-    /// interval helper the exactness-preserving query fast path builds its
-    /// certain-accept/certain-reject thresholds from; unlike
-    /// [`Ratio::to_f64_lossy`] it never rounds across the true value.
-    pub fn to_f64_bounds(&self) -> (f64, f64) {
-        Self::f64_bounds_parts(&self.num, &self.den)
-    }
-
-    /// Certified `f64` bracket of `num/den` without constructing a [`Ratio`]
-    /// (the parts-level form the samplers use on borrowed numerators).
-    /// Panics if `den == 0`.
-    pub fn f64_bounds_parts(num: &BigUint, den: &BigUint) -> (f64, f64) {
-        assert!(!den.is_zero(), "f64 bounds of n/0");
-        if num.is_zero() {
-            return (0.0, 0.0);
-        }
-        let (nlo, nhi) = num.to_f64_bounds();
-        let (dlo, dhi) = den.to_f64_bounds();
-        // f64 division is correctly rounded, so the quotient of certified
-        // bounds nudged one ulp outward brackets the true value: dlo ≥ 1 and
-        // next_down(fl(nlo/dhi)) < nlo/dhi ≤ num/den ≤ nhi/dlo < next_up(…).
-        let lo = if dhi.is_infinite() { 0.0 } else { (nlo / dhi).next_down().max(0.0) };
-        let q = nhi / dlo;
-        let hi = if q.is_finite() { q.next_up() } else { f64::INFINITY };
-        (lo, hi)
-    }
-
     /// The `(num, den)` pair as machine `u128`s when both fit — the "u128
     /// fast form" that lets callers drop to word arithmetic for O(1)-word
     /// rationals. Returns `None` if either part needs more than two words.

@@ -164,19 +164,6 @@ impl BigUint {
         acc
     }
 
-    /// Certified `f64` bracket: returns `(lo, hi)` with `lo ≤ self ≤ hi` as
-    /// exact mathematical inequalities. Values with at most 53 significant
-    /// bits are represented exactly (`lo == hi`); otherwise the bracket is one
-    /// unit in the last place wide. Values beyond `f64::MAX` get
-    /// `(f64::MAX, +∞)`.
-    ///
-    /// Unlike [`BigUint::to_f64_lossy`] this is safe to feed into the sampling
-    /// fast path: any decision made strictly against the bracket agrees with
-    /// the exact value.
-    pub fn to_f64_bounds(&self) -> (f64, f64) {
-        f64_bounds_from_limbs(self.limbs(), self.bit_len())
-    }
-
     /// Number of significant bits: `bit_len(0) == 0`, `bit_len(1) == 1`.
     ///
     /// In the Word RAM model this is one "index of highest non-zero bit"
@@ -656,41 +643,6 @@ impl fmt::Display for BigUint {
         // pss-lint: allow(no-panic-paths) — digits holds only ASCII b'0'..=b'9' built two lines up
         f.write_str(std::str::from_utf8(&digits).unwrap())
     }
-}
-
-/// Certified `f64` bracket of the integer with little-endian 64-bit `limbs`
-/// and `bit_len` significant bits: `lo ≤ value ≤ hi` exactly.
-///
-/// Shared by [`BigUint::to_f64_bounds`] and fixed-width integer types in
-/// higher crates (the Word RAM hierarchy's 256-bit proxy weights), so the
-/// whole workspace agrees on one directed-rounding conversion.
-pub fn f64_bounds_from_limbs(limbs: &[u64], bit_len: u64) -> (f64, f64) {
-    if bit_len <= 53 {
-        // At most 53 significant bits: exactly representable.
-        let v = limbs.first().copied().unwrap_or(0) as f64;
-        return (v, v);
-    }
-    // t = ⌊value / 2^s⌋ carries exactly the top 53 bits; sticky records
-    // whether any of the discarded low `s` bits is set.
-    let s = bit_len - 53;
-    let word = (s / 64) as usize;
-    let off = (s % 64) as u32;
-    // pss-lint: allow(no-bare-shift) — off = s % 64 < 64
-    let mut t = limbs[word] >> off;
-    if off != 0 && word + 1 < limbs.len() {
-        // pss-lint: allow(no-bare-shift) — guarded by off != 0, so 64 - off ∈ 1..=63
-        t |= limbs[word + 1] << (64 - off);
-    }
-    debug_assert!(t >> 53 == 0, "top-bit extraction overflowed 53 bits");
-    // pss-lint: allow(no-bare-shift) — off = s % 64 < 64 and the mask is only read when off != 0
-    let sticky = (off != 0 && limbs[word] & ((1u64 << off) - 1) != 0)
-        || limbs[..word].iter().any(|&l| l != 0);
-    // t and t+1 are ≤ 2^53 (exact in f64); scaling by 2^s is exact while the
-    // result stays finite, so lo = t·2^s ≤ value and value ≤ (t+sticky)·2^s = hi.
-    let scale = if s <= 1023 { 2f64.powi(s as i32) } else { f64::INFINITY };
-    let lo = t as f64 * scale;
-    let hi = if sticky { (t + 1) as f64 * scale } else { lo };
-    (if lo.is_finite() { lo } else { f64::MAX }, hi)
 }
 
 #[cfg(test)]

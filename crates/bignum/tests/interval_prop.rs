@@ -18,36 +18,6 @@ fn cmp_dyadic_ratio(d: &Dyadic, a: u64, b: u64) -> Ordering {
     }
 }
 
-/// Exact `f64 → Dyadic` decomposition (finite, non-negative inputs).
-fn f64_to_dyadic(x: f64) -> Dyadic {
-    assert!(x.is_finite() && x >= 0.0, "cannot decompose {x}");
-    if x == 0.0 {
-        return Dyadic::zero();
-    }
-    let bits = x.to_bits();
-    let exp = ((bits >> 52) & 0x7FF) as i64;
-    let frac = bits & ((1u64 << 52) - 1);
-    let (m, e) = if exp == 0 { (frac, -1074) } else { (frac | (1 << 52), exp - 1075) };
-    Dyadic::new(BigUint::from_u64(m), e)
-}
-
-/// Exactly compares the float `x` against the integer `v` (`+∞` counts as
-/// greater than everything).
-fn cmp_f64_biguint(x: f64, v: &BigUint) -> Ordering {
-    if !x.is_finite() {
-        return Ordering::Greater;
-    }
-    f64_to_dyadic(x).cmp(&Dyadic::new(v.clone(), 0))
-}
-
-/// Exactly compares `x` against `num/den` via `x·den ⋛ num`.
-fn cmp_f64_times_den(x: f64, den: &BigUint, num: &BigUint) -> Ordering {
-    if !x.is_finite() {
-        return Ordering::Greater;
-    }
-    f64_to_dyadic(x).mul(&Dyadic::new(den.clone(), 0)).cmp(&Dyadic::new(num.clone(), 0))
-}
-
 /// Asserts `iv` brackets `a/b`.
 fn assert_brackets(iv: &Interval, a: u64, b: u64, what: &str) {
     assert_ne!(cmp_dyadic_ratio(iv.lo(), a, b), Ordering::Greater, "{what}: lo > {a}/{b}");
@@ -139,39 +109,6 @@ proptest! {
         // Mantissas shrink to ≤ p+1 bits.
         prop_assert!(down.mantissa().bit_len() <= p + 1);
         prop_assert!(up.mantissa().bit_len() <= p + 1);
-    }
-
-    #[test]
-    fn biguint_f64_bounds_bracket_the_value(lo64 in 0u64..=u64::MAX, hi64 in 0u64..=u64::MAX, shift in 0u64..140) {
-        // Exercise values up to ≈ 2^204 (the range of HALT proxy weights).
-        let v = BigUint::from_u128((u128::from(hi64) << 64) | u128::from(lo64)).shl(shift);
-        let (lo, hi) = v.to_f64_bounds();
-        prop_assert_ne!(cmp_f64_biguint(lo, &v), Ordering::Greater, "lo={lo} > value");
-        prop_assert_ne!(cmp_f64_biguint(hi, &v), Ordering::Less, "hi={hi} < value");
-        // Tightness: the bracket is at most one ulp wide.
-        if hi.is_finite() {
-            prop_assert!(hi == lo || hi == lo.next_up(), "bracket wider than an ulp");
-        }
-    }
-
-    #[test]
-    fn ratio_f64_bounds_bracket_the_rational(
-        a in 1u64..=u64::MAX,
-        b in 1u64..=u64::MAX,
-        num_shift in 0u64..80,
-        den_shift in 0u64..80,
-    ) {
-        let num = BigUint::from_u64(a).shl(num_shift);
-        let den = BigUint::from_u64(b).shl(den_shift);
-        let (lo, hi) = bignum::Ratio::f64_bounds_parts(&num, &den);
-        // lo ≤ num/den ⟺ lo·den ≤ num (exact dyadic cross-multiplication).
-        prop_assert_ne!(cmp_f64_times_den(lo, &den, &num), Ordering::Greater, "lo too high");
-        prop_assert_ne!(cmp_f64_times_den(hi, &den, &num), Ordering::Less, "hi too low");
-        prop_assert!(lo <= hi && lo >= 0.0);
-        // Tightness: a handful of ulps at most.
-        if lo > 0.0 && hi.is_finite() {
-            prop_assert!(hi / lo < 1.0 + 1e-12, "bracket too wide: [{lo}, {hi}]");
-        }
     }
 
     #[test]

@@ -53,16 +53,20 @@
 //! **Fast path.** Paying a multi-word `BigUint` multiply per inclusion coin
 //! is what kept HALT behind the naive float baseline on queries. Each coin
 //! here goes through a two-sided word test ([`randvar::Bits64`]): a
-//! precomputed [`QueryAccel`] turns `W` into certified f64 bounds of `1/W`,
-//! every coin's bracket is one or two directed-rounded float multiplies, and
-//! the exact rational machinery only runs when the uniform word lands in the
-//! ulp-wide sliver between certain-accept and certain-reject (≈ 2⁻⁵⁰ per
-//! coin), *conditioned on the drawn word* — so the sampled distribution is
-//! bit-for-bit the same as the all-exact implementation.
+//! precomputed [`QueryAccel`] turns `W`'s limbs into a [`WordBracket`] of
+//! `1/W` (one-word floor and ceiling mantissas under one exact exponent),
+//! every coin's bracket is one or two `64×64→128` multiplies and a shift,
+//! and the exact rational machinery only runs when the uniform word lands
+//! in the few-word sliver between certain-accept and certain-reject
+//! (≈ 2⁻⁶⁰ per coin), *conditioned on the drawn word* — so the sampled
+//! distribution is bit-for-bit the same as the all-exact implementation.
+//! Item weights are words and proxy weights are counts times powers of
+//! two, so a weight's bracket is exact, and the open-bucket coin
+//! `w(x)/2^{b+1}` is an exact shift whose sliver is one word.
 //!
 //! **Open-bucket walk.** A sampled bucket `b` is opened through one
 //! [`randvar::GeoDesc`] for `p = 2^{b+1}/W`, built in words: its bracket is
-//! the plan's `1/W` bracket scaled exactly by `2^{b+1}`, `⌊log2 p⌋` is
+//! the `1/W` bracket with its exponent moved by `b+1`, `⌊log2 p⌋` is
 //! `b+1 − ⌈log2 W⌉`, and its table of `(1−p)^{2^i}` brackets makes every
 //! promising, first-index and stride coin a handful of integer multiplies.
 //! A walk that expects at least one batch of potential items
@@ -100,30 +104,26 @@
 
 use crate::item::{ItemId, Slab};
 use crate::lookup::{LookupTable, MAX_K};
-use crate::structure::{
-    pow2_scaled, pow2f, u64_f64_bounds, Level1, LevelView, NodeView, IN_PLACE_BUCKETS, L1_BUCKETS,
-};
+use crate::structure::{Level1, LevelView, NodeView, IN_PLACE_BUCKETS, L1_BUCKETS};
 use bignum::{BigUint, Ratio};
 use rand::RngCore;
 use randvar::{
-    ber_bits_with, ber_rational_from_word, ber_rational_parts, div_down, div_up, mul_down, mul_up,
-    Bits64, GeoDesc,
+    ber_bits_with, ber_rational_from_word, ber_rational_parts, Bits64, GeoDesc, WordBracket,
 };
 use std::cmp::Ordering;
 use wordram::{bits, narrow, U256};
 
 /// Precomputed word-sized accelerators for a query's total weight `W`:
-/// certified `f64` bounds of `1/W` (each coin's [`Bits64`] bracket is then
-/// one or two float multiplies away) plus the exact `⌈log2 W⌉` that decides
-/// probability clamps (Claim 4.3) and the certain ranges. Construction costs
-/// a handful of word operations; [`crate::DpssSampler`] caches it per
-/// `(α, β)` across queries.
+/// the [`WordBracket`] of `1/W`, formed once from `W`'s limbs (each coin's
+/// [`Bits64`] is then a multiply and a shift away), plus the exact
+/// `⌈log2 W⌉` that decides probability clamps (Claim 4.3) and the certain
+/// ranges. Construction costs two word divisions and a handful of word
+/// operations; a [`crate::DpssSampler`] keeps it in the plan of its exact
+/// `W`, and a scan sampler, which keeps no plan, builds one per query.
 #[derive(Clone, Copy, Debug)]
 pub struct QueryAccel {
-    /// Certified lower bound of `1/W`.
-    winv_lo: f64,
-    /// Certified upper bound of `1/W`.
-    winv_hi: f64,
+    /// Certified bracket of `1/W`.
+    winv: WordBracket,
     /// `⌈log2 W⌉`, exact.
     pub(crate) w_ceil_log2: i64,
     /// `false` forces every coin onto the original all-exact path.
@@ -135,9 +135,9 @@ impl QueryAccel {
     /// force-exact mode (agreement testing, ablations).
     pub fn new(w: &Ratio, fast: bool) -> Self {
         assert!(!w.is_zero(), "query accelerators need W > 0");
-        let (winv_lo, winv_hi) = Ratio::f64_bounds_parts(w.den(), w.num());
+        let winv = WordBracket::ratio(w.den(), w.num());
         let (floor, pow2) = log2_scaled(w, 1, 1);
-        QueryAccel { winv_lo, winv_hi, w_ceil_log2: floor + i64::from(!pow2), fast }
+        QueryAccel { winv, w_ceil_log2: floor + i64::from(!pow2), fast }
     }
 
     /// `true` iff coins may take the word-level shortcut (construction-time
@@ -148,23 +148,22 @@ impl QueryAccel {
     }
 
     /// The geometric descriptor of a non-clamped bucket's
-    /// `p = 2^shift/W < 1`, in words: the `1/W` bracket scaled exactly by
-    /// `2^shift`, and `⌊log2 p⌋ = shift − ⌈log2 W⌉`. `range` is the largest
-    /// `B-Geo` cap it will serve. The exact `p` is only formed from `w` on
-    /// a sliver or in exact mode.
+    /// `p = 2^shift/W < 1`, in words: the `1/W` bracket with its exponent
+    /// moved by `shift`, and `⌊log2 p⌋ = shift − ⌈log2 W⌉`. `range` is the
+    /// largest `B-Geo` cap it will serve. The exact `p` is only formed from
+    /// `w` on a sliver or in exact mode.
     #[inline]
     fn bucket_desc<'w>(&self, w: &'w Ratio, shift: u64, range: u64) -> GeoDesc<'w> {
         debug_assert!((shift as i64) < self.w_ceil_log2, "bucket p = 2^{shift}/W is clamped");
-        let sc = pow2f(narrow::i32_of_u64(shift));
-        let bounds = (self.winv_lo * sc, self.winv_hi * sc); // exact: power-of-two scaling
-        GeoDesc::new(w.den(), w.num(), shift, bounds, shift as i64 - self.w_ceil_log2, range)
+        let p = self.winv.mul_pow2(shift as i64);
+        GeoDesc::new(w.den(), w.num(), shift, p, shift as i64 - self.w_ceil_log2, range)
     }
 
-    /// [`Bits64`] bracket of the inclusion probability `min(1, w_x/W)` from a
-    /// certified weight bracket.
+    /// [`Bits64`] bracket of the inclusion probability `min(1, v/W)` from a
+    /// certified bracket of `v`.
     #[inline]
-    fn incl_bits(&self, (w_lo, w_hi): (f64, f64)) -> Bits64 {
-        Bits64::from_f64_bounds(mul_down(w_lo, self.winv_lo), mul_up(w_hi, self.winv_hi))
+    fn incl_bits(&self, v: WordBracket) -> Bits64 {
+        (v * self.winv).bits64()
     }
 }
 
@@ -281,6 +280,12 @@ pub(crate) fn thresholds_at(w: &Ratio, w_ceil_log2: i64, n: usize, g: u32) -> Th
     }
 }
 
+/// An item's exact weight as a [`BigUint`] (sliver and exact paths only).
+fn exact_weight<V: LevelView>(view: &V, x: V::Id) -> BigUint {
+    let (m, e) = view.weight_parts(x);
+    BigUint::from_u64(m).shl(u64::from(e))
+}
+
 /// Draws `Ber((w_x/W) / p0)` with `p0 = a/b` — the thinning coin of
 /// Algorithm 2 (callers guarantee `w_x/W ≤ p0`). One uniform word against
 /// the certified bracket of `w_x·(1/W)·b/a`; the exact products
@@ -295,7 +300,7 @@ fn accept_thinned<V: LevelView, R: RngCore>(
     (a, b): (u128, u128),
 ) -> bool {
     let exact = || {
-        let num = view.weight_u256(x).to_biguint().mul(w.den()).mul(&BigUint::from_u128(b));
+        let num = exact_weight(view, x).mul(w.den()).mul(&BigUint::from_u128(b));
         let den = w.num().mul(&BigUint::from_u128(a));
         debug_assert!(num.cmp(&den) != Ordering::Greater, "thinning ratio above 1");
         (num, den)
@@ -303,13 +308,7 @@ fn accept_thinned<V: LevelView, R: RngCore>(
     if accel.use_fast() {
         #[cfg(test)]
         tests::THINNING_COINS.with(|c| c.set(c.get() + 1));
-        let (w_lo, w_hi) = view.weight_f64_bounds(x);
-        let (a_lo, a_hi) = U256::from_u128(a).to_f64_bounds();
-        let (b_lo, b_hi) = U256::from_u128(b).to_f64_bounds();
-        let bits = Bits64::from_f64_bounds(
-            div_down(mul_down(mul_down(w_lo, accel.winv_lo), b_lo), a_hi),
-            div_up(mul_up(mul_up(w_hi, accel.winv_hi), b_hi), a_lo),
-        );
+        let bits = accel.incl_bits(view.weight_bracket(x) * WordBracket::ratio_u128(b, a));
         if cfg!(debug_assertions) {
             let (num, den) = exact();
             bits.debug_validate(&num, &den);
@@ -326,9 +325,9 @@ fn accept_thinned<V: LevelView, R: RngCore>(
 }
 
 /// Draws `Ber(min(1, w_x/W))` — the plain inclusion coin. One uniform word
-/// against the certified bracket of `w_x/W`; the weight only leaves its
-/// fixed-width `U256` form (and the `BigUint` products are only formed)
-/// inside the sliver, or in force-exact mode.
+/// against the certified bracket of `w_x/W`; the weight only becomes a
+/// `BigUint` (and the products are only formed) inside the sliver, or in
+/// force-exact mode.
 fn accept_plain<V: LevelView, R: RngCore>(
     view: &V,
     rng: &mut R,
@@ -336,11 +335,11 @@ fn accept_plain<V: LevelView, R: RngCore>(
     accel: &QueryAccel,
     x: V::Id,
 ) -> bool {
-    plain_coin(rng, w, accel, view.weight_f64_bounds(x), || view.weight_u256(x))
+    plain_coin(rng, w, accel, view.weight_bracket(x), || exact_weight(view, x))
 }
 
 /// The one body of the plain inclusion coin ([`accept_plain`] and
-/// [`scan_into`]): `bounds` is the certified bracket of the weight `w_x`,
+/// [`scan_into`]): `weight` is the certified bracket of the weight `w_x`,
 /// and `w_x` yields it exactly, which only the sliver and force-exact mode
 /// ask for.
 #[inline]
@@ -348,12 +347,12 @@ fn plain_coin<R: RngCore>(
     rng: &mut R,
     w: &Ratio,
     accel: &QueryAccel,
-    bounds: (f64, f64),
-    w_x: impl Fn() -> U256,
+    weight: WordBracket,
+    w_x: impl Fn() -> BigUint,
 ) -> bool {
-    let num = || w_x().to_biguint().mul(w.den());
+    let num = || w_x().mul(w.den());
     if accel.use_fast() {
-        let bits = accel.incl_bits(bounds);
+        let bits = accel.incl_bits(weight);
         if cfg!(debug_assertions) {
             bits.debug_validate(&num(), w.num());
         }
@@ -377,7 +376,8 @@ pub(crate) fn scan_into<R: RngCore>(
     mut emit: impl FnMut(ItemId),
 ) {
     for (id, w_x) in slab.iter() {
-        if w_x > 0 && plain_coin(rng, w, accel, u64_f64_bounds(w_x), || U256::from_u64(w_x)) {
+        let exact = WordBracket::exact(w_x, 0);
+        if w_x > 0 && plain_coin(rng, w, accel, exact, || BigUint::from_u64(w_x)) {
             emit(id);
         }
     }
@@ -589,7 +589,7 @@ const WALK_BATCH: usize = 16;
 /// and saves 30–45 ns per stride, so it pays from about 8 strides. At 4
 /// and 64 instead, perfbench `query_mix` read 72.2k and 69.3k ops/s
 /// against 73.8k here (medians of five rotated 8 s runs, seeds 201–205).
-const STRIDE_TABLE_MIN_ITEMS: f64 = WALK_BATCH as f64;
+const STRIDE_TABLE_MIN_ITEMS: u64 = WALK_BATCH as u64;
 
 /// Walks a non-clamped bucket `b` from its first potential index `k`: each
 /// potential item `x` is accepted with `Ber(w(x)/2^{b+1})`, and the next
@@ -623,7 +623,6 @@ fn walk_bucket<V: LevelView, R: RngCore + Clone>(
     out: &mut Vec<V::Id>,
 ) {
     let n_b = view.bucket_len(b) as u64;
-    let inv_pow = pow2f(-narrow::i32_of_u64(shift));
     let table = if accel.use_fast() && d.np_surely_at_least(n_b, STRIDE_TABLE_MIN_ITEMS) {
         d.stride_table()
     } else {
@@ -640,7 +639,7 @@ fn walk_bucket<V: LevelView, R: RngCore + Clone>(
     // One step of the item-at-a-time loop; returns the next position.
     let step = |rng: &mut R, k: u64, out: &mut Vec<V::Id>| {
         let x = view.bucket_item(b, (k - 1) as usize);
-        if accept_in_bucket(view, rng, accel, x, shift, inv_pow) {
+        if accept_in_bucket(view, rng, accel, x, shift) {
             out.push(x);
         }
         k + stride(rng)
@@ -675,7 +674,7 @@ fn walk_bucket<V: LevelView, R: RngCore + Clone>(
         }
         let decided = ids.iter().zip(&words).take(m).all(|(&x, &u)| {
             let Some(x) = x else { return false };
-            match in_bucket_bits(view, x, shift, inv_pow).certain(u) {
+            match in_bucket_bits(view, x, shift).certain(u) {
                 Some(accept) => {
                     if accept {
                         out.push(x);
@@ -698,22 +697,13 @@ fn walk_bucket<V: LevelView, R: RngCore + Clone>(
     }
 }
 
-/// The certified [`Bits64`] bracket of `w(x)/2^{b+1}`, with
-/// `inv_pow = 2^-(b+1)`: the denominator is a power of two, so the bracket
-/// is an exact-scaling float multiply and, in debug builds, the exact
-/// threshold a shift.
-fn in_bucket_bits<V: LevelView>(view: &V, x: V::Id, shift: u64, inv_pow: f64) -> Bits64 {
-    let (w_lo, w_hi) = view.weight_f64_bounds(x);
-    let bits = Bits64::from_f64_bounds(mul_down(w_lo, inv_pow), mul_up(w_hi, inv_pow));
+/// The certified [`Bits64`] bracket of `w(x)/2^{b+1}`: the denominator is
+/// a power of two, so the weight's bracket only moves its exponent, and an
+/// exact weight gives the exact threshold, a one-word sliver.
+fn in_bucket_bits<V: LevelView>(view: &V, x: V::Id, shift: u64) -> Bits64 {
+    let bits = view.weight_bracket(x).mul_pow2(-(shift as i64)).bits64();
     if cfg!(debug_assertions) {
-        // ⌊w·2^64/2^shift⌋ < 2^64 since w < 2^shift.
-        let w_x = view.weight_u256(x);
-        let t = if shift >= 64 {
-            w_x.shr(narrow::u32_of_u64(shift - 64)).to_u128()
-        } else {
-            w_x.to_u128().map(|v| bits::shl128(v, 64 - shift))
-        };
-        bits.debug_validate_threshold(t.and_then(|v| u64::try_from(v).ok()).unwrap_or(u64::MAX));
+        bits.debug_validate(&exact_weight(view, x), &BigUint::pow2(shift));
     }
     bits
 }
@@ -727,14 +717,13 @@ fn accept_in_bucket<V: LevelView, R: RngCore>(
     accel: &QueryAccel,
     x: V::Id,
     shift: u64,
-    inv_pow: f64,
 ) -> bool {
     if accel.use_fast() {
-        return ber_bits_with(rng, &in_bucket_bits(view, x, shift, inv_pow), |rng, u| {
-            ber_rational_from_word(rng, &view.weight_u256(x).to_biguint(), &BigUint::pow2(shift), u)
+        return ber_bits_with(rng, &in_bucket_bits(view, x, shift), |rng, u| {
+            ber_rational_from_word(rng, &exact_weight(view, x), &BigUint::pow2(shift), u)
         });
     }
-    ber_rational_parts(rng, &view.weight_u256(x).to_biguint(), &BigUint::pow2(shift))
+    ber_rational_parts(rng, &exact_weight(view, x), &BigUint::pow2(shift))
 }
 
 /// Iterates the non-empty *significant* groups of a level and hands each to
@@ -964,15 +953,12 @@ fn accept_table_candidate<R: RngCore>(
     m2: u64,
 ) -> bool {
     if accel.use_fast() {
-        // w_v = c·2^{idx+1} is exact in f64 (c ≤ m ≤ 64: few significant
-        // bits); m²/num_t is a directed-rounded quotient of small integers.
-        let wv = pow2_scaled(u64::from(c), narrow::i32_of_u64(idx as u64) + 1);
-        let a_lo = mul_down(wv, accel.winv_lo).min(1.0);
-        let a_hi = mul_up(wv, accel.winv_hi).min(1.0);
-        let bits = Bits64::from_f64_bounds(
-            mul_down(a_lo, div_down(m2 as f64, num_t as f64)),
-            mul_up(a_hi, div_up(m2 as f64, num_t as f64)),
-        );
+        // w_v = c·2^{idx+1} is exact; m²/num_t is a quotient of words. A
+        // clamped w_v/W has num_t = m², and a bracket reaching past 1 only
+        // saturates the threshold words.
+        let w_v = WordBracket::exact(u64::from(c), idx as i64 + 1);
+        let table_inv = WordBracket::ratio_u128(u128::from(m2), u128::from(num_t));
+        let bits = accel.incl_bits(w_v * table_inv);
         if cfg!(debug_assertions) {
             let (num, den) = table_accept_parts(w, idx, c, num_t, m2);
             bits.debug_validate(&num, &den);
@@ -996,8 +982,7 @@ fn accept_direct_candidate<R: RngCore>(
     c: u64,
 ) -> bool {
     if accel.use_fast() {
-        let wv = pow2_scaled(c, narrow::i32_of_u64(idx as u64) + 1); // exact product
-        let bits = Bits64::from_f64_bounds(mul_down(wv, accel.winv_lo), mul_up(wv, accel.winv_hi));
+        let bits = accel.incl_bits(WordBracket::exact(c, idx as i64 + 1));
         if cfg!(debug_assertions) {
             bits.debug_validate(&BigUint::from_u64(c).shl(idx as u64 + 1).mul(w.den()), w.num());
         }
@@ -1030,8 +1015,9 @@ mod tests {
     }
 
     /// A [`Level1`] whose weight brackets are widened by 2⁻⁶ either side
-    /// (still certified): about one acceptance word in 30 lands in the
-    /// sliver, so most walk batches rewind and replay.
+    /// (still certified) through the [`LevelView::weight_bracket`] hook:
+    /// about one acceptance word in 30 lands in the sliver, so most walk
+    /// batches rewind and replay.
     struct WideBrackets<'a>(&'a Level1);
 
     impl LevelView for WideBrackets<'_> {
@@ -1048,13 +1034,14 @@ mod tests {
         fn bucket_item(&self, b: usize, pos: usize) -> ItemId {
             self.0.bucket_item(b, pos)
         }
-        fn weight_u256(&self, id: ItemId) -> U256 {
-            self.0.weight_u256(id)
+        fn weight_parts(&self, id: ItemId) -> (u64, u32) {
+            self.0.weight_parts(id)
         }
-        fn weight_f64_bounds(&self, id: ItemId) -> (f64, f64) {
-            // Rounding is monotone, so lo·c ≤ lo and hi·c' ≥ hi.
-            let (lo, hi) = self.0.weight_f64_bounds(id);
-            (lo * (1.0 - 1.0 / 64.0), hi * (1.0 + 1.0 / 64.0))
+        fn weight_bracket(&self, id: ItemId) -> WordBracket {
+            // w·63/64 ≤ w ≤ w·65/64, in units of 2^-6 (the weights stay
+            // below 2^21).
+            let (w, _) = self.0.weight_parts(id);
+            WordBracket::new(w * 63, w * 65, -6)
         }
     }
 

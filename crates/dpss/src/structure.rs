@@ -50,9 +50,10 @@
 // pss-lint: hot-path — the O(1) update cascade must not touch the global allocator in steady state
 use crate::item::{ItemId, Slab};
 use crate::sampler::N0_FLOOR;
+use randvar::WordBracket;
 use wordram::bits::floor_log2_u64;
 use wordram::narrow;
-use wordram::{BitsetList, Bucket, BucketArena, FillCursor, Pool, SpaceUsage, U256};
+use wordram::{BitsetList, Bucket, BucketArena, FillCursor, Pool, SpaceUsage};
 
 /// Level-1 bucket-index universe: weights are `< 2^64`.
 pub const L1_BUCKETS: usize = 64;
@@ -69,42 +70,6 @@ pub const NO_NODE: u32 = u32::MAX;
 /// the group width `g₁` of a sampler at the size floor. A [`Level1`] whose
 /// groups are no wider than this is flat: it builds no level-2/3 nodes.
 pub const IN_PLACE_BUCKETS: usize = (usize::BITS - (N0_FLOOR - 1).leading_zeros()) as usize;
-
-/// `2^e` as an `f64` (exact for `|e| ≤ 1023`; the hierarchy's bucket
-/// indices stay below 161). Shared with the query layer, which calls it per
-/// coin: a normal power of two is its biased exponent field alone, so it
-/// costs a shift rather than a `powi` library call.
-#[inline]
-pub(crate) fn pow2f(e: i32) -> f64 {
-    if (-1022..=1023).contains(&e) {
-        f64::from_bits(u64::from((e + 1023).unsigned_abs()) << 52)
-    } else {
-        2f64.powi(e)
-    }
-}
-
-/// Certified `f64` bracket of an item weight: `u64 → f64` is correctly
-/// rounded, so the bracket is the value itself below `2^53` and one ulp
-/// either side above.
-#[inline]
-pub(crate) fn u64_f64_bounds(w: u64) -> (f64, f64) {
-    let f = w as f64;
-    if w <= 1 << 53 {
-        (f, f)
-    } else {
-        (f.next_down(), f.next_up())
-    }
-}
-
-/// `c·2^e` as an exact `f64`: scaling by a power of two only shifts the
-/// exponent, so the product is exact whenever `c` itself is (`c < 2^53`)
-/// and no overflow occurs — the bucket counts and indices the query layer
-/// feeds in stay far inside both limits.
-#[inline]
-pub(crate) fn pow2_scaled(c: u64, e: i32) -> f64 {
-    debug_assert!(c < (1u64 << 53), "count exceeds exact f64 range");
-    c as f64 * pow2f(e)
-}
 
 /// `true` iff a proxy for a bucket whose count changed `old → new` moves
 /// between buckets of its node (appears, disappears, or crosses a power of
@@ -1657,16 +1622,21 @@ pub trait LevelView {
     #[inline]
     fn prefetch_bucket_item(&self, _b: usize, _pos: usize) {}
     /// Hints that the item's weight will soon be read
-    /// ([`LevelView::weight_f64_bounds`]). Default: no-op.
+    /// ([`LevelView::weight_parts`]). Default: no-op.
     #[inline]
     fn prefetch_weight(&self, _id: Self::Id) {}
-    /// Exact weight of an item as a fixed-width [`U256`] (`Copy`, no heap;
-    /// callers convert to `BigUint` only on the exact/sliver paths).
-    fn weight_u256(&self, id: Self::Id) -> U256;
-    /// Certified `f64` bracket of the item's weight (`lo ≤ w ≤ hi` exactly,
-    /// ulp-wide): the allocation-free input of the query fast path. Must
-    /// bracket the same value [`LevelView::weight_u256`] returns.
-    fn weight_f64_bounds(&self, id: Self::Id) -> (f64, f64);
+    /// Exact weight of an item as `m·2^e`, a one-word mantissa `m` and a
+    /// shift `e`: a level-1 item's weight is a word, and a level-2/3 proxy's
+    /// is its child bucket's count times `2^{c+1}`.
+    fn weight_parts(&self, id: Self::Id) -> (u64, u32);
+    /// The bracket the fast coins read an item's weight through. Default:
+    /// the exact weight. Must contain it; a wider one only sends more
+    /// coins to the exact sliver fallback.
+    #[inline]
+    fn weight_bracket(&self, id: Self::Id) -> WordBracket {
+        let (m, e) = self.weight_parts(id);
+        WordBracket::exact(m, i64::from(e))
+    }
 }
 
 impl LevelView for Level1 {
@@ -1692,13 +1662,9 @@ impl LevelView for Level1 {
     fn prefetch_weight(&self, id: ItemId) {
         self.slab.prefetch_slot(id.idx());
     }
-    fn weight_u256(&self, id: ItemId) -> U256 {
-        // pss-lint: allow(no-panic-paths) — ids handed to weight_u256 come from this level's own bucket lists, which hold only live items
-        U256::from_u64(self.slab.weight(id).expect("live item"))
-    }
-    fn weight_f64_bounds(&self, id: ItemId) -> (f64, f64) {
-        // pss-lint: allow(no-panic-paths) — ids handed to weight_f64_bounds come from this level's own bucket lists, which hold only live items
-        u64_f64_bounds(self.slab.weight(id).expect("live item"))
+    fn weight_parts(&self, id: ItemId) -> (u64, u32) {
+        // pss-lint: allow(no-panic-paths) — ids handed to weight_parts come from this level's own bucket lists, which hold only live items
+        (self.slab.weight(id).expect("live item"), 0)
     }
 }
 
@@ -1754,14 +1720,8 @@ impl LevelView for NodeView<'_> {
     fn bucket_item(&self, b: usize, pos: usize) -> u16 {
         self.pool.arena.get(self.node.buckets.at(b), pos)
     }
-    fn weight_u256(&self, id: u16) -> U256 {
-        U256::from_u64_shifted(self.proxy_count(id), u32::from(id) + 1)
-    }
-    fn weight_f64_bounds(&self, id: u16) -> (f64, f64) {
-        // count < 2^53 and the scale is a power of two, so the product is an
-        // exact f64 — the bracket is a point.
-        let f = self.proxy_count(id) as f64 * pow2f(i32::from(id) + 1);
-        (f, f)
+    fn weight_parts(&self, id: u16) -> (u64, u32) {
+        (self.proxy_count(id), u32::from(id) + 1)
     }
 }
 

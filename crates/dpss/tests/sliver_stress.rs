@@ -1,19 +1,21 @@
 //! Sliver telemetry under load (ROADMAP item): the query fast path decides
-//! each coin from a certified ulp-wide `f64` bracket, falling back to the
-//! exact rational machinery only when the drawn word lands in the sliver
-//! between certain-accept and certain-reject (`randvar::sliver_hits`
-//! counts these). The bracket quality is what keeps queries fast — if a
-//! refactor widened the brackets, every coin would silently degrade to the
-//! old all-exact speed without failing anything. This long-running seeded
-//! stress asserts a hard upper bound on sliver hits per query so bracket
-//! regressions fail loudly.
+//! each coin from an integer word bracket (`randvar::WordBracket`: one-word
+//! floor and ceiling mantissas under one exact exponent, 62 or more
+//! significant bits), falling back to the exact rational machinery only
+//! when the drawn word lands in the sliver between certain-accept and
+//! certain-reject (`randvar::sliver_hits` counts these). The bracket
+//! quality is what keeps queries fast — if a refactor widened the
+//! brackets, every coin would silently degrade to the old all-exact speed
+//! without failing anything. This long-running seeded stress asserts a hard
+//! upper bound on sliver hits per query so bracket regressions fail loudly.
 //!
 //! With correct brackets a sliver hit needs the uniform word to land in a
-//! ≈ 2⁻⁵⁰-wide window, so across a few hundred thousand coins the expected
-//! count is ≈ 0; the bounds below (≤ 2 per query, ≤ 8 per 10k queries)
-//! leave generous room while sitting orders of magnitude under a
-//! degraded-bracket regime (which would hit the sliver on a constant
-//! fraction of coins).
+//! window a few units of `2^-62·p` wide (a single word for the open-bucket
+//! coin, whose bracket is an exact shift), so across a few hundred thousand
+//! coins the expected count is ≈ 0; the bounds below (≤ 2 per query, ≤ 8
+//! per 10k queries) leave generous room while sitting orders of magnitude
+//! under a degraded-bracket regime (which would hit the sliver on a
+//! constant fraction of coins).
 
 use bignum::Ratio;
 use dpss::{DpssSampler, ItemId, QueryCtx};

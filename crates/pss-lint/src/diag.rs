@@ -129,7 +129,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: rules::FLOAT_TAINT,
         summary: "an f64 produced by raw arithmetic may not reach a branch condition or coin \
-                  call except through the certified *_f64_bounds/Bits64 API",
+                  call; sampling decisions go through integer word brackets (Bits64)",
         scope: "lib code of dpss, pss-core, baselines, randvar (semantic; forward dataflow)",
     },
     RuleInfo {

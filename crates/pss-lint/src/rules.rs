@@ -683,11 +683,7 @@ pub fn run_semantic(
         if journal_scope {
             facts.fns.push(journal_facts(imp, f, &cfg, &waives));
         }
-        // `*_f64_bounds` certifiers are the trust boundary of the float
-        // discipline: their bodies *construct* brackets from directed
-        // rounding, so raw arithmetic there is by design (and audited by
-        // the bracket-validation tests), exactly like `bignum` internals.
-        if float_scope && !f.name.ends_with("_f64_bounds") {
+        if float_scope {
             float_taint(ctx, f, &cfg, out);
         }
         poison_discipline(ctx, f, &cfg, &fault_marks, out);
@@ -852,17 +848,12 @@ fn journal_facts(
 enum Taint {
     /// Not a float (or untracked — opaque values never taint).
     Not,
-    /// A float with a certificate: literal, f64 parameter, or the result
-    /// of the certified bounds API.
+    /// A float with a certificate: a literal, an f64 parameter, an
+    /// `int as f64` cast, or an `f64::`/`Bits64::` call.
     Clean,
     /// Produced by raw float arithmetic — its rounding is unaudited.
     Tainted,
 }
-
-/// Certified combinators: both clean sources and sinks whose inputs must
-/// themselves be certified for the result to mean anything.
-const CERTIFIED_COMBINATORS: &[&str] =
-    &["mul_down", "mul_up", "div_down", "div_up", "pow2f", "pow2_scaled"];
 
 /// Coin-flip entry points: a tainted probability here biases sampling.
 fn is_coin_name(name: &str) -> bool {
@@ -905,7 +896,6 @@ fn taint_of(e: &Expr, st: &BTreeMap<String, Taint>) -> Taint {
             let rt = taint_of(recv, st);
             match name.as_str() {
                 "to_f64_lossy" => Taint::Tainted,
-                n if n.contains("f64_bounds") => Taint::Clean,
                 "next_down" | "next_up" => rt.max(Taint::Clean),
                 "min" | "max" | "clamp" | "abs" | "floor" | "ceil" | "round" | "trunc" => {
                     args.iter().map(|a| taint_of(a, st)).fold(rt, Taint::max)
@@ -925,12 +915,7 @@ fn taint_of(e: &Expr, st: &BTreeMap<String, Taint>) -> Taint {
         ExprKind::Call { callee, .. } => {
             let ExprKind::Path(segs) = &callee.kind else { return Taint::Not };
             let first = segs.first().map(String::as_str).unwrap_or("");
-            let last = segs.last().map(String::as_str).unwrap_or("");
-            if last.contains("f64_bounds")
-                || CERTIFIED_COMBINATORS.contains(&last)
-                || first == "Bits64"
-                || first == "f64"
-            {
+            if first == "Bits64" || first == "f64" {
                 Taint::Clean
             } else {
                 Taint::Not
@@ -951,7 +936,7 @@ impl<'a> Analysis<'a> for FloatTaint<'_> {
 
     fn boundary(&self) -> Self::State {
         // f64 parameters are certified at the API boundary: the *caller's*
-        // coin/combinator call sites are where raw values get caught.
+        // coin call sites are where raw values get caught.
         self.f
             .params
             .iter()
@@ -1040,7 +1025,7 @@ fn float_taint(ctx: &FileCtx<'_>, f: &FnItem, cfg: &Cfg<'_>, out: &mut Vec<Diagn
                         c.col,
                         format!(
                             "`{}` branches on a value produced by raw f64 arithmetic; derive the \
-                         decision from the certified bounds API (Bits64, *_f64_bounds) instead",
+                         decision from an integer word bracket (Bits64, WordBracket) instead",
                             f.name
                         ),
                     );
@@ -1057,16 +1042,15 @@ fn float_taint(ctx: &FileCtx<'_>, f: &FnItem, cfg: &Cfg<'_>, out: &mut Vec<Diagn
                         x.col,
                         format!(
                             "float comparison in `{}` on a value produced by raw f64 \
-                             arithmetic; its rounding is unaudited — use the certified \
-                             bounds API (Bits64, *_f64_bounds) or justify with a pragma",
+                             arithmetic; its rounding is unaudited — decide on an integer \
+                             word bracket (Bits64, WordBracket) or justify with a pragma",
                             f.name
                         ),
                     );
                 }
                 ExprKind::Call { callee, args } => {
                     let Some(name) = callee.path_last() else { return };
-                    if (is_coin_name(name) || CERTIFIED_COMBINATORS.contains(&name))
-                        && args.iter().any(|a| taint_of(a, st) == Taint::Tainted)
+                    if is_coin_name(name) && args.iter().any(|a| taint_of(a, st) == Taint::Tainted)
                     {
                         push(
                             out,
@@ -1074,8 +1058,8 @@ fn float_taint(ctx: &FileCtx<'_>, f: &FnItem, cfg: &Cfg<'_>, out: &mut Vec<Diagn
                             x.col,
                             format!(
                                 "raw f64 arithmetic result flows into `{name}`; only \
-                                 certified values (literals, f64 params, Bits64 and \
-                                 *_f64_bounds results) may enter a coin or bounds combinator"
+                                 certified values (literals, f64 params) may enter a coin — \
+                                 decide on an integer word bracket (Bits64, WordBracket)"
                             ),
                         );
                     }

@@ -42,7 +42,7 @@ impl S {
     pub fn plan(&self, ws: &[f64]) -> f64 {
         let mut best = 0.0;
         for &w in ws {
-            let score = mul_down(w, 0.5);
+            let score = w.min(0.5);
             if score > best {
                 best = score;
             }

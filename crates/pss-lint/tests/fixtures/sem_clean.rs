@@ -71,12 +71,11 @@ fn read_slab(dec: &mut Dec) -> u64 {
     dec.get_u64()
 }
 
-pub fn ratio_f64_bounds(x: f64, y: f64) -> (f64, f64) {
-    let q = x / y; // raw by design: this *is* the certifier
+pub fn spread(x: f64, y: f64) -> (f64, f64) {
+    let q = x / y; // raw, but it reaches no decision
     (q.next_down(), q.next_up())
 }
 
-pub fn coin(rng: &mut SmallRng, x: f64, y: f64) -> bool {
-    let (lo, hi) = ratio_f64_bounds(x, y);
-    rng.gen_bool(mul_down(lo, hi))
+pub fn coin(rng: &mut SmallRng, bits: &Bits64) -> bool {
+    ber_bits_with(rng, bits, |_, _| false)
 }

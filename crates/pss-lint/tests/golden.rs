@@ -90,9 +90,12 @@ fn journal_completeness_flags_the_uncovered_exit_only() {
 
 #[test]
 fn float_taint_flags_the_raw_coin_only() {
-    // `w / 2.0` taints `p`; the `mul_down` twin is certified and clean.
+    // `w / 2.0` taints `p`; the twin on an f64 parameter is clean. A
+    // `*_f64_bounds` body is linted like any other: its raw `q > 1.0` is
+    // flagged.
     let got = lint_fixture("sem_float.rs");
-    let want: Vec<(u32, String)> = vec![(6, "float-taint".to_string())];
+    let want: Vec<(u32, String)> =
+        vec![(6, "float-taint".to_string()), (15, "float-taint".to_string())];
     assert_eq!(got, want);
 }
 
@@ -122,8 +125,9 @@ fn cfg_stress_is_clean() {
 
 #[test]
 fn semantic_false_positive_guard_is_clean() {
-    // No-op exits, a load-bearing waiver, delegated journaling, a certifier
-    // body, a mirrored codec pair (helpers + rep), an armed fault window.
+    // No-op exits, a load-bearing waiver, delegated journaling, raw float
+    // arithmetic that reaches no decision, a word-bracket coin, a mirrored
+    // codec pair (helpers + rep), an armed fault window.
     let got = lint_fixture("sem_clean.rs");
     assert!(got.is_empty(), "expected clean, got {got:?}");
 }

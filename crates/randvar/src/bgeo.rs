@@ -62,7 +62,7 @@ impl GeoDesc<'_> {
     ///
     /// Hot path: one uniform word against the certified bracket of
     /// `(1−p)^k` from the descriptor's power table; only a draw inside the
-    /// ulp-wide sliver (probability ≈ 2⁻⁵⁰) builds the exact `p` and runs
+    /// sliver (`O(k)` words of `2^-63`) builds the exact `p` and runs
     /// the rational / interval-oracle machinery, conditioned on the drawn
     /// word — the distribution is identical to the all-exact code.
     pub fn ber_pow_one_minus<R: RngCore>(&self, rng: &mut R, k: u64) -> bool {

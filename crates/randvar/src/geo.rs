@@ -7,9 +7,8 @@
 //! and a `B-Geo` stride per sampled item. A [`GeoDesc`] is built once per
 //! probability and serves all of them:
 //!
-//! - the certified `f64` bracket of `p` (supplied by the caller, who often
-//!   has it for free — the query layer scales its cached `1/W` bracket by a
-//!   power of two);
+//! - the [`WordBracket`] of `p` (supplied by the caller, who often has it
+//!   for free — the query layer moves the exponent of its `1/W` bracket);
 //! - `⌊log2 p⌋`, exact, which fixes the `B-Geo` block length;
 //! - the brackets of `(1−p)^{2^i}` for every `i` up to the block exponent,
 //!   so a bracket of `(1−p)^k` is `popcount(k)` directed-rounded products.
@@ -32,16 +31,16 @@
 //!
 //! The exact value `p` — `num·2^shift/den` by reference, or `num/den` in
 //! two words each — is only materialized as a [`Ratio`] when a coin lands
-//! in the ulp-wide sliver (or in exact mode). Every decision stays a
+//! in the few-word sliver (or in exact mode). Every decision stays a
 //! function of the drawn words and the exact `p`: a tighter or looser
 //! bracket only moves how often the sliver fallback runs, never what is
 //! returned or which words are drawn.
 
-use crate::fast::{div_down, div_up, mul_down, mul_up, Bits64};
+use crate::fast::{Bits64, WordBracket};
 use bignum::{BigUint, Ratio};
 use std::cell::OnceCell;
 use std::cmp::Ordering;
-use wordram::{bits, narrow};
+use wordram::bits;
 
 /// Largest `B-Geo` block exponent: blocks stay at most `2^62` long.
 const MAX_BLOCK_EXP: u64 = 62;
@@ -58,9 +57,6 @@ const STRIDE_ENTRIES: usize = 65;
 /// `1` in the power table's 63-bit fixed point.
 const ONE: u64 = 1 << 63;
 
-/// `2^63` as `f64` (exact).
-const SCALE_63: f64 = 9223372036854775808.0;
-
 /// `⌊a·b/2^63⌋`: a certified lower bound of the fixed-point product of
 /// lower bounds (`a, b ≤ 2^63`, so the product fits 126 bits).
 #[inline]
@@ -73,20 +69,6 @@ fn fx_mul_down(a: u64, b: u64) -> u64 {
 #[inline]
 fn fx_mul_up(a: u64, b: u64) -> u64 {
     ((u128::from(a) * u128::from(b) + u128::from(ONE - 1)) >> 63) as u64
-}
-
-/// The largest `f64` that is `≤ x·2^-63`.
-fn fx_to_f64_down(x: u64) -> f64 {
-    let f = x as f64; // round to nearest; ≤ 2^63, so `f as u64` is exact
-    let f = if f as u64 > x { f.next_down() } else { f };
-    f / SCALE_63
-}
-
-/// The smallest `f64` that is `≥ x·2^-63`.
-fn fx_to_f64_up(x: u64) -> f64 {
-    let f = x as f64;
-    let f = if (f as u64) < x { f.next_up() } else { f };
-    f / SCALE_63
 }
 
 /// The exact parts of a descriptor's `p`.
@@ -106,8 +88,7 @@ pub struct GeoDesc<'a> {
     parts: Parts<'a>,
     /// `p` as a [`Ratio`], built on first exact use.
     exact: OnceCell<Ratio>,
-    p_lo: f64,
-    p_hi: f64,
+    p: WordBracket,
     floor_log2: i64,
     /// `sq_lo[i] ≤ (1−p)^{2^i}·2^63 ≤ sq_hi[i]` for `i ≤ top`.
     sq_lo: [u64; TABLE],
@@ -126,24 +107,6 @@ pub(crate) fn block_exp(floor_log2: i64, n: u64) -> u64 {
     s_p.min(s_n).min(MAX_BLOCK_EXP)
 }
 
-/// Certified `f64` bracket of a word `n` (exact below 2^53).
-#[inline]
-pub(crate) fn u64_f64_bounds(n: u64) -> (f64, f64) {
-    let nf = n as f64;
-    if n <= 1 << 53 {
-        (nf, nf)
-    } else {
-        (nf.next_down(), nf.next_up())
-    }
-}
-
-/// Certified `f64` bracket of a two-word `n`.
-#[inline]
-fn u128_f64_bounds(n: u128) -> (f64, f64) {
-    let limbs = [n as u64, (n >> 64) as u64];
-    bignum::f64_bounds_from_limbs(&limbs, u64::from(128 - n.leading_zeros()))
-}
-
 /// `⌊log2(a/b)⌋` for machine-word `a, b > 0`, without allocating.
 fn floor_log2_u128(a: u128, b: u128) -> i64 {
     let k0 = i64::from(b.leading_zeros()) - i64::from(a.leading_zeros());
@@ -158,7 +121,7 @@ fn floor_log2_u128(a: u128, b: u128) -> i64 {
 
 impl<'a> GeoDesc<'a> {
     /// The descriptor of `p = num·2^shift/den`, given a certified bracket
-    /// `p_lo ≤ p ≤ p_hi` and the exact `⌊log2 p⌋`. `range ≥ 1` is the
+    /// `p` of it and the exact `⌊log2 p⌋`. `range ≥ 1` is the
     /// largest cap or exponent the caller will pass: the power table is
     /// filled up to that cap's block exponent, and larger arguments stay
     /// correct, only slower.
@@ -169,11 +132,11 @@ impl<'a> GeoDesc<'a> {
         num: &'a BigUint,
         den: &'a BigUint,
         shift: u64,
-        bounds: (f64, f64),
+        p: WordBracket,
         floor_log2: i64,
         range: u64,
     ) -> Self {
-        Self::with_parts(Parts::Scaled { num, den, shift }, bounds, floor_log2, range)
+        Self::with_parts(Parts::Scaled { num, den, shift }, p, floor_log2, range)
     }
 
     /// The descriptor of `p = num/den ∈ (0, 1)` given in words: bracket,
@@ -182,36 +145,34 @@ impl<'a> GeoDesc<'a> {
     /// [`GeoDesc::new`].
     pub fn from_words(num: u128, den: u128, range: u64) -> GeoDesc<'static> {
         assert!(0 < num && num < den, "geometric descriptor needs 0 < p < 1");
-        let ((n_lo, n_hi), (d_lo, d_hi)) = (u128_f64_bounds(num), u128_f64_bounds(den));
-        let bounds = (div_down(n_lo, d_hi), div_up(n_hi, d_lo).min(1.0));
-        GeoDesc::with_parts(Parts::Words { num, den }, bounds, floor_log2_u128(num, den), range)
+        let p = WordBracket::ratio_u128(num, den);
+        GeoDesc::with_parts(Parts::Words { num, den }, p, floor_log2_u128(num, den), range)
     }
 
     /// The descriptor of `p` given by `parts`, its bracket and `⌊log2 p⌋`.
-    fn with_parts(parts: Parts<'a>, (p_lo, p_hi): (f64, f64), floor_log2: i64, range: u64) -> Self {
-        debug_assert!(0.0 <= p_lo && p_lo <= p_hi && p_lo < 1.0, "bad bracket [{p_lo}, {p_hi}]");
+    fn with_parts(parts: Parts<'a>, p: WordBracket, floor_log2: i64, range: u64) -> Self {
+        debug_assert!(p.floors(0).0 == 0, "bracket {p:?} of p < 1 reaches 1");
         debug_assert!(
-            floor_log2 < -1000
-                || (2f64.powi(narrow::i32_of_i64(floor_log2)) <= p_hi
-                    && p_lo < 2f64.powi(narrow::i32_of_i64(floor_log2) + 1)),
-            "⌊log2 p⌋ = {floor_log2} disagrees with the bracket [{p_lo}, {p_hi}]"
+            {
+                let (lo, hi) = p.mul_pow2(-floor_log2).floors(0);
+                lo <= 1 && hi >= 1
+            },
+            "⌊log2 p⌋ = {floor_log2} disagrees with the bracket {p:?}"
         );
         let top = block_exp(floor_log2, range.max(1)) as usize;
         let mut d = GeoDesc {
             parts,
             exact: OnceCell::new(),
-            p_lo,
-            p_hi,
+            p,
             floor_log2,
             sq_lo: [0; TABLE],
             sq_hi: [0; TABLE],
             top,
         };
-        // 1−p in fixed point: scaling by 2^63 is exact, `as u64` floors
-        // and saturates, so ⌊p_lo·2^63⌋ ≤ p·2^63 ≤ ⌈p_hi·2^63⌉.
-        let p_lo_fx = (p_lo * SCALE_63) as u64;
-        let p_hi_fx = ((p_hi * SCALE_63).ceil() as u64).min(ONE);
-        let (mut b_lo, mut b_hi) = (ONE - p_hi_fx, ONE - p_lo_fx);
+        // 1−p in fixed point: ⌊p_lo·2^63⌋ ≤ p·2^63 ≤ ⌊p_hi·2^63⌋ + 1.
+        let (p_lo_fx, p_hi_fx) = p.floors(63);
+        let (mut b_lo, mut b_hi) =
+            (ONE - p_hi_fx.saturating_add(1).min(ONE), ONE - p_lo_fx.min(ONE));
         for (lo, hi) in d.sq_lo.iter_mut().zip(d.sq_hi.iter_mut()).take(top + 1) {
             (*lo, *hi) = (b_lo, b_hi);
             b_lo = fx_mul_down(b_lo, b_lo);
@@ -228,7 +189,10 @@ impl<'a> GeoDesc<'a> {
         assert!(p.num().cmp(p.den()) == Ordering::Less, "geometric descriptor needs p < 1");
         match p.to_u128_parts() {
             Some((num, den)) => GeoDesc::from_words(num, den, range),
-            None => Self::new(p.num(), p.den(), 0, p.to_f64_bounds(), p.floor_log2(), range),
+            None => {
+                let bracket = WordBracket::ratio(p.num(), p.den());
+                Self::new(p.num(), p.den(), 0, bracket, p.floor_log2(), range)
+            }
         }
     }
 
@@ -238,11 +202,6 @@ impl<'a> GeoDesc<'a> {
             Parts::Scaled { num, den, shift } => Ratio::new(num.shl(shift), den.clone()),
             Parts::Words { num, den } => Ratio::from_u128s(num, den),
         })
-    }
-
-    /// The certified bracket `(p_lo, p_hi)` of `p`.
-    pub(crate) fn p_f64_bounds(&self) -> (f64, f64) {
-        (self.p_lo, self.p_hi)
     }
 
     /// `⌊log2 p⌋`, exact.
@@ -300,10 +259,13 @@ impl<'a> GeoDesc<'a> {
         Bits64::from_fixed63(lo as u64, hi as u64)
     }
 
-    /// Certified `f64` bracket of `(1−p)^k`.
-    pub(crate) fn pow_f64_bounds(&self, k: u64) -> (f64, f64) {
-        let (lo, hi) = self.pow_fixed(k);
-        (fx_to_f64_down(lo), fx_to_f64_up(hi))
+    /// The [`Bits64`] bracket of `p* = (1 − (1−p)^n)/(n·p)`, the type (ii)
+    /// probability: the power table's bracket of `1 − (1−p)^n` over the
+    /// bracket of `n·p`.
+    pub(crate) fn pstar_bits(&self, n: u64) -> Bits64 {
+        let (lo, hi) = self.pow_fixed(n);
+        let num = WordBracket::new(ONE - hi, ONE - lo, -63);
+        (num / (self.p * WordBracket::exact(n, 0))).bits64()
     }
 
     /// The [`StrideTable`] of this descriptor's block, or `None` when the
@@ -332,19 +294,17 @@ impl<'a> GeoDesc<'a> {
     /// `n·p ≥ m` on the bracket alone: `false` whenever the bracket cannot
     /// show it, even if the exact `n·p` reaches `m`. For cost decisions
     /// only, which never change a result.
-    pub fn np_surely_at_least(&self, n: u64, m: f64) -> bool {
-        mul_down(u64_f64_bounds(n).0, self.p_lo) >= m
+    pub fn np_surely_at_least(&self, n: u64, m: u64) -> bool {
+        (self.p * WordBracket::exact(n, 0)).floors(0).0 >= m
     }
 
     /// `n·p ≥ 1`, decided on the bracket and settled exactly only when the
     /// bracket straddles 1.
     pub fn np_at_least_one(&self, n: u64) -> bool {
-        let (n_lo, n_hi) = u64_f64_bounds(n);
-        if mul_down(n_lo, self.p_lo) >= 1.0 {
-            return true;
-        }
-        if mul_up(n_hi, self.p_hi) < 1.0 {
-            return false;
+        match (self.p * WordBracket::exact(n, 0)).floors(0) {
+            (1.., _) => return true,
+            (_, 0) => return false,
+            _ => {}
         }
         match self.parts {
             Parts::Scaled { num, den, shift } => {
@@ -437,10 +397,9 @@ mod tests {
     /// The descriptor the query layer would build: the bracket of
     /// `num/den` scaled exactly by `2^shift`, and the exact `⌊log2 p⌋`.
     fn scaled_desc<'a>(num: &'a BigUint, den: &'a BigUint, shift: u64, range: u64) -> GeoDesc<'a> {
-        let (lo, hi) = Ratio::f64_bounds_parts(num, den);
-        let sc = 2f64.powi(shift as i32);
+        let p = WordBracket::ratio(num, den).mul_pow2(shift as i64);
         let fl = exact(num, den, shift).floor_log2();
-        GeoDesc::new(num, den, shift, (lo * sc, hi * sc), fl, range)
+        GeoDesc::new(num, den, shift, p, fl, range)
     }
 
     /// `x·2^-63` as an exact dyadic.
@@ -448,26 +407,12 @@ mod tests {
         Dyadic::new(BigUint::from_u64(x), -63)
     }
 
-    /// Exact comparison of a finite `x ≥ 0` with `num/den`.
-    fn cmp_f64_ratio(x: f64, num: &BigUint, den: &BigUint) -> Ordering {
-        let bits = x.to_bits();
-        let (exp, frac) = ((bits >> 52) & 0x7FF, bits & ((1 << 52) - 1));
-        // x = m·2^e exactly (subnormals have exponent field 0).
-        let (m, e) = if exp == 0 { (frac, -1074) } else { (frac | 1 << 52, exp as i64 - 1075) };
-        let lhs = den.mul_u64(m);
-        if e >= 0 {
-            lhs.shl(e as u64).cmp(num)
-        } else {
-            lhs.cmp(&num.shl(e.unsigned_abs()))
-        }
-    }
-
-    /// A finite `x ≥ 0` as an exact dyadic.
-    fn dyadic_of(x: f64) -> Dyadic {
-        let bits = x.to_bits();
-        let (exp, frac) = ((bits >> 52) & 0x7FF, bits & ((1 << 52) - 1));
-        let (m, e) = if exp == 0 { (frac, -1074) } else { (frac | 1 << 52, exp as i64 - 1075) };
-        Dyadic::new(BigUint::from_u64(m), e)
+    /// `⌊x·2^64⌋` of a dyadic `x < 1`.
+    fn word_of(x: &Dyadic) -> Option<u64> {
+        let sh = x.exp() + 64;
+        let v =
+            if sh >= 0 { x.mantissa().shl(sh as u64) } else { x.mantissa().shr(sh.unsigned_abs()) };
+        v.to_u64()
     }
 
     proptest! {
@@ -557,18 +502,18 @@ mod tests {
             // Small n: against the exact rational
             // p* = (den^n − (den − num)^n) / (n·num·den^{n−1}).
             let d = scaled_desc(&num, &den, shift, n_small + 1);
-            let (lo, hi) = d.pstar_bounds(n_small);
             let s_num = p.den().pow(n_small).sub(&p.den().sub(p.num()).pow(n_small));
             let s_den = p.num().mul_u64(n_small).mul(&p.den().pow(n_small - 1));
-            prop_assert!(cmp_f64_ratio(lo, &s_num, &s_den) != Ordering::Greater, "n = {}", n_small);
-            prop_assert!(cmp_f64_ratio(hi, &s_num, &s_den) != Ordering::Less, "n = {}", n_small);
-            // Any n: against a 200-bit interval of p*.
-            let d = scaled_desc(&num, &den, shift, n + 1);
-            let (lo, hi) = d.pstar_bounds(n);
+            let t = Bits64::from_ratio_parts(&s_num, &s_den).lo_word();
+            prop_assert_eq!(d.pstar_bits(n_small).certain(t), None, "n = {}", n_small);
+            // Any n: against a 200-bit interval of p*, whose ends almost
+            // always share the threshold word.
             if n > 64 {
+                let d = scaled_desc(&num, &den, shift, n + 1);
                 let iv = PStarOracle::new(&p, n).bracket(200);
-                prop_assert!(dyadic_of(lo).cmp(iv.lo()) != Ordering::Greater, "n = {}", n);
-                prop_assert!(dyadic_of(hi).cmp(iv.hi()) != Ordering::Less, "n = {}", n);
+                let t = word_of(iv.lo());
+                prop_assume!(t.is_some() && t == word_of(iv.hi()));
+                prop_assert_eq!(d.pstar_bits(n).certain(t.unwrap_or(0)), None, "n = {}", n);
             }
         }
 

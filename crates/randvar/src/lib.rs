@@ -22,13 +22,15 @@
 //!   goodness-of-fit framework (χ² with exact p-values via regularized
 //!   incomplete gamma, Kolmogorov–Smirnov, binomial z) for the exactness
 //!   experiments (V2, E6, E8);
-//! - [`Bits64`] and the `*_from_word` continuations: the exactness-preserving
-//!   word-RAM **fast path** — every coin first tests one uniform 64-bit word
-//!   against certified certain-accept/certain-reject thresholds and only
-//!   invokes the exact multi-word machinery on the ulp-wide sliver between
-//!   them, conditioned on the drawn word, so the output distribution is
-//!   bit-for-bit unchanged. [`exact_mode_guard`] restores the all-exact
-//!   behavior for agreement testing;
+//! - [`Bits64`], [`WordBracket`] and the `*_from_word` continuations: the
+//!   exactness-preserving word-RAM **fast path** — every coin first tests
+//!   one uniform 64-bit word against certified certain-accept/certain-reject
+//!   thresholds and only invokes the exact multi-word machinery on the
+//!   few-word sliver between them, conditioned on the drawn word, so the
+//!   output distribution is bit-for-bit unchanged. The thresholds come from
+//!   integer brackets (one-word floor and ceiling mantissas under one exact
+//!   binary exponent), never from floating point. [`exact_mode_guard`]
+//!   restores the all-exact behavior for agreement testing;
 //! - [`GeoDesc`]: the per-probability **geometric descriptor** the
 //!   geometric-family generators run on. Built once per `p` in words — a
 //!   certified bracket of `p`, the exact `⌊log2 p⌋`, and a fixed-point
@@ -64,8 +66,8 @@ pub use bernoulli::{ber_rational, ber_rational_from_word, ber_rational_parts, be
 pub use bgeo::{ber_pow_one_minus, bgeo};
 pub use binomial::{binomial, binomial_positions};
 pub use fast::{
-    ber_bits_rational, ber_bits_with, div_down, div_up, exact_mode_guard, fast_path_enabled,
-    mul_down, mul_up, sliver_hits, Bits64, ExactModeGuard,
+    ber_bits_rational, ber_bits_with, exact_mode_guard, fast_path_enabled, sliver_hits, Bits64,
+    ExactModeGuard, WordBracket,
 };
 pub use geo::{GeoDesc, StrideTable};
 pub use lazy::{ber_oracle, ber_oracle_from_word, ProbOracle, RatioOracle};

@@ -15,8 +15,8 @@
 //! on the error estimate; only speed does. This realizes the poly(i)-time
 //! *i*-bit approximations of Lemmas 3.3 and 3.4.
 
-use crate::fast::{ber_bits_with, fast_path_enabled, mul_down, mul_up, Bits64};
-use crate::geo::{u64_f64_bounds, GeoDesc};
+use crate::fast::{ber_bits_with, fast_path_enabled};
+use crate::geo::GeoDesc;
 use crate::lazy::{ber_oracle, ber_oracle_from_word, ProbOracle};
 use bignum::{BigUint, Interval, Ratio};
 use rand::RngCore;
@@ -117,36 +117,16 @@ impl ProbOracle for PStarOracle {
 }
 
 impl GeoDesc<'_> {
-    /// Certified `f64` bracket of `p* = (1 − (1−p)^n)/(n·p)` (the type (ii)
-    /// probability), from the descriptor's words only. Degenerate inputs
-    /// (underflowing `n·p`) return the trivial `[0, 1]`, which routes the
-    /// caller to the exact oracle.
-    pub(crate) fn pstar_bounds(&self, n: u64) -> (f64, f64) {
-        let (pow_lo, pow_hi) = self.pow_f64_bounds(n);
-        let num_lo = (1.0 - pow_hi).next_down().max(0.0);
-        let num_hi = (1.0 - pow_lo).next_up().clamp(0.0, 1.0);
-        let (q_lo, q_hi) = self.p_f64_bounds();
-        let (n_lo, n_hi) = u64_f64_bounds(n);
-        let den_lo = mul_down(n_lo, q_lo);
-        let den_hi = mul_up(n_hi, q_hi);
-        if den_lo <= 0.0 || !den_hi.is_finite() {
-            return (0.0, 1.0);
-        }
-        let lo = (num_lo / den_hi).next_down().max(0.0);
-        let hi = (num_hi / den_lo).next_up().min(1.0);
-        (lo, hi)
-    }
-
     /// Draws `Ber(p*)` for `p* = (1−(1−p)^n)/(n·p)` — the promising-bucket
     /// coin of Theorem 3.1 — through the two-sided fast path: one uniform
-    /// word against a certified `f64` bracket of `p*`, with the interval oracle
-    /// (conditioned on the drawn word) only inside the ulp-wide sliver.
+    /// word against the word bracket of `p*` (the power table's bracket of
+    /// `1 − (1−p)^n` over that of `n·p`), with the interval oracle
+    /// (conditioned on the drawn word) only inside the few-word sliver.
     /// Requires `n ≥ 1` and `n·p ≤ 1` ([`PStarOracle::new`]); the fast
     /// branch never even constructs the oracle.
     pub fn ber_pstar<R: RngCore>(&self, rng: &mut R, n: u64) -> bool {
         if fast_path_enabled() {
-            let (lo, hi) = self.pstar_bounds(n);
-            return ber_bits_with(rng, &Bits64::from_f64_bounds(lo, hi), |rng, u| {
+            return ber_bits_with(rng, &self.pstar_bits(n), |rng, u| {
                 let mut oracle = PStarOracle::new(self.ratio(), n);
                 ber_oracle_from_word(rng, &mut oracle, u)
             });

@@ -178,14 +178,6 @@ impl U256 {
         Some(U256(out))
     }
 
-    /// Certified `f64` bracket: `(lo, hi)` with `lo ≤ self ≤ hi` exactly
-    /// (ulp-wide; `lo == hi` for values of ≤ 53 significant bits). The query
-    /// fast path feeds proxy weights through this without allocating a
-    /// [`BigUint`].
-    pub fn to_f64_bounds(&self) -> (f64, f64) {
-        bignum::f64_bounds_from_limbs(&self.0, self.bit_len() as u64)
-    }
-
     /// Logical right shift.
     pub fn shr(&self, k: u32) -> U256 {
         if k >= 256 {

@@ -9,7 +9,7 @@
 //! a migrating `DeamortizedDpss` — with the product-law χ² of
 //! `crates/dpss/tests/joint_distribution.rs`, on the fast path and in
 //! force-exact mode. They pin the path itself by its word count: off the
-//! ulp-wide sliver, a fast scan draws exactly one word per positive item
+//! few-word sliver, a fast scan draws exactly one word per positive item
 //! on every query, a count a level-1 query does not hold query after query.
 //! A flat sampler whose slab outgrew the bound keeps the hierarchy, and its
 //! law is checked too.
